@@ -14,8 +14,10 @@
 //!   deduplicated replicator writes each document once per batch however
 //!   many superseded revisions the feed holds.
 //! * **Durable mode**: the WAL tax on the put path (append + frame +
-//!   checksum per write) and the snapshot-then-replay recovery cost of
-//!   [`DocStore::open`].
+//!   checksum per write) — into an empty store with snapshots off, and
+//!   into a store already holding 10 000 documents with the automatic
+//!   snapshot and feed compaction running — the cost of a `get`, and the
+//!   snapshot-then-replay recovery cost of [`DocStore::open`].
 //!
 //! `SAFEWEB_BENCH_SMOKE=1` (CI) shrinks the fixed workloads ~10× on top
 //! of the criterion shim's sample caps; `SAFEWEB_BENCH_JSON` records the
@@ -217,7 +219,69 @@ fn bench_docstore(c: &mut Criterion) {
                 .unwrap()
         });
     });
+
+    // A store the size of the portal's application database, snapshot
+    // cadence at its default: the cost a put must *not* have is anything
+    // proportional to the 10 000 documents already there (the automatic
+    // snapshot's capture, the changes-feed compaction). Each sample is a
+    // fixed run of updates long enough to cross several snapshot and
+    // compaction triggers, so their amortised cost is in the per-put
+    // figure instead of hiding in one sample out of twenty.
+    let big_dir = dir.with_extension("10k");
+    let _ = std::fs::remove_dir_all(&big_dir);
+    let big = DocStore::open(&big_dir).expect("open 10k-document bench store");
+    big.create_view("by_mid", "mdt_id");
+    const BIG_DOCS: u64 = 10_000;
+    let big_id = |n: u64| format!("record-{:05}", n % BIG_DOCS);
+    let big_body = |n: u64| {
+        jobject! {
+            "mdt_id" => format!("mdt-{}", n % 100),
+            "n" => n as i64,
+            "payload" => "0123456789abcdef0123456789abcdef0123456789abcdef",
+        }
+    };
+    let mut revs = Vec::with_capacity(BIG_DOCS as usize);
+    for n in 0..BIG_DOCS {
+        revs.push(
+            big.put(&big_id(n), big_body(n), LabelSet::new(), None)
+                .unwrap(),
+        );
+    }
+    let updates_per_sample: u64 = if criterion::smoke_run() {
+        10_000
+    } else {
+        30_000
+    };
+    let mut next = BIG_DOCS;
+    group.bench_function("put/durable-10k-docs", |b| {
+        b.iter_custom(|_| {
+            let start = Instant::now();
+            for _ in 0..updates_per_sample {
+                let slot = (next % BIG_DOCS) as usize;
+                revs[slot] = big
+                    .put(
+                        &big_id(next),
+                        big_body(next),
+                        LabelSet::new(),
+                        Some(&revs[slot]),
+                    )
+                    .unwrap();
+                next += 1;
+            }
+            start.elapsed() / updates_per_sample as u32
+        });
+    });
+    let mut g = 0u64;
+    group.bench_function("get/10k-docs", |b| {
+        b.iter(|| {
+            g += 7919;
+            big.get(&big_id(g)).map(|d| d.rev().generation())
+        });
+    });
     group.finish();
+    big.snapshot_quiesce();
+    drop(big);
+    let _ = std::fs::remove_dir_all(&big_dir);
 
     // Recovery: replay the whole WAL the puts above just wrote.
     let wal_bytes = durable.wal_len().unwrap_or(0);

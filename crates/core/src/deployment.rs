@@ -94,7 +94,8 @@ impl SafeWebBuilder {
         self
     }
 
-    /// Sets the Intranet→DMZ replication period (default 100 ms).
+    /// Sets the Intranet→DMZ replication fallback period (default
+    /// 100 ms): replication runs on every commit, and at least this often.
     pub fn replication_interval(mut self, interval: Duration) -> SafeWebBuilder {
         self.replication_interval = interval;
         self
@@ -218,6 +219,8 @@ impl SafeWebBuilder {
             ReplicationHandle::start(app_db.clone(), dmz_db.clone(), self.replication_interval)
         };
 
+        replication.attach_metrics(&metrics, "replication");
+
         // Replication lag in sequence numbers: how far the DMZ replica's
         // checkpoint trails the Intranet store. A count, never content.
         let lag_source = app_db.clone();
@@ -338,8 +341,9 @@ impl SafeWebDeployment {
 
     /// The deployment-wide metrics registry. Every subsystem reports
     /// here — broker (`broker.*`), scheduler (`sched.*`), document
-    /// stores (`docstore.app.*` / `docstore.dmz.*`), replication lag
-    /// (`replication.lag_seqs`), declassification audit (`safeq.*`),
+    /// stores (`docstore.app.*` / `docstore.dmz.*`), replication
+    /// (`replication.lag_seqs`, `.runs`, `.wakeups`, `.docs_per_run`),
+    /// declassification audit (`safeq.*`),
     /// and, once served, the frontend (`web.*`, `frontend.*`). Call
     /// [`safeweb_obs::MetricsRegistry::snapshot`] for one consistent
     /// JSON view, or serve it over HTTP with

@@ -1,5 +1,7 @@
 //! Documents: JSON bodies with id, MVCC revision and security labels.
 
+use std::sync::Arc;
+
 use safeweb_json::Value;
 use safeweb_labels::LabelSet;
 
@@ -63,8 +65,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// A stored document: body plus middleware metadata (labels live *next to*
 /// the body, not inside it, so application code cannot silently strip
 /// them).
+///
+/// A `Document` is an immutable, reference-counted handle: every write
+/// creates a new one, so cloning — which is what [`crate::DocStore::get`],
+/// the view and scan queries and snapshot captures do — is a
+/// reference-count bump, never a copy of the JSON tree.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Document {
+pub struct Document(Arc<Parts>);
+
+#[derive(Debug, Clone, PartialEq)]
+struct Parts {
     id: String,
     rev: Revision,
     labels: LabelSet,
@@ -73,51 +83,65 @@ pub struct Document {
 
 impl Document {
     pub(crate) fn new(id: String, rev: Revision, labels: LabelSet, body: Value) -> Document {
-        Document {
+        Document(Arc::new(Parts {
             id,
             rev,
             labels,
             body,
-        }
+        }))
     }
 
     /// The document id.
     pub fn id(&self) -> &str {
-        &self.id
+        &self.0.id
     }
 
     /// The current revision.
     pub fn rev(&self) -> &Revision {
-        &self.rev
+        &self.0.rev
     }
 
     /// The security labels the storage unit attached.
     pub fn labels(&self) -> &LabelSet {
-        &self.labels
+        &self.0.labels
     }
 
     /// The JSON body.
     pub fn body(&self) -> &Value {
-        &self.body
+        &self.0.body
     }
 
-    /// Consumes into `(id, rev, labels, body)`.
+    /// Consumes into `(id, rev, labels, body)`; copies the parts only when
+    /// another handle (typically the store's own) still shares them.
     pub fn into_parts(self) -> (String, Revision, LabelSet, Value) {
-        (self.id, self.rev, self.labels, self.body)
+        let parts = Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone());
+        (parts.id, parts.rev, parts.labels, parts.body)
+    }
+
+    /// A copy that shares no memory with `self`: what replication hands
+    /// the target store (see the replication module docs for why).
+    pub(crate) fn deep_copy(&self) -> Document {
+        Document(Arc::new((*self.0).clone()))
+    }
+
+    /// Whether both handles point at one allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_allocation_with(&self, other: &Document) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 
     /// Full wire form (used by replication): the body wrapped with `_id`,
     /// `_rev` and `_labels` fields.
     pub fn to_wire_json(&self) -> Value {
-        let mut v = self.body.clone();
+        let mut v = self.body().clone();
         if v.as_object().is_none() {
             let mut wrapper = Value::object();
             wrapper.set("_body", v);
             v = wrapper;
         }
-        v.set("_id", self.id.as_str());
-        v.set("_rev", self.rev.to_string());
-        v.set("_labels", self.labels.to_wire());
+        v.set("_id", self.id());
+        v.set("_rev", self.rev().to_string());
+        v.set("_labels", self.labels().to_wire());
         v
     }
 }

@@ -14,7 +14,6 @@
 //! untruncated) WAL; replay skips WAL records at or below the snapshot's
 //! sequence, so both recover to the same state.
 
-use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -22,7 +21,7 @@ use std::path::Path;
 use safeweb_json::Value;
 
 use crate::document::Document;
-use crate::wal::{decode_frame, doc_from_value, doc_to_value, encode_frame, WalError};
+use crate::wal::{decode_frame, doc_from_value, encode_frame, push_frame, write_doc, WalError};
 
 /// File names inside a durable store's directory (the WAL's own segment
 /// names live in [`crate::wal`]).
@@ -40,12 +39,13 @@ pub(crate) struct Snapshot {
     pub docs: Vec<Document>,
 }
 
-/// Writes a crash-atomic snapshot of `docs` into `dir`.
-pub(crate) fn write(
+/// Writes a crash-atomic snapshot of `docs` into `dir`, serialising each
+/// document by reference into one reused payload buffer.
+pub(crate) fn write<'a>(
     dir: &Path,
     seq: u64,
     rep_checkpoint: u64,
-    docs: &BTreeMap<String, Document>,
+    docs: impl ExactSizeIterator<Item = &'a Document>,
 ) -> std::io::Result<()> {
     let tmp = dir.join(SNAPSHOT_TMP);
     let mut file = File::create(&tmp)?;
@@ -55,8 +55,11 @@ pub(crate) fn write(
     meta.set("rep", rep_checkpoint as i64);
     meta.set("docs", docs.len() as i64);
     let mut out = encode_frame(&meta.to_json());
-    for doc in docs.values() {
-        out.extend_from_slice(&encode_frame(&doc_to_value(doc).to_json()));
+    let mut payload = String::new();
+    for doc in docs {
+        payload.clear();
+        write_doc(doc, None, &mut payload);
+        push_frame(&payload, &mut out);
     }
     file.write_all(&out)?;
     file.sync_all()?;

@@ -16,21 +16,24 @@ use parking_lot::RwLock;
 
 use safeweb_json::Value;
 use safeweb_labels::LabelSet;
-use safeweb_obs::{Histogram, MetricsRegistry};
+use safeweb_obs::{Counter, Histogram, MetricsRegistry};
 
 use crate::document::{Document, Revision};
+use crate::replication::CommitSignal;
 use crate::snapshot;
 use crate::wal::{self, GroupCommit, Record, Wal, WalError, WalSync};
 
-/// Default bound on the verbatim tail of the changes feed: once more than
-/// twice this many entries pile up beyond one per live document, the feed
-/// is compacted down to the latest entry per id plus this many recent
+/// Default bound on the verbatim tail of the changes feed: once the feed
+/// holds twice as many entries as live documents plus this many, it is
+/// compacted down to the latest entry per id plus this many recent
 /// entries. See [`DocStore::set_changes_retention`].
 pub const DEFAULT_CHANGES_RETENTION: usize = 1024;
 
-/// Default number of WAL records between automatic snapshots in a durable
-/// store: the recovery replay and the on-disk log stay bounded while each
-/// snapshot's full-store write is amortised over thousands of appends.
+/// Default floor on the number of WAL records between automatic snapshots
+/// in a durable store (a store holding more than half this many documents
+/// waits for twice its document count instead): the recovery replay and
+/// the on-disk log stay bounded while each snapshot's full-store write is
+/// amortised over at least as many appends as it writes documents.
 /// See [`DocStore::set_snapshot_every`].
 pub const DEFAULT_SNAPSHOT_EVERY: usize = 8192;
 
@@ -96,8 +99,8 @@ struct View {
 }
 
 /// Shared state of the background snapshot writer. Automatic snapshots
-/// ([`Inner::maybe_snapshot`]) rotate the WAL segment and clone the
-/// document map under the store lock — both cheap — and push the
+/// ([`Inner::maybe_snapshot`]) rotate the WAL segment and take a handle
+/// onto every document under the store lock — both cheap — and push the
 /// expensive full-store file write onto a detached thread, so writers
 /// never stall behind it.
 #[derive(Debug)]
@@ -133,7 +136,8 @@ struct WriteTicket {
 struct Durability {
     wal: Wal,
     dir: PathBuf,
-    /// WAL records between automatic snapshots (0 = manual only).
+    /// Floor on the WAL records between automatic snapshots (0 = manual
+    /// only); see [`Inner::maybe_snapshot`] for the trigger.
     snapshot_every: usize,
     /// Records appended since the last snapshot.
     since_snapshot: usize,
@@ -215,6 +219,11 @@ struct Inner {
     /// durability wait). Detached until [`DocStore::attach_metrics`]
     /// swaps in a registry-backed handle.
     put_ns: Histogram,
+    /// Snapshots started (automatic and [`DocStore::snapshot_now`]) and
+    /// changes-feed compactions run; surfaced by
+    /// [`DocStore::attach_metrics`].
+    snapshots: Counter,
+    compactions: Counter,
 }
 
 impl Default for Inner {
@@ -229,6 +238,8 @@ impl Default for Inner {
             read_only: false,
             durability: None,
             put_ns: Histogram::new(),
+            snapshots: Counter::new(),
+            compactions: Counter::new(),
         }
     }
 }
@@ -300,26 +311,29 @@ fn index_key(value: &Value) -> Option<String> {
     })
 }
 
-fn index_doc(views: &mut BTreeMap<String, View>, doc: &Document) {
+/// Moves a document id between view buckets as its stored document
+/// changes from `old` to `new` (`None` = absent before / deleted after).
+/// The common update leaves the indexed field alone and touches nothing.
+fn reindex(views: &mut BTreeMap<String, View>, old: Option<&Document>, new: Option<&Document>) {
     for view in views.values_mut() {
-        if let Some(key) = doc.body().get(&view.field).and_then(index_key) {
-            view.index
-                .entry(key)
-                .or_default()
-                .insert(doc.id().to_string());
+        let old_value = old.and_then(|d| d.body().get(&view.field));
+        let new_value = new.and_then(|d| d.body().get(&view.field));
+        if old_value == new_value {
+            continue;
         }
-    }
-}
-
-fn unindex_doc(views: &mut BTreeMap<String, View>, doc: &Document) {
-    for view in views.values_mut() {
-        if let Some(key) = doc.body().get(&view.field).and_then(index_key) {
+        if let Some((doc, key)) = old.zip(old_value.and_then(index_key)) {
             if let Some(ids) = view.index.get_mut(&key) {
                 ids.remove(doc.id());
                 if ids.is_empty() {
                     view.index.remove(&key);
                 }
             }
+        }
+        if let Some((doc, key)) = new.zip(new_value.and_then(index_key)) {
+            view.index
+                .entry(key)
+                .or_default()
+                .insert(doc.id().to_string());
         }
     }
 }
@@ -410,9 +424,10 @@ impl Inner {
                 .write_lock
                 .lock()
                 .unwrap_or_else(|e| e.into_inner());
-            snapshot::write(&d.dir, self.seq, d.rep_checkpoint, &self.docs)
+            snapshot::write(&d.dir, self.seq, d.rep_checkpoint, self.docs.values())
                 .map(|()| *last = (*last).max(self.seq))
         };
+        self.snapshots.inc();
         match result {
             Ok(()) => {
                 d.snapshot_error = None;
@@ -439,17 +454,25 @@ impl Inner {
     /// full-store file write: under the store lock it only reaps the
     /// previous outcome, **rotates** the WAL segment (every record the
     /// snapshot will cover is now in sealed segments ≤ the boundary) and
-    /// clones the document map; the write itself runs on a background
-    /// thread, and the covered segments are deleted when its outcome is
-    /// reaped. A crash before the write completes loses nothing — the
-    /// sealed segments still hold every record.
+    /// takes a handle onto every document; the write itself runs on a
+    /// background thread, and the covered segments are deleted when its
+    /// outcome is reaped. A crash before the write completes loses nothing
+    /// — the sealed segments still hold every record.
+    ///
+    /// The trigger is geometric: a snapshot is due once the records since
+    /// the last one reach `max(snapshot_every, 2 × live documents)`. A
+    /// snapshot costs `O(live)`, so its cost per record is `O(1)` whatever
+    /// the store's size, while the log holds `max(snapshot_every,
+    /// 2 × live)` records to replay, plus those appended while the
+    /// previous snapshot is still being written.
     fn maybe_snapshot(&mut self) {
         let due = {
+            let live = self.docs.len();
             let Some(d) = self.durability.as_mut() else {
                 return;
             };
             reap_snapshot(d);
-            d.snapshot_every > 0 && d.since_snapshot >= d.snapshot_every
+            d.snapshot_every > 0 && d.since_snapshot >= d.snapshot_every.max(2 * live)
         };
         if !due {
             return;
@@ -460,8 +483,9 @@ impl Inner {
                 return; // previous snapshot still writing; try again later
             }
         }
-        let docs = self.docs.clone();
+        let docs: Vec<Document> = self.docs.values().cloned().collect();
         let seq = self.seq;
+        self.snapshots.inc();
         let d = self.durability.as_mut().expect("due implies durable");
         // The previous writer (if any) has finished — `inflight` was
         // false — so this join only reclaims the thread.
@@ -494,7 +518,7 @@ impl Inner {
                 let result = {
                     let mut last = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
                     if seq > *last {
-                        snapshot::write(&dir, seq, rep, &docs)
+                        snapshot::write(&dir, seq, rep, docs.iter())
                             .map(|()| *last = seq)
                             .map_err(|e| e.to_string())
                     } else {
@@ -521,16 +545,21 @@ impl Inner {
     /// Replaces (or inserts) `doc`, keeping every view index in sync —
     /// including re-indexing when the indexed field's value changed.
     fn store_doc(&mut self, doc: Document) {
-        if let Some(old) = self.docs.get(doc.id()) {
-            unindex_doc(&mut self.views, old);
+        match self.docs.get_mut(doc.id()) {
+            Some(slot) => {
+                reindex(&mut self.views, Some(slot), Some(&doc));
+                *slot = doc;
+            }
+            None => {
+                reindex(&mut self.views, None, Some(&doc));
+                self.docs.insert(doc.id().to_string(), doc);
+            }
         }
-        index_doc(&mut self.views, &doc);
-        self.docs.insert(doc.id().to_string(), doc);
     }
 
     fn remove_doc(&mut self, id: &str) -> Option<Document> {
         let doc = self.docs.remove(id)?;
-        unindex_doc(&mut self.views, &doc);
+        reindex(&mut self.views, Some(&doc), None);
         Some(doc)
     }
 
@@ -544,11 +573,14 @@ impl Inner {
         self.maybe_compact();
     }
 
-    /// Auto-compaction: amortised so the feed stays at `O(live docs +
-    /// retention)` entries while each write pays `O(live/retention)`.
+    /// Auto-compaction, on a geometric trigger: the feed is compacted
+    /// once it holds `2 × (live docs + retention)` entries, down to at
+    /// most `live + retention`. Each `O(feed)` compaction is therefore
+    /// paid for by at least `live + retention` writes — `O(1)` per write
+    /// — while the feed stays at `O(live docs + retention)` entries.
     fn maybe_compact(&mut self) {
         let retention = self.changes_retention;
-        if retention == 0 || self.changes.len() < self.docs.len() + 2 * retention {
+        if retention == 0 || self.changes.len() < 2 * (self.docs.len() + retention) {
             return;
         }
         let horizon = self.changes[self.changes.len() - retention - 1].seq;
@@ -566,20 +598,17 @@ impl Inner {
         if cut == 0 {
             return;
         }
-        let suffix = self.changes.split_off(cut);
-        let prefix = std::mem::take(&mut self.changes);
+        self.compactions.inc();
         // An id "seen" at a higher seq supersedes every earlier entry.
-        let mut seen: HashSet<String> = suffix.iter().map(|c| c.id.clone()).collect();
-        let mut kept: Vec<Change> = Vec::new();
-        for change in prefix.into_iter().rev() {
-            let newest = seen.insert(change.id.clone());
-            if newest && change.rev.is_some() && self.docs.contains_key(&change.id) {
-                kept.push(change);
-            }
+        let mut seen: HashSet<&str> = self.changes[cut..].iter().map(|c| c.id.as_str()).collect();
+        let mut keep = vec![false; cut];
+        for (slot, change) in keep.iter_mut().zip(&self.changes[..cut]).rev() {
+            let newest = seen.insert(&change.id);
+            *slot = newest && change.rev.is_some() && self.docs.contains_key(&change.id);
         }
-        kept.reverse();
-        self.changes = kept;
-        self.changes.extend(suffix);
+        let mut below_horizon = keep.into_iter();
+        self.changes
+            .retain(|_| below_horizon.next().unwrap_or(true));
     }
 }
 
@@ -607,6 +636,8 @@ impl Inner {
 pub struct DocStore {
     name: String,
     inner: Arc<RwLock<Inner>>,
+    /// Raised after every committed write; replication parks on it.
+    commits: Arc<CommitSignal>,
 }
 
 impl DocStore {
@@ -616,6 +647,7 @@ impl DocStore {
         DocStore {
             name: name.to_string(),
             inner: Arc::new(RwLock::new(Inner::default())),
+            commits: Arc::default(),
         }
     }
 
@@ -726,6 +758,7 @@ impl DocStore {
         Ok(DocStore {
             name,
             inner: Arc::new(RwLock::new(inner)),
+            commits: Arc::default(),
         })
     }
 
@@ -742,6 +775,8 @@ impl DocStore {
     /// * `<prefix>.wal_fsync_ns` — group-commit leader `fdatasync` cost
     ///   (durable stores under [`WalSync::Always`] only);
     /// * `<prefix>.commit_batch_size` — appends released per leader sync;
+    /// * `<prefix>.snapshots` / `<prefix>.compactions` — snapshots started
+    ///   and changes-feed compactions run since the store was created;
     /// * `<prefix>.seq` / `<prefix>.docs` / `<prefix>.wal_bytes` —
     ///   derived gauges over the live store.
     ///
@@ -757,6 +792,8 @@ impl DocStore {
         );
         let mut inner = self.inner.write();
         inner.put_ns = put_ns;
+        registry.register_counter(&format!("{prefix}.snapshots"), &inner.snapshots);
+        registry.register_counter(&format!("{prefix}.compactions"), &inner.compactions);
         if let Some(d) = inner.durability.as_ref() {
             d.wal.group().set_metrics(fsync_ns, batch);
         }
@@ -792,10 +829,16 @@ impl DocStore {
         self.inner.read().durability.as_ref().map(|d| d.dir.clone())
     }
 
-    /// Sets how many WAL records may accumulate before an automatic
-    /// snapshot + log truncation (default [`DEFAULT_SNAPSHOT_EVERY`];
-    /// 0 = only [`DocStore::snapshot_now`] snapshots). No-op for
-    /// in-memory stores.
+    /// Sets the floor on how many WAL records accumulate before an
+    /// automatic snapshot + log truncation (default
+    /// [`DEFAULT_SNAPSHOT_EVERY`]; 0 = only [`DocStore::snapshot_now`]
+    /// snapshots). A snapshot writes every live document, so a store
+    /// holding more than `records / 2` documents waits for twice its
+    /// document count instead: the snapshot cost per write stays constant
+    /// as the store grows, and the log to replay on recovery stays at
+    /// `max(records, 2 × live documents)` records, plus what is appended
+    /// while a snapshot is still being written. No-op for in-memory
+    /// stores.
     pub fn set_snapshot_every(&self, records: usize) {
         if let Some(d) = self.inner.write().durability.as_mut() {
             d.snapshot_every = records;
@@ -1011,6 +1054,7 @@ impl DocStore {
         inner.record_change(id.to_string(), Some(new_rev.clone()));
         inner.maybe_snapshot();
         drop(inner);
+        self.commits.raise();
         self.wait_durable(ticket)?;
         // The span carries only structure: the store's name, the interned
         // label-set id, and timing — never the document id or body.
@@ -1038,6 +1082,7 @@ impl DocStore {
                 inner.record_change(id.to_string(), None);
                 inner.maybe_snapshot();
                 drop(inner);
+                self.commits.raise();
                 self.wait_durable(ticket)
             }
             other => Err(StoreError::Conflict {
@@ -1295,9 +1340,11 @@ impl DocStore {
 
     /// Sets the auto-compaction retention (default
     /// [`DEFAULT_CHANGES_RETENTION`]): the feed keeps at least this many
-    /// most-recent entries verbatim and compacts everything older once the
-    /// feed exceeds `live docs + 2 × retention` entries. `0` disables
-    /// auto-compaction (the seed's unbounded behaviour).
+    /// most-recent entries verbatim and compacts everything older once it
+    /// holds `2 × (live docs + retention)` entries, which leaves at most
+    /// `live docs + retention` — so the feed is bounded and a compaction
+    /// is paid for by at least as many writes as it scans entries. `0`
+    /// disables auto-compaction (the seed's unbounded behaviour).
     pub fn set_changes_retention(&self, retention: usize) {
         self.inner.write().changes_retention = retention;
     }
@@ -1325,6 +1372,11 @@ impl DocStore {
         (inner.seq, inner.docs.values().cloned().collect())
     }
 
+    /// The signal raised after every committed write to this store.
+    pub(crate) fn commit_signal(&self) -> &Arc<CommitSignal> {
+        &self.commits
+    }
+
     /// Applies a replicated document directly, bypassing MVCC and the
     /// read-only switch: replication is a *trusted, internal* data path —
     /// the DMZ replica refuses writes from the web frontend but accepts
@@ -1346,6 +1398,8 @@ impl DocStore {
         inner.store_doc(doc);
         inner.record_change(id, Some(rev));
         inner.maybe_snapshot();
+        drop(inner);
+        self.commits.raise();
     }
 
     /// Applies a replicated deletion; returns whether a document was
@@ -1360,6 +1414,8 @@ impl DocStore {
         inner.remove_doc(id);
         inner.record_change(id.to_string(), None);
         inner.maybe_snapshot();
+        drop(inner);
+        self.commits.raise();
         true
     }
 }
@@ -1752,10 +1808,10 @@ mod tests {
                 .put("hot", jobject! {"v" => v}, LabelSet::new(), Some(&rev))
                 .unwrap();
         }
-        // One live doc + retention 16: the feed must stay near 1 + 2*16,
-        // not grow to 500.
+        // One live doc + retention 16: the feed must stay under
+        // 2 × (1 + 16), not grow to 500.
         assert!(
-            store.changes_len() <= 1 + 2 * 16,
+            store.changes_len() < 2 * (1 + 16),
             "feed unbounded: {} entries",
             store.changes_len()
         );
@@ -1767,7 +1823,7 @@ mod tests {
             store.delete(&id, &r).unwrap();
         }
         assert!(
-            store.changes_len() <= 1 + 2 * 16,
+            store.changes_len() < 2 * (1 + 16),
             "tombstones accumulated: {} entries",
             store.changes_len()
         );
@@ -1861,26 +1917,93 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn auto_snapshot_fires_on_record_count() {
-        let dir = temp_dir("auto-snap");
-        let store = DocStore::open(&dir).unwrap();
-        store.set_snapshot_every(8);
-        for i in 0..20 {
+    /// WAL records appended since the last snapshot (replayed ones
+    /// included).
+    fn since_snapshot(store: &DocStore) -> usize {
+        store
+            .inner
+            .read()
+            .durability
+            .as_ref()
+            .unwrap()
+            .since_snapshot
+    }
+
+    /// Writes update `n` of a deterministic stream over `ids` document
+    /// ids to every store in `stores`.
+    fn write_nth(stores: &[&DocStore], n: usize, ids: usize) {
+        let id = format!("d{}", n % ids);
+        for store in stores {
+            let rev = store.get(&id).map(|d| d.rev().clone());
             store
-                .put(&format!("d{i}"), jobject! {}, LabelSet::new(), None)
+                .put(&id, jobject! {"n" => n}, labels("p"), rev.as_ref())
                 .unwrap();
-            // Snapshots write in the background; quiescing each write
-            // keeps the snapshot points deterministic (at records 8, 16).
-            store.snapshot_quiesce();
         }
-        // 20 appends with a window of 8: two snapshots happened, so the
-        // WAL holds well under 8 records' worth of bytes.
-        assert!(store.wal_len().unwrap() < 8 * 64);
+    }
+
+    /// The automatic snapshot keeps the log bounded: across growth,
+    /// updates and a restart, the records since the last snapshot never
+    /// exceed `max(snapshot_every, 2 × live)` (+ 1 for the write that
+    /// trips it), and what is recovered is what was written.
+    #[test]
+    fn auto_snapshot_bounds_the_log_across_restarts() {
+        let dir = temp_dir("auto-snap");
+        let oracle = DocStore::new("oracle");
+        let mut store = DocStore::open(&dir).unwrap();
+        store.set_snapshot_every(8);
+        for n in 0..300 {
+            if n == 150 {
+                // Restart mid-stream, some records past the last snapshot.
+                assert!(since_snapshot(&store) > 0);
+                drop(store);
+                store = DocStore::open(&dir).unwrap();
+                store.set_snapshot_every(8);
+            }
+            // The first 40 writes create documents, the rest update them.
+            write_nth(&[&store, &oracle], n, 40);
+            // Snapshots write in the background; quiescing each write
+            // keeps the snapshot points deterministic.
+            store.snapshot_quiesce();
+            let bound = 8.max(2 * store.len());
+            assert!(
+                since_snapshot(&store) <= bound + 1,
+                "write {n}: {} records since the last snapshot, bound {bound}",
+                since_snapshot(&store)
+            );
+        }
+        assert!(store.inner.read().snapshots.get() >= 1);
         drop(store);
         let store = DocStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 20);
-        assert_eq!(store.seq(), 20);
+        assert_eq!(store.snapshot(), oracle.snapshot());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// With a floor of 64 records, 10 000 updates over 1 000 documents
+    /// take a snapshot every 2 000 records (twice the live count), not
+    /// every 64: each snapshot writes the whole store, so the cadence
+    /// has to stretch with the store for a write to stay `O(1)`.
+    #[test]
+    fn snapshot_cadence_stretches_with_the_store() {
+        let dir = temp_dir("snap-cadence");
+        let oracle = DocStore::new("oracle");
+        let store = DocStore::open(&dir).unwrap();
+        store.set_snapshot_every(64);
+        let registry = MetricsRegistry::new();
+        store.attach_metrics(&registry, "t");
+        for n in 0..11_000 {
+            write_nth(&[&store, &oracle], n, 1_000);
+        }
+        store.snapshot_quiesce();
+        let snapshots = registry.counter("t.snapshots").get();
+        assert!(
+            (1..=6).contains(&snapshots),
+            "{snapshots} snapshots for 11 000 records over 1 000 documents"
+        );
+        assert!(since_snapshot(&store) <= 2 * 1_000 + 1);
+        // The registry's derived gauges hold clones of the store.
+        drop((store, registry));
+        let store = DocStore::open(&dir).unwrap();
+        assert_eq!(store.snapshot(), oracle.snapshot());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1964,28 +2087,34 @@ mod tests {
 
     /// Records replayed at open count toward the snapshot window, so a
     /// workload of short process lifetimes still truncates its log once
-    /// the threshold is crossed instead of growing it run over run.
+    /// the bound is crossed instead of growing it run over run.
     #[test]
     fn replayed_records_count_toward_auto_snapshot() {
         let dir = temp_dir("replay-window");
+        let oracle = DocStore::new("oracle");
         {
             let store = DocStore::open(&dir).unwrap();
-            for i in 0..10 {
-                store
-                    .put(&format!("d{i}"), jobject! {}, LabelSet::new(), None)
-                    .unwrap();
+            for n in 0..10 {
+                write_nth(&[&store, &oracle], n, 10);
             }
         } // 10 records in the log, no snapshot yet
         let store = DocStore::open(&dir).unwrap();
         let replayed_len = store.wal_len().unwrap();
         assert!(replayed_len > 0);
+        assert_eq!(since_snapshot(&store), 10);
         store.set_snapshot_every(8);
-        // The next write sees 10 replayed + 1 ≥ 8 and snapshots, leaving
-        // a WAL far smaller than the replayed backlog.
-        store
-            .put("next", jobject! {}, LabelSet::new(), None)
-            .unwrap();
+        // Ten live documents: a snapshot is due at max(8, 2 × 10) = 20
+        // records. The ten replayed ones count, so the tenth update of
+        // this process life — not the twentieth — trips it.
+        for n in 10..19 {
+            write_nth(&[&store, &oracle], n, 10);
+            store.snapshot_quiesce();
+        }
+        assert_eq!(store.inner.read().snapshots.get(), 0);
+        write_nth(&[&store, &oracle], 19, 10);
         store.snapshot_quiesce();
+        assert_eq!(store.inner.read().snapshots.get(), 1);
+        assert_eq!(since_snapshot(&store), 0);
         assert!(
             store.wal_len().unwrap() < replayed_len,
             "WAL kept growing across restarts: {} -> {}",
@@ -1994,7 +2123,7 @@ mod tests {
         );
         drop(store);
         let store = DocStore::open(&dir).unwrap();
-        assert_eq!(store.len(), 11);
+        assert_eq!(store.snapshot(), oracle.snapshot());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

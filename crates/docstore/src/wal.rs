@@ -48,13 +48,13 @@
 //!
 //! [`DocStore`]: crate::DocStore
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
-use safeweb_json::Value;
+use safeweb_json::{write_json_string, Value};
 use safeweb_labels::LabelSet;
 use safeweb_obs::Histogram;
 
@@ -203,21 +203,33 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 
 // ---- record payload encoding --------------------------------------------
 
-/// Encodes a document as a JSON object `{id, rev, labels, body}`; shared
-/// by WAL put records and snapshot document frames. Bodies round-trip
-/// through JSON, so non-finite floats degrade to `null` on recovery (the
-/// same degradation [`Document::to_wire_json`] applies on the wire).
-pub(crate) fn doc_to_value(doc: &Document) -> Value {
-    let mut v = Value::object();
-    v.set("id", doc.id());
-    v.set("rev", doc.rev().to_string());
-    v.set("labels", doc.labels().to_wire());
-    v.set("body", doc.body().clone());
-    v
+/// Appends a document as the JSON object `{body, id, labels, rev}` —
+/// plus `op: "put"` and `seq` when `put_seq` is given — in
+/// [`Value::to_json`]'s sorted-key byte layout, serialising the body by
+/// reference; shared by WAL put records and snapshot document frames.
+/// Bodies round-trip through JSON, so non-finite floats degrade to `null`
+/// on recovery (the same degradation [`Document::to_wire_json`] applies
+/// on the wire).
+pub(crate) fn write_doc(doc: &Document, put_seq: Option<u64>, out: &mut String) {
+    out.push_str("{\"body\":");
+    doc.body().write_json(out);
+    out.push_str(",\"id\":");
+    write_json_string(doc.id(), out);
+    out.push_str(",\"labels\":");
+    write_json_string(&doc.labels().to_wire(), out);
+    if put_seq.is_some() {
+        out.push_str(",\"op\":\"put\"");
+    }
+    // `generation-hexdigest`: nothing in it needs escaping.
+    let _ = write!(out, ",\"rev\":\"{}\"", doc.rev());
+    if let Some(seq) = put_seq {
+        let _ = write!(out, ",\"seq\":{}", seq as i64);
+    }
+    out.push('}');
 }
 
-/// Decodes [`doc_to_value`]'s encoding; `None` on any missing or
-/// malformed field.
+/// Decodes [`write_doc`]'s encoding; `None` on any missing or malformed
+/// field.
 pub(crate) fn doc_from_value(v: &Value) -> Option<Document> {
     let id = v.get("id")?.as_str()?.to_string();
     let rev = Revision::parse(v.get("rev")?.as_str()?)?;
@@ -227,10 +239,9 @@ pub(crate) fn doc_from_value(v: &Value) -> Option<Document> {
 }
 
 pub(crate) fn encode_put(seq: u64, doc: &Document) -> String {
-    let mut v = doc_to_value(doc);
-    v.set("op", "put");
-    v.set("seq", seq as i64);
-    v.to_json()
+    let mut out = String::with_capacity(256);
+    write_doc(doc, Some(seq), &mut out);
+    out
 }
 
 pub(crate) fn encode_delete(seq: u64, id: &str) -> String {
@@ -269,12 +280,17 @@ fn decode_record(payload: &str) -> Option<Record> {
 
 /// Frames `payload` for appending: length, checksum, bytes.
 pub(crate) fn encode_frame(payload: &str) -> Vec<u8> {
-    let bytes = payload.as_bytes();
-    let mut frame = Vec::with_capacity(FRAME_HEADER + bytes.len());
-    frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(bytes).to_le_bytes());
-    frame.extend_from_slice(bytes);
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
+    push_frame(payload, &mut frame);
     frame
+}
+
+/// Appends `payload`'s frame to `out`.
+pub(crate) fn push_frame(payload: &str, out: &mut Vec<u8>) {
+    let bytes = payload.as_bytes();
+    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    out.extend_from_slice(&crc32(bytes).to_le_bytes());
+    out.extend_from_slice(bytes);
 }
 
 /// One step of frame decoding: the payload at `buf[offset..]`, or the

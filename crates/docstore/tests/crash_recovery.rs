@@ -512,22 +512,18 @@ fn start_durable_resumes_from_persisted_checkpoint() {
     let src = DocStore::new("intranet");
     src.put("a", jobject! {}, LabelSet::new(), None).unwrap();
 
-    let wait_until = |cond: &mut dyn FnMut() -> bool, what: &str| {
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !cond() {
-            assert!(std::time::Instant::now() < deadline, "timed out: {what}");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    };
+    let wait = Duration::from_secs(10);
 
     {
         let dst = DocStore::open(&dir).unwrap();
         let handle =
             ReplicationHandle::start_durable(src.clone(), dst.clone(), Duration::from_millis(5));
-        wait_until(
-            &mut || dst.replication_checkpoint_persisted() == Some(src.seq()),
-            "first checkpoint persisted",
+        assert!(
+            handle.wait_for_checkpoint(src.seq(), wait),
+            "first checkpoint never published"
         );
+        // Published means persisted, for a durable target.
+        assert_eq!(dst.replication_checkpoint_persisted(), Some(src.seq()));
         handle.stop();
     }
 
@@ -536,8 +532,12 @@ fn start_durable_resumes_from_persisted_checkpoint() {
     src.put("b", jobject! {}, LabelSet::new(), None).unwrap();
     let handle =
         ReplicationHandle::start_durable(src.clone(), dst.clone(), Duration::from_millis(5));
-    wait_until(&mut || dst.get("b").is_some(), "resumed replication runs");
+    assert!(
+        handle.wait_for_checkpoint(src.seq(), wait),
+        "resumed replication never ran"
+    );
     handle.stop();
+    assert!(dst.get("b").is_some());
     assert_eq!(
         dst.seq(),
         seq_before + 1,

@@ -13,7 +13,7 @@
 //! re-transfer.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use safeweb_docstore::{DocStore, ReplicationHandle, Replicator};
 use safeweb_json::jobject;
@@ -25,13 +25,7 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn wait_until(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while !cond() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
+const WAIT: Duration = Duration::from_secs(10);
 
 fn converged(src: &DocStore, replica: &DocStore) -> bool {
     src.ids() == replica.ids()
@@ -70,10 +64,15 @@ fn two_replicas_keep_independent_checkpoints_across_a_source_restart() {
             ReplicationHandle::start_durable(src.clone(), dmz_a.clone(), Duration::from_millis(5));
         let rep_b =
             ReplicationHandle::start_durable(src.clone(), dmz_b.clone(), Duration::from_millis(5));
-        wait_until(
-            || converged(&src, &dmz_a) && converged(&src, &dmz_b),
-            "first fan-out",
+        assert!(
+            rep_a.wait_for_checkpoint(src.seq(), WAIT),
+            "first fan-out, A"
         );
+        assert!(
+            rep_b.wait_for_checkpoint(src.seq(), WAIT),
+            "first fan-out, B"
+        );
+        assert!(converged(&src, &dmz_a) && converged(&src, &dmz_b));
 
         // Replica B drops out; A keeps following the feed.
         rep_b.stop();
@@ -88,12 +87,13 @@ fn two_replicas_keep_independent_checkpoints_across_a_source_restart() {
         }
         let doomed = src.get("doc-0").unwrap().rev().clone();
         src.delete("doc-0", &doomed).unwrap();
-        wait_until(|| converged(&src, &dmz_a), "replica A catching up");
-        // A's checkpoint must durably cover the whole feed...
-        wait_until(
-            || dmz_a.replication_checkpoint_persisted() == Some(src.seq()),
-            "replica A checkpoint persistence",
+        assert!(
+            rep_a.wait_for_checkpoint(src.seq(), WAIT),
+            "replica A catching up"
         );
+        assert!(converged(&src, &dmz_a));
+        // A's checkpoint must durably cover the whole feed...
+        assert_eq!(dmz_a.replication_checkpoint_persisted(), Some(src.seq()));
         rep_a.stop();
 
         // ...while B's stayed where B stopped: same feed, two positions.

@@ -288,22 +288,28 @@ mod tests {
             wire.extend_from_slice(format!("GET /p{i} HTTP/1.1\r\n\r\n").as_bytes());
         }
         s.write_all(&wire).unwrap();
+        // Read until every response body marker has arrived; only EOF or
+        // the 5 s read timeout ends the wait early (a byte count cannot:
+        // response sizes depend on the headers).
+        let marker = |i: usize| format!("GET /p{i} ");
         let mut got = Vec::new();
-        while got.len() < 10 * 40 {
-            let mut buf = [0u8; 4096];
-            let n = s.read(&mut buf).unwrap();
-            if n == 0 {
+        let mut buf = [0u8; 4096];
+        loop {
+            let text = String::from_utf8_lossy(&got);
+            if (0..10).all(|i| text.contains(&marker(i))) {
                 break;
             }
-            got.extend_from_slice(&buf[..n]);
-            let text = String::from_utf8_lossy(&got);
-            if (0..10).all(|i| text.contains(&format!("/p{i}"))) {
-                break;
+            match s.read(&mut buf) {
+                Ok(0) | Err(_) => break,
+                Ok(n) => got.extend_from_slice(&buf[..n]),
             }
         }
         let text = String::from_utf8_lossy(&got);
         let positions: Vec<usize> = (0..10)
-            .map(|i| text.find(&format!("GET /p{i} ")).expect("response present"))
+            .map(|i| {
+                text.find(&marker(i))
+                    .unwrap_or_else(|| panic!("response {i} missing: {text}"))
+            })
             .collect();
         let mut sorted = positions.clone();
         sorted.sort_unstable();

@@ -26,4 +26,5 @@ mod ser;
 mod value;
 
 pub use parse::ParseJsonError;
+pub use ser::write_json_string;
 pub use value::Value;

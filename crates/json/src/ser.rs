@@ -1,5 +1,7 @@
 //! JSON serialisation: compact and pretty printers.
 
+use std::fmt::Write as _;
+
 use crate::value::Value;
 
 impl Value {
@@ -12,6 +14,13 @@ impl Value {
         let mut out = String::new();
         write_value(self, &mut out);
         out
+    }
+
+    /// Appends the compact encoding ([`Value::to_json`]'s bytes) to `out`,
+    /// so a caller framing this value inside a larger record serialises
+    /// it by reference instead of cloning it into a wrapper object.
+    pub fn write_json(&self, out: &mut String) {
+        write_value(self, out);
     }
 
     /// Serialises with two-space indentation for human consumption.
@@ -27,7 +36,9 @@ fn write_value(v: &Value, out: &mut String) {
         Value::Null => out.push_str("null"),
         Value::Bool(true) => out.push_str("true"),
         Value::Bool(false) => out.push_str("false"),
-        Value::Int(i) => out.push_str(&i.to_string()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
         Value::Float(f) => write_float(*f, out),
         Value::Str(s) => write_string(s, out),
         Value::Array(items) => {
@@ -102,11 +113,17 @@ fn write_float(f: f64, out: &mut String) {
         out.push_str("null");
         return;
     }
-    let s = format!("{f}");
-    out.push_str(&s);
-    if !s.contains('.') && !s.contains('e') && !s.contains('E') {
+    let start = out.len();
+    let _ = write!(out, "{f}");
+    if !out[start..].contains(['.', 'e', 'E']) {
         out.push_str(".0");
     }
+}
+
+/// Appends `s` as a JSON string literal (quoted and escaped), exactly as
+/// [`Value::to_json`] encodes a [`Value::Str`].
+pub fn write_json_string(s: &str, out: &mut String) {
+    write_string(s, out);
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -121,7 +138,7 @@ fn write_string(s: &str, out: &mut String) {
             '\u{0008}' => out.push_str("\\b"),
             '\u{000C}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }

@@ -39,7 +39,8 @@ pub struct PortalConfig {
     pub vuln: VulnConfig,
     /// Password-hash cost (lower it in tests).
     pub auth_iterations: u32,
-    /// Intranet→DMZ replication period.
+    /// Intranet→DMZ replication fallback period (replication itself runs
+    /// on commit).
     pub replication_interval: Duration,
     /// When `false`, runs the paper's no-tracking baseline (§5.3 only).
     pub label_tracking: bool,
