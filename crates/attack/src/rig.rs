@@ -366,16 +366,7 @@ fn install_attack_routes(app: &mut SafeWebApp, web_db: &Database, raw_routes: bo
     // handler depends only on the path and the store, which is the
     // `get_cached` contract.
     app.get_cached("/board/:mid", move |ctx: &Ctx<'_>| {
-        let mid = ctx.param_raw("mid").unwrap_or("");
-        let records = ctx.records_by("by_mid", mid);
-        let json_parts: Vec<SStr> = records
-            .iter()
-            .map(safeweb_taint::SValue::to_json_sstr)
-            .collect();
-        let mut body = SStr::public("[");
-        body.push_sstr(&SStr::join(json_parts.iter(), ","));
-        body.push_str("]");
-        SResponse::json(body)
+        SResponse::json_array(&ctx.records_by("by_mid", ctx.param_raw("mid").unwrap_or("")))
     });
 
     if !raw_routes {

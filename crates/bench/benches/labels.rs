@@ -28,7 +28,6 @@ use safeweb_http::{Method, Request};
 use safeweb_json::jobject;
 use safeweb_labels::{Label, LabelSet, Privilege, PrivilegeSet};
 use safeweb_relstore::Database;
-use safeweb_taint::SStr;
 use safeweb_web::{AuthConfig, Ctx, SResponse, SafeWebApp, UserStore};
 
 /// One tenant principal out of the universe.
@@ -84,15 +83,7 @@ fn render_app(cached: bool, docs: usize) -> SafeWebApp {
     }
 
     fn board(ctx: &Ctx<'_>) -> SResponse {
-        let mid = ctx.param_raw("mid").unwrap_or("");
-        let docs = ctx.records_by("by_mid", mid);
-        let body = SStr::concat_all(
-            docs.iter()
-                .map(|d| d.to_json_sstr())
-                .collect::<Vec<_>>()
-                .iter(),
-        );
-        SResponse::json(body)
+        SResponse::json_array(&ctx.records_by("by_mid", ctx.param_raw("mid").unwrap_or("")))
     }
 
     let mut app = SafeWebApp::new(users, records);

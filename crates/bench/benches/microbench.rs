@@ -8,14 +8,16 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use safeweb_broker::wire::{event_to_frame, frame_to_event};
+use safeweb_docstore::DocStore;
 use safeweb_events::Event;
+use safeweb_json::jobject;
 use safeweb_labels::{Label, LabelSet, Privilege, PrivilegeSet};
 use safeweb_regex::Regex;
 use safeweb_selector::Selector;
 use safeweb_stomp::codec::{encode, Decoder};
 use safeweb_stomp::Command;
-use safeweb_taint::SStr;
-use safeweb_web::{hash_password, TContext, TValue, Template};
+use safeweb_taint::{SStr, SValue};
+use safeweb_web::{hash_password, SDoc, TContext, TValue, Template};
 
 fn labels_of(n: usize) -> LabelSet {
     (0..n)
@@ -144,17 +146,23 @@ fn bench_template(c: &mut Criterion) {
         "<table><% for r in rows %><tr><td><%= r.name %></td><td><%= r.value %></td></tr><% end %></table>",
     )
     .unwrap();
-    let rows: Vec<TContext> = (0..100)
-        .map(|i| {
-            TContext::new()
-                .bind(
-                    "name",
-                    SStr::labelled(format!("row-{i}"), [Label::conf("e", "p/1")]),
-                )
-                .bind("value", SStr::public(i.to_string()))
-        })
+    // Rows the way a handler gets them: documents shared with a store.
+    let store = DocStore::new("bench");
+    store.create_view("by_kind", "kind");
+    let labels = LabelSet::singleton(Label::conf("e", "p/1"));
+    for i in 0..100 {
+        let body = jobject! {"kind" => "row", "name" => format!("row-{i}"), "value" => i};
+        store
+            .put(&format!("row-{i:03}"), body, labels, None)
+            .unwrap();
+    }
+    let rows: Vec<SDoc> = store
+        .query_view("by_kind", &"row".into())
+        .unwrap()
+        .into_iter()
+        .map(|doc| SValue::with_label_set(doc, labels))
         .collect();
-    let ctx = TContext::new().bind("rows", TValue::List(rows));
+    let ctx = TContext::new().bind("rows", TValue::Docs(rows));
     group.bench_function("render_100_labelled_rows", |b| {
         b.iter(|| template.render(&ctx).unwrap());
     });

@@ -10,7 +10,6 @@ use safeweb_engine::{Relabel, UnitError, UnitSpec};
 use safeweb_events::Event;
 use safeweb_http::{Method, Request};
 use safeweb_labels::{Label, Privilege, PrivilegeSet};
-use safeweb_taint::SStr;
 use safeweb_web::{Ctx, SResponse};
 
 fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) {
@@ -79,9 +78,7 @@ fn full_wiring_and_replication() {
 
     let mut app = deployment.new_frontend();
     app.get("/results", |ctx: &Ctx<'_>| {
-        let docs = ctx.records_by("by_kind", "result");
-        let parts: Vec<SStr> = docs.iter().map(|d| d.to_json_sstr()).collect();
-        SResponse::json(SStr::join(parts.iter(), ","))
+        SResponse::json_array(&ctx.records_by("by_kind", "result"))
     });
 
     let ok = app.handle(&Request::new(Method::Get, "/results").with_basic_auth("member", "pw"));

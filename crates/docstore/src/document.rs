@@ -146,6 +146,14 @@ impl Document {
     }
 }
 
+/// A document stands in for its body wherever a JSON tree is borrowed, so
+/// a reader can wrap the shared handle instead of copying the tree out.
+impl AsRef<Value> for Document {
+    fn as_ref(&self) -> &Value {
+        self.body()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -199,26 +199,47 @@ impl Protocol for HttpConn {
 
 /// Serialises a response, always emitting `content-length` and a
 /// `connection` header; a HEAD response carries the would-be body's
-/// length but no body bytes.
+/// length but no body bytes. Status line, headers and body go into one
+/// buffer allocated at its final size.
 fn encode_response(response: &Response, close: bool, head_only: bool) -> Vec<u8> {
-    let mut head = format!("HTTP/1.1 {} {}\r\n", response.status(), response.reason());
-    for (k, v) in response.headers().iter() {
-        if k == "content-length" || k == "connection" {
-            continue;
+    let status = response.status().to_string();
+    let length = response.body().len().to_string();
+    let connection: &str = if close { "close" } else { "keep-alive" };
+    let headers = || {
+        response
+            .headers()
+            .iter()
+            .filter(|(k, _)| *k != "content-length" && *k != "connection")
+            .chain([
+                ("content-length", length.as_str()),
+                ("connection", connection),
+            ])
+    };
+    let body: &[u8] = if head_only { &[] } else { response.body() };
+    // "HTTP/1.1 " + status + " " + reason + CRLF, "name: value" + CRLF
+    // per header, CRLF, body.
+    let size = 9
+        + status.len()
+        + 1
+        + response.reason().len()
+        + 2
+        + headers()
+            .map(|(k, v)| k.len() + 2 + v.len() + 2)
+            .sum::<usize>()
+        + 2
+        + body.len();
+    let mut bytes = Vec::with_capacity(size);
+    for part in ["HTTP/1.1 ", &status, " ", response.reason(), "\r\n"] {
+        bytes.extend_from_slice(part.as_bytes());
+    }
+    for (k, v) in headers() {
+        for part in [k, ": ", v, "\r\n"] {
+            bytes.extend_from_slice(part.as_bytes());
         }
-        head.push_str(&format!("{k}: {v}\r\n"));
     }
-    head.push_str(&format!("content-length: {}\r\n", response.body().len()));
-    head.push_str(if close {
-        "connection: close\r\n"
-    } else {
-        "connection: keep-alive\r\n"
-    });
-    head.push_str("\r\n");
-    let mut bytes = head.into_bytes();
-    if !head_only {
-        bytes.extend_from_slice(response.body());
-    }
+    bytes.extend_from_slice(b"\r\n");
+    bytes.extend_from_slice(body);
+    debug_assert_eq!(bytes.len(), size);
     bytes
 }
 
@@ -317,6 +338,25 @@ mod tests {
             positions, sorted,
             "pipelined responses out of order: {text}"
         );
+    }
+
+    #[test]
+    fn encoded_response_is_exactly_sized_and_overrides_framing_headers() {
+        let response = Response::new(403)
+            .with_header("content-type", "text/plain")
+            .with_header("content-length", "999")
+            .with_header("connection", "upgrade")
+            .with_body("denied");
+        let bytes = encode_response(&response, false, false);
+        assert_eq!(
+            String::from_utf8(bytes.clone()).unwrap(),
+            "HTTP/1.1 403 Forbidden\r\ncontent-type: text/plain\r\ncontent-length: 6\r\n\
+             connection: keep-alive\r\n\r\ndenied"
+        );
+        assert_eq!(bytes.capacity(), bytes.len(), "one allocation, no regrowth");
+        let head = encode_response(&response, true, true);
+        assert!(head.ends_with(b"content-length: 6\r\nconnection: close\r\n\r\n"));
+        assert_eq!(head.capacity(), head.len());
     }
 
     #[test]

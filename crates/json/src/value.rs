@@ -258,6 +258,14 @@ impl<T: Into<Value>> From<Option<T>> for Value {
     }
 }
 
+/// Reflexive, so code generic over "something that holds a JSON tree" (an
+/// owned value, a borrowed node, a shared document) also takes a `Value`.
+impl AsRef<Value> for Value {
+    fn as_ref(&self) -> &Value {
+        self
+    }
+}
+
 impl FromIterator<(String, Value)> for Value {
     fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Value {
         Value::Object(iter.into_iter().collect())

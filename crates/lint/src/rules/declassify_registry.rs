@@ -8,8 +8,9 @@
 //!
 //! * `TrustedLiteral::declassified(…)`,
 //! * `Privilege::declassify(…)`,
-//! * the taint-clearing sanitiser constructors `.sanitize_html()` /
-//!   `.sanitize_sql()`
+//! * the taint-clearing sanitisers `.sanitize_html()` /
+//!   `.sanitize_sql()` and the former's in-place form
+//!   `.push_html_escaped()`
 //!
 //! must appear in `DECLASSIFY.toml`, keyed by path + marker with an
 //! exact site count and a written justification. Adding a declassify
@@ -27,11 +28,12 @@ use crate::workspace::Workspace;
 const RULE: &str = "declassify-registry";
 
 /// The audited markers, as they appear in `DECLASSIFY.toml`.
-pub const MARKERS: [&str; 4] = [
+pub const MARKERS: [&str; 5] = [
     "TrustedLiteral::declassified",
     "Privilege::declassify",
     "sanitize_html",
     "sanitize_sql",
+    "push_html_escaped",
 ];
 
 /// One `[[site]]` entry of `DECLASSIFY.toml`.
@@ -206,19 +208,13 @@ fn marker_sites(tokens: &[Tok]) -> Vec<(&'static str, u32)> {
         {
             out.push(("Privilege::declassify", tok.line));
         }
-        for marker in ["sanitize_html", "sanitize_sql"] {
+        // The sanitiser markers follow the two path markers.
+        for marker in &MARKERS[2..] {
             if tok.is_ident(marker)
                 && prev(1).is_some_and(|t| t.is_punct('.'))
                 && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
             {
-                out.push((
-                    if marker == "sanitize_html" {
-                        "sanitize_html"
-                    } else {
-                        "sanitize_sql"
-                    },
-                    tok.line,
-                ));
+                out.push((*marker, tok.line));
             }
         }
     }

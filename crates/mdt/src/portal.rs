@@ -9,9 +9,9 @@ use std::time::{Duration, Instant};
 
 use safeweb_core::{SafeWebBuilder, SafeWebDeployment};
 use safeweb_engine::{EngineOptions, ExecutionMode};
+use safeweb_json::Value;
 use safeweb_labels::Policy;
 use safeweb_relstore::{ColumnDef, ColumnType, Database, Schema};
-use safeweb_taint::{SStr, SValue};
 use safeweb_web::{
     AuthConfig, Ctx, FrontendOptions, SResponse, SafeWebApp, TContext, TValue, Template,
 };
@@ -285,23 +285,31 @@ fn check_privileges(
     !rows.is_empty()
 }
 
-const FRONT_PAGE_TEMPLATE: &str = "<!doctype html>\n<html><head><title>MDT <%= mdt %></title></head>\n<body>\n<h1>MDT <%= mdt %> — patient records</h1>\n<p>Average completeness: <%= avg_completeness %>% over <%= cases %> cases</p>\n<table>\n<tr><th>Case</th><th>Name</th><th>Born</th><th>Site</th><th>Stage</th><th>Treatment</th><th>Completeness</th></tr>\n<% for r in records %><tr><td><%= r.case_id %></td><td><%= r.name %></td><td><%= r.birth_year %></td><td><%= r.site %></td><td><%= r.stage %></td><td><%= r.treatment %></td><td><%= r.completeness %></td></tr>\n<% end %></table>\n</body></html>\n";
+const FRONT_PAGE_TEMPLATE: &str = "<!doctype html>\n<html><head><title>MDT <%= mdt %></title></head>\n<body>\n<h1>MDT <%= mdt %> — patient records</h1>\n<p>Average completeness: <%= metrics.avg_completeness %>% over <%= metrics.cases %> cases</p>\n<table>\n<tr><th>Case</th><th>Name</th><th>Born</th><th>Site</th><th>Stage</th><th>Treatment</th><th>Completeness</th></tr>\n<% for r in records %><tr><td><%= r.case_id %></td><td><%= r.name %></td><td><%= r.birth_year %></td><td><%= r.site %></td><td><%= r.stage %></td><td><%= r.treatment %></td><td><%= r.completeness %></td></tr>\n<% end %></table>\n</body></html>\n";
 
-const COMPARE_TEMPLATE: &str = "<!doctype html>\n<html><head><title>Compare <%= mdt %></title></head>\n<body>\n<h1>MDT <%= mdt %> in context (region <%= region %>)</h1>\n<table>\n<tr><th>MDT</th><th>Cases</th><th>Avg completeness</th></tr>\n<% for m in peers %><tr><td><%= m.mdt_id %></td><td><%= m.cases %></td><td><%= m.avg_completeness %></td></tr>\n<% end %></table>\n<p>Regional average: <%= regional_avg %>% over <%= regional_cases %> cases</p>\n</body></html>\n";
+const COMPARE_TEMPLATE: &str = "<!doctype html>\n<html><head><title>Compare <%= mdt %></title></head>\n<body>\n<h1>MDT <%= mdt %> in context (region <%= region %>)</h1>\n<table>\n<tr><th>MDT</th><th>Cases</th><th>Avg completeness</th></tr>\n<% for m in peers %><tr><td><%= m.mdt_id %></td><td><%= m.cases %></td><td><%= m.avg_completeness %></td></tr>\n<% end %></table>\n<p>Regional average: <%= regional.avg_completeness %>% over <%= regional.cases %> cases</p>\n</body></html>\n";
+
+/// Renders a page, or a 500 naming the template error.
+fn render_page(template: &Template, tctx: &TContext) -> SResponse {
+    match template.render(tctx) {
+        Ok(body) => SResponse::html(body),
+        Err(e) => SResponse::error(500, &format!("template error: {e}")),
+    }
+}
 
 fn install_routes(app: &mut SafeWebApp, mdts: &[MdtInfo], web_db: &Database, vuln: &VulnConfig) {
     let mdt_index: Arc<BTreeMap<String, MdtInfo>> =
         Arc::new(mdts.iter().map(|m| (m.name.clone(), m.clone())).collect());
-    let front_template = Arc::new(Template::parse(FRONT_PAGE_TEMPLATE).expect("valid template"));
-    let compare_template = Arc::new(Template::parse(COMPARE_TEMPLATE).expect("valid template"));
+    let front_template = Template::parse(FRONT_PAGE_TEMPLATE).expect("valid template");
+    let compare_template = Template::parse(COMPARE_TEMPLATE).expect("valid template");
 
     // --- GET /records/:mid — the paper's Listing 2 -----------------------
     let idx = Arc::clone(&mdt_index);
     let db = web_db.clone();
     let vuln_records = *vuln;
     app.get("/records/:mid", move |ctx: &Ctx<'_>| {
-        let mid = ctx.param_raw("mid").unwrap_or("").to_string();
-        let Some(mdt) = idx.get(&mid) else {
+        let mid = ctx.param_raw("mid").unwrap_or("");
+        let Some(mdt) = idx.get(mid) else {
             return SResponse::not_found();
         };
         // E6 injection point: `return nil if !check_privileges(...)`.
@@ -316,22 +324,18 @@ fn install_routes(app: &mut SafeWebApp, mdts: &[MdtInfo], web_db: &Database, vul
         {
             return SResponse::error(403, "not a member of this MDT");
         }
-        let records = ctx.records_by("by_mid", &mid);
-        let json_parts: Vec<SStr> = records.iter().map(SValue::to_json_sstr).collect();
-        let mut body = SStr::public("[");
-        body.push_sstr(&SStr::join(json_parts.iter(), ","));
-        body.push_str("]");
-        SResponse::json(body)
+        SResponse::json_array(&ctx.records_by("by_mid", mid))
     });
 
     // --- GET /mdt/:mid — the HTML front page (benchmark E1) --------------
+    // The template walks the view's documents and the metrics document
+    // themselves; no row is copied out of the store to be shown.
     let idx = Arc::clone(&mdt_index);
     let db = web_db.clone();
     let vuln_page = *vuln;
-    let template = Arc::clone(&front_template);
     app.get("/mdt/:mid", move |ctx: &Ctx<'_>| {
-        let mid = ctx.param_raw("mid").unwrap_or("").to_string();
-        let Some(mdt) = idx.get(&mid) else {
+        let mid = ctx.param_raw("mid").unwrap_or("");
+        let Some(mdt) = idx.get(mid) else {
             return SResponse::not_found();
         };
         if !vuln_page.omitted_access_check
@@ -345,60 +349,14 @@ fn install_routes(app: &mut SafeWebApp, mdts: &[MdtInfo], web_db: &Database, vul
         {
             return SResponse::error(403, "not a member of this MDT");
         }
-        let records = ctx.records_by("by_mid", &mid);
-        let rows: Vec<TContext> = records
-            .iter()
-            .map(|r| {
-                let field = |name: &str| -> TValue {
-                    r.get(name)
-                        .and_then(|v| {
-                            v.as_sstr()
-                                .or_else(|| v.as_snum().map(|n| n.to_sstr()))
-                                .or_else(|| {
-                                    v.value()
-                                        .as_f64()
-                                        .map(|f| SStr::with_label_set(format!("{f}"), *v.labels()))
-                                })
-                        })
-                        .map(TValue::Str)
-                        .unwrap_or_else(|| TValue::Str(SStr::public("—")))
-                };
-                TContext::new()
-                    .bind("case_id", field("case_id"))
-                    .bind("name", field("name"))
-                    .bind("birth_year", field("birth_year"))
-                    .bind("site", field("site"))
-                    .bind("stage", field("stage"))
-                    .bind("treatment", field("treatment"))
-                    .bind("completeness", field("completeness"))
-            })
-            .collect();
-        let metrics = ctx.record(&format!("metrics-{mid}"));
-        let metric_field = |name: &str| -> TValue {
-            metrics
-                .as_ref()
-                .and_then(|m| m.get(name))
-                .and_then(|v| {
-                    v.as_sstr()
-                        .or_else(|| v.as_snum().map(|n| n.to_sstr()))
-                        .or_else(|| {
-                            v.value()
-                                .as_f64()
-                                .map(|f| SStr::with_label_set(format!("{f}"), *v.labels()))
-                        })
-                })
-                .map(TValue::Str)
-                .unwrap_or_else(|| TValue::Str(SStr::public("—")))
-        };
         let tctx = TContext::new()
-            .bind("mdt", SStr::public(mid.clone()))
-            .bind("records", TValue::List(rows))
-            .bind("avg_completeness", metric_field("avg_completeness"))
-            .bind("cases", metric_field("cases"));
-        match template.render(&tctx) {
-            Ok(body) => SResponse::html(body),
-            Err(e) => SResponse::error(500, &format!("template error: {e}")),
-        }
+            .bind("mdt", mid)
+            .bind("records", TValue::Docs(ctx.records_by("by_mid", mid)))
+            .bind(
+                "metrics",
+                TValue::Doc(ctx.record(&format!("metrics-{mid}"))),
+            );
+        render_page(&front_template, &tctx)
     });
 
     // --- GET /metrics/:mid — per-MDT aggregates (F2/F3) ------------------
@@ -406,8 +364,8 @@ fn install_routes(app: &mut SafeWebApp, mdts: &[MdtInfo], web_db: &Database, vul
     // store; the boundary label check keys the cache by PrivilegeSetId.
     let idx = Arc::clone(&mdt_index);
     app.get_cached("/metrics/:mid", move |ctx: &Ctx<'_>| {
-        let mid = ctx.param_raw("mid").unwrap_or("").to_string();
-        if !idx.contains_key(&mid) {
+        let mid = ctx.param_raw("mid").unwrap_or("");
+        if !idx.contains_key(mid) {
             return SResponse::not_found();
         }
         match ctx.record(&format!("metrics-{mid}")) {
@@ -420,80 +378,31 @@ fn install_routes(app: &mut SafeWebApp, mdts: &[MdtInfo], web_db: &Database, vul
     // Cached per clearance: the comparison page renders the same rows for
     // every user holding the same privilege set (all users of one MDT).
     let idx = Arc::clone(&mdt_index);
-    let template = Arc::clone(&compare_template);
     app.get_cached("/compare/:mid", move |ctx: &Ctx<'_>| {
-        let mid = ctx.param_raw("mid").unwrap_or("").to_string();
-        let Some(mdt) = idx.get(&mid) else {
+        let mid = ctx.param_raw("mid").unwrap_or("");
+        let Some(mdt) = idx.get(mid) else {
             return SResponse::not_found();
         };
         let region = mdt.region_id.to_string();
-        let peers = ctx.records_by("metrics_by_region", &region);
-        let peer_rows: Vec<TContext> = peers
-            .iter()
-            .filter(|p| {
-                p.get("kind")
-                    .and_then(|k| k.as_sstr())
-                    .map(|s| s.as_str().to_string())
-                    == Some("mdt_metrics".to_string())
-            })
-            .map(|p| {
-                let f = |name: &str| -> TValue {
-                    p.get(name)
-                        .and_then(|v| {
-                            v.as_sstr()
-                                .or_else(|| v.as_snum().map(|n| n.to_sstr()))
-                                .or_else(|| {
-                                    v.value()
-                                        .as_f64()
-                                        .map(|x| SStr::with_label_set(format!("{x}"), *v.labels()))
-                                })
-                        })
-                        .map(TValue::Str)
-                        .unwrap_or_else(|| TValue::Str(SStr::public("—")))
-                };
-                TContext::new()
-                    .bind("mdt_id", f("mdt_id"))
-                    .bind("cases", f("cases"))
-                    .bind("avg_completeness", f("avg_completeness"))
-            })
-            .collect();
-        let regional = ctx.record(&format!("regional-{region}"));
-        let rf = |name: &str| -> TValue {
-            regional
-                .as_ref()
-                .and_then(|m| m.get(name))
-                .and_then(|v| {
-                    v.as_sstr()
-                        .or_else(|| v.as_snum().map(|n| n.to_sstr()))
-                        .or_else(|| {
-                            v.value()
-                                .as_f64()
-                                .map(|x| SStr::with_label_set(format!("{x}"), *v.labels()))
-                        })
-                })
-                .map(TValue::Str)
-                .unwrap_or_else(|| TValue::Str(SStr::public("—")))
-        };
+        // The view also holds the region's records; only the MDT metrics
+        // are shown, so only their labels reach the page. The comparison
+        // reads the raw `kind` and nothing of it is displayed.
+        let mut peers = ctx.records_by("metrics_by_region", &region);
+        peers.retain(|p| p.value().get("kind").and_then(Value::as_str) == Some("mdt_metrics"));
         let tctx = TContext::new()
-            .bind("mdt", SStr::public(mid.clone()))
-            .bind("region", SStr::public(region.clone()))
-            .bind("peers", TValue::List(peer_rows))
-            .bind("regional_avg", rf("avg_completeness"))
-            .bind("regional_cases", rf("cases"));
-        match template.render(&tctx) {
-            Ok(body) => SResponse::html(body),
-            Err(e) => SResponse::error(500, &format!("template error: {e}")),
-        }
+            .bind("mdt", mid)
+            .bind("region", region.as_str())
+            .bind("peers", TValue::Docs(peers))
+            .bind(
+                "regional",
+                TValue::Doc(ctx.record(&format!("regional-{region}"))),
+            );
+        render_page(&compare_template, &tctx)
     });
 
     // --- GET /aggregates/regional — visible to every MDT (P1) ------------
     // Cached per clearance (pure function of the store; no user state).
     app.get_cached("/aggregates/regional", move |ctx: &Ctx<'_>| {
-        let docs = ctx.records_by("by_kind", "regional_metrics");
-        let parts: Vec<SStr> = docs.iter().map(SValue::to_json_sstr).collect();
-        let mut body = SStr::public("[");
-        body.push_sstr(&SStr::join(parts.iter(), ","));
-        body.push_str("]");
-        SResponse::json(body)
+        SResponse::json_array(&ctx.records_by("by_kind", "regional_metrics"))
     });
 }

@@ -5,7 +5,7 @@ use std::ops::{Add, Div, Mul, Sub};
 
 use safeweb_labels::{Label, LabelSet, PrivilegeSet};
 
-use crate::sstr::{ReleaseError, SStr};
+use crate::sstr::{check_labels, ReleaseError, SStr};
 
 /// A labelled 64-bit integer. Arithmetic between labelled numbers unions
 /// their labels, mirroring [`SStr`] concatenation.
@@ -82,7 +82,7 @@ impl SNum {
     ///
     /// Returns [`ReleaseError`] naming the blocking labels.
     pub fn check_release(&self, privileges: &PrivilegeSet) -> Result<i64, ReleaseError> {
-        self.to_sstr().check_release(privileges)?;
+        check_labels(&self.labels, privileges)?;
         Ok(self.value)
     }
 

@@ -25,7 +25,7 @@ use safeweb_regex::Regex;
 /// let greeting = SStr::public("Dear ") + &name;
 /// assert!(greeting.labels().contains(&Label::conf("ecric.org.uk", "patient/1")));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SStr {
     value: String,
     // An interned handle: most derived strings carry exactly their parent's
@@ -35,45 +35,52 @@ pub struct SStr {
     // propagation as a design goal, §1.)
     labels: LabelSet,
     user_tainted: bool,
+    // The set most recently joined into `labels` (so a subset of it, as
+    // labels only ever grow): a page built from a hundred rows of one
+    // document set joins it once, not once per cell. Not part of equality.
+    joined: LabelSet,
 }
 
+impl PartialEq for SStr {
+    fn eq(&self, other: &SStr) -> bool {
+        self.value == other.value
+            && self.labels == other.labels
+            && self.user_tainted == other.user_tainted
+    }
+}
+
+impl Eq for SStr {}
+
 impl SStr {
+    fn new(value: String, labels: LabelSet, user_tainted: bool) -> SStr {
+        SStr {
+            value,
+            labels,
+            user_tainted,
+            joined: labels,
+        }
+    }
+
     /// A public (unlabelled) string.
     pub fn public(value: impl Into<String>) -> SStr {
-        SStr {
-            value: value.into(),
-            labels: LabelSet::new(),
-            user_tainted: false,
-        }
+        SStr::new(value.into(), LabelSet::new(), false)
     }
 
     /// A string labelled with the given labels.
     pub fn labelled(value: impl Into<String>, labels: impl IntoIterator<Item = Label>) -> SStr {
-        SStr {
-            value: value.into(),
-            labels: labels.into_iter().collect(),
-            user_tainted: false,
-        }
+        SStr::new(value.into(), labels.into_iter().collect(), false)
     }
 
     /// A string with an existing label set (an interned handle — attaching
     /// it costs one pointer copy).
     pub fn with_label_set(value: impl Into<String>, labels: LabelSet) -> SStr {
-        SStr {
-            value: value.into(),
-            labels,
-            user_tainted: false,
-        }
+        SStr::new(value.into(), labels, false)
     }
 
     /// A string that arrived from a web user: marked user-tainted, like
     /// Ruby's `taint` (§4.4).
     pub fn from_user(value: impl Into<String>) -> SStr {
-        SStr {
-            value: value.into(),
-            labels: LabelSet::new(),
-            user_tainted: true,
-        }
+        SStr::new(value.into(), LabelSet::new(), true)
     }
 
     /// The raw value. This is **inspection**, not release: returning data
@@ -121,11 +128,7 @@ impl SStr {
             labels = labels.union(&o.labels);
             tainted |= o.user_tainted;
         }
-        SStr {
-            value,
-            labels,
-            user_tainted: tainted,
-        }
+        SStr::new(value, labels, tainted)
     }
 
     /// Concatenation, propagating both operands' labels (the paper's
@@ -136,9 +139,28 @@ impl SStr {
 
     /// Appends another labelled string in place.
     pub fn push_sstr(&mut self, other: &SStr) {
-        self.value.push_str(&other.value);
-        self.labels = self.labels.union(&other.labels);
+        self.append_labelled(&other.labels).push_str(&other.value);
         self.user_tainted |= other.user_tainted;
+    }
+
+    /// Joins `labels` into this string's labels and hands out the raw
+    /// buffer, for appending data that carries them without building a
+    /// temporary [`SStr`] per piece. Whatever is appended is covered by
+    /// the joined labels; appending less, or nothing, only over-labels.
+    pub fn append_labelled(&mut self, labels: &LabelSet) -> &mut String {
+        if *labels != self.joined {
+            self.labels = self.labels.union(labels);
+            self.joined = *labels;
+        }
+        &mut self.value
+    }
+
+    /// Appends `piece` HTML-escaped, as data carrying `labels` — the
+    /// sanitiser ([`SStr::sanitize_html`]) writing straight into this
+    /// buffer. The escaped bytes are safe whatever `piece` was, so no
+    /// user-taint bit comes with them.
+    pub fn push_html_escaped(&mut self, piece: &str, labels: &LabelSet) {
+        escape_html(piece, self.append_labelled(labels));
     }
 
     /// Appends a public literal in place.
@@ -148,11 +170,7 @@ impl SStr {
 
     /// Concatenates many labelled pieces.
     pub fn concat_all<'a, I: IntoIterator<Item = &'a SStr>>(pieces: I) -> SStr {
-        let mut out = SStr::public("");
-        for p in pieces {
-            out.push_sstr(p);
-        }
-        out
+        SStr::join(pieces, "")
     }
 
     /// Joins pieces with a public separator.
@@ -243,31 +261,14 @@ impl SStr {
     /// that makes user input safe for HTML responses.
     pub fn sanitize_html(&self) -> SStr {
         let mut out = String::with_capacity(self.value.len());
-        for c in self.value.chars() {
-            match c {
-                '&' => out.push_str("&amp;"),
-                '<' => out.push_str("&lt;"),
-                '>' => out.push_str("&gt;"),
-                '"' => out.push_str("&quot;"),
-                '\'' => out.push_str("&#39;"),
-                other => out.push(other),
-            }
-        }
-        SStr {
-            value: out,
-            labels: self.labels,
-            user_tainted: false,
-        }
+        escape_html(&self.value, &mut out);
+        SStr::new(out, self.labels, false)
     }
 
     /// SQL-escapes the value (doubling single quotes) and clears the
     /// user-taint bit: the sanitiser for SQL-ish queries.
     pub fn sanitize_sql(&self) -> SStr {
-        SStr {
-            value: self.value.replace('\'', "''"),
-            labels: self.labels,
-            user_tainted: false,
-        }
+        SStr::new(self.value.replace('\'', "''"), self.labels, false)
     }
 
     /// The boundary check (§4.4 step 4): releases the raw string only if
@@ -278,21 +279,55 @@ impl SStr {
     /// Returns [`ReleaseError`] naming the blocking labels; the caller
     /// (the web frontend) turns this into an aborted response.
     pub fn check_release(&self, privileges: &PrivilegeSet) -> Result<&str, ReleaseError> {
-        // Fast path: one memoised id-pair lookup, no allocation. The
-        // blocking labels are only materialised to explain a denial.
-        if self.labels.flows_to(privileges) {
-            Ok(&self.value)
-        } else {
-            Err(ReleaseError {
-                blocking: self.labels.blocking_labels(privileges),
-            })
-        }
+        check_labels(&self.labels, privileges)?;
+        Ok(&self.value)
+    }
+
+    /// [`SStr::check_release`] by value: the same check, then the string
+    /// itself moves out — what the frontend does with a finished page.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ReleaseError`] naming the blocking labels.
+    pub fn release(self, privileges: &PrivilegeSet) -> Result<String, ReleaseError> {
+        check_labels(&self.labels, privileges)?;
+        Ok(self.value)
     }
 
     /// Parses the value as a labelled integer, keeping labels.
     pub fn parse_snum(&self) -> Option<crate::snum::SNum> {
         let n: i64 = self.value.trim().parse().ok()?;
         Some(crate::snum::SNum::with_label_set(n, self.labels))
+    }
+}
+
+/// The label half of the boundary check, shared by every labelled type.
+pub(crate) fn check_labels(
+    labels: &LabelSet,
+    privileges: &PrivilegeSet,
+) -> Result<(), ReleaseError> {
+    // Fast path: one memoised id-pair lookup, no allocation. The
+    // blocking labels are only materialised to explain a denial.
+    if labels.flows_to(privileges) {
+        Ok(())
+    } else {
+        Err(ReleaseError {
+            blocking: labels.blocking_labels(privileges),
+        })
+    }
+}
+
+/// Appends `s` to `out` with the five HTML metacharacters as entities.
+fn escape_html(s: &str, out: &mut String) {
+    for c in s.chars() {
+        match c {
+            '&' => out.push_str("&amp;"),
+            '<' => out.push_str("&lt;"),
+            '>' => out.push_str("&gt;"),
+            '"' => out.push_str("&quot;"),
+            '\'' => out.push_str("&#39;"),
+            other => out.push(other),
+        }
     }
 }
 

@@ -6,42 +6,41 @@
 use safeweb_json::Value;
 use safeweb_labels::{Label, LabelSet, PrivilegeSet};
 
-use crate::sstr::{ReleaseError, SStr};
+use crate::sstr::{check_labels, ReleaseError, SStr};
 
 /// A JSON value carrying a label set (document granularity — a whole
 /// record from the application database shares one label set, matching how
 /// the storage unit labels whole result documents).
+///
+/// `B` is whatever holds the JSON tree: an owned [`Value`] (the default),
+/// a borrowed node (`&Value`, what [`SValue::get`] yields), or a shared
+/// handle such as the document store's `Document` — wrapping one of those
+/// labels the store's own allocation instead of a copy of it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SValue {
-    value: Value,
+pub struct SValue<B = Value> {
+    value: B,
     labels: LabelSet,
 }
 
-impl SValue {
+impl<B: AsRef<Value>> SValue<B> {
     /// A public (unlabelled) value.
-    pub fn public(value: Value) -> SValue {
-        SValue {
-            value,
-            labels: LabelSet::new(),
-        }
+    pub fn public(value: B) -> SValue<B> {
+        SValue::with_label_set(value, LabelSet::new())
     }
 
     /// A labelled value.
-    pub fn labelled(value: Value, labels: impl IntoIterator<Item = Label>) -> SValue {
-        SValue {
-            value,
-            labels: labels.into_iter().collect(),
-        }
+    pub fn labelled(value: B, labels: impl IntoIterator<Item = Label>) -> SValue<B> {
+        SValue::with_label_set(value, labels.into_iter().collect())
     }
 
     /// A value with an existing label set.
-    pub fn with_label_set(value: Value, labels: LabelSet) -> SValue {
+    pub fn with_label_set(value: B, labels: LabelSet) -> SValue<B> {
         SValue { value, labels }
     }
 
     /// The raw JSON (inspection, not release).
     pub fn value(&self) -> &Value {
-        &self.value
+        self.value.as_ref()
     }
 
     /// The labels attached.
@@ -54,37 +53,37 @@ impl SValue {
         self.labels.insert(label);
     }
 
-    /// Member access on objects; the field inherits the document's labels.
-    pub fn get(&self, key: &str) -> Option<SValue> {
-        self.value.get(key).map(|v| SValue {
-            value: v.clone(),
-            labels: self.labels,
-        })
+    fn node<'a>(&self, node: &'a Value) -> SValue<&'a Value> {
+        SValue::with_label_set(node, self.labels)
     }
 
-    /// Element access on arrays; the element inherits the labels.
-    pub fn at(&self, index: usize) -> Option<SValue> {
-        self.value.at(index).map(|v| SValue {
-            value: v.clone(),
-            labels: self.labels,
-        })
+    /// Member access on objects; the field is borrowed and inherits the
+    /// document's labels.
+    pub fn get(&self, key: &str) -> Option<SValue<&Value>> {
+        self.value().get(key).map(|v| self.node(v))
+    }
+
+    /// Element access on arrays; the element is borrowed and inherits the
+    /// labels.
+    pub fn at(&self, index: usize) -> Option<SValue<&Value>> {
+        self.value().at(index).map(|v| self.node(v))
     }
 
     /// Array length, if this is an array.
     pub fn array_len(&self) -> Option<usize> {
-        self.value.as_array().map(|a| a.len())
+        self.value().as_array().map(|a| a.len())
     }
 
     /// String payload as a labelled string.
     pub fn as_sstr(&self) -> Option<SStr> {
-        self.value
+        self.value()
             .as_str()
-            .map(|s| SStr::with_label_set(s.to_string(), self.labels))
+            .map(|s| SStr::with_label_set(s, self.labels))
     }
 
     /// Integer payload as a labelled number.
     pub fn as_snum(&self) -> Option<crate::snum::SNum> {
-        self.value
+        self.value()
             .as_i64()
             .map(|n| crate::snum::SNum::with_label_set(n, self.labels))
     }
@@ -93,24 +92,30 @@ impl SValue {
     /// Listing 2 `r.to_json` whose taint made the omitted-check bug
     /// harmless.
     pub fn to_json_sstr(&self) -> SStr {
-        SStr::with_label_set(self.value.to_json(), self.labels)
+        SStr::with_label_set(self.value().to_json(), self.labels)
+    }
+
+    /// Appends the compact JSON ([`SValue::to_json_sstr`]'s bytes and
+    /// labels) to a labelled buffer, by reference.
+    pub fn write_json(&self, out: &mut SStr) {
+        self.value().write_json(out.append_labelled(&self.labels));
     }
 
     /// Combines two labelled values into an array entry-style merge,
     /// unioning labels (used when aggregating records).
-    pub fn merge_labels_from(&mut self, other: &SValue) {
+    pub fn merge_labels_from<C>(&mut self, other: &SValue<C>) {
         self.labels = self.labels.union(&other.labels);
     }
 
-    /// Boundary check on the serialised form.
+    /// Boundary check on the serialised form: labels first, so a denied
+    /// value is never serialised.
     ///
     /// # Errors
     ///
     /// Returns [`ReleaseError`] naming the blocking labels.
     pub fn check_release(&self, privileges: &PrivilegeSet) -> Result<String, ReleaseError> {
-        let s = self.to_json_sstr();
-        s.check_release(privileges)?;
-        Ok(s.as_str().to_string())
+        check_labels(&self.labels, privileges)?;
+        Ok(self.value().to_json())
     }
 }
 

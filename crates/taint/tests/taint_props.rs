@@ -4,8 +4,9 @@
 //! bit survives everything except explicit sanitisation.
 
 use proptest::prelude::*;
-use safeweb_labels::{Label, LabelSet};
-use safeweb_taint::{SNum, SStr};
+use safeweb_json::jobject;
+use safeweb_labels::{Label, LabelSet, Privilege, PrivilegeSet};
+use safeweb_taint::{SNum, SStr, SValue};
 
 fn arb_labels() -> impl Strategy<Value = Vec<Label>> {
     proptest::collection::vec(
@@ -106,10 +107,58 @@ proptest! {
         prop_assert!(!acc.sanitize_html().is_user_tainted());
     }
 
+    /// Appending into one buffer is concatenating values: the same bytes,
+    /// exactly the union of the pieces' labels however often a set
+    /// repeats, and a taint bit only from pieces appended unsanitised.
+    #[test]
+    fn in_place_appends_equal_the_by_value_forms(
+        pieces in proptest::collection::vec((arb_sstr(), 0usize..3), 0..12),
+    ) {
+        let mut out = SStr::public("");
+        let mut expected = SStr::public("");
+        for (piece, how) in &pieces {
+            match how {
+                0 => {
+                    out.push_sstr(piece);
+                    expected = expected.concat(piece);
+                }
+                1 => {
+                    out.push_html_escaped(piece.as_str(), piece.labels());
+                    expected = expected.concat(&piece.sanitize_html());
+                }
+                _ => {
+                    out.append_labelled(piece.labels()).push_str(piece.as_str());
+                    let untainted = SStr::with_label_set(piece.as_str(), *piece.labels());
+                    expected = expected.concat(&untainted);
+                }
+            }
+            prop_assert_eq!(&out, &expected);
+        }
+    }
+
+    /// Writing a labelled document into a buffer is appending its
+    /// labelled serialisation; its own release checks before serialising
+    /// and agrees with the string's.
+    #[test]
+    fn svalue_writes_and_releases_like_its_json_string(ls in arb_labels(), n in -50i64..50) {
+        let doc = SValue::labelled(jobject! {"n" => n, "s" => "<&>"}, ls.clone());
+        let json = doc.to_json_sstr();
+        let mut out = SStr::public("[");
+        doc.write_json(&mut out);
+        prop_assert_eq!(&out, &SStr::public("[").concat(&json));
+        let full: PrivilegeSet = ls.iter().cloned().map(Privilege::clearance).collect();
+        for privs in [full, PrivilegeSet::new()] {
+            prop_assert_eq!(
+                doc.check_release(&privs),
+                json.check_release(&privs).map(str::to_string)
+            );
+            prop_assert_eq!(json.clone().release(&privs), doc.check_release(&privs));
+        }
+    }
+
     /// check_release agrees exactly with LabelSet::flows_to.
     #[test]
     fn release_matches_flow_semantics(s in arb_sstr()) {
-        use safeweb_labels::{Privilege, PrivilegeSet};
         // Grant clearance for every label: must release.
         let full: PrivilegeSet = s.labels().iter().cloned().map(Privilege::clearance).collect();
         prop_assert!(s.check_release(&full).is_ok());

@@ -8,8 +8,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use safeweb_docstore::DocStore;
-use safeweb_http::{Method, Request, Response};
+use safeweb_docstore::{DocStore, Document};
+use safeweb_http::{url_encode, Method, Request, Response};
 use safeweb_labels::PrivilegeSet;
 use safeweb_obs::{record_span, trace_scope, Counter, Histogram, MetricsRegistry, TraceId};
 use safeweb_relstore::{CellValue, Database, Row};
@@ -18,50 +18,58 @@ use safeweb_taint::{SStr, SValue};
 use crate::auth::{AuthenticatedUser, UserStore};
 use crate::render_cache::{RenderCache, RenderedPage};
 use crate::router::Router;
+use crate::template::SDoc;
 
 /// A labelled response produced by a route handler.
 #[derive(Debug, Clone)]
 pub struct SResponse {
     status: u16,
-    content_type: String,
+    content_type: &'static str,
     body: SStr,
 }
 
 impl SResponse {
-    /// 200 text/html.
-    pub fn html(body: SStr) -> SResponse {
+    fn ok(content_type: &'static str, body: SStr) -> SResponse {
         SResponse {
             status: 200,
-            content_type: "text/html; charset=utf-8".to_string(),
+            content_type,
             body,
         }
+    }
+
+    /// 200 text/html.
+    pub fn html(body: SStr) -> SResponse {
+        SResponse::ok("text/html; charset=utf-8", body)
     }
 
     /// 200 application/json.
     pub fn json(body: SStr) -> SResponse {
-        SResponse {
-            status: 200,
-            content_type: "application/json".to_string(),
-            body,
+        SResponse::ok("application/json", body)
+    }
+
+    /// 200 application/json: the documents as one array (the paper's
+    /// Listing 2 `records.to_json`), each written by reference into the
+    /// one labelled body.
+    pub fn json_array(docs: &[SDoc]) -> SResponse {
+        let mut body = SStr::public("[");
+        for (i, doc) in docs.iter().enumerate() {
+            if i > 0 {
+                body.push_str(",");
+            }
+            doc.write_json(&mut body);
         }
+        body.push_str("]");
+        SResponse::json(body)
     }
 
     /// 200 text/plain.
     pub fn text(body: SStr) -> SResponse {
-        SResponse {
-            status: 200,
-            content_type: "text/plain; charset=utf-8".to_string(),
-            body,
-        }
+        SResponse::ok("text/plain; charset=utf-8", body)
     }
 
     /// A public (unlabelled) error page with the given status.
     pub fn error(status: u16, message: &str) -> SResponse {
-        SResponse {
-            status,
-            content_type: "text/plain; charset=utf-8".to_string(),
-            body: SStr::public(message),
-        }
+        SResponse::text(SStr::public(message)).with_status(status)
     }
 
     /// 404.
@@ -134,6 +142,11 @@ impl<'a> Ctx<'a> {
     /// Views are incrementally indexed by the store, so this is a lookup
     /// whose cost scales with the result set, not the database size.
     ///
+    /// Nothing is copied: each [`SDoc`] is the store's own reference-counted
+    /// document with its label set beside it, and stays valid (and
+    /// unchanged — documents are immutable, a write makes a new one)
+    /// however the store moves on. Field access borrows from it.
+    ///
     /// The view name is query *structure* and must be a
     /// [`safeweb_safeq::TrustedLiteral`] — in practice a `&'static str`
     /// written by the application author. The key is plain data (matched
@@ -142,25 +155,27 @@ impl<'a> Ctx<'a> {
         &self,
         view: impl Into<safeweb_safeq::TrustedLiteral>,
         key: &str,
-    ) -> Vec<SValue> {
+    ) -> Vec<SDoc> {
         self.records
             .query_view_trusted(view, &safeweb_json::Value::from(key))
             .unwrap_or_default()
             .into_iter()
-            .map(|doc| {
-                let (_, _, labels, body) = doc.into_parts();
-                SValue::with_label_set(body, labels)
-            })
+            .map(labelled)
             .collect()
     }
 
-    /// Fetches one labelled document by id.
-    pub fn record(&self, id: &str) -> Option<SValue> {
-        self.records.get(id).map(|doc| {
-            let (_, _, labels, body) = doc.into_parts();
-            SValue::with_label_set(body, labels)
-        })
+    /// Fetches one labelled document by id — like [`Ctx::records_by`], the
+    /// store's own allocation, shared.
+    pub fn record(&self, id: &str) -> Option<SDoc> {
+        self.records.get(id).map(labelled)
     }
+}
+
+/// §4.4 step 2: the labels the backend stored beside a document travel
+/// with it into the handler.
+fn labelled(doc: Document) -> SDoc {
+    let labels = *doc.labels();
+    SValue::with_label_set(doc, labels)
 }
 
 /// A route handler.
@@ -229,7 +244,9 @@ impl FrontendStats {
         self.handler_ns.get()
     }
 
-    /// Total time checking response labels.
+    /// Total time checking response labels: the user-taint test and the
+    /// one `flows_to` on the page's label union. The released body moves
+    /// into the response, so no copy of it is timed here.
     pub fn label_check_ns(&self) -> u64 {
         self.label_check_ns.get()
     }
@@ -495,13 +512,17 @@ impl SafeWebApp {
             && self.options.label_checking
             && self.cacheable[handler_idx];
         let (path_query, seq) = if cache_route {
+            // The raw path plus the *re-encoded* query pairs: a decoded
+            // `&` or `=` inside a name or value must not read as a
+            // separator, or two requests a handler tells apart would
+            // share an entry.
             let mut key = request.path().to_string();
             let mut sep = '?';
             for (name, value) in request.query_params() {
                 key.push(sep);
-                key.push_str(name);
+                key.push_str(&url_encode(name));
                 key.push('=');
-                key.push_str(value);
+                key.push_str(&url_encode(value));
                 sep = '&';
             }
             (key, self.records.seq())
@@ -534,53 +555,55 @@ impl SafeWebApp {
             .handler_ns
             .add(handler_start.elapsed().as_nanos() as u64);
 
-        // Step 4: the label check at the boundary.
+        // Step 4: the label check at the boundary. The body is checked
+        // once, on the union of everything rendered into it, and then
+        // moved — not copied — towards the wire.
+        let SResponse {
+            status,
+            content_type,
+            body,
+        } = sresponse;
         let check_start = Instant::now();
-        let released = if self.options.label_checking {
-            if sresponse.body.is_user_tainted() {
-                self.stats.denied.inc();
-                self.stats
-                    .label_check_ns
-                    .add(check_start.elapsed().as_nanos() as u64);
-                return Response::new(500).with_body("response contains unsanitised user input");
-            }
-            match sresponse.body.check_release(&user.privileges) {
-                Ok(s) => s.to_string(),
-                Err(e) => {
-                    self.stats.denied.inc();
-                    self.stats
-                        .label_check_ns
-                        .add(check_start.elapsed().as_nanos() as u64);
-                    // The error page must not leak which labels blocked.
-                    let _ = e;
-                    return Response::new(403).with_body("access denied by security policy");
-                }
-            }
+        let released = if !self.options.label_checking {
+            // The §5.3 baseline: inspection, not release — a copy, where
+            // the checked path below moves.
+            Ok(body.as_str().to_string())
+        } else if body.is_user_tainted() {
+            Err(Response::new(500).with_body("response contains unsanitised user input"))
         } else {
-            sresponse.body.as_str().to_string()
+            // The error page must not leak which labels blocked.
+            body.release(&user.privileges)
+                .map_err(|_| Response::new(403).with_body("access denied by security policy"))
         };
         self.stats
             .label_check_ns
             .add(check_start.elapsed().as_nanos() as u64);
+        let released = match released {
+            Ok(released) => released,
+            Err(denial) => {
+                self.stats.denied.inc();
+                return denial;
+            }
+        };
 
         // Cache only fully released 200s, keyed by the exact clearance the
         // label check just ran against.
-        if cache_route && sresponse.status == 200 {
+        if cache_route && status == 200 {
             self.render_cache.put(
                 handler_idx,
                 &path_query,
                 user.privileges.id(),
                 seq,
-                &RenderedPage {
-                    status: sresponse.status,
-                    content_type: sresponse.content_type.clone(),
+                RenderedPage {
+                    status,
+                    content_type,
                     body: released.clone(),
                 },
             );
         }
 
-        Response::new(sresponse.status)
-            .with_header("content-type", sresponse.content_type.clone())
+        Response::new(status)
+            .with_header("content-type", content_type)
             .with_body(released)
     }
 
@@ -597,7 +620,10 @@ mod tests {
     use safeweb_json::jobject;
     use safeweb_labels::{Label, LabelSet, Privilege};
 
-    fn setup() -> (SafeWebApp, DocStore) {
+    /// An app over one record of MDT `a`, listed at `/records/:mid` (a
+    /// cached route when `cached`), with three users: `mdt_a`, `peer_a`
+    /// (distinct username, same interned clearance) and uncleared `nosy`.
+    fn setup_app(cached: bool) -> (SafeWebApp, DocStore) {
         let users = UserStore::new(
             Database::new("web"),
             AuthConfig {
@@ -607,6 +633,7 @@ mod tests {
         let mut privs = PrivilegeSet::new();
         privs.grant(Privilege::clearance(Label::conf("e", "mdt/a")));
         users.create_user("mdt_a", "pw", &privs, false).unwrap();
+        users.create_user("peer_a", "pw", &privs, false).unwrap();
         users
             .create_user("nosy", "pw", &PrivilegeSet::new(), false)
             .unwrap();
@@ -623,18 +650,33 @@ mod tests {
             .unwrap();
 
         let mut app = SafeWebApp::new(users, records.clone());
-        app.get("/records/:mid", |ctx: &Ctx<'_>| {
-            let mid = ctx.param_raw("mid").unwrap_or("");
-            let docs = ctx.records_by("by_mid", mid);
-            let body = SStr::concat_all(
-                docs.iter()
-                    .map(|d| d.to_json_sstr())
-                    .collect::<Vec<_>>()
-                    .iter(),
-            );
-            SResponse::json(body)
-        });
+        if cached {
+            app.get_cached("/records/:mid", list_records);
+        } else {
+            app.get("/records/:mid", list_records);
+        }
         (app, records)
+    }
+
+    fn setup() -> (SafeWebApp, DocStore) {
+        setup_app(false)
+    }
+
+    fn setup_cached() -> (SafeWebApp, DocStore) {
+        setup_app(true)
+    }
+
+    /// The MDT's records as JSON, after the (sanitised) `x` query
+    /// parameter — so the page depends on the query.
+    fn list_records(ctx: &Ctx<'_>) -> SResponse {
+        let mut body = SStr::public("");
+        if let Some(x) = ctx.query("x") {
+            body.push_html_escaped(x.as_str(), x.labels());
+        }
+        for doc in ctx.records_by("by_mid", ctx.param_raw("mid").unwrap_or("")) {
+            doc.write_json(&mut body);
+        }
+        SResponse::json(body)
     }
 
     fn req(path: &str, user: &str) -> Request {
@@ -716,50 +758,6 @@ mod tests {
         assert_eq!(resp.status(), 200);
     }
 
-    /// An app with a cached route over the same records as `setup()`, plus
-    /// a second user whose privileges equal `mdt_a`'s (distinct username,
-    /// same interned clearance).
-    fn setup_cached() -> (SafeWebApp, DocStore) {
-        let users = UserStore::new(
-            Database::new("web"),
-            AuthConfig {
-                hash_iterations: 500,
-            },
-        );
-        let mut privs = PrivilegeSet::new();
-        privs.grant(Privilege::clearance(Label::conf("e", "mdt/a")));
-        users.create_user("mdt_a", "pw", &privs, false).unwrap();
-        users.create_user("peer_a", "pw", &privs, false).unwrap();
-        users
-            .create_user("nosy", "pw", &PrivilegeSet::new(), false)
-            .unwrap();
-
-        let records = DocStore::new("app");
-        records.create_view("by_mid", "mdt_id");
-        records
-            .put(
-                "rec-1",
-                jobject! {"mdt_id" => "a", "patient" => "Ann"},
-                LabelSet::singleton(Label::conf("e", "mdt/a")),
-                None,
-            )
-            .unwrap();
-
-        let mut app = SafeWebApp::new(users, records.clone());
-        app.get_cached("/records/:mid", |ctx: &Ctx<'_>| {
-            let mid = ctx.param_raw("mid").unwrap_or("");
-            let docs = ctx.records_by("by_mid", mid);
-            let body = SStr::concat_all(
-                docs.iter()
-                    .map(|d| d.to_json_sstr())
-                    .collect::<Vec<_>>()
-                    .iter(),
-            );
-            SResponse::json(body)
-        });
-        (app, records)
-    }
-
     #[test]
     fn cached_route_shares_pages_across_equal_clearances() {
         let (app, _) = setup_cached();
@@ -792,6 +790,26 @@ mod tests {
         let again = app.handle(&req("/records/a", "mdt_a"));
         assert_eq!(again.status(), 200);
         assert!(again.body_str().unwrap().contains("Ann"));
+    }
+
+    #[test]
+    fn cached_route_keys_on_the_query_as_the_handler_sees_it() {
+        let (app, _) = setup_cached();
+        // Two parameters, and one parameter whose *value* holds `&` and
+        // `=`: joined undecoded they would read the same.
+        let two = app.handle(&req("/records/a?x=1&y=2", "mdt_a"));
+        let one = app.handle(&req("/records/a?x=1%26y%3D2", "peer_a"));
+        assert!(two.body_str().unwrap().starts_with("1{"));
+        assert!(
+            one.body_str().unwrap().starts_with("1&amp;y=2{"),
+            "a peer's page for another query was served: {:?}",
+            one.body_str()
+        );
+        assert_eq!(app.stats().render_cache_hits(), 0);
+        // Each is still a hit for itself.
+        let again = app.handle(&req("/records/a?x=1%26y%3D2", "mdt_a"));
+        assert_eq!(again.body_str(), one.body_str());
+        assert_eq!(app.stats().render_cache_hits(), 1);
     }
 
     #[test]

@@ -32,4 +32,4 @@ pub use auth::{
     hash_password, privileges_to_wire, wire_to_privileges, AuthConfig, AuthenticatedUser, UserStore,
 };
 pub use router::{RoutePattern, Router};
-pub use template::{TContext, TValue, Template, TemplateError};
+pub use template::{SDoc, TContext, TValue, Template, TemplateError};

@@ -35,22 +35,13 @@ struct PageKey {
     clearance: u32,
 }
 
-/// A rendered, released page plus the store version it was rendered from.
-#[derive(Debug, Clone)]
-struct CachedPage {
-    seq: u64,
-    status: u16,
-    content_type: String,
-    body: String,
-}
-
 /// A rendered page served from (or inserted into) the cache.
 #[derive(Debug, Clone)]
 pub(crate) struct RenderedPage {
     /// HTTP status (only 200s are cached).
     pub status: u16,
     /// Content type of the released body.
-    pub content_type: String,
+    pub content_type: &'static str,
     /// The released (label-checked) body bytes.
     pub body: String,
 }
@@ -60,10 +51,11 @@ const SHARDS: usize = 16;
 /// this caps the cache at ~16k pages.
 const SHARD_CAP: usize = 1024;
 
-/// Sharded, bounded map from [`PageKey`] to [`CachedPage`].
+/// Sharded, bounded map from [`PageKey`] to a released page and the store
+/// version it was rendered from.
 #[derive(Debug, Default)]
 pub(crate) struct RenderCache {
-    shards: [Mutex<HashMap<PageKey, CachedPage>>; SHARDS],
+    shards: [Mutex<HashMap<PageKey, (u64, RenderedPage)>>; SHARDS],
 }
 
 impl RenderCache {
@@ -71,7 +63,7 @@ impl RenderCache {
         RenderCache::default()
     }
 
-    fn shard(&self, key: &PageKey) -> &Mutex<HashMap<PageKey, CachedPage>> {
+    fn shard(&self, key: &PageKey) -> &Mutex<HashMap<PageKey, (u64, RenderedPage)>> {
         use std::hash::{Hash, Hasher};
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut hasher);
@@ -94,11 +86,7 @@ impl RenderCache {
         };
         let shard = self.shard(&key).lock().expect("render cache poisoned");
         match shard.get(&key) {
-            Some(page) if page.seq == seq => Some(RenderedPage {
-                status: page.status,
-                content_type: page.content_type.clone(),
-                body: page.body.clone(),
-            }),
+            Some((at, page)) if *at == seq => Some(page.clone()),
             _ => None,
         }
     }
@@ -112,7 +100,7 @@ impl RenderCache {
         path_query: &str,
         clearance: PrivilegeSetId,
         seq: u64,
-        page: &RenderedPage,
+        page: RenderedPage,
     ) {
         let key = PageKey {
             route,
@@ -123,15 +111,7 @@ impl RenderCache {
         if shard.len() >= SHARD_CAP {
             shard.clear();
         }
-        shard.insert(
-            key,
-            CachedPage {
-                seq,
-                status: page.status,
-                content_type: page.content_type.clone(),
-                body: page.body.clone(),
-            },
-        );
+        shard.insert(key, (seq, page));
     }
 }
 
@@ -149,7 +129,7 @@ mod tests {
     fn page(body: &str) -> RenderedPage {
         RenderedPage {
             status: 200,
-            content_type: "text/html".to_string(),
+            content_type: "text/html",
             body: body.to_string(),
         }
     }
@@ -159,7 +139,7 @@ mod tests {
         let cache = RenderCache::new();
         let a = clearance("mdt/a");
         let b = clearance("mdt/b");
-        cache.put(0, "/view", a, 7, &page("secret-of-a"));
+        cache.put(0, "/view", a, 7, page("secret-of-a"));
 
         let hit = cache.get(0, "/view", a, 7).expect("same clearance hits");
         assert_eq!(hit.body, "secret-of-a");
@@ -178,7 +158,7 @@ mod tests {
         let cache = RenderCache::new();
         let c = clearance("mdt/x");
         for i in 0..(SHARD_CAP * SHARDS * 2) {
-            cache.put(0, &format!("/p/{i}"), c, 1, &page("x"));
+            cache.put(0, &format!("/p/{i}"), c, 1, page("x"));
         }
         let total: usize = cache.shards.iter().map(|s| s.lock().unwrap().len()).sum();
         assert!(total <= SHARD_CAP * SHARDS);

@@ -13,24 +13,37 @@
 //! <% if is_admin %> <a href="/admin">admin</a> <% end %>
 //! ```
 //!
-//! Interpolated values are labelled strings; the rendered page carries the
-//! union of all interpolated labels. Values still marked user-tainted are
-//! HTML-escaped automatically on interpolation (SafeWeb's XSS safety net).
+//! Interpolated values are labelled strings or fields of labelled
+//! documents; the rendered page carries the union of all interpolated
+//! labels. Everything is written straight into the one output buffer —
+//! a document field is borrowed from the store's own allocation, escaped
+//! in place and never becomes a value of its own. Values still marked
+//! user-tainted are HTML-escaped automatically on interpolation
+//! (SafeWeb's XSS safety net).
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
-use safeweb_taint::SStr;
+use safeweb_docstore::Document;
+use safeweb_json::Value;
+use safeweb_labels::LabelSet;
+use safeweb_taint::{SStr, SValue};
+
+/// A labelled document sharing the store's allocation: what
+/// [`crate::Ctx::records_by`] returns and a template iterates.
+pub type SDoc = SValue<Document>;
 
 /// A value bindable in a template context.
 #[derive(Debug, Clone)]
 pub enum TValue {
     /// A labelled string, rendered by `<%= name %>`.
     Str(SStr),
-    /// A list of sub-contexts, iterated by `<% for x in name %>`.
-    List(Vec<TContext>),
     /// A boolean, tested by `<% if name %>`.
     Bool(bool),
+    /// One labelled document, or its absence: `<%= name.field %>`.
+    Doc(Option<SDoc>),
+    /// Labelled documents, iterated by `<% for x in name %>`.
+    Docs(Vec<SDoc>),
 }
 
 impl From<SStr> for TValue {
@@ -68,28 +81,6 @@ impl TContext {
         self.vars.insert(name.to_string(), value.into());
         self
     }
-
-    /// Binds a value in place.
-    pub fn set(&mut self, name: &str, value: impl Into<TValue>) {
-        self.vars.insert(name.to_string(), value.into());
-    }
-
-    /// Looks up a dotted path (`p.name` = field `name` of binding `p`,
-    /// where `p` must be a single-entry context bound by a `for` loop).
-    fn lookup(&self, path: &str) -> Option<&TValue> {
-        let mut parts = path.split('.');
-        let first = parts.next()?;
-        let mut current = self.vars.get(first)?;
-        for part in parts {
-            match current {
-                TValue::List(items) if items.len() == 1 => {
-                    current = items[0].vars.get(part)?;
-                }
-                _ => return None,
-            }
-        }
-        Some(current)
-    }
 }
 
 /// Error raised when a template fails to parse or render.
@@ -123,10 +114,12 @@ pub struct Template {
 #[derive(Debug, Clone)]
 enum Node {
     Literal(String),
-    /// `<%= path %>` — interpolate, auto-escaping user-tainted values.
-    Interp(String),
-    /// `<%= raw path %>` — interpolate without escaping (trusted HTML).
-    InterpRaw(String),
+    /// `<%= path %>` — interpolate, escaping HTML; `<%= raw path %>` —
+    /// interpolate trusted HTML as is (user-tainted values still escaped).
+    Interp {
+        path: String,
+        raw: bool,
+    },
     /// `<% for var in list %> body <% end %>`
     For {
         var: String,
@@ -172,34 +165,61 @@ impl Template {
     }
 }
 
-/// Loop-variable bindings, innermost last. Kept separate from the root
-/// context so iterating a 1000-row list does not clone the context per
-/// row.
-type Scope<'a> = Vec<(String, &'a TContext)>;
+/// Loop-variable bindings, innermost last: the variable's name, the JSON
+/// node it stands for and the labels of the document that node belongs to
+/// — all borrowed, so iterating a 1000-row list allocates nothing per row.
+type Scope<'a> = Vec<(&'a str, &'a Value, LabelSet)>;
 
-/// What a scoped lookup can resolve to: an ordinary value, or a loop
-/// variable's bound row.
-enum ScopedValue<'a> {
-    Value(&'a TValue),
-    /// A bare loop variable; truthy in `if`, an error elsewhere.
-    Item,
+/// What a path resolves to.
+enum Resolved<'a> {
+    Str(&'a SStr),
+    Bool(bool),
+    Docs(&'a [SDoc]),
+    /// A node of a labelled document; `None` where the document or the
+    /// field is absent.
+    Json(Option<&'a Value>, LabelSet),
 }
 
-fn lookup_scoped<'a>(ctx: &'a TContext, scope: &Scope<'a>, path: &str) -> Option<ScopedValue<'a>> {
-    let (first, rest) = match path.split_once('.') {
-        Some((f, r)) => (f, Some(r)),
-        None => (path, None),
+/// Resolves a dotted path: `p.name` is field `name` of the document (or
+/// document node) `p`, where `p` is a loop variable — innermost first,
+/// shadowing the root context — or a [`TValue::Doc`] binding.
+fn resolve<'a>(ctx: &'a TContext, scope: &Scope<'a>, path: &str) -> Option<Resolved<'a>> {
+    let mut parts = path.split('.');
+    let first = parts.next()?;
+    let (mut node, labels) = match scope.iter().rev().find(|(name, ..)| *name == first) {
+        Some((_, node, labels)) => (Some(*node), *labels),
+        None => match ctx.vars.get(first)? {
+            TValue::Doc(Some(doc)) => (Some(doc.value()), *doc.labels()),
+            TValue::Doc(None) => (None, LabelSet::new()),
+            // Strings, booleans and lists have no fields.
+            _ if parts.next().is_some() => return None,
+            TValue::Str(s) => return Some(Resolved::Str(s)),
+            TValue::Bool(b) => return Some(Resolved::Bool(*b)),
+            TValue::Docs(docs) => return Some(Resolved::Docs(docs)),
+        },
     };
-    // Innermost loop variables shadow outer ones and the root context.
-    for (name, item) in scope.iter().rev() {
-        if name == first {
-            return match rest {
-                None => Some(ScopedValue::Item),
-                Some(rest) => item.lookup(rest).map(ScopedValue::Value),
-            };
-        }
+    for part in parts {
+        node = node.and_then(|n| n.get(part));
     }
-    ctx.lookup(path).map(ScopedValue::Value)
+    Some(Resolved::Json(node, labels))
+}
+
+/// The one rule for showing a document field: a string is escaped (kept
+/// verbatim under `raw` — stored text is not user-tainted), an integer is
+/// printed in decimal, any other number as `{f}`; what is missing or not
+/// a scalar shows as a public "—".
+fn push_field(out: &mut SStr, node: Option<&Value>, labels: &LabelSet, raw: bool) {
+    match node {
+        Some(Value::Str(s)) if raw => out.append_labelled(labels).push_str(s),
+        Some(Value::Str(s)) => out.push_html_escaped(s, labels),
+        // Writing to a `String` cannot fail.
+        Some(v) => match (v.as_i64(), v.as_f64()) {
+            (Some(n), _) => write!(out.append_labelled(labels), "{n}").expect("infallible"),
+            (None, Some(f)) => write!(out.append_labelled(labels), "{f}").expect("infallible"),
+            (None, None) => out.push_str("—"),
+        },
+        None => out.push_str("—"),
+    }
 }
 
 enum Token {
@@ -248,11 +268,11 @@ fn parse_nodes(
                 } else if let Some(expr) = tag.strip_prefix('=') {
                     let expr = expr.trim();
                     *pos += 1;
-                    if let Some(path) = expr.strip_prefix("raw ") {
-                        nodes.push(Node::InterpRaw(path.trim().to_string()));
-                    } else {
-                        nodes.push(Node::Interp(expr.to_string()));
-                    }
+                    let raw = expr.strip_prefix("raw ");
+                    nodes.push(Node::Interp {
+                        path: raw.unwrap_or(expr).trim().to_string(),
+                        raw: raw.is_some(),
+                    });
                 } else if let Some(rest) = tag.strip_prefix("for ") {
                     let (var, list) = rest
                         .split_once(" in ")
@@ -296,7 +316,7 @@ fn expect_end(tokens: &[Token], pos: &mut usize) -> Result<(), TemplateError> {
 }
 
 fn render_nodes<'a>(
-    nodes: &[Node],
+    nodes: &'a [Node],
     ctx: &'a TContext,
     scope: &mut Scope<'a>,
     out: &mut SStr,
@@ -304,50 +324,61 @@ fn render_nodes<'a>(
     for node in nodes {
         match node {
             Node::Literal(s) => out.push_str(s),
-            Node::Interp(path) | Node::InterpRaw(path) => {
-                let value = lookup_scoped(ctx, scope, path)
-                    .ok_or_else(|| TemplateError::new(format!("unbound variable {path:?}")))?;
-                let s = match value {
-                    ScopedValue::Value(TValue::Str(s)) => s.clone(),
-                    ScopedValue::Value(TValue::Bool(b)) => {
-                        SStr::public(if *b { "true" } else { "false" })
+            Node::Interp { path, raw } => {
+                let raw = *raw;
+                match resolve(ctx, scope, path)
+                    .ok_or_else(|| TemplateError::new(format!("unbound variable {path:?}")))?
+                {
+                    // SafeWeb's XSS safety net: user-tainted data is
+                    // escaped on interpolation even in `raw` mode.
+                    Resolved::Str(s) if s.is_user_tainted() || !raw => {
+                        out.push_html_escaped(s.as_str(), s.labels())
                     }
-                    ScopedValue::Value(TValue::List(_)) | ScopedValue::Item => {
+                    Resolved::Str(s) => out.push_sstr(s),
+                    Resolved::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                    Resolved::Json(node, labels) => push_field(out, node, &labels, raw),
+                    Resolved::Docs(_) => {
                         return Err(TemplateError::new(format!(
                             "cannot interpolate list {path:?}"
                         )))
                     }
-                };
-                // SafeWeb's XSS safety net: user-tainted data is escaped on
-                // interpolation even in `raw` mode.
-                let s = if s.is_user_tainted() || matches!(node, Node::Interp(_)) {
-                    s.sanitize_html()
-                } else {
-                    s
-                };
-                out.push_sstr(&s);
+                }
             }
             Node::For { var, list, body } => {
-                let value = lookup_scoped(ctx, scope, list)
-                    .ok_or_else(|| TemplateError::new(format!("unbound list {list:?}")))?;
-                let ScopedValue::Value(TValue::List(items)) = value else {
-                    return Err(TemplateError::new(format!("{list:?} is not a list")));
-                };
-                for item in items {
-                    scope.push((var.clone(), item));
+                let mut row = |scope: &mut Scope<'a>, item: &'a Value, labels: LabelSet| {
+                    scope.push((var, item, labels));
                     let result = render_nodes(body, ctx, scope, out);
                     scope.pop();
-                    result?;
+                    result
+                };
+                match resolve(ctx, scope, list)
+                    .ok_or_else(|| TemplateError::new(format!("unbound list {list:?}")))?
+                {
+                    Resolved::Docs(docs) => {
+                        for doc in docs {
+                            row(scope, doc.value(), *doc.labels())?;
+                        }
+                    }
+                    // An array inside a document: its elements carry the
+                    // document's labels.
+                    Resolved::Json(Some(Value::Array(items)), labels) => {
+                        for item in items {
+                            row(scope, item, labels)?;
+                        }
+                    }
+                    _ => return Err(TemplateError::new(format!("{list:?} is not a list"))),
                 }
             }
             Node::If { cond, body } => {
-                let value = lookup_scoped(ctx, scope, cond)
-                    .ok_or_else(|| TemplateError::new(format!("unbound condition {cond:?}")))?;
-                let truthy = match value {
-                    ScopedValue::Value(TValue::Bool(b)) => *b,
-                    ScopedValue::Value(TValue::Str(s)) => !s.is_empty(),
-                    ScopedValue::Value(TValue::List(items)) => !items.is_empty(),
-                    ScopedValue::Item => true,
+                let truthy = match resolve(ctx, scope, cond)
+                    .ok_or_else(|| TemplateError::new(format!("unbound condition {cond:?}")))?
+                {
+                    Resolved::Bool(b) => b,
+                    Resolved::Str(s) => !s.is_empty(),
+                    Resolved::Docs(docs) => !docs.is_empty(),
+                    Resolved::Json(node, _) => {
+                        !matches!(node, None | Some(Value::Null | Value::Bool(false)))
+                    }
                 };
                 if truthy {
                     render_nodes(body, ctx, scope, out)?;
@@ -374,20 +405,6 @@ mod tests {
         let out = t.render(&ctx).unwrap();
         assert_eq!(out.as_str(), "<h1>Ann</h1>");
         assert!(out.labels().contains(&patient_label()));
-    }
-
-    #[test]
-    fn for_loop_renders_items_and_unions_labels() {
-        let t = Template::parse("<% for p in patients %><td><%= p.name %></td><% end %>").unwrap();
-        let patients = TValue::List(vec![
-            TContext::new().bind("name", SStr::labelled("Ann", [Label::conf("e", "p/1")])),
-            TContext::new().bind("name", SStr::labelled("Bob", [Label::conf("e", "p/2")])),
-        ]);
-        let ctx = TContext::new().bind("patients", patients);
-        let out = t.render(&ctx).unwrap();
-        assert_eq!(out.as_str(), "<td>Ann</td><td>Bob</td>");
-        assert!(out.labels().contains(&Label::conf("e", "p/1")));
-        assert!(out.labels().contains(&Label::conf("e", "p/2")));
     }
 
     #[test]
@@ -438,25 +455,5 @@ mod tests {
         assert!(t
             .render(&TContext::new().bind("notlist", SStr::public("s")))
             .is_err());
-    }
-
-    #[test]
-    fn nested_loops() {
-        let t = Template::parse(
-            "<% for m in mdts %>[<%= m.name %>:<% for p in m.patients %><%= p.id %>,<% end %>]<% end %>",
-        )
-        .unwrap();
-        let ctx = TContext::new().bind(
-            "mdts",
-            TValue::List(vec![TContext::new().bind("name", SStr::public("a")).bind(
-                "patients",
-                TValue::List(vec![
-                    TContext::new().bind("id", SStr::public("1")),
-                    TContext::new().bind("id", SStr::public("2")),
-                ]),
-            )]),
-        );
-        let out = t.render(&ctx).unwrap();
-        assert_eq!(out.as_str(), "[a:1,2,]");
     }
 }

@@ -11,7 +11,6 @@ use safeweb::engine::{Engine, Relabel, RemoteBus, UnitError, UnitSpec};
 use safeweb::events::Event;
 use safeweb::http::{client, Method, Request};
 use safeweb::labels::{Label, LabelSet, Policy, Privilege, PrivilegeSet};
-use safeweb::taint::SStr;
 use safeweb::web::{AuthConfig, Ctx, SResponse, SafeWebApp, UserStore};
 use safeweb::{Zone, ZoneTopology};
 
@@ -134,9 +133,7 @@ fn networked_pipeline_end_to_end() {
 
     let mut app = SafeWebApp::new(users, dmz.clone());
     app.get("/records/:mid", |ctx: &Ctx<'_>| {
-        let docs = ctx.records_by("by_mid", ctx.param_raw("mid").unwrap_or(""));
-        let parts: Vec<SStr> = docs.iter().map(|d| d.to_json_sstr()).collect();
-        SResponse::json(SStr::join(parts.iter(), ","))
+        SResponse::json_array(&ctx.records_by("by_mid", ctx.param_raw("mid").unwrap_or("")))
     });
     let http =
         safeweb::http::HttpServer::bind("127.0.0.1:0", Arc::new(app).into_handler()).unwrap();
