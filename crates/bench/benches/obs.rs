@@ -66,7 +66,14 @@ fn deployment_shaped_registry() -> MetricsRegistry {
 /// check on its cheap path, same as the throughput bench.
 fn publish_fixture(registry: &MetricsRegistry) -> (Broker, LabelledEvent) {
     let broker = Broker::with_metrics(BrokerOptions::default(), registry);
-    broker.subscribe_sink("bench", "s1", "/hot", None, PrivilegeSet::new(), |_| true);
+    broker.subscribe_sink(
+        "bench",
+        "s1",
+        "/hot",
+        None,
+        PrivilegeSet::new(),
+        Box::new(|_| true),
+    );
     let template = Event::new("/hot")
         .unwrap()
         .with_attr("type", "synthetic")

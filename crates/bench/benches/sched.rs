@@ -1,14 +1,10 @@
-//! **Scheduler axis** for the engine's worker-pool rework: thread cost
-//! and hot-path delivery rate of the thread-per-unit engine (the seed
-//! model, kept as `ExecutionMode::Threaded`) vs the work-stealing
-//! scheduler (`crates/sched`) at 100 / 1k / 10k units in one process.
+//! **Scheduler axis**: thread cost and hot-path delivery rate of the
+//! engine on its work-stealing worker pool (`crates/sched`) at 100 / 1k /
+//! 10k units in one process.
 //!
-//! Acceptance: the scheduled engine holds **10k units at `+workers`
-//! threads** — thread count independent of unit count — and hot-topic
-//! delivery keeps working underneath the idle crowd. The threaded
-//! baseline is skipped at 10k (it would be 10k OS threads), mirroring
-//! how the idle-connection bench treats the thread-per-connection
-//! frontend.
+//! Acceptance: the engine holds **10k units at `+workers` threads** —
+//! thread count independent of unit count — and hot-topic delivery keeps
+//! working underneath the idle crowd.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -16,9 +12,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use safeweb_broker::Broker;
-use safeweb_engine::{
-    Engine, EngineHandle, EngineOptions, ExecutionMode, SchedulerOptions, UnitSpec,
-};
+use safeweb_engine::{Engine, EngineHandle, EngineOptions, SchedulerOptions, UnitSpec};
 use safeweb_events::{Event, LabelledEvent};
 use safeweb_labels::Policy;
 use safeweb_reactor::sys::os_thread_count;
@@ -39,25 +33,21 @@ struct Fleet {
     startup_rate: f64,
 }
 
-fn scheduled_mode() -> ExecutionMode {
-    ExecutionMode::Scheduled(SchedulerOptions {
-        workers: WORKERS,
-        inbox_cap: 1024,
-        burst: 128,
-        name: "bench-sched".to_string(),
-        ..Default::default()
-    })
-}
-
 /// One counting unit per distinct topic; events carry no labels so the
 /// bench isolates the execution model, not the label machinery (the
 /// throughput bench owns that axis).
-fn build_fleet(units: usize, mode: ExecutionMode) -> Fleet {
+fn build_fleet(units: usize) -> Fleet {
     let broker = Broker::new();
     let consumed = Arc::new(AtomicU64::new(0));
     let mut engine =
         Engine::new(Arc::new(broker.clone()), Policy::new()).with_options(EngineOptions {
-            execution: mode,
+            scheduler: SchedulerOptions {
+                workers: WORKERS,
+                inbox_cap: 1024,
+                burst: 128,
+                name: "bench-sched".to_string(),
+                ..Default::default()
+            },
             ..EngineOptions::default()
         });
     for i in 0..units {
@@ -115,7 +105,7 @@ impl Fleet {
 
 fn bench_sched(c: &mut Criterion) {
     // A smoke run proves the mechanism at the 1k tier instead of paying
-    // 10k subscriptions (and the 1k-thread baseline) in CI.
+    // 10k subscriptions in CI.
     let tiers: &[usize] = if criterion::smoke_run() {
         &[100, 1_000]
     } else {
@@ -123,7 +113,7 @@ fn bench_sched(c: &mut Criterion) {
     };
     const CHUNK: u64 = 2_000;
 
-    eprintln!("\n=== Unit scaling: thread-per-unit vs scheduled engine ===");
+    eprintln!("\n=== Unit scaling: scheduled engine ===");
     eprintln!("  (pool: {WORKERS} workers; traffic on {HOT_TOPICS} hot topics)");
 
     let mut group = c.benchmark_group("sched_hot_path");
@@ -133,7 +123,7 @@ fn bench_sched(c: &mut Criterion) {
         .throughput(Throughput::Elements(CHUNK));
 
     for &units in tiers {
-        let fleet = build_fleet(units, scheduled_mode());
+        let fleet = build_fleet(units);
         // Acceptance: the pool, not the fleet, sets the thread count —
         // at 10k units exactly as at 100.
         assert!(
@@ -160,35 +150,6 @@ fn bench_sched(c: &mut Criterion) {
                 total
             });
         });
-        drop(fleet);
-
-        // Thread-per-unit baseline: at 10k units it would be 10k OS
-        // threads; reported as the reason rather than measured.
-        if units <= 1_000 {
-            let fleet = build_fleet(units, ExecutionMode::Threaded);
-            let rate = {
-                let elapsed = fleet.pump(CHUNK);
-                CHUNK as f64 / elapsed.as_secs_f64()
-            };
-            eprintln!(
-                "  [threaded  {units:>6} units] +{:>5} threads   start {:>8.0} u/s   hot publish \
-                 {:>8.0} ev/s",
-                fleet.threads_added, fleet.startup_rate, rate
-            );
-            group.bench_function(format!("threaded_{units}units"), |b| {
-                b.iter_custom(|iters| {
-                    let mut total = Duration::ZERO;
-                    for _ in 0..iters {
-                        total += fleet.pump(CHUNK);
-                    }
-                    total
-                });
-            });
-        } else {
-            eprintln!(
-                "  [threaded  {units:>6} units] skipped: one OS thread per unit (≥{units} threads)"
-            );
-        }
     }
     group.finish();
 }

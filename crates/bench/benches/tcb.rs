@@ -12,7 +12,7 @@
 //!
 //! Run with `cargo bench -p safeweb-bench --bench tcb`.
 
-use std::path::Path;
+use safeweb_bench::{count_crate, count_source, workspace_root};
 
 fn main() {
     let root = workspace_root();
@@ -38,8 +38,8 @@ fn main() {
 
     // Per-application audited slice: the privileged units (which hold
     // declassification power / I/O) and the privilege-assignment code.
-    let units = count_file(&root, "crates/mdt/src/units.rs");
-    let labels_mdt = count_file(&root, "crates/mdt/src/labels.rs");
+    let units = count_source(&root.join("crates/mdt/src/units.rs"));
+    let labels_mdt = count_source(&root.join("crates/mdt/src/labels.rs"));
     let app_total = count_crate(&root, "mdt");
     let audited_app = units + labels_mdt;
 
@@ -63,73 +63,4 @@ fn main() {
 fn row(label: &str, paper: Option<usize>, measured: usize) {
     let paper = paper.map_or("—".to_string(), |p| format!("{p} LOC"));
     eprintln!("  {label:<38} paper: {paper:<12} measured: {measured} LOC");
-}
-
-fn workspace_root() -> std::path::PathBuf {
-    // CARGO_MANIFEST_DIR = crates/bench
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-        .to_path_buf()
-}
-
-/// Counts non-blank, non-comment lines of all Rust sources in a crate's
-/// src/ (tests excluded via `#[cfg(test)]` block stripping heuristic: the
-/// paper's LOC figures are implementation lines).
-fn count_crate(root: &Path, krate: &str) -> usize {
-    let src = root.join("crates").join(krate).join("src");
-    let mut total = 0;
-    let mut stack = vec![src];
-    while let Some(dir) = stack.pop() {
-        let Ok(entries) = std::fs::read_dir(&dir) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.is_dir() {
-                stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
-                total += count_source(&path);
-            }
-        }
-    }
-    total
-}
-
-fn count_file(root: &Path, rel: &str) -> usize {
-    count_source(&root.join(rel))
-}
-
-fn count_source(path: &Path) -> usize {
-    let Ok(text) = std::fs::read_to_string(path) else {
-        return 0;
-    };
-    let mut count = 0;
-    let mut in_test_mod = false;
-    let mut depth = 0usize;
-    for line in text.lines() {
-        let trimmed = line.trim();
-        if trimmed.starts_with("#[cfg(test)]") {
-            in_test_mod = true;
-            depth = 0;
-            continue;
-        }
-        if in_test_mod {
-            depth += trimmed.matches('{').count();
-            let closes = trimmed.matches('}').count();
-            if closes > 0 {
-                if depth <= closes {
-                    in_test_mod = false;
-                }
-                depth = depth.saturating_sub(closes);
-            }
-            continue;
-        }
-        if trimmed.is_empty() || trimmed.starts_with("//") {
-            continue;
-        }
-        count += 1;
-    }
-    count
 }

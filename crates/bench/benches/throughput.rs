@@ -479,9 +479,9 @@ struct IdleReport {
 
 /// Parks `idle` subscribers on cold topics, then measures delivery of
 /// `events` hot-topic events to one live consumer while the crowd sits
-/// idle. `broker` and `addr` come from either frontend. `active_probe`
-/// (the reactor's registered-connection counter) is asserted against
-/// `idle + 1` while the whole crowd and the consumer are still alive.
+/// idle. `active_probe` (the reactor's registered-connection counter) is
+/// asserted against `idle + 1` while the whole crowd and the consumer
+/// are still alive.
 fn run_idle_workload(
     broker: &safeweb_broker::Broker,
     addr: &str,
@@ -549,15 +549,14 @@ fn idle_policy() -> Policy {
 }
 
 /// **Idle-connection axis** for the reactor refactor: thread cost and
-/// hot-path delivery rate of the threaded (seed, thread-per-connection)
-/// vs reactor (epoll) STOMP frontends while 100 / 1k / 10k idle
-/// subscribers sit parked in the same process.
+/// hot-path delivery rate of the reactor (epoll) STOMP frontend while
+/// 100 / 1k / 10k idle subscribers sit parked in the same process.
 ///
 /// Acceptance: the reactor frontend holds 10k idle subscribers with a
 /// bounded thread count (reactor + workers only), and hot-topic delivery
 /// keeps working underneath them.
 fn bench_idle_frontends(_c: &mut Criterion) {
-    use safeweb_broker::{BrokerServer, ThreadedBrokerServer};
+    use safeweb_broker::BrokerServer;
 
     // Each idle subscriber is two fds in this one process (client +
     // server end). Raise the soft limit as far as the host allows and
@@ -579,7 +578,7 @@ fn bench_idle_frontends(_c: &mut Criterion) {
     let max_idle = budget.min(tier_cap) as usize;
     const EVENTS: u64 = 2_000;
 
-    eprintln!("\n=== Idle-connection scaling: threaded vs reactor STOMP frontend ===");
+    eprintln!("\n=== Idle-connection scaling: reactor STOMP frontend ===");
     eprintln!(
         "  (fd soft limit {limit}, {fds_in_use} in use; top tier {max_idle} idle subscribers)"
     );
@@ -601,33 +600,6 @@ fn bench_idle_frontends(_c: &mut Criterion) {
         if !seen.insert(idle) {
             continue;
         }
-        // Thread-per-connection baseline above 1k idle would spawn >3k
-        // OS threads; reported as the reason rather than measured.
-        if idle <= 1_000 {
-            let broker = Broker::new();
-            let mut server =
-                ThreadedBrokerServer::bind("127.0.0.1:0", broker, idle_policy()).unwrap();
-            let report = run_idle_workload(
-                server.broker(),
-                &server.addr().to_string(),
-                idle,
-                EVENTS,
-                None,
-            )
-            .expect("threaded idle workload");
-            eprintln!(
-                "  [threaded {idle:>6} idle] +{:>5} threads   connect {:>7.0}/s   hot publish \
-                 {:>8.0} ev/s",
-                report.threads_added, report.connect_rate, report.publish_rate
-            );
-            server.shutdown();
-        } else {
-            eprintln!(
-                "  [threaded {idle:>6} idle] skipped: ≥{} OS threads at 3/connection",
-                3 * idle
-            );
-        }
-
         let broker = Broker::new();
         let mut server = BrokerServer::bind("127.0.0.1:0", broker, idle_policy()).unwrap();
         let active = || server.active_connections();

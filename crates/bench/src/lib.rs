@@ -9,7 +9,7 @@
 //! | `backend`    | §5.3 event latency, 73→84 ms (+15 %) |
 //! | `throughput` | §5.3 end-to-end throughput, 4455→3817 ev/s (−17 %) |
 //! | `breakdown`  | Figure 5 per-phase latency split |
-//! | `tcb`        | §5.2 trusted-codebase line counts |
+//! | `tcb`        | §5.2 trusted-codebase line counts (ceiling: `tests/tcb_ceiling.rs`) |
 //! | `microbench` | ablations of the individual mechanisms |
 //!
 //! Absolute numbers will differ (compiled Rust vs. Ruby on 2011 hardware);
@@ -20,6 +20,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use safeweb_mdt::registry::RegistryConfig;
@@ -87,4 +88,72 @@ pub fn overhead_pct(without: f64, with: f64) -> f64 {
         return 0.0;
     }
     (with - without) / without * 100.0
+}
+
+/// The workspace root (two levels above this crate's manifest).
+pub fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .parent()
+        .and_then(Path::parent)
+        .expect("workspace root")
+        .to_path_buf()
+}
+
+/// Code lines of every Rust source under `crates/<krate>/src` (see
+/// [`count_source`]): the unit the `tcb` bench reports and the
+/// `tcb_ceiling` test caps.
+pub fn count_crate(root: &Path, krate: &str) -> usize {
+    let src = root.join("crates").join(krate).join("src");
+    let mut total = 0;
+    let mut stack = vec![src];
+    while let Some(dir) = stack.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for entry in entries.flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                stack.push(path);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                total += count_source(&path);
+            }
+        }
+    }
+    total
+}
+
+/// Non-blank, non-comment lines of one Rust source, skipping
+/// `#[cfg(test)]` blocks by brace depth (a heuristic: the paper's LOC
+/// figures are implementation lines).
+pub fn count_source(path: &Path) -> usize {
+    let Ok(text) = std::fs::read_to_string(path) else {
+        return 0;
+    };
+    let mut count = 0;
+    let mut in_test_mod = false;
+    let mut depth = 0usize;
+    for line in text.lines() {
+        let trimmed = line.trim();
+        if trimmed.starts_with("#[cfg(test)]") {
+            in_test_mod = true;
+            depth = 0;
+            continue;
+        }
+        if in_test_mod {
+            depth += trimmed.matches('{').count();
+            let closes = trimmed.matches('}').count();
+            if closes > 0 {
+                if depth <= closes {
+                    in_test_mod = false;
+                }
+                depth = depth.saturating_sub(closes);
+            }
+            continue;
+        }
+        if trimmed.is_empty() || trimmed.starts_with("//") {
+            continue;
+        }
+        count += 1;
+    }
+    count
 }

@@ -39,10 +39,10 @@
 //! A matched event is delivered as a [`Delivery`] carrying
 //! `Arc<LabelledEvent>`: one allocation per published event, not one deep
 //! clone per matching subscriber. Matching (topic, selector, clearance)
-//! runs under the shard read lock; the delivery targets themselves are
-//! invoked **after** it drops, so a target that blocks — the scheduled
-//! engine's sink exerting inbox backpressure — never holds routing state
-//! while a subscribe's write lock queues behind it.
+//! runs under the shard read lock; the subscriptions' sinks are invoked
+//! **after** it drops, so a sink that blocks — the engine's sink
+//! exerting inbox backpressure — never holds routing state while a
+//! subscribe's write lock queues behind it.
 //! [`Broker::publish_batch`] amortizes shard locking and stats updates
 //! across a batch by grouping events per shard before acquiring any
 //! lock.
@@ -52,7 +52,7 @@
 //! **Label filtering is applied after routing, never skipped**: the
 //! sharded indexes only narrow the candidate set by topic; every candidate
 //! still passes through the selector and the clearance check
-//! (`labels.flows_to(clearance)`) before its channel sees the event. The
+//! (`labels.flows_to(clearance)`) before its sink sees the event. The
 //! [`oracle::LinearBroker`] reference implementation states these
 //! semantics as executable code, and `tests/routing_equivalence.rs` holds
 //! the sharded path to it property-by-property.
@@ -61,7 +61,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::RwLock;
 
 use safeweb_events::LabelledEvent;
@@ -120,48 +120,32 @@ impl fmt::Display for TopicPattern {
 /// "subscriptions include unique identifiers").
 pub type SubscriptionKey = (String, String);
 
-/// Where a subscription's deliveries go.
-///
-/// The engine and in-process consumers use channels; the reactor-based
-/// STOMP frontend registers a callback that serialises the frame straight
-/// into the connection's bounded outbound queue — no per-subscription
-/// pump thread.
-enum DeliveryTarget {
-    /// A channel endpoint owned by the subscriber.
-    Channel(Sender<Delivery>),
-    /// A callback invoked on the publisher's thread. Returns whether the
-    /// subscriber is still alive; a dead sink stops counting as a
-    /// delivery (like a disconnected channel).
-    Sink(Box<dyn Fn(Delivery) -> bool + Send + Sync>),
-}
-
-impl fmt::Debug for DeliveryTarget {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeliveryTarget::Channel(_) => f.write_str("Channel"),
-            DeliveryTarget::Sink(_) => f.write_str("Sink"),
-        }
-    }
-}
-
-impl DeliveryTarget {
-    fn deliver(&self, delivery: Delivery) -> bool {
-        match self {
-            DeliveryTarget::Channel(sender) => sender.send(delivery).is_ok(),
-            DeliveryTarget::Sink(sink) => sink(delivery),
-        }
-    }
-}
+/// Where a subscription's deliveries go: a callback invoked once per
+/// matching delivery, returning whether the subscriber is still alive
+/// (`false` counts the delivery as suppressed). The reactor STOMP
+/// frontend's sinks serialise the frame into the connection's bounded
+/// outbound queue; the engine's sinks **block** while the owning unit's
+/// inbox is at capacity — the backpressure edge between bus and
+/// scheduler; [`Broker::subscribe`]'s sink feeds a channel.
+pub type DeliverySink = Box<dyn Fn(Delivery) -> bool + Send + Sync>;
 
 /// One registered subscription, shared between the directory and every
 /// index slot that routes to it.
-#[derive(Debug)]
 struct SubEntry {
     sub_id: Arc<str>,
     topic: TopicPattern,
     selector: Option<Selector>,
     clearance: PrivilegeSet,
-    target: DeliveryTarget,
+    sink: DeliverySink,
+}
+
+impl fmt::Debug for SubEntry {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SubEntry")
+            .field("sub_id", &self.sub_id)
+            .field("topic", &self.topic)
+            .finish_non_exhaustive()
+    }
 }
 
 /// An event as delivered to one subscriber: tagged with the subscription id
@@ -371,7 +355,9 @@ impl Broker {
     }
 
     /// Registers a subscription and returns the receiving end of its
-    /// delivery channel.
+    /// delivery channel: [`Broker::subscribe_sink`] with a sink that
+    /// feeds an unbounded channel, for tests, examples and in-process
+    /// consumers.
     ///
     /// `clearance` is the privilege set of the *subscribing principal* — in
     /// the deployed system this comes from the policy file, never from the
@@ -386,28 +372,31 @@ impl Broker {
         clearance: PrivilegeSet,
     ) -> Receiver<Delivery> {
         let (tx, rx) = unbounded();
-        self.register(
+        self.subscribe_sink(
             client,
             subscription_id,
             topic,
             selector,
             clearance,
-            DeliveryTarget::Channel(tx),
+            Box::new(move |delivery| tx.send(delivery).is_ok()),
         );
         rx
     }
 
     /// Registers a subscription whose deliveries are pushed through
-    /// `sink` **on the publisher's thread** instead of a channel. The
-    /// sink returns whether the subscriber is still alive; `false` makes
-    /// the delivery count as suppressed, exactly like a disconnected
-    /// channel (the entry itself is removed by
+    /// `sink` **on the publisher's thread**. The sink returns whether
+    /// the subscriber is still alive; `false` makes the delivery count as
+    /// suppressed (the entry itself is removed by
     /// [`Broker::unsubscribe`]/[`Broker::unsubscribe_all`]).
     ///
-    /// This is the delivery path of the reactor STOMP frontend: the sink
-    /// serialises the frame into the connection's bounded outbound queue,
-    /// so ten thousand idle subscribers cost ten thousand parked *fds*,
-    /// not ten thousand parked threads. Sinks must not block.
+    /// The reactor STOMP frontend's sink serialises the frame into the
+    /// connection's bounded outbound queue, so ten thousand idle
+    /// subscribers cost ten thousand parked *fds*, not ten thousand
+    /// parked threads. A sink may block (the engine's does, at a full
+    /// unit inbox): sinks run after the shard lock drops.
+    ///
+    /// `clearance` and re-subscription behave as for
+    /// [`Broker::subscribe`].
     pub fn subscribe_sink(
         &self,
         client: &str,
@@ -415,33 +404,14 @@ impl Broker {
         topic: &str,
         selector: Option<Selector>,
         clearance: PrivilegeSet,
-        sink: impl Fn(Delivery) -> bool + Send + Sync + 'static,
-    ) {
-        self.register(
-            client,
-            subscription_id,
-            topic,
-            selector,
-            clearance,
-            DeliveryTarget::Sink(Box::new(sink)),
-        );
-    }
-
-    fn register(
-        &self,
-        client: &str,
-        subscription_id: &str,
-        topic: &str,
-        selector: Option<Selector>,
-        clearance: PrivilegeSet,
-        target: DeliveryTarget,
+        sink: DeliverySink,
     ) {
         let entry = Arc::new(SubEntry {
             sub_id: Arc::from(subscription_id),
             topic: TopicPattern::parse(topic),
             selector,
             clearance,
-            target,
+            sink,
         });
         let key = (client.to_string(), subscription_id.to_string());
         // Index updates happen while the directory lock is held so that
@@ -552,11 +522,10 @@ impl Broker {
     /// matches the topic.
     ///
     /// Delivery happens **after** the shard lock drops
-    /// ([`Broker::deliver_matches`]): a delivery target may block — the
-    /// scheduled engine's sink exerts inbox backpressure on publishers —
-    /// and blocking under the read lock would let a concurrent
-    /// subscribe's queued write lock wedge every other publisher on the
-    /// shard behind the stalled one.
+    /// ([`Broker::deliver_matches`]): a sink may block — the engine's
+    /// sink exerts inbox backpressure on publishers — and blocking under
+    /// the read lock would let a concurrent subscribe's queued write lock
+    /// wedge every other publisher on the shard behind the stalled one.
     fn match_in_shard(
         &self,
         shard: &ShardState,
@@ -608,9 +577,8 @@ impl Broker {
         matches.push((Arc::clone(entry), Arc::clone(event)));
     }
 
-    /// Invokes the collected matches' delivery targets, lock-free, in
-    /// match order. Returns the deliveries made (dead targets —
-    /// disconnected channels, gone sinks — count as suppressed).
+    /// Invokes the collected matches' sinks, lock-free, in match order.
+    /// Returns the deliveries made (dead sinks count as suppressed).
     fn deliver_matches(
         matches: &mut Vec<(Arc<SubEntry>, Arc<LabelledEvent>)>,
         local: &mut LocalStats,
@@ -621,7 +589,7 @@ impl Broker {
                 subscription_id: Arc::clone(&entry.sub_id),
                 event,
             };
-            if entry.target.deliver(delivery) {
+            if (entry.sink)(delivery) {
                 local.delivered += 1;
                 delivered += 1;
             }
@@ -1010,10 +978,17 @@ mod tests {
         let alive = Arc::new(std::sync::atomic::AtomicBool::new(true));
         let sink_got = Arc::clone(&got);
         let sink_alive = Arc::clone(&alive);
-        broker.subscribe_sink("u", "1", "/t", None, PrivilegeSet::new(), move |delivery| {
-            sink_got.lock().push(delivery.event.topic().to_string());
-            sink_alive.load(std::sync::atomic::Ordering::SeqCst)
-        });
+        broker.subscribe_sink(
+            "u",
+            "1",
+            "/t",
+            None,
+            PrivilegeSet::new(),
+            Box::new(move |delivery| {
+                sink_got.lock().push(delivery.event.topic().to_string());
+                sink_alive.load(std::sync::atomic::Ordering::SeqCst)
+            }),
+        );
         assert_eq!(broker.publish(&labelled("/t", &[])), 1);
         assert_eq!(got.lock().as_slice(), ["/t".to_string()]);
         assert_eq!(broker.stats().delivered(), 1);

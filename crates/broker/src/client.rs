@@ -7,7 +7,7 @@ use std::io;
 use std::time::Duration;
 
 use safeweb_events::LabelledEvent;
-use safeweb_stomp::{Command, Frame, TcpTransport, Transport};
+use safeweb_stomp::{Command, Frame, TcpTransport};
 
 use crate::wire::{event_to_frame, frame_to_event, SELECTOR_HEADER, SUBSCRIPTION_HEADER};
 

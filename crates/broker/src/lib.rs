@@ -35,13 +35,11 @@
 mod broker;
 mod client;
 mod server;
-mod threaded;
 pub mod wire;
 
 pub use broker::{
-    oracle, Broker, BrokerOptions, BrokerStats, Delivery, SubscriptionKey, TopicPattern,
-    SHARD_COUNT,
+    oracle, Broker, BrokerOptions, BrokerStats, Delivery, DeliverySink, SubscriptionKey,
+    TopicPattern, SHARD_COUNT,
 };
 pub use client::{ClientDelivery, ClientError, EventClient};
 pub use server::{BrokerServer, OUTBOX_CAP};
-pub use threaded::ThreadedBrokerServer;

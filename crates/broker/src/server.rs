@@ -265,7 +265,7 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
                 dest,
                 selector,
                 session.privileges,
-                move |delivery| {
+                Box::new(move |delivery| {
                     let mut frame = event_to_frame(&delivery.event, Command::Message);
                     frame.push_header(SUBSCRIPTION_HEADER, delivery.subscription_id.to_string());
                     match sink_io.send(encode(&frame)) {
@@ -278,7 +278,7 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
                         }
                         Err(SendError::Closed) => false,
                     }
-                },
+                }),
             );
         }
         (Command::Unsubscribe, Some(session)) => {

@@ -225,7 +225,7 @@ fn abrupt_disconnects_do_not_stop_the_accept_loop() {
 
 #[test]
 fn slow_consumer_is_disconnected_not_buffered_unboundedly() {
-    use safeweb_stomp::{Command, Frame, TcpTransport, Transport};
+    use safeweb_stomp::{Command, Frame, TcpTransport};
 
     let server = start_server();
     let addr = server.addr().to_string();
@@ -274,40 +274,6 @@ fn slow_consumer_is_disconnected_not_buffered_unboundedly() {
         std::thread::sleep(Duration::from_millis(50));
     }
     assert!(gone, "slow consumer was never disconnected");
-}
-
-#[test]
-fn threaded_baseline_still_serves_the_same_protocol() {
-    // The pre-reactor server is kept as the bench baseline; hold it to
-    // the same core flow so comparisons stay apples-to-apples.
-    let broker = Broker::new();
-    let mut server =
-        safeweb_broker::ThreadedBrokerServer::bind("127.0.0.1:0", broker, policy()).unwrap();
-    let addr = server.addr().to_string();
-
-    let mut consumer = EventClient::connect(&addr, "mdt_a").unwrap();
-    consumer.subscribe("/patient_report", None).unwrap();
-    let mut nosy = EventClient::connect(&addr, "nosy").unwrap();
-    nosy.subscribe("/patient_report", None).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
-    producer
-        .publish(
-            &Event::new("/patient_report")
-                .unwrap()
-                .with_attr("type", "cancer")
-                .with_labels([Label::conf("ecric.org.uk", "mdt/a")]),
-        )
-        .unwrap();
-
-    let delivery = consumer.next_delivery().unwrap();
-    assert_eq!(delivery.event.topic(), "/patient_report");
-    assert!(nosy
-        .next_delivery_timeout(Duration::from_millis(200))
-        .unwrap()
-        .is_none());
-    server.shutdown();
 }
 
 #[test]

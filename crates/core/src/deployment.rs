@@ -11,7 +11,7 @@ use std::time::Duration;
 use safeweb_broker::{Broker, BrokerOptions};
 use safeweb_docstore::{DocStore, ReplicationHandle};
 use safeweb_engine::{
-    Engine, EngineError, EngineHandle, EngineOptions, ExecutionMode, SchedulerOptions, UnitSpec,
+    Engine, EngineError, EngineHandle, EngineOptions, SchedulerOptions, UnitSpec,
 };
 use safeweb_http::HttpServer;
 use safeweb_labels::Policy;
@@ -107,25 +107,24 @@ impl SafeWebBuilder {
         self
     }
 
-    /// Sets engine options (execution mode; label tracking for baseline
-    /// benchmarking only).
+    /// Sets engine options (worker-pool sizing; label tracking for
+    /// baseline benchmarking only).
     pub fn engine_options(mut self, options: EngineOptions) -> SafeWebBuilder {
         self.engine_options = options;
         self
     }
 
-    /// Runs the engine's units on a work-stealing worker pool with the
-    /// given sizing — the scale mode for thousands of units (the default
-    /// uses one worker per core and a 1024-message inbox per unit).
-    /// Shorthand for setting [`ExecutionMode::Scheduled`] through
-    /// [`SafeWebBuilder::engine_options`].
+    /// Sizes the work-stealing worker pool the engine's units run on
+    /// (the default uses one worker per core and a 1024-message inbox
+    /// per unit). Shorthand for setting [`EngineOptions::scheduler`]
+    /// through [`SafeWebBuilder::engine_options`].
     pub fn scheduler(mut self, options: SchedulerOptions) -> SafeWebBuilder {
-        self.engine_options.execution = ExecutionMode::Scheduled(options);
+        self.engine_options.scheduler = options;
         self
     }
 
     /// Flags engine activations slower than `threshold` to the process
-    /// tracer's slow-activation buffer (scheduled execution only; see
+    /// tracer's slow-activation buffer (see
     /// `Tracer::slow_activations` in `safeweb-obs`). Off by default.
     /// Overridden by an explicit
     /// [`safeweb_engine::SchedulerOptions::slow_activation_ns`] passed
@@ -242,13 +241,12 @@ impl SafeWebBuilder {
         });
 
         let mut engine_options = self.engine_options;
-        if let ExecutionMode::Scheduled(opts) = &mut engine_options.execution {
-            if opts.metrics.is_none() {
-                opts.metrics = Some(metrics.clone());
-            }
-            if opts.slow_activation_ns.is_none() {
-                opts.slow_activation_ns = self.slow_activation.map(|d| d.as_nanos() as u64);
-            }
+        let sched = &mut engine_options.scheduler;
+        if sched.metrics.is_none() {
+            sched.metrics = Some(metrics.clone());
+        }
+        if sched.slow_activation_ns.is_none() {
+            sched.slow_activation_ns = self.slow_activation.map(|d| d.as_nanos() as u64);
         }
         let mut engine =
             Engine::new(Arc::new(broker.clone()), self.policy.clone()).with_options(engine_options);
@@ -357,22 +355,6 @@ impl SafeWebDeployment {
         self.engine_handle
             .as_ref()
             .map(|h| h.violations())
-            .unwrap_or_default()
-    }
-
-    /// Messages queued in unit inboxes right now, summed across all
-    /// units (scheduled execution mode only; `0` otherwise or after
-    /// [`SafeWebDeployment::stop`]). Pair with
-    /// [`safeweb_http::HttpServer::queued_bytes`] on the served frontend
-    /// to see which side of the pipeline is backed up.
-    #[deprecated(
-        since = "0.1.0",
-        note = "read `sched.queued_messages` from `SafeWebDeployment::metrics()` instead"
-    )]
-    pub fn engine_queued_messages(&self) -> usize {
-        self.engine_handle
-            .as_ref()
-            .map(|h| h.queued_messages())
             .unwrap_or_default()
     }
 

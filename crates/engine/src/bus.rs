@@ -5,25 +5,22 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::Mutex;
 
+pub use safeweb_broker::DeliverySink;
 use safeweb_broker::{Broker, Delivery, EventClient};
 use safeweb_events::LabelledEvent;
 use safeweb_labels::PrivilegeSet;
 
 use crate::error::EngineError;
 
-/// A push-mode delivery callback: invoked once per matching delivery,
-/// returning whether the subscriber is still alive (`false` counts the
-/// delivery as suppressed, like a disconnected channel). The scheduled
-/// engine's sinks **block** when the owning unit's inbox is at capacity —
-/// that is the backpressure edge between the bus and the scheduler.
-pub type DeliverySink = Box<dyn Fn(Delivery) -> bool + Send + Sync>;
-
 /// The engine's view of the broker.
 pub trait EventBus: Send + Sync {
-    /// Registers a subscription; deliveries arrive on the returned channel.
+    /// Registers a subscription whose deliveries are pushed through
+    /// `sink`: a delivery lands directly in the unit's bounded inbox and
+    /// makes its task ready, with no per-unit thread parked on a
+    /// channel. The embedded broker invokes `sink` on the publisher's
+    /// thread, [`RemoteBus`] on its one reader thread.
     ///
     /// # Errors
     ///
@@ -35,44 +32,8 @@ pub trait EventBus: Send + Sync {
         topic: &str,
         selector: Option<&str>,
         clearance: PrivilegeSet,
-    ) -> Result<Receiver<Delivery>, EngineError>;
-
-    /// Registers a subscription whose deliveries are pushed through
-    /// `sink` instead of a channel — the wakeup path of the scheduled
-    /// engine: a delivery lands directly in the unit's bounded inbox and
-    /// makes its task ready, with no per-unit thread parked in a select.
-    ///
-    /// The embedded broker overrides this to invoke `sink` on the
-    /// publisher's thread. The default bridges transports that only
-    /// expose a channel (the remote STOMP bus) with one forwarding
-    /// thread per subscription; the thread exits when the channel
-    /// disconnects or the sink reports the subscriber gone.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Bus`] on transport failure.
-    fn subscribe_with(
-        &self,
-        client: &str,
-        subscription_id: &str,
-        topic: &str,
-        selector: Option<&str>,
-        clearance: PrivilegeSet,
         sink: DeliverySink,
-    ) -> Result<(), EngineError> {
-        let rx = self.subscribe(client, subscription_id, topic, selector, clearance)?;
-        std::thread::Builder::new()
-            .name(format!("safeweb-bus-pump-{client}-{subscription_id}"))
-            .spawn(move || {
-                for delivery in rx.iter() {
-                    if !sink(delivery) {
-                        return;
-                    }
-                }
-            })
-            .map_err(|e| EngineError::Bus(format!("spawn bus pump failed: {e}")))?;
-        Ok(())
-    }
+    ) -> Result<(), EngineError>;
 
     /// Publishes a labelled event.
     ///
@@ -113,31 +74,6 @@ impl EventBus for Broker {
         topic: &str,
         selector: Option<&str>,
         clearance: PrivilegeSet,
-    ) -> Result<Receiver<Delivery>, EngineError> {
-        let selector = match selector {
-            Some(src) => Some(
-                safeweb_selector::Selector::parse(src)
-                    .map_err(|e| EngineError::Bus(format!("bad selector: {e}")))?,
-            ),
-            None => None,
-        };
-        Ok(Broker::subscribe(
-            self,
-            client,
-            subscription_id,
-            topic,
-            selector,
-            clearance,
-        ))
-    }
-
-    fn subscribe_with(
-        &self,
-        client: &str,
-        subscription_id: &str,
-        topic: &str,
-        selector: Option<&str>,
-        clearance: PrivilegeSet,
         sink: DeliverySink,
     ) -> Result<(), EngineError> {
         let selector = match selector {
@@ -170,16 +106,27 @@ impl EventBus for Broker {
     }
 }
 
+/// A subscription's sink, shared so the reader thread can call it
+/// outside the `routes` lock.
+type Route = Arc<dyn Fn(Delivery) -> bool + Send + Sync>;
+
 struct RemoteBusInner {
     publisher: Mutex<EventClient>,
     subscriber: Mutex<EventClient>,
-    routes: Mutex<HashMap<String, crossbeam::channel::Sender<Delivery>>>,
+    routes: Mutex<HashMap<String, Route>>,
     reader_started: Mutex<bool>,
 }
 
 /// [`EventBus`] over a networked broker: one STOMP connection for
-/// publishing and one for subscriptions, with a reader thread dispatching
-/// `MESSAGE` frames to per-subscription channels by subscription id.
+/// publishing and one for subscriptions, with one reader thread that
+/// hands each `MESSAGE` frame to its subscription's sink by
+/// subscription id.
+///
+/// The reader calls the sink directly, so a unit whose inbox is full
+/// stalls the reader and, through it, the subscription socket: the
+/// backlog then sits in the broker server's per-connection outbound
+/// queue, bounded by `safeweb_broker::OUTBOX_CAP` (a subscriber further
+/// behind than that is disconnected).
 ///
 /// With a remote bus, clearance is assigned **server-side** from the
 /// broker's policy file based on the login; the `clearance` argument to
@@ -228,11 +175,11 @@ impl RemoteBus {
                 };
                 match next {
                     Ok(Some(d)) => {
-                        let routes = inner.routes.lock();
-                        if let Some(tx) = routes.get(&d.subscription_id) {
-                            let _ = tx.send(Delivery {
+                        let route = inner.routes.lock().get(&d.subscription_id).cloned();
+                        if let Some(sink) = route {
+                            sink(Delivery {
                                 subscription_id: d.subscription_id.into(),
-                                event: std::sync::Arc::new(d.event),
+                                event: Arc::new(d.event),
                             });
                         }
                     }
@@ -255,17 +202,21 @@ impl EventBus for RemoteBus {
         topic: &str,
         selector: Option<&str>,
         _clearance: PrivilegeSet,
-    ) -> Result<Receiver<Delivery>, EngineError> {
-        let (tx, rx) = unbounded();
-        let id = {
+        sink: DeliverySink,
+    ) -> Result<(), EngineError> {
+        {
             let mut client = self.inner.subscriber.lock();
-            client
+            let id = client
                 .subscribe(topic, selector)
-                .map_err(|e| EngineError::Bus(e.to_string()))?
-        };
-        self.inner.routes.lock().insert(id, tx);
+                .map_err(|e| EngineError::Bus(e.to_string()))?;
+            // Route before the subscriber lock drops: the reader needs
+            // that lock to read a MESSAGE, so no delivery for `id` can
+            // arrive before its route exists. Lock order is subscriber →
+            // routes; the reader takes them one after the other.
+            self.inner.routes.lock().insert(id, Arc::from(sink));
+        }
         self.ensure_reader();
-        Ok(rx)
+        Ok(())
     }
 
     fn publish(&self, event: &LabelledEvent) -> Result<(), EngineError> {

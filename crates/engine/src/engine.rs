@@ -2,30 +2,25 @@
 //! units, wiring their subscriptions to the broker and executing their
 //! callbacks inside the IFC jail.
 //!
-//! # Execution modes
+//! # Execution
 //!
-//! * [`ExecutionMode::Scheduled`] (the default) multiplexes every unit
-//!   onto a fixed [`safeweb_sched`] worker pool: each unit is one
-//!   scheduler task with a bounded inbox, deliveries wake the task
-//!   instead of a parked per-unit thread, and the thread count is set by
-//!   [`SchedulerOptions::workers`] — independent of the unit count, so
-//!   one process hosts thousands of units (one per tenant).
-//! * [`ExecutionMode::Threaded`] keeps the original thread-per-unit
-//!   model as the benchmark baseline, mirroring how the reactor refactor
-//!   kept `ThreadedBrokerServer`.
+//! Every unit is one task on a fixed [`safeweb_sched`] worker pool with
+//! a bounded inbox: deliveries wake the task instead of a parked
+//! per-unit thread, and the thread count is set by
+//! [`SchedulerOptions::workers`] — independent of the unit count, so one
+//! process hosts thousands of units (one per tenant). One timer thread
+//! drives every unit's timers.
 //!
-//! Both modes preserve the same unit-facing guarantees: strict FIFO
-//! event order within a unit, no concurrent execution of one unit's
-//! callbacks, burst-capped draining so a hot unit cannot starve the
-//! rest, and batched flushing of each activation's published events in
-//! one broker pass.
+//! Unit-facing guarantees: strict FIFO event order within a unit, no
+//! concurrent execution of one unit's callbacks, burst-capped draining
+//! ([`SchedulerOptions::burst`]) so a hot unit cannot starve the rest,
+//! and batched flushing of each activation's published events in one
+//! broker pass.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, tick, Receiver, Select};
 use parking_lot::Mutex;
 
 use safeweb_broker::Delivery;
@@ -117,39 +112,21 @@ impl UnitSpec {
     }
 }
 
-/// How the engine runs its units.
-#[derive(Debug, Clone)]
-pub enum ExecutionMode {
-    /// All units share a fixed work-stealing worker pool
-    /// (`crates/sched`): the production mode, whose thread count is
-    /// independent of the unit count.
-    Scheduled(SchedulerOptions),
-    /// One OS thread per unit — the original model, kept as the
-    /// benchmark baseline. Caps out at a few hundred units.
-    Threaded,
-}
-
-impl Default for ExecutionMode {
-    fn default() -> ExecutionMode {
-        ExecutionMode::Scheduled(SchedulerOptions::default())
-    }
-}
-
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineOptions {
     /// When `false`, all label bookkeeping is skipped. Exists **only** for
     /// the paper's §5.3 baseline measurements; never disable in production.
     pub label_tracking: bool,
-    /// Unit execution model (scheduled worker pool by default).
-    pub execution: ExecutionMode,
+    /// Sizing of the worker pool the units run on.
+    pub scheduler: SchedulerOptions,
 }
 
 impl Default for EngineOptions {
     fn default() -> EngineOptions {
         EngineOptions {
             label_tracking: true,
-            execution: ExecutionMode::default(),
+            scheduler: SchedulerOptions::default(),
         }
     }
 }
@@ -186,7 +163,7 @@ impl Engine {
         }
     }
 
-    /// Overrides engine options (execution mode; label tracking for
+    /// Overrides engine options (worker-pool sizing; label tracking for
     /// baseline benchmarking only).
     pub fn with_options(mut self, options: EngineOptions) -> Engine {
         self.options = options;
@@ -207,28 +184,17 @@ impl Engine {
         Ok(())
     }
 
-    /// Starts every unit — on the shared scheduler pool or on its own
-    /// thread, per [`EngineOptions::execution`] — and returns a handle
-    /// for observing violations and stopping the engine.
+    /// Starts every unit as a task on the shared worker pool and returns
+    /// a handle for observing violations and stopping the engine. Thread
+    /// cost: `workers` pool threads plus one timer thread when any unit
+    /// has timers — regardless of how many units there are.
     ///
     /// # Errors
     ///
     /// Returns [`EngineError`] if any subscription cannot be established.
     pub fn start(self) -> Result<EngineHandle, EngineError> {
-        match self.options.execution.clone() {
-            ExecutionMode::Scheduled(options) => self.start_scheduled(options),
-            ExecutionMode::Threaded => self.start_threaded(),
-        }
-    }
-
-    // ---- scheduled execution -------------------------------------------
-
-    /// Starts the units as tasks on a fixed worker pool. Thread cost:
-    /// `workers` pool threads plus one timer thread when any unit has
-    /// timers — regardless of how many units there are.
-    fn start_scheduled(self, options: SchedulerOptions) -> Result<EngineHandle, EngineError> {
         let violations = Arc::new(Mutex::new(Vec::new()));
-        let scheduler: Scheduler<UnitMsg> = Scheduler::new(options);
+        let scheduler: Scheduler<UnitMsg> = Scheduler::new(self.options.scheduler);
         let mut timers: Vec<TimerEntry> = Vec::new();
 
         for unit in self.units {
@@ -265,8 +231,7 @@ impl Engine {
             let sender = scheduler.spawn(&name, move |batch| {
                 // One publish sink per activation: everything the burst's
                 // callbacks emit flushes to the broker in a single
-                // batched pass, exactly like the threaded path's
-                // per-callback flush but amortised over the burst.
+                // batched pass.
                 let sink = BufferedBusSink::new();
                 let mut failures: Vec<UnitError> = Vec::new();
                 for msg in batch.drain(..) {
@@ -340,7 +305,7 @@ impl Engine {
                     }
                 }
                 // Events the jail admitted are published even when their
-                // callback later failed — exactly as in threaded mode.
+                // callback later failed.
                 flush_activation(&sink, bus.as_ref(), &unit_name, &unit_violations, failures);
             });
 
@@ -351,7 +316,7 @@ impl Engine {
             // and bypass the cap; see `TaskSender::send`.)
             for (idx, (topic, selector)) in topics.iter().enumerate() {
                 let tx = sender.clone();
-                self.bus.subscribe_with(
+                self.bus.subscribe(
                     &name,
                     &format!("{name}-{idx}"),
                     topic,
@@ -379,71 +344,13 @@ impl Engine {
         let timer = (!timers.is_empty()).then(|| TimerDriver::start(timers));
         Ok(EngineHandle {
             violations,
-            mode: HandleMode::Scheduled { scheduler, timer },
-        })
-    }
-
-    // ---- threaded execution (bench baseline) ---------------------------
-
-    fn start_threaded(self) -> Result<EngineHandle, EngineError> {
-        let stop = Arc::new(AtomicBool::new(false));
-        let violations = Arc::new(Mutex::new(Vec::new()));
-        let mut threads = Vec::new();
-        let mut stop_senders = Vec::new();
-
-        for unit in self.units {
-            let privileges = self.policy.privileges(PrincipalKind::Unit, &unit.name);
-            let privileged = self.policy.is_privileged_unit(&unit.name);
-
-            // Wire subscriptions before spawning so failures surface here.
-            let mut receivers: Vec<(Receiver<Delivery>, usize)> = Vec::new();
-            for (idx, (topic, selector, _)) in unit.subscriptions.iter().enumerate() {
-                let rx = self.bus.subscribe(
-                    &unit.name,
-                    &format!("{}-{idx}", unit.name),
-                    topic,
-                    selector.as_deref(),
-                    privileges,
-                )?;
-                receivers.push((rx, idx));
-            }
-
-            let (stop_tx, stop_rx) = bounded::<()>(0);
-            stop_senders.push(stop_tx);
-
-            let bus = Arc::clone(&self.bus);
-            let tracking = self.options.label_tracking;
-            let unit_violations = Arc::clone(&violations);
-            let thread = std::thread::Builder::new()
-                .name(format!("safeweb-unit-{}", unit.name))
-                .spawn(move || {
-                    run_unit(
-                        unit,
-                        privileges,
-                        privileged,
-                        receivers,
-                        stop_rx,
-                        bus,
-                        tracking,
-                        unit_violations,
-                    );
-                })
-                .map_err(|e| EngineError::Bus(format!("spawn failed: {e}")))?;
-            threads.push(thread);
-        }
-
-        Ok(EngineHandle {
-            violations,
-            mode: HandleMode::Threaded {
-                stop,
-                stop_senders,
-                threads,
-            },
+            scheduler,
+            timer,
         })
     }
 }
 
-/// One message in a scheduled unit's inbox.
+/// One message in a unit's inbox.
 enum UnitMsg {
     /// A broker delivery for subscription callback `callback`.
     Event { callback: usize, delivery: Delivery },
@@ -459,10 +366,9 @@ struct TimerEntry {
     timer: usize,
 }
 
-/// One thread drives **all** scheduled units' timers (the threaded mode
-/// pays one tick channel — and its shim thread — per timer). Ticks are
-/// delivered with a non-blocking send: a tick into a full or closed
-/// inbox is dropped, coalescing exactly like a lagging tick channel.
+/// One thread drives **all** units' timers. Ticks are delivered with a
+/// non-blocking send: a tick into a full or closed inbox is dropped, so
+/// a lagging unit sees coalesced ticks, never a backlog.
 /// Between ticks the thread sleeps on a condvar until the earliest
 /// deadline — zero wakeups while no timer is due — and `stop` notifies
 /// it out of the wait immediately.
@@ -526,86 +432,38 @@ impl TimerDriver {
     }
 }
 
-enum HandleMode {
-    Scheduled {
-        scheduler: Scheduler<UnitMsg>,
-        timer: Option<TimerDriver>,
-    },
-    Threaded {
-        stop: Arc<AtomicBool>,
-        stop_senders: Vec<crossbeam::channel::Sender<()>>,
-        threads: Vec<JoinHandle<()>>,
-    },
-    /// Shut down; violations (panics included) already folded in.
-    Stopped,
-}
-
 /// Handle to a running engine.
 pub struct EngineHandle {
     violations: Arc<Mutex<Vec<Violation>>>,
-    mode: HandleMode,
+    scheduler: Scheduler<UnitMsg>,
+    timer: Option<TimerDriver>,
 }
 
 impl EngineHandle {
     /// Policy violations observed so far (suppressed unit operations),
-    /// including contained unit panics ([`UnitError::Panicked`]) under
-    /// the scheduled execution mode.
+    /// including contained unit panics ([`UnitError::Panicked`]).
     pub fn violations(&self) -> Vec<Violation> {
         let mut all = self.violations.lock().clone();
-        if let HandleMode::Scheduled { scheduler, .. } = &self.mode {
-            all.extend(scheduler.panics().into_iter().map(panic_violation));
-        }
+        all.extend(self.scheduler.panics().into_iter().map(panic_violation));
         all
     }
 
-    /// Messages sitting in unit inboxes right now, summed across all
-    /// units — the engine-side queue depth. A persistently high value
-    /// means units are processing slower than the broker delivers and
-    /// inbox backpressure is doing the bounding. Always `0` in threaded
-    /// mode, where the bus hands deliveries straight to unit threads.
-    pub fn queued_messages(&self) -> usize {
-        match &self.mode {
-            HandleMode::Scheduled { scheduler, .. } => scheduler.queued_messages(),
-            _ => 0,
-        }
-    }
-
-    /// Stops all units and joins their threads. In scheduled mode the
-    /// shutdown is graceful: inboxes close, everything already accepted
-    /// is drained, then the workers join. Returns the final violation
-    /// list — the place where panics contained during the run surface.
+    /// Stops all units and joins their threads. The shutdown is
+    /// graceful: inboxes close, everything already accepted is drained,
+    /// then the workers join. Returns the final violation list — the
+    /// place where panics contained during the run surface.
     pub fn stop(mut self) -> Vec<Violation> {
         self.shutdown();
-        self.violations.lock().clone()
+        self.violations()
     }
 
+    /// Idempotent: the timer is taken once and the scheduler's own
+    /// shutdown is idempotent.
     fn shutdown(&mut self) {
-        match std::mem::replace(&mut self.mode, HandleMode::Stopped) {
-            HandleMode::Scheduled { scheduler, timer } => {
-                if let Some(mut timer) = timer {
-                    timer.stop();
-                }
-                scheduler.shutdown();
-                let mut all = self.violations.lock();
-                all.extend(scheduler.panics().into_iter().map(panic_violation));
-            }
-            HandleMode::Threaded {
-                stop,
-                stop_senders,
-                threads,
-            } => {
-                if stop.swap(true, Ordering::SeqCst) {
-                    return;
-                }
-                // Dropping the senders closes the stop channels, waking
-                // selects.
-                drop(stop_senders);
-                for t in threads {
-                    let _ = t.join();
-                }
-            }
-            HandleMode::Stopped => {}
+        if let Some(mut timer) = self.timer.take() {
+            timer.stop();
         }
+        self.scheduler.shutdown();
     }
 }
 
@@ -622,7 +480,7 @@ fn panic_violation(panic: safeweb_sched::TaskPanic) -> Violation {
     }
 }
 
-/// Ends one scheduled activation: flushes the buffered publish sink in a
+/// Ends one activation: flushes the buffered publish sink in a
 /// single broker pass and records the burst's callback failures as
 /// violations. Also runs on the panic path, so admitted events and
 /// recorded failures survive a poisoned unit.
@@ -679,129 +537,5 @@ impl BufferedBusSink {
 impl PublishSink for BufferedBusSink {
     fn deliver(&self, event: LabelledEvent) {
         self.buffer.borrow_mut().push(event);
-    }
-}
-
-/// Upper bound on deliveries drained from one ready subscription before
-/// re-entering select, so a hot subscription cannot starve timers or the
-/// stop signal indefinitely. (The scheduled mode's equivalent knob is
-/// [`SchedulerOptions::burst`].)
-const DRAIN_LIMIT: usize = 128;
-
-#[allow(clippy::too_many_arguments)]
-fn run_unit(
-    mut unit: UnitSpec,
-    privileges: safeweb_labels::PrivilegeSet,
-    privileged: bool,
-    receivers: Vec<(Receiver<Delivery>, usize)>,
-    stop_rx: Receiver<()>,
-    bus: Arc<dyn EventBus>,
-    tracking: bool,
-    violations: Arc<Mutex<Vec<Violation>>>,
-) {
-    let mut store = LabelledStore::new();
-    let tickers: Vec<Receiver<std::time::Instant>> = unit
-        .timers
-        .iter()
-        .map(|(interval, _)| tick(*interval))
-        .collect();
-
-    // The select set is constructed once for the unit's lifetime — the
-    // registered channels never change — instead of being rebuilt on
-    // every event as the first implementation did.
-    let mut select = Select::new();
-    let stop_index = select.recv(&stop_rx);
-    let sub_base: Vec<usize> = receivers.iter().map(|(rx, _)| select.recv(rx)).collect();
-    let tick_base: Vec<usize> = tickers.iter().map(|rx| select.recv(rx)).collect();
-
-    let mut batch: Vec<Delivery> = Vec::with_capacity(DRAIN_LIMIT);
-    loop {
-        let op = select.select();
-        let index = op.index();
-
-        if index == stop_index {
-            // Channel closed (or unit told to stop): finish.
-            let _ = op.recv(&stop_rx);
-            return;
-        }
-
-        if let Some(pos) = sub_base.iter().position(|&i| i == index) {
-            let (rx, cb_idx) = &receivers[pos];
-            match op.recv(rx) {
-                Ok(delivery) => batch.push(delivery),
-                Err(_) => return, // bus gone
-            }
-            // Drain the burst without re-entering select per event.
-            while batch.len() < DRAIN_LIMIT {
-                match rx.try_recv() {
-                    Ok(delivery) => batch.push(delivery),
-                    Err(_) => break,
-                }
-            }
-            let callback = &mut unit.subscriptions[*cb_idx].2;
-            for delivery in batch.drain(..) {
-                let sink = BufferedBusSink::new();
-                let initial = if tracking {
-                    *delivery.event.labels()
-                } else {
-                    LabelSet::new()
-                };
-                // Same trace propagation as the scheduled path.
-                let trace = delivery.event.trace_id();
-                let _scope = safeweb_obs::trace_scope(trace);
-                let span_start = safeweb_obs::now_ns();
-                let mut jail = Jail::new(
-                    &unit.name,
-                    initial,
-                    &privileges,
-                    privileged,
-                    &mut store,
-                    &sink,
-                    tracking,
-                );
-                let result = callback(&mut jail, delivery.event.event());
-                safeweb_obs::record_span(
-                    "engine",
-                    &unit.name,
-                    trace,
-                    span_start,
-                    Some(delivery.event.labels().id().as_u32()),
-                );
-                // Events the jail admitted are published even when the
-                // callback later failed — exactly as with the unbuffered
-                // sink, where they had already left the unit.
-                sink.flush(bus.as_ref(), &unit.name, &violations);
-                if let Err(e) = result {
-                    violations.lock().push(Violation {
-                        unit: unit.name.clone(),
-                        error: e,
-                    });
-                }
-            }
-            continue;
-        }
-
-        if let Some(pos) = tick_base.iter().position(|&i| i == index) {
-            let _ = op.recv(&tickers[pos]);
-            let callback = &mut unit.timers[pos].1;
-            let sink = BufferedBusSink::new();
-            let mut jail = Jail::new(
-                &unit.name,
-                LabelSet::new(),
-                &privileges,
-                privileged,
-                &mut store,
-                &sink,
-                tracking,
-            );
-            let result = callback(&mut jail);
-            sink.flush(bus.as_ref(), &unit.name, &violations);
-            if let Err(e) = result {
-                violations.lock().push(Violation {
-                    unit: unit.name.clone(),
-                    error: e,
-                });
-            }
-        }
     }
 }

@@ -27,11 +27,10 @@ mod jail;
 
 pub use bus::{DeliverySink, EventBus, RemoteBus};
 pub use engine::{
-    Callback, Engine, EngineHandle, EngineOptions, ExecutionMode, TimerCallback, UnitSpec,
-    Violation,
+    Callback, Engine, EngineHandle, EngineOptions, TimerCallback, UnitSpec, Violation,
 };
 pub use error::{EngineError, UnitError};
 pub use jail::{IoCapability, Jail, LabelledStore, PublishSink, Relabel, RemoveSpec};
-// Units run on the `safeweb-sched` worker pool by default; its options
-// type is part of this crate's configuration surface.
+// Units run on the `safeweb-sched` worker pool; its options type is
+// part of this crate's configuration surface.
 pub use safeweb_sched::SchedulerOptions;

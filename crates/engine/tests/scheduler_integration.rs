@@ -1,5 +1,5 @@
-//! Scheduled-engine integration: the guarantees the worker-pool
-//! execution mode must keep — panic isolation, inbox backpressure that
+//! Engine-on-scheduler integration: the guarantees the worker-pool
+//! engine must keep — panic isolation, inbox backpressure that
 //! never stalls unrelated units, graceful draining shutdown, and a
 //! thread count independent of the unit count.
 
@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use safeweb_broker::Broker;
-use safeweb_engine::{Engine, EngineOptions, ExecutionMode, SchedulerOptions, UnitError, UnitSpec};
+use safeweb_engine::{Engine, EngineOptions, SchedulerOptions, UnitError, UnitSpec};
 use safeweb_events::Event;
 use safeweb_labels::Policy;
 
@@ -18,13 +18,13 @@ fn policy(text: &str) -> Policy {
 
 fn scheduled(workers: usize, inbox_cap: usize, burst: usize) -> EngineOptions {
     EngineOptions {
-        execution: ExecutionMode::Scheduled(SchedulerOptions {
+        scheduler: SchedulerOptions {
             workers,
             inbox_cap,
             burst,
             name: "sched-itest".to_string(),
             ..Default::default()
-        }),
+        },
         ..EngineOptions::default()
     }
 }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use safeweb_core::{SafeWebBuilder, SafeWebDeployment};
-use safeweb_engine::{EngineOptions, ExecutionMode};
+use safeweb_engine::EngineOptions;
 use safeweb_json::Value;
 use safeweb_labels::Policy;
 use safeweb_relstore::{ColumnDef, ColumnType, Database, Schema};
@@ -44,9 +44,6 @@ pub struct PortalConfig {
     pub replication_interval: Duration,
     /// When `false`, runs the paper's no-tracking baseline (§5.3 only).
     pub label_tracking: bool,
-    /// Unit execution model: the shared scheduler worker pool by
-    /// default; [`ExecutionMode::Threaded`] is the bench baseline.
-    pub execution: ExecutionMode,
     /// When set, the application database and DMZ replica run durable
     /// (WAL + snapshots under this directory) and replication resumes
     /// from the replica's recovered checkpoint across restarts.
@@ -62,7 +59,6 @@ impl Default for PortalConfig {
             auth_iterations: AuthConfig::default().hash_iterations,
             replication_interval: Duration::from_millis(50),
             label_tracking: true,
-            execution: ExecutionMode::default(),
             data_dir: None,
         }
     }
@@ -108,7 +104,7 @@ impl MdtPortal {
             })
             .engine_options(EngineOptions {
                 label_tracking: config.label_tracking,
-                execution: config.execution.clone(),
+                ..EngineOptions::default()
             })
             .app_view("by_mid", "mdt_id")
             .app_view("by_kind", "kind")

@@ -8,7 +8,7 @@
 //! * [`Frame`]s with commands `CONNECT`/`SEND`/`SUBSCRIBE`/`MESSAGE`/...
 //! * an incremental, size-bounded [`codec`] with header escaping and
 //!   `content-length` support,
-//! * [`Transport`] implementations over TCP and in-memory channels.
+//! * a blocking [`TcpTransport`] that sends and receives whole frames.
 //!
 //! Label and selector semantics live one layer up in `safeweb-broker`; this
 //! crate is purely the protocol substrate.
@@ -35,4 +35,4 @@ mod frame;
 mod transport;
 
 pub use frame::{Command, Frame};
-pub use transport::{ChannelTransport, TcpTransport, Transport};
+pub use transport::TcpTransport;

@@ -1,37 +1,17 @@
-//! Frame-oriented transports: TCP and in-memory.
+//! The blocking, frame-oriented TCP transport used by the STOMP client.
 //!
 //! The paper's broker extends StompServer with SSL at the transport layer;
 //! this reproduction uses plaintext TCP (see DESIGN.md §5 — transport
-//! encryption is orthogonal to the IFC contribution) plus an in-memory
-//! duplex used by tests and the embedded broker.
+//! encryption is orthogonal to the IFC contribution).
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
 use crate::codec::{encode, Decoder};
 use crate::frame::Frame;
 
-/// A bidirectional, frame-oriented connection.
-pub trait Transport: Send {
-    /// Sends one frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the peer is gone or the write fails.
-    fn send_frame(&mut self, frame: &Frame) -> io::Result<()>;
-
-    /// Receives the next frame, blocking. Returns `Ok(None)` on clean EOF.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error on connection failure, or `InvalidData` when
-    /// the peer sends a malformed frame.
-    fn recv_frame(&mut self) -> io::Result<Option<Frame>>;
-}
-
-/// [`Transport`] over a [`TcpStream`].
+/// A bidirectional, frame-oriented connection over a [`TcpStream`].
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
@@ -71,16 +51,25 @@ impl TcpTransport {
     pub fn stream(&self) -> &TcpStream {
         &self.stream
     }
-}
 
-impl Transport for TcpTransport {
-    fn send_frame(&mut self, frame: &Frame) -> io::Result<()> {
+    /// Sends one frame.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error if the peer is gone or the write fails.
+    pub fn send_frame(&mut self, frame: &Frame) -> io::Result<()> {
         let bytes = encode(frame);
         self.stream.write_all(&bytes)?;
         self.stream.flush()
     }
 
-    fn recv_frame(&mut self) -> io::Result<Option<Frame>> {
+    /// Receives the next frame, blocking. Returns `Ok(None)` on clean EOF.
+    ///
+    /// # Errors
+    ///
+    /// Returns an I/O error on connection failure, or `InvalidData` when
+    /// the peer sends a malformed frame.
+    pub fn recv_frame(&mut self) -> io::Result<Option<Frame>> {
         loop {
             match self.decoder.next_frame() {
                 Ok(Some(frame)) => return Ok(Some(frame)),
@@ -97,93 +86,10 @@ impl Transport for TcpTransport {
     }
 }
 
-/// One endpoint of an in-memory duplex channel carrying frames.
-#[derive(Debug)]
-pub struct ChannelTransport {
-    tx: Sender<Frame>,
-    rx: Receiver<Frame>,
-    recv_timeout: Option<Duration>,
-}
-
-impl ChannelTransport {
-    /// Creates a connected pair of endpoints.
-    pub fn pair() -> (ChannelTransport, ChannelTransport) {
-        let (atx, arx) = std::sync::mpsc::channel();
-        let (btx, brx) = std::sync::mpsc::channel();
-        (
-            ChannelTransport {
-                tx: atx,
-                rx: brx,
-                recv_timeout: None,
-            },
-            ChannelTransport {
-                tx: btx,
-                rx: arx,
-                recv_timeout: None,
-            },
-        )
-    }
-
-    /// Sets an optional receive timeout; timed-out receives surface as
-    /// `WouldBlock` errors.
-    pub fn set_recv_timeout(&mut self, timeout: Option<Duration>) {
-        self.recv_timeout = timeout;
-    }
-}
-
-impl Transport for ChannelTransport {
-    fn send_frame(&mut self, frame: &Frame) -> io::Result<()> {
-        self.tx
-            .send(frame.clone())
-            .map_err(|_| io::Error::new(io::ErrorKind::BrokenPipe, "peer disconnected"))
-    }
-
-    fn recv_frame(&mut self) -> io::Result<Option<Frame>> {
-        match self.recv_timeout {
-            None => match self.rx.recv() {
-                Ok(f) => Ok(Some(f)),
-                Err(_) => Ok(None), // peer dropped: clean EOF
-            },
-            Some(t) => match self.rx.recv_timeout(t) {
-                Ok(f) => Ok(Some(f)),
-                Err(RecvTimeoutError::Timeout) => {
-                    Err(io::Error::new(io::ErrorKind::WouldBlock, "recv timeout"))
-                }
-                Err(RecvTimeoutError::Disconnected) => Ok(None),
-            },
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::Command;
-
-    #[test]
-    fn channel_pair_roundtrip() {
-        let (mut a, mut b) = ChannelTransport::pair();
-        a.send_frame(&Frame::new(Command::Connect).with_header("login", "x"))
-            .unwrap();
-        let got = b.recv_frame().unwrap().unwrap();
-        assert_eq!(got.command(), Command::Connect);
-        assert_eq!(got.header("login"), Some("x"));
-    }
-
-    #[test]
-    fn channel_eof_on_drop() {
-        let (mut a, b) = ChannelTransport::pair();
-        drop(b);
-        assert!(a.send_frame(&Frame::new(Command::Connect)).is_err());
-    }
-
-    #[test]
-    fn channel_recv_timeout() {
-        let (mut a, _b) = ChannelTransport::pair();
-        a.set_recv_timeout(Some(Duration::from_millis(10)));
-        let err = a.recv_frame().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
-    }
 
     #[test]
     fn tcp_roundtrip() {

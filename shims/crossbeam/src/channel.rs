@@ -1,13 +1,5 @@
-//! MPMC channels with select support, mirroring `crossbeam_channel`.
-//!
-//! Semantics notes relative to the real crate:
-//!
-//! * `bounded(0)` is treated as capacity 1. SafeWeb only uses
-//!   zero-capacity channels as drop-signalled stop channels (nothing is
-//!   ever sent on them), so rendezvous semantics are not required.
-//! * [`Select`] supports only receive operations, which is all SafeWeb
-//!   registers. A selected operation is resolved against the receiver by
-//!   the caller, exactly like the real API.
+//! Unbounded MPMC channels, mirroring the `crossbeam_channel` subset
+//! SafeWeb uses: blocking, timed and non-blocking receives.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -76,56 +68,15 @@ impl fmt::Display for RecvTimeoutError {
     }
 }
 
-/// Wakes one parked [`Select`] call.
-#[derive(Default)]
-struct Waker {
-    fired: Mutex<bool>,
-    condvar: Condvar,
-}
-
-impl Waker {
-    fn wake(&self) {
-        *self.fired.lock().unwrap_or_else(|e| e.into_inner()) = true;
-        self.condvar.notify_all();
-    }
-
-    fn park(&self, timeout: Duration) {
-        let mut fired = self.fired.lock().unwrap_or_else(|e| e.into_inner());
-        while !*fired {
-            let (guard, wait) = self
-                .condvar
-                .wait_timeout(fired, timeout)
-                .unwrap_or_else(|e| e.into_inner());
-            fired = guard;
-            if wait.timed_out() {
-                break;
-            }
-        }
-    }
-}
-
 struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
-    /// Select calls parked on this channel.
-    wakers: Vec<Arc<Waker>>,
 }
 
 struct Shared<T> {
     inner: Mutex<Inner<T>>,
-    /// Capacity for bounded channels (`None` = unbounded).
-    cap: Option<usize>,
     recv_ready: Condvar,
-    send_ready: Condvar,
-}
-
-impl<T> Shared<T> {
-    fn wake_selects(inner: &mut Inner<T>) {
-        for w in inner.wakers.drain(..) {
-            w.wake();
-        }
-    }
 }
 
 /// The sending half of a channel.
@@ -140,26 +91,13 @@ pub struct Receiver<T> {
 
 /// Creates an unbounded MPMC channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-    with_capacity(None)
-}
-
-/// Creates a bounded MPMC channel (capacity 0 behaves as capacity 1;
-/// see module docs).
-pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-    with_capacity(Some(cap.max(1)))
-}
-
-fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
     let shared = Arc::new(Shared {
         inner: Mutex::new(Inner {
             queue: VecDeque::new(),
             senders: 1,
             receivers: 1,
-            wakers: Vec::new(),
         }),
-        cap,
         recv_ready: Condvar::new(),
-        send_ready: Condvar::new(),
     });
     (
         Sender {
@@ -169,53 +107,19 @@ fn with_capacity<T>(cap: Option<usize>) -> (Sender<T>, Receiver<T>) {
     )
 }
 
-/// Creates a receiver that gets the current [`Instant`] roughly every
-/// `interval`. Ticks are coalesced: if the receiver lags, at most one
-/// tick is buffered. The timer thread exits when the receiver is
-/// dropped.
-pub fn tick(interval: Duration) -> Receiver<Instant> {
-    let (tx, rx) = bounded::<Instant>(1);
-    std::thread::Builder::new()
-        .name("shim-channel-tick".to_string())
-        .spawn(move || loop {
-            std::thread::sleep(interval);
-            let mut inner = tx.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if inner.receivers == 0 {
-                return;
-            }
-            if inner.queue.is_empty() {
-                inner.queue.push_back(Instant::now());
-                tx.shared.recv_ready.notify_one();
-                Shared::wake_selects(&mut inner);
-            }
-        })
-        .expect("spawn tick thread");
-    rx
-}
-
 impl<T> Sender<T> {
-    /// Sends `value`, blocking while a bounded channel is full.
+    /// Sends `value`; never blocks.
     ///
     /// # Errors
     ///
     /// Returns [`SendError`] when every receiver has been dropped.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cap) = self.shared.cap {
-            while inner.queue.len() >= cap && inner.receivers > 0 {
-                inner = self
-                    .shared
-                    .send_ready
-                    .wait(inner)
-                    .unwrap_or_else(|e| e.into_inner());
-            }
-        }
         if inner.receivers == 0 {
             return Err(SendError(value));
         }
         inner.queue.push_back(value);
         self.shared.recv_ready.notify_one();
-        Shared::wake_selects(&mut inner);
         Ok(())
     }
 }
@@ -238,7 +142,6 @@ impl<T> Drop for Sender<T> {
         if inner.senders == 0 {
             // Receivers blocked in recv must observe the disconnect.
             self.shared.recv_ready.notify_all();
-            Shared::wake_selects(&mut inner);
         }
     }
 }
@@ -260,7 +163,6 @@ impl<T> Receiver<T> {
         let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(v) = inner.queue.pop_front() {
-                self.shared.send_ready.notify_one();
                 return Ok(v);
             }
             if inner.senders == 0 {
@@ -285,7 +187,6 @@ impl<T> Receiver<T> {
         let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(v) = inner.queue.pop_front() {
-                self.shared.send_ready.notify_one();
                 return Ok(v);
             }
             if inner.senders == 0 {
@@ -313,10 +214,7 @@ impl<T> Receiver<T> {
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
         let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         match inner.queue.pop_front() {
-            Some(v) => {
-                self.shared.send_ready.notify_one();
-                Ok(v)
-            }
+            Some(v) => Ok(v),
             None if inner.senders == 0 => Err(TryRecvError::Disconnected),
             None => Err(TryRecvError::Empty),
         }
@@ -336,11 +234,6 @@ impl<T> Receiver<T> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Blocking iterator over received messages; ends on disconnect.
-    pub fn iter(&self) -> Iter<'_, T> {
-        Iter { receiver: self }
-    }
 }
 
 impl<T> Clone for Receiver<T> {
@@ -358,160 +251,12 @@ impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
         let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.receivers -= 1;
-        if inner.receivers == 0 {
-            // Senders blocked on a full bounded channel must observe it.
-            self.shared.send_ready.notify_all();
-        }
     }
 }
 
 impl<T> fmt::Debug for Receiver<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("Receiver { .. }")
-    }
-}
-
-/// Blocking message iterator returned by [`Receiver::iter`].
-pub struct Iter<'a, T> {
-    receiver: &'a Receiver<T>,
-}
-
-impl<T> Iterator for Iter<'_, T> {
-    type Item = T;
-
-    fn next(&mut self) -> Option<T> {
-        self.receiver.recv().ok()
-    }
-}
-
-/// One registered receive operation, erased over the message type.
-trait SelectHandle {
-    /// Whether a receive would complete immediately (message queued or
-    /// channel disconnected).
-    fn is_ready(&self) -> bool;
-
-    /// Parks `waker` to be fired on the next state change.
-    fn register(&self, waker: &Arc<Waker>);
-
-    /// Removes a previously registered waker.
-    fn unregister(&self, waker: &Arc<Waker>);
-}
-
-impl<T> SelectHandle for Receiver<T> {
-    fn is_ready(&self) -> bool {
-        let inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-        !inner.queue.is_empty() || inner.senders == 0
-    }
-
-    fn register(&self, waker: &Arc<Waker>) {
-        let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.wakers.push(Arc::clone(waker));
-    }
-
-    fn unregister(&self, waker: &Arc<Waker>) {
-        let mut inner = self.shared.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.wakers.retain(|w| !Arc::ptr_eq(w, waker));
-    }
-}
-
-/// A dynamic select over receive operations, mirroring
-/// `crossbeam_channel::Select` (receive-only: that is all SafeWeb
-/// registers). Build it once, then call [`Select::select`] repeatedly.
-pub struct Select<'a> {
-    handles: Vec<&'a dyn SelectHandle>,
-    /// Rotates the readiness scan start so one busy channel cannot
-    /// starve the others.
-    next_start: usize,
-}
-
-impl<'a> Select<'a> {
-    /// Creates an empty select set.
-    #[allow(clippy::new_without_default)]
-    pub fn new() -> Select<'a> {
-        Select {
-            handles: Vec::new(),
-            next_start: 0,
-        }
-    }
-
-    /// Registers a receive operation, returning its stable index.
-    pub fn recv<T>(&mut self, receiver: &'a Receiver<T>) -> usize {
-        self.handles.push(receiver);
-        self.handles.len() - 1
-    }
-
-    /// Blocks until one registered operation is ready and returns it.
-    pub fn select(&mut self) -> SelectedOperation<'_> {
-        assert!(!self.handles.is_empty(), "select with no operations");
-        loop {
-            if let Some(index) = self.poll() {
-                return SelectedOperation {
-                    index,
-                    _marker: std::marker::PhantomData,
-                };
-            }
-            let waker = Arc::new(Waker::default());
-            for h in &self.handles {
-                h.register(&waker);
-            }
-            // Re-check after registration so a send that raced with the
-            // scan is not missed; the timeout bounds any residual race.
-            if self.poll().is_none() {
-                waker.park(Duration::from_millis(50));
-            }
-            for h in &self.handles {
-                h.unregister(&waker);
-            }
-        }
-    }
-
-    fn poll(&mut self) -> Option<usize> {
-        let n = self.handles.len();
-        let start = self.next_start % n;
-        for off in 0..n {
-            let i = (start + off) % n;
-            if self.handles[i].is_ready() {
-                self.next_start = i + 1;
-                return Some(i);
-            }
-        }
-        None
-    }
-}
-
-impl fmt::Debug for Select<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Select {{ operations: {} }}", self.handles.len())
-    }
-}
-
-/// A ready operation returned by [`Select::select`].
-#[derive(Debug)]
-pub struct SelectedOperation<'a> {
-    index: usize,
-    _marker: std::marker::PhantomData<&'a ()>,
-}
-
-impl SelectedOperation<'_> {
-    /// The index the operation was registered under.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Completes the operation against its receiver.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RecvError`] if the channel is disconnected and drained.
-    pub fn recv<T>(self, receiver: &Receiver<T>) -> Result<T, RecvError> {
-        match receiver.try_recv() {
-            Ok(v) => Ok(v),
-            Err(TryRecvError::Disconnected) => Err(RecvError),
-            // Readiness raced with another consumer; fall back to a
-            // blocking receive (SafeWeb receivers are single-consumer,
-            // so this arm is effectively unreachable).
-            Err(TryRecvError::Empty) => receiver.recv(),
-        }
     }
 }
 
@@ -548,64 +293,5 @@ mod tests {
             rx.recv_timeout(Duration::from_millis(10)),
             Err(RecvTimeoutError::Timeout)
         );
-    }
-
-    #[test]
-    fn select_wakes_on_send_and_disconnect() {
-        let (tx1, rx1) = unbounded::<i32>();
-        let (tx2, rx2) = unbounded::<i32>();
-        let mut select = Select::new();
-        let i1 = select.recv(&rx1);
-        let i2 = select.recv(&rx2);
-
-        tx2.send(7).unwrap();
-        let op = select.select();
-        assert_eq!(op.index(), i2);
-        assert_eq!(op.recv(&rx2), Ok(7));
-
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            tx1.send(9).unwrap();
-        });
-        let op = select.select();
-        assert_eq!(op.index(), i1);
-        assert_eq!(op.recv(&rx1), Ok(9));
-
-        drop(tx2);
-        let op = select.select();
-        assert_eq!(op.index(), i2);
-        assert_eq!(op.recv(&rx2), Err(RecvError));
-    }
-
-    #[test]
-    fn select_rotates_between_busy_channels() {
-        let (tx1, rx1) = unbounded::<i32>();
-        let (tx2, rx2) = unbounded::<i32>();
-        tx1.send(1).unwrap();
-        tx2.send(2).unwrap();
-        let mut select = Select::new();
-        select.recv(&rx1);
-        select.recv(&rx2);
-        let first = select.select().index();
-        let second = select.select().index();
-        assert_ne!(first, second, "rotation must visit both ready channels");
-    }
-
-    #[test]
-    fn tick_delivers_and_stops() {
-        let rx = tick(Duration::from_millis(5));
-        assert!(rx.recv_timeout(Duration::from_millis(500)).is_ok());
-        drop(rx);
-    }
-
-    #[test]
-    fn bounded_blocks_until_consumed() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let t = std::thread::spawn(move || tx.send(2).unwrap());
-        std::thread::sleep(Duration::from_millis(10));
-        assert_eq!(rx.recv(), Ok(1));
-        t.join().unwrap();
-        assert_eq!(rx.recv(), Ok(2));
     }
 }

@@ -2,9 +2,8 @@
 //!
 //! The build environment has no access to crates.io, so this crate
 //! reimplements the `crossbeam_channel` subset SafeWeb uses on top of
-//! `std::sync`: MPMC channels (`unbounded` / `bounded`), timer channels
-//! (`tick`), blocking/timeout/non-blocking receives, and a dynamic
-//! [`channel::Select`] over heterogeneous receivers.
+//! `std::sync`: unbounded MPMC channels with blocking, timeout and
+//! non-blocking receives.
 
 #![forbid(unsafe_code)]
 

@@ -161,6 +161,62 @@ fn networked_pipeline_end_to_end() {
     h2.stop();
 }
 
+/// `RemoteBus::subscribe` routes each subscription before it releases the
+/// subscriber connection, so the reader thread can never read a
+/// `MESSAGE` for a subscription it has no route for. Each event here is
+/// published the moment the server has registered its subscription —
+/// possibly while `engine.start()` is still wiring the next one — and
+/// every one must reach the unit.
+#[test]
+fn remote_subscriptions_route_before_their_first_delivery() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    const TOPICS: usize = 8;
+    let policy: Policy = "unit listener {\n}\n".parse().unwrap();
+    for _round in 0..20 {
+        let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy.clone()).unwrap();
+        let broker = server.broker().clone();
+        let bus = RemoteBus::connect(&server.addr().to_string(), "listener").unwrap();
+        let received = Arc::new(AtomicUsize::new(0));
+        let mut unit = UnitSpec::new("listener");
+        for t in 0..TOPICS {
+            let counter = Arc::clone(&received);
+            unit = unit.subscribe(&format!("/race/{t}"), None, move |_jail, _event| {
+                counter.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            });
+        }
+        let mut engine = Engine::new(Arc::new(bus), policy.clone());
+        engine.add_unit(unit).unwrap();
+
+        // Subscriptions register in wiring order, so the k-th registered
+        // one is `/race/k`.
+        let publisher = std::thread::spawn(move || {
+            let deadline = std::time::Instant::now() + Duration::from_secs(10);
+            for t in 0..TOPICS {
+                while broker.subscription_count() <= t {
+                    assert!(std::time::Instant::now() < deadline, "subscribe stalled");
+                    std::thread::yield_now();
+                }
+                broker.publish(&Event::new(&format!("/race/{t}")).unwrap().with_labels([]));
+            }
+        });
+        let handle = engine.start().unwrap();
+        publisher.join().unwrap();
+
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while received.load(Ordering::SeqCst) < TOPICS {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "only {} of {TOPICS} early events delivered",
+                received.load(Ordering::SeqCst)
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        assert!(handle.stop().is_empty());
+    }
+}
+
 /// S1: the deployment's data paths are one-way. The DMZ replica rejects
 /// writes, replication never flows backwards, and the firewall matrix
 /// forbids DMZ→Intranet and External→Intranet.
