@@ -56,7 +56,8 @@ use crate::store::DocStore;
 const COALESCE_DELAY: Duration = Duration::from_millis(1);
 
 /// A store's "something was committed" signal: a generation counter that
-/// every committed write advances, and that replication threads park on.
+/// every committed write advances, and that replication threads (and
+/// [`DocStore::wait_until`]) park on.
 /// A counter rather than a flag, so any number of replicators can follow
 /// one source and none can consume another's wake-up.
 #[derive(Debug, Default)]
@@ -90,7 +91,7 @@ impl CommitSignal {
         }
     }
 
-    fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.state
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -99,7 +100,7 @@ impl CommitSignal {
 
     /// Parks until the generation has moved past `seen` or `timeout` has
     /// elapsed; returns whether the generation moved.
-    fn park_past(&self, seen: u64, timeout: Duration) -> bool {
+    pub(crate) fn park_past(&self, seen: u64, timeout: Duration) -> bool {
         let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
         st.parked += 1;
         let (mut st, _) = self

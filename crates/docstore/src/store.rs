@@ -11,6 +11,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
@@ -1370,6 +1371,28 @@ impl DocStore {
     pub fn snapshot(&self) -> (u64, Vec<Document>) {
         let inner = self.inner.read();
         (inner.seq, inner.docs.values().cloned().collect())
+    }
+
+    /// Blocks until `done(self)` holds or `timeout` has passed; returns
+    /// whether it held. `done` is checked on entry and again after every
+    /// write committed to this store (local puts and deletions, and
+    /// replicated ones — so a replica can be waited on), never on a
+    /// timer: keep it cheap, it may run once per commit.
+    pub fn wait_until(&self, timeout: Duration, mut done: impl FnMut(&DocStore) -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        loop {
+            // Read the generation before checking, so a commit landing
+            // between the check and the park ends the park at once.
+            let seen = self.commits.generation();
+            if done(self) {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            self.commits.park_past(seen, left);
+        }
     }
 
     /// The signal raised after every committed write to this store.

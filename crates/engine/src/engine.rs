@@ -366,9 +366,14 @@ struct TimerEntry {
     timer: usize,
 }
 
-/// One thread drives **all** units' timers. Ticks are delivered with a
-/// non-blocking send: a tick into a full or closed inbox is dropped, so
-/// a lagging unit sees coalesced ticks, never a backlog.
+/// One thread drives **all** units' timers. Ticks are ingress, delivered
+/// with [`TaskSender::try_send`]: a tick is dropped while its unit is
+/// still queued or running, while the worker pool's backlog is at or
+/// above the inbox cap (whichever units' messages make it up), or when
+/// the unit is closed. A lagging unit sees coalesced ticks, never a
+/// backlog, and a timer-driven source (the MDT data producer) backs off
+/// until the pool drains below the cap; its skipped ticks are not
+/// replayed.
 /// Between ticks the thread sleeps on a condvar until the earliest
 /// deadline — zero wakeups while no timer is due — and `stop` notifies
 /// it out of the wait immediately.

@@ -5,9 +5,10 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use safeweb_core::{SafeWebBuilder, SafeWebDeployment};
+use safeweb_docstore::DocStore;
 use safeweb_engine::EngineOptions;
 use safeweb_json::Value;
 use safeweb_labels::Policy;
@@ -83,6 +84,10 @@ pub struct MdtPortal {
     registry_db: Database,
     mdts: Vec<MdtInfo>,
     expected_records: usize,
+    /// Events the producer publishes: one per patient, tumour and
+    /// treatment (the generated registry has one tumour per patient and
+    /// at most one treatment per tumour).
+    expected_events: u64,
 }
 
 impl MdtPortal {
@@ -91,6 +96,10 @@ impl MdtPortal {
         let registry_db = registry::generate(&config.registry);
         let mdts = registry::list_mdts(&registry_db);
         let expected_records = registry_db.count("patients").expect("patients table");
+        let expected_events = ["patients", "tumours", "treatments"]
+            .iter()
+            .map(|t| registry_db.count(t).expect("registry table") as u64)
+            .sum();
 
         let mut builder = SafeWebBuilder::new();
         if let Some(dir) = &config.data_dir {
@@ -148,6 +157,7 @@ impl MdtPortal {
             registry_db,
             mdts,
             expected_records,
+            expected_events,
         }
     }
 
@@ -166,26 +176,33 @@ impl MdtPortal {
         &self.mdts
     }
 
-    /// Blocks until the pipeline has produced and replicated a record for
-    /// every patient (or panics after `timeout`).
+    /// Blocks until the pipeline has settled (or panics after `timeout`):
+    /// the DMZ replica holds a record for every patient, and every event
+    /// the producer published has been folded into its case record, its
+    /// MDT's metrics and its region's aggregate. Wakes on the replica's
+    /// commits, not on a timer.
     ///
     /// # Panics
     ///
     /// Panics if the pipeline does not settle within `timeout`.
     pub fn wait_for_pipeline(&self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let records = self.deployment.dmz_db().count_prefix("record-");
-            if records >= self.expected_records {
-                return;
-            }
-            assert!(
-                Instant::now() < deadline,
-                "pipeline did not settle: {records}/{} records in DMZ",
-                self.expected_records
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        let (records, events) = (self.expected_records, self.expected_events);
+        let dmz = self.deployment.dmz_db();
+        // Cheapest test first, since this runs on every commit: the O(1)
+        // store size gates the record count, and only a complete record
+        // set is worth tallying writes over.
+        let settled = dmz.wait_until(timeout, |db| {
+            db.len() >= records
+                && db.count_prefix("record-") >= records
+                && ["record-", "metrics-", "regional-"]
+                    .iter()
+                    .all(|prefix| writes(db, prefix) >= events)
+        });
+        assert!(
+            settled,
+            "pipeline did not settle: {}/{records} records in DMZ",
+            dmz.count_prefix("record-")
+        );
     }
 
     /// Builds the portal's web application (routes + vulnerability
@@ -206,6 +223,15 @@ impl MdtPortal {
         );
         app
     }
+}
+
+/// Writes folded into the documents under `prefix`: each write bumps a
+/// document's revision generation, and replication carries it over.
+fn writes(db: &DocStore, prefix: &str) -> u64 {
+    db.scan_prefix(prefix)
+        .iter()
+        .map(|doc| doc.rev().generation())
+        .sum()
 }
 
 fn admin_privileges(mdts: &[MdtInfo]) -> safeweb_labels::PrivilegeSet {

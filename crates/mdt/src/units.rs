@@ -7,7 +7,7 @@
 //! * **data storage** (privileged) — persists processed records with
 //!   their labels into the application database.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use safeweb_docstore::DocStore;
@@ -15,7 +15,7 @@ use safeweb_engine::{Relabel, UnitError, UnitSpec};
 use safeweb_events::Event;
 use safeweb_json::{jobject, Value};
 use safeweb_labels::LabelSet;
-use safeweb_relstore::{CellValue, Database};
+use safeweb_relstore::{Database, Row};
 
 use crate::labels::{mdt_label, region_aggregate_label, regional_label};
 use crate::registry::MdtInfo;
@@ -48,7 +48,7 @@ impl Default for ProducerConfig {
 }
 
 /// One joined case row read from the registry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct CaseRow {
     patient_id: i64,
     patient_name: Option<String>,
@@ -60,8 +60,25 @@ struct CaseRow {
     treatment: Option<String>,
 }
 
+/// The first row of `table` (in primary-key order) per value of the
+/// integer column `key`.
+fn first_by(registry: &Database, table: &str, key: &str) -> HashMap<i64, Row> {
+    let mut first = HashMap::new();
+    for row in registry.select(table, |_| true).expect("registry table") {
+        if let Some(k) = row.int(key) {
+            first.entry(k).or_insert(row);
+        }
+    }
+    first
+}
+
+/// Joins patients → their first tumour → that tumour's first treatment,
+/// reading each table once: `O(patients + tumours + treatments)`.
+/// Patients of an unknown MDT or without a tumour are skipped.
 fn read_cases(registry: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
     let by_id: BTreeMap<i64, &MdtInfo> = mdts.iter().map(|m| (m.id, m)).collect();
+    let tumours = first_by(registry, "tumours", "patient_id");
+    let treatments = first_by(registry, "treatments", "tumour_id");
     let mut cases = Vec::new();
     for patient in registry
         .select("patients", |_| true)
@@ -72,17 +89,12 @@ fn read_cases(registry: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
         let Some(mdt) = by_id.get(&mdt_id) else {
             continue;
         };
-        let tumours = registry
-            .select_eq("tumours", "patient_id", &CellValue::Int(patient_id))
-            .expect("tumours table");
-        let Some(tumour) = tumours.first() else {
+        let Some(tumour) = tumours.get(&patient_id) else {
             continue;
         };
         let tumour_id = tumour.int("id").expect("id");
-        let treatment = registry
-            .select_eq("treatments", "tumour_id", &CellValue::Int(tumour_id))
-            .expect("treatments table")
-            .first()
+        let treatment = treatments
+            .get(&tumour_id)
             .and_then(|t| t.text("kind").map(str::to_string));
         cases.push(CaseRow {
             patient_id,
@@ -393,5 +405,192 @@ impl EventExt for Event {
                 .map_err(|e| UnitError::BadEvent(e.to_string()))?;
         }
         Ok(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::registry::{self, RegistryConfig};
+    use safeweb_relstore::{CellValue, ColumnDef, ColumnType, Schema};
+
+    /// The oracle: the nested-scan join `read_cases` replaced, two
+    /// full-table `select_eq` scans per patient.
+    fn read_cases_nested(registry: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
+        let by_id: BTreeMap<i64, &MdtInfo> = mdts.iter().map(|m| (m.id, m)).collect();
+        let mut cases = Vec::new();
+        for patient in registry
+            .select("patients", |_| true)
+            .expect("patients table")
+        {
+            let patient_id = patient.int("id").expect("id");
+            let mdt_id = patient.int("mdt_id").expect("mdt_id");
+            let Some(mdt) = by_id.get(&mdt_id) else {
+                continue;
+            };
+            let tumours = registry
+                .select_eq("tumours", "patient_id", &CellValue::Int(patient_id))
+                .expect("tumours table");
+            let Some(tumour) = tumours.first() else {
+                continue;
+            };
+            let tumour_id = tumour.int("id").expect("id");
+            let treatment = registry
+                .select_eq("treatments", "tumour_id", &CellValue::Int(tumour_id))
+                .expect("treatments table")
+                .first()
+                .and_then(|t| t.text("kind").map(str::to_string));
+            cases.push(CaseRow {
+                patient_id,
+                patient_name: patient.text("name").map(str::to_string),
+                birth_year: patient.int("birth_year").expect("birth_year"),
+                mdt: (*mdt).clone(),
+                site: tumour.text("site").expect("site").to_string(),
+                stage: tumour.text("stage").map(str::to_string),
+                diagnosed: tumour.int("diagnosed").expect("diagnosed"),
+                treatment,
+            });
+        }
+        cases
+    }
+
+    fn assert_joins_agree(db: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
+        let linear = read_cases(db, mdts);
+        assert_eq!(linear, read_cases_nested(db, mdts));
+        linear
+    }
+
+    #[test]
+    fn linear_join_matches_nested_scans_on_generated_registries() {
+        let benchmark_registry = RegistryConfig {
+            regions: 1,
+            hospitals_per_region: 1,
+            mdts_per_hospital: 100,
+            patients_per_mdt: 100,
+            seed: 1,
+        };
+        let configs = [
+            RegistryConfig::default(),
+            RegistryConfig {
+                seed: 7,
+                ..RegistryConfig::default()
+            },
+            RegistryConfig::with_tenants(40, 3, 99),
+            benchmark_registry,
+        ];
+        for config in configs {
+            let db = registry::generate(&config);
+            let mdts = registry::list_mdts(&db);
+            let cases = assert_joins_agree(&db, &mdts);
+            assert_eq!(cases.len(), db.count("patients").unwrap());
+        }
+    }
+
+    #[test]
+    fn linear_join_matches_nested_scans_on_edge_cases() {
+        let db = Database::new("edge");
+        let table = |name: &str, columns: Vec<ColumnDef>| {
+            db.create_table(name, Schema::new(columns, "id")).unwrap();
+        };
+        table(
+            "patients",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::nullable("name", ColumnType::Text),
+                ColumnDef::new("birth_year", ColumnType::Int),
+                ColumnDef::new("mdt_id", ColumnType::Int),
+            ],
+        );
+        table(
+            "tumours",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("patient_id", ColumnType::Int),
+                ColumnDef::new("site", ColumnType::Text),
+                ColumnDef::nullable("stage", ColumnType::Text),
+                ColumnDef::new("diagnosed", ColumnType::Int),
+            ],
+        );
+        table(
+            "treatments",
+            vec![
+                ColumnDef::new("id", ColumnType::Int),
+                ColumnDef::new("tumour_id", ColumnType::Int),
+                ColumnDef::new("kind", ColumnType::Text),
+            ],
+        );
+        let patient = |id: i64, name: Option<&str>, mdt_id: i64| {
+            let name = name.map_or(CellValue::Null, CellValue::from);
+            db.insert(
+                "patients",
+                vec![id.into(), name, (1950 + id).into(), mdt_id.into()],
+            )
+            .unwrap();
+        };
+        let tumour = |id: i64, patient_id: i64, site: &str, stage: Option<&str>| {
+            let stage = stage.map_or(CellValue::Null, CellValue::from);
+            db.insert(
+                "tumours",
+                vec![
+                    id.into(),
+                    patient_id.into(),
+                    site.into(),
+                    stage,
+                    (2000 + id).into(),
+                ],
+            )
+            .unwrap();
+        };
+        let treatment = |id: i64, tumour_id: i64, kind: &str| {
+            db.insert("treatments", vec![id.into(), tumour_id.into(), kind.into()])
+                .unwrap();
+        };
+        // Inserted out of key order: "first" means first by primary key.
+        patient(1, Some("two tumours"), 1);
+        patient(2, None, 2);
+        patient(3, Some("no tumour"), 1);
+        patient(4, Some("unknown mdt"), 9);
+        patient(5, Some("untreated"), 2);
+        tumour(20, 1, "lung", Some("II"));
+        tumour(10, 1, "breast", Some("I"));
+        tumour(30, 2, "ovary", None);
+        tumour(40, 4, "skin", Some("III"));
+        tumour(50, 5, "lymph", Some("IV"));
+        treatment(200, 10, "chemotherapy");
+        treatment(100, 10, "surgery");
+        treatment(300, 20, "hormone");
+        treatment(400, 30, "watchful");
+        treatment(500, 30, "radiotherapy");
+        let mdts: Vec<MdtInfo> = (1..=2)
+            .map(|id| MdtInfo {
+                id,
+                name: format!("mdt-{id}"),
+                hospital_id: 1,
+                region_id: 0,
+                clinic: "any".to_string(),
+            })
+            .collect();
+
+        let cases = assert_joins_agree(&db, &mdts);
+        let summary: Vec<_> = cases
+            .iter()
+            .map(|c| {
+                (
+                    c.patient_id,
+                    c.patient_name.as_deref(),
+                    c.site.as_str(),
+                    c.stage.as_deref(),
+                    c.treatment.as_deref(),
+                )
+            })
+            .collect();
+        assert_eq!(
+            summary,
+            [
+                (1, Some("two tumours"), "breast", Some("I"), Some("surgery")),
+                (2, None, "ovary", None, Some("watchful")),
+                (5, Some("untreated"), "lymph", Some("IV"), None),
+            ]
+        );
     }
 }

@@ -12,31 +12,12 @@
 //! and review the diff.
 
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use safeweb_docstore::DocStore;
 use safeweb_http::{Method, Request};
 use safeweb_json::jobject;
 use safeweb_mdt::registry::RegistryConfig;
 use safeweb_mdt::{password_for, MdtPortal, PortalConfig, VulnConfig};
-
-fn wait_until(what: &str, mut done: impl FnMut() -> bool) {
-    let deadline = Instant::now() + Duration::from_secs(30);
-    while !done() {
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
-/// Writes recorded under `prefix`, summed over the documents' revision
-/// generations: every pipeline event is one write to one record, one
-/// metrics and one regional document.
-fn writes(db: &DocStore, prefix: &str) -> u64 {
-    db.scan_prefix(prefix)
-        .iter()
-        .map(|d| d.rev().generation())
-        .sum()
-}
 
 fn golden_portal() -> MdtPortal {
     let portal = MdtPortal::build(PortalConfig {
@@ -53,16 +34,8 @@ fn golden_portal() -> MdtPortal {
     });
     // Quiescence, not just "a record per patient": the pages below show
     // the state after the last tumour and treatment event was folded in.
-    let events: usize = ["patients", "tumours", "treatments"]
-        .iter()
-        .map(|t| portal.registry().count(t).expect("registry table"))
-        .sum();
+    portal.wait_for_pipeline(Duration::from_secs(30));
     let dmz = portal.deployment().dmz_db().clone();
-    wait_until("the pipeline to drain", || {
-        ["record-", "metrics-", "regional-"]
-            .iter()
-            .all(|p| writes(&dmz, p) == events as u64)
-    });
 
     let a = portal.mdts()[0].name.clone();
     let app_db = portal.deployment().app_db();
@@ -99,10 +72,13 @@ fn golden_portal() -> MdtPortal {
             None,
         )
         .expect("crafted metrics");
-    wait_until("the crafted documents to replicate", || {
-        dmz.get(&format!("record-{a}-zz-golden")).is_some()
-            && dmz.get("metrics-zz-golden").is_some()
+    let replicated = dmz.wait_until(Duration::from_secs(30), |db| {
+        db.get(&format!("record-{a}-zz-golden")).is_some() && db.get("metrics-zz-golden").is_some()
     });
+    assert!(
+        replicated,
+        "timed out waiting for the crafted documents to replicate"
+    );
     portal
 }
 

@@ -22,9 +22,8 @@ fn portal() -> MdtPortal {
         replication_interval: Duration::from_millis(15),
         ..PortalConfig::default()
     });
+    // Settled means every event reached the metrics documents too.
     portal.wait_for_pipeline(Duration::from_secs(30));
-    // Allow trailing metric updates to replicate.
-    std::thread::sleep(Duration::from_millis(200));
     portal
 }
 

@@ -54,11 +54,13 @@ impl fmt::Display for RelError {
 
 impl std::error::Error for RelError {}
 
-/// An owned row snapshot with schema-aware access.
+/// An immutable row with schema-aware access. A table stores its rows
+/// in this form, so a read hands out the stored row itself: cloning a
+/// `Row` bumps two reference counts and copies no cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     schema: Arc<Schema>,
-    cells: Vec<CellValue>,
+    cells: Arc<[CellValue]>,
 }
 
 impl Row {
@@ -93,10 +95,6 @@ impl Row {
         &self.cells
     }
 
-    pub(crate) fn from_parts(schema: Arc<Schema>, cells: Vec<CellValue>) -> Row {
-        Row { schema, cells }
-    }
-
     /// The row's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
@@ -107,7 +105,7 @@ impl Row {
 struct Table {
     schema: Arc<Schema>,
     pk_index: usize,
-    rows: BTreeMap<CellValue, Vec<CellValue>>,
+    rows: BTreeMap<CellValue, Row>,
 }
 
 impl Table {
@@ -126,6 +124,13 @@ impl Table {
             }
         }
         Ok(())
+    }
+
+    fn row(&self, values: Vec<CellValue>) -> Row {
+        Row {
+            schema: Arc::clone(&self.schema),
+            cells: values.into(),
+        }
     }
 }
 
@@ -210,7 +215,8 @@ impl Database {
         if t.rows.contains_key(&key) {
             return Err(RelError::DuplicateKey(key));
         }
-        t.rows.insert(key, values);
+        let row = t.row(values);
+        t.rows.insert(key, row);
         Ok(())
     }
 
@@ -224,10 +230,7 @@ impl Database {
         let t = tables
             .get(table)
             .ok_or_else(|| RelError::UnknownTable(table.to_string()))?;
-        Ok(t.rows.get(key).map(|cells| Row {
-            schema: Arc::clone(&t.schema),
-            cells: cells.clone(),
-        }))
+        Ok(t.rows.get(key).cloned())
     }
 
     /// Replaces a row by primary key.
@@ -245,7 +248,8 @@ impl Database {
         if !t.rows.contains_key(&key) {
             return Err(RelError::NotFound(key));
         }
-        t.rows.insert(key, values);
+        let row = t.row(values);
+        t.rows.insert(key, row);
         Ok(())
     }
 
@@ -262,8 +266,10 @@ impl Database {
         Ok(t.rows.remove(key).is_some())
     }
 
-    /// Selects rows matching a predicate (snapshot semantics: the result is
-    /// an owned copy).
+    /// Selects rows matching a predicate, in primary-key order. The
+    /// predicate sees each stored row by reference; only matching rows are
+    /// handed out (as shared [`Row`]s, so the result is a snapshot that
+    /// later writes do not change).
     ///
     /// # Errors
     ///
@@ -277,17 +283,11 @@ impl Database {
         let t = tables
             .get(table)
             .ok_or_else(|| RelError::UnknownTable(table.to_string()))?;
-        let mut out = Vec::new();
-        for cells in t.rows.values() {
-            let row = Row {
-                schema: Arc::clone(&t.schema),
-                cells: cells.clone(),
-            };
-            if predicate(&row) {
-                out.push(row);
-            }
-        }
-        Ok(out)
+        Ok(t.rows
+            .values()
+            .filter(|row| predicate(row))
+            .cloned()
+            .collect())
     }
 
     /// Runs `f` over one table's schema and row storage under a single
@@ -300,7 +300,7 @@ impl Database {
     pub(crate) fn with_table<R>(
         &self,
         table: &str,
-        f: impl FnOnce(&Arc<Schema>, &BTreeMap<CellValue, Vec<CellValue>>) -> R,
+        f: impl FnOnce(&Schema, &BTreeMap<CellValue, Row>) -> R,
     ) -> Result<R, RelError> {
         let tables = self.tables.read();
         let t = tables
@@ -309,9 +309,12 @@ impl Database {
         Ok(f(&t.schema, &t.rows))
     }
 
-    /// Selects rows where `column == value`: the column index is resolved
-    /// once against the schema and every row compares by index, all under
-    /// one table-map lock acquisition.
+    /// Selects rows where `column == value`, in primary-key order: the
+    /// column index is resolved once against the schema and every row
+    /// compares by index, all under one table-map lock acquisition. There
+    /// is no secondary index: this is a full scan of the table, `O(rows)`
+    /// per call — join by reading each table once, not by calling this
+    /// per outer row.
     ///
     /// # Errors
     ///
@@ -326,13 +329,11 @@ impl Database {
             let idx = schema
                 .column_index(column)
                 .ok_or_else(|| RelError::UnknownColumn(column.to_string()))?;
-            let mut out = Vec::new();
-            for cells in rows.values() {
-                if cells.get(idx) == Some(value) {
-                    out.push(Row::from_parts(Arc::clone(schema), cells.clone()));
-                }
-            }
-            Ok(out)
+            Ok(rows
+                .values()
+                .filter(|row| row.cells.get(idx) == Some(value))
+                .cloned()
+                .collect())
         })?
     }
 

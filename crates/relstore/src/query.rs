@@ -35,8 +35,6 @@
 //! Numeric comparisons coerce `Int`/`Real` like the primary-key order
 //! does.
 
-use std::sync::Arc;
-
 use safeweb_safeq::{Param, TrustedLiteral};
 
 use crate::db::{Database, RelError, Row};
@@ -270,13 +268,11 @@ impl Database {
     pub fn select_spec(&self, spec: &QuerySpec) -> Result<Vec<Row>, RelError> {
         self.with_table(spec.table_name(), |schema, rows| {
             let compiled = compile(&spec.filter, schema)?;
-            let mut out = Vec::new();
-            for cells in rows.values() {
-                if eval(&compiled, cells) {
-                    out.push(Row::from_parts(Arc::clone(schema), cells.clone()));
-                }
-            }
-            Ok(out)
+            Ok(rows
+                .values()
+                .filter(|row| eval(&compiled, row.cells()))
+                .cloned()
+                .collect())
         })?
     }
 }

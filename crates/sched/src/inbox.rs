@@ -23,7 +23,9 @@ impl<M> fmt::Display for SendError<M> {
 
 /// Error returned by a non-blocking send; carries the unsent message.
 pub enum TrySendError<M> {
-    /// The inbox is at capacity; the message was not queued.
+    /// Not admitted now: the inbox or the pool's backlog is at capacity
+    /// (or, for a tick, the task is still busy); the message was not
+    /// queued.
     Full(M),
     /// The task is closed (scheduler shut down or task poisoned).
     Closed(M),
@@ -103,14 +105,17 @@ impl<M> Inbox<M> {
         Ok(Pushed { was_empty })
     }
 
-    /// Non-blocking push (timer ticks use this: a tick into a full inbox
-    /// is dropped, coalescing exactly like a lagging tick channel).
-    pub(crate) fn try_push(&self, msg: M) -> Result<Pushed, TrySendError<M>> {
+    /// Non-blocking push for timer ticks, refused when `busy` (the owning
+    /// task is queued or running), while this inbox is full, or while the
+    /// pool's whole backlog (`depth`, every inbox of the pool) is at the
+    /// cap. A refused tick is dropped, coalescing exactly like a lagging
+    /// tick channel.
+    pub(crate) fn try_push(&self, msg: M, busy: bool) -> Result<Pushed, TrySendError<M>> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         if state.closed {
             return Err(TrySendError::Closed(msg));
         }
-        if state.queue.len() >= self.cap {
+        if busy || state.queue.len() >= self.cap || self.depth.load(Ordering::Relaxed) >= self.cap {
             return Err(TrySendError::Full(msg));
         }
         let was_empty = state.queue.is_empty();

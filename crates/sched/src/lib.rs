@@ -55,6 +55,23 @@
 //! saturated cycle would. Backpressure therefore holds where load
 //! *enters* the pool; what a capped ingress admits bounds the in-pool
 //! fan-out (times the pipeline's amplification factor).
+//!
+//! Load enters in two ways, and both are capped:
+//!
+//! * **external sends** ([`TaskSender::send`] from a thread outside the
+//!   pool) block while the target inbox is full;
+//! * **ticks** ([`TaskSender::try_send`], the engine's timer driver) are
+//!   refused while the pool's whole backlog
+//!   ([`Scheduler::queued_messages`]) is at or above
+//!   [`SchedulerOptions::inbox_cap`] — even when other tasks' messages
+//!   make up that backlog — and while the ticked task is still queued or
+//!   running. A timer-driven source (a producer that emits a batch per
+//!   tick from inside the pool) therefore backs off while the pool holds a
+//!   full inbox of work, has at most one tick in flight, and is ticked
+//!   again once the backlog drains below the cap. The backlog it can
+//!   build is bounded by the cap plus one tick's fan-out, times the
+//!   pipeline's amplification (a task turning one message into three
+//!   triples what reaches it).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

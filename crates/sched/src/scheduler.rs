@@ -603,7 +603,9 @@ impl<M: Send + 'static> TaskSender<M> {
     /// pool on the first full sibling inbox (and any pool on a saturated
     /// cycle). Backpressure therefore applies where load enters the
     /// pool; in-pool fan-out is bounded by what the capped ingress
-    /// admits times the pipeline's amplification.
+    /// admits times the pipeline's amplification. Ticks are ingress too,
+    /// admitted against the whole pool's backlog (see
+    /// [`TaskSender::try_send`]).
     ///
     /// # Errors
     ///
@@ -617,15 +619,36 @@ impl<M: Send + 'static> TaskSender<M> {
         Ok(())
     }
 
-    /// Queues a message without blocking.
+    /// Queues a message without blocking — the **ingress** edge for
+    /// timer ticks (the engine's timer driver is its caller).
+    ///
+    /// A tick is refused while
+    ///
+    /// * the pool's backlog ([`Scheduler::queued_messages`], every task's
+    ///   inbox together) is at or above [`SchedulerOptions::inbox_cap`] —
+    ///   even when other tasks' messages make up all of it — so a source
+    ///   is only ticked while the pool holds less than one inbox of work;
+    /// * the task is still queued or running: the work ahead of this tick
+    ///   has not fanned out yet, so the backlog cannot see it, and a
+    ///   second tick would only stack on the first (ticks coalesce while
+    ///   the task lags);
+    /// * the task's own inbox is full.
+    ///
+    /// At most one admitted tick is therefore in flight per task, and the
+    /// backlog a tick-driven source builds is bounded by the cap plus one
+    /// tick's fan-out, each times the pipeline's amplification. Refused
+    /// ticks are skipped, not queued; ticks are admitted again once the
+    /// task is idle and the backlog has drained below the cap (a poisoned
+    /// task's discarded backlog counts as drained).
     ///
     /// # Errors
     ///
-    /// [`TrySendError::Full`] when the inbox is at capacity,
-    /// [`TrySendError::Closed`] when the task is closed; both return the
-    /// message.
+    /// [`TrySendError::Full`] when the tick is refused for any of the
+    /// reasons above, [`TrySendError::Closed`] when the task is closed;
+    /// both return the message.
     pub fn try_send(&self, msg: M) -> Result<(), TrySendError<M>> {
-        let pushed = self.task.inbox.try_push(msg)?;
+        let busy = self.task.state.load(Ordering::SeqCst) != IDLE;
+        let pushed = self.task.inbox.try_push(msg, busy)?;
         self.after_push(pushed);
         Ok(())
     }
@@ -817,6 +840,143 @@ mod tests {
             std::thread::yield_now();
         }
         sched.shutdown();
+    }
+
+    /// Spins (bounded, yielding) until `done` holds.
+    fn wait_until(done: impl Fn() -> bool, what: &str) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(std::time::Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Offers ticks to `source` one at a time, each handled before the
+    /// next is offered, until the pool backlog refuses one; returns how
+    /// many were admitted. `ticked` counts ticks the source has handled.
+    fn ticks_until_refused(
+        sched: &Scheduler<u32>,
+        source: &TaskSender<u32>,
+        ticked: &AtomicU32,
+        cap: usize,
+        limit: u32,
+    ) -> u32 {
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let mut admitted = 0;
+        loop {
+            let handled = ticked.load(Ordering::SeqCst);
+            if source.try_send(0).is_ok() {
+                admitted += 1;
+                assert!(admitted <= limit, "ticks never refused");
+                wait_until(
+                    || ticked.load(Ordering::SeqCst) > handled,
+                    "tick not handled",
+                );
+            } else if sched.queued_messages() >= cap {
+                return admitted;
+            } else {
+                // Refused as busy: the source is still finishing the
+                // tick it just counted.
+                assert!(std::time::Instant::now() < deadline, "source never idle");
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    #[test]
+    fn ticks_back_off_while_the_pool_backlog_is_at_the_cap() {
+        // A source that fans K messages per tick into a sink from inside
+        // the pool (the producer's shape): in-pool sends bypass the
+        // sink's cap, so only tick admission can bound the backlog.
+        const CAP: u32 = 8;
+        const K: u32 = 3;
+        const PLUG: u32 = 1;
+        const PILL: u32 = 2;
+        let sched: Scheduler<u32> = Scheduler::new(SchedulerOptions {
+            inbox_cap: CAP as usize,
+            ..options(2)
+        });
+        // The plug holds the sink until `drain` opens, the pill until
+        // `poison` opens and then panics; what the source sends meanwhile
+        // queues behind them.
+        let (drain, poison) = (Gate::new(), Gate::new());
+        let held = Arc::new(AtomicU32::new(0));
+        let (drain_open, poison_open, entered) =
+            (Arc::clone(&drain), Arc::clone(&poison), Arc::clone(&held));
+        let sink = sched.spawn("sink", move |batch| {
+            if batch.contains(&PLUG) {
+                entered.fetch_add(1, Ordering::SeqCst);
+                drain_open.wait();
+            }
+            if batch.contains(&PILL) {
+                entered.fetch_add(1, Ordering::SeqCst);
+                poison_open.wait();
+                panic!("poison pill");
+            }
+            batch.clear();
+        });
+        let ticked = Arc::new(AtomicU32::new(0));
+        let (to_sink, count) = (sink.clone(), Arc::clone(&ticked));
+        let source = sched.spawn("source", move |batch| {
+            for _ in batch.drain(..) {
+                for _ in 0..K {
+                    // Refused once the sink is poisoned; the tick counts.
+                    let _ = to_sink.send(0);
+                }
+                count.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // Never ticked, so never busy: only the backlog can refuse it.
+        let idle = sched.spawn("idle", |batch| batch.clear());
+        let limit = CAP.div_ceil(K) + 1;
+        let entered = |n| wait_until(|| held.load(Ordering::SeqCst) >= n, "sink never entered");
+
+        sink.send(PLUG).unwrap();
+        entered(1);
+        // A running task coalesces ticks, whatever the backlog.
+        assert!(sink.try_send(0).is_err(), "tick into a running task");
+        let admitted = ticks_until_refused(&sched, &source, &ticked, CAP as usize, 10 * limit);
+        assert!(
+            admitted <= limit,
+            "{admitted} ticks admitted, cap allows {limit}"
+        );
+        let backlog = sched.queued_messages();
+        assert!(
+            (CAP..CAP + K).contains(&(backlog as u32)),
+            "backlog {backlog}"
+        );
+        // The sink's messages alone make up the backlog, and still no
+        // task is ticked.
+        assert!(idle.try_send(0).is_err(), "tick admitted at the cap");
+
+        // Draining the sink admits ticks again.
+        drain.open();
+        wait_until(|| sched.queued_messages() == 0, "sink never drained");
+        // (Retried: the source may still be settling from its last tick.)
+        wait_until(|| source.try_send(0).is_ok(), "ticks never resumed");
+        wait_until(
+            || ticked.load(Ordering::SeqCst) > admitted,
+            "resumed tick not handled",
+        );
+
+        // So does discarding a poisoned task's backlog.
+        sink.send(PILL).unwrap();
+        entered(2);
+        let admitted = ticks_until_refused(&sched, &source, &ticked, CAP as usize, 10 * limit);
+        assert!(
+            admitted <= limit,
+            "{admitted} ticks admitted, cap allows {limit}"
+        );
+        assert!(sched.queued_messages() >= CAP as usize);
+        assert!(idle.try_send(0).is_err(), "tick admitted at the cap");
+        poison.open();
+        wait_until(
+            || sink.is_closed() && sched.queued_messages() == 0,
+            "poisoned backlog never discarded",
+        );
+        wait_until(|| source.try_send(0).is_ok(), "ticks never resumed");
+        sched.shutdown();
+        assert_eq!(sched.panics().len(), 1);
     }
 
     #[test]
