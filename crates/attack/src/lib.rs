@@ -27,7 +27,7 @@
 
 pub mod campaign;
 pub mod corpus;
-pub mod oracle;
+mod oracle;
 pub mod rig;
 
 pub use campaign::{run_campaign, seed_from_env, CampaignReport, Family, DEFAULT_SEED};

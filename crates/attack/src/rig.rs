@@ -135,7 +135,6 @@ impl AttackRig {
         if !options.label_checking {
             app = app.with_options(safeweb_web::FrontendOptions {
                 label_checking: false,
-                ..Default::default()
             });
         }
         install_attack_routes(&mut app, &web_db, options.raw_routes);

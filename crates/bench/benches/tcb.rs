@@ -34,6 +34,11 @@ fn main() {
     row("label model & policy", None, labels);
     row("IFC-aware broker", None, broker);
     row("web frontend middleware", None, web);
+    row(
+        "audited middleware total",
+        Some(1943 + 1908),
+        taint + engine + labels + broker + web,
+    );
     eprintln!();
 
     // Per-application audited slice: the privileged units (which hold

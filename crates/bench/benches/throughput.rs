@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use safeweb_bench::report_row;
-use safeweb_broker::{oracle::LinearBroker, Broker, BrokerOptions, Delivery};
+use safeweb_broker::{Broker, BrokerOptions, Delivery};
 use safeweb_engine::{Engine, EngineOptions, UnitSpec};
 use safeweb_events::{Event, LabelledEvent};
 use safeweb_labels::{Label, Policy};
@@ -230,10 +230,10 @@ fn bench_throughput(c: &mut Criterion) {
 enum Matching {
     /// One subscription on the hot exact topic; the rest on distinct cold
     /// exact topics. Measures routing: the sharded index touches 1
-    /// subscription, the linear scan walks all of them.
+    /// subscription whatever the total.
     ExactOne,
-    /// Every subscription on the hot topic. Measures fan-out delivery:
-    /// `Arc` sharing vs one deep clone per subscriber.
+    /// Every subscription on the hot topic. Measures fan-out delivery of
+    /// one shared `Arc` per subscriber.
     ExactAll,
     /// One prefix subscription (`/hot/*`) among cold exact topics;
     /// publishes go to a nested topic. Measures the trie path.
@@ -242,17 +242,13 @@ enum Matching {
 
 struct PublishFixture {
     sharded: Broker,
-    linear: LinearBroker,
     sharded_rx: Vec<crossbeam::channel::Receiver<Delivery>>,
-    linear_rx: Vec<crossbeam::channel::Receiver<Delivery>>,
     event: LabelledEvent,
 }
 
 fn publish_fixture(total_subs: usize, matching: Matching) -> PublishFixture {
     let sharded = Broker::new();
-    let mut linear = LinearBroker::new();
     let mut sharded_rx = Vec::new();
-    let mut linear_rx = Vec::new();
     for i in 0..total_subs {
         let destination = match matching {
             Matching::ExactAll => "/hot".to_string(),
@@ -264,7 +260,6 @@ fn publish_fixture(total_subs: usize, matching: Matching) -> PublishFixture {
         };
         let id = i.to_string();
         sharded_rx.push(sharded.subscribe("bench", &id, &destination, None, Default::default()));
-        linear_rx.push(linear.subscribe("bench", &id, &destination, None, Default::default()));
     }
     let topic = match matching {
         Matching::PrefixOne => "/hot/daily/report",
@@ -277,9 +272,7 @@ fn publish_fixture(total_subs: usize, matching: Matching) -> PublishFixture {
         .with_labels([Label::int("e", "mdt")]);
     PublishFixture {
         sharded,
-        linear,
         sharded_rx,
-        linear_rx,
         event,
     }
 }
@@ -290,37 +283,8 @@ fn drain(receivers: &[crossbeam::channel::Receiver<Delivery>]) {
     }
 }
 
-/// Events per second for publishing pre-built batches of `n` events.
-/// Event construction and receiver draining stay outside the timed
-/// window on every path, so linear scan, sharded single and sharded
-/// batch publishing are charged only for what happens inside the broker.
-fn rate_of(
-    n: u64,
-    template: &LabelledEvent,
-    mut publish: impl FnMut(Vec<LabelledEvent>),
-    mut flush: impl FnMut(),
-) -> f64 {
-    let build = |k: u64| -> Vec<LabelledEvent> { (0..k).map(|_| template.clone()).collect() };
-    // One warm round, then the median of five.
-    publish(build(n / 5));
-    flush();
-    let mut rates = Vec::new();
-    for _ in 0..5 {
-        let batch = build(n);
-        let start = Instant::now();
-        publish(batch);
-        let elapsed = start.elapsed();
-        flush();
-        rates.push(n as f64 / elapsed.as_secs_f64());
-    }
-    median(&mut rates)
-}
-
-/// **Publish-path comparison** for the sharded broker refactor: linear
-/// scan vs sharded index, single vs batched publish, exact vs prefix
-/// topics, at increasing subscription counts. The interesting acceptance
-/// point: batched sharded publishing must beat the linear single-publish
-/// scan at ≥ 100 subscriptions.
+/// **Publish-path comparison** for the sharded broker: single vs batched
+/// publish, exact vs prefix topics, at increasing subscription counts.
 fn bench_publish_path(c: &mut Criterion) {
     const CHUNK: u64 = 512;
     const BATCH: usize = 64;
@@ -334,11 +298,6 @@ fn bench_publish_path(c: &mut Criterion) {
         group.throughput(Throughput::Elements(CHUNK));
         for subs in [1usize, 100, 1000] {
             let fixture = publish_fixture(subs, matching);
-            // Fan-out to 1000 matching subscribers is deliberately capped
-            // at 100 for the linear side: the deep clones make it too
-            // slow to sample politely.
-            let heavy_fanout = matches!(matching, Matching::ExactAll) && subs > 100;
-
             let build =
                 |k: u64| -> Vec<LabelledEvent> { (0..k).map(|_| fixture.event.clone()).collect() };
             group.bench_function(format!("sharded_single_{subs}subs"), |b| {
@@ -373,63 +332,8 @@ fn bench_publish_path(c: &mut Criterion) {
                     total
                 });
             });
-            if !heavy_fanout {
-                group.bench_function(format!("linear_single_{subs}subs"), |b| {
-                    b.iter_custom(|iters| {
-                        let mut total = Duration::ZERO;
-                        for _ in 0..iters {
-                            let batch = build(CHUNK);
-                            let start = Instant::now();
-                            for event in &batch {
-                                fixture.linear.publish(event);
-                            }
-                            total += start.elapsed();
-                            drain(&fixture.linear_rx);
-                        }
-                        total
-                    });
-                });
-            }
         }
         group.finish();
-    }
-
-    // Acceptance summary: batched sharded routing vs the old linear
-    // single-publish scan at 100 subscriptions (one matching).
-    eprintln!("\n=== Publish path: sharded+batched vs linear scan ===");
-    for (label, matching) in [
-        ("exact, 1 of 100 matches", Matching::ExactOne),
-        ("prefix, 1 of 100 matches", Matching::PrefixOne),
-        ("exact, 100 of 100 match", Matching::ExactAll),
-    ] {
-        let fixture = publish_fixture(100, matching);
-        let linear_rate = rate_of(
-            CHUNK,
-            &fixture.event,
-            |events| {
-                for event in &events {
-                    fixture.linear.publish(event);
-                }
-            },
-            || drain(&fixture.linear_rx),
-        );
-        let batch_rate = rate_of(
-            CHUNK,
-            &fixture.event,
-            |mut events| {
-                while !events.is_empty() {
-                    let rest = events.split_off(events.len().min(BATCH));
-                    fixture.sharded.publish_batch(events);
-                    events = rest;
-                }
-            },
-            || drain(&fixture.sharded_rx),
-        );
-        eprintln!(
-            "  [{label:<26}] linear scan: {linear_rate:>9.0} ev/s   batched sharded: \
-             {batch_rate:>9.0} ev/s   (x{:.1})",
-            batch_rate / linear_rate
-        );
     }
 }
 

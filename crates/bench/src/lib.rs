@@ -1,21 +1,21 @@
 //! # safeweb-bench
 //!
 //! Shared scaffolding for the benchmark harness that regenerates the
-//! SafeWeb paper's evaluation (experiment index in `DESIGN.md` §4):
+//! SafeWeb paper's evaluation:
 //!
 //! | bench target | paper artefact |
 //! |--------------|----------------|
 //! | `frontend`   | §5.3 page generation, 158→180 ms (+14 %) |
 //! | `backend`    | §5.3 event latency, 73→84 ms (+15 %) |
-//! | `throughput` | §5.3 end-to-end throughput, 4455→3817 ev/s (−17 %) |
+//! | `throughput` | §5.3 end-to-end throughput, 4455→3817 ev/s (−17 %); sharded publish path; idle STOMP connections |
 //! | `breakdown`  | Figure 5 per-phase latency split |
-//! | `tcb`        | §5.2 trusted-codebase line counts (ceiling: `tests/tcb_ceiling.rs`) |
+//! | `tcb`        | §5.2 trusted-codebase line counts per audited crate and in total (ceilings: `tests/tcb_ceiling.rs`) |
 //! | `microbench` | ablations of the individual mechanisms |
+//! | `sched`, `docstore`, `labels`, `obs`, `attack` | beyond the paper: worker pool, document store, label lattice, telemetry and attack-campaign costs |
 //!
 //! Absolute numbers will differ (compiled Rust vs. Ruby on 2011 hardware);
 //! the *shape* — relative overheads and breakdown ordering — is the
-//! reproduction target. Each bench prints a paper-vs-measured summary that
-//! `EXPERIMENTS.md` records.
+//! reproduction target. Each bench prints a paper-vs-measured summary.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -71,7 +71,6 @@ pub fn bench_portal(tracking: bool) -> (MdtPortal, SafeWebApp) {
     if !tracking {
         app = app.with_options(safeweb_web::FrontendOptions {
             label_checking: false,
-            ..Default::default()
         });
     }
     (portal, app)

@@ -52,10 +52,10 @@
 //! **Label filtering is applied after routing, never skipped**: the
 //! sharded indexes only narrow the candidate set by topic; every candidate
 //! still passes through the selector and the clearance check
-//! (`labels.flows_to(clearance)`) before its sink sees the event. The
-//! [`oracle::LinearBroker`] reference implementation states these
-//! semantics as executable code, and `tests/routing_equivalence.rs` holds
-//! the sharded path to it property-by-property.
+//! (`labels.flows_to(clearance)`) before its sink sees the event.
+//! `tests/routing_equivalence.rs` states these semantics as a linear-scan
+//! reference broker and holds the sharded path to it
+//! property-by-property.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -331,24 +331,31 @@ impl Broker {
 
     /// Creates a broker with explicit options.
     pub fn with_options(options: BrokerOptions) -> Broker {
-        Broker {
-            inner: Arc::new(Inner {
-                shards: (0..SHARD_COUNT).map(|_| RwLock::default()).collect(),
-                directory: RwLock::default(),
-                stats: BrokerStats::default(),
-                options,
-            }),
-        }
+        Broker::with_stats(options, BrokerStats::default())
     }
 
     /// Creates a broker whose counters live in `registry` (under
-    /// `broker.*`), so a deployment-wide snapshot sees them.
+    /// `broker.*`), so a deployment-wide snapshot sees them, plus a
+    /// derived `broker.subscriptions` gauge: the live subscription count.
     pub fn with_metrics(options: BrokerOptions, registry: &MetricsRegistry) -> Broker {
+        let broker = Broker::with_stats(options, BrokerStats::registered(registry));
+        // Weak: the registry must not keep the broker (and every sink's
+        // captures) alive.
+        let inner = Arc::downgrade(&broker.inner);
+        registry.register_derived("broker.subscriptions", move || {
+            inner
+                .upgrade()
+                .map_or(0.0, |inner| inner.directory.read().len() as f64)
+        });
+        broker
+    }
+
+    fn with_stats(options: BrokerOptions, stats: BrokerStats) -> Broker {
         Broker {
             inner: Arc::new(Inner {
                 shards: (0..SHARD_COUNT).map(|_| RwLock::default()).collect(),
                 directory: RwLock::default(),
-                stats: BrokerStats::registered(registry),
+                stats,
                 options,
             }),
         }
@@ -706,126 +713,6 @@ impl Broker {
     }
 }
 
-pub mod oracle {
-    //! A deliberately naive reference broker: the executable
-    //! specification of matching and filtering semantics.
-    //!
-    //! [`LinearBroker`] scans every subscription per publish and deep-
-    //! clones per delivery — exactly the pre-sharding implementation.
-    //! The routing-equivalence property test and the throughput bench
-    //! both hold the production [`Broker`](super::Broker) to it: same
-    //! delivery sets, same counters, only faster.
-
-    use super::{BrokerOptions, BrokerStats, Delivery, LocalStats, SubscriptionKey, TopicPattern};
-    use crossbeam::channel::{unbounded, Receiver, Sender};
-    use safeweb_events::LabelledEvent;
-    use safeweb_labels::PrivilegeSet;
-    use safeweb_selector::Selector;
-    use std::sync::Arc;
-
-    struct LinearSub {
-        key: SubscriptionKey,
-        topic: TopicPattern,
-        selector: Option<Selector>,
-        clearance: PrivilegeSet,
-        sender: Sender<Delivery>,
-    }
-
-    /// Single-threaded linear-scan reference broker.
-    #[derive(Default)]
-    pub struct LinearBroker {
-        subs: Vec<LinearSub>,
-        stats: BrokerStats,
-        options: BrokerOptions,
-    }
-
-    impl LinearBroker {
-        /// Creates a reference broker with default options.
-        pub fn new() -> LinearBroker {
-            LinearBroker::default()
-        }
-
-        /// Creates a reference broker with explicit options.
-        pub fn with_options(options: BrokerOptions) -> LinearBroker {
-            LinearBroker {
-                options,
-                ..LinearBroker::default()
-            }
-        }
-
-        /// Registers a subscription (replacing any previous one under the
-        /// same key) and returns its delivery channel.
-        pub fn subscribe(
-            &mut self,
-            client: &str,
-            subscription_id: &str,
-            topic: &str,
-            selector: Option<Selector>,
-            clearance: PrivilegeSet,
-        ) -> Receiver<Delivery> {
-            let key = (client.to_string(), subscription_id.to_string());
-            self.subs.retain(|s| s.key != key);
-            let (tx, rx) = unbounded();
-            self.subs.push(LinearSub {
-                key,
-                topic: TopicPattern::parse(topic),
-                selector,
-                clearance,
-                sender: tx,
-            });
-            rx
-        }
-
-        /// Removes a subscription. Returns whether it existed.
-        pub fn unsubscribe(&mut self, client: &str, subscription_id: &str) -> bool {
-            let key = (client.to_string(), subscription_id.to_string());
-            let before = self.subs.len();
-            self.subs.retain(|s| s.key != key);
-            self.subs.len() < before
-        }
-
-        /// Publishes one event by scanning every subscription.
-        ///
-        /// Returns the number of deliveries made.
-        pub fn publish(&self, event: &LabelledEvent) -> usize {
-            let mut local = LocalStats::default();
-            let mut delivered = 0;
-            for sub in &self.subs {
-                if !sub.topic.matches(event.topic()) {
-                    continue;
-                }
-                if let Some(selector) = &sub.selector {
-                    if !selector.matches(event.event()) {
-                        local.selector_filtered += 1;
-                        continue;
-                    }
-                }
-                if self.options.label_filtering && !event.labels().flows_to(&sub.clearance) {
-                    local.label_filtered += 1;
-                    continue;
-                }
-                let delivery = Delivery {
-                    subscription_id: Arc::from(sub.key.1.as_str()),
-                    // The deep per-subscriber clone the sharded broker
-                    // exists to avoid.
-                    event: Arc::new(event.clone()),
-                };
-                if sub.sender.send(delivery).is_ok() {
-                    delivered += 1;
-                    local.delivered += 1;
-                }
-            }
-            local.flush(&self.stats, 1);
-            delivered
-        }
-
-        /// Statistics counters (same semantics as the sharded broker's).
-        pub fn stats(&self) -> &BrokerStats {
-            &self.stats
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1083,16 +970,5 @@ mod tests {
         assert_eq!(mid.len(), 1);
         assert_eq!(deep.len(), 1);
         assert_eq!(broker.publish(&labelled("/a/x", &[])), 1);
-    }
-
-    #[test]
-    fn oracle_matches_on_basics() {
-        let mut oracle = oracle::LinearBroker::new();
-        let broker = Broker::new();
-        let orx = oracle.subscribe("u", "1", "/r/*", None, PrivilegeSet::new());
-        let brx = broker.subscribe("u", "1", "/r/*", None, PrivilegeSet::new());
-        let event = labelled("/r/x", &[]);
-        assert_eq!(oracle.publish(&event), broker.publish(&event));
-        assert_eq!(orx.len(), brx.len());
     }
 }

@@ -38,8 +38,8 @@ mod server;
 pub mod wire;
 
 pub use broker::{
-    oracle, Broker, BrokerOptions, BrokerStats, Delivery, DeliverySink, SubscriptionKey,
-    TopicPattern, SHARD_COUNT,
+    Broker, BrokerOptions, BrokerStats, Delivery, DeliverySink, SubscriptionKey, TopicPattern,
+    SHARD_COUNT,
 };
 pub use client::{ClientDelivery, ClientError, EventClient};
-pub use server::{BrokerServer, OUTBOX_CAP};
+pub use server::{BrokerServer, MAX_SUBSCRIPTIONS, OUTBOX_CAP};

@@ -293,3 +293,85 @@ fn multiple_subscriptions_are_disambiguated_by_id() {
     let d = consumer.next_delivery().unwrap();
     assert_eq!(d.subscription_id, sub_b);
 }
+
+/// Sends a receipted SEND to `topic` and returns every frame the server
+/// sent before its RECEIPT. One connection's frames take effect in
+/// order, so the receipt means every earlier frame has.
+fn round_trip(raw: &mut safeweb_stomp::TcpTransport, topic: &str) -> Vec<safeweb_stomp::Frame> {
+    use safeweb_stomp::{Command, Frame};
+    raw.send_frame(
+        &Frame::new(Command::Send)
+            .with_header("destination", topic)
+            .with_header("receipt", "sync"),
+    )
+    .unwrap();
+    let mut before = Vec::new();
+    loop {
+        let frame = raw.recv_frame().unwrap().expect("connection open");
+        if frame.command() == Command::Receipt {
+            return before;
+        }
+        before.push(frame);
+    }
+}
+
+#[test]
+fn subscriptions_are_capped_per_connection() {
+    use safeweb_broker::MAX_SUBSCRIPTIONS;
+    use safeweb_stomp::{Command, Frame, TcpTransport};
+
+    let server = start_server();
+    let mut raw = TcpTransport::connect(&server.addr().to_string()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.send_frame(&Frame::new(Command::Connect).with_header("login", "producer"))
+        .unwrap();
+    assert_eq!(
+        raw.recv_frame().unwrap().unwrap().command(),
+        Command::Connected
+    );
+    let subscribe = |raw: &mut TcpTransport, id: usize, destination: &str| {
+        raw.send_frame(
+            &Frame::new(Command::Subscribe)
+                .with_header("destination", destination)
+                .with_header("id", id.to_string()),
+        )
+        .unwrap();
+    };
+
+    // Fill the table exactly to the cap: no error.
+    for id in 0..MAX_SUBSCRIPTIONS {
+        subscribe(&mut raw, id, &format!("/cap/{id}/*"));
+    }
+    assert!(round_trip(&mut raw, "/quiet").is_empty());
+    assert_eq!(server.broker().subscription_count(), MAX_SUBSCRIPTIONS);
+
+    // One past the cap: an ERROR frame, and nothing registered.
+    subscribe(&mut raw, MAX_SUBSCRIPTIONS, "/over");
+    let refused = round_trip(&mut raw, "/over");
+    assert_eq!(refused.len(), 1, "{refused:?}");
+    assert_eq!(refused[0].command(), Command::Error);
+    assert!(refused[0]
+        .header("message")
+        .is_some_and(|m| m.contains("too many subscriptions")));
+    assert_eq!(server.broker().subscription_count(), MAX_SUBSCRIPTIONS);
+
+    // At the cap, re-subscribing an existing id still replaces it...
+    subscribe(&mut raw, 0, "/moved");
+    let moved = round_trip(&mut raw, "/moved");
+    assert_eq!(moved.len(), 1, "{moved:?}");
+    assert_eq!(moved[0].command(), Command::Message);
+    assert_eq!(moved[0].header("subscription"), Some("0"));
+    assert_eq!(server.broker().subscription_count(), MAX_SUBSCRIPTIONS);
+
+    // ...and an unsubscribe frees a slot for a new id.
+    raw.send_frame(&Frame::new(Command::Unsubscribe).with_header("id", "1"))
+        .unwrap();
+    subscribe(&mut raw, MAX_SUBSCRIPTIONS, "/fresh");
+    let fresh = round_trip(&mut raw, "/fresh");
+    assert_eq!(fresh.len(), 1, "{fresh:?}");
+    assert_eq!(
+        fresh[0].header("subscription"),
+        Some(MAX_SUBSCRIPTIONS.to_string().as_str())
+    );
+    assert_eq!(server.broker().subscription_count(), MAX_SUBSCRIPTIONS);
+}

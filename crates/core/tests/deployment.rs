@@ -58,8 +58,12 @@ fn full_wiring_and_replication() {
     );
 
     // It lands in the Intranet DB and replicates into the DMZ replica.
-    wait_until(Duration::from_secs(10), || deployment.app_db().len() == 1);
-    wait_until(Duration::from_secs(10), || deployment.dmz_db().len() == 1);
+    assert!(deployment
+        .app_db()
+        .wait_until(Duration::from_secs(10), |db| db.len() == 1));
+    assert!(deployment
+        .dmz_db()
+        .wait_until(Duration::from_secs(10), |db| db.len() == 1));
     let doc = deployment.dmz_db().get("r-1").unwrap();
     assert!(doc.labels().contains(&Label::conf("e", "mdt/a")));
     assert!(deployment.dmz_db().is_read_only());
@@ -154,8 +158,12 @@ fn durable_deployment_recovers_and_resumes_replication() {
                 None,
             )
             .unwrap();
-        wait_until(Duration::from_secs(10), || deployment.dmz_db().len() == 1);
+        assert!(deployment
+            .dmz_db()
+            .wait_until(Duration::from_secs(10), |db| db.len() == 1));
         first_seq = deployment.app_db().seq();
+        // Persisting a checkpoint is not a document commit, so nothing
+        // signals it: poll.
         wait_until(Duration::from_secs(10), || {
             deployment.dmz_db().replication_checkpoint_persisted() == Some(first_seq)
         });
@@ -187,9 +195,9 @@ fn durable_deployment_recovers_and_resumes_replication() {
             None,
         )
         .unwrap();
-    wait_until(Duration::from_secs(10), || {
-        deployment.dmz_db().get("r-2").is_some()
-    });
+    assert!(deployment
+        .dmz_db()
+        .wait_until(Duration::from_secs(10), |db| db.get("r-2").is_some()));
     assert_eq!(deployment.dmz_db().seq(), replica_seq + 1);
     drop(deployment);
     let _ = std::fs::remove_dir_all(&dir);

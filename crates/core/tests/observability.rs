@@ -91,7 +91,9 @@ fn one_request_reconstructs_as_an_ordered_span_chain() {
 
     // The write path completes asynchronously (broker → engine →
     // store); the document landing means the docstore span exists.
-    wait_until(Duration::from_secs(10), || deployment.app_db().len() == 1);
+    assert!(deployment
+        .app_db()
+        .wait_until(Duration::from_secs(10), |db| db.len() == 1));
 
     // Reconstruct through the ops surface, exactly as an operator would.
     let ops = deployment.serve_ops("127.0.0.1:0").expect("ops binds");
@@ -168,7 +170,9 @@ fn ops_metrics_and_health_render_for_admins() {
             .with_attr("n", "7")
             .with_labels([Label::conf("e", "mdt/a")]),
     );
-    wait_until(Duration::from_secs(10), || deployment.app_db().len() == 1);
+    assert!(deployment
+        .app_db()
+        .wait_until(Duration::from_secs(10), |db| db.len() == 1));
 
     let ops = deployment.serve_ops("127.0.0.1:0").expect("ops binds");
     let addr = ops.addr().to_string();
@@ -186,6 +190,11 @@ fn ops_metrics_and_health_render_for_admins() {
             .unwrap()
             >= 1,
         "broker counters are live in the deployment registry"
+    );
+    assert_eq!(
+        body.get("broker.subscriptions").and_then(|v| v.as_f64()),
+        Some(1.0),
+        "the storage unit's one subscription is counted"
     );
     assert!(
         body.get("docstore.app.put_ns")

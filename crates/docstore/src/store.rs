@@ -945,20 +945,6 @@ impl DocStore {
         d.failed.clone().or_else(|| d.snapshot_error.clone())
     }
 
-    /// Forces everything appended so far to stable storage (power-loss
-    /// durability on demand, without paying [`WalSync::Always`] on every
-    /// write). No-op for in-memory stores.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] if the sync fails.
-    pub fn sync_wal(&self) -> Result<(), StoreError> {
-        match self.inner.read().durability.as_ref() {
-            Some(d) => d.wal.sync().map_err(|e| StoreError::Io(e.to_string())),
-            None => Ok(()),
-        }
-    }
-
     /// Durably records that this replica has applied the replication
     /// stream through source sequence `checkpoint`; recovered by
     /// [`DocStore::replication_checkpoint_persisted`] after a restart.
@@ -1141,15 +1127,26 @@ impl DocStore {
     /// Keys containing non-finite floats never match anything (JSON
     /// cannot represent them, and `NaN` does not equal itself).
     ///
+    /// The view name selects query *structure*, so it is secure by
+    /// construction: a compile-time literal, taint-checked string or
+    /// audited declassify (see [`safeweb_safeq::TrustedLiteral`]). The
+    /// key stays plain data — it is matched structurally against the
+    /// index, so user input is safe there.
+    ///
     /// # Errors
     ///
     /// [`StoreError::UnknownView`] if the view was never created.
-    pub fn query_view(&self, view: &str, key: &Value) -> Result<Vec<Document>, StoreError> {
+    pub fn query_view(
+        &self,
+        view: impl Into<safeweb_safeq::TrustedLiteral>,
+        key: &Value,
+    ) -> Result<Vec<Document>, StoreError> {
+        let name = view.into();
         let inner = self.inner.read();
         let view = inner
             .views
-            .get(view)
-            .ok_or_else(|| StoreError::UnknownView(view.to_string()))?;
+            .get(name.as_str())
+            .ok_or_else(|| StoreError::UnknownView(name.as_str().to_string()))?;
         let Some(ids) = index_key(key).and_then(|k| view.index.get(&k)) else {
             return Ok(Vec::new());
         };
@@ -1172,7 +1169,8 @@ impl DocStore {
     /// distinct buckets under equality too), so range ends should be the
     /// same scalar type as the indexed values. A bound that cannot be
     /// indexed (non-finite float) matches nothing, and an inverted range
-    /// is empty.
+    /// is empty. The view name is trusted as for
+    /// [`DocStore::query_view`]; range bounds are data and need no trust.
     ///
     /// ```
     /// use safeweb_docstore::DocStore;
@@ -1194,16 +1192,21 @@ impl DocStore {
     /// # Errors
     ///
     /// [`StoreError::UnknownView`] if the view was never created.
-    pub fn query_view_range<R>(&self, view: &str, range: R) -> Result<Vec<Document>, StoreError>
+    pub fn query_view_range<R>(
+        &self,
+        view: impl Into<safeweb_safeq::TrustedLiteral>,
+        range: R,
+    ) -> Result<Vec<Document>, StoreError>
     where
         R: std::ops::RangeBounds<Value>,
     {
         use std::ops::Bound;
+        let name = view.into();
         let inner = self.inner.read();
         let view = inner
             .views
-            .get(view)
-            .ok_or_else(|| StoreError::UnknownView(view.to_string()))?;
+            .get(name.as_str())
+            .ok_or_else(|| StoreError::UnknownView(name.as_str().to_string()))?;
         let encode = |bound: Bound<&Value>| -> Option<Bound<String>> {
             match bound {
                 Bound::Unbounded => Some(Bound::Unbounded),
@@ -1235,41 +1238,6 @@ impl DocStore {
             );
         }
         Ok(docs)
-    }
-
-    /// [`DocStore::query_view`] with a secure-by-construction view name:
-    /// a compile-time literal, taint-checked string or audited declassify
-    /// (see [`safeweb_safeq::TrustedLiteral`]). The key stays plain data —
-    /// it is matched structurally against the index, so user input is safe
-    /// there; only the *view name* selects query structure.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownView`] if the view was never created.
-    pub fn query_view_trusted(
-        &self,
-        view: impl Into<safeweb_safeq::TrustedLiteral>,
-        key: &Value,
-    ) -> Result<Vec<Document>, StoreError> {
-        self.query_view(view.into().as_str(), key)
-    }
-
-    /// [`DocStore::query_view_range`] with a secure-by-construction view
-    /// name (see [`DocStore::query_view_trusted`]). Range bounds are data
-    /// and need no trust.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::UnknownView`] if the view was never created.
-    pub fn query_view_range_trusted<R>(
-        &self,
-        view: impl Into<safeweb_safeq::TrustedLiteral>,
-        range: R,
-    ) -> Result<Vec<Document>, StoreError>
-    where
-        R: std::ops::RangeBounds<Value>,
-    {
-        self.query_view_range(view.into().as_str(), range)
     }
 
     /// Scans all documents with a predicate over bodies. `O(n)` — prefer

@@ -798,13 +798,6 @@ impl Wal {
         self.len = 0;
         Ok(())
     }
-
-    /// Forces everything appended so far to stable storage. Only the
-    /// active segment needs syncing — sealed segments were fsynced as
-    /// part of sealing.
-    pub(crate) fn sync(&self) -> std::io::Result<()> {
-        self.file.sync_data()
-    }
 }
 
 #[cfg(test)]

@@ -39,7 +39,6 @@
 mod error;
 mod intern;
 mod label;
-mod manager;
 mod pattern;
 mod policy;
 mod privilege;
@@ -48,7 +47,6 @@ mod set;
 pub use error::{ParseLabelError, ParsePolicyError};
 pub use intern::{LabelSetId, PrivilegeSetId};
 pub use label::{Label, LabelKind};
-pub use manager::{DelegationError, DelegationId, LabelManager, Principal};
 pub use pattern::LabelPattern;
 pub use policy::{Policy, PrincipalKind, PrincipalPolicy};
 pub use privilege::{Privilege, PrivilegeKind, PrivilegeSet};

@@ -104,14 +104,6 @@ impl LabelPattern {
     pub fn is_wildcard(&self) -> bool {
         matches!(self.path, PathPattern::Prefix(_))
     }
-
-    /// If the pattern matches exactly one label, that label.
-    pub fn exact_label(&self) -> Option<Label> {
-        match &self.path {
-            PathPattern::Exact(p) => Label::new(self.kind, &self.authority, p).ok(),
-            PathPattern::Prefix(_) => None,
-        }
-    }
 }
 
 impl fmt::Display for LabelPattern {

@@ -19,7 +19,7 @@
 //! `Selector::parse(…)` (the untrusted-text parser — feeding it
 //! *constructed* text is the SQLi shape), and the view-name (first)
 //! argument of `records_by` / `create_view` / `query_view` /
-//! `query_view_range` / `query_view_trusted` / `query_view_range_trusted`.
+//! `query_view_range`.
 //!
 //! The check is deliberately intra-function and token-level (no type
 //! inference, no inter-procedural flow): it will not catch laundering
@@ -41,13 +41,11 @@ const FULL_ARG_SINKS: [&str; 2] = ["parse_trusted", "select_spec"];
 
 /// Sinks whose first (view-name / template) argument must be
 /// concat-free.
-const FIRST_ARG_SINKS: [&str; 6] = [
+const FIRST_ARG_SINKS: [&str; 4] = [
     "records_by",
     "create_view",
     "query_view",
     "query_view_range",
-    "query_view_trusted",
-    "query_view_range_trusted",
 ];
 
 /// Runs the rule over every non-test file.

@@ -13,9 +13,7 @@ use safeweb_engine::EngineOptions;
 use safeweb_json::Value;
 use safeweb_labels::Policy;
 use safeweb_relstore::{ColumnDef, ColumnType, Database, Schema};
-use safeweb_web::{
-    AuthConfig, Ctx, FrontendOptions, SResponse, SafeWebApp, TContext, TValue, Template,
-};
+use safeweb_web::{AuthConfig, Ctx, SResponse, SafeWebApp, TContext, TValue, Template};
 
 use crate::labels::mdt_user_privileges;
 use crate::registry::{self, MdtInfo, RegistryConfig};
@@ -208,13 +206,7 @@ impl MdtPortal {
     /// Builds the portal's web application (routes + vulnerability
     /// injection per `vuln`).
     pub fn frontend(&self, vuln: &VulnConfig) -> SafeWebApp {
-        let mut app = self
-            .deployment
-            .new_frontend()
-            .with_options(FrontendOptions {
-                label_checking: true,
-                ..Default::default()
-            });
+        let mut app = self.deployment.new_frontend();
         install_routes(
             &mut app,
             &self.mdts,

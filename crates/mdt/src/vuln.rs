@@ -167,7 +167,6 @@ fn study_portal(vuln: VulnConfig, label_checking: bool) -> (MdtPortal, SafeWebAp
     if !label_checking {
         app = app.with_options(safeweb_web::FrontendOptions {
             label_checking: false,
-            ..Default::default()
         });
     }
     (portal, app)

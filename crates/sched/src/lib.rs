@@ -27,7 +27,7 @@
 //! `tests/sched_props.rs` holds all three properties against a
 //! sequential executable specification under randomized worker counts,
 //! message interleavings and handler delays, in the style of the broker's
-//! `oracle::LinearBroker` equivalence suite.
+//! `routing_equivalence` suite.
 //!
 //! ## Scheduling
 //!

@@ -1,5 +1,5 @@
 //! Scheduler property tests, in the style of the broker's
-//! `oracle::LinearBroker` equivalence suite: a deliberately trivial
+//! `routing_equivalence` suite: a deliberately trivial
 //! **sequential executable specification** says what any correct
 //! execution must deliver, and the real work-stealing scheduler is held
 //! to it under randomized worker counts, inbox capacities, burst limits,

@@ -12,7 +12,6 @@ use safeweb_docstore::{DocStore, Document};
 use safeweb_http::{url_encode, Method, Request, Response};
 use safeweb_labels::PrivilegeSet;
 use safeweb_obs::{record_span, trace_scope, Counter, Histogram, MetricsRegistry, TraceId};
-use safeweb_relstore::{CellValue, Database, Row};
 use safeweb_taint::{SStr, SValue};
 
 use crate::auth::{AuthenticatedUser, UserStore};
@@ -157,7 +156,7 @@ impl<'a> Ctx<'a> {
         key: &str,
     ) -> Vec<SDoc> {
         self.records
-            .query_view_trusted(view, &safeweb_json::Value::from(key))
+            .query_view(view, &safeweb_json::Value::from(key))
             .unwrap_or_default()
             .into_iter()
             .map(labelled)
@@ -186,18 +185,16 @@ pub type RouteHandler = Arc<dyn Fn(&Ctx<'_>) -> SResponse + Send + Sync>;
 pub struct FrontendOptions {
     /// When `false`, the response label check is skipped — the paper's
     /// §5.3 "without taint tracking" baseline. Never disable in production.
+    /// The render cache holds only *released* bodies, so it is off too:
+    /// routes registered with [`SafeWebApp::get_cached`] render every
+    /// request.
     pub label_checking: bool,
-    /// When `false`, routes registered with [`SafeWebApp::get_cached`] are
-    /// served as if registered with [`SafeWebApp::get`] — every request
-    /// renders. Useful for measuring the cache's contribution.
-    pub render_caching: bool,
 }
 
 impl Default for FrontendOptions {
     fn default() -> FrontendOptions {
         FrontendOptions {
             label_checking: true,
-            render_caching: true,
         }
     }
 }
@@ -270,8 +267,6 @@ impl FrontendStats {
     }
 }
 
-type AuthLookup = Arc<dyn Fn(&Database, &str) -> Option<Row> + Send + Sync>;
-
 /// The SafeWeb application: routes plus the enforcement middleware.
 pub struct SafeWebApp {
     router: Router,
@@ -290,7 +285,6 @@ pub struct SafeWebApp {
     options: FrontendOptions,
     stats: Arc<FrontendStats>,
     render_cache: RenderCache,
-    auth_lookup: AuthLookup,
 }
 
 impl SafeWebApp {
@@ -308,26 +302,12 @@ impl SafeWebApp {
             options: FrontendOptions::default(),
             stats: Arc::new(FrontendStats::default()),
             render_cache: RenderCache::new(),
-            auth_lookup: Arc::new(|db, name| {
-                db.get("users", &CellValue::from(name)).ok().flatten()
-            }),
         }
     }
 
     /// Overrides options (baseline benchmarking only).
     pub fn with_options(mut self, options: FrontendOptions) -> SafeWebApp {
         self.options = options;
-        self
-    }
-
-    /// Replaces the user-lookup function — the hook used by the §5.2
-    /// "errors in access checks" experiment to inject a case-insensitive
-    /// username bug.
-    pub fn with_auth_lookup(
-        mut self,
-        lookup: impl Fn(&Database, &str) -> Option<Row> + Send + Sync + 'static,
-    ) -> SafeWebApp {
-        self.auth_lookup = Arc::new(lookup);
         self
     }
 
@@ -403,10 +383,10 @@ impl SafeWebApp {
     /// `web.privilege_fetch_ns`, `web.handler_ns`, `web.label_check_ns`,
     /// `web.denied`), one `web.route_ns.<name>` latency histogram per
     /// registered route (named by the author-written pattern), and —
-    /// only when render caching is enabled — the cache counters plus a
-    /// derived `web.render_cache.hit_rate` gauge. A cache-disabled
-    /// frontend registers *no* cache metrics, so its snapshots cannot
-    /// report stale zeros as live cache behaviour.
+    /// only while label checking (and so the render cache) is on — the
+    /// cache counters plus a derived `web.render_cache.hit_rate` gauge. A
+    /// cache-disabled frontend registers *no* cache metrics, so its
+    /// snapshots cannot report stale zeros as live cache behaviour.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
         registry.register_counter("web.requests", &self.stats.requests);
         registry.register_counter("web.auth_ns", &self.stats.auth_ns);
@@ -417,7 +397,7 @@ impl SafeWebApp {
         for (name, histogram) in self.route_names.iter().zip(&self.route_ns) {
             registry.register_histogram(&format!("web.route_ns.{name}"), histogram);
         }
-        if self.options.render_caching {
+        if self.options.label_checking {
             let hits = self.stats.render_cache_hits.clone();
             let misses = self.stats.render_cache_misses.clone();
             registry.register_counter("web.render_cache.hits", &hits);
@@ -488,7 +468,7 @@ impl SafeWebApp {
                 .with_body("authentication required");
         };
         let fetch_start = Instant::now();
-        let row = (self.auth_lookup)(self.users.database(), &username);
+        let row = self.users.lookup(&username);
         self.stats
             .privilege_fetch_ns
             .add(fetch_start.elapsed().as_nanos() as u64);
@@ -508,9 +488,7 @@ impl SafeWebApp {
         // label checking is on — the cached body is the *released* one).
         // The seq is read before the handler runs; if the store advances
         // mid-render the entry is born stale, which is the safe direction.
-        let cache_route = self.options.render_caching
-            && self.options.label_checking
-            && self.cacheable[handler_idx];
+        let cache_route = self.options.label_checking && self.cacheable[handler_idx];
         let (path_query, seq) = if cache_route {
             // The raw path plus the *re-encoded* query pairs: a decoded
             // `&` or `=` inside a name or value must not read as a
@@ -619,6 +597,7 @@ mod tests {
     use crate::auth::AuthConfig;
     use safeweb_json::jobject;
     use safeweb_labels::{Label, LabelSet, Privilege};
+    use safeweb_relstore::Database;
 
     /// An app over one record of MDT `a`, listed at `/records/:mid` (a
     /// cached route when `cached`), with three users: `mdt_a`, `peer_a`
@@ -751,7 +730,6 @@ mod tests {
         let (app, _) = setup();
         let app = app.with_options(FrontendOptions {
             label_checking: false,
-            ..Default::default()
         });
         // Baseline: even the uncleared user gets data (measured config only).
         let resp = app.handle(&req("/records/a", "nosy"));
@@ -838,10 +816,11 @@ mod tests {
 
     #[test]
     fn render_caching_can_be_disabled() {
+        // Label checking off is the one condition that turns the cache
+        // off: cached routes render every request and count nothing.
         let (app, _) = setup_cached();
         let app = app.with_options(FrontendOptions {
-            render_caching: false,
-            ..Default::default()
+            label_checking: false,
         });
         app.handle(&req("/records/a", "mdt_a"));
         app.handle(&req("/records/a", "mdt_a"));
@@ -854,8 +833,7 @@ mod tests {
     fn cache_disabled_frontend_registers_no_cache_metrics() {
         let (app, _) = setup_cached();
         let app = app.with_options(FrontendOptions {
-            render_caching: false,
-            ..Default::default()
+            label_checking: false,
         });
         let registry = MetricsRegistry::new();
         app.attach_metrics(&registry);

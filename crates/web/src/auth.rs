@@ -8,7 +8,7 @@
 //! can calibrate the same profile.
 
 use safeweb_labels::{Privilege, PrivilegeSet};
-use safeweb_relstore::{CellValue, ColumnDef, ColumnType, Database, Schema};
+use safeweb_relstore::{ColumnDef, ColumnType, Database, Row, Schema};
 
 /// Authentication configuration.
 #[derive(Debug, Clone, Copy)]
@@ -94,77 +94,25 @@ impl UserStore {
             .map_err(|e| e.to_string())
     }
 
-    /// Grants an additional privilege to an existing user (the audited
-    /// privilege-assignment path of the MDT portal, §5.2).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error string if the user does not exist.
-    pub fn grant_privilege(&self, username: &str, privilege: Privilege) -> Result<(), String> {
-        let row = self
-            .db
-            .get("users", &CellValue::from(username))
-            .map_err(|e| e.to_string())?
-            .ok_or_else(|| format!("no such user {username:?}"))?;
-        let mut privs = wire_to_privileges(row.text("privileges").unwrap_or(""));
-        privs.grant(privilege);
-        self.db
-            .update(
-                "users",
-                vec![
-                    username.into(),
-                    row.text("password_hash").unwrap_or("").into(),
-                    privileges_to_wire(&privs).into(),
-                    row.bool("is_admin").unwrap_or(false).into(),
-                ],
-            )
-            .map_err(|e| e.to_string())
+    /// Fetches a user's `users` row by exact (case-sensitive) username.
+    pub fn lookup(&self, username: &str) -> Option<Row> {
+        self.db.get("users", &username.into()).ok().flatten()
     }
 
-    /// Verifies credentials (slow by design) and fetches privileges.
-    /// Returns `None` on unknown user or wrong password.
-    ///
-    /// The `lookup` closure gives the §5.2 "errors in access checks"
-    /// experiment a hook to inject a case-insensitive username bug; the
-    /// production path is [`UserStore::authenticate`].
-    pub fn authenticate_with_lookup(
-        &self,
-        username: &str,
-        password: &str,
-        lookup: impl Fn(&Database, &str) -> Option<safeweb_relstore::Row>,
-    ) -> Option<AuthenticatedUser> {
-        let row = lookup(&self.db, username)?;
-        let stored_name = row.text("username")?.to_string();
-        let expected = row.text("password_hash")?;
-        // NOTE: hash is salted with the *stored* username.
-        let got = hash_password(&stored_name, password, self.config.hash_iterations);
-        if !constant_time_eq(expected.as_bytes(), got.as_bytes()) {
-            return None;
-        }
-        Some(AuthenticatedUser {
-            username: stored_name,
-            privileges: wire_to_privileges(row.text("privileges").unwrap_or("")),
-            is_admin: row.bool("is_admin").unwrap_or(false),
-        })
-    }
-
-    /// Verifies credentials with the standard exact-match lookup.
+    /// Verifies credentials (slow by design) and fetches privileges:
+    /// [`UserStore::lookup`] then [`UserStore::verify_row`]. Returns
+    /// `None` on unknown user or wrong password.
     pub fn authenticate(&self, username: &str, password: &str) -> Option<AuthenticatedUser> {
-        self.authenticate_with_lookup(username, password, |db, name| {
-            db.get("users", &CellValue::from(name)).ok().flatten()
-        })
+        self.verify_row(&self.lookup(username)?, password)
     }
 
     /// Verifies a password against an already-fetched `users` row (the
     /// frontend middleware fetches and verifies in separate, separately
     /// timed phases — privilege fetching vs. authentication in Figure 5).
-    pub fn verify_row(
-        &self,
-        row: &safeweb_relstore::Row,
-        password: &str,
-    ) -> Option<AuthenticatedUser> {
+    pub fn verify_row(&self, row: &Row, password: &str) -> Option<AuthenticatedUser> {
         let stored_name = row.text("username")?.to_string();
         let expected = row.text("password_hash")?;
+        // The hash is salted with the *stored* username.
         let got = hash_password(&stored_name, password, self.config.hash_iterations);
         if !constant_time_eq(expected.as_bytes(), got.as_bytes()) {
             return None;
@@ -303,22 +251,6 @@ mod tests {
         let upper = store.authenticate("MDT1", "b").unwrap();
         assert_ne!(lower.privileges, upper.privileges);
         assert!(store.authenticate("MDT1", "a").is_none());
-    }
-
-    #[test]
-    fn grant_privilege_extends_user() {
-        let store = store();
-        store
-            .create_user("u", "p", &PrivilegeSet::new(), false)
-            .unwrap();
-        store
-            .grant_privilege("u", Privilege::clearance(Label::conf("e", "x")))
-            .unwrap();
-        let user = store.authenticate("u", "p").unwrap();
-        assert!(user.privileges.has_clearance(&Label::conf("e", "x")));
-        assert!(store
-            .grant_privilege("ghost", Privilege::clearance(Label::conf("e", "x")))
-            .is_err());
     }
 
     #[test]

@@ -389,7 +389,6 @@ fn unchecked_baseline_serves_the_same_page_through_the_same_path() {
     let checked = get_table(&table_app(100, None, FrontendOptions::default()));
     let baseline = FrontendOptions {
         label_checking: false,
-        ..FrontendOptions::default()
     };
     assert_eq!(get_table(&table_app(100, None, baseline.clone())), checked);
     // With checking off even the foreign row is served (measured
