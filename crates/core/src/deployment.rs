@@ -340,7 +340,8 @@ impl SafeWebDeployment {
     /// The deployment-wide metrics registry. Every subsystem reports
     /// here — broker (`broker.*`), scheduler (`sched.*`), document
     /// stores (`docstore.app.*` / `docstore.dmz.*`), replication
-    /// (`replication.lag_seqs`, `.runs`, `.wakeups`, `.docs_per_run`),
+    /// (`replication.lag_seqs`, `.runs`, `.wakeups`, `.coalesced`,
+    /// `.docs_per_run`),
     /// declassification audit (`safeq.*`),
     /// and, once served, the frontend (`web.*`, `frontend.*`). Call
     /// [`safeweb_obs::MetricsRegistry::snapshot`] for one consistent

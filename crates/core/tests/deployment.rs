@@ -162,11 +162,13 @@ fn durable_deployment_recovers_and_resumes_replication() {
             .dmz_db()
             .wait_until(Duration::from_secs(10), |db| db.len() == 1));
         first_seq = deployment.app_db().seq();
-        // Persisting a checkpoint is not a document commit, so nothing
-        // signals it: poll.
-        wait_until(Duration::from_secs(10), || {
-            deployment.dmz_db().replication_checkpoint_persisted() == Some(first_seq)
-        });
+        // The checkpoint is logged in the replica's commit of the run
+        // (or in a checkpoint-only commit), and every commit signals.
+        assert!(deployment
+            .dmz_db()
+            .wait_until(Duration::from_secs(10), |db| {
+                db.replication_checkpoint_persisted() == Some(first_seq)
+            }));
     } // deployment dropped: engine + replication stop, stores close
 
     let deployment = build();

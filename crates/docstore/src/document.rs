@@ -15,17 +15,20 @@ pub struct Revision {
 }
 
 impl Revision {
-    pub(crate) fn first(body: &Value) -> Revision {
+    /// The first revision of a body whose [`Value::to_json`] encoding is
+    /// `body_json`: the caller serialises once and reuses the bytes.
+    pub(crate) fn first(body_json: &str) -> Revision {
         Revision {
             generation: 1,
-            digest: fnv1a(body.to_json().as_bytes()),
+            digest: fnv1a(body_json.as_bytes()),
         }
     }
 
-    pub(crate) fn next(&self, body: &Value) -> Revision {
+    /// The revision after `self` for a body encoded as `body_json`.
+    pub(crate) fn next(&self, body_json: &str) -> Revision {
         Revision {
             generation: self.generation + 1,
-            digest: fnv1a(body.to_json().as_bytes()),
+            digest: fnv1a(body_json.as_bytes()),
         }
     }
 
@@ -161,25 +164,24 @@ mod tests {
 
     #[test]
     fn revision_is_deterministic_in_content() {
-        let a = Revision::first(&jobject! {"x" => 1});
-        let b = Revision::first(&jobject! {"x" => 1});
-        let c = Revision::first(&jobject! {"x" => 2});
+        let a = Revision::first(&jobject! {"x" => 1}.to_json());
+        let b = Revision::first(&jobject! {"x" => 1}.to_json());
+        let c = Revision::first(&jobject! {"x" => 2}.to_json());
         assert_eq!(a, b);
         assert_ne!(a, c);
     }
 
     #[test]
     fn revision_generation_increments() {
-        let body = jobject! {"x" => 1};
-        let r1 = Revision::first(&body);
-        let r2 = r1.next(&jobject! {"x" => 2});
+        let r1 = Revision::first(&jobject! {"x" => 1}.to_json());
+        let r2 = r1.next(&jobject! {"x" => 2}.to_json());
         assert_eq!(r1.generation(), 1);
         assert_eq!(r2.generation(), 2);
     }
 
     #[test]
     fn revision_string_roundtrip() {
-        let r = Revision::first(&jobject! {"x" => 1});
+        let r = Revision::first(&jobject! {"x" => 1}.to_json());
         assert_eq!(Revision::parse(&r.to_string()), Some(r));
         assert_eq!(Revision::parse("junk"), None);
     }

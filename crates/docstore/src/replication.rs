@@ -8,28 +8,38 @@
 //!
 //! Each run is one of two modes:
 //!
-//! * **Incremental** — the common case: fetch the changes feed past the
-//!   checkpoint, deduplicate it per document id (only the newest change
-//!   per id matters; superseded revisions were already overwritten at the
-//!   source), and apply one write or deletion per distinct id.
+//! * **Incremental** — the common case, and exactly two store
+//!   transactions. One read transaction on the source takes the changes
+//!   feed past the checkpoint, deduplicated per document id (only the
+//!   newest change per id matters; superseded revisions were already
+//!   overwritten at the source), with each id's current document or its
+//!   deletion. One write transaction on the target skips what it already
+//!   holds, logs the rest and — for a durable target — the new
+//!   checkpoint with one append, applies it all and raises the target's
+//!   commit signal once. A run with nothing to push takes no write
+//!   transaction.
 //! * **Full resync** — the fallback when the checkpoint predates the
 //!   source's [compaction horizon](DocStore::compacted_seq): the feed
 //!   below the horizon has dropped tombstones, so an incremental pass
 //!   could silently *miss deletions*. Instead the source is snapshotted,
 //!   every differing document is copied, and target documents absent from
-//!   the source are swept away.
+//!   the source are swept away, through the same write transaction in
+//!   chunks of [`RESYNC_CHUNK`]; the checkpoint is logged after the last.
 //!
-//! ## When a run happens: on commit, periodic fallback
+//! ## When a run happens: on commit, at a bounded rate
 //!
 //! [`ReplicationHandle`]'s thread parks on the source store's
 //! [`CommitSignal`], which every committed write raises, so a write is
-//! pushed as soon as it exists rather than at the next tick. After a
-//! wake-up the thread waits one fixed [`COALESCE_DELAY`] before it runs:
-//! a burst of writes then travels as one batch, and a document rewritten
-//! many times in the burst (the portal's shared `metrics-*` / `regional-*`
-//! documents) is still copied once per run, not once per write. The
-//! `interval` every constructor takes is the *liveness fallback*: the
-//! longest the thread stays parked without a signal.
+//! pushed as soon as it exists rather than at the next tick. Runs
+//! *start* at most once per [`COALESCE_DELAY`]: woken by a commit, the
+//! thread waits only for what is left of that delay since the previous
+//! run started. A commit after a quiet spell is pushed at once, while
+//! under a burst the writes of one delay travel as one batch, and a
+//! document rewritten many times in the burst (the portal's shared
+//! `metrics-*` / `regional-*` documents) is still copied once per run,
+//! not once per write. The `interval` every constructor takes is the
+//! *liveness fallback*: the longest the thread stays parked without a
+//! signal.
 //!
 //! ## One deep copy, at the zone boundary
 //!
@@ -41,7 +51,7 @@
 //! heap. Handing the DMZ store the source's own allocation was measured
 //! 20–30 % slower on the front page's hundred-row view read.
 
-use std::collections::BTreeMap;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -49,11 +59,16 @@ use std::time::{Duration, Instant};
 
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
 
-use crate::store::DocStore;
+use crate::store::{Applied, DocStore, Replicated};
 
-/// How long a woken replication thread waits before it runs, so the writes
-/// of one burst are pushed (and deduplicated) as one batch.
+/// The shortest gap between the starts of two replication runs, so the
+/// writes of one burst are pushed (and deduplicated) as one batch.
 const COALESCE_DELAY: Duration = Duration::from_millis(1);
+
+/// Documents per write transaction during a full resync, so a resync of
+/// a large store neither holds the target's lock nor copies the whole
+/// store at once.
+const RESYNC_CHUNK: usize = 1024;
 
 /// A store's "something was committed" signal: a generation counter that
 /// every committed write advances, and that replication threads (and
@@ -119,6 +134,9 @@ pub struct Replicator {
     source: DocStore,
     target: DocStore,
     checkpoint: u64,
+    /// The checkpoint a durable target has logged; `None` for an
+    /// in-memory target.
+    logged: Option<u64>,
 }
 
 /// Summary of one replication run.
@@ -146,10 +164,12 @@ impl Replicator {
     /// (e.g. [`Replicator::checkpoint`] persisted across a restart), so a
     /// restarted replicator does not re-transfer the whole history.
     pub fn with_checkpoint(source: DocStore, target: DocStore, checkpoint: u64) -> Replicator {
+        let logged = target.replication_checkpoint_persisted();
         Replicator {
             source,
             target,
             checkpoint,
+            logged,
         }
     }
 
@@ -158,106 +178,103 @@ impl Replicator {
         self.checkpoint
     }
 
-    /// Pushes all changes since the checkpoint. Interrupted runs are safe
-    /// to retry: replication is idempotent (last write per id wins, and the
-    /// checkpoint only advances after the batch applies).
+    /// The checkpoint a waiter may rely on: what a durable target has
+    /// logged (a run whose append failed does not move it), otherwise the
+    /// checkpoint itself.
+    fn published(&self) -> u64 {
+        self.logged.unwrap_or(self.checkpoint)
+    }
+
+    /// Pushes all changes since the checkpoint, in one read transaction
+    /// on the source and at most one write transaction on the target (see
+    /// the module docs). Interrupted runs are safe to retry: replication
+    /// is idempotent (last write per id wins, and the checkpoint only
+    /// advances after the batch applies). A durable target logs the new
+    /// checkpoint in the same append as the batch.
     ///
     /// The batch is deduplicated per document id before any write: the
     /// newest change wins, so a document updated many times since the last
-    /// run is fetched and written exactly once, and
+    /// run is copied and written exactly once, and
     /// [`ReplicationReport::docs_written`] counts distinct documents —
     /// not feed entries. Writes whose revision already matches the target
     /// are skipped, keeping the target's sequence number from inflating.
     pub fn run_once(&mut self) -> ReplicationReport {
-        if self.checkpoint > self.source.seq() {
-            // The checkpoint claims history the source does not have: the
-            // source store was lost and recreated (or the checkpoint
-            // belongs to another source). Incremental replication would
-            // sit forever on an empty feed while the stores silently
-            // diverge — resync and adopt the source's real sequence.
+        // `None`: the checkpoint predates the compaction horizon, so
+        // deletions below it are gone from the feed and an incremental
+        // pass would leave ghosts on the target; or it is ahead of the
+        // source, which was lost and recreated, and an incremental pass
+        // would sit on an empty feed while the stores diverge. Resync.
+        let Some((seq, changed)) = self.source.replication_batch(self.checkpoint) else {
             return self.full_resync();
-        }
-        if self.checkpoint < self.source.compacted_seq() {
-            // Entries at or below the horizon were compacted; deletions
-            // there are gone from the feed. Incremental replication would
-            // silently leave ghosts on the target — resync instead.
-            return self.full_resync();
-        }
-        let changes = self.source.changes_since(self.checkpoint);
-        // Re-check after the fetch: a compaction can race in between and
-        // drop tombstones out of the range just read. `compacted_seq` is
-        // monotonic, so passing this second check proves the feed was
-        // still intact when it was copied (later compactions cannot
-        // corrupt the copy).
-        if self.checkpoint < self.source.compacted_seq() {
-            return self.full_resync();
-        }
-        let mut report = ReplicationReport {
-            checkpoint: self.checkpoint,
-            ..ReplicationReport::default()
         };
-        let mut max_seq = self.checkpoint;
-        // Dedupe the batch: only each id's newest change is applied.
-        let mut latest: BTreeMap<&str, &crate::store::Change> = BTreeMap::new();
-        for change in &changes {
-            max_seq = max_seq.max(change.seq);
-            latest.insert(change.id.as_str(), change);
+        let batch = changed.into_iter().map(copy_across_zones).collect();
+        let applied = self.commit(batch, seq);
+        ReplicationReport {
+            docs_written: applied.written,
+            docs_deleted: applied.deleted,
+            checkpoint: seq,
+            resynced: false,
         }
-        for (id, change) in latest {
-            match change.rev {
-                Some(_) => {
-                    // Fetch the *current* version; the changed revision may
-                    // already be superseded (or deleted — then a later
-                    // tombstone past `max_seq` covers it next run).
-                    if let Some(doc) = self.source.get(id) {
-                        if self.target.get(id).is_none_or(|d| d.rev() != doc.rev()) {
-                            self.target.apply_replicated(doc.deep_copy());
-                            report.docs_written += 1;
-                        }
-                    }
-                }
-                None => {
-                    if self.target.apply_replicated_delete(id) {
-                        report.docs_deleted += 1;
-                    }
-                }
-            }
+    }
+
+    /// Applies `batch` and advances the checkpoint to `seq` in one target
+    /// write transaction, skipped when there is nothing to push or log.
+    fn commit(&mut self, batch: Vec<Replicated>, seq: u64) -> Applied {
+        let log = self.logged.is_some_and(|l| l != seq).then_some(seq);
+        self.checkpoint = seq;
+        if batch.is_empty() && log.is_none() {
+            return Applied::default();
         }
-        self.checkpoint = max_seq;
-        report.checkpoint = max_seq;
-        report
+        let applied = self.target.apply_replicated(batch, log);
+        self.logged = applied.logged;
+        applied
     }
 
     /// Full resync: snapshot the source, copy every document whose
     /// revision differs, and sweep target documents the source no longer
     /// holds (the "tombstone sweep" — deletions compacted out of the feed
-    /// are reconstructed by absence).
+    /// are reconstructed by absence). Chunks of [`RESYNC_CHUNK`] go
+    /// through the same write transaction as an incremental run; the
+    /// checkpoint is logged only after the last, so a crash mid-resync
+    /// resumes with another resync.
     fn full_resync(&mut self) -> ReplicationReport {
         let (seq, docs) = self.source.snapshot();
+        let live: HashSet<&str> = docs.iter().map(|d| d.id()).collect();
+        let swept: Vec<String> = self
+            .target
+            .ids()
+            .into_iter()
+            .filter(|id| !live.contains(id.as_str()))
+            .collect();
         let mut report = ReplicationReport {
             checkpoint: seq,
             resynced: true,
             ..ReplicationReport::default()
         };
-        let mut live = std::collections::BTreeSet::new();
-        for doc in docs {
-            live.insert(doc.id().to_string());
-            if self
-                .target
-                .get(doc.id())
-                .is_none_or(|d| d.rev() != doc.rev())
-            {
-                self.target.apply_replicated(doc.deep_copy());
-                report.docs_written += 1;
-            }
+        let puts = docs.chunks(RESYNC_CHUNK).map(|chunk| {
+            chunk
+                .iter()
+                .map(|d| Replicated::Put(d.deep_copy()))
+                .collect()
+        });
+        let deletes = swept
+            .chunks(RESYNC_CHUNK)
+            .map(|chunk| chunk.iter().cloned().map(Replicated::Delete).collect());
+        for chunk in puts.chain(deletes) {
+            let applied = self.target.apply_replicated(chunk, None);
+            report.docs_written += applied.written;
+            report.docs_deleted += applied.deleted;
         }
-        for id in self.target.ids() {
-            if !live.contains(&id) && self.target.apply_replicated_delete(&id) {
-                report.docs_deleted += 1;
-            }
-        }
-        self.checkpoint = seq;
+        self.commit(Vec::new(), seq);
         report
+    }
+}
+
+/// The one deep copy, at the zone boundary (see the module docs).
+fn copy_across_zones(entry: Replicated) -> Replicated {
+    match entry {
+        Replicated::Put(doc) => Replicated::Put(doc.deep_copy()),
+        delete => delete,
     }
 }
 
@@ -281,6 +298,8 @@ struct Shared {
     progress: (Mutex<()>, Condvar),
     runs: Counter,
     wakeups: Counter,
+    /// Wake-ups that waited for the rest of a [`COALESCE_DELAY`].
+    coalesced: Counter,
     docs_per_run: Histogram,
 }
 
@@ -315,63 +334,57 @@ impl ReplicationHandle {
     /// behind the source's compaction horizon degrades safely into a full
     /// resync on the first run.
     ///
-    /// When the target is durable, every completed run's checkpoint is
-    /// additionally persisted through the target's write-ahead log
-    /// (after the run's writes, so a recovered checkpoint never claims
-    /// more than what was applied) before it is published; restarts can
-    /// then resume via [`ReplicationHandle::start_durable`].
+    /// When the target is durable, each run logs its checkpoint in the
+    /// target's write-ahead log, in the same append as the run's writes,
+    /// and only a logged checkpoint is published: a recovered or
+    /// published checkpoint never claims more than what the log holds,
+    /// and restarts can resume via [`ReplicationHandle::start_durable`].
     pub fn start_from(
         source: DocStore,
         target: DocStore,
         interval: Duration,
         checkpoint: u64,
     ) -> ReplicationHandle {
+        let mut replicator = Replicator::with_checkpoint(source, target, checkpoint);
         let shared = Arc::new(Shared {
-            signal: Arc::clone(source.commit_signal()),
+            signal: Arc::clone(replicator.source.commit_signal()),
             stop: AtomicBool::new(false),
-            checkpoint: Arc::new(AtomicU64::new(checkpoint)),
+            checkpoint: Arc::new(AtomicU64::new(replicator.published())),
             progress: (Mutex::new(()), Condvar::new()),
             runs: Counter::new(),
             wakeups: Counter::new(),
+            coalesced: Counter::new(),
             docs_per_run: Histogram::with_bounds(Histogram::size_bounds()),
         });
         let thread = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("safeweb-replication".to_string())
-                .spawn(move || {
-                    let persist_to = target.is_durable().then(|| target.clone());
-                    let mut replicator = Replicator::with_checkpoint(source, target, checkpoint);
-                    let mut persisted = None;
-                    loop {
-                        // Read before the run reads the feed, so a commit
-                        // that lands mid-run ends the park at once — and
-                        // before the stop check, so a `stop` whose raise
-                        // `seen` already covers is caught here instead of
-                        // parking through it.
-                        let seen = shared.signal.generation();
-                        if shared.stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let report = replicator.run_once();
-                        shared.runs.inc();
-                        shared
-                            .docs_per_run
-                            .observe(report.docs_written + report.docs_deleted);
-                        if let Some(t) = &persist_to {
-                            if persisted != Some(report.checkpoint) {
-                                // A failed append leaves the old (smaller)
-                                // checkpoint in force: safe, re-replicates.
-                                if t.persist_replication_checkpoint(report.checkpoint).is_ok() {
-                                    persisted = Some(report.checkpoint);
-                                }
-                            }
-                        }
-                        shared.publish(report.checkpoint);
-                        let committed = shared.signal.park_past(seen, interval);
-                        if committed && !shared.stop.load(Ordering::SeqCst) {
-                            shared.wakeups.inc();
-                            std::thread::sleep(COALESCE_DELAY);
+                .spawn(move || loop {
+                    // Read before the run reads the feed, so a commit that
+                    // lands mid-run ends the park at once — and before the
+                    // stop check, so a `stop` whose raise `seen` already
+                    // covers is caught here instead of parking through it.
+                    let seen = shared.signal.generation();
+                    if shared.stop.load(Ordering::SeqCst) {
+                        break;
+                    }
+                    let started = Instant::now();
+                    let report = replicator.run_once();
+                    shared.runs.inc();
+                    shared
+                        .docs_per_run
+                        .observe(report.docs_written + report.docs_deleted);
+                    shared.publish(replicator.published());
+                    let committed = shared.signal.park_past(seen, interval);
+                    if committed && !shared.stop.load(Ordering::SeqCst) {
+                        shared.wakeups.inc();
+                        // Runs start at most once per delay; after a
+                        // quiet spell the wait is already over.
+                        let rest = COALESCE_DELAY.saturating_sub(started.elapsed());
+                        if !rest.is_zero() {
+                            shared.coalesced.inc();
+                            std::thread::sleep(rest);
                         }
                     }
                 })
@@ -383,9 +396,9 @@ impl ReplicationHandle {
         }
     }
 
-    /// The checkpoint after the most recent completed run. Persist this
-    /// and hand it to [`ReplicationHandle::start_from`] to resume after a
-    /// restart.
+    /// The checkpoint after the most recent completed run — for a durable
+    /// target, the most recent one its log holds. Persist this and hand it
+    /// to [`ReplicationHandle::start_from`] to resume after a restart.
     pub fn checkpoint(&self) -> u64 {
         self.shared.checkpoint.load(Ordering::SeqCst)
     }
@@ -420,11 +433,14 @@ impl ReplicationHandle {
     /// Surfaces this handle's counters in `registry` under `prefix`
     /// (e.g. `"replication"`): `<prefix>.runs` — replication runs;
     /// `<prefix>.wakeups` — runs started by a commit signal rather than
-    /// the fallback interval; `<prefix>.docs_per_run` — documents written
-    /// or deleted per run. Counts only: no ids, no bodies.
+    /// the fallback interval; `<prefix>.coalesced` — wake-ups that waited
+    /// out the rest of the coalescing delay first; `<prefix>.docs_per_run`
+    /// — documents written or deleted per run. Counts only: no ids, no
+    /// bodies.
     pub fn attach_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
         registry.register_counter(&format!("{prefix}.runs"), &self.shared.runs);
         registry.register_counter(&format!("{prefix}.wakeups"), &self.shared.wakeups);
+        registry.register_counter(&format!("{prefix}.coalesced"), &self.shared.coalesced);
         registry.register_histogram(&format!("{prefix}.docs_per_run"), &self.shared.docs_per_run);
     }
 
@@ -696,6 +712,125 @@ mod tests {
     }
 
     const WAIT: Duration = Duration::from_secs(5);
+
+    /// The handle publishes only what a durable target logged: when the
+    /// run cannot be logged (an oversized document), the replica still
+    /// applies it, but `wait_for_checkpoint` — which promises the
+    /// checkpoint is in the target's log — must not report it reached.
+    #[test]
+    fn handle_publishes_only_the_checkpoint_its_durable_target_logged() {
+        let dir = std::env::temp_dir().join(format!("safeweb-rep-publish-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let src = DocStore::new("s");
+        let dst = DocStore::open(&dir).unwrap();
+        src.put("a", jobject! {}, LabelSet::new(), None).unwrap();
+        let huge = "x".repeat(64 * 1024 * 1024 + 16);
+        src.put(
+            "big",
+            jobject! {"v" => huge.as_str()},
+            LabelSet::new(),
+            None,
+        )
+        .unwrap();
+        let handle =
+            ReplicationHandle::start_durable(src.clone(), dst.clone(), Duration::from_secs(30));
+        let published = handle.checkpoint_cell();
+        assert!(dst.wait_until(WAIT, |db| db.get("big").is_some()));
+        assert!(!handle.wait_for_checkpoint(src.seq(), Duration::from_millis(50)));
+        // Joined: every run that started has published.
+        handle.stop();
+        assert!(dst.persistence_error().is_some());
+        assert_eq!(dst.replication_checkpoint_persisted(), Some(0));
+        assert_eq!(published.load(Ordering::SeqCst), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A run is one read transaction on the source and one write
+    /// transaction on the target: one commit however many documents it
+    /// carries, the durable target's checkpoint included — and none at
+    /// all when there is nothing to push.
+    #[test]
+    fn a_non_empty_run_is_exactly_one_target_commit() {
+        let dir =
+            std::env::temp_dir().join(format!("safeweb-rep-one-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let src = DocStore::new("s");
+        let dst = DocStore::open(&dir).unwrap();
+        for i in 0..20 {
+            src.put(&format!("d{i}"), jobject! {"i" => i}, LabelSet::new(), None)
+                .unwrap();
+        }
+        let mut rep = Replicator::new(src.clone(), dst.clone());
+        let commits = || dst.commit_signal().generation();
+
+        let before = commits();
+        assert_eq!(rep.run_once().docs_written, 20);
+        assert_eq!(commits(), before + 1);
+        assert_eq!(dst.replication_checkpoint_persisted(), Some(src.seq()));
+
+        let rev = src.get("d0").unwrap().rev().clone();
+        src.delete("d0", &rev).unwrap();
+        let rev = src.get("d1").unwrap().rev().clone();
+        src.put("d1", jobject! {"i" => -1}, LabelSet::new(), Some(&rev))
+            .unwrap();
+        let before = commits();
+        let report = rep.run_once();
+        assert_eq!((report.docs_written, report.docs_deleted), (1, 1));
+        assert_eq!(commits(), before + 1);
+        assert_eq!(dst.replication_checkpoint_persisted(), Some(src.seq()));
+
+        let empty = ReplicationReport {
+            checkpoint: src.seq(),
+            ..ReplicationReport::default()
+        };
+        assert_eq!(rep.run_once(), empty);
+        assert_eq!(commits(), before + 1, "an empty run committed");
+        drop(dst);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Under a burst, run *starts* are at least one coalescing delay
+    /// apart, so however many commits arrive, no more runs start in a
+    /// window than the delay fits into it (plus the first).
+    #[test]
+    fn run_starts_are_a_coalescing_delay_apart_during_a_burst() {
+        let src = DocStore::new("s");
+        let dst = DocStore::new("d");
+        let window = Instant::now();
+        let handle = ReplicationHandle::start(src.clone(), dst.clone(), Duration::from_secs(30));
+        for i in 0..2000 {
+            src.put(&format!("d{i}"), jobject! {}, LabelSet::new(), None)
+                .unwrap();
+        }
+        assert!(handle.wait_for_checkpoint(src.seq(), WAIT));
+        // Read the count first: every run it counts started in the window.
+        let runs = handle.shared.runs.get();
+        let window = window.elapsed();
+        let fits = (window.as_micros() / COALESCE_DELAY.as_micros()) as u64 + 1;
+        assert!(runs <= fits, "{runs} runs started in {window:?}");
+        assert_eq!(dst.len(), 2000);
+    }
+
+    /// A commit after a quiet spell longer than the delay is pushed at
+    /// once: the wake-up finds the delay since the last run start already
+    /// over and does not wait.
+    #[test]
+    fn a_commit_after_a_quiet_spell_is_pushed_without_waiting() {
+        let src = DocStore::new("s");
+        let dst = DocStore::new("d");
+        src.put("first", jobject! {}, LabelSet::new(), None)
+            .unwrap();
+        // The first run covers "first" and no commit follows it, so the
+        // thread parks with nothing pending.
+        let handle = ReplicationHandle::start(src.clone(), dst.clone(), Duration::from_secs(30));
+        assert!(handle.wait_for_checkpoint(src.seq(), WAIT));
+        std::thread::sleep(2 * COALESCE_DELAY);
+        src.put("a", jobject! {}, LabelSet::new(), None).unwrap();
+        assert!(handle.wait_for_checkpoint(src.seq(), WAIT));
+        assert!(dst.get("a").is_some());
+        assert_eq!(handle.shared.wakeups.get(), 1);
+        assert_eq!(handle.shared.coalesced.get(), 0, "the wake-up waited");
+    }
 
     #[test]
     fn background_replication_runs_until_stopped() {

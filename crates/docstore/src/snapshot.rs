@@ -58,7 +58,7 @@ pub(crate) fn write<'a>(
     let mut payload = String::new();
     for doc in docs {
         payload.clear();
-        write_doc(doc, None, &mut payload);
+        write_doc(doc, None, None, &mut payload);
         push_frame(&payload, &mut out);
     }
     file.write_all(&out)?;

@@ -88,6 +88,27 @@ pub struct Change {
     pub rev: Option<Revision>,
 }
 
+/// One document's state as a replication run carries it.
+#[derive(Debug)]
+pub(crate) enum Replicated {
+    /// The document's current version.
+    Put(Document),
+    /// The id is deleted.
+    Delete(String),
+}
+
+/// What one [`DocStore::apply_replicated`] transaction did.
+#[derive(Debug, Default)]
+pub(crate) struct Applied {
+    /// Documents written (entries already at their revision are skipped).
+    pub(crate) written: u64,
+    /// Documents deleted.
+    pub(crate) deleted: u64,
+    /// The replication checkpoint the store has logged afterwards; `None`
+    /// for an in-memory store.
+    pub(crate) logged: Option<u64>,
+}
+
 /// A registered view: the indexed body field plus the index itself,
 /// maintained incrementally on every write. Index keys are the
 /// [order-preserving encoding](index_key) of the field value, so equal
@@ -340,22 +361,23 @@ fn reindex(views: &mut BTreeMap<String, View>, old: Option<&Document>, new: Opti
 }
 
 impl Inner {
-    /// Appends one WAL record *before* the in-memory mutation it
-    /// describes; a no-op for in-memory stores. The payload closure only
-    /// runs when the store is durable. On failure the mutation must not
-    /// proceed — the caller propagates the error — and an I/O failure is
-    /// sticky: later writes are refused too, so the durable state can
-    /// never silently fall behind the acknowledged state. A *validation*
-    /// refusal (oversized record) touches nothing and is not sticky —
-    /// only that one write is rejected, the store stays healthy.
+    /// Appends WAL records — one `write(2)` for all of them — *before*
+    /// the in-memory mutations they describe; a no-op for in-memory
+    /// stores. The encoding closure only runs when the store is durable.
+    /// On failure the mutation must not proceed — the caller propagates
+    /// the error — and an I/O failure is sticky: later writes are refused
+    /// too, so the durable state can never silently fall behind the
+    /// acknowledged state. A *validation* refusal (oversized record)
+    /// touches nothing and is not sticky — only that one write is
+    /// rejected, the store stays healthy.
     ///
-    /// Under [`WalSync::Always`] the record is not yet fsynced when this
-    /// returns: the caller must wait on the returned [`WriteTicket`]
+    /// Under [`WalSync::Always`] the records are not yet fsynced when
+    /// this returns: the caller must wait on the returned [`WriteTicket`]
     /// (via [`DocStore::wait_durable`], after releasing the store lock)
     /// before acknowledging the write.
-    fn persist(
+    fn persist<R: AsRef<[String]>>(
         &mut self,
-        encode: impl FnOnce() -> String,
+        encode: impl FnOnce() -> R,
     ) -> Result<Option<WriteTicket>, StoreError> {
         let Some(d) = self.durability.as_mut() else {
             return Ok(None);
@@ -363,9 +385,10 @@ impl Inner {
         if let Some(why) = &d.failed {
             return Err(StoreError::Io(format!("log previously failed: {why}")));
         }
-        match d.wal.append(&encode()) {
+        let records = encode();
+        match d.wal.append_many(records.as_ref()) {
             Ok(ticket) => {
-                d.since_snapshot += 1;
+                d.since_snapshot += records.as_ref().len();
                 Ok(ticket.map(|ticket| WriteTicket {
                     group: Arc::clone(d.wal.group()),
                     ticket,
@@ -377,30 +400,6 @@ impl Inner {
                 }
                 Err(StoreError::Io(e.to_string()))
             }
-        }
-    }
-
-    /// [`Inner::persist`] for the replication-apply path: the apply
-    /// proceeds regardless, so *every* failure — including the non-sticky
-    /// validation refusal — must set the sticky flag. The flag is what
-    /// blocks [`DocStore::persist_replication_checkpoint`]; without it an
-    /// unlogged replicated write would be checkpointed past and silently
-    /// lost on the next recovery.
-    ///
-    /// No group-commit wait here: replicated writes are acknowledged to
-    /// the *source* only by the durable checkpoint that follows them in
-    /// the same WAL, and that checkpoint's own sync covers them.
-    fn apply_persist(&mut self, encode: impl FnOnce() -> String) {
-        match self.persist(encode) {
-            Ok(_) => {}
-            Err(StoreError::Io(why)) => {
-                if let Some(d) = self.durability.as_mut() {
-                    if d.failed.is_none() {
-                        d.failed = Some(why);
-                    }
-                }
-            }
-            Err(_) => {}
         }
     }
 
@@ -950,7 +949,8 @@ impl DocStore {
     /// [`DocStore::replication_checkpoint_persisted`] after a restart.
     /// The record lands in the same WAL as the replicated writes it
     /// follows, so a recovered checkpoint never claims more than what was
-    /// actually applied.
+    /// actually applied. (A [`crate::Replicator`] run logs its checkpoint
+    /// itself, in the same append as its batch.)
     ///
     /// # Errors
     ///
@@ -962,15 +962,12 @@ impl DocStore {
         if inner.durability.is_none() {
             return Err(StoreError::Io("store is not durable".to_string()));
         }
-        let ticket = inner.persist(|| wal::encode_checkpoint(checkpoint))?;
+        let ticket = inner.persist(|| [wal::encode_checkpoint(checkpoint)])?;
         if let Some(d) = inner.durability.as_mut() {
             d.rep_checkpoint = checkpoint;
         }
         inner.maybe_snapshot();
         drop(inner);
-        // This sync also covers the replicated writes the checkpoint
-        // follows in the WAL, which is why `apply_replicated` itself
-        // never waits.
         self.wait_durable(ticket)
     }
 
@@ -1016,15 +1013,18 @@ impl DocStore {
         validate_id(id)?;
         let span_start = safeweb_obs::now_ns();
         let trace = safeweb_obs::current_trace();
+        // The one serialisation of this version: the revision digest and
+        // the WAL record both take these bytes, outside the lock.
+        let body_json = body.to_json();
         let mut inner = self.inner.write();
         if inner.read_only {
             return Err(StoreError::ReadOnly);
         }
         let put_ns = inner.put_ns.clone();
         let new_rev = match (inner.docs.get(id), expected_rev) {
-            (None, None) => Revision::first(&body),
+            (None, None) => Revision::first(&body_json),
             (Some(current), Some(expected)) if current.rev() == expected => {
-                current.rev().next(&body)
+                current.rev().next(&body_json)
             }
             (current, _) => {
                 return Err(StoreError::Conflict {
@@ -1035,7 +1035,7 @@ impl DocStore {
         };
         let doc = Document::new(id.to_string(), new_rev.clone(), labels, body);
         let next_seq = inner.seq + 1;
-        let ticket = inner.persist(|| wal::encode_put(next_seq, &doc))?;
+        let ticket = inner.persist(|| [wal::encode_put(next_seq, &doc, Some(&body_json))])?;
         let labels_id = doc.labels().id().as_u32();
         inner.store_doc(doc);
         inner.record_change(id.to_string(), Some(new_rev.clone()));
@@ -1064,7 +1064,7 @@ impl DocStore {
         match inner.docs.get(id) {
             Some(doc) if doc.rev() == expected_rev => {
                 let next_seq = inner.seq + 1;
-                let ticket = inner.persist(|| wal::encode_delete(next_seq, id))?;
+                let ticket = inner.persist(|| [wal::encode_delete(next_seq, id)])?;
                 inner.remove_doc(id);
                 inner.record_change(id.to_string(), None);
                 inner.maybe_snapshot();
@@ -1286,7 +1286,8 @@ impl DocStore {
     /// When `since` predates [`DocStore::compacted_seq`], the result is
     /// *incomplete*: compaction has dropped tombstones and superseded
     /// entries below the horizon, so callers must fall back to a full
-    /// resync instead (as [`crate::Replicator::run_once`] does).
+    /// resync instead (as [`crate::Replicator::run_once`] does with its
+    /// own read of the feed).
     pub fn changes_since(&self, since: u64) -> Vec<Change> {
         let inner = self.inner.read();
         let start = inner.changes.partition_point(|c| c.seq <= since);
@@ -1368,46 +1369,125 @@ impl DocStore {
         &self.commits
     }
 
-    /// Applies a replicated document directly, bypassing MVCC and the
+    /// A replication run's read transaction: every id changed past
+    /// `since`, once and in id order, as its current version or its
+    /// deletion, with the sequence number that state is current as of —
+    /// all under one read lock, so no write can fall between the feed and
+    /// the documents. `None` when the feed cannot serve `since`: it was
+    /// compacted past it (the tombstones below the horizon are gone), or
+    /// `since` is ahead of this store (the store was lost and recreated).
+    /// The caller must then resync.
+    pub(crate) fn replication_batch(&self, since: u64) -> Option<(u64, Vec<Replicated>)> {
+        let inner = self.inner.read();
+        if since > inner.seq || since < inner.compacted_seq {
+            return None;
+        }
+        let start = inner.changes.partition_point(|c| c.seq <= since);
+        // Past the horizon the feed is verbatim, so every id changed there
+        // is present now exactly when its newest change is a put.
+        let ids: BTreeSet<&str> = inner.changes[start..]
+            .iter()
+            .map(|c| c.id.as_str())
+            .collect();
+        let batch = ids
+            .into_iter()
+            .map(|id| match inner.docs.get(id) {
+                Some(doc) => Replicated::Put(doc.clone()),
+                None => Replicated::Delete(id.to_string()),
+            })
+            .collect();
+        Some((inner.seq, batch))
+    }
+
+    /// A replication run's write transaction, bypassing MVCC and the
     /// read-only switch: replication is a *trusted, internal* data path —
     /// the DMZ replica refuses writes from the web frontend but accepts
     /// pushes from the Intranet instance (Figure 4).
-    pub(crate) fn apply_replicated(&self, doc: Document) {
+    ///
+    /// Entries the store already reflects (same revision, or the deletion
+    /// of an absent id) are skipped. A durable store logs the rest with
+    /// one append — followed by `checkpoint` when it is not the one
+    /// already logged — before anything changes in memory, so a torn
+    /// append recovers a prefix of the batch and never a checkpoint past
+    /// a missing document. Then everything applies and the commit signal
+    /// is raised once (a checkpoint-only transaction raises it too).
+    ///
+    /// A log failure does not stop the apply — the replica stays correct
+    /// at runtime — but it is made sticky, a validation refusal
+    /// (oversized record) included, and the checkpoint does not advance:
+    /// recovery then resumes from a checkpoint predating the unlogged
+    /// writes and re-replicates them, instead of losing them silently.
+    pub(crate) fn apply_replicated(
+        &self,
+        mut batch: Vec<Replicated>,
+        checkpoint: Option<u64>,
+    ) -> Applied {
         let mut inner = self.inner.write();
-        let id = doc.id().to_string();
-        let rev = doc.rev().clone();
-        // A WAL failure here does not abort the apply — the replica stays
-        // correct at runtime — but it MUST block the checkpoint: recovery
-        // then resumes from a checkpoint predating the unlogged writes
-        // and re-replicates them. `persist` only makes I/O errors sticky,
-        // so force stickiness for validation refusals (oversized record)
-        // too; otherwise the checkpoint would advance past a write that
-        // never reached the log and the document would silently vanish on
-        // restart.
-        let next_seq = inner.seq + 1;
-        inner.apply_persist(|| wal::encode_put(next_seq, &doc));
-        inner.store_doc(doc);
-        inner.record_change(id, Some(rev));
-        inner.maybe_snapshot();
-        drop(inner);
-        self.commits.raise();
-    }
-
-    /// Applies a replicated deletion; returns whether a document was
-    /// actually removed (so replication reports count real deletions).
-    pub(crate) fn apply_replicated_delete(&self, id: &str) -> bool {
-        let mut inner = self.inner.write();
-        if !inner.docs.contains_key(id) {
-            return false;
+        batch.retain(|entry| match entry {
+            Replicated::Put(doc) => inner
+                .docs
+                .get(doc.id())
+                .is_none_or(|held| held.rev() != doc.rev()),
+            Replicated::Delete(id) => inner.docs.contains_key(id),
+        });
+        let logged = inner.durability.as_ref().map(|d| d.rep_checkpoint);
+        let checkpoint = checkpoint.filter(|c| logged.is_some_and(|l| l != *c));
+        if batch.is_empty() && checkpoint.is_none() {
+            return Applied {
+                logged,
+                ..Applied::default()
+            };
         }
-        let next_seq = inner.seq + 1;
-        inner.apply_persist(|| wal::encode_delete(next_seq, id));
-        inner.remove_doc(id);
-        inner.record_change(id.to_string(), None);
+        let first_seq = inner.seq + 1;
+        let persisted = inner.persist(|| {
+            let mut records: Vec<String> = batch
+                .iter()
+                .zip(first_seq..)
+                .map(|(entry, seq)| match entry {
+                    Replicated::Put(doc) => wal::encode_put(seq, doc, None),
+                    Replicated::Delete(id) => wal::encode_delete(seq, id),
+                })
+                .collect();
+            records.extend(checkpoint.map(wal::encode_checkpoint));
+            records
+        });
+        let ticket = match (persisted, inner.durability.as_mut()) {
+            (Ok(ticket), Some(d)) => {
+                if let Some(c) = checkpoint {
+                    d.rep_checkpoint = c;
+                }
+                ticket
+            }
+            (Err(StoreError::Io(why)), Some(d)) => {
+                d.failed.get_or_insert(why);
+                None
+            }
+            _ => None,
+        };
+        let mut applied = Applied::default();
+        for entry in batch {
+            match entry {
+                Replicated::Put(doc) => {
+                    let (id, rev) = (doc.id().to_string(), doc.rev().clone());
+                    inner.store_doc(doc);
+                    inner.record_change(id, Some(rev));
+                    applied.written += 1;
+                }
+                Replicated::Delete(id) => {
+                    inner.remove_doc(&id);
+                    inner.record_change(id, None);
+                    applied.deleted += 1;
+                }
+            }
+        }
         inner.maybe_snapshot();
+        applied.logged = inner.durability.as_ref().map(|d| d.rep_checkpoint);
         drop(inner);
         self.commits.raise();
-        true
+        if self.wait_durable(ticket).is_err() {
+            applied.logged = logged;
+        }
+        applied
     }
 }
 
@@ -1466,7 +1546,7 @@ mod tests {
     fn delete_is_mvcc_checked() {
         let store = DocStore::new("t");
         let rev = store.put("a", jobject! {}, LabelSet::new(), None).unwrap();
-        let stale = Revision::first(&jobject! {"other" => 1});
+        let stale = Revision::first(&jobject! {"other" => 1}.to_json());
         assert!(store.delete("a", &stale).is_err());
         store.delete("a", &rev).unwrap();
         assert!(store.get("a").is_none());
@@ -1484,11 +1564,12 @@ mod tests {
         // Internal replication path still works.
         let doc = Document::new(
             "a".to_string(),
-            Revision::first(&jobject! {}),
+            Revision::first(&jobject! {}.to_json()),
             LabelSet::new(),
             jobject! {},
         );
-        store.apply_replicated(doc);
+        let applied = store.apply_replicated(vec![Replicated::Put(doc)], None);
+        assert_eq!((applied.written, applied.logged), (1, None));
         assert_eq!(store.len(), 1);
     }
 

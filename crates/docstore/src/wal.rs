@@ -1,8 +1,10 @@
 //! The append-only write-ahead log under a durable [`DocStore`].
 //!
-//! Every acknowledged write appends exactly one record *before* the
-//! in-memory indexes change, so the log is always at least as new as the
-//! state a client was told about. Records are framed as
+//! Every acknowledged write appends its records *before* the in-memory
+//! indexes change, so the log is always at least as new as the state a
+//! client was told about: one record per put or delete, and one
+//! `write(2)` per replication run carrying the run's whole batch with
+//! the replica's checkpoint record last. Records are framed as
 //!
 //! ```text
 //! ┌────────────┬─────────────┬──────────────────┐
@@ -34,8 +36,9 @@
 //!
 //! ## Durability grades and group commit
 //!
-//! Records reach the kernel page cache on every append (one `write(2)`,
-//! no user-space buffering), which survives `SIGKILL` / process crashes.
+//! Records reach the kernel page cache on every append (one `write(2)`
+//! per append call, no user-space buffering), which survives `SIGKILL` /
+//! process crashes.
 //! [`WalSync::Always`] adds power-loss durability: an acknowledged write
 //! must be covered by an `fdatasync(2)` before its ack. Rather than one
 //! sync per record, concurrent appenders batch behind a **leader** (see
@@ -170,8 +173,11 @@ pub(crate) enum Record {
 
 // ---- CRC-32 (IEEE 802.3 polynomial, reflected) --------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The slicing-by-8 tables, computed at compile time: `[0]` is the
+/// classic bytewise table, and `[k][b]` is the CRC of byte `b` followed
+/// by `k` zero bytes, so eight input bytes fold in with eight lookups.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -184,19 +190,44 @@ const fn crc32_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static CRC32_TABLE: [u32; 256] = crc32_table();
+static CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
 
-/// CRC-32 of `bytes` (IEEE polynomial — the same checksum gzip uses).
+/// CRC-32 of `bytes` (IEEE polynomial — the same checksum gzip uses),
+/// eight bytes per step.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC32_TABLE[((crc ^ b as u32) & 0xff) as usize];
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xff) as usize];
     }
     !crc
 }
@@ -207,12 +238,21 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 /// plus `op: "put"` and `seq` when `put_seq` is given — in
 /// [`Value::to_json`]'s sorted-key byte layout, serialising the body by
 /// reference; shared by WAL put records and snapshot document frames.
-/// Bodies round-trip through JSON, so non-finite floats degrade to `null`
-/// on recovery (the same degradation [`Document::to_wire_json`] applies
-/// on the wire).
-pub(crate) fn write_doc(doc: &Document, put_seq: Option<u64>, out: &mut String) {
+/// `body_json`, when given, is the body's encoding already made by the
+/// caller and is spliced in as is. Bodies round-trip through JSON, so
+/// non-finite floats degrade to `null` on recovery (the same degradation
+/// [`Document::to_wire_json`] applies on the wire).
+pub(crate) fn write_doc(
+    doc: &Document,
+    body_json: Option<&str>,
+    put_seq: Option<u64>,
+    out: &mut String,
+) {
     out.push_str("{\"body\":");
-    doc.body().write_json(out);
+    match body_json {
+        Some(json) => out.push_str(json),
+        None => doc.body().write_json(out),
+    }
     out.push_str(",\"id\":");
     write_json_string(doc.id(), out);
     out.push_str(",\"labels\":");
@@ -238,9 +278,10 @@ pub(crate) fn doc_from_value(v: &Value) -> Option<Document> {
     Some(Document::new(id, rev, labels, body))
 }
 
-pub(crate) fn encode_put(seq: u64, doc: &Document) -> String {
-    let mut out = String::with_capacity(256);
-    write_doc(doc, Some(seq), &mut out);
+/// A put record for `doc`; `body_json` as for [`write_doc`].
+pub(crate) fn encode_put(seq: u64, doc: &Document, body_json: Option<&str>) -> String {
+    let mut out = String::with_capacity(body_json.map_or(256, |json| json.len() + 128));
+    write_doc(doc, body_json, Some(seq), &mut out);
     out
 }
 
@@ -673,33 +714,44 @@ impl Wal {
         &self.group
     }
 
-    /// Appends one framed payload; the record is kernel-durable when this
-    /// returns. Under [`WalSync::Always`] the returned ticket must be
-    /// passed to [`GroupCommit::wait_durable`] (after releasing the store
-    /// lock) before the write is acknowledged — the fsync itself is
-    /// deferred to the group-commit leader.
+    /// Appends the framed `payloads` in order with one `write(2)`; the
+    /// records are kernel-durable when this returns. Under
+    /// [`WalSync::Always`] the returned ticket must be passed to
+    /// [`GroupCommit::wait_durable`] (after releasing the store lock)
+    /// before the writes are acknowledged — the fsync itself is deferred
+    /// to the group-commit leader. One call is one ticket, however many
+    /// records it carries.
     ///
     /// Mirrors the replay-side limits: a payload over `MAX_RECORD_LEN`
-    /// is refused *here* — were it written, recovery would reject its
-    /// frame as corrupt and truncate it (and everything after it) away,
-    /// turning an acknowledged write into silent data loss. And on a
-    /// write failure the active segment is rolled back to the pre-append
-    /// offset, so a write reported as failed cannot leave a complete
-    /// frame behind to resurrect on recovery.
-    pub(crate) fn append(&mut self, payload: &str) -> std::io::Result<Option<u64>> {
-        if payload.len() as u64 > MAX_RECORD_LEN as u64 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "record of {} bytes exceeds the WAL limit of {MAX_RECORD_LEN}",
-                    payload.len()
-                ),
-            ));
+    /// refuses the whole call *here* — were it written, recovery would
+    /// reject its frame as corrupt and truncate it (and everything after
+    /// it) away, turning an acknowledged write into silent data loss. And
+    /// on a write failure the active segment is rolled back to the
+    /// pre-append offset, so a write reported as failed cannot leave a
+    /// complete frame behind to resurrect on recovery. A crash mid-write
+    /// can still tear the batch; recovery then keeps a prefix of it.
+    pub(crate) fn append_many<S: AsRef<str>>(
+        &mut self,
+        payloads: &[S],
+    ) -> std::io::Result<Option<u64>> {
+        let mut bytes = 0;
+        for payload in payloads {
+            let len = payload.as_ref().len();
+            if len as u64 > MAX_RECORD_LEN as u64 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("record of {len} bytes exceeds the WAL limit of {MAX_RECORD_LEN}"),
+                ));
+            }
+            bytes += FRAME_HEADER + len;
         }
         if self.segment_bytes > 0 && self.len >= self.segment_bytes {
             self.rotate()?;
         }
-        let frame = encode_frame(payload);
+        let mut frame = Vec::with_capacity(bytes);
+        for payload in payloads {
+            push_frame(payload.as_ref(), &mut frame);
+        }
         if let Err(e) = (&*self.file).write_all(&frame) {
             // Best effort: discard the partial frame so the reported
             // failure and the on-disk state agree. If even this fails,
@@ -811,6 +863,44 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The reference: one table lookup per byte.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC32_TABLES[0][((crc ^ b as u32) & 0xff) as usize];
+        }
+        !crc
+    }
+
+    /// Slicing-by-8 equals the bytewise reference for every length up to
+    /// eight words (each remainder, at every alignment the chunks see)
+    /// and for pseudo-random buffers of every size class.
+    #[test]
+    fn crc32_slicing_by_8_matches_the_bytewise_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let buf: Vec<u8> = (0..4096).map(|_| next() as u8).collect();
+        for len in 0..=64 {
+            assert_eq!(crc32(&buf[..len]), crc32_bytewise(&buf[..len]), "len {len}");
+            assert_eq!(
+                crc32(&buf[3..3 + len]),
+                crc32_bytewise(&buf[3..3 + len]),
+                "len {len} at offset 3"
+            );
+        }
+        for _ in 0..200 {
+            let start = next() as usize % buf.len();
+            let len = next() as usize % (buf.len() - start + 1);
+            let slice = &buf[start..start + len];
+            assert_eq!(crc32(slice), crc32_bytewise(slice), "{start}..+{len}");
+        }
+    }
+
     #[test]
     fn frame_roundtrip_and_torn_tail() {
         let a = encode_frame("{\"op\":\"ckpt\",\"rep\":1}");
@@ -861,13 +951,19 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (mut wal, _) = Wal::open(&dir).unwrap();
         let huge = " ".repeat(MAX_RECORD_LEN as usize + 1);
-        assert!(wal.append(&huge).is_err());
+        let small = "{\"op\":\"ckpt\",\"rep\":1}".to_string();
+        // One oversized record refuses its whole batch.
+        assert!(wal.append_many(&[small.clone(), huge]).is_err());
         // Nothing reached the log; it stays fully usable.
         assert_eq!(wal.len(), 0);
-        wal.append("{\"op\":\"ckpt\",\"rep\":1}").unwrap();
+        wal.append_many(&[small.as_str(), "{\"op\":\"ckpt\",\"rep\":2}"])
+            .unwrap();
         drop(wal);
         let (wal, records) = Wal::open(&dir).unwrap();
-        assert_eq!(records, vec![Record::Checkpoint { rep: 1 }]);
+        assert_eq!(
+            records,
+            vec![Record::Checkpoint { rep: 1 }, Record::Checkpoint { rep: 2 }]
+        );
         assert!(wal.len() > 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -880,7 +976,7 @@ mod tests {
         let (mut wal, _) = Wal::open(&dir).unwrap();
         wal.set_segment_bytes(1); // every append lands in a fresh segment
         for rep in 1..=5u64 {
-            wal.append(&format!("{{\"op\":\"ckpt\",\"rep\":{rep}}}"))
+            wal.append_many(&[format!("{{\"op\":\"ckpt\",\"rep\":{rep}}}")])
                 .unwrap();
         }
         assert_eq!(wal.segments(), 5); // 4 sealed + active
@@ -904,7 +1000,7 @@ mod tests {
         assert_eq!(wal.segments(), 1);
         assert_eq!(wal.len(), 0);
         // …and reset clears whatever is left.
-        wal.append("{\"op\":\"ckpt\",\"rep\":6}").unwrap();
+        wal.append_many(&["{\"op\":\"ckpt\",\"rep\":6}"]).unwrap();
         wal.reset().unwrap();
         assert_eq!(wal.len(), 0);
         let (_, records) = Wal::open(&dir).unwrap();
@@ -924,7 +1020,7 @@ mod tests {
         let (mut wal, _) = Wal::open(&dir).unwrap();
         wal.set_segment_bytes(1);
         for rep in 1..=4u64 {
-            wal.append(&format!("{{\"op\":\"ckpt\",\"rep\":{rep}}}"))
+            wal.append_many(&[format!("{{\"op\":\"ckpt\",\"rep\":{rep}}}")])
                 .unwrap();
         }
         drop(wal);
@@ -950,8 +1046,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let (mut wal, _) = Wal::open(&dir).unwrap();
         wal.set_sync(WalSync::Always);
-        let t1 = wal.append("{\"op\":\"ckpt\",\"rep\":1}").unwrap().unwrap();
-        let t2 = wal.append("{\"op\":\"ckpt\",\"rep\":2}").unwrap().unwrap();
+        let t1 = wal
+            .append_many(&["{\"op\":\"ckpt\",\"rep\":1}"])
+            .unwrap()
+            .unwrap();
+        let t2 = wal
+            .append_many(&["{\"op\":\"ckpt\",\"rep\":2}"])
+            .unwrap()
+            .unwrap();
         assert!(t2 > t1);
         let group = Arc::clone(wal.group());
         // Waiting on the later ticket first still covers the earlier one:

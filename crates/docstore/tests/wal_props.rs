@@ -12,12 +12,18 @@
 //! snapshot document frames are serialised by reference, straight from
 //! the stored document into the frame, and must stay byte-identical to
 //! the encoding that builds a wrapper JSON object around a copy of the
-//! body (which is what wrote every log already on disk).
+//! body (which is what wrote every log already on disk); a put's revision
+//! must equal the digest of that same body encoding.
+//!
+//! A replication run logs its whole batch and the replica's checkpoint
+//! with one append; torn at every byte, it must recover a prefix of the
+//! batch and never a checkpoint past a document the log lacks.
 
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
-use safeweb_docstore::{DocStore, Document};
+use safeweb_docstore::{DocStore, Document, Replicator};
 use safeweb_json::{jobject, Value};
 use safeweb_labels::{Label, LabelSet};
 
@@ -213,6 +219,17 @@ fn reference_encoding(doc: &Document, put_seq: Option<u64>) -> String {
     v.to_json()
 }
 
+/// The reference revision of a body's `generation`-th write: FNV-1a over
+/// the body's own `to_json` bytes.
+fn reference_revision(generation: u64, body: &Value) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in body.to_json().as_bytes() {
+        hash ^= b as u64;
+        hash = hash.wrapping_mul(0x0100_0000_01b3);
+    }
+    format!("{generation}-{hash:016x}")
+}
+
 /// The payloads of a file of `len | crc | payload` frames.
 fn frame_payloads(bytes: &[u8]) -> Vec<String> {
     let mut payloads = Vec::new();
@@ -226,8 +243,10 @@ fn frame_payloads(bytes: &[u8]) -> Vec<String> {
 }
 
 proptest! {
-    /// Put records and snapshot frames written by reference are
-    /// byte-identical to the reference encoding, and both recover to the
+    /// A put serialises its body once, for both the revision digest and
+    /// the WAL record: the revision equals the digest of the body's own
+    /// encoding, and put records and snapshot frames written by reference
+    /// are byte-identical to the reference encoding. Both recover to the
     /// documents' JSON round-trip (non-finite floats degrade to `null`).
     #[test]
     fn by_reference_encoding_matches_the_wrapper_object_encoding(
@@ -241,7 +260,9 @@ proptest! {
         for (id, paths, body) in docs {
             let labels: LabelSet = paths.iter().map(|p| Label::conf("e.org", p)).collect();
             let rev = store.get(&id).map(|d| d.rev().clone());
-            store.put(&id, body, labels, rev.as_ref()).unwrap();
+            let want_rev = reference_revision(rev.as_ref().map_or(1, |r| r.generation() + 1), &body);
+            let got_rev = store.put(&id, body, labels, rev.as_ref()).unwrap();
+            prop_assert_eq!(got_rev.to_string(), want_rev);
             want_records.push(reference_encoding(&store.get(&id).unwrap(), Some(store.seq())));
         }
         let wal = std::fs::read(dir.join("wal.log")).unwrap();
@@ -347,6 +368,89 @@ proptest! {
         assert_equals_oracle(&store, &ops[..k], &format!("flip at byte {at}"))?;
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// A replication run is one append: its puts and deletions, then the
+/// replica's checkpoint. Torn at every byte offset, recovery keeps a
+/// prefix of the batch, and the checkpoint only with the whole batch —
+/// never a checkpoint past a document missing from the log.
+#[test]
+fn torn_replication_batch_recovers_a_prefix_and_never_a_checkpoint_past_it() {
+    let src = DocStore::new("src");
+    for i in 0..4 {
+        src.put(
+            &format!("doc-{i}"),
+            jobject! {"v" => i},
+            LabelSet::new(),
+            None,
+        )
+        .unwrap();
+    }
+    let writer = temp_dir("batch-writer");
+    let _ = std::fs::remove_dir_all(&writer);
+    let dst = DocStore::open(&writer).unwrap();
+    dst.set_snapshot_every(0);
+    let mut rep = Replicator::new(src.clone(), dst.clone());
+    rep.run_once();
+    let (seq_before, before) = dst.snapshot();
+    let (ckpt_before, logged_before) = (rep.checkpoint(), dst.wal_len().unwrap() as usize);
+
+    // The batch under test, in the run's id order: a deletion, an update
+    // with an awkward body, a new document.
+    let changed = ["doc-1", "doc-2", "doc-5"];
+    let rev = src.get("doc-1").unwrap().rev().clone();
+    src.delete("doc-1", &rev).unwrap();
+    let rev = src.get("doc-2").unwrap().rev().clone();
+    let awkward = jobject! {"v" => "\"q\\uoted\"\n✓\u{10ffff}\u{7f}", "f" => -0.5e-300};
+    src.put("doc-2", awkward, LabelSet::new(), Some(&rev))
+        .unwrap();
+    src.put("doc-5", jobject! {}, LabelSet::new(), None)
+        .unwrap();
+    let report = rep.run_once();
+    assert_eq!((report.docs_written, report.docs_deleted), (2, 1));
+    let (_, after) = dst.snapshot();
+    let bytes = std::fs::read(writer.join("wal.log")).unwrap();
+    drop(dst);
+    let _ = std::fs::remove_dir_all(&writer);
+
+    let as_map = |docs: Vec<Document>| -> BTreeMap<String, Document> {
+        docs.into_iter().map(|d| (d.id().to_string(), d)).collect()
+    };
+    let (before, after) = (as_map(before), as_map(after));
+    let dir = temp_dir("batch-torn");
+    for cut in logged_before..=bytes.len() {
+        let store = reopen_from(&dir, &bytes[..cut]);
+        let applied = (store.seq() - seq_before) as usize;
+        assert!(applied <= changed.len(), "byte {cut}: {applied} records");
+        let mut want = before.clone();
+        for id in &changed[..applied] {
+            match after.get(*id) {
+                Some(doc) => want.insert(id.to_string(), doc.clone()),
+                None => want.remove(*id),
+            };
+        }
+        let got = as_map(store.snapshot().1);
+        assert_eq!(
+            got.keys().collect::<Vec<_>>(),
+            want.keys().collect::<Vec<_>>(),
+            "byte {cut}"
+        );
+        for (id, doc) in &want {
+            assert_eq!(got[id].rev(), doc.rev(), "byte {cut}: rev of {id}");
+            assert_eq!(got[id].body(), doc.body(), "byte {cut}: body of {id}");
+        }
+        let ckpt = store.replication_checkpoint_persisted().unwrap();
+        if ckpt != ckpt_before {
+            assert_eq!(ckpt, src.seq(), "byte {cut}");
+            assert_eq!(
+                applied,
+                changed.len(),
+                "byte {cut}: checkpoint past a missing document"
+            );
+        }
+        assert_eq!(cut == bytes.len(), ckpt == src.seq(), "byte {cut}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// **Mutation check for the checksum.** The corruption keeps the payload

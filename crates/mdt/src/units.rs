@@ -251,13 +251,14 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                 .count();
             let completeness = (filled as f64 / RECORD_FIELDS.len() as f64 * 100.0).round();
             record.set("completeness", completeness);
-            jail.set(&case_key, record.to_json(), Relabel::keep())?;
+            let record_json = record.to_json();
+            jail.set(&case_key, record_json.clone(), Relabel::keep())?;
 
             // Publish the (updated) aggregated record.
             let rec_event = Event::new(MDT_RECORD_TOPIC)
                 .map_err(|e| UnitError::BadEvent(e.to_string()))?
                 .set_attrs(&[("case_id", &case_id), ("mdt", &mdt), ("region_id", &region)])?
-                .with_payload(record.to_json());
+                .with_payload(record_json);
             jail.publish(rec_event, Relabel::keep())?;
 
             // Update per-MDT aggregates (keyed by MDT, carrying the MDT
