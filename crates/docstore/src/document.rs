@@ -37,6 +37,11 @@ impl Revision {
         self.generation
     }
 
+    /// The body digest: the hexadecimal half of the `generation-hash` form.
+    pub(crate) fn digest(&self) -> u64 {
+        self.digest
+    }
+
     /// Parses the `generation-hash` form.
     pub fn parse(s: &str) -> Option<Revision> {
         let (g, d) = s.split_once('-')?;

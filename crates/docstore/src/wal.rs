@@ -21,6 +21,21 @@
 //! resume from there. A torn tail is the expected outcome of a crash
 //! mid-`write`; it is not an error.
 //!
+//! ## Record encoding
+//!
+//! One encoder, [`write_doc`], writes every document payload: put
+//! records of external writes and of replica applies, and snapshot
+//! document frames. It writes straight into the payload: the body by
+//! reference (or the caller's encoding of it, spliced in), the label
+//! URIs through a JSON-escaping `fmt::Write` adapter instead of
+//! `LabelSet::to_wire`'s `Vec` and `join`, the revision and sequence
+//! without `core::fmt`. A put record is built in the thread's JSON
+//! scratch buffer and copied out once ([`safeweb_json::build_exact`]):
+//! **one allocation per record**. The bytes are `Value::to_json`'s for
+//! the equivalent wrapper object, which wrote every log already on disk;
+//! `wal_props.rs` holds put records, replica applies and snapshot frames
+//! to that reference.
+//!
 //! ## Segments
 //!
 //! The log is split into **bounded segment files**: appends go to the
@@ -57,7 +72,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
-use safeweb_json::{write_json_string, Value};
+use safeweb_json::{build_exact, write_json_string, EscapeJson, Value};
 use safeweb_labels::LabelSet;
 use safeweb_obs::Histogram;
 
@@ -237,10 +252,11 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 /// Appends a document as the JSON object `{body, id, labels, rev}` —
 /// plus `op: "put"` and `seq` when `put_seq` is given — in
 /// [`Value::to_json`]'s sorted-key byte layout, serialising the body by
-/// reference; shared by WAL put records and snapshot document frames.
-/// `body_json`, when given, is the body's encoding already made by the
-/// caller and is spliced in as is. Bodies round-trip through JSON, so
-/// non-finite floats degrade to `null` on recovery (the same degradation
+/// reference: the one encoder of WAL put records (external puts and
+/// replica applies) and snapshot document frames. `body_json`, when
+/// given, is the body's encoding already made by the caller and is
+/// spliced in as is. Bodies round-trip through JSON, so non-finite floats
+/// degrade to `null` on recovery (the same degradation
 /// [`Document::to_wire_json`] applies on the wire).
 pub(crate) fn write_doc(
     doc: &Document,
@@ -255,17 +271,45 @@ pub(crate) fn write_doc(
     }
     out.push_str(",\"id\":");
     write_json_string(doc.id(), out);
-    out.push_str(",\"labels\":");
-    write_json_string(&doc.labels().to_wire(), out);
+    // `LabelSet::to_wire`'s text — the URIs joined by `,` — escaped into
+    // the frame as it is formatted, with no `String` per label.
+    out.push_str(",\"labels\":\"");
+    for (i, label) in doc.labels().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(EscapeJson(out), "{label}");
+    }
+    out.push('"');
     if put_seq.is_some() {
         out.push_str(",\"op\":\"put\"");
     }
     // `generation-hexdigest`: nothing in it needs escaping.
-    let _ = write!(out, ",\"rev\":\"{}\"", doc.rev());
+    out.push_str(",\"rev\":\"");
+    push_digits(doc.rev().generation(), 10, 1, out);
+    out.push('-');
+    push_digits(doc.rev().digest(), 16, 16, out);
+    out.push('"');
     if let Some(seq) = put_seq {
-        let _ = write!(out, ",\"seq\":{}", seq as i64);
+        out.push_str(",\"seq\":");
+        Value::Int(seq as i64).write_json(out);
     }
     out.push('}');
+}
+
+/// Appends `n` in base `radix` (lowercase digits), zero-padded to at
+/// least `width` digits: [`Revision`]'s `Display` spelling without
+/// `core::fmt`.
+fn push_digits(mut n: u64, radix: u64, width: usize, out: &mut String) {
+    // 20 digits hold `u64::MAX` in decimal.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while n > 0 || digits.len() - at < width.max(1) {
+        at -= 1;
+        digits[at] = b"0123456789abcdef"[(n % radix) as usize];
+        n /= radix;
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 /// Decodes [`write_doc`]'s encoding; `None` on any missing or malformed
@@ -278,11 +322,10 @@ pub(crate) fn doc_from_value(v: &Value) -> Option<Document> {
     Some(Document::new(id, rev, labels, body))
 }
 
-/// A put record for `doc`; `body_json` as for [`write_doc`].
+/// A put record for `doc`, in one exact-size allocation; `body_json` as
+/// for [`write_doc`].
 pub(crate) fn encode_put(seq: u64, doc: &Document, body_json: Option<&str>) -> String {
-    let mut out = String::with_capacity(body_json.map_or(256, |json| json.len() + 128));
-    write_doc(doc, body_json, Some(seq), &mut out);
-    out
+    build_exact(|out| write_doc(doc, body_json, Some(seq), out))
 }
 
 pub(crate) fn encode_delete(seq: u64, id: &str) -> String {

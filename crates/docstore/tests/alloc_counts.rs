@@ -1,0 +1,115 @@
+//! Allocation budgets of the serialisers, counted per thread by
+//! `safeweb_reactor::sys::CountingAlloc` (this binary only installs it):
+//!
+//! * `Value::to_json` of a case record allocates once, its exact-size
+//!   output — not once per capacity doubling of a growing `String`;
+//! * a durable put allocates exactly two more than an in-memory put of
+//!   the same document, whatever its label count: the WAL record, built
+//!   once at exact size, and the buffer that frames it for the one
+//!   `write(2)` — no `String` per label URI, no `Vec` and `join`;
+//! * after serialising a 1 MiB value, the thread keeps at most
+//!   `SCRATCH_RETAIN` bytes of scratch.
+//!
+//! Counts are per thread, so the harness's other test threads do not
+//! disturb them.
+
+use std::path::PathBuf;
+
+use safeweb_docstore::DocStore;
+use safeweb_json::{jobject, Value, SCRATCH_RETAIN};
+use safeweb_labels::{Label, LabelSet};
+use safeweb_reactor::sys::{thread_allocations, thread_held_bytes, CountingAlloc};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Runs `f`, returning its result and the allocations it made on this
+/// thread.
+fn counted<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = thread_allocations();
+    let result = f();
+    (result, thread_allocations() - before)
+}
+
+/// A case record shaped like the ones the storage unit writes.
+fn case_record() -> Value {
+    jobject! {
+        "case_id" => "case-00042",
+        "mdt_id" => "mdt-007",
+        "hospital_id" => "addenbrookes",
+        "region_id" => "3",
+        "name" => "Ada \"Augusta\" King",
+        "birth_year" => 1815,
+        "site" => "lung",
+        "stage" => "T2N0M0",
+        "diagnosed" => 20_260_914,
+        "kind" => "surgery",
+        "completeness" => 0.75,
+    }
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("safeweb-alloc-{tag}-{}", std::process::id()))
+}
+
+#[test]
+fn to_json_of_a_case_record_allocates_once() {
+    let record = case_record();
+    // The first call on a thread grows its scratch buffer.
+    let _ = record.to_json();
+    let (text, allocations) = counted(|| record.to_json());
+    assert_eq!(allocations, 1, "{text}");
+    assert_eq!(text.capacity(), text.len());
+}
+
+#[test]
+fn a_durable_put_allocates_its_record_and_frame_whatever_the_label_count() {
+    let three: LabelSet = [
+        Label::conf("ecric.org.uk", "mdt/addenbrookes"),
+        Label::conf("ecric.org.uk", "patient/\"quoted\""),
+        Label::int("ecric.org.uk", "unit/storage"),
+    ]
+    .into_iter()
+    .collect();
+    let label_sets = [
+        LabelSet::new(),
+        LabelSet::singleton(Label::conf("ecric.org.uk", "mdt/addenbrookes")),
+        three,
+    ];
+    for labels in label_sets {
+        let dir = temp_dir(&format!("put-{}", labels.len()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let durable = DocStore::open(&dir).unwrap();
+        durable.set_snapshot_every(0);
+        let memory = DocStore::new("memory");
+        let put = |store: &DocStore, id: &str| {
+            let body = case_record();
+            counted(|| store.put(id, body, labels, None).unwrap()).1
+        };
+        // The first put into each store pays its one-off growth.
+        put(&durable, "warm-up");
+        put(&memory, "warm-up");
+        let extra = put(&durable, "case") - put(&memory, "case");
+        assert_eq!(extra, 2, "{} labels", labels.len());
+        drop(durable);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_large_output_leaves_at_most_the_scratch_cap_behind() {
+    let big = Value::Array(
+        (0..16 * 1024)
+            .map(|i| Value::from(format!("{i:064}")))
+            .collect(),
+    );
+    let held_before = thread_held_bytes();
+    let text = big.to_json();
+    assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+    drop(text);
+    let retained = thread_held_bytes() - held_before;
+    assert!(
+        retained <= SCRATCH_RETAIN as i64,
+        "{retained} bytes of scratch retained"
+    );
+}

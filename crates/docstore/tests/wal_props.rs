@@ -370,6 +370,71 @@ proptest! {
     }
 }
 
+/// Label URIs are written straight into the payload: put records,
+/// replica applies and snapshot frames of documents with 0, 1 and 3
+/// labels — an integrity label and URIs JSON must escape among them —
+/// are byte-identical to the reference encoding through
+/// `LabelSet::to_wire`.
+#[test]
+fn label_uris_encode_as_their_wire_string() {
+    let three: LabelSet = [
+        Label::conf("ecric.org.uk", "mdt/\"quoted\""),
+        Label::conf("ecric.org.uk", "patient/back\\slash"),
+        Label::int("ecric.org.uk", "unit/storage"),
+    ]
+    .into_iter()
+    .collect();
+    let label_sets = [
+        LabelSet::new(),
+        LabelSet::singleton(Label::conf("ecric.org.uk", "mdt/addenbrookes")),
+        three,
+    ];
+    let dir = temp_dir("labels");
+    let replica_dir = temp_dir("labels-replica");
+    for d in [&dir, &replica_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+    let store = DocStore::open(&dir).unwrap();
+    let replica = DocStore::open(&replica_dir).unwrap();
+    for s in [&store, &replica] {
+        s.set_snapshot_every(0);
+    }
+    let mut want_puts = Vec::new();
+    for (i, labels) in label_sets.into_iter().enumerate() {
+        let id = format!("case-{i}");
+        store
+            .put(&id, jobject! {"n" => i as i64}, labels, None)
+            .unwrap();
+        let doc = store.get(&id).unwrap();
+        assert_eq!(doc.labels().len(), labels.len());
+        want_puts.push(reference_encoding(&doc, Some(store.seq())));
+    }
+    assert_eq!(
+        frame_payloads(&std::fs::read(dir.join("wal.log")).unwrap()),
+        want_puts
+    );
+
+    // A replica logs the same documents, in id order, at its own seqs.
+    Replicator::new(store.clone(), replica.clone()).run_once();
+    let (_, docs) = store.snapshot();
+    let applied = frame_payloads(&std::fs::read(replica_dir.join("wal.log")).unwrap());
+    for (seq, doc) in (1..).zip(&docs) {
+        assert_eq!(
+            applied[seq as usize - 1],
+            reference_encoding(doc, Some(seq))
+        );
+    }
+
+    store.snapshot_now().unwrap();
+    let snapshot = std::fs::read(dir.join("snapshot.dat")).unwrap();
+    let want_frames: Vec<String> = docs.iter().map(|d| reference_encoding(d, None)).collect();
+    assert_eq!(&frame_payloads(&snapshot)[1..], &want_frames[..]);
+    drop((store, replica));
+    for d in [&dir, &replica_dir] {
+        let _ = std::fs::remove_dir_all(d);
+    }
+}
+
 /// A replication run is one append: its puts and deletions, then the
 /// replica's checkpoint. Torn at every byte offset, recovery keeps a
 /// prefix of the batch, and the checkpoint only with the whole batch —

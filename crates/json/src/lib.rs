@@ -26,5 +26,5 @@ mod ser;
 mod value;
 
 pub use parse::ParseJsonError;
-pub use ser::write_json_string;
+pub use ser::{build_exact, write_json_string, EscapeJson, SCRATCH_RETAIN};
 pub use value::Value;

@@ -1,5 +1,6 @@
 //! A recursive-descent JSON parser (RFC 8259 subset: no duplicate-key
-//! detection; numbers outside `i64` fall back to `f64`).
+//! detection; numbers outside `i64` fall back to `f64`, numbers outside
+//! `f64`'s finite range are errors).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -306,9 +307,13 @@ impl<'a> Parser<'a> {
                 return Ok(Value::Int(i));
             }
         }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| self.err("number out of range"))
+        // Rust parses an overflowing literal (`1e400`) as ±∞, which JSON
+        // cannot spell: the value would serialise as `null` and come back
+        // different after a write and a restart.
+        match text.parse::<f64>() {
+            Ok(f) if f.is_finite() => Ok(Value::Float(f)),
+            _ => Err(self.err("number out of range")),
+        }
     }
 }
 
@@ -405,5 +410,49 @@ mod tests {
             Value::parse("9223372036854775807").unwrap(),
             Value::Int(i64::MAX)
         );
+    }
+
+    /// A literal past `f64::MAX` would parse as ±∞ and serialise as
+    /// `null`; it is refused instead. Underflow still rounds to zero.
+    #[test]
+    fn numbers_beyond_f64_are_errors() {
+        for bad in ["1e400", "-1e400", "1.8e308", "123456789e301"] {
+            assert!(Value::parse(bad).is_err(), "should reject {bad:?}");
+        }
+        assert_eq!(
+            Value::parse("1.7976931348623157e308").unwrap(),
+            Value::Float(f64::MAX)
+        );
+        assert_eq!(Value::parse("1e-400").unwrap(), Value::Float(0.0));
+    }
+
+    /// parse → `to_json` → parse is a fixed point over numeric edge cases.
+    #[test]
+    fn numeric_edges_reach_a_fixed_point() {
+        for text in [
+            "0",
+            "-0",
+            "-0.0",
+            "1E3",
+            "2.5e-3",
+            "0.1",
+            "100.0",
+            "1e-400",
+            "5e-324",
+            "2.2250738585072014e-308",
+            "1.7976931348623157e308",
+            "-1.7976931348623157e308",
+            "9223372036854775807",
+            "-9223372036854775808",
+            "9223372036854775808",
+            "-9223372036854775809",
+            "123456789012345678901234567890",
+        ] {
+            let first = Value::parse(text).unwrap();
+            let json = first.to_json();
+            let second = Value::parse(&json).unwrap_or_else(|e| panic!("{text} → {json}: {e}"));
+            assert_eq!(second, first, "{text} → {json}");
+            assert_eq!(second.to_json(), json, "{text}");
+        }
     }
 }

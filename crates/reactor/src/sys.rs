@@ -6,10 +6,14 @@
 //! direct `extern "C"` bindings against the platform libc that every Rust
 //! Linux target already links. This is the only module in the workspace
 //! containing `unsafe` code; everything above it speaks in safe wrappers
-//! ([`Epoll`], [`EventFd`]).
+//! ([`Epoll`], [`EventFd`]). For the same reason it holds
+//! [`CountingAlloc`], the counting global allocator that test binaries
+//! install to pin allocation budgets (a `GlobalAlloc` impl is `unsafe`).
 
 #![allow(unsafe_code)]
 
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::io;
 use std::os::raw::{c_int, c_uint};
 
@@ -344,6 +348,64 @@ pub fn set_nofile_soft(limit: u64) -> io::Result<u64> {
     };
     cvt(unsafe { setrlimit(RLIMIT_NOFILE, &new) })?;
     Ok(previous)
+}
+
+/// A global allocator for test binaries that pin allocation budgets. It
+/// forwards every call to [`System`] unchanged and counts, per thread,
+/// the allocations made (reallocations included) and the bytes held;
+/// read them with [`thread_allocations`] and [`thread_held_bytes`].
+/// Per-thread counts are untouched by whatever other test threads do.
+#[derive(Debug)]
+pub struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static HELD_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+/// Adds to this thread's counts. The counters are `const`-initialised
+/// and have no destructor, so touching them never allocates; `try_with`
+/// skips a thread that is tearing down its locals.
+fn note_alloc(allocations: u64, bytes: i64) {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + allocations));
+    let _ = HELD_BYTES.try_with(|held| held.set(held.get() + bytes));
+}
+
+// SAFETY: every method forwards to `System` with the caller's arguments
+// unchanged, so `System`'s contract is the caller's; the bookkeeping
+// beside it touches only thread-local `Cell`s, never the heap.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_alloc(1, layout.size() as i64);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_alloc(1, layout.size() as i64);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_alloc(1, new_size as i64 - layout.size() as i64);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_alloc(0, -(layout.size() as i64));
+        System.dealloc(ptr, layout)
+    }
+}
+
+/// Allocations and reallocations this thread has made through
+/// [`CountingAlloc`].
+pub fn thread_allocations() -> u64 {
+    ALLOCATIONS.try_with(Cell::get).unwrap_or(0)
+}
+
+/// Bytes this thread has allocated through [`CountingAlloc`] minus the
+/// bytes it has freed.
+pub fn thread_held_bytes() -> i64 {
+    HELD_BYTES.try_with(Cell::get).unwrap_or(0)
 }
 
 #[cfg(test)]
