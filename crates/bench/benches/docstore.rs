@@ -279,7 +279,6 @@ fn bench_docstore(c: &mut Criterion) {
         });
     });
     group.finish();
-    big.snapshot_quiesce();
     drop(big);
     let _ = std::fs::remove_dir_all(&big_dir);
 
@@ -296,7 +295,7 @@ fn bench_docstore(c: &mut Criterion) {
         replay.as_secs_f64() * 1e3,
         recovered.len() as f64 / replay.as_secs_f64().max(1e-9),
     );
-    // Snapshot + truncate, then recovery reads the snapshot instead.
+    // Snapshot + prune, then recovery reads the snapshot instead.
     recovered.snapshot_now().expect("snapshot");
     drop(recovered);
     let start = Instant::now();

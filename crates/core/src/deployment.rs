@@ -208,15 +208,8 @@ impl SafeWebBuilder {
         topology
             .check(Zone::Intranet, Zone::Dmz)
             .expect("ECRIC topology always allows intranet→DMZ");
-        let replication = if dmz_db.is_durable() {
-            ReplicationHandle::start_durable(
-                app_db.clone(),
-                dmz_db.clone(),
-                self.replication_interval,
-            )
-        } else {
-            ReplicationHandle::start(app_db.clone(), dmz_db.clone(), self.replication_interval)
-        };
+        let replication =
+            ReplicationHandle::start(app_db.clone(), dmz_db.clone(), self.replication_interval);
 
         replication.attach_metrics(&metrics, "replication");
 
@@ -325,8 +318,8 @@ impl SafeWebDeployment {
     /// or `None` once replication has been stopped. In durable mode
     /// ([`SafeWebBuilder::data_dir`]) this is persisted through the DMZ
     /// replica's write-ahead log automatically and the next build resumes
-    /// from it; for in-memory deployments, persist it yourself and hand
-    /// it to [`safeweb_docstore::ReplicationHandle::start_from`].
+    /// from it; an in-memory deployment's replica starts empty, so its
+    /// replication starts from 0.
     pub fn replication_checkpoint(&self) -> Option<u64> {
         self.replication.as_ref().map(|r| r.checkpoint())
     }

@@ -18,11 +18,11 @@
 //!   fallback once a checkpoint predates the compaction horizon,
 //! * a **read-only mode** for the DMZ replica, enforcing requirement S1,
 //! * an optional **durable mode** ([`DocStore::open`]): an append-only,
-//!   checksummed write-ahead log plus periodic snapshots with log
-//!   truncation, recovering documents *and* the replication checkpoint
-//!   after a crash (views and the changes feed are rebuilt, not
-//!   serialised). The record format is documented in `wal.rs` and in the
-//!   repository's `ARCHITECTURE.md`.
+//!   checksummed write-ahead log plus periodic background snapshots that
+//!   prune the log segments they cover, recovering documents *and* the
+//!   replication checkpoint after a crash (views and the changes feed are
+//!   rebuilt, not serialised). The record format is documented in
+//!   `wal.rs` and in the repository's `ARCHITECTURE.md`.
 //!
 //! Security labels are first-class document metadata (not body fields), so
 //! application code cannot accidentally strip them.

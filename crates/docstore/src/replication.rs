@@ -41,6 +41,15 @@
 //! *liveness fallback*: the longest the thread stays parked without a
 //! signal.
 //!
+//! ## The replica owns its checkpoint
+//!
+//! Every replicator resumes from the checkpoint its target holds
+//! ([`DocStore::replication_checkpoint_persisted`]): a durable replica
+//! recovers it from its write-ahead log, where each run logged it in the
+//! same append as the writes it covers, and an in-memory replica starts
+//! from 0 (a full first pass). No caller hands a checkpoint in, so none
+//! can claim documents the replica does not hold.
+//!
 //! ## One deep copy, at the zone boundary
 //!
 //! Documents are immutable shared handles, so reads inside one store copy
@@ -154,21 +163,17 @@ pub struct ReplicationReport {
 }
 
 impl Replicator {
-    /// Creates a replicator from `source` into `target`, starting from
-    /// sequence 0.
+    /// Creates a replicator from `source` into `target`, resuming from
+    /// the checkpoint the target holds: what a durable target recovered
+    /// from its log, 0 for an in-memory one. A restarted replica thus
+    /// picks up where its last logged run left off, without re-transferring
+    /// the history it already holds.
     pub fn new(source: DocStore, target: DocStore) -> Replicator {
-        Replicator::with_checkpoint(source, target, 0)
-    }
-
-    /// Creates a replicator resuming from a previously saved `checkpoint`
-    /// (e.g. [`Replicator::checkpoint`] persisted across a restart), so a
-    /// restarted replicator does not re-transfer the whole history.
-    pub fn with_checkpoint(source: DocStore, target: DocStore, checkpoint: u64) -> Replicator {
         let logged = target.replication_checkpoint_persisted();
         Replicator {
             source,
             target,
-            checkpoint,
+            checkpoint: logged.unwrap_or(0),
             logged,
         }
     }
@@ -304,48 +309,18 @@ struct Shared {
 }
 
 impl ReplicationHandle {
-    /// Starts a background thread replicating `source` → `target` from
-    /// sequence 0 (a fresh target): after every commit to `source`, and
-    /// at least every `interval`.
-    pub fn start(source: DocStore, target: DocStore, interval: Duration) -> ReplicationHandle {
-        ReplicationHandle::start_from(source, target, interval, 0)
-    }
-
-    /// Starts replication into a **durable** target
-    /// ([`DocStore::open`]), resuming from the checkpoint the target
-    /// recovered from its write-ahead log
-    /// ([`DocStore::replication_checkpoint_persisted`]). After a restart
-    /// this picks up exactly where the last completed run left off — no
-    /// re-transfer, no manual checkpoint plumbing. Falls back to sequence
-    /// 0 (a full first pass) when the target is in-memory.
-    pub fn start_durable(
-        source: DocStore,
-        target: DocStore,
-        interval: Duration,
-    ) -> ReplicationHandle {
-        let checkpoint = target.replication_checkpoint_persisted().unwrap_or(0);
-        ReplicationHandle::start_from(source, target, interval, checkpoint)
-    }
-
-    /// Starts replication resuming from `checkpoint` — the value
-    /// a previous handle reported via [`ReplicationHandle::checkpoint`].
-    /// Resuming skips the already-transferred history instead of pushing
-    /// everything from sequence 0 again; a checkpoint that has fallen
-    /// behind the source's compaction horizon degrades safely into a full
-    /// resync on the first run.
+    /// Starts a background thread replicating `source` → `target`: after
+    /// every commit to `source`, and at least every `interval`. Like
+    /// [`Replicator::new`] it resumes from the checkpoint the target
+    /// holds; a checkpoint that has fallen behind the source's compaction
+    /// horizon degrades safely into a full resync on the first run.
     ///
     /// When the target is durable, each run logs its checkpoint in the
     /// target's write-ahead log, in the same append as the run's writes,
     /// and only a logged checkpoint is published: a recovered or
-    /// published checkpoint never claims more than what the log holds,
-    /// and restarts can resume via [`ReplicationHandle::start_durable`].
-    pub fn start_from(
-        source: DocStore,
-        target: DocStore,
-        interval: Duration,
-        checkpoint: u64,
-    ) -> ReplicationHandle {
-        let mut replicator = Replicator::with_checkpoint(source, target, checkpoint);
+    /// published checkpoint never claims more than what the log holds.
+    pub fn start(source: DocStore, target: DocStore, interval: Duration) -> ReplicationHandle {
+        let mut replicator = Replicator::new(source, target);
         let shared = Arc::new(Shared {
             signal: Arc::clone(replicator.source.commit_signal()),
             stop: AtomicBool::new(false),
@@ -397,8 +372,8 @@ impl ReplicationHandle {
     }
 
     /// The checkpoint after the most recent completed run — for a durable
-    /// target, the most recent one its log holds. Persist this and hand it
-    /// to [`ReplicationHandle::start_from`] to resume after a restart.
+    /// target, the most recent one its log holds, which is where a handle
+    /// started on the reopened target resumes after a restart.
     pub fn checkpoint(&self) -> u64 {
         self.shared.checkpoint.load(Ordering::SeqCst)
     }
@@ -600,33 +575,45 @@ mod tests {
         assert_eq!(dst.seq(), 0);
     }
 
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("safeweb-rep-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
     #[test]
     fn replicator_resumes_from_saved_checkpoint() {
+        let dir = temp_dir("resume");
         let src = DocStore::new("s");
-        let dst = DocStore::new("d");
         for i in 0..5 {
             src.put(&format!("d{i}"), jobject! {}, LabelSet::new(), None)
                 .unwrap();
         }
-        let mut rep = Replicator::new(src.clone(), dst.clone());
-        let saved = rep.run_once().checkpoint;
-        drop(rep);
+        let saved = {
+            let dst = DocStore::open(&dir).unwrap();
+            let mut rep = Replicator::new(src.clone(), dst.clone());
+            rep.run_once().checkpoint
+        };
         src.put("later", jobject! {}, LabelSet::new(), None)
             .unwrap();
-        // A restarted replicator with the saved checkpoint transfers only
-        // the new document.
-        let mut resumed = Replicator::with_checkpoint(src.clone(), dst.clone(), saved);
+        // A restarted replicator resumes from the checkpoint the replica
+        // saved and transfers only the new document.
+        let dst = DocStore::open(&dir).unwrap();
+        let mut resumed = Replicator::new(src.clone(), dst.clone());
         assert_eq!(resumed.checkpoint(), saved);
         let report = resumed.run_once();
         assert_eq!(report.docs_written, 1);
         assert!(!report.resynced);
         assert_eq!(src.ids(), dst.ids());
+        drop((resumed, dst));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn stale_checkpoint_triggers_full_resync_with_tombstone_sweep() {
+        let dir = temp_dir("stale");
         let src = DocStore::new("s");
-        let dst = DocStore::new("d");
+        let dst = DocStore::open(&dir).unwrap();
         let rev_a = src.put("a", jobject! {}, LabelSet::new(), None).unwrap();
         src.put("b", jobject! {}, LabelSet::new(), None).unwrap();
         let mut rep = Replicator::new(src.clone(), dst.clone());
@@ -639,13 +626,16 @@ mod tests {
         src.compact_changes(0);
         assert!(saved < src.compacted_seq());
 
-        let mut resumed = Replicator::with_checkpoint(src.clone(), dst.clone(), saved);
+        let mut resumed = Replicator::new(src.clone(), dst.clone());
+        assert_eq!(resumed.checkpoint(), saved);
         let report = resumed.run_once();
         assert!(report.resynced, "stale checkpoint must force a resync");
         assert_eq!(report.docs_deleted, 1, "the swept ghost of \"a\"");
         assert_eq!(report.docs_written, 1, "the new document \"c\"");
         assert_eq!(src.ids(), dst.ids());
         assert!(dst.get("a").is_none(), "compacted delete must still apply");
+        drop((resumed, dst));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A checkpoint *ahead of* the source's sequence means the source
@@ -653,16 +643,20 @@ mod tests {
     /// empty feed forever while the stores diverge. It must resync.
     #[test]
     fn checkpoint_ahead_of_source_forces_resync() {
+        let dir = temp_dir("ahead");
         let src = DocStore::new("recreated");
-        let dst = DocStore::new("d");
-        // The target still holds state from the source's previous life.
+        let dst = DocStore::open(&dir).unwrap();
+        // The target still holds state from the source's previous life,
+        // and the checkpoint it reached there: 100, while the new source
+        // is at seq 1.
         dst.put("stale", jobject! {}, LabelSet::new(), None)
             .unwrap();
+        dst.persist_replication_checkpoint(100).unwrap();
         src.put("fresh", jobject! {}, LabelSet::new(), None)
             .unwrap();
 
-        // Checkpoint 100 from the old source; the new one is at seq 1.
-        let mut rep = Replicator::with_checkpoint(src.clone(), dst.clone(), 100);
+        let mut rep = Replicator::new(src.clone(), dst.clone());
+        assert_eq!(rep.checkpoint(), 100);
         let report = rep.run_once();
         assert!(report.resynced, "stale-source checkpoint must resync");
         assert_eq!(report.docs_written, 1);
@@ -675,6 +669,8 @@ mod tests {
         );
         // Subsequent runs are incremental again.
         assert!(!rep.run_once().resynced);
+        drop((rep, dst));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A replicated write the durable target cannot log (oversized for
@@ -684,8 +680,7 @@ mod tests {
     /// replication would never re-send it.
     #[test]
     fn unloggable_replicated_write_blocks_checkpoint_persistence() {
-        let dir = std::env::temp_dir().join(format!("safeweb-rep-oversize-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("oversize");
         let src = DocStore::new("s");
         let dst = DocStore::open(&dir).unwrap();
         let huge = "x".repeat(64 * 1024 * 1024 + 16);
@@ -719,8 +714,7 @@ mod tests {
     /// checkpoint is in the target's log — must not report it reached.
     #[test]
     fn handle_publishes_only_the_checkpoint_its_durable_target_logged() {
-        let dir = std::env::temp_dir().join(format!("safeweb-rep-publish-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("publish");
         let src = DocStore::new("s");
         let dst = DocStore::open(&dir).unwrap();
         src.put("a", jobject! {}, LabelSet::new(), None).unwrap();
@@ -732,8 +726,7 @@ mod tests {
             None,
         )
         .unwrap();
-        let handle =
-            ReplicationHandle::start_durable(src.clone(), dst.clone(), Duration::from_secs(30));
+        let handle = ReplicationHandle::start(src.clone(), dst.clone(), Duration::from_secs(30));
         let published = handle.checkpoint_cell();
         assert!(dst.wait_until(WAIT, |db| db.get("big").is_some()));
         assert!(!handle.wait_for_checkpoint(src.seq(), Duration::from_millis(50)));
@@ -751,9 +744,7 @@ mod tests {
     /// all when there is nothing to push.
     #[test]
     fn a_non_empty_run_is_exactly_one_target_commit() {
-        let dir =
-            std::env::temp_dir().join(format!("safeweb-rep-one-commit-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = temp_dir("one-commit");
         let src = DocStore::new("s");
         let dst = DocStore::open(&dir).unwrap();
         for i in 0..20 {
@@ -848,31 +839,37 @@ mod tests {
 
     #[test]
     fn background_replication_resumes_from_checkpoint() {
+        let dir = temp_dir("background-resume");
         let src = DocStore::new("s");
-        let dst = DocStore::new("d");
         src.put("a", jobject! {}, LabelSet::new(), None).unwrap();
-        let handle = ReplicationHandle::start(src.clone(), dst.clone(), Duration::from_millis(5));
-        assert!(handle.wait_for_checkpoint(src.seq(), WAIT), "no checkpoint");
-        let saved = handle.checkpoint();
-        handle.stop();
+        let saved = {
+            let dst = DocStore::open(&dir).unwrap();
+            let handle =
+                ReplicationHandle::start(src.clone(), dst.clone(), Duration::from_millis(5));
+            assert!(handle.wait_for_checkpoint(src.seq(), WAIT), "no checkpoint");
+            let saved = handle.checkpoint();
+            handle.stop();
+            saved
+        };
 
-        // "Restart": resume from the persisted checkpoint; the target's
-        // sequence number shows the old history was not re-pushed.
+        // Restart: the reopened replica resumes from the checkpoint it
+        // logged; its sequence number shows the old history was not
+        // re-pushed.
+        let dst = DocStore::open(&dir).unwrap();
+        assert_eq!(dst.replication_checkpoint_persisted(), Some(saved));
         let seq_before = dst.seq();
         src.put("b", jobject! {}, LabelSet::new(), None).unwrap();
-        let resumed = ReplicationHandle::start_from(
-            src.clone(),
-            dst.clone(),
-            Duration::from_millis(5),
-            saved,
-        );
+        let resumed = ReplicationHandle::start(src.clone(), dst.clone(), Duration::from_millis(5));
         assert!(
             resumed.wait_for_checkpoint(src.seq(), WAIT),
             "never resumed"
         );
         resumed.stop();
+        assert_eq!(dst.replication_checkpoint_persisted(), Some(src.seq()));
         assert!(dst.get("b").is_some());
         assert_eq!(dst.seq(), seq_before + 1, "history was re-transferred");
+        drop(dst);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A commit wakes the parked thread: with a one-second fallback

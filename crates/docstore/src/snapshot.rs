@@ -7,12 +7,15 @@
 //! document. Only *state* is serialised: views, prefix ranges and the
 //! compacted changes feed are rebuilt from the documents on open.
 //!
-//! Writes are crash-atomic: the bytes go to `snapshot.tmp`, are fsynced,
-//! and the file is renamed over `snapshot.dat` (with a directory fsync)
-//! before the WAL is truncated. A crash at any point leaves either the
-//! old snapshot + full WAL or the new snapshot + (possibly still
-//! untruncated) WAL; replay skips WAL records at or below the snapshot's
-//! sequence, so both recover to the same state.
+//! A snapshot is captured under the store lock right after the WAL's
+//! active segment is rotated, so every record it covers sits in a sealed
+//! segment; a background thread writes it, and the sealed segments it
+//! covers are deleted only once it has landed. Writes are crash-atomic:
+//! the bytes go to `snapshot.tmp`, are fsynced, and the file is renamed
+//! over `snapshot.dat` (with a directory fsync). A crash at any point
+//! leaves either the old snapshot + every segment or the new snapshot +
+//! (possibly not yet pruned) sealed segments; replay skips WAL records at
+//! or below the snapshot's sequence, so both recover to the same state.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};

@@ -120,22 +120,18 @@ struct View {
     index: BTreeMap<String, BTreeSet<String>>,
 }
 
-/// Shared state of the background snapshot writer. Automatic snapshots
-/// ([`Inner::maybe_snapshot`]) rotate the WAL segment and take a handle
-/// onto every document under the store lock — both cheap — and push the
-/// expensive full-store file write onto a detached thread, so writers
-/// never stall behind it.
+/// Shared state of the background snapshot writer. Every snapshot
+/// ([`Inner::start_snapshot`]) rotates the WAL segment and takes a handle
+/// onto every document under the store lock — both cheap — and pushes
+/// the expensive full-store file write onto a background thread, so
+/// writers never stall behind it.
 #[derive(Debug)]
 struct SnapshotTask {
-    /// Serialises snapshot-file writers (background vs
-    /// [`DocStore::snapshot_now`]) and holds the highest store sequence
-    /// already written, so a slow background write can never clobber a
-    /// newer snapshot with its older capture.
-    write_lock: Mutex<u64>,
-    /// The running (or just-finished) writer thread, joined on reuse,
-    /// [`DocStore::snapshot_quiesce`], and store drop.
+    /// The running (or just-finished) writer thread; see
+    /// [`SnapshotTask::join`].
     handle: Mutex<Option<JoinHandle<()>>>,
-    /// A writer is still running; at most one runs at a time.
+    /// A writer is still running. At most one runs at a time, so
+    /// snapshot files land in capture order.
     inflight: AtomicBool,
     /// `(sealed-segment boundary, result)` posted by a finished writer;
     /// reaped under the store lock to prune covered segments or record
@@ -182,17 +178,25 @@ impl Drop for Durability {
     fn drop(&mut self) {
         // Wait out an in-flight background snapshot first: it writes into
         // this directory, and the advisory lock is what keeps another
-        // process from opening the directory mid-write.
-        let handle = self
-            .snapshots
-            .handle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(h) = handle {
+        // process from opening the directory mid-write. Reaping it prunes
+        // the sealed segments it covers, so the next open does not replay
+        // them.
+        self.snapshots.join();
+        reap_snapshot(self);
+        let _ = std::fs::remove_file(self.dir.join(wal::LOCK_FILE));
+    }
+}
+
+impl SnapshotTask {
+    /// Waits until no snapshot writer runs. The slot stays locked for the
+    /// join, so a concurrent caller waits for the same writer instead of
+    /// returning while it still runs. A writer posts its outcome before it
+    /// ends, so the outcome is ready for [`reap_snapshot`] afterwards.
+    fn join(&self) {
+        let mut slot = self.handle.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(h) = slot.take() {
             let _ = h.join();
         }
-        let _ = std::fs::remove_file(self.dir.join(wal::LOCK_FILE));
     }
 }
 
@@ -403,101 +407,47 @@ impl Inner {
         }
     }
 
-    /// Writes a snapshot *synchronously* and truncates the WAL — the
-    /// [`DocStore::snapshot_now`] path; automatic snapshots go through
-    /// [`Inner::maybe_snapshot`] instead. Failures are recorded but
-    /// non-fatal: every record is still in the log, so recovery is
-    /// unaffected — the snapshot is retried after the next
-    /// `snapshot_every` appends.
-    fn snapshot_locked(&mut self) -> Result<(), StoreError> {
-        let Some(d) = self.durability.as_mut() else {
-            return Err(StoreError::Io("store is not durable".to_string()));
-        };
-        reap_snapshot(d);
-        let result = {
-            // Excludes a still-running background writer; `snapshot::write`
-            // itself is atomic (tmp + rename) but the two captures would
-            // race on which rename lands last, and the background one may
-            // be older.
-            let mut last = d
-                .snapshots
-                .write_lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            snapshot::write(&d.dir, self.seq, d.rep_checkpoint, self.docs.values())
-                .map(|()| *last = (*last).max(self.seq))
-        };
-        self.snapshots.inc();
-        match result {
-            Ok(()) => {
-                d.snapshot_error = None;
-                // The snapshot now covers every logged record; a crash
-                // between the rename above and this truncation is safe
-                // because replay skips records at or below the snapshot
-                // sequence.
-                if let Err(e) = d.wal.reset() {
-                    d.failed = Some(e.to_string());
-                    return Err(StoreError::Io(e.to_string()));
-                }
-                d.since_snapshot = 0;
-                Ok(())
-            }
-            Err(e) => {
-                d.snapshot_error = Some(e.to_string());
-                d.since_snapshot = 0; // retry after another full window
-                Err(StoreError::Io(e.to_string()))
-            }
-        }
-    }
-
-    /// Automatic snapshotting, restructured so writers never wait for the
-    /// full-store file write: under the store lock it only reaps the
-    /// previous outcome, **rotates** the WAL segment (every record the
-    /// snapshot will cover is now in sealed segments ≤ the boundary) and
-    /// takes a handle onto every document; the write itself runs on a
-    /// background thread, and the covered segments are deleted when its
-    /// outcome is reaped. A crash before the write completes loses nothing
-    /// — the sealed segments still hold every record.
-    ///
-    /// The trigger is geometric: a snapshot is due once the records since
+    /// Automatic snapshotting: a snapshot is due once the records since
     /// the last one reach `max(snapshot_every, 2 × live documents)`. A
     /// snapshot costs `O(live)`, so its cost per record is `O(1)` whatever
     /// the store's size, while the log holds `max(snapshot_every,
     /// 2 × live)` records to replay, plus those appended while the
-    /// previous snapshot is still being written.
+    /// previous snapshot is still being written. Also reaps a finished
+    /// snapshot's outcome, so covered segments go as soon as it lands.
     fn maybe_snapshot(&mut self) {
-        let due = {
-            let live = self.docs.len();
-            let Some(d) = self.durability.as_mut() else {
-                return;
-            };
-            reap_snapshot(d);
-            d.snapshot_every > 0 && d.since_snapshot >= d.snapshot_every.max(2 * live)
-        };
-        if !due {
+        let live = self.docs.len();
+        let Some(d) = self.durability.as_mut() else {
             return;
+        };
+        reap_snapshot(d);
+        if d.snapshot_every > 0 && d.since_snapshot >= d.snapshot_every.max(2 * live) {
+            // A failure is recorded in the store (sticky for a rotation,
+            // `snapshot_error` otherwise); the write that tripped the
+            // snapshot is already logged and stands.
+            let _ = self.start_snapshot();
         }
-        {
-            let d = self.durability.as_ref().expect("due implies durable");
-            if d.snapshots.inflight.swap(true, Ordering::SeqCst) {
-                return; // previous snapshot still writing; try again later
-            }
+    }
+
+    /// Starts a snapshot without making writers wait for the full-store
+    /// file write: under the store lock it only **rotates** the
+    /// WAL segment (every record the snapshot will cover is now in sealed
+    /// segments ≤ the boundary) and takes a handle onto every document;
+    /// the write itself runs on a background thread, and the covered
+    /// segments are deleted when its outcome is reaped. A crash before the
+    /// write completes loses nothing — the sealed segments still hold
+    /// every record. Starts nothing while the previous snapshot is still
+    /// being written.
+    fn start_snapshot(&mut self) -> Result<(), StoreError> {
+        let Some(d) = self.durability.as_mut() else {
+            return Err(StoreError::Io("store is not durable".to_string()));
+        };
+        if d.snapshots.inflight.swap(true, Ordering::SeqCst) {
+            return Ok(());
         }
-        let docs: Vec<Document> = self.docs.values().cloned().collect();
-        let seq = self.seq;
-        self.snapshots.inc();
-        let d = self.durability.as_mut().expect("due implies durable");
-        // The previous writer (if any) has finished — `inflight` was
-        // false — so this join only reclaims the thread.
-        let finished = d
-            .snapshots
-            .handle
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(h) = finished {
-            let _ = h.join();
-        }
+        // The previous writer has finished — `inflight` was false — so
+        // its outcome is posted and this join only reclaims the thread.
+        d.snapshots.join();
+        reap_snapshot(d);
         let boundary = match d.wal.rotate() {
             Ok(boundary) => boundary,
             Err(e) => {
@@ -505,39 +455,34 @@ impl Inner {
                 // like any WAL I/O failure — sticky, no further acks.
                 d.failed = Some(e.to_string());
                 d.snapshots.inflight.store(false, Ordering::SeqCst);
-                return;
+                return Err(StoreError::Io(e.to_string()));
             }
         };
         d.since_snapshot = 0;
-        let dir = d.dir.clone();
-        let rep = d.rep_checkpoint;
+        let (dir, rep, seq) = (d.dir.clone(), d.rep_checkpoint, self.seq);
         let shared = Arc::clone(&d.snapshots);
+        let docs: Vec<Document> = self.docs.values().cloned().collect();
+        self.snapshots.inc();
         let spawned = std::thread::Builder::new()
             .name("safeweb-snapshot".to_string())
             .spawn(move || {
-                let result = {
-                    let mut last = shared.write_lock.lock().unwrap_or_else(|e| e.into_inner());
-                    if seq > *last {
-                        snapshot::write(&dir, seq, rep, docs.iter())
-                            .map(|()| *last = seq)
-                            .map_err(|e| e.to_string())
-                    } else {
-                        // A newer snapshot (snapshot_now) already landed;
-                        // it covers our boundary a fortiori.
-                        Ok(())
-                    }
-                };
+                let result =
+                    snapshot::write(&dir, seq, rep, docs.iter()).map_err(|e| e.to_string());
                 *shared.outcome.lock().unwrap_or_else(|e| e.into_inner()) =
                     Some((boundary, result));
                 shared.inflight.store(false, Ordering::SeqCst);
             });
+        let d = self.durability.as_mut().expect("checked durable above");
         match spawned {
             Ok(handle) => {
                 *d.snapshots.handle.lock().unwrap_or_else(|e| e.into_inner()) = Some(handle);
+                Ok(())
             }
             Err(e) => {
-                d.snapshot_error = Some(format!("spawning snapshot writer: {e}"));
+                let why = format!("spawning snapshot writer: {e}");
+                d.snapshot_error = Some(why.clone());
                 d.snapshots.inflight.store(false, Ordering::SeqCst);
+                Err(StoreError::Io(why))
             }
         }
     }
@@ -706,15 +651,16 @@ impl DocStore {
         }
         let (wal, records) = Wal::open(dir)?;
         // Replayed records count toward the snapshot window: a workload
-        // of short process lifetimes must still truncate its log once
+        // of short process lifetimes must still prune its log once
         // the accumulated records cross the threshold, instead of
         // growing the WAL (and the replay time) run over run.
         let replayed = records.len();
         for record in records {
             match record {
                 // Records at or below the snapshot sequence are the
-                // residue of a crash between snapshot rename and WAL
-                // truncation; the snapshot already covers them.
+                // residue of a crash between snapshot rename and the
+                // pruning of the sealed segments it covers; the snapshot
+                // already covers them.
                 Record::Put { seq, doc } if seq > inner.seq => {
                     let id = doc.id().to_string();
                     let rev = doc.rev().clone();
@@ -745,7 +691,6 @@ impl DocStore {
             failed: None,
             snapshot_error: None,
             snapshots: Arc::new(SnapshotTask {
-                write_lock: Mutex::new(0),
                 handle: Mutex::new(None),
                 inflight: AtomicBool::new(false),
                 outcome: Mutex::new(None),
@@ -830,7 +775,7 @@ impl DocStore {
     }
 
     /// Sets the floor on how many WAL records accumulate before an
-    /// automatic snapshot + log truncation (default
+    /// automatic snapshot + log pruning (default
     /// [`DEFAULT_SNAPSHOT_EVERY`]; 0 = only [`DocStore::snapshot_now`]
     /// snapshots). A snapshot writes every live document, so a store
     /// holding more than `records / 2` documents waits for twice its
@@ -876,29 +821,6 @@ impl DocStore {
             .map(|d| d.wal.segments())
     }
 
-    /// Waits for any in-flight background snapshot to finish and applies
-    /// its outcome (sealed-segment pruning, or the recorded error).
-    /// Automatic snapshots write on a background thread, so `wal_len`
-    /// only reflects a just-triggered snapshot after this returns.
-    pub fn snapshot_quiesce(&self) {
-        let handle = {
-            let inner = self.inner.read();
-            inner.durability.as_ref().and_then(|d| {
-                d.snapshots
-                    .handle
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-            })
-        };
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-        if let Some(d) = self.inner.write().durability.as_mut() {
-            reap_snapshot(d);
-        }
-    }
-
     /// Blocks until the group-commit sync covering `ticket` has
     /// completed; called after the store lock is released so concurrent
     /// writers batch behind one leader fsync. A sync failure is promoted
@@ -919,15 +841,50 @@ impl DocStore {
         Ok(())
     }
 
-    /// Writes a snapshot of the whole store now and truncates the WAL.
-    /// Writers are blocked for the duration.
+    /// Takes a snapshot now, through the same path as the automatic ones:
+    /// the WAL segment rotates under the store lock, the file is written
+    /// in the background, and the sealed segments it covers are pruned.
+    /// Returns once a snapshot captured after the call began has landed:
+    /// the one this call starts, or one an automatic trigger or a
+    /// concurrent caller started first, which covers the same writes. A
+    /// snapshot still being written when this is called may predate the
+    /// call, so it is waited out first. Writers are not blocked while the
+    /// file is written.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if the store is in-memory or the write fails
-    /// (the WAL is left intact in that case — nothing is lost).
+    /// [`StoreError::Io`] if the store is in-memory, the WAL cannot be
+    /// rotated, or the snapshot write fails (the sealed segments then stay
+    /// on disk — nothing is lost).
     pub fn snapshot_now(&self) -> Result<(), StoreError> {
-        self.inner.write().snapshot_locked()
+        self.settle_snapshot();
+        self.inner.write().start_snapshot()?;
+        self.settle_snapshot();
+        // Reaped: the outcome of the snapshot waited for, or of a later
+        // one (which covers it a fortiori).
+        let inner = self.inner.read();
+        let error = inner
+            .durability
+            .as_ref()
+            .and_then(|d| d.snapshot_error.clone());
+        error.map_or(Ok(()), |why| Err(StoreError::Io(why)))
+    }
+
+    /// Join-and-reap: waits for the snapshot writer running now, if any,
+    /// outside the store lock, then applies its outcome under it.
+    fn settle_snapshot(&self) {
+        let task = self
+            .inner
+            .read()
+            .durability
+            .as_ref()
+            .map(|d| Arc::clone(&d.snapshots));
+        if let Some(task) = task {
+            task.join();
+        }
+        if let Some(d) = self.inner.write().durability.as_mut() {
+            reap_snapshot(d);
+        }
     }
 
     /// Current WAL length in bytes (`None` for in-memory stores);
@@ -947,10 +904,12 @@ impl DocStore {
     /// Durably records that this replica has applied the replication
     /// stream through source sequence `checkpoint`; recovered by
     /// [`DocStore::replication_checkpoint_persisted`] after a restart.
-    /// The record lands in the same WAL as the replicated writes it
-    /// follows, so a recovered checkpoint never claims more than what was
-    /// actually applied. (A [`crate::Replicator`] run logs its checkpoint
-    /// itself, in the same append as its batch.)
+    /// This is a replication write transaction with no documents, so the
+    /// record lands in the same WAL as the replicated writes it follows
+    /// and a recovered checkpoint never claims more than what was actually
+    /// applied. A checkpoint equal to the logged one appends nothing. (A
+    /// [`crate::Replicator`] run logs its checkpoint itself, in the same
+    /// append as its batch.)
     ///
     /// # Errors
     ///
@@ -958,24 +917,20 @@ impl DocStore {
     /// unavailable (including a previous append failure — the checkpoint
     /// must not outrun lost writes).
     pub fn persist_replication_checkpoint(&self, checkpoint: u64) -> Result<(), StoreError> {
-        let mut inner = self.inner.write();
-        if inner.durability.is_none() {
-            return Err(StoreError::Io("store is not durable".to_string()));
+        self.apply_replicated(Vec::new(), Some(checkpoint));
+        match self.inner.read().durability.as_ref() {
+            None => Err(StoreError::Io("store is not durable".to_string())),
+            Some(d) => match &d.failed {
+                Some(why) => Err(StoreError::Io(why.clone())),
+                None => Ok(()),
+            },
         }
-        let ticket = inner.persist(|| [wal::encode_checkpoint(checkpoint)])?;
-        if let Some(d) = inner.durability.as_mut() {
-            d.rep_checkpoint = checkpoint;
-        }
-        inner.maybe_snapshot();
-        drop(inner);
-        self.wait_durable(ticket)
     }
 
     /// The durably recorded replication checkpoint (0 until one is
-    /// persisted), or `None` for an in-memory store. Hand this to
-    /// [`crate::ReplicationHandle::start_from`] — or just use
-    /// [`crate::ReplicationHandle::start_durable`] — to resume
-    /// replication after a restart without re-transferring history.
+    /// persisted), or `None` for an in-memory store. A
+    /// [`crate::Replicator`] into this store resumes from it, so a
+    /// restarted replica does not re-transfer the history it holds.
     pub fn replication_checkpoint_persisted(&self) -> Option<u64> {
         self.inner
             .read()
@@ -2035,7 +1990,7 @@ mod tests {
             write_nth(&[&store, &oracle], n, 40);
             // Snapshots write in the background; quiescing each write
             // keeps the snapshot points deterministic.
-            store.snapshot_quiesce();
+            store.settle_snapshot();
             let bound = 8.max(2 * store.len());
             assert!(
                 since_snapshot(&store) <= bound + 1,
@@ -2064,8 +2019,11 @@ mod tests {
         store.attach_metrics(&registry, "t");
         for n in 0..11_000 {
             write_nth(&[&store, &oracle], n, 1_000);
+            // A write that comes due while the previous snapshot is still
+            // being written starts none; waiting each one out keeps the
+            // snapshot points deterministic on a loaded host.
+            store.settle_snapshot();
         }
-        store.snapshot_quiesce();
         let snapshots = registry.counter("t.snapshots").get();
         assert!(
             (1..=6).contains(&snapshots),
@@ -2180,11 +2138,11 @@ mod tests {
         // this process life — not the twentieth — trips it.
         for n in 10..19 {
             write_nth(&[&store, &oracle], n, 10);
-            store.snapshot_quiesce();
+            store.settle_snapshot();
         }
         assert_eq!(store.inner.read().snapshots.get(), 0);
         write_nth(&[&store, &oracle], 19, 10);
-        store.snapshot_quiesce();
+        store.settle_snapshot();
         assert_eq!(store.inner.read().snapshots.get(), 1);
         assert_eq!(since_snapshot(&store), 0);
         assert!(

@@ -93,8 +93,10 @@ pub enum WalSync {
     /// OOM-kills) but not a host power loss.
     #[default]
     OsBuffered,
-    /// `fdatasync(2)` after every record: power-loss durable, at the cost
-    /// of a disk round-trip per acknowledged write.
+    /// Every acknowledged write is covered by an `fdatasync(2)`:
+    /// power-loss durable. Concurrent appenders share one group-commit
+    /// sync, so the disk round-trip is paid once per batch of
+    /// acknowledged writes, not once per record.
     Always,
 }
 
@@ -882,17 +884,6 @@ impl Wal {
     pub(crate) fn segments(&self) -> usize {
         self.sealed.len() + 1
     }
-
-    /// Empties the log after a snapshot has made its records redundant:
-    /// sealed segments are deleted, the active one truncated in place.
-    pub(crate) fn reset(&mut self) -> std::io::Result<()> {
-        self.drop_sealed_through(u64::MAX)?;
-        self.file.set_len(0)?;
-        (&*self.file).seek(SeekFrom::Start(0))?;
-        self.file.sync_data()?;
-        self.len = 0;
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -1037,15 +1028,13 @@ mod tests {
         assert_eq!(reps, vec![1, 2, 3, 4, 5]);
         assert_eq!(wal.len(), total);
 
-        // A snapshot boundary prunes everything it covers…
+        // A snapshot boundary prunes everything it covers, and nothing
+        // is left to replay.
         let boundary = wal.rotate().unwrap();
         wal.drop_sealed_through(boundary).unwrap();
         assert_eq!(wal.segments(), 1);
         assert_eq!(wal.len(), 0);
-        // …and reset clears whatever is left.
-        wal.append_many(&["{\"op\":\"ckpt\",\"rep\":6}"]).unwrap();
-        wal.reset().unwrap();
-        assert_eq!(wal.len(), 0);
+        drop(wal);
         let (_, records) = Wal::open(&dir).unwrap();
         assert!(records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);

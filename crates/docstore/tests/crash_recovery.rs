@@ -81,7 +81,7 @@ fn crash_writer_child() {
     };
     let store = DocStore::open(&dir).expect("child reopens the store");
     // A small snapshot window so kills also land inside the
-    // snapshot-write / WAL-truncate cycle, not just between appends.
+    // rotate / snapshot-write / prune cycle, not just between appends.
     store.set_snapshot_every(97);
     let mut n = applied_ops(&store);
     let mut acks = std::fs::OpenOptions::new()
@@ -492,7 +492,8 @@ fn durable_replica_resumes_incrementally_after_restart() {
 
     src.put("later", jobject! {}, LabelSet::new(), None)
         .unwrap();
-    let mut rep = Replicator::with_checkpoint(src.clone(), dst.clone(), ckpt);
+    let mut rep = Replicator::new(src.clone(), dst.clone());
+    assert_eq!(rep.checkpoint(), ckpt, "the replica's checkpoint resumes");
     let report = rep.run_once();
     assert!(!report.resynced, "resume must be incremental, not a resync");
     assert_eq!(report.docs_written, 1, "only the new document transfers");
@@ -500,15 +501,15 @@ fn durable_replica_resumes_incrementally_after_restart() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Same, through the periodic driver: `ReplicationHandle::start_durable`
-/// reads the recovered checkpoint itself and persists after every run.
+/// Same, through the periodic driver: `ReplicationHandle::start` reads
+/// the recovered checkpoint itself and persists after every run.
 #[test]
-fn start_durable_resumes_from_persisted_checkpoint() {
+fn replication_handle_resumes_from_persisted_checkpoint() {
     if std::env::var("SAFEWEB_CRASH_DIR").is_ok() {
         return;
     }
     use safeweb_docstore::ReplicationHandle;
-    let dir = temp_dir("start-durable");
+    let dir = temp_dir("handle-resume");
     let src = DocStore::new("intranet");
     src.put("a", jobject! {}, LabelSet::new(), None).unwrap();
 
@@ -516,8 +517,7 @@ fn start_durable_resumes_from_persisted_checkpoint() {
 
     {
         let dst = DocStore::open(&dir).unwrap();
-        let handle =
-            ReplicationHandle::start_durable(src.clone(), dst.clone(), Duration::from_millis(5));
+        let handle = ReplicationHandle::start(src.clone(), dst.clone(), Duration::from_millis(5));
         assert!(
             handle.wait_for_checkpoint(src.seq(), wait),
             "first checkpoint never published"
@@ -529,9 +529,12 @@ fn start_durable_resumes_from_persisted_checkpoint() {
 
     let dst = DocStore::open(&dir).unwrap();
     let seq_before = dst.seq();
+    let recovered = dst.replication_checkpoint_persisted().unwrap();
+    // Before the source moves on, the handle can only publish the
+    // checkpoint it resumed from.
+    let handle = ReplicationHandle::start(src.clone(), dst.clone(), Duration::from_millis(5));
+    assert_eq!(handle.checkpoint(), recovered);
     src.put("b", jobject! {}, LabelSet::new(), None).unwrap();
-    let handle =
-        ReplicationHandle::start_durable(src.clone(), dst.clone(), Duration::from_millis(5));
     assert!(
         handle.wait_for_checkpoint(src.seq(), wait),
         "resumed replication never ran"

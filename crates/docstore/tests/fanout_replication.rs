@@ -60,10 +60,8 @@ fn two_replicas_keep_independent_checkpoints_across_a_source_restart() {
             .unwrap();
         }
 
-        let rep_a =
-            ReplicationHandle::start_durable(src.clone(), dmz_a.clone(), Duration::from_millis(5));
-        let rep_b =
-            ReplicationHandle::start_durable(src.clone(), dmz_b.clone(), Duration::from_millis(5));
+        let rep_a = ReplicationHandle::start(src.clone(), dmz_a.clone(), Duration::from_millis(5));
+        let rep_b = ReplicationHandle::start(src.clone(), dmz_b.clone(), Duration::from_millis(5));
         assert!(
             rep_a.wait_for_checkpoint(src.seq(), WAIT),
             "first fan-out, A"
@@ -136,13 +134,23 @@ fn two_replicas_keep_independent_checkpoints_across_a_source_restart() {
     assert!(cp_b < cp_a);
 
     // Drive the resumed runs directly so the reports are checkable.
-    let mut rep_a = Replicator::with_checkpoint(src.clone(), dmz_a.clone(), cp_a);
+    let mut rep_a = Replicator::new(src.clone(), dmz_a.clone());
+    assert_eq!(
+        rep_a.checkpoint(),
+        cp_a,
+        "A resumes from its own checkpoint"
+    );
     let report = rep_a.run_once();
     assert!(!report.resynced, "A's checkpoint is current: incremental");
     assert_eq!(report.docs_written, 1, "A transfers only the new write");
     assert_eq!(report.docs_deleted, 0);
 
-    let mut rep_b = Replicator::with_checkpoint(src.clone(), dmz_b.clone(), cp_b);
+    let mut rep_b = Replicator::new(src.clone(), dmz_b.clone());
+    assert_eq!(
+        rep_b.checkpoint(),
+        cp_b,
+        "B resumes from its own checkpoint"
+    );
     let report = rep_b.run_once();
     assert!(
         !report.resynced,

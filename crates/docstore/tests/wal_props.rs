@@ -34,7 +34,8 @@ enum Op {
     /// Delete `doc-{0}` if it exists (a no-op — and no WAL record —
     /// otherwise).
     Delete(u8),
-    /// Persist replication checkpoint `{0}`.
+    /// Persist replication checkpoint `{0}` (a no-op — and no WAL
+    /// record — when it equals the logged one).
     Checkpoint(u16),
 }
 
@@ -47,7 +48,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// Applies one op through the public API; returns whether it appended a
-/// WAL record (deletes of absent docs do not).
+/// WAL record (deletes of absent docs and checkpoints equal to the logged
+/// one do not).
 fn apply(store: &DocStore, op: &Op, ckpt: &mut u64) -> bool {
     match op {
         Op::Put(id, v) => {
@@ -73,8 +75,9 @@ fn apply(store: &DocStore, op: &Op, ckpt: &mut u64) -> bool {
             if store.is_durable() {
                 store.persist_replication_checkpoint(*v as u64).unwrap();
             }
+            let appended = *ckpt != *v as u64;
             *ckpt = *v as u64;
-            true
+            appended
         }
     }
 }
