@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use safeweb_core::{SafeWebBuilder, SafeWebDeployment};
-use safeweb_docstore::DocStore;
+use safeweb_docstore::{DocStore, Document};
 use safeweb_engine::EngineOptions;
 use safeweb_json::Value;
 use safeweb_labels::Policy;
@@ -86,6 +86,9 @@ pub struct MdtPortal {
     /// treatment (the generated registry has one tumour per patient and
     /// at most one treatment per tumour).
     expected_events: u64,
+    /// `false` under the E9 design error, whose aggregates need not
+    /// agree with the records.
+    aggregates_follow_records: bool,
 }
 
 impl MdtPortal {
@@ -156,6 +159,7 @@ impl MdtPortal {
             mdts,
             expected_records,
             expected_events,
+            aggregates_follow_records: !config.vuln.aggregator_mixes_hospitals,
         }
     }
 
@@ -174,10 +178,22 @@ impl MdtPortal {
         &self.mdts
     }
 
-    /// Blocks until the pipeline has settled (or panics after `timeout`):
-    /// the DMZ replica holds a record for every patient, and every event
-    /// the producer published has been folded into its case record, its
-    /// MDT's metrics and its region's aggregate. Wakes on the replica's
+    /// Blocks until the pipeline has settled (or panics after `timeout`).
+    /// Settled means two things hold on the DMZ replica:
+    ///
+    /// * the records carry every event: a record for every patient, and
+    ///   at least as many record writes as the producer published events;
+    /// * the aggregates agree with those records: every `metrics-<mdt>`
+    ///   holds the `cases` and rounded `avg_completeness` computed from
+    ///   that MDT's records, and every `regional-<region>` the same over
+    ///   its region's records.
+    ///
+    /// The second condition does not count aggregate writes, since an
+    /// aggregate is written only when it changes (`units` module docs).
+    /// A portal built with the E9 design error
+    /// (`VulnConfig::aggregator_mixes_hospitals`) keys cases across MDTs
+    /// by construction, so its aggregates need not match its records; it
+    /// settles on the first condition alone. Wakes on the replica's
     /// commits, not on a timer.
     ///
     /// # Panics
@@ -188,13 +204,14 @@ impl MdtPortal {
         let dmz = self.deployment.dmz_db();
         // Cheapest test first, since this runs on every commit: the O(1)
         // store size gates the record count, and only a complete record
-        // set is worth tallying writes over.
+        // set is worth tallying.
         let settled = dmz.wait_until(timeout, |db| {
-            db.len() >= records
-                && db.count_prefix("record-") >= records
-                && ["record-", "metrics-", "regional-"]
-                    .iter()
-                    .all(|prefix| writes(db, prefix) >= events)
+            if db.len() < records || db.count_prefix("record-") < records {
+                return false;
+            }
+            let records = db.scan_prefix("record-");
+            let writes: u64 = records.iter().map(|doc| doc.rev().generation()).sum();
+            writes >= events && (!self.aggregates_follow_records || aggregates_match(db, &records))
         });
         assert!(
             settled,
@@ -217,13 +234,42 @@ impl MdtPortal {
     }
 }
 
-/// Writes folded into the documents under `prefix`: each write bumps a
-/// document's revision generation, and replication carries it over.
-fn writes(db: &DocStore, prefix: &str) -> u64 {
-    db.scan_prefix(prefix)
-        .iter()
-        .map(|doc| doc.rev().generation())
-        .sum()
+/// Whether every aggregate document in `db` holds what the `records`
+/// imply: per MDT and per region, the number of records and their
+/// rounded average completeness — the values the aggregator folds
+/// event by event.
+fn aggregates_match(db: &DocStore, records: &[Document]) -> bool {
+    let mut by_mdt: BTreeMap<String, (i64, f64)> = BTreeMap::new();
+    let mut by_region: BTreeMap<String, (i64, f64)> = BTreeMap::new();
+    for record in records {
+        let body = record.body();
+        let completeness = body
+            .get("completeness")
+            .and_then(Value::as_f64)
+            .unwrap_or(0.0);
+        for (groups, key) in [(&mut by_mdt, "mdt_id"), (&mut by_region, "region_id")] {
+            let Some(name) = body.get(key).and_then(Value::as_str) else {
+                return false;
+            };
+            let (cases, sum) = groups.entry(name.to_string()).or_default();
+            *cases += 1;
+            *sum += completeness;
+        }
+    }
+    let holds = |id: String, (cases, sum): (i64, f64)| {
+        db.get(&id).is_some_and(|doc| {
+            let body = doc.body();
+            body.get("cases").and_then(Value::as_i64) == Some(cases)
+                && body.get("avg_completeness").and_then(Value::as_f64)
+                    == Some((sum / cases as f64).round())
+        })
+    };
+    by_mdt
+        .into_iter()
+        .all(|(mdt, totals)| holds(format!("metrics-{mdt}"), totals))
+        && by_region
+            .into_iter()
+            .all(|(region, totals)| holds(format!("regional-{region}"), totals))
 }
 
 fn admin_privileges(mdts: &[MdtInfo]) -> safeweb_labels::PrivilegeSet {

@@ -6,12 +6,40 @@
 //!   case into records and computes MDT/regional aggregate metrics;
 //! * **data storage** (privileged) — persists processed records with
 //!   their labels into the application database.
+//!
+//! # Aggregates are published when they change
+//!
+//! Every case event yields one record publish. The per-MDT and regional
+//! aggregates it feeds are published — and so stored, logged and
+//! replicated — only when the publish would differ from that aggregate's
+//! last one, in payload or in the `$LABELS` it runs under. A steady-state
+//! update (a known case whose completeness does not move) is therefore one
+//! event, one put and one replicated document; a registry import, where
+//! every event adds a case or a field, still publishes all three.
+//!
+//! The skip is exact, not a heuristic. It is taken only when the folded
+//! count and completeness sum equal the stored ones, the aggregate's
+//! `region_id` is unchanged, *and* `$LABELS` after reading the stats key
+//! is the label set that key was last written — and successfully
+//! published — under (`fold_aggregate`). Reading a key folds the labels
+//! it was written under into `$LABELS`, so an equal set means a write now
+//! would store the same labels, and the publish would run the same
+//! relabel check on the same `$LABELS` with the same payload. Stored
+//! documents, their labels and every relabel-check outcome therefore
+//! equal those of a pipeline that republishes on every event;
+//! `tests/aggregate_skip.rs` holds the unit to that oracle.
+//!
+//! What an aggregate subscriber sees changes with it. Regional aggregates
+//! are visible to every MDT (P1). Publishing them on every event showed
+//! each member one regional event per update of *any* MDT, a count of
+//! everyone's update traffic; now a member sees one per change of an
+//! aggregate — its values, or the label set it is published under.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use safeweb_docstore::DocStore;
-use safeweb_engine::{Relabel, UnitError, UnitSpec};
+use safeweb_engine::{Jail, Relabel, UnitError, UnitSpec};
 use safeweb_events::Event;
 use safeweb_json::{jobject, Value};
 use safeweb_labels::LabelSet;
@@ -192,19 +220,23 @@ const RECORD_FIELDS: &[&str] = &[
 /// Builds the data-aggregator unit: jailed application logic that combines
 /// per-case events and maintains aggregate metrics. It never performs I/O;
 /// everything goes through the jail's key-value store and publish.
+///
+/// An event that lacks `case_id`, `mdt`, `hospital_id` or an integer
+/// `region_id` is refused with [`UnitError::BadEvent`] before anything is
+/// stored or published.
 pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
     UnitSpec::new("data_aggregator").subscribe(
         PATIENT_REPORT_TOPIC,
         Some("type = 'cancer'"),
         move |jail, event| {
-            let case_id = event
-                .attr("case_id")
-                .ok_or_else(|| UnitError::BadEvent("missing case_id".to_string()))?
-                .to_string();
-            let mdt = event.attr("mdt").unwrap_or("?").to_string();
-            let hospital = event.attr("hospital_id").unwrap_or("?").to_string();
-            let region = event.attr("region_id").unwrap_or("?").to_string();
-            let kind = event.attr("kind").unwrap_or("?").to_string();
+            let case_id = required_attr(event, "case_id")?;
+            let mdt = required_attr(event, "mdt")?;
+            let hospital = required_attr(event, "hospital_id")?;
+            let region = required_attr(event, "region_id")?;
+            let region_id: i64 = region.parse().map_err(|_| {
+                UnitError::BadEvent(format!("region_id {region:?} is not an integer"))
+            })?;
+            let is_treatment = event.attr("kind") == Some("treatment");
             let payload = event.payload().unwrap_or("{}");
             let piece = Value::parse(payload)
                 .map_err(|e| UnitError::BadEvent(format!("bad payload: {e}")))?;
@@ -226,23 +258,24 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                 Some(json) => Value::parse(&json)
                     .map_err(|e| UnitError::Application(format!("corrupt case state: {e}")))?,
                 None => jobject! {
-                    "case_id" => case_id.as_str(),
-                    "mdt_id" => mdt.as_str(),
-                    "hospital_id" => hospital.as_str(),
-                    "region_id" => region.as_str(),
+                    "case_id" => case_id,
+                    "mdt_id" => mdt,
+                    "hospital_id" => hospital,
+                    "region_id" => region,
                 },
             };
             let old_completeness = record
                 .get("completeness")
                 .and_then(Value::as_f64)
                 .unwrap_or(0.0);
-            if let Some(obj) = piece.as_object() {
-                for (k, v) in obj {
-                    if kind == "treatment" && k == "kind" {
-                        record.set("treatment", v.clone());
-                    } else {
-                        record.set(k, v.clone());
+            // The piece is consumed: its keys and values move into the
+            // record instead of being copied.
+            if let (Value::Object(piece), Some(fields)) = (piece, record.as_object_mut()) {
+                for (mut key, value) in piece {
+                    if is_treatment && key == "kind" {
+                        key = "treatment".to_string();
                     }
+                    fields.insert(key, value);
                 }
             }
             let filled = RECORD_FIELDS
@@ -257,98 +290,148 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
             // Publish the (updated) aggregated record.
             let rec_event = Event::new(MDT_RECORD_TOPIC)
                 .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                .set_attrs(&[("case_id", &case_id), ("mdt", &mdt), ("region_id", &region)])?
+                .set_attrs(&[("case_id", case_id), ("mdt", mdt), ("region_id", region)])?
                 .with_payload(record_json);
             jail.publish(rec_event, Relabel::keep())?;
 
-            // Update per-MDT aggregates (keyed by MDT, carrying the MDT
-            // label via the store) and republish metrics relabelled for
-            // same-region consumption: remove the patient-carrying MDT
-            // label (declassification granted by policy to this trusted
-            // component, §3.1) and add the region aggregate label.
-            let stats_key = format!("stats/mdt/{mdt}");
-            let mut stats = match jail.get(&stats_key) {
-                Some(json) => Value::parse(&json)
-                    .map_err(|e| UnitError::Application(format!("corrupt stats: {e}")))?,
-                None => jobject! {"cases" => 0, "completeness_sum" => 0.0},
+            let change = CaseChange {
+                is_new_case,
+                completeness_delta: completeness - old_completeness,
             };
-            // Distinct-case accounting: new cases extend the count, updates
-            // to known cases adjust the running completeness sum.
-            let cases = stats.get("cases").and_then(Value::as_i64).unwrap_or(0)
-                + if is_new_case { 1 } else { 0 };
-            let sum = stats
-                .get("completeness_sum")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0)
-                + completeness
-                - old_completeness;
-            stats.set("cases", cases);
-            stats.set("completeness_sum", sum);
-            jail.set(&stats_key, stats.to_json(), Relabel::keep())?;
 
-            let avg = (sum / cases as f64).round();
-            let metrics = jobject! {
-                "kind" => "mdt_metrics",
-                "mdt_id" => mdt.as_str(),
-                "region_id" => region.as_str(),
-                "cases" => cases,
-                "avg_completeness" => avg,
-            };
-            let region_id: i64 = region.parse().unwrap_or(-1);
-            let metrics_event = Event::new(MDT_METRICS_TOPIC)
-                .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                .set_attrs(&[("mdt", &mdt), ("region_id", &region)])?
-                .with_payload(metrics.to_json());
-            jail.publish(
-                metrics_event,
-                Relabel::keep()
-                    .remove(mdt_label(&mdt))
-                    .add(region_aggregate_label(region_id)),
+            // Per-MDT aggregates (keyed by MDT, carrying the MDT label via
+            // the store), published relabelled for same-region
+            // consumption: remove the patient-carrying MDT label
+            // (declassification granted by policy to this trusted
+            // component, §3.1) and add the region aggregate label.
+            fold_aggregate(
+                jail,
+                &format!("stats/mdt/{mdt}"),
+                region,
+                change,
+                |jail, cases, avg| {
+                    let metrics = jobject! {
+                        "kind" => "mdt_metrics",
+                        "mdt_id" => mdt,
+                        "region_id" => region,
+                        "cases" => cases,
+                        "avg_completeness" => avg,
+                    };
+                    let metrics_event = Event::new(MDT_METRICS_TOPIC)
+                        .map_err(|e| UnitError::BadEvent(e.to_string()))?
+                        .set_attrs(&[("mdt", mdt), ("region_id", region)])?
+                        .with_payload(metrics.to_json());
+                    jail.publish(
+                        metrics_event,
+                        Relabel::keep()
+                            .remove(mdt_label(mdt))
+                            .add(region_aggregate_label(region_id)),
+                    )
+                },
             )?;
 
             // Regional aggregates: visible to every MDT (P1), so remove
             // everything and attach only the regional label.
-            let region_key = format!("stats/region/{region}");
-            let mut rstats = match jail.get(&region_key) {
-                Some(json) => Value::parse(&json)
-                    .map_err(|e| UnitError::Application(format!("corrupt region stats: {e}")))?,
-                None => jobject! {"cases" => 0, "completeness_sum" => 0.0},
-            };
-            let rcases = rstats.get("cases").and_then(Value::as_i64).unwrap_or(0)
-                + if is_new_case { 1 } else { 0 };
-            let rsum = rstats
-                .get("completeness_sum")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0)
-                + completeness
-                - old_completeness;
-            rstats.set("cases", rcases);
-            rstats.set("completeness_sum", rsum);
-            jail.set(&region_key, rstats.to_json(), Relabel::keep())?;
-
-            let regional = jobject! {
-                "kind" => "regional_metrics",
-                "region_id" => region.as_str(),
-                "cases" => rcases,
-                "avg_completeness" => (rsum / rcases as f64).round(),
-            };
-            let regional_event = Event::new(REGIONAL_METRICS_TOPIC)
-                .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                .set_attrs(&[("region_id", &region)])?
-                .with_payload(regional.to_json());
-            jail.publish(
-                regional_event,
-                Relabel::keep().remove_all().add(regional_label()),
-            )?;
-            Ok(())
+            fold_aggregate(
+                jail,
+                &format!("stats/region/{region}"),
+                region,
+                change,
+                |jail, cases, avg| {
+                    let regional = jobject! {
+                        "kind" => "regional_metrics",
+                        "region_id" => region,
+                        "cases" => cases,
+                        "avg_completeness" => avg,
+                    };
+                    let regional_event = Event::new(REGIONAL_METRICS_TOPIC)
+                        .map_err(|e| UnitError::BadEvent(e.to_string()))?
+                        .set_attrs(&[("region_id", region)])?
+                        .with_payload(regional.to_json());
+                    jail.publish(
+                        regional_event,
+                        Relabel::keep().remove_all().add(regional_label()),
+                    )
+                },
+            )
         },
     )
+}
+
+/// How one event changed its case record, as the aggregates see it.
+#[derive(Debug, Clone, Copy)]
+struct CaseChange {
+    is_new_case: bool,
+    completeness_delta: f64,
+}
+
+/// Folds `change` into the aggregate kept under `key` in the jail's
+/// labelled store, then publishes it through `publish(jail, cases,
+/// avg_completeness)` and stores the folded state — unless that publish
+/// would repeat the key's last one exactly (module docs), in which case
+/// nothing is written or published.
+///
+/// Beside the running count and completeness sum, the stats value keeps
+/// the `region_id` the aggregate was published for and the interned id
+/// of the `$LABELS` its last *successful* publish ran under. A refused
+/// publish keeps no id, so the next event retries it and is refused
+/// again, as it would be if every event republished. The id is
+/// process-local, which is sound because the jail's store lives in
+/// memory and dies with the process.
+fn fold_aggregate(
+    jail: &mut Jail<'_>,
+    key: &str,
+    region: &str,
+    change: CaseChange,
+    publish: impl FnOnce(&mut Jail<'_>, i64, f64) -> Result<(), UnitError>,
+) -> Result<(), UnitError> {
+    let stored = jail
+        .get(key)
+        .map(|json| Value::parse(&json))
+        .transpose()
+        .map_err(|e| UnitError::Application(format!("corrupt stats under {key}: {e}")))?;
+    let field = |name: &str| stored.as_ref().and_then(|s| s.get(name));
+    let old_cases = field("cases").and_then(Value::as_i64).unwrap_or(0);
+    let old_sum = field("completeness_sum")
+        .and_then(Value::as_f64)
+        .unwrap_or(0.0);
+    // Distinct-case accounting: new cases extend the count, updates to
+    // known cases adjust the running completeness sum.
+    let cases = old_cases + i64::from(change.is_new_case);
+    let sum = old_sum + change.completeness_delta;
+    let labels = i64::from(jail.labels().id().as_u32());
+    let unchanged = cases == old_cases
+        && sum == old_sum
+        && field("region_id").and_then(Value::as_str) == Some(region)
+        && field("published").and_then(Value::as_i64) == Some(labels);
+    if unchanged {
+        return Ok(());
+    }
+    let outcome = publish(jail, cases, (sum / cases as f64).round());
+    let stats = jobject! {
+        "cases" => cases,
+        "completeness_sum" => sum,
+        "region_id" => region,
+        "published" => outcome.is_ok().then_some(labels),
+    };
+    jail.set(key, stats.to_json(), Relabel::keep())?;
+    outcome
+}
+
+/// The attribute `name` of `event`, or [`UnitError::BadEvent`] when it is
+/// missing: a placeholder would file the event under a junk document.
+fn required_attr<'e>(event: &'e Event, name: &str) -> Result<&'e str, UnitError> {
+    event
+        .attr(name)
+        .ok_or_else(|| UnitError::BadEvent(format!("missing {name}")))
 }
 
 /// Builds the data-storage unit: privileged persistence that writes
 /// records and metrics — **with their labels** — into the application
 /// database ("a data storage unit, which has declassification privileges
-/// for all MDTs, handles data persistence", §5.1).
+/// for all MDTs, handles data persistence", §5.1). An event missing an
+/// attribute its document id is built from is refused with
+/// [`UnitError::BadEvent`] and nothing is stored.
 pub fn data_storage(app_db: DocStore) -> UnitSpec {
     let records_db = app_db.clone();
     let metrics_db = app_db.clone();
@@ -356,40 +439,31 @@ pub fn data_storage(app_db: DocStore) -> UnitSpec {
     UnitSpec::new("data_storage")
         .subscribe(MDT_RECORD_TOPIC, None, move |jail, event| {
             let _io = jail.io()?;
-            store_event(&records_db, *jail.labels(), event, |e| {
-                format!(
-                    "record-{}-{}",
-                    e.attr("mdt").unwrap_or("x"),
-                    e.attr("case_id").unwrap_or("0")
-                )
-            })
+            let id = format!(
+                "record-{}-{}",
+                required_attr(event, "mdt")?,
+                required_attr(event, "case_id")?
+            );
+            store_event(&records_db, *jail.labels(), event, &id)
         })
         .subscribe(MDT_METRICS_TOPIC, None, move |jail, event| {
             let _io = jail.io()?;
-            store_event(&metrics_db, *jail.labels(), event, |e| {
-                format!("metrics-{}", e.attr("mdt").unwrap_or("x"))
-            })
+            let id = format!("metrics-{}", required_attr(event, "mdt")?);
+            store_event(&metrics_db, *jail.labels(), event, &id)
         })
         .subscribe(REGIONAL_METRICS_TOPIC, None, move |jail, event| {
             let _io = jail.io()?;
-            store_event(&regional_db, *jail.labels(), event, |e| {
-                format!("regional-{}", e.attr("region_id").unwrap_or("x"))
-            })
+            let id = format!("regional-{}", required_attr(event, "region_id")?);
+            store_event(&regional_db, *jail.labels(), event, &id)
         })
 }
 
-fn store_event(
-    db: &DocStore,
-    labels: LabelSet,
-    event: &Event,
-    id_of: impl Fn(&Event) -> String,
-) -> Result<(), UnitError> {
+fn store_event(db: &DocStore, labels: LabelSet, event: &Event, id: &str) -> Result<(), UnitError> {
     let body = Value::parse(event.payload().unwrap_or("{}"))
         .map_err(|e| UnitError::BadEvent(format!("bad payload: {e}")))?;
-    let id = id_of(event);
     // Upsert: fetch the current revision if the document exists.
-    let rev = db.get(&id).map(|d| d.rev().clone());
-    db.put(&id, body, labels, rev.as_ref())
+    let rev = db.get(id).map(|d| d.rev().clone());
+    db.put(id, body, labels, rev.as_ref())
         .map_err(|e| UnitError::Application(format!("store failed: {e}")))?;
     Ok(())
 }

@@ -4,21 +4,17 @@
 
 use std::time::Duration;
 
+use safeweb_events::Event;
 use safeweb_http::{Method, Request};
-use safeweb_json::Value;
+use safeweb_json::{jobject, Value};
+use safeweb_mdt::labels::mdt_label;
 use safeweb_mdt::registry::RegistryConfig;
-use safeweb_mdt::units::ProducerConfig;
-use safeweb_mdt::{password_for, MdtPortal, PortalConfig, VulnConfig};
+use safeweb_mdt::units::{ProducerConfig, PATIENT_REPORT_TOPIC};
+use safeweb_mdt::{password_for, MdtPortal, PortalConfig, VulnClass, VulnConfig};
 
 fn small_portal() -> MdtPortal {
     let portal = MdtPortal::build(PortalConfig {
-        registry: RegistryConfig {
-            regions: 2,
-            hospitals_per_region: 1,
-            mdts_per_hospital: 2,
-            patients_per_mdt: 4,
-            seed: 11,
-        },
+        registry: small_registry(),
         auth_iterations: 500,
         replication_interval: Duration::from_millis(20),
         ..PortalConfig::default()
@@ -204,4 +200,83 @@ fn registry_import_keeps_the_pool_backlog_bounded() {
     let bound = 3.0 * (gauge("sched.inbox_cap") + (3 * batch) as f64);
     assert!(peak > 0.0, "the sampler saw the import");
     assert!(peak <= bound, "import backlog peaked at {peak} > {bound}");
+}
+
+fn small_registry() -> RegistryConfig {
+    RegistryConfig {
+        regions: 2,
+        hospitals_per_region: 1,
+        mdts_per_hospital: 2,
+        patients_per_mdt: 4,
+        seed: 11,
+    }
+}
+
+#[test]
+fn design_error_portal_settles_on_its_records() {
+    // E9 keys cases across MDTs, so its aggregates need not match its
+    // records and most events change none of them; the portal still
+    // settles once every event reached a record.
+    let portal = MdtPortal::build(PortalConfig {
+        registry: small_registry(),
+        vuln: VulnClass::DesignError.config(),
+        auth_iterations: 500,
+        replication_interval: Duration::from_millis(20),
+        ..PortalConfig::default()
+    });
+    portal.wait_for_pipeline(Duration::from_secs(30));
+    assert_eq!(
+        portal.deployment().dmz_db().count_prefix("record-"),
+        portal.registry().count("patients").unwrap()
+    );
+}
+
+#[test]
+fn portal_settles_after_an_unchanged_case_is_resent() {
+    let portal = small_portal();
+    let deployment = portal.deployment();
+    let dmz = deployment.dmz_db();
+    let mdt = &portal.mdts()[0];
+    let record = dmz
+        .scan_prefix(&format!("record-{}-", mdt.name))
+        .into_iter()
+        .next()
+        .expect("a record of the first MDT");
+    let field = |name: &str| record.body().get(name).cloned().unwrap_or(Value::Null);
+    let metrics_id = format!("metrics-{}", mdt.name);
+    let metrics_before = dmz.get(&metrics_id).expect("metrics doc").body().to_json();
+
+    // The producer's patient event for this case, sent again verbatim.
+    let mut event = Event::new(PATIENT_REPORT_TOPIC).unwrap();
+    for (k, v) in [
+        ("kind", "patient"),
+        ("type", "cancer"),
+        ("case_id", field("case_id").as_str().unwrap()),
+        ("mdt", mdt.name.as_str()),
+        ("hospital_id", &mdt.hospital_id.to_string()),
+        ("region_id", &mdt.region_id.to_string()),
+        ("clinic", mdt.clinic.as_str()),
+    ] {
+        event.set_attr(k, v).unwrap();
+    }
+    let payload = jobject! { "name" => field("name"), "birth_year" => field("birth_year") };
+    deployment.broker().publish(
+        &event
+            .with_payload(payload.to_json())
+            .with_labels([mdt_label(&mdt.name)]),
+    );
+    let generation = record.rev().generation();
+    assert!(dmz.wait_until(Duration::from_secs(30), |db| {
+        db.get(record.id())
+            .is_some_and(|doc| doc.rev().generation() > generation)
+    }));
+
+    portal.wait_for_pipeline(Duration::from_secs(30));
+    let resent = dmz.get(record.id()).unwrap();
+    assert_eq!(resent.body(), record.body(), "the resent case changed");
+    assert_eq!(
+        dmz.get(&metrics_id).unwrap().body().to_json(),
+        metrics_before
+    );
+    assert!(deployment.engine_violations().is_empty());
 }

@@ -186,3 +186,121 @@ fn unknown_login_gets_no_privileges_not_an_error() {
         .unwrap();
     assert!(ghost.next_delivery().is_ok());
 }
+
+#[test]
+fn case_event_without_mdt_is_refused_not_stored() {
+    use safeweb::engine::{UnitError, Violation};
+    use safeweb::events::LabelledEvent;
+    use safeweb::json::Value;
+    use safeweb::mdt::labels::mdt_label;
+    use safeweb::mdt::registry::RegistryConfig;
+    use safeweb::mdt::units::{MDT_RECORD_TOPIC, PATIENT_REPORT_TOPIC};
+    use safeweb::mdt::{MdtPortal, PortalConfig};
+
+    let portal = MdtPortal::build(PortalConfig {
+        registry: RegistryConfig {
+            regions: 1,
+            hospitals_per_region: 1,
+            mdts_per_hospital: 2,
+            patients_per_mdt: 3,
+            seed: 5,
+        },
+        auth_iterations: 500,
+        replication_interval: Duration::from_millis(20),
+        ..PortalConfig::default()
+    });
+    portal.wait_for_pipeline(Duration::from_secs(30));
+    let deployment = portal.deployment();
+    let app_db = deployment.app_db();
+    let ids = |db: &DocStore| -> Vec<String> {
+        db.scan_prefix("")
+            .iter()
+            .map(|d| d.id().to_string())
+            .collect()
+    };
+    let ids_before = ids(app_db);
+    let violations_before = deployment.engine_violations().len();
+
+    let server = BrokerServer::bind(
+        "127.0.0.1:0",
+        deployment.broker().clone(),
+        deployment.policy().clone(),
+    )
+    .unwrap();
+    let mut producer = EventClient::connect(&server.addr().to_string(), "data_producer").unwrap();
+    let mdt = &portal.mdts()[0];
+    let record_id = format!("record-{}-1", mdt.name);
+    assert!(
+        app_db.get(&record_id).is_some(),
+        "patient 1 is in {}",
+        mdt.name
+    );
+    let update = |marker: i64, region: &str, with_mdt: bool| {
+        let mut event = Event::new(PATIENT_REPORT_TOPIC).unwrap();
+        for (k, v) in [
+            ("kind", "tumour"),
+            ("type", "cancer"),
+            ("case_id", "1"),
+            ("hospital_id", &mdt.hospital_id.to_string()),
+            ("region_id", region),
+        ] {
+            event.set_attr(k, v).unwrap();
+        }
+        if with_mdt {
+            event.set_attr("mdt", &mdt.name).unwrap();
+        }
+        event
+            .with_payload(format!("{{\"marker\":{marker}}}"))
+            .with_labels([mdt_label(&mdt.name)])
+    };
+    let region = mdt.region_id.to_string();
+    // Sends `malformed`, then two well-formed updates on the same
+    // connection, so every unit sees the malformed events first. The
+    // second update starts only after the activations that refused them,
+    // and with them the recorded violations, have finished.
+    let mut marker = 0;
+    let mut send_then_settle = |malformed: &[LabelledEvent]| {
+        for event in malformed {
+            producer.publish(event).unwrap();
+        }
+        for _ in 0..2 {
+            marker += 1;
+            producer.publish(&update(marker, &region, true)).unwrap();
+            let settled = app_db.wait_until(Duration::from_secs(30), |db| {
+                db.get(&record_id)
+                    .is_some_and(|d| d.body().get("marker").and_then(Value::as_i64) == Some(marker))
+            });
+            assert!(settled, "update {marker} never landed");
+        }
+        deployment.engine_violations()[violations_before..].to_vec()
+    };
+
+    // A case event without `mdt`: refused by the aggregator.
+    let refused = send_then_settle(&[update(0, &region, false)]);
+    assert_eq!(refused.len(), 1, "{refused:?}");
+    assert!(matches!(
+        &refused[0],
+        Violation { unit, error: UnitError::BadEvent(reason) }
+            if unit == "data_aggregator" && reason.contains("mdt")
+    ));
+    // A region that is not a number, and a record sent straight to the
+    // storage unit without `mdt`: refused by the unit that reads them.
+    let mut record = Event::new(MDT_RECORD_TOPIC).unwrap();
+    record.set_attr("case_id", "1").unwrap();
+    let record = record
+        .with_payload("{}")
+        .with_labels([mdt_label(&mdt.name)]);
+    let refused = send_then_settle(&[update(0, "north", true), record]);
+    // The two units record their refusals in either order.
+    let mut refusers: Vec<&str> = refused[1..].iter().map(|v| v.unit.as_str()).collect();
+    refusers.sort_unstable();
+    assert_eq!(refusers, ["data_aggregator", "data_storage"]);
+    assert!(refused
+        .iter()
+        .all(|v| matches!(v.error, UnitError::BadEvent(_))));
+    assert_eq!(
+        ids(app_db),
+        ids_before,
+        "a malformed event added a document"
+    );
+}
