@@ -8,7 +8,11 @@
 //!   once at exact size, and the buffer that frames it for the one
 //!   `write(2)` — no `String` per label URI, no `Vec` and `join`;
 //! * after serialising a 1 MiB value, the thread keeps at most
-//!   `SCRATCH_RETAIN` bytes of scratch.
+//!   `SCRATCH_RETAIN` bytes of scratch;
+//! * parsing or cloning the 12-member case record the benchmark stores
+//!   allocates once for its object and once per key and string value —
+//!   no tree nodes, no capacity doublings — and dropping it frees every
+//!   byte.
 //!
 //! Counts are per thread, so the harness's other test threads do not
 //! disturb them.
@@ -112,4 +116,56 @@ fn a_large_output_leaves_at_most_the_scratch_cap_behind() {
         retained <= SCRATCH_RETAIN as i64,
         "{retained} bytes of scratch retained"
     );
+}
+
+/// A stored case record as the benchmark's updates leave it: the
+/// aggregator's four ids, the producer's five fields, the treatment, the
+/// completeness and the update marker — 12 members, 8 of them strings.
+const STORED_RECORD: &str = r#"{"birth_year":1947,"case_id":"1234","completeness":100.0,"diagnosed":2004,"hospital_id":"1","marker":98765,"mdt_id":"mdt-3","name":"patient-33812769","region_id":"0","site":"lung","stage":"II","treatment":"surgery"}"#;
+
+/// The heap bytes `value` owns: each object's member vector and each
+/// array's element vector at their lengths, plus every key and string.
+fn owned_bytes(value: &Value) -> usize {
+    match value {
+        Value::Str(s) => s.len(),
+        Value::Array(items) => {
+            items.len() * std::mem::size_of::<Value>()
+                + items.iter().map(owned_bytes).sum::<usize>()
+        }
+        Value::Object(map) => {
+            map.len() * std::mem::size_of::<(String, Value)>()
+                + map
+                    .iter()
+                    .map(|(k, v)| k.len() + owned_bytes(v))
+                    .sum::<usize>()
+        }
+        _ => 0,
+    }
+}
+
+#[test]
+fn a_case_record_parses_and_clones_in_one_allocation_per_object_and_string() {
+    // The first parse on a thread grows its member stack.
+    let _ = Value::parse(STORED_RECORD).unwrap();
+    let held_before = thread_held_bytes();
+    let (record, parse) = counted(|| Value::parse(STORED_RECORD).unwrap());
+    let fields = record.as_object().unwrap();
+    assert_eq!(fields.len(), 12);
+    let strings = fields.values().filter(|v| v.as_str().is_some()).count();
+    assert_eq!(strings, 8);
+    // One member vector, 12 keys, 8 string values.
+    assert_eq!(parse, 21);
+    assert_eq!(parse as usize, 1 + fields.len() + strings);
+    // Exact sizes: nothing held beyond what the record owns.
+    let owned = owned_bytes(&record) as i64;
+    assert_eq!(thread_held_bytes() - held_before, owned);
+
+    let (copy, clone) = counted(|| record.clone());
+    assert_eq!(clone, 21);
+    assert_eq!(copy, record);
+    assert_eq!(thread_held_bytes() - held_before, 2 * owned);
+
+    let ((), dropped) = counted(|| drop((record, copy)));
+    assert_eq!(dropped, 0);
+    assert_eq!(thread_held_bytes(), held_before);
 }

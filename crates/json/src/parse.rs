@@ -1,10 +1,18 @@
-//! A recursive-descent JSON parser (RFC 8259 subset: no duplicate-key
-//! detection; numbers outside `i64` fall back to `f64`, numbers outside
-//! `f64`'s finite range are errors).
+//! A recursive-descent JSON parser (RFC 8259 subset: a key written twice
+//! in one object keeps its last value; numbers outside `i64` fall back to
+//! `f64`, numbers outside `f64`'s finite range are errors).
+//!
+//! An object's members are collected on a stack shared by every nesting
+//! level and kept between calls on the thread, then moved into one
+//! exact-size vector when the object closes: one allocation per object.
+//! They are sorted only when they arrive out of order. A string with no
+//! escape is copied out of the input in one exact-size allocation.
 
-use std::collections::BTreeMap;
+use std::cell::Cell;
 use std::fmt;
 
+use crate::map::Map;
+use crate::ser::SCRATCH_RETAIN;
 use crate::value::Value;
 
 /// Error produced when JSON parsing fails; carries a byte offset into the
@@ -41,10 +49,21 @@ impl fmt::Display for ParseJsonError {
 
 impl std::error::Error for ParseJsonError {}
 
+type Member = (String, Value);
+
+thread_local! {
+    /// The member stack of this thread's last parse, empty, kept for the
+    /// next one while its capacity is at most [`SCRATCH_RETAIN`] bytes.
+    static MEMBERS: Cell<Vec<Member>> = const { Cell::new(Vec::new()) };
+}
+
 struct Parser<'a> {
+    text: &'a str,
     input: &'a [u8],
     pos: usize,
     depth: usize,
+    /// Members of the objects still open, innermost last.
+    members: Vec<Member>,
 }
 
 /// Maximum nesting depth accepted, to bound stack use on hostile inputs.
@@ -52,7 +71,8 @@ const MAX_DEPTH: usize = 128;
 
 impl Value {
     /// Parses a complete JSON document. Trailing whitespace is permitted;
-    /// trailing garbage is an error.
+    /// trailing garbage is an error. A key written twice in one object
+    /// keeps the value written last.
     ///
     /// # Errors
     ///
@@ -60,24 +80,33 @@ impl Value {
     /// non-UTF-8 escape sequences or nesting deeper than 128 levels.
     pub fn parse(input: &str) -> Result<Value, ParseJsonError> {
         let mut p = Parser {
+            text: input,
             input: input.as_bytes(),
             pos: 0,
             depth: 0,
+            members: MEMBERS.try_with(Cell::take).unwrap_or_default(),
         };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.input.len() {
-            return Err(ParseJsonError::new(
-                p.pos,
-                "trailing characters after document",
-            ));
+        let parsed = p.document();
+        let mut members = p.members;
+        members.clear();
+        if members.capacity() * std::mem::size_of::<Member>() <= SCRATCH_RETAIN {
+            let _ = MEMBERS.try_with(|cell| cell.set(members));
         }
-        Ok(v)
+        parsed
     }
 }
 
 impl<'a> Parser<'a> {
+    fn document(&mut self) -> Result<Value, ParseJsonError> {
+        self.skip_ws();
+        let v = self.value()?;
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return Err(self.err("trailing characters after document"));
+        }
+        Ok(v)
+    }
+
     fn err(&self, message: impl Into<String>) -> ParseJsonError {
         ParseJsonError::new(self.pos, message)
     }
@@ -138,11 +167,19 @@ impl<'a> Parser<'a> {
 
     fn object(&mut self) -> Result<Value, ParseJsonError> {
         self.expect(b'{')?;
-        let mut map = BTreeMap::new();
+        let start = self.members.len();
+        self.members_until_close()?;
+        let members = self.members.drain(start..).collect();
+        Ok(Value::Object(Map::from_members(members)))
+    }
+
+    /// Pushes the members of the object just opened onto `self.members`,
+    /// through its closing `}`.
+    fn members_until_close(&mut self) -> Result<(), ParseJsonError> {
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(Value::Object(map));
+            return Ok(());
         }
         loop {
             self.skip_ws();
@@ -151,11 +188,11 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.value()?;
-            map.insert(key, value);
+            self.members.push((key, value));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b'}') => return Ok(Value::Object(map)),
+                Some(b'}') => return Ok(()),
                 _ => return Err(self.err("expected `,` or `}` in object")),
             }
         }
@@ -183,67 +220,69 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, ParseJsonError> {
         self.expect(b'"')?;
+        let start = self.pos;
         let mut out = String::new();
         loop {
+            // A run of bytes that needs no unescaping. The input is UTF-8
+            // and the run ends at an ASCII byte (or the end), so it is
+            // whole characters.
+            let run = self.pos;
+            while matches!(self.peek(), Some(b) if b >= 0x20 && b != b'"' && b != b'\\') {
+                self.pos += 1;
+            }
+            let text = &self.text[run..self.pos];
             match self.bump() {
+                // No escape so far: one allocation of exactly the text.
+                Some(b'"') if run == start => return Ok(text.to_owned()),
+                Some(b'"') => {
+                    out.push_str(text);
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    out.push_str(text);
+                    self.escape(&mut out)?;
+                }
+                Some(_) => return Err(self.err("unescaped control character in string")),
                 None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000C}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hi = self.hex4()?;
-                        let ch = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: expect \uDC00-\uDFFF next.
-                            if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
-                                return Err(self.err("unpaired high surrogate"));
-                            }
-                            let lo = self.hex4()?;
-                            if !(0xDC00..0xE000).contains(&lo) {
-                                return Err(self.err("invalid low surrogate"));
-                            }
-                            let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                            char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?
-                        } else if (0xDC00..0xE000).contains(&hi) {
-                            return Err(self.err("unpaired low surrogate"));
-                        } else {
-                            char::from_u32(hi).ok_or_else(|| self.err("invalid unicode escape"))?
-                        };
-                        out.push(ch);
-                    }
-                    _ => return Err(self.err("invalid escape sequence")),
-                },
-                Some(b) if b < 0x20 => {
-                    return Err(self.err("unescaped control character in string"))
-                }
-                Some(b) if b < 0x80 => out.push(b as char),
-                Some(b) => {
-                    // Multi-byte UTF-8: determine length from the lead byte
-                    // and validate the whole sequence.
-                    let len = match b {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        0xF0..=0xF7 => 4,
-                        _ => return Err(self.err("invalid UTF-8 lead byte")),
-                    };
-                    let start = self.pos - 1;
-                    let end = start + len;
-                    if end > self.input.len() {
-                        return Err(self.err("truncated UTF-8 sequence"));
-                    }
-                    let s = std::str::from_utf8(&self.input[start..end])
-                        .map_err(|_| self.err("invalid UTF-8 sequence"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
             }
         }
+    }
+
+    /// Appends the character an escape stands for; `self.pos` is just
+    /// past its backslash.
+    fn escape(&mut self, out: &mut String) -> Result<(), ParseJsonError> {
+        let ch = match self.bump() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hi = self.hex4()?;
+                if (0xD800..0xDC00).contains(&hi) {
+                    // Surrogate pair: expect \uDC00-\uDFFF next.
+                    if self.bump() != Some(b'\\') || self.bump() != Some(b'u') {
+                        return Err(self.err("unpaired high surrogate"));
+                    }
+                    let lo = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&lo) {
+                        return Err(self.err("invalid low surrogate"));
+                    }
+                    let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
+                    char::from_u32(c).ok_or_else(|| self.err("invalid surrogate pair"))?
+                } else if (0xDC00..0xE000).contains(&hi) {
+                    return Err(self.err("unpaired low surrogate"));
+                } else {
+                    char::from_u32(hi).ok_or_else(|| self.err("invalid unicode escape"))?
+                }
+            }
+            _ => return Err(self.err("invalid escape sequence")),
+        };
+        out.push(ch);
+        Ok(())
     }
 
     fn hex4(&mut self) -> Result<u32, ParseJsonError> {

@@ -1,13 +1,15 @@
 //! The JSON value tree.
 
-use std::collections::BTreeMap;
 use std::fmt;
+
+use crate::map::Map;
 
 /// A JSON document node.
 ///
-/// Objects use a [`BTreeMap`] so that serialisation is deterministic — the
-/// document store relies on byte-identical re-serialisation for revision
-/// hashing and replication comparison.
+/// Objects are a [`Map`], which keeps its members sorted by key so that
+/// serialisation is deterministic — the document store relies on
+/// byte-identical re-serialisation for revision hashing and replication
+/// comparison.
 ///
 /// ```
 /// use safeweb_json::Value;
@@ -31,14 +33,14 @@ pub enum Value {
     Str(String),
     /// A JSON array.
     Array(Vec<Value>),
-    /// A JSON object with deterministically ordered keys.
-    Object(BTreeMap<String, Value>),
+    /// A JSON object, its members sorted by key.
+    Object(Map),
 }
 
 impl Value {
     /// Shorthand for an empty object.
     pub fn object() -> Value {
-        Value::Object(BTreeMap::new())
+        Value::Object(Map::new())
     }
 
     /// Shorthand for an empty array.
@@ -62,13 +64,13 @@ impl Value {
     /// The integer payload; `Float` values with an exact integral value are
     /// converted.
     pub fn as_i64(&self) -> Option<i64> {
+        // `i64::MAX as f64` rounds up to 2⁶³, which is out of range, so the
+        // upper bound is strict; the lower bound −2⁶³ is `i64::MIN` exactly.
+        const TWO_POW_63: f64 = 9_223_372_036_854_775_808.0;
         match self {
             Value::Int(i) => Some(*i),
             Value::Float(f)
-                if f.fract() == 0.0
-                    && f.is_finite()
-                    && *f >= i64::MIN as f64
-                    && *f <= i64::MAX as f64 =>
+                if f.fract() == 0.0 && f.is_finite() && *f >= -TWO_POW_63 && *f < TWO_POW_63 =>
             {
                 Some(*f as i64)
             }
@@ -110,7 +112,7 @@ impl Value {
     }
 
     /// The object payload, if this is an `Object`.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    pub fn as_object(&self) -> Option<&Map> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,
@@ -118,7 +120,7 @@ impl Value {
     }
 
     /// Mutable access to the object payload.
-    pub fn as_object_mut(&mut self) -> Option<&mut BTreeMap<String, Value>> {
+    pub fn as_object_mut(&mut self) -> Option<&mut Map> {
         match self {
             Value::Object(o) => Some(o),
             _ => None,
@@ -287,11 +289,11 @@ impl FromIterator<(String, Value)> for Value {
 #[macro_export]
 macro_rules! jobject {
     () => { $crate::Value::object() };
-    ($($key:expr => $value:expr),+ $(,)?) => {{
-        let mut obj = ::std::collections::BTreeMap::new();
-        $(obj.insert(::std::string::String::from($key), $crate::Value::from($value));)+
-        $crate::Value::Object(obj)
-    }};
+    ($($key:expr => $value:expr),+ $(,)?) => {
+        $crate::Value::Object(<$crate::Map as ::std::iter::FromIterator<_>>::from_iter([
+            $((::std::string::String::from($key), $crate::Value::from($value))),+
+        ]))
+    };
 }
 
 #[cfg(test)]
@@ -333,6 +335,22 @@ mod tests {
         assert_eq!(Value::Float(3.0).as_i64(), Some(3));
         assert_eq!(Value::Float(3.5).as_i64(), None);
         assert_eq!(Value::Int(3).as_f64(), Some(3.0));
+    }
+
+    /// 2⁶³ is not an `i64`, although `i64::MAX as f64` rounds to it;
+    /// −2⁶³ is `i64::MIN`, and the largest `f64` below 2⁶³ converts exactly.
+    #[test]
+    fn float_to_int_is_exact_at_the_i64_bounds() {
+        let two_pow_63 = 9_223_372_036_854_775_808.0_f64;
+        assert_eq!(i64::MAX as f64, two_pow_63);
+        assert_eq!(Value::Float(two_pow_63).as_i64(), None);
+        assert_eq!(Value::Float(-two_pow_63).as_i64(), Some(i64::MIN));
+        let below = f64::from_bits(two_pow_63.to_bits() - 1);
+        assert_eq!(below, 9_223_372_036_854_774_784.0);
+        assert_eq!(
+            Value::Float(below).as_i64(),
+            Some(9_223_372_036_854_774_784)
+        );
     }
 
     #[test]

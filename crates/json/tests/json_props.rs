@@ -18,7 +18,8 @@ fn arb_value() -> impl Strategy<Value = Value> {
     leaf.prop_recursive(4, 64, 6, |inner| {
         prop_oneof![
             proptest::collection::vec(inner.clone(), 0..6).prop_map(Value::Array),
-            proptest::collection::btree_map("[a-z_]{1,8}", inner, 0..6).prop_map(Value::Object),
+            // Members in any order, a key possibly twice.
+            proptest::collection::vec(("[a-z_]{1,8}", inner), 0..6).prop_map(Value::from_iter),
         ]
     })
 }
