@@ -103,7 +103,7 @@ fn bench_docstore(c: &mut Criterion) {
         let mdts = BASE_MDTS * scale;
         let store = portal_shaped_store(mdts);
         // Query a bucket in the middle of the keyspace.
-        let key = Value::Str(format!("mdt-{}", mdts / 2));
+        let key = Value::from(format!("mdt-{}", mdts / 2));
 
         group.bench_function(format!("indexed/{}x", scale), |b| {
             b.iter(|| store.query_view("by_mid", &key).unwrap().len());

@@ -232,6 +232,11 @@ impl SafeWebBuilder {
         metrics.register_derived("safeq.declassify_dropped", || {
             safeweb_safeq::declassify_dropped() as f64
         });
+        // The JSON object-key intern table is process-global too, and
+        // bounded (`safeweb_json::INTERN_MAX_KEYS`): its fill, a count.
+        metrics.register_derived("json.interned_keys", || {
+            safeweb_json::interned_keys() as f64
+        });
 
         let mut engine_options = self.engine_options;
         let sched = &mut engine_options.scheduler;
@@ -335,7 +340,8 @@ impl SafeWebDeployment {
     /// stores (`docstore.app.*` / `docstore.dmz.*`), replication
     /// (`replication.lag_seqs`, `.runs`, `.wakeups`, `.coalesced`,
     /// `.docs_per_run`),
-    /// declassification audit (`safeq.*`),
+    /// declassification audit (`safeq.*`), the JSON key intern table
+    /// (`json.interned_keys`),
     /// and, once served, the frontend (`web.*`, `frontend.*`). Call
     /// [`safeweb_obs::MetricsRegistry::snapshot`] for one consistent
     /// JSON view, or serve it over HTTP with

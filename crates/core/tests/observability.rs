@@ -230,3 +230,20 @@ fn ops_metrics_and_health_render_for_admins() {
     .unwrap();
     assert_eq!(unknown.status(), 404);
 }
+
+/// The process-wide JSON key intern table reports its fill, which stays
+/// within its cap.
+#[test]
+fn the_registry_reports_the_json_key_intern_table() {
+    let deployment = submission_deployment();
+    let snapshot = deployment.metrics().snapshot();
+    let interned = snapshot
+        .get("json.interned_keys")
+        .and_then(safeweb_json::Value::as_f64)
+        .expect("json.interned_keys is registered");
+    assert!(interned >= 1.0, "{interned}");
+    assert!(
+        interned <= safeweb_json::INTERN_MAX_KEYS as f64,
+        "{interned}"
+    );
+}

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use safeweb_json::Value;
+use safeweb_json::{Str, Value};
 use safeweb_labels::LabelSet;
 
 /// A revision identifier: `generation-hash`, CouchDB style. The generation
@@ -83,14 +83,16 @@ pub struct Document(Arc<Parts>);
 
 #[derive(Debug, Clone, PartialEq)]
 struct Parts {
-    id: String,
+    /// Inline up to 22 bytes, as every id this system writes is, so
+    /// neither a put nor the replica's deep copy allocates for it.
+    id: Str,
     rev: Revision,
     labels: LabelSet,
     body: Value,
 }
 
 impl Document {
-    pub(crate) fn new(id: String, rev: Revision, labels: LabelSet, body: Value) -> Document {
+    pub(crate) fn new(id: Str, rev: Revision, labels: LabelSet, body: Value) -> Document {
         Document(Arc::new(Parts {
             id,
             rev,
@@ -101,6 +103,11 @@ impl Document {
 
     /// The document id.
     pub fn id(&self) -> &str {
+        &self.0.id
+    }
+
+    /// The document id as the store holds it.
+    pub(crate) fn id_str(&self) -> &Str {
         &self.0.id
     }
 
@@ -123,7 +130,7 @@ impl Document {
     /// another handle (typically the store's own) still shares them.
     pub fn into_parts(self) -> (String, Revision, LabelSet, Value) {
         let parts = Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone());
-        (parts.id, parts.rev, parts.labels, parts.body)
+        (parts.id.into(), parts.rev, parts.labels, parts.body)
     }
 
     /// A copy that shares no memory with `self`: what replication hands

@@ -16,15 +16,22 @@
 //! leaves either the old snapshot + every segment or the new snapshot +
 //! (possibly not yet pruned) sealed segments; replay skips WAL records at
 //! or below the snapshot's sequence, so both recover to the same state.
+//!
+//! The file streams through a buffer of at most [`WRITE_BUFFER`] bytes,
+//! so writing a large store costs no transient copy of the whole file.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
 use safeweb_json::Value;
 
 use crate::document::Document;
-use crate::wal::{decode_frame, doc_from_value, encode_frame, push_frame, write_doc, WalError};
+use crate::wal::{decode_frame, doc_from_value, frame_header, write_doc, WalError};
+
+/// The snapshot writer's buffer (64 KiB). A frame larger than this goes
+/// to the file without being copied into it.
+const WRITE_BUFFER: usize = 64 * 1024;
 
 /// File names inside a durable store's directory (the WAL's own segment
 /// names live in [`crate::wal`]).
@@ -43,7 +50,8 @@ pub(crate) struct Snapshot {
 }
 
 /// Writes a crash-atomic snapshot of `docs` into `dir`, serialising each
-/// document by reference into one reused payload buffer.
+/// document by reference into one reused payload buffer and streaming
+/// the frames through a [`WRITE_BUFFER`]-byte buffer.
 pub(crate) fn write<'a>(
     dir: &Path,
     seq: u64,
@@ -51,20 +59,24 @@ pub(crate) fn write<'a>(
     docs: impl ExactSizeIterator<Item = &'a Document>,
 ) -> std::io::Result<()> {
     let tmp = dir.join(SNAPSHOT_TMP);
-    let mut file = File::create(&tmp)?;
+    let mut out = BufWriter::with_capacity(WRITE_BUFFER, File::create(&tmp)?);
+    let mut frame = |payload: &str| -> std::io::Result<()> {
+        out.write_all(&frame_header(payload))?;
+        out.write_all(payload.as_bytes())
+    };
     let mut meta = Value::object();
     meta.set("snapshot", 1);
     meta.set("seq", seq as i64);
     meta.set("rep", rep_checkpoint as i64);
     meta.set("docs", docs.len() as i64);
-    let mut out = encode_frame(&meta.to_json());
+    frame(&meta.to_json())?;
     let mut payload = String::new();
     for doc in docs {
         payload.clear();
         write_doc(doc, None, None, &mut payload);
-        push_frame(&payload, &mut out);
+        frame(&payload)?;
     }
-    file.write_all(&out)?;
+    let file = out.into_inner().map_err(|e| e.into_error())?;
     file.sync_all()?;
     drop(file);
     fs::rename(&tmp, dir.join(SNAPSHOT_FILE))?;
@@ -129,4 +141,86 @@ pub(crate) fn read(dir: &Path) -> Result<Option<Snapshot>, WalError> {
         rep_checkpoint,
         docs,
     }))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::document::Revision;
+    use crate::wal::{encode_frame, push_frame};
+    use proptest::test_runner::TestRng;
+    use safeweb_json::jobject;
+    use safeweb_labels::{Label, LabelSet};
+
+    /// The whole snapshot file in one buffer, as this module wrote it
+    /// before it streamed.
+    fn one_buffer(seq: u64, rep_checkpoint: u64, docs: &[Document]) -> Vec<u8> {
+        let mut meta = Value::object();
+        meta.set("snapshot", 1);
+        meta.set("seq", seq as i64);
+        meta.set("rep", rep_checkpoint as i64);
+        meta.set("docs", docs.len() as i64);
+        let mut out = encode_frame(&meta.to_json());
+        let mut payload = String::new();
+        for doc in docs {
+            payload.clear();
+            write_doc(doc, None, None, &mut payload);
+            push_frame(&payload, &mut out);
+        }
+        out
+    }
+
+    /// A random store: documents of a few hundred bytes, now and then one
+    /// larger than the write buffer, under a few label sets.
+    fn random_docs(rng: &mut TestRng) -> Vec<Document> {
+        let label_sets = [
+            LabelSet::new(),
+            LabelSet::singleton(Label::conf("ecric.org.uk", "mdt/addenbrookes")),
+            LabelSet::singleton(Label::int("ecric.org.uk", "unit/\"storage\"")),
+        ];
+        (0..rng.usize_in(0, 400))
+            .map(|i| {
+                let text_len = if rng.gen_bool(0.01) {
+                    rng.usize_in(WRITE_BUFFER, 2 * WRITE_BUFFER)
+                } else {
+                    rng.usize_in(0, 300)
+                };
+                let body = jobject! {
+                    "n" => i,
+                    "marker" => rng.next_u64() as i64,
+                    "text" => "é\"x".repeat(text_len / 4),
+                };
+                let rev = Revision::first(&body.to_json());
+                let labels = label_sets[rng.usize_in(0, label_sets.len())];
+                Document::new(
+                    format!("doc-{i:04}-{}", rng.next_u64()).into(),
+                    rev,
+                    labels,
+                    body,
+                )
+            })
+            .collect()
+    }
+
+    /// The streamed file is byte for byte the one-buffer encoding, and it
+    /// reads back to the same documents.
+    #[test]
+    fn a_streamed_snapshot_is_the_one_buffer_encoding() {
+        let dir =
+            std::env::temp_dir().join(format!("safeweb-snapshot-stream-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        for seed in 0..12 {
+            let mut rng = TestRng::from_seed(seed);
+            let docs = random_docs(&mut rng);
+            let (seq, rep) = (rng.next_u64() >> 1, rng.next_u64() >> 1);
+            write(&dir, seq, rep, docs.iter()).unwrap();
+            let written = fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+            assert!(written == one_buffer(seq, rep, &docs), "seed {seed}");
+            let back = read(&dir).unwrap().unwrap();
+            assert_eq!((back.seq, back.rep_checkpoint), (seq, rep));
+            assert_eq!(back.docs, docs, "seed {seed}");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
 }

@@ -5,8 +5,10 @@
 //! mode ([`DocStore::open`]) backed by a write-ahead log plus periodic
 //! snapshots.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::fmt;
+use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -15,7 +17,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
 
-use safeweb_json::Value;
+use safeweb_json::{Str, Value};
 use safeweb_labels::LabelSet;
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
 
@@ -82,8 +84,8 @@ impl std::error::Error for StoreError {}
 pub struct Change {
     /// Monotonic sequence number.
     pub seq: u64,
-    /// The changed document id.
-    pub id: String,
+    /// The changed document id; it dereferences to `str`.
+    pub id: Str,
     /// The revision after the change (`None` = deletion).
     pub rev: Option<Revision>,
 }
@@ -94,7 +96,7 @@ pub(crate) enum Replicated {
     /// The document's current version.
     Put(Document),
     /// The id is deleted.
-    Delete(String),
+    Delete(Str),
 }
 
 /// What one [`DocStore::apply_replicated`] transaction did.
@@ -117,7 +119,20 @@ pub(crate) struct Applied {
 #[derive(Debug, Default)]
 struct View {
     field: String,
-    index: BTreeMap<String, BTreeSet<String>>,
+    index: BTreeMap<String, BTreeSet<Id>>,
+}
+
+/// A document id as the store's maps key it: a [`Str`], inline for every
+/// id this system writes, so keying a document costs no allocation. It
+/// is ordered and probed by its bytes (`map.get(id.as_bytes())`), which
+/// order as the text does, so a lookup re-checks no UTF-8.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+struct Id(Str);
+
+impl Borrow<[u8]> for Id {
+    fn borrow(&self) -> &[u8] {
+        self.0.as_bytes()
+    }
 }
 
 /// Shared state of the background snapshot writer. Every snapshot
@@ -227,7 +242,7 @@ fn reap_snapshot(d: &mut Durability) {
 
 #[derive(Debug)]
 struct Inner {
-    docs: BTreeMap<String, Document>,
+    docs: BTreeMap<Id, Document>,
     seq: u64,
     /// Strictly seq-ascending, so lookups can binary-search.
     changes: Vec<Change>,
@@ -349,7 +364,7 @@ fn reindex(views: &mut BTreeMap<String, View>, old: Option<&Document>, new: Opti
         }
         if let Some((doc, key)) = old.zip(old_value.and_then(index_key)) {
             if let Some(ids) = view.index.get_mut(&key) {
-                ids.remove(doc.id());
+                ids.remove(doc.id_str().as_bytes());
                 if ids.is_empty() {
                     view.index.remove(&key);
                 }
@@ -359,7 +374,7 @@ fn reindex(views: &mut BTreeMap<String, View>, old: Option<&Document>, new: Opti
             view.index
                 .entry(key)
                 .or_default()
-                .insert(doc.id().to_string());
+                .insert(Id(doc.id_str().clone()));
         }
     }
 }
@@ -490,25 +505,25 @@ impl Inner {
     /// Replaces (or inserts) `doc`, keeping every view index in sync —
     /// including re-indexing when the indexed field's value changed.
     fn store_doc(&mut self, doc: Document) {
-        match self.docs.get_mut(doc.id()) {
+        match self.docs.get_mut(doc.id_str().as_bytes()) {
             Some(slot) => {
                 reindex(&mut self.views, Some(slot), Some(&doc));
                 *slot = doc;
             }
             None => {
                 reindex(&mut self.views, None, Some(&doc));
-                self.docs.insert(doc.id().to_string(), doc);
+                self.docs.insert(Id(doc.id_str().clone()), doc);
             }
         }
     }
 
     fn remove_doc(&mut self, id: &str) -> Option<Document> {
-        let doc = self.docs.remove(id)?;
+        let doc = self.docs.remove(id.as_bytes())?;
         reindex(&mut self.views, Some(&doc), None);
         Some(doc)
     }
 
-    fn record_change(&mut self, id: String, rev: Option<Revision>) {
+    fn record_change(&mut self, id: Str, rev: Option<Revision>) {
         self.seq += 1;
         self.changes.push(Change {
             seq: self.seq,
@@ -549,7 +564,7 @@ impl Inner {
         let mut keep = vec![false; cut];
         for (slot, change) in keep.iter_mut().zip(&self.changes[..cut]).rev() {
             let newest = seen.insert(&change.id);
-            *slot = newest && change.rev.is_some() && self.docs.contains_key(&change.id);
+            *slot = newest && change.rev.is_some() && self.docs.contains_key(change.id.as_bytes());
         }
         let mut below_horizon = keep.into_iter();
         self.changes
@@ -646,7 +661,7 @@ impl DocStore {
             inner.compacted_seq = snap.seq;
             rep_checkpoint = snap.rep_checkpoint;
             for doc in snap.docs {
-                inner.docs.insert(doc.id().to_string(), doc);
+                inner.docs.insert(Id(doc.id_str().clone()), doc);
             }
         }
         let (wal, records) = Wal::open(dir)?;
@@ -662,9 +677,9 @@ impl DocStore {
                 // pruning of the sealed segments it covers; the snapshot
                 // already covers them.
                 Record::Put { seq, doc } if seq > inner.seq => {
-                    let id = doc.id().to_string();
+                    let id = doc.id_str().clone();
                     let rev = doc.rev().clone();
-                    inner.docs.insert(id.clone(), doc);
+                    inner.docs.insert(Id(id.clone()), doc);
                     inner.seq = seq;
                     inner.changes.push(Change {
                         seq,
@@ -673,9 +688,13 @@ impl DocStore {
                     });
                 }
                 Record::Delete { seq, id } if seq > inner.seq => {
-                    inner.docs.remove(&id);
+                    inner.docs.remove(id.as_bytes());
                     inner.seq = seq;
-                    inner.changes.push(Change { seq, id, rev: None });
+                    inner.changes.push(Change {
+                        seq,
+                        id: Str::from(id),
+                        rev: None,
+                    });
                 }
                 Record::Checkpoint { rep } => rep_checkpoint = rep,
                 Record::Put { .. } | Record::Delete { .. } => {}
@@ -976,7 +995,7 @@ impl DocStore {
             return Err(StoreError::ReadOnly);
         }
         let put_ns = inner.put_ns.clone();
-        let new_rev = match (inner.docs.get(id), expected_rev) {
+        let new_rev = match (inner.docs.get(id.as_bytes()), expected_rev) {
             (None, None) => Revision::first(&body_json),
             (Some(current), Some(expected)) if current.rev() == expected => {
                 current.rev().next(&body_json)
@@ -988,12 +1007,13 @@ impl DocStore {
                 })
             }
         };
-        let doc = Document::new(id.to_string(), new_rev.clone(), labels, body);
+        let id = Str::from(id);
+        let doc = Document::new(id.clone(), new_rev.clone(), labels, body);
         let next_seq = inner.seq + 1;
         let ticket = inner.persist(|| [wal::encode_put(next_seq, &doc, Some(&body_json))])?;
         let labels_id = doc.labels().id().as_u32();
         inner.store_doc(doc);
-        inner.record_change(id.to_string(), Some(new_rev.clone()));
+        inner.record_change(id, Some(new_rev.clone()));
         inner.maybe_snapshot();
         drop(inner);
         self.commits.raise();
@@ -1016,12 +1036,12 @@ impl DocStore {
         if inner.read_only {
             return Err(StoreError::ReadOnly);
         }
-        match inner.docs.get(id) {
+        match inner.docs.get(id.as_bytes()) {
             Some(doc) if doc.rev() == expected_rev => {
                 let next_seq = inner.seq + 1;
                 let ticket = inner.persist(|| [wal::encode_delete(next_seq, id)])?;
                 inner.remove_doc(id);
-                inner.record_change(id.to_string(), None);
+                inner.record_change(Str::from(id), None);
                 inner.maybe_snapshot();
                 drop(inner);
                 self.commits.raise();
@@ -1036,7 +1056,7 @@ impl DocStore {
 
     /// Fetches a document by id.
     pub fn get(&self, id: &str) -> Option<Document> {
-        self.inner.read().docs.get(id).cloned()
+        self.inner.read().docs.get(id.as_bytes()).cloned()
     }
 
     /// Number of live documents.
@@ -1051,7 +1071,12 @@ impl DocStore {
 
     /// All document ids in order.
     pub fn ids(&self) -> Vec<String> {
-        self.inner.read().docs.keys().cloned().collect()
+        self.inner
+            .read()
+            .docs
+            .keys()
+            .map(|id| id.0.as_str().to_owned())
+            .collect()
     }
 
     /// Registers a view indexing `field` of document bodies, CouchRest's
@@ -1069,7 +1094,10 @@ impl DocStore {
         };
         for doc in inner.docs.values() {
             if let Some(key) = doc.body().get(field).and_then(index_key) {
-                v.index.entry(key).or_default().insert(doc.id().to_string());
+                v.index
+                    .entry(key)
+                    .or_default()
+                    .insert(Id(doc.id_str().clone()));
             }
         }
         inner.views.insert(view.to_string(), v);
@@ -1155,7 +1183,6 @@ impl DocStore {
     where
         R: std::ops::RangeBounds<Value>,
     {
-        use std::ops::Bound;
         let name = view.into();
         let inner = self.inner.read();
         let view = inner
@@ -1214,8 +1241,8 @@ impl DocStore {
         self.inner
             .read()
             .docs
-            .range(prefix.to_string()..)
-            .take_while(|(id, _)| id.starts_with(prefix))
+            .range::<[u8], _>((Bound::Included(prefix.as_bytes()), Bound::Unbounded))
+            .take_while(|(id, _)| id.0.as_bytes().starts_with(prefix.as_bytes()))
             .map(|(_, d)| d.clone())
             .collect()
     }
@@ -1225,8 +1252,8 @@ impl DocStore {
         self.inner
             .read()
             .docs
-            .range(prefix.to_string()..)
-            .take_while(|(id, _)| id.starts_with(prefix))
+            .range::<[u8], _>((Bound::Included(prefix.as_bytes()), Bound::Unbounded))
+            .take_while(|(id, _)| id.0.as_bytes().starts_with(prefix.as_bytes()))
             .count()
     }
 
@@ -1340,15 +1367,12 @@ impl DocStore {
         let start = inner.changes.partition_point(|c| c.seq <= since);
         // Past the horizon the feed is verbatim, so every id changed there
         // is present now exactly when its newest change is a put.
-        let ids: BTreeSet<&str> = inner.changes[start..]
-            .iter()
-            .map(|c| c.id.as_str())
-            .collect();
+        let ids: BTreeSet<&Str> = inner.changes[start..].iter().map(|c| &c.id).collect();
         let batch = ids
             .into_iter()
-            .map(|id| match inner.docs.get(id) {
+            .map(|id| match inner.docs.get(id.as_bytes()) {
                 Some(doc) => Replicated::Put(doc.clone()),
-                None => Replicated::Delete(id.to_string()),
+                None => Replicated::Delete(id.clone()),
             })
             .collect();
         Some((inner.seq, batch))
@@ -1381,9 +1405,9 @@ impl DocStore {
         batch.retain(|entry| match entry {
             Replicated::Put(doc) => inner
                 .docs
-                .get(doc.id())
+                .get(doc.id_str().as_bytes())
                 .is_none_or(|held| held.rev() != doc.rev()),
-            Replicated::Delete(id) => inner.docs.contains_key(id),
+            Replicated::Delete(id) => inner.docs.contains_key(id.as_bytes()),
         });
         let logged = inner.durability.as_ref().map(|d| d.rep_checkpoint);
         let checkpoint = checkpoint.filter(|c| logged.is_some_and(|l| l != *c));
@@ -1423,7 +1447,7 @@ impl DocStore {
         for entry in batch {
             match entry {
                 Replicated::Put(doc) => {
-                    let (id, rev) = (doc.id().to_string(), doc.rev().clone());
+                    let (id, rev) = (doc.id_str().clone(), doc.rev().clone());
                     inner.store_doc(doc);
                     inner.record_change(id, Some(rev));
                     applied.written += 1;
@@ -1518,7 +1542,7 @@ mod tests {
         );
         // Internal replication path still works.
         let doc = Document::new(
-            "a".to_string(),
+            "a".into(),
             Revision::first(&jobject! {}.to_json()),
             LabelSet::new(),
             jobject! {},

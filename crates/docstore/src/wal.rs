@@ -72,7 +72,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 
-use safeweb_json::{build_exact, write_json_string, EscapeJson, Value};
+use safeweb_json::{build_exact, write_json_string, EscapeJson, Str, Value};
 use safeweb_labels::LabelSet;
 use safeweb_obs::Histogram;
 
@@ -317,7 +317,7 @@ fn push_digits(mut n: u64, radix: u64, width: usize, out: &mut String) {
 /// Decodes [`write_doc`]'s encoding; `None` on any missing or malformed
 /// field.
 pub(crate) fn doc_from_value(v: &Value) -> Option<Document> {
-    let id = v.get("id")?.as_str()?.to_string();
+    let id = Str::from(v.get("id")?.as_str()?);
     let rev = Revision::parse(v.get("rev")?.as_str()?)?;
     let labels = LabelSet::from_wire(v.get("labels")?.as_str()?).ok()?;
     let body = v.get("body")?.clone();
@@ -365,6 +365,7 @@ fn decode_record(payload: &str) -> Option<Record> {
 }
 
 /// Frames `payload` for appending: length, checksum, bytes.
+#[cfg(test)]
 pub(crate) fn encode_frame(payload: &str) -> Vec<u8> {
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
     push_frame(payload, &mut frame);
@@ -373,10 +374,17 @@ pub(crate) fn encode_frame(payload: &str) -> Vec<u8> {
 
 /// Appends `payload`'s frame to `out`.
 pub(crate) fn push_frame(payload: &str, out: &mut Vec<u8>) {
+    out.extend_from_slice(&frame_header(payload));
+    out.extend_from_slice(payload.as_bytes());
+}
+
+/// The header that precedes `payload` in its frame: length, then CRC-32.
+pub(crate) fn frame_header(payload: &str) -> [u8; FRAME_HEADER] {
     let bytes = payload.as_bytes();
-    out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(bytes).to_le_bytes());
-    out.extend_from_slice(bytes);
+    let mut header = [0; FRAME_HEADER];
+    header[..4].copy_from_slice(&(bytes.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(bytes).to_le_bytes());
+    header
 }
 
 /// One step of frame decoding: the payload at `buf[offset..]`, or the

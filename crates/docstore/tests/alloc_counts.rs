@@ -10,9 +10,10 @@
 //! * after serialising a 1 MiB value, the thread keeps at most
 //!   `SCRATCH_RETAIN` bytes of scratch;
 //! * parsing or cloning the 12-member case record the benchmark stores
-//!   allocates once for its object and once per key and string value —
-//!   no tree nodes, no capacity doublings — and dropping it frees every
-//!   byte.
+//!   allocates once, its member vector: its keys are interned and its
+//!   string values are stored inline — no tree nodes, no capacity
+//!   doublings, no `String` per key or value — and dropping it frees
+//!   every byte.
 //!
 //! Counts are per thread, so the harness's other test threads do not
 //! disturb them.
@@ -20,7 +21,7 @@
 use std::path::PathBuf;
 
 use safeweb_docstore::DocStore;
-use safeweb_json::{jobject, Value, SCRATCH_RETAIN};
+use safeweb_json::{jobject, Key, Value, SCRATCH_RETAIN};
 use safeweb_labels::{Label, LabelSet};
 use safeweb_reactor::sys::{thread_allocations, thread_held_bytes, CountingAlloc};
 
@@ -124,20 +125,19 @@ fn a_large_output_leaves_at_most_the_scratch_cap_behind() {
 const STORED_RECORD: &str = r#"{"birth_year":1947,"case_id":"1234","completeness":100.0,"diagnosed":2004,"hospital_id":"1","marker":98765,"mdt_id":"mdt-3","name":"patient-33812769","region_id":"0","site":"lung","stage":"II","treatment":"surgery"}"#;
 
 /// The heap bytes `value` owns: each object's member vector and each
-/// array's element vector at their lengths, plus every key and string.
+/// array's element vector at their lengths, plus every string too long to
+/// be stored inline. Keys own nothing: the record's are interned.
 fn owned_bytes(value: &Value) -> usize {
     match value {
+        Value::Str(s) if s.is_inline() => 0,
         Value::Str(s) => s.len(),
         Value::Array(items) => {
             items.len() * std::mem::size_of::<Value>()
                 + items.iter().map(owned_bytes).sum::<usize>()
         }
         Value::Object(map) => {
-            map.len() * std::mem::size_of::<(String, Value)>()
-                + map
-                    .iter()
-                    .map(|(k, v)| k.len() + owned_bytes(v))
-                    .sum::<usize>()
+            map.len() * std::mem::size_of::<(Key, Value)>()
+                + map.values().map(owned_bytes).sum::<usize>()
         }
         _ => 0,
     }
@@ -145,7 +145,8 @@ fn owned_bytes(value: &Value) -> usize {
 
 #[test]
 fn a_case_record_parses_and_clones_in_one_allocation_per_object_and_string() {
-    // The first parse on a thread grows its member stack.
+    // The first parse on a thread grows its member stack and interns the
+    // keys.
     let _ = Value::parse(STORED_RECORD).unwrap();
     let held_before = thread_held_bytes();
     let (record, parse) = counted(|| Value::parse(STORED_RECORD).unwrap());
@@ -153,15 +154,18 @@ fn a_case_record_parses_and_clones_in_one_allocation_per_object_and_string() {
     assert_eq!(fields.len(), 12);
     let strings = fields.values().filter(|v| v.as_str().is_some()).count();
     assert_eq!(strings, 8);
-    // One member vector, 12 keys, 8 string values.
-    assert_eq!(parse, 21);
-    assert_eq!(parse as usize, 1 + fields.len() + strings);
+    // One member vector; the keys are interned, the strings inline.
+    assert_eq!(parse, 1);
+    assert!(fields
+        .values()
+        .filter_map(Value::as_str)
+        .all(|s| s.len() <= safeweb_json::INLINE_MAX));
     // Exact sizes: nothing held beyond what the record owns.
     let owned = owned_bytes(&record) as i64;
     assert_eq!(thread_held_bytes() - held_before, owned);
 
     let (copy, clone) = counted(|| record.clone());
-    assert_eq!(clone, 21);
+    assert_eq!(clone, 1);
     assert_eq!(copy, record);
     assert_eq!(thread_held_bytes() - held_before, 2 * owned);
 

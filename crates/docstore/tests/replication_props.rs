@@ -103,7 +103,7 @@ fn assert_checkpoint_covered(src: &DocStore, dst: &DocStore) -> Result<(), TestC
     let newest: BTreeMap<String, u64> = src
         .changes_since(0)
         .into_iter()
-        .map(|c| (c.id, c.seq))
+        .map(|c| (c.id.into(), c.seq))
         .collect();
     for (id, seq) in newest {
         let Some(doc) = src.get(&id).filter(|_| seq <= checkpoint) else {

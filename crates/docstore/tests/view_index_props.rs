@@ -44,7 +44,7 @@ fn oracle_prefix(store: &DocStore, prefix: &str) -> Vec<Document> {
 
 fn assert_indexes_match_oracle(store: &DocStore) -> Result<(), TestCaseError> {
     for k in 0u8..4 {
-        let key = Value::Str(format!("k{k}"));
+        let key = Value::from(format!("k{k}"));
         let indexed = store.query_view("by_key", &key).unwrap();
         let scanned = oracle_view(store, "key", &key);
         prop_assert_eq!(&indexed, &scanned, "view mismatch on {:?}", key);
@@ -108,7 +108,7 @@ proptest! {
         assert_indexes_match_oracle(&dst)?;
         prop_assert_eq!(src.ids(), dst.ids());
         for k in 0u8..4 {
-            let key = Value::Str(format!("k{k}"));
+            let key = Value::from(format!("k{k}"));
             prop_assert_eq!(
                 src.query_view("by_key", &key).unwrap(),
                 dst.query_view("by_key", &key).unwrap()
@@ -195,7 +195,7 @@ proptest! {
             .query_view_range("by_k", Value::from(lo.as_str())..Value::from(hi.as_str()))
             .unwrap();
         let mut expected: Vec<Document> = store.scan(|d| {
-            matches!(d.body().get("k"), Some(Value::Str(s)) if *s >= lo && *s < hi)
+            matches!(d.body().get("k"), Some(Value::Str(s)) if s.as_str() >= lo.as_str() && s.as_str() < hi.as_str())
         });
         expected.sort_by(|da, db| {
             let key = |d: &Document| match d.body().get("k") {

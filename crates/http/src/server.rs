@@ -155,9 +155,6 @@ impl Protocol for HttpConn {
                         let _ = io.send(encode_response(&response, close, head_only));
                         if close {
                             io.close_after_flush();
-                        } else if io.pending_jobs() <= MAX_PIPELINED / 2 {
-                            // Cheap no-op unless reads were paused below.
-                            io.resume_reads();
                         }
                     });
                     if close {
@@ -165,7 +162,7 @@ impl Protocol for HttpConn {
                         return;
                     }
                     if conn.pending_jobs() >= MAX_PIPELINED {
-                        conn.pause_reads();
+                        conn.pause_reads(MAX_PIPELINED / 2);
                     }
                 }
                 Ok(None) => return,
@@ -297,15 +294,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pipelined_requests_are_answered_in_order() {
-        let server = echo_server();
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        // Ten requests in one write; responses must come back in order,
-        // each from a separate worker job.
+    /// Writes `count` requests in one write on `s` and checks their
+    /// responses come back in order, each from a separate worker job.
+    fn assert_pipelined_in_order(s: &mut TcpStream, count: usize) {
         let mut wire = Vec::new();
-        for i in 0..10 {
+        for i in 0..count {
             wire.extend_from_slice(format!("GET /p{i} HTTP/1.1\r\n\r\n").as_bytes());
         }
         s.write_all(&wire).unwrap();
@@ -317,7 +310,7 @@ mod tests {
         let mut buf = [0u8; 4096];
         loop {
             let text = String::from_utf8_lossy(&got);
-            if (0..10).all(|i| text.contains(&marker(i))) {
+            if (0..count).all(|i| text.contains(&marker(i))) {
                 break;
             }
             match s.read(&mut buf) {
@@ -326,7 +319,7 @@ mod tests {
             }
         }
         let text = String::from_utf8_lossy(&got);
-        let positions: Vec<usize> = (0..10)
+        let positions: Vec<usize> = (0..count)
             .map(|i| {
                 text.find(&marker(i))
                     .unwrap_or_else(|| panic!("response {i} missing: {text}"))
@@ -338,6 +331,26 @@ mod tests {
             positions, sorted,
             "pipelined responses out of order: {text}"
         );
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order() {
+        let server = echo_server();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_pipelined_in_order(&mut s, 10);
+    }
+
+    /// Twice `MAX_PIPELINED` requests in one write pause reads halfway;
+    /// the pause lifts as the jobs drain, so every response arrives in
+    /// order and the connection then serves the next batch.
+    #[test]
+    fn a_pipeline_past_the_pause_threshold_is_answered_and_reads_resume() {
+        let server = echo_server();
+        let mut s = TcpStream::connect(server.addr()).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        assert_pipelined_in_order(&mut s, 2 * MAX_PIPELINED);
+        assert_pipelined_in_order(&mut s, 2 * MAX_PIPELINED);
     }
 
     #[test]

@@ -10,14 +10,37 @@
 //! required for document revision hashing.
 //!
 //! An object is a [`Map`]: its members in one key-sorted
-//! `Vec<(String, Value)>`, looked up by a linear scan up to 32 members and
-//! by binary search above that. The parser builds each object in one
-//! exact-size allocation, sorting only members that arrive out of order
-//! (a repeated key keeps its last value), and each string without escapes
-//! in another. The application store and its DMZ replica hold every
-//! document body as such a tree, so the tree's size is the stores' size:
-//! a `BTreeMap` per object cost a 12-member case record three B-tree
-//! nodes, about 1.9 KB, where a `Map` costs one 672-byte vector.
+//! `Vec<(Key, Value)>`, looked up by a linear scan up to 32 members and
+//! by binary search above that. The application store and its DMZ
+//! replica hold every document body as such a tree, so the tree's size
+//! is the stores' size, and every hop of an event — the units' parses,
+//! the put, the replica's deep copy, snapshot replay — builds one.
+//!
+//! A parsed object is **one allocation**, its member vector at exact
+//! size (56 bytes a member):
+//!
+//! * a key is a [`Key`]: interned in a bounded process-wide table (keys
+//!   of at most [`INTERN_MAX_LEN`] = 32 bytes, at most
+//!   [`INTERN_MAX_KEYS`] = 1 024 of them), so a parse or a clone copies a
+//!   pointer. Past either cap a key is an owned `String`, which is always
+//!   correct; [`interned_keys`] reports the table's fill;
+//! * a string value is a [`Str`]: up to [`INLINE_MAX`] = 22 bytes inline,
+//!   one exact-size box above. It is 24 bytes, the size of a `String`, so
+//!   a [`Value`] stays 32 bytes.
+//!
+//! A `String` per key and per string value was the cost: the same dozen
+//! words key every stored case record, and every string value in one is
+//! at most 16 bytes, yet a 12-member record took 21 allocations to parse
+//! and 21 more to clone. It now takes one each. (Before that, a
+//! `BTreeMap` per object cost the record three B-tree nodes, about
+//! 1.9 KB, where a `Map` costs one 672-byte vector.)
+//!
+//! Keys compare and sort by their text, interned or owned, so encoding,
+//! ordering, equality and the document store's revision digests are as
+//! they were with `String`s. The parser sorts members only when they
+//! arrive out of order (a repeated key keeps its last value). The crate
+//! forbids `unsafe`: reading an inline string re-checks its bytes as
+//! UTF-8.
 //!
 //! ```
 //! use safeweb_json::{jobject, Value};
@@ -31,12 +54,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod key;
 mod map;
 mod parse;
 mod ser;
+mod text;
 mod value;
 
-pub use map::{Iter, Map};
+pub use key::{interned_keys, Key, INTERN_MAX_KEYS, INTERN_MAX_LEN};
+pub use map::{IntoIter, Iter, Map};
 pub use parse::ParseJsonError;
 pub use ser::{build_exact, write_json_string, EscapeJson, SCRATCH_RETAIN};
+pub use text::{Str, INLINE_MAX};
 pub use value::Value;

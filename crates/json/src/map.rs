@@ -4,9 +4,10 @@
 //! removes. A 12-member case record needed three B-tree nodes (about
 //! 1.9 KB) beside its key and value strings, and every stored body, every
 //! replica copy and every parse of a case built such a tree. A [`Map`]
-//! is one `Vec<(String, Value)>`: a parsed object is one allocation at
+//! is one `Vec<(Key, Value)>`: a parsed object is one allocation at
 //! exact capacity (56 bytes a member), cloning it is one more, and
-//! iteration is a walk over contiguous memory.
+//! iteration is a walk over contiguous memory. Its keys are [`Key`]s,
+//! interned, so neither a parse nor a clone allocates per key.
 //!
 //! Members stay sorted by key, so encoding in key order, equality that
 //! ignores the order members were written in, and byte-identical
@@ -16,6 +17,7 @@ use std::fmt;
 use std::slice;
 use std::vec;
 
+use crate::key::Key;
 use crate::value::Value;
 
 /// Objects with at most this many members are searched by a linear scan
@@ -43,7 +45,7 @@ const LINEAR_MAX: usize = 32;
 /// ```
 #[derive(Clone, Default, PartialEq)]
 pub struct Map {
-    members: Vec<(String, Value)>,
+    members: Vec<(Key, Value)>,
 }
 
 impl Map {
@@ -67,7 +69,7 @@ impl Map {
     /// The index of `key`'s member, if present.
     fn index_of(&self, key: &str) -> Option<usize> {
         if self.members.len() <= LINEAR_MAX {
-            self.members.iter().position(|(k, _)| k == key)
+            self.members.iter().position(|(k, _)| k.as_str() == key)
         } else {
             self.members
                 .binary_search_by(|(k, _)| k.as_str().cmp(key))
@@ -86,11 +88,12 @@ impl Map {
     }
 
     /// Sets `key` to `value`, returning the value it replaces. A new key
-    /// is inserted at its sorted position.
-    pub fn insert(&mut self, key: String, value: Value) -> Option<Value> {
-        match self.index_of(&key) {
+    /// is interned (see [`Key`]) and inserted at its sorted position.
+    pub fn insert(&mut self, key: impl Into<Key> + AsRef<str>, value: Value) -> Option<Value> {
+        match self.index_of(key.as_ref()) {
             Some(i) => Some(std::mem::replace(&mut self.members[i].1, value)),
             None => {
+                let key = key.into();
                 let at = self.members.partition_point(|(k, _)| *k < key);
                 self.members.insert(at, (key, value));
                 None
@@ -110,7 +113,7 @@ impl Map {
 
     /// The keys in order.
     pub fn keys(&self) -> impl ExactSizeIterator<Item = &String> {
-        self.members.iter().map(|(k, _)| k)
+        self.members.iter().map(|(k, _)| &**k)
     }
 
     /// The values in key order.
@@ -123,7 +126,7 @@ impl Map {
     /// value, as successive inserts would leave it. Members already in
     /// strictly ascending key order — what this crate's encoder writes —
     /// are taken as they are.
-    pub(crate) fn from_members(mut members: Vec<(String, Value)>) -> Map {
+    pub(crate) fn from_members(mut members: Vec<(Key, Value)>) -> Map {
         if !members.windows(2).all(|w| w[0].0 < w[1].0) {
             // Stable, so a key's duplicates stay in the order written.
             members.sort_by(|a, b| a.0.cmp(&b.0));
@@ -148,9 +151,11 @@ impl fmt::Debug for Map {
     }
 }
 
-impl FromIterator<(String, Value)> for Map {
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Map {
-        let mut members: Vec<_> = iter.into_iter().collect();
+impl<K: Into<Key>> FromIterator<(K, Value)> for Map {
+    /// Members in any order, a key possibly more than once: the last
+    /// value written for a key wins.
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Map {
+        let mut members: Vec<_> = iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
         members.shrink_to_fit();
         Map::from_members(members)
     }
@@ -158,11 +163,11 @@ impl FromIterator<(String, Value)> for Map {
 
 impl IntoIterator for Map {
     type Item = (String, Value);
-    type IntoIter = vec::IntoIter<(String, Value)>;
+    type IntoIter = IntoIter;
 
     /// The members in key order, by value.
-    fn into_iter(self) -> Self::IntoIter {
-        self.members.into_iter()
+    fn into_iter(self) -> IntoIter {
+        IntoIter(self.members.into_iter())
     }
 }
 
@@ -177,13 +182,13 @@ impl<'a> IntoIterator for &'a Map {
 
 /// The members of a [`Map`] in key order ([`Map::iter`]).
 #[derive(Debug, Clone)]
-pub struct Iter<'a>(slice::Iter<'a, (String, Value)>);
+pub struct Iter<'a>(slice::Iter<'a, (Key, Value)>);
 
 impl<'a> Iterator for Iter<'a> {
     type Item = (&'a String, &'a Value);
 
     fn next(&mut self) -> Option<Self::Item> {
-        self.0.next().map(|(k, v)| (k, v))
+        self.0.next().map(|(k, v)| (&**k, v))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
@@ -192,6 +197,25 @@ impl<'a> Iterator for Iter<'a> {
 }
 
 impl ExactSizeIterator for Iter<'_> {}
+
+/// The members of a [`Map`] in key order, by value (`Map::into_iter`);
+/// an interned key is copied into a `String` of its own.
+#[derive(Debug)]
+pub struct IntoIter(vec::IntoIter<(Key, Value)>);
+
+impl Iterator for IntoIter {
+    type Item = (String, Value);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k.into_string(), v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl ExactSizeIterator for IntoIter {}
 
 #[cfg(test)]
 mod tests {
@@ -203,7 +227,7 @@ mod tests {
         let m = Map::from_members(
             written
                 .iter()
-                .map(|(k, v)| (k.to_string(), Value::Int(*v)))
+                .map(|(k, v)| (Key::from(*k), Value::Int(*v)))
                 .collect(),
         );
         assert_eq!(format!("{m:?}"), r#"{"a": Int(4), "b": Int(3)}"#);

@@ -5,14 +5,19 @@
 //! An object's members are collected on a stack shared by every nesting
 //! level and kept between calls on the thread, then moved into one
 //! exact-size vector when the object closes: one allocation per object.
-//! They are sorted only when they arrive out of order. A string with no
-//! escape is copied out of the input in one exact-size allocation.
+//! They are sorted only when they arrive out of order. A key or a string
+//! with no escape is taken straight from the input: a key is interned
+//! (see [`Key`]), a string of up to 22 bytes is stored inline and a
+//! longer one is copied in one exact-size allocation (see [`Str`]).
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::fmt;
 
+use crate::key::Key;
 use crate::map::Map;
 use crate::ser::SCRATCH_RETAIN;
+use crate::text::Str;
 use crate::value::Value;
 
 /// Error produced when JSON parsing fails; carries a byte offset into the
@@ -49,7 +54,7 @@ impl fmt::Display for ParseJsonError {
 
 impl std::error::Error for ParseJsonError {}
 
-type Member = (String, Value);
+type Member = (Key, Value);
 
 thread_local! {
     /// The member stack of this thread's last parse, empty, kept for the
@@ -153,7 +158,7 @@ impl<'a> Parser<'a> {
         let v = match self.peek() {
             Some(b'{') => self.object(),
             Some(b'[') => self.array(),
-            Some(b'"') => self.string().map(Value::Str),
+            Some(b'"') => self.string().map(|text| Value::Str(Str::from(text))),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'n') => self.literal("null", Value::Null),
@@ -183,7 +188,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            let key = self.string()?;
+            let key = Key::from(self.string()?);
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
@@ -218,7 +223,9 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn string(&mut self) -> Result<String, ParseJsonError> {
+    /// The string starting at `self.pos`: borrowed from the input when it
+    /// has no escape, unescaped into a `String` otherwise.
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseJsonError> {
         self.expect(b'"')?;
         let start = self.pos;
         let mut out = String::new();
@@ -232,11 +239,11 @@ impl<'a> Parser<'a> {
             }
             let text = &self.text[run..self.pos];
             match self.bump() {
-                // No escape so far: one allocation of exactly the text.
-                Some(b'"') if run == start => return Ok(text.to_owned()),
+                // No escape: the text as it stands in the input.
+                Some(b'"') if run == start => return Ok(Cow::Borrowed(text)),
                 Some(b'"') => {
                     out.push_str(text);
-                    return Ok(out);
+                    return Ok(Cow::Owned(out));
                 }
                 Some(b'\\') => {
                     out.push_str(text);

@@ -2,7 +2,9 @@
 
 use std::fmt;
 
+use crate::key::Key;
 use crate::map::Map;
+use crate::text::Str;
 
 /// A JSON document node.
 ///
@@ -29,8 +31,8 @@ pub enum Value {
     Int(i64),
     /// Any other JSON number.
     Float(f64),
-    /// A JSON string.
-    Str(String),
+    /// A JSON string, inline up to 22 bytes (see [`Str`]).
+    Str(Str),
     /// A JSON array.
     Array(Vec<Value>),
     /// A JSON object, its members sorted by key.
@@ -90,7 +92,7 @@ impl Value {
     /// The string payload, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -152,7 +154,7 @@ impl Value {
     pub fn set(&mut self, key: &str, value: impl Into<Value>) -> &mut Value {
         match self {
             Value::Object(o) => {
-                o.insert(key.to_string(), value.into());
+                o.insert(key, value.into());
                 self
             }
             other => panic!("Value::set on non-object {other:?}"),
@@ -235,12 +237,18 @@ impl From<f64> for Value {
 
 impl From<&str> for Value {
     fn from(s: &str) -> Value {
-        Value::Str(s.to_string())
+        Value::Str(Str::from(s))
     }
 }
 
 impl From<String> for Value {
     fn from(s: String) -> Value {
+        Value::Str(Str::from(s))
+    }
+}
+
+impl From<Str> for Value {
+    fn from(s: Str) -> Value {
         Value::Str(s)
     }
 }
@@ -268,8 +276,8 @@ impl AsRef<Value> for Value {
     }
 }
 
-impl FromIterator<(String, Value)> for Value {
-    fn from_iter<I: IntoIterator<Item = (String, Value)>>(iter: I) -> Value {
+impl<K: Into<Key>> FromIterator<(K, Value)> for Value {
+    fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Value {
         Value::Object(iter.into_iter().collect())
     }
 }
@@ -291,7 +299,7 @@ macro_rules! jobject {
     () => { $crate::Value::object() };
     ($($key:expr => $value:expr),+ $(,)?) => {
         $crate::Value::Object(<$crate::Map as ::std::iter::FromIterator<_>>::from_iter([
-            $((::std::string::String::from($key), $crate::Value::from($value))),+
+            $(($crate::Key::from($key), $crate::Value::from($value))),+
         ]))
     };
 }
@@ -365,6 +373,14 @@ mod tests {
     #[should_panic(expected = "non-object")]
     fn set_panics_on_array() {
         Value::array().set("x", 1);
+    }
+
+    /// A string value fits where a `String` did, and a member stays one
+    /// key and one value.
+    #[test]
+    fn a_value_is_32_bytes_and_a_member_56() {
+        assert_eq!(std::mem::size_of::<Value>(), 32);
+        assert_eq!(std::mem::size_of::<(Key, Value)>(), 56);
     }
 
     #[test]

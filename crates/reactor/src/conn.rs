@@ -5,10 +5,10 @@
 //! everything else (worker jobs, broker delivery sinks) talks to a
 //! connection through a cloneable [`ConnHandle`]. A handle can queue
 //! outbound bytes (bounded by the connection's backpressure cap), request
-//! a close, pause/resume reads, and dispatch jobs that run **in FIFO
-//! order per connection** on the shared worker pool — the property that
-//! keeps pipelined HTTP responses and STOMP frame effects in order
-//! without a thread per connection.
+//! a close, pause reads until its jobs drain, and dispatch jobs that run
+//! **in FIFO order per connection** on the shared worker pool — the
+//! property that keeps pipelined HTTP responses and STOMP frame effects
+//! in order without a thread per connection.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -30,9 +30,11 @@ pub(crate) enum Command {
     Flush(u64),
     /// Close the connection now.
     Close(u64),
-    /// Stop reading from the connection.
+    /// Stop reading from the connection, unless its jobs drained (or a
+    /// resume claimed the pause) since it was asked for.
     PauseReads(u64),
-    /// Start reading from the connection again.
+    /// Start reading from the connection again: its jobs drained while a
+    /// pause was asked for.
     ResumeReads(u64),
     /// Adopt an accepted connection (multi-reactor sharding: the shard
     /// owning the listener round-robins streams to its peers).
@@ -160,8 +162,17 @@ pub(crate) struct ConnShared {
     /// Jobs dispatched but not yet finished; protocols use this for read
     /// backpressure.
     pending_jobs: AtomicUsize,
+    /// While a pause asked for by [`ConnHandle::pause_reads`] stands: the
+    /// pending-job count at or below which reads resume. `NOT_PAUSED`
+    /// otherwise. Whoever swaps it back to `NOT_PAUSED` — the worker
+    /// whose job brings the count down, or the reactor finding the count
+    /// already down when it applies the pause — owns the resume.
+    pub(crate) resume_at: AtomicUsize,
     pool: Option<Sender<Job>>,
 }
+
+/// `ConnShared::resume_at` when no pause stands.
+const NOT_PAUSED: usize = usize::MAX;
 
 impl fmt::Debug for ConnShared {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -186,7 +197,38 @@ impl ConnShared {
             queue: Mutex::new(VecDeque::new()),
             scheduled: AtomicBool::new(false),
             pending_jobs: AtomicUsize::new(0),
+            resume_at: AtomicUsize::new(NOT_PAUSED),
             pool,
+        }
+    }
+
+    /// Applies a `PauseReads` command (reactor thread): whether reads
+    /// stop. They do not if a resume already claimed the pause, or if the
+    /// jobs drained before the pause arrived — no job is left to resume
+    /// it, so pausing then would strand the connection.
+    pub(crate) fn pause_stands(&self) -> bool {
+        let resume_at = self.resume_at.load(Ordering::SeqCst);
+        if resume_at == NOT_PAUSED {
+            return false;
+        }
+        if self.pending_jobs.load(Ordering::SeqCst) > resume_at {
+            return true;
+        }
+        // Drained already: claim the pause, or a worker claimed it and
+        // posted a resume that will find reads running.
+        self.resume_at.swap(NOT_PAUSED, Ordering::SeqCst);
+        false
+    }
+
+    /// A job finished, leaving `left` pending (worker thread): posts the
+    /// resume if that brings a standing pause down to its threshold.
+    pub(crate) fn job_finished(&self, left: usize) {
+        let resume_at = self.resume_at.load(Ordering::SeqCst);
+        if resume_at != NOT_PAUSED
+            && left <= resume_at
+            && self.resume_at.swap(NOT_PAUSED, Ordering::SeqCst) != NOT_PAUSED
+        {
+            self.reactor.push(Command::ResumeReads(self.token));
         }
     }
 }
@@ -213,7 +255,8 @@ fn drain_queue(shared: Arc<ConnShared>) {
         match job {
             Some(job) => {
                 job();
-                shared.pending_jobs.fetch_sub(1, Ordering::SeqCst);
+                let left = shared.pending_jobs.fetch_sub(1, Ordering::SeqCst) - 1;
+                shared.job_finished(left);
                 ran += 1;
             }
             None => {
@@ -302,19 +345,19 @@ impl ConnHandle {
             .closed
     }
 
-    /// Stops reading from the connection until [`ConnHandle::resume_reads`].
-    /// Idempotent.
-    pub fn pause_reads(&self) {
-        self.shared
-            .reactor
-            .push(Command::PauseReads(self.shared.token));
-    }
-
-    /// Resumes reading. Idempotent.
-    pub fn resume_reads(&self) {
-        self.shared
-            .reactor
-            .push(Command::ResumeReads(self.shared.token));
+    /// Stops reading from the connection until at most `resume_at` of its
+    /// dispatched jobs are pending: the worker finishing the job that
+    /// brings the count there resumes reads. If the count is already
+    /// there when the reactor applies the pause, reads never stop, so a
+    /// pause cannot outlive the jobs that would lift it. A connection
+    /// that is not paused posts nothing when its jobs finish.
+    pub fn pause_reads(&self, resume_at: usize) {
+        let before = self.shared.resume_at.swap(resume_at, Ordering::SeqCst);
+        if before == NOT_PAUSED {
+            self.shared
+                .reactor
+                .push(Command::PauseReads(self.shared.token));
+        }
     }
 
     /// Runs `job` on the worker pool. Jobs dispatched through one handle
@@ -348,5 +391,75 @@ impl ConnHandle {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .len
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A handle on a connection whose jobs go to the returned receiver,
+    /// and the mailbox its commands land in.
+    fn handle() -> (
+        ConnHandle,
+        Arc<ReactorShared>,
+        crossbeam::channel::Receiver<Job>,
+    ) {
+        let reactor = Arc::new(ReactorShared::new(EventFd::new().unwrap()));
+        let (jobs, pool) = crossbeam::channel::unbounded();
+        let shared = ConnShared::new(
+            7,
+            Arc::clone(&reactor),
+            1024,
+            Arc::new(AtomicUsize::new(0)),
+            Some(jobs),
+        );
+        let handle = ConnHandle {
+            shared: Arc::new(shared),
+        };
+        (handle, reactor, pool)
+    }
+
+    fn run_jobs(pool: &crossbeam::channel::Receiver<Job>) {
+        while let Ok(job) = pool.try_recv() {
+            job();
+        }
+    }
+
+    /// A request answered on an unpaused connection posts its flush and
+    /// nothing else: no resume, no second wake-up.
+    #[test]
+    fn a_plain_response_posts_no_resume() {
+        let (conn, reactor, pool) = handle();
+        let io = conn.clone();
+        conn.dispatch(move || io.send(b"response".to_vec()).unwrap());
+        run_jobs(&pool);
+        assert_eq!(conn.pending_jobs(), 0);
+        let commands = reactor.drain();
+        assert!(matches!(commands[..], [Command::Flush(7)]), "{commands:?}");
+    }
+
+    /// One pause command however often it is asked for, and one resume,
+    /// posted by the job that brings the count down to the threshold.
+    #[test]
+    fn a_pause_is_posted_once_and_lifted_by_the_draining_job() {
+        let (conn, reactor, pool) = handle();
+        for _ in 0..3 {
+            conn.dispatch(|| {});
+        }
+        conn.pause_reads(1);
+        conn.pause_reads(1);
+        assert!(conn.shared.pause_stands());
+        // The second job leaves one pending: it posts the resume.
+        run_jobs(&pool);
+        let commands = reactor.drain();
+        assert!(
+            matches!(
+                commands[..],
+                [Command::PauseReads(7), Command::ResumeReads(7)]
+            ),
+            "{commands:?}"
+        );
+        assert!(!conn.shared.pause_stands());
     }
 }

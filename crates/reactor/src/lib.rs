@@ -19,8 +19,9 @@
 //!   the reactor thread; must never block.
 //! * [`ConnHandle`] — how everything off the reactor thread talks to a
 //!   connection: bounded outbound byte queues (backpressure caps), close
-//!   requests, read pause/resume, and an actor-style per-connection job
-//!   FIFO ([`ConnHandle::dispatch`]) onto the bounded worker pool.
+//!   requests, read pauses lifted as jobs drain, and an actor-style
+//!   per-connection job FIFO ([`ConnHandle::dispatch`]) onto the bounded
+//!   worker pool.
 //!
 //! # Invariants
 //!

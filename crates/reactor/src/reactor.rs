@@ -287,6 +287,8 @@ struct ConnState {
     /// Readiness mask currently registered with epoll.
     interest: u32,
     read_paused: bool,
+    /// The peer's EOF was read: reads stay stopped.
+    read_eof: bool,
     last_activity: Instant,
 }
 
@@ -474,6 +476,7 @@ impl Core {
             shared,
             interest: EPOLLIN | EPOLLRDHUP,
             read_paused: false,
+            read_eof: false,
             last_activity: now,
         };
         if self
@@ -525,6 +528,7 @@ impl Core {
                     // or flush-then-close.
                     state.last_activity = now;
                     state.read_paused = true;
+                    state.read_eof = true;
                     set_interest(&self.epoll, state, desired_interest(state));
                     let handle = state.handle();
                     state.protocol.on_eof(&handle);
@@ -612,9 +616,15 @@ impl Core {
         }
     }
 
+    /// Applies a pause or resume of reads; a pause only if it still
+    /// stands ([`ConnShared::pause_stands`]), and neither once the peer's
+    /// EOF stopped reads for good.
     fn set_paused(&mut self, token: u64, paused: bool) {
         if let Some(idx) = self.lookup(token) {
             let state = self.slots[idx].state.as_mut().expect("looked up");
+            if state.read_eof || (paused && !state.shared.pause_stands()) {
+                return;
+            }
             if state.read_paused != paused {
                 state.read_paused = paused;
                 set_interest(&self.epoll, state, desired_interest(state));
@@ -857,5 +867,69 @@ mod tests {
         advance_outbox(&mut out, 3);
         advance_outbox(&mut out, 8);
         assert_eq!((out.len, out.front_pos, out.chunks.len()), (1, 1, 1));
+    }
+
+    /// Echoes each read back through a pool job. On its first read it
+    /// replays a pause racing its jobs: `resume_first` has the worker's
+    /// resume land *before* the `PauseReads` command; otherwise the jobs
+    /// drained before the pause was applied, and nothing will resume it.
+    struct RacedPause {
+        resume_first: bool,
+        raced: bool,
+    }
+
+    impl Protocol for RacedPause {
+        fn on_bytes(&mut self, data: &[u8], conn: &ConnHandle) {
+            if !std::mem::replace(&mut self.raced, true) {
+                let shared = &conn.shared;
+                // `pause_reads(0)` up to its command: the pause is asked for.
+                shared.resume_at.store(0, Ordering::SeqCst);
+                if self.resume_first {
+                    // A worker brings the count to 0 and posts the resume.
+                    shared.job_finished(0);
+                }
+                shared.reactor.push(Command::PauseReads(shared.token));
+            }
+            let io = conn.clone();
+            let echo = data.to_vec();
+            conn.dispatch(move || {
+                let _ = io.send(echo);
+            });
+        }
+    }
+
+    /// Either way the pause is dropped when the reactor applies it, and
+    /// the connection goes on reading instead of waiting for a resume
+    /// that will never come.
+    #[test]
+    fn a_pause_whose_jobs_drained_first_leaves_the_connection_reading() {
+        for resume_first in [true, false] {
+            let config = ReactorConfig {
+                name: "raced-pause".to_string(),
+                workers: 1,
+                ..ReactorConfig::default()
+            };
+            let reactor = Reactor::bind("127.0.0.1:0", config, move || {
+                Box::new(RacedPause {
+                    resume_first,
+                    raced: false,
+                })
+            })
+            .unwrap();
+            let mut stream = TcpStream::connect(reactor.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            // The echo is flushed after the reactor took the pause and
+            // resume commands, which were queued before it.
+            for word in [&b"one"[..], b"two", b"three"] {
+                io::Write::write_all(&mut stream, word).unwrap();
+                let mut got = vec![0u8; word.len()];
+                stream
+                    .read_exact(&mut got)
+                    .unwrap_or_else(|e| panic!("resume_first={resume_first}: {e}"));
+                assert_eq!(got, word);
+            }
+        }
     }
 }
