@@ -68,30 +68,11 @@ impl BrokerServer {
     ///
     /// Propagates bind and reactor setup errors.
     pub fn bind(addr: &str, broker: Broker, policy: Policy) -> io::Result<BrokerServer> {
-        BrokerServer::bind_sharded(addr, 1, broker, policy)
-    }
-
-    /// Like [`BrokerServer::bind`], but decodes frames and flushes
-    /// deliveries on `shards` reactor event-loop threads (clamped to
-    /// ≥ 1): shard 0 accepts and round-robins connections, so a fan-out
-    /// burst to tens of thousands of subscribers flushes from several
-    /// cores instead of one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and reactor setup errors.
-    pub fn bind_sharded(
-        addr: &str,
-        shards: usize,
-        broker: Broker,
-        policy: Policy,
-    ) -> io::Result<BrokerServer> {
         let policy = Arc::new(policy);
         let conn_broker = broker.clone();
         let config = ReactorConfig {
             name: "safeweb-broker".to_string(),
             outbox_cap: OUTBOX_CAP,
-            shards,
             // Idle subscribers are the working set here: never reap them.
             idle_timeout: None,
             ..ReactorConfig::default()

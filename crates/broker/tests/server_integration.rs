@@ -375,3 +375,49 @@ fn subscriptions_are_capped_per_connection() {
     );
     assert_eq!(server.broker().subscription_count(), MAX_SUBSCRIPTIONS);
 }
+
+#[test]
+fn an_over_long_selector_is_refused_and_the_connection_still_subscribes() {
+    use safeweb_selector::MAX_SELECTOR_LEN;
+    use safeweb_stomp::{Command, Frame, TcpTransport};
+
+    let server = start_server();
+    let mut raw = TcpTransport::connect(&server.addr().to_string()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    raw.send_frame(&Frame::new(Command::Connect).with_header("login", "producer"))
+        .unwrap();
+    assert_eq!(
+        raw.recv_frame().unwrap().unwrap().command(),
+        Command::Connected
+    );
+
+    // One byte over the cap: an ERROR frame, and nothing registered.
+    let selector = format!("x = '{}'", "a".repeat(MAX_SELECTOR_LEN - 5));
+    assert_eq!(selector.len(), MAX_SELECTOR_LEN + 1);
+    raw.send_frame(
+        &Frame::new(Command::Subscribe)
+            .with_header("destination", "/long")
+            .with_header("id", "0")
+            .with_header("selector", selector),
+    )
+    .unwrap();
+    let refused = round_trip(&mut raw, "/long");
+    assert_eq!(refused.len(), 1, "{refused:?}");
+    assert_eq!(refused[0].command(), Command::Error);
+    assert!(refused[0]
+        .header("message")
+        .is_some_and(|m| m.contains("bad selector")));
+    assert_eq!(server.broker().subscription_count(), 0);
+
+    // The same connection subscribes without a selector.
+    raw.send_frame(
+        &Frame::new(Command::Subscribe)
+            .with_header("destination", "/long")
+            .with_header("id", "1"),
+    )
+    .unwrap();
+    let delivered = round_trip(&mut raw, "/long");
+    assert_eq!(delivered.len(), 1, "{delivered:?}");
+    assert_eq!(delivered[0].command(), Command::Message);
+    assert_eq!(delivered[0].header("subscription"), Some("1"));
+}

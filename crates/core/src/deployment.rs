@@ -10,9 +10,7 @@ use std::time::Duration;
 
 use safeweb_broker::{Broker, BrokerOptions};
 use safeweb_docstore::{DocStore, ReplicationHandle};
-use safeweb_engine::{
-    Engine, EngineError, EngineHandle, EngineOptions, SchedulerOptions, UnitSpec,
-};
+use safeweb_engine::{Engine, EngineError, EngineHandle, EngineOptions, UnitSpec};
 use safeweb_http::HttpServer;
 use safeweb_labels::Policy;
 use safeweb_obs::MetricsRegistry;
@@ -43,8 +41,6 @@ pub struct SafeWebBuilder {
     engine_options: EngineOptions,
     app_views: Vec<(String, String)>,
     data_dir: Option<PathBuf>,
-    frontend_shards: usize,
-    slow_activation: Option<Duration>,
 }
 
 impl Default for SafeWebBuilder {
@@ -65,8 +61,6 @@ impl SafeWebBuilder {
             engine_options: EngineOptions::default(),
             app_views: Vec::new(),
             data_dir: None,
-            frontend_shards: 1,
-            slow_activation: None,
         }
     }
 
@@ -111,36 +105,6 @@ impl SafeWebBuilder {
     /// baseline benchmarking only).
     pub fn engine_options(mut self, options: EngineOptions) -> SafeWebBuilder {
         self.engine_options = options;
-        self
-    }
-
-    /// Sizes the work-stealing worker pool the engine's units run on
-    /// (the default uses one worker per core and a 1024-message inbox
-    /// per unit). Shorthand for setting [`EngineOptions::scheduler`]
-    /// through [`SafeWebBuilder::engine_options`].
-    pub fn scheduler(mut self, options: SchedulerOptions) -> SafeWebBuilder {
-        self.engine_options.scheduler = options;
-        self
-    }
-
-    /// Flags engine activations slower than `threshold` to the process
-    /// tracer's slow-activation buffer (see
-    /// `Tracer::slow_activations` in `safeweb-obs`). Off by default.
-    /// Overridden by an explicit
-    /// [`safeweb_engine::SchedulerOptions::slow_activation_ns`] passed
-    /// through [`SafeWebBuilder::scheduler`].
-    pub fn slow_activation_threshold(mut self, threshold: Duration) -> SafeWebBuilder {
-        self.slow_activation = Some(threshold);
-        self
-    }
-
-    /// Number of reactor event-loop shards each served frontend runs
-    /// (default 1, clamped to ≥ 1). With more shards, accepted
-    /// connections are spread across that many epoll threads, so
-    /// request parsing and socket I/O scale past one core — the knob to
-    /// turn when one frontend must saturate the box.
-    pub fn frontend_shards(mut self, shards: usize) -> SafeWebBuilder {
-        self.frontend_shards = shards.max(1);
         self
     }
 
@@ -243,9 +207,6 @@ impl SafeWebBuilder {
         if sched.metrics.is_none() {
             sched.metrics = Some(metrics.clone());
         }
-        if sched.slow_activation_ns.is_none() {
-            sched.slow_activation_ns = self.slow_activation.map(|d| d.as_nanos() as u64);
-        }
         let mut engine =
             Engine::new(Arc::new(broker.clone()), self.policy.clone()).with_options(engine_options);
         for unit in self.units {
@@ -268,7 +229,6 @@ impl SafeWebBuilder {
             replication: Some(replication),
             users,
             policy: self.policy,
-            frontend_shards: self.frontend_shards,
             metrics,
         })
     }
@@ -284,7 +244,6 @@ pub struct SafeWebDeployment {
     replication: Option<ReplicationHandle>,
     users: UserStore,
     policy: Policy,
-    frontend_shards: usize,
     metrics: MetricsRegistry,
 }
 
@@ -368,16 +327,14 @@ impl SafeWebDeployment {
         SafeWebApp::new(self.users.clone(), self.dmz_db.clone())
     }
 
-    /// Serves a configured frontend over HTTP, on the builder's
-    /// [`SafeWebBuilder::frontend_shards`] reactor shards.
+    /// Serves a configured frontend over HTTP.
     ///
     /// # Errors
     ///
     /// Propagates bind errors.
     pub fn serve(&self, app: SafeWebApp, addr: &str) -> std::io::Result<HttpServer> {
         app.attach_metrics(&self.metrics);
-        let server =
-            HttpServer::bind_sharded(addr, self.frontend_shards, Arc::new(app).into_handler())?;
+        let server = HttpServer::bind(addr, Arc::new(app).into_handler())?;
         server.attach_metrics(&self.metrics, "frontend");
         Ok(server)
     }

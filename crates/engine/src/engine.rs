@@ -245,8 +245,7 @@ impl Engine {
                                 };
                                 // The delivery's trace becomes the ambient
                                 // scope: everything the callback publishes
-                                // inherits it, and the slow-activation
-                                // window sees which traces ran here.
+                                // inherits it.
                                 let trace = delivery.event.trace_id();
                                 let _scope = safeweb_obs::trace_scope(trace);
                                 let span_start = safeweb_obs::now_ns();

@@ -217,12 +217,6 @@ impl LabelledEvent {
         self.trace = trace;
     }
 
-    /// Builder-style trace attachment.
-    pub fn with_trace_id(mut self, trace: TraceId) -> LabelledEvent {
-        self.trace = trace;
-        self
-    }
-
     /// The underlying event.
     pub fn event(&self) -> &Event {
         &self.event
@@ -238,17 +232,6 @@ impl LabelledEvent {
     pub fn with_label_set(mut self, labels: LabelSet) -> LabelledEvent {
         self.labels = labels;
         self
-    }
-
-    /// Rewrites the labels through `f`, returning the rewritten event.
-    ///
-    /// This replaces the old `labels_mut` escape hatch: label rewrites are
-    /// now explicit set-to-set functions (the enforcement layers compute a
-    /// new interned set and re-point the event at it), which keeps every
-    /// relabelling auditable at the call site.
-    pub fn map_labels<F: FnOnce(LabelSet) -> LabelSet>(self, f: F) -> LabelledEvent {
-        let labels = f(self.labels);
-        self.with_label_set(labels)
     }
 
     /// Splits into parts.

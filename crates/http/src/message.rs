@@ -161,11 +161,6 @@ impl Request {
         &self.headers
     }
 
-    /// Mutable header access.
-    pub fn headers_mut(&mut self) -> &mut Headers {
-        &mut self.headers
-    }
-
     /// The body bytes.
     pub fn body(&self) -> &[u8] {
         &self.body

@@ -13,9 +13,7 @@
 //! * responses are queued on the connection's bounded outbox and flushed
 //!   by nonblocking writes.
 //!
-//! Thread count is `shards + workers` regardless of connection count;
-//! [`HttpServer::bind_sharded`] spreads the event-loop work over several
-//! reactor shards when one epoll thread saturates a core.
+//! Thread count is `1 + workers` regardless of connection count.
 
 use std::io;
 use std::net::SocketAddr;
@@ -55,22 +53,9 @@ impl HttpServer {
     ///
     /// Propagates bind and reactor setup errors.
     pub fn bind(addr: &str, handler: Handler) -> io::Result<HttpServer> {
-        HttpServer::bind_sharded(addr, 1, handler)
-    }
-
-    /// Like [`HttpServer::bind`], but runs `shards` reactor event-loop
-    /// threads (clamped to ≥ 1): shard 0 accepts and round-robins
-    /// connections across the shards, so parsing and socket I/O scale
-    /// past one core while the worker pool stays shared.
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind and reactor setup errors.
-    pub fn bind_sharded(addr: &str, shards: usize, handler: Handler) -> io::Result<HttpServer> {
         let config = ReactorConfig {
             name: "safeweb-http".to_string(),
             idle_timeout: Some(IDLE_TIMEOUT),
-            shards,
             ..ReactorConfig::default()
         };
         let reactor = Reactor::bind(addr, config, move || {

@@ -23,8 +23,8 @@
 //!    payload accessor or a tainted identifier is a finding.
 //!
 //! Sinks and the argument scanned: `record_span` (the span name, second
-//! argument), `record_slow` (the task name, first argument), and the
-//! metric-name (first) argument of the registry surface — `counter`,
+//! argument) and the metric-name (first) argument of the registry
+//! surface — `counter`,
 //! `gauge`, `histogram`, `histogram_with`, `register_counter`,
 //! `register_histogram`, `register_derived`.
 //!
@@ -43,9 +43,8 @@ use crate::workspace::{FileKind, Workspace};
 
 const RULE: &str = "telemetry-hygiene";
 
-/// Sinks scanned at their first argument (task / metric name).
-const FIRST_ARG_SINKS: [&str; 8] = [
-    "record_slow",
+/// Sinks scanned at their first argument (the metric name).
+const FIRST_ARG_SINKS: [&str; 7] = [
     "counter",
     "gauge",
     "histogram",
@@ -298,7 +297,6 @@ fn f(registry: &MetricsRegistry, prefix: &str, route: &str, id: TraceId, start: 
     let c = registry.counter(&format!("{prefix}.accepted"));
     let h = registry.histogram("docstore.put_ns");
     record_span("frontend", route, id, start, Some(labels.id().as_u32()));
-    record_slow("unit-name", dur, traces);
 }
 "#;
         assert!(run(src).is_empty());

@@ -123,7 +123,7 @@ fn declassify_registry_catches_count_drift_and_stale_entries() {
 fn telemetry_hygiene_catches_payload_into_record_sinks() {
     // Three seeded flows: an event attribute directly into a span
     // name, a principal-derived string interpolated into a metric
-    // name, and document bytes into a slow-activation task name.
+    // name, and document bytes bound to a name passed as a metric name.
     mutation_check(
         "telemetry-hygiene",
         3,
@@ -141,7 +141,7 @@ fn telemetry_hygiene_catches_payload_into_record_sinks() {
     for (needle, replacement) in [
         (r#"event.attr("patient").unwrap_or("")"#, r#""unit-name""#),
         ("web.requests.{who}", "web.requests"),
-        ("record_slow(summary, dur", r#"record_slow("storage", dur"#),
+        ("counter(summary)", r#"counter("storage")"#),
     ] {
         let mutated = TELEMETRY_VIOLATION.replacen(needle, replacement, 1);
         assert_ne!(

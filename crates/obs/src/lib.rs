@@ -36,6 +36,5 @@ pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry};
 pub use trace::{
-    begin_activation, current_trace, end_activation, now_ns, record_span, trace_scope, tracer,
-    SlowActivation, Span, TraceId, TraceScope, Tracer,
+    current_trace, now_ns, record_span, trace_scope, tracer, Span, TraceId, TraceScope, Tracer,
 };

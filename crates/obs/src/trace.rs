@@ -1,5 +1,4 @@
-//! End-to-end tracing: trace ids, spans, per-component rings, and the
-//! slow-activation capture buffer.
+//! End-to-end tracing: trace ids, spans and per-component rings.
 //!
 //! A [`TraceId`] is a `Copy` 64-bit handle minted once per causal chain
 //! — at the frontend when a request arrives, or at first publish for an
@@ -15,7 +14,7 @@
 //! payloads or principals. The only per-datum annotation a span may
 //! carry is an interned label-set id.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
@@ -27,8 +26,6 @@ use safeweb_json::Value;
 
 /// Spans retained per component ring.
 const RING_CAP: usize = 4096;
-/// Slow activations retained.
-const SLOW_CAP: usize = 256;
 
 /// A `Copy` identifier for one causal chain (one HTTP request, or one
 /// engine-originated event cascade). Zero means "not traced".
@@ -63,16 +60,6 @@ impl TraceId {
     /// Whether this id identifies a trace (non-zero).
     pub fn is_set(self) -> bool {
         self.0 != 0
-    }
-
-    /// Raw value.
-    pub fn as_u64(self) -> u64 {
-        self.0
-    }
-
-    /// Rebuilds from a raw value (0 is [`TraceId::UNSET`]).
-    pub fn from_u64(v: u64) -> TraceId {
-        TraceId(v)
     }
 }
 
@@ -134,27 +121,12 @@ impl Span {
     }
 }
 
-/// One activation that blew past the scheduler's slow threshold,
-/// captured with every trace id it touched so the span chains can be
-/// pulled up for profiling.
-#[derive(Clone, Debug)]
-pub struct SlowActivation {
-    /// The scheduler task name (a unit name — author-written).
-    pub task: Box<str>,
-    /// Activation wall time in nanoseconds.
-    pub dur_ns: u64,
-    /// Trace ids of the messages processed in this activation.
-    pub traces: Vec<TraceId>,
-}
-
 /// One component's bounded span ring, tagged with the component name.
 type ComponentRing = (&'static str, Mutex<VecDeque<Span>>);
 
-/// The process-global span store: one bounded ring per component, plus
-/// the slow-activation buffer.
+/// The process-global span store: one bounded ring per component.
 pub struct Tracer {
     rings: RwLock<Vec<ComponentRing>>,
-    slow: Mutex<VecDeque<SlowActivation>>,
     seq: AtomicU64,
     enabled: AtomicBool,
 }
@@ -164,7 +136,6 @@ pub fn tracer() -> &'static Tracer {
     static TRACER: OnceLock<Tracer> = OnceLock::new();
     TRACER.get_or_init(|| Tracer {
         rings: RwLock::new(Vec::new()),
-        slow: Mutex::new(VecDeque::new()),
         seq: AtomicU64::new(0),
         enabled: AtomicBool::new(true),
     })
@@ -236,29 +207,6 @@ impl Tracer {
         out.set("spans", arr);
         out
     }
-
-    /// Records one over-threshold activation.
-    pub fn record_slow(&self, task: &str, dur_ns: u64, traces: Vec<TraceId>) {
-        let mut slow = self.slow.lock().expect("tracer slow buffer poisoned");
-        if slow.len() >= SLOW_CAP {
-            slow.pop_front();
-        }
-        slow.push_back(SlowActivation {
-            task: task.into(),
-            dur_ns,
-            traces,
-        });
-    }
-
-    /// The retained slow activations, oldest first.
-    pub fn slow_activations(&self) -> Vec<SlowActivation> {
-        self.slow
-            .lock()
-            .expect("tracer slow buffer poisoned")
-            .iter()
-            .cloned()
-            .collect()
-    }
 }
 
 fn push_bounded(ring: &Mutex<VecDeque<Span>>, span: Span) {
@@ -303,7 +251,6 @@ pub fn record_span(
 
 thread_local! {
     static CURRENT_TRACE: Cell<TraceId> = const { Cell::new(TraceId::UNSET) };
-    static ACTIVATION_TRACES: RefCell<Option<Vec<TraceId>>> = const { RefCell::new(None) };
 }
 
 /// The trace id active on this thread ([`TraceId::UNSET`] outside any
@@ -321,19 +268,9 @@ pub struct TraceScope {
 }
 
 /// Sets the thread's current trace for the lifetime of the returned
-/// guard, and (inside an activation window) records the id for
-/// slow-activation capture.
+/// guard.
 pub fn trace_scope(id: TraceId) -> TraceScope {
     let prev = CURRENT_TRACE.with(|c| c.replace(id));
-    if id.is_set() {
-        ACTIVATION_TRACES.with(|t| {
-            if let Some(traces) = t.borrow_mut().as_mut() {
-                if traces.last() != Some(&id) && traces.len() < 64 {
-                    traces.push(id);
-                }
-            }
-        });
-    }
     TraceScope { prev }
 }
 
@@ -341,19 +278,6 @@ impl Drop for TraceScope {
     fn drop(&mut self) {
         CURRENT_TRACE.with(|c| c.set(self.prev));
     }
-}
-
-/// Opens an activation window on this thread: every traced scope
-/// entered until [`end_activation`] is collected so a slow activation
-/// can name the traces it processed. Used by the scheduler around each
-/// task activation.
-pub fn begin_activation() {
-    ACTIVATION_TRACES.with(|t| *t.borrow_mut() = Some(Vec::new()));
-}
-
-/// Closes the activation window, returning the trace ids seen.
-pub fn end_activation() -> Vec<TraceId> {
-    ACTIVATION_TRACES.with(|t| t.borrow_mut().take().unwrap_or_default())
 }
 
 #[cfg(test)]
@@ -419,33 +343,5 @@ mod tests {
             assert_eq!(current_trace(), a);
         }
         assert_eq!(current_trace(), TraceId::UNSET);
-    }
-
-    #[test]
-    fn activation_window_collects_scoped_traces() {
-        let a = TraceId::mint();
-        let b = TraceId::mint();
-        begin_activation();
-        {
-            let _s = trace_scope(a);
-        }
-        {
-            let _s = trace_scope(b);
-        }
-        {
-            let _again = trace_scope(b); // consecutive duplicate suppressed
-        }
-        assert_eq!(end_activation(), vec![a, b]);
-        assert!(end_activation().is_empty(), "window closed");
-    }
-
-    #[test]
-    fn slow_buffer_is_bounded() {
-        for i in 0..(SLOW_CAP + 10) {
-            tracer().record_slow("unit", i as u64, Vec::new());
-        }
-        let slow = tracer().slow_activations();
-        assert_eq!(slow.len(), SLOW_CAP);
-        assert_eq!(slow.last().unwrap().dur_ns, (SLOW_CAP + 9) as u64);
     }
 }

@@ -12,7 +12,6 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -36,10 +35,7 @@ pub(crate) enum Command {
     /// Start reading from the connection again: its jobs drained while a
     /// pause was asked for.
     ResumeReads(u64),
-    /// Adopt an accepted connection (multi-reactor sharding: the shard
-    /// owning the listener round-robins streams to its peers).
-    Register(TcpStream),
-    /// Stop this reactor shard.
+    /// Stop the event loop.
     Shutdown,
 }
 
@@ -382,15 +378,6 @@ impl ConnHandle {
     /// Jobs dispatched on this connection that have not finished yet.
     pub fn pending_jobs(&self) -> usize {
         self.shared.pending_jobs.load(Ordering::SeqCst)
-    }
-
-    /// Unwritten outbound bytes currently queued.
-    pub fn outbox_len(&self) -> usize {
-        self.shared
-            .out
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .len
     }
 }
 

@@ -7,13 +7,11 @@
 //! connections a deployed event broker accumulates. This crate replaces
 //! it with the classic reactor pattern:
 //!
-//! * [`Reactor`] — [`ReactorConfig::shards`] event-loop threads per
-//!   frontend, multiplexing the listener and all connections through
-//!   `epoll` with nonblocking sockets (direct `extern "C"` bindings in
-//!   [`sys`]; the build environment has no crates.io, matching the
-//!   repository's shim approach). Shard 0 owns the listener and
-//!   round-robins accepted connections across all shards, so event-loop
-//!   work scales past one core.
+//! * [`Reactor`] — one event-loop thread per frontend, multiplexing the
+//!   listener and all connections through `epoll` with nonblocking
+//!   sockets (direct `extern "C"` bindings in [`sys`]; the build
+//!   environment has no crates.io, matching the repository's shim
+//!   approach).
 //! * [`Protocol`] — the per-connection state machine a frontend plugs in
 //!   (incremental HTTP request parsing, STOMP frame decoding). Runs on
 //!   the reactor thread; must never block.
@@ -35,7 +33,7 @@
 //! * Outbound queues are bounded; a slow consumer surfaces as
 //!   [`SendError::Overflow`] and the protocol chooses the policy.
 //!
-//! Thread count is `shards + workers` per frontend, independent of
+//! Thread count is `1 + workers` per frontend, independent of
 //! connection count — the property the idle-connection benches in
 //! `safeweb-bench` measure.
 

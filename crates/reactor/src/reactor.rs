@@ -1,24 +1,21 @@
-//! The reactor core: epoll threads multiplexing every connection of a
+//! The reactor core: one epoll thread multiplexing every connection of a
 //! listener, with protocol state machines driven by readiness events.
 //!
 //! # Threading model
 //!
-//! * **N reactor shard threads** ([`ReactorConfig::shards`], default 1)
-//!   each own an epoll instance and a partition of the connections —
-//!   their sockets and protocol state machines. Shard 0 also owns the
-//!   listener and round-robins accepted connections across the shards
-//!   (a peer adopts a stream via its command mailbox), so event-loop
-//!   work — nonblocking reads/writes and incremental protocol parsing —
-//!   scales past one core.
-//! * **A bounded worker pool**, shared by all shards, runs application
-//!   work — HTTP handlers, STOMP frame effects — dispatched through
-//!   per-connection FIFOs ([`ConnHandle::dispatch`]), so one process
-//!   holds tens of thousands of idle connections with `workers + shards`
-//!   threads instead of a thread per connection.
+//! * **One event-loop thread** owns the epoll instance, the listener
+//!   and every connection — their sockets and protocol state machines —
+//!   and does the nonblocking reads/writes and incremental protocol
+//!   parsing.
+//! * **A bounded worker pool** runs application work — HTTP handlers,
+//!   STOMP frame effects — dispatched through per-connection FIFOs
+//!   ([`ConnHandle::dispatch`]), so one process holds tens of thousands
+//!   of idle connections with `1 + workers` threads instead of a thread
+//!   per connection.
 //! * **Everything else** (worker jobs, broker delivery sinks on
 //!   publisher threads) reaches a connection only through [`ConnHandle`]:
 //!   queue bytes, close, pause reads. Handles post commands to the
-//!   owning shard's mailbox and wake it via an `eventfd`.
+//!   event loop's mailbox and wake it via an `eventfd`.
 //!
 //! # Robustness
 //!
@@ -88,10 +85,6 @@ pub struct ReactorConfig {
     pub name: String,
     /// Worker pool size (clamped to ≥ 1).
     pub workers: usize,
-    /// Reactor shard (event-loop thread) count, clamped to ≥ 1. Shard 0
-    /// accepts and round-robins connections across all shards; each
-    /// connection lives on one shard for its whole life.
-    pub shards: usize,
     /// Per-connection outbound queue cap in bytes; see
     /// [`crate::SendError::Overflow`].
     pub outbox_cap: usize,
@@ -110,7 +103,6 @@ impl Default for ReactorConfig {
         ReactorConfig {
             name: "safeweb".to_string(),
             workers,
-            shards: 1,
             outbox_cap: 8 * 1024 * 1024,
             idle_timeout: None,
         }
@@ -118,95 +110,74 @@ impl Default for ReactorConfig {
 }
 
 /// A running reactor serving one listener; dropping it shuts the whole
-/// frontend down (accept loop, connections, shards, workers).
+/// frontend down (accept loop, connections, event loop, workers).
 #[derive(Debug)]
 pub struct Reactor {
     addr: SocketAddr,
-    shards: Vec<Arc<ReactorShared>>,
+    shared: Arc<ReactorShared>,
     active: Arc<AtomicUsize>,
     queued_bytes: Arc<AtomicUsize>,
     accepted: Counter,
     disconnected: Counter,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
     pool: Option<WorkerPool>,
 }
 
 impl Reactor {
-    /// Binds `addr` (port 0 for ephemeral) and starts the reactor shard
-    /// threads and the shared worker pool. `factory` builds one
-    /// [`Protocol`] per accepted connection (it runs on whichever shard
-    /// adopts the connection, hence `Sync`).
+    /// Binds `addr` (port 0 for ephemeral) and starts the event-loop
+    /// thread and the worker pool. `factory` builds one [`Protocol`] per
+    /// accepted connection, on the event-loop thread.
     ///
     /// # Errors
     ///
     /// Propagates bind and epoll setup failures.
     pub fn bind<F>(addr: &str, config: ReactorConfig, factory: F) -> io::Result<Reactor>
     where
-        F: Fn() -> Box<dyn Protocol> + Send + Sync + 'static,
+        F: Fn() -> Box<dyn Protocol> + Send + 'static,
     {
-        let shard_count = config.shards.max(1);
-        let mut listener = Some(TcpListener::bind(addr)?);
-        let local = listener.as_ref().expect("just bound").local_addr()?;
-        listener
-            .as_ref()
-            .expect("just bound")
-            .set_nonblocking(true)?;
-        let factory: Arc<dyn Fn() -> Box<dyn Protocol> + Send + Sync> = Arc::new(factory);
+        let listener = TcpListener::bind(addr)?;
+        let local = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let epoll = Epoll::new()?;
+        let shared = Arc::new(ReactorShared::new(EventFd::new()?));
+        epoll.add(shared.wake_fd(), EPOLLIN, WAKE_TOKEN)?;
+        epoll.add(listener.as_raw_fd(), EPOLLIN, LISTEN_TOKEN)?;
         let pool = WorkerPool::new(&config.name, config.workers);
         let active = Arc::new(AtomicUsize::new(0));
         let queued_bytes = Arc::new(AtomicUsize::new(0));
         let accepted = Counter::new();
         let disconnected = Counter::new();
-        let shards: Vec<Arc<ReactorShared>> = (0..shard_count)
-            .map(|_| Ok(Arc::new(ReactorShared::new(EventFd::new()?))))
-            .collect::<io::Result<_>>()?;
-        let mut threads = Vec::with_capacity(shard_count);
-        for shard_id in 0..shard_count {
-            let epoll = Epoll::new()?;
-            let shared = Arc::clone(&shards[shard_id]);
-            epoll.add(shared.wake_fd(), EPOLLIN, WAKE_TOKEN)?;
-            let listener = if shard_id == 0 {
-                let l = listener.take().expect("taken once");
-                epoll.add(l.as_raw_fd(), EPOLLIN, LISTEN_TOKEN)?;
-                Some(l)
-            } else {
-                None
-            };
-            let core = Core {
-                epoll,
-                shared,
-                peers: shards.clone(),
-                shard_id,
-                next_shard: 0,
-                listener,
-                factory: Arc::clone(&factory),
-                jobs: pool.sender(),
-                config: config.clone(),
-                slots: Vec::new(),
-                free: Vec::new(),
-                read_buf: vec![0u8; 64 * 1024],
-                active: Arc::clone(&active),
-                queued_bytes: Arc::clone(&queued_bytes),
-                accepted: accepted.clone(),
-                disconnected: disconnected.clone(),
-                reaccept_at: None,
-                next_sweep: Instant::now(),
-                stopping: false,
-            };
-            let thread = std::thread::Builder::new()
-                .name(format!("{}-reactor{shard_id}", config.name))
-                .spawn(move || core.run())
-                .expect("spawn reactor thread");
-            threads.push(thread);
-        }
+        let thread_name = format!("{}-reactor", config.name);
+        let core = Core {
+            epoll,
+            shared: Arc::clone(&shared),
+            listener,
+            factory: Box::new(factory),
+            jobs: pool.sender(),
+            config,
+            slots: Vec::new(),
+            free: Vec::new(),
+            read_buf: vec![0u8; 64 * 1024],
+            active: Arc::clone(&active),
+            queued_bytes: Arc::clone(&queued_bytes),
+            accepted: accepted.clone(),
+            disconnected: disconnected.clone(),
+            reaccept_at: None,
+            next_sweep: Instant::now(),
+            stopping: false,
+        };
+        let thread = std::thread::Builder::new()
+            .name(thread_name)
+            .spawn(move || core.run())
+            .expect("spawn reactor thread");
         Ok(Reactor {
             addr: local,
-            shards,
+            shared,
             active,
             queued_bytes,
             accepted,
             disconnected,
-            threads,
+            thread: Some(thread),
             pool: Some(pool),
         })
     }
@@ -235,7 +206,7 @@ impl Reactor {
         self.addr
     }
 
-    /// Connections currently registered, across all shards.
+    /// Connections currently registered.
     pub fn active_connections(&self) -> usize {
         self.active.load(Ordering::Relaxed)
     }
@@ -249,17 +220,13 @@ impl Reactor {
     }
 
     /// Stops accepting, closes every connection, drains queued jobs and
-    /// joins all shard and worker threads. Idempotent.
+    /// joins the event-loop and worker threads. Idempotent.
     pub fn shutdown(&mut self) {
-        if !self.threads.is_empty() {
-            for shard in &self.shards {
-                shard.push(Command::Shutdown);
-            }
-            for thread in self.threads.drain(..) {
-                let _ = thread.join();
-            }
+        if let Some(thread) = self.thread.take() {
+            self.shared.push(Command::Shutdown);
+            let _ = thread.join();
         }
-        // After the shards are gone: the pool drains still-queued jobs
+        // After the event loop is gone: the pool drains still-queued jobs
         // (including on_close cleanup the teardowns dispatched).
         if let Some(mut pool) = self.pool.take() {
             pool.shutdown();
@@ -303,17 +270,10 @@ impl ConnState {
 struct Core {
     epoll: Epoll,
     shared: Arc<ReactorShared>,
-    /// Every shard's mailbox (including this one's, at `shard_id`), for
-    /// round-robining accepted connections.
-    peers: Vec<Arc<ReactorShared>>,
-    shard_id: usize,
-    /// Round-robin cursor over `peers`; only the accepting shard uses it.
-    next_shard: usize,
-    /// `Some` on the accepting shard (shard 0) only.
-    listener: Option<TcpListener>,
-    factory: Arc<dyn Fn() -> Box<dyn Protocol> + Send + Sync>,
-    /// Job entry of the shared worker pool (the pool itself is owned by
-    /// [`Reactor`], which shuts it down after every shard has exited).
+    listener: TcpListener,
+    factory: Box<dyn Fn() -> Box<dyn Protocol> + Send>,
+    /// Job entry of the worker pool (the pool itself is owned by
+    /// [`Reactor`], which shuts it down after the event loop has exited).
     jobs: Option<crate::pool::JobSender>,
     config: ReactorConfig,
     slots: Vec<Slot>,
@@ -395,12 +355,8 @@ impl Core {
             return; // disarmed after an error; wait out the backoff
         }
         for _ in 0..ACCEPT_BUDGET {
-            let accepted = match &self.listener {
-                Some(listener) => listener.accept(),
-                None => return,
-            };
-            match accepted {
-                Ok((stream, _)) => self.place_conn(stream, now),
+            match self.listener.accept() {
+                Ok((stream, _)) => self.register_conn(stream, now),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => {
                     // A transient accept failure (EMFILE, ECONNABORTED,
@@ -411,9 +367,9 @@ impl Core {
                         "safeweb-reactor[{}]: accept error (retrying in {:?}): {e}",
                         self.config.name, ACCEPT_BACKOFF
                     );
-                    if let Some(listener) = &self.listener {
-                        let _ = self.epoll.modify(listener.as_raw_fd(), 0, LISTEN_TOKEN);
-                    }
+                    let _ = self
+                        .epoll
+                        .modify(self.listener.as_raw_fd(), 0, LISTEN_TOKEN);
                     self.reaccept_at = Some(now + ACCEPT_BACKOFF);
                     break;
                 }
@@ -421,30 +377,13 @@ impl Core {
         }
     }
 
-    /// Routes an accepted connection to its shard: round-robin over all
-    /// shards, registering locally when the cursor lands on this one and
-    /// handing the stream to the peer's mailbox otherwise.
-    fn place_conn(&mut self, stream: TcpStream, now: Instant) {
-        if self.peers.len() > 1 {
-            let target = self.next_shard;
-            self.next_shard = (self.next_shard + 1) % self.peers.len();
-            if target != self.shard_id {
-                self.peers[target].push(Command::Register(stream));
-                return;
-            }
-        }
-        self.register_conn(stream, now);
-    }
-
     fn maybe_rearm_listener(&mut self, now: Instant) {
         if let Some(at) = self.reaccept_at {
             if now >= at {
                 self.reaccept_at = None;
-                if let Some(listener) = &self.listener {
-                    let _ = self
-                        .epoll
-                        .modify(listener.as_raw_fd(), EPOLLIN, LISTEN_TOKEN);
-                }
+                let _ = self
+                    .epoll
+                    .modify(self.listener.as_raw_fd(), EPOLLIN, LISTEN_TOKEN);
             }
         }
     }
@@ -610,7 +549,6 @@ impl Core {
                 }
                 Command::PauseReads(token) => self.set_paused(token, true),
                 Command::ResumeReads(token) => self.set_paused(token, false),
-                Command::Register(stream) => self.register_conn(stream, Instant::now()),
                 Command::Shutdown => self.stopping = true,
             }
         }
@@ -658,9 +596,9 @@ impl Core {
         for idx in 0..self.slots.len() {
             self.close_conn(idx);
         }
-        // The shared pool outlives this shard: [`Reactor::shutdown`]
-        // drains it (including on_close cleanup dispatched just above)
-        // after every shard thread has joined.
+        // The pool outlives the event loop: [`Reactor::shutdown`] drains
+        // it (including on_close cleanup dispatched just above) after this
+        // thread has joined.
     }
 }
 

@@ -120,14 +120,11 @@ fn many_concurrent_connections_with_bounded_threads() {
 }
 
 #[test]
-fn sharded_reactor_spreads_connections_and_echoes() {
-    // Four event-loop shards behind one listener: connections are
-    // round-robined off shard 0, each lives on its adopting shard, and
-    // the shared pool still preserves per-connection FIFO order.
-    let mut reactor = start_echo(ReactorConfig {
-        shards: 4,
-        ..config()
-    });
+fn one_loop_serves_many_pipelined_connections_and_drains() {
+    // 64 connections on the one event loop, each pipelining ten lines:
+    // the pool preserves per-connection FIFO order, every connection is
+    // counted exactly once, and the outboxes drain to zero.
+    let mut reactor = start_echo(config());
     let addr = reactor.addr();
     let mut clients: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
     for (i, c) in clients.iter_mut().enumerate() {
@@ -141,7 +138,7 @@ fn sharded_reactor_spreads_connections_and_echoes() {
             assert_eq!(read_line(c), format!("CONN {i} LINE {j}"));
         }
     }
-    // Adoption across shards must be counted exactly once per conn.
+    // Every accepted connection is counted exactly once.
     for _ in 0..100 {
         if reactor.active_connections() == 64 {
             break;
@@ -218,7 +215,6 @@ fn outbox_overflow_surfaces_and_policy_closes() {
         ReactorConfig {
             name: "flood-test".to_string(),
             workers: 1,
-            shards: 1,
             outbox_cap: 16 * 1024,
             idle_timeout: None,
         },

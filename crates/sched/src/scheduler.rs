@@ -34,12 +34,6 @@ pub struct SchedulerOptions {
     /// keeps detached handles: everything still counts, nothing is
     /// published to a snapshot.
     pub metrics: Option<MetricsRegistry>,
-    /// Activations at or above this many nanoseconds are captured —
-    /// task name, duration and the trace ids processed — into the
-    /// process tracer's slow-activation buffer
-    /// ([`safeweb_obs::Tracer::slow_activations`]). `None` disables
-    /// capture (the activation histogram still records).
-    pub slow_activation_ns: Option<u64>,
 }
 
 impl Default for SchedulerOptions {
@@ -50,7 +44,6 @@ impl Default for SchedulerOptions {
             burst: 128,
             name: "safeweb-sched".to_string(),
             metrics: None,
-            slow_activation_ns: None,
         }
     }
 }
@@ -163,8 +156,6 @@ struct Inner<M> {
     /// relaxed load serves the engine/deployment stats surface.
     depth: Arc<AtomicUsize>,
     metrics: SchedMetrics,
-    /// Slow-activation capture threshold (ns); `None` disables capture.
-    slow_ns: Option<u64>,
 }
 
 impl<M: Send + 'static> Inner<M> {
@@ -261,32 +252,14 @@ impl<M: Send + 'static> Inner<M> {
         if !scratch.is_empty() {
             let mut handler = task.handler.lock().unwrap_or_else(|e| e.into_inner());
             CURRENT_TASK.with(|current| current.set(task.uid));
-            // Activation latency covers handler time only (not queueing);
-            // the capture window collects trace ids the handler scopes
-            // into, so a slow activation can name what it was processing.
-            let capture = self.slow_ns.is_some();
-            if capture {
-                safeweb_obs::begin_activation();
-            }
+            // Activation latency covers handler time only (not queueing).
             let started = Instant::now();
             let result = catch_unwind(AssertUnwindSafe(|| handler(scratch)));
             let elapsed = started.elapsed();
-            let traces = if capture {
-                safeweb_obs::end_activation()
-            } else {
-                Vec::new()
-            };
             CURRENT_TASK.with(|current| current.set(0));
             drop(handler);
             scratch.clear();
             self.metrics.activation_ns.observe_ns(elapsed);
-            let elapsed_ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-            if self
-                .slow_ns
-                .is_some_and(|threshold| elapsed_ns >= threshold)
-            {
-                safeweb_obs::tracer().record_slow(&task.name, elapsed_ns, traces);
-            }
             if let Err(payload) = result {
                 self.poison(task, &*payload);
             }
@@ -437,7 +410,6 @@ impl<M: Send + 'static> Scheduler<M> {
             panics: Mutex::new(Vec::new()),
             depth,
             metrics,
-            slow_ns: options.slow_activation_ns,
         });
         let threads = (0..workers)
             .map(|index| {

@@ -240,45 +240,69 @@ fn compare(op: CmpOp, a: &Val, b: &Val) -> Truth {
     })
 }
 
-/// SQL LIKE matching: `%` matches any run (including empty), `_` matches a
-/// single character; `escape` makes the following pattern character literal.
-fn like_match(text: &str, pattern: &str, escape: Option<char>) -> bool {
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    like_rec(&t, &p, escape)
+/// One pattern element of a `LIKE`.
+#[derive(Clone, Copy, PartialEq)]
+enum LikeTok {
+    /// A literal character, escaped or plain.
+    Lit(char),
+    /// `_`: exactly one character.
+    One,
+    /// `%`: any run of characters, including none.
+    Any,
 }
 
-fn like_rec(text: &[char], pat: &[char], escape: Option<char>) -> bool {
-    if pat.is_empty() {
-        return text.is_empty();
+/// SQL LIKE matching: `%` matches any run (including empty), `_` matches a
+/// single character; `escape` makes the following pattern character literal.
+///
+/// The pattern is tokenised once, then matched in one greedy pass that
+/// keeps a single backtrack point (the latest `%`): O(|text| × |pattern|)
+/// in the worst case and no recursion, so a subscriber-supplied pattern
+/// can neither stall the publisher evaluating it nor overflow its stack.
+fn like_match(text: &str, pattern: &str, escape: Option<char>) -> bool {
+    let mut pat = Vec::new();
+    let mut chars = pattern.chars();
+    while let Some(c) = chars.next() {
+        pat.push(match c {
+            c if Some(c) == escape => match chars.next() {
+                Some(lit) => LikeTok::Lit(lit),
+                None => return false, // dangling escape never matches
+            },
+            '%' => LikeTok::Any,
+            '_' => LikeTok::One,
+            c => LikeTok::Lit(c),
+        });
     }
-    match pat[0] {
-        c if Some(c) == escape => {
-            // Escaped character must match literally.
-            match pat.get(1) {
-                Some(&lit) => {
-                    !text.is_empty() && text[0] == lit && like_rec(&text[1..], &pat[2..], escape)
-                }
-                None => false, // dangling escape never matches
+    let text: Vec<char> = text.chars().collect();
+    let (mut ti, mut pi) = (0, 0);
+    // After the latest `%`: the pattern index past it, and the text index
+    // its run currently ends at.
+    let mut backtrack: Option<(usize, usize)> = None;
+    while ti < text.len() {
+        match pat.get(pi) {
+            Some(LikeTok::Any) => {
+                pi += 1;
+                backtrack = Some((pi, ti));
             }
-        }
-        '%' => {
-            // Try consuming 0..=len characters.
-            for skip in 0..=text.len() {
-                if like_rec(&text[skip..], &pat[1..], escape) {
-                    return true;
+            Some(LikeTok::One) => (ti, pi) = (ti + 1, pi + 1),
+            Some(&LikeTok::Lit(c)) if c == text[ti] => (ti, pi) = (ti + 1, pi + 1),
+            // Mismatch: let the latest `%` swallow one more character.
+            _ => match backtrack {
+                Some((after_any, run_end)) => {
+                    (pi, ti) = (after_any, run_end + 1);
+                    backtrack = Some((after_any, ti));
                 }
-            }
-            false
+                None => return false,
+            },
         }
-        '_' => !text.is_empty() && like_rec(&text[1..], &pat[1..], escape),
-        c => !text.is_empty() && text[0] == c && like_rec(&text[1..], &pat[1..], escape),
     }
+    pat[pi..].iter().all(|tok| *tok == LikeTok::Any)
 }
 
 #[cfg(test)]
 mod tests {
+    use super::like_match;
     use crate::Selector;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     fn attrs(pairs: &[(&str, &str)]) -> BTreeMap<String, String> {
@@ -347,6 +371,68 @@ mod tests {
         ));
         assert!(matches("a LIKE '%'", &[("a", "")]));
         assert!(matches("a NOT LIKE 'x%'", &[("a", "y")]));
+    }
+
+    /// The recursive matcher `like_match` replaced, kept as its oracle:
+    /// each `%` tries every split of the rest of the text, so its cost is
+    /// exponential in the `%` count and its depth one frame per pattern
+    /// character.
+    fn like_rec(text: &[char], pat: &[char], escape: Option<char>) -> bool {
+        if pat.is_empty() {
+            return text.is_empty();
+        }
+        match pat[0] {
+            c if Some(c) == escape => match pat.get(1) {
+                Some(&lit) => {
+                    !text.is_empty() && text[0] == lit && like_rec(&text[1..], &pat[2..], escape)
+                }
+                None => false,
+            },
+            '%' => (0..=text.len()).any(|skip| like_rec(&text[skip..], &pat[1..], escape)),
+            '_' => !text.is_empty() && like_rec(&text[1..], &pat[1..], escape),
+            c => !text.is_empty() && text[0] == c && like_rec(&text[1..], &pat[1..], escape),
+        }
+    }
+
+    fn like_oracle(text: &str, pattern: &str, escape: Option<char>) -> bool {
+        let text: Vec<char> = text.chars().collect();
+        let pattern: Vec<char> = pattern.chars().collect();
+        like_rec(&text, &pattern, escape)
+    }
+
+    proptest! {
+        #[test]
+        fn like_agrees_with_the_recursive_oracle(
+            pattern in "[ab%_!]{0,8}",
+            texts in proptest::collection::vec("[ab!]{0,8}", 1..16),
+        ) {
+            for text in &texts {
+                for escape in [None, Some('!')] {
+                    prop_assert_eq!(
+                        like_match(text, &pattern, escape),
+                        like_oracle(text, &pattern, escape),
+                        "{:?} LIKE {:?} ESCAPE {:?}", text, pattern, escape
+                    );
+                }
+            }
+        }
+    }
+
+    /// Patterns that made the recursive matcher backtrack for minutes or
+    /// overflow its stack: one greedy pass each now.
+    #[test]
+    fn hostile_like_patterns_finish() {
+        let text = "a".repeat(64);
+        let alternating = format!("x LIKE '{}%b'", "%a".repeat(16));
+        assert!(!matches(&alternating, &[("x", &text)]));
+        let ending = format!("x LIKE '{}'", "%a".repeat(16));
+        assert!(matches(&ending, &[("x", &text)]));
+
+        for percents in [100_000, 1_000_000] {
+            let pattern = format!("{}x", "%".repeat(percents));
+            assert!(like_match("x", &pattern, None));
+            assert!(!like_match("y", &pattern, None));
+        }
     }
 
     #[test]

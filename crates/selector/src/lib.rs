@@ -48,6 +48,11 @@ use crate::token::{tokenize, Token};
 /// parser accepts before returning a typed error instead of recursing.
 pub const MAX_NESTING_DEPTH: usize = parser::MAX_DEPTH;
 
+/// Longest selector source, in bytes, [`Selector::parse`] accepts. A
+/// `SUBSCRIBE` selector is peer input, and `LIKE` costs up to
+/// O(|text| × |pattern|) per evaluated event; the cap bounds the pattern.
+pub const MAX_SELECTOR_LEN: usize = 4096;
+
 /// Errors from the trusted selector constructors ([`Selector::bind`],
 /// [`Selector::parse_untrusted`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -110,9 +115,18 @@ impl Selector {
     ///
     /// # Errors
     ///
-    /// Returns [`ParseSelectorError`] when the expression is not valid
-    /// selector syntax.
+    /// Returns [`ParseSelectorError`] when the expression is longer than
+    /// [`MAX_SELECTOR_LEN`] bytes or is not valid selector syntax.
     pub fn parse(input: &str) -> Result<Selector, ParseSelectorError> {
+        if input.len() > MAX_SELECTOR_LEN {
+            return Err(ParseSelectorError::new(
+                MAX_SELECTOR_LEN,
+                format!(
+                    "selector is {} bytes, over the {MAX_SELECTOR_LEN}-byte cap",
+                    input.len()
+                ),
+            ));
+        }
         let expr = parser::parse(input)?;
         Ok(Selector {
             expr,
@@ -244,5 +258,20 @@ impl FromStr for Selector {
 
     fn from_str(s: &str) -> Result<Selector, ParseSelectorError> {
         Selector::parse(s)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn parse_caps_the_source_length() {
+        let at_cap = format!("x = '{}'", "a".repeat(MAX_SELECTOR_LEN - 6));
+        assert_eq!(at_cap.len(), MAX_SELECTOR_LEN);
+        assert!(Selector::parse(&at_cap).is_ok());
+        let over = format!("x = '{}'", "a".repeat(MAX_SELECTOR_LEN - 5));
+        let err = Selector::parse(&over).unwrap_err();
+        assert_eq!(err.position(), MAX_SELECTOR_LEN);
     }
 }

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use safeweb_selector::{Selector, SelectorError, MAX_NESTING_DEPTH};
+use safeweb_selector::{Selector, SelectorError, MAX_NESTING_DEPTH, MAX_SELECTOR_LEN};
 
 /// Calls the parser on `input` inside `catch_unwind`, proving "typed
 /// error, not panic" for hostile bytes.
@@ -50,16 +50,22 @@ proptest! {
     }
 
     /// Deep `(`/`NOT`/`-` nesting beyond the limit returns the typed
-    /// depth error; nesting inside the limit parses fine.
+    /// depth error (or the length error, once the nesting alone runs
+    /// past `MAX_SELECTOR_LEN`); nesting inside the limit parses fine.
     #[test]
     fn nesting_depth_is_enforced(extra in 1usize..1000, shallow in 1usize..64) {
         let deep = MAX_NESTING_DEPTH + extra;
         for (open, close) in [("(", ")"), ("NOT ", ""), ("- ", "")] {
             let input = format!("{}1 = 1{}", open.repeat(deep), close.repeat(deep));
             let err = Selector::parse(&input).expect_err("over-deep input must fail");
+            let wanted = if input.len() > MAX_SELECTOR_LEN {
+                "-byte cap"
+            } else {
+                "nesting exceeds"
+            };
             prop_assert!(
-                err.to_string().contains("nesting exceeds"),
-                "wanted depth error for {}x {open:?}, got: {err}", deep
+                err.to_string().contains(wanted),
+                "wanted {wanted:?} for {}x {open:?}, got: {err}", deep
             );
 
             let input = format!("{}1 = 1{}", open.repeat(shallow), close.repeat(shallow));
