@@ -242,7 +242,7 @@ enum Matching {
 
 struct PublishFixture {
     sharded: Broker,
-    sharded_rx: Vec<crossbeam::channel::Receiver<Delivery>>,
+    sharded_rx: Vec<std::sync::mpsc::Receiver<Delivery>>,
     event: LabelledEvent,
 }
 
@@ -277,7 +277,7 @@ fn publish_fixture(total_subs: usize, matching: Matching) -> PublishFixture {
     }
 }
 
-fn drain(receivers: &[crossbeam::channel::Receiver<Delivery>]) {
+fn drain(receivers: &[std::sync::mpsc::Receiver<Delivery>]) {
     for rx in receivers {
         while rx.try_recv().is_ok() {}
     }

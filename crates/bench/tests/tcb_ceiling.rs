@@ -12,11 +12,11 @@ const CRATE_MAX: [(&str, usize); 5] = [
     ("taint", 405),
     ("engine", 770),
     ("labels", 1187),
-    ("broker", 915),
+    ("broker", 914),
     ("web", 985),
 ];
 /// Taint + engine + labels + broker + web code lines.
-const TCB_MAX: usize = 4262;
+const TCB_MAX: usize = 4261;
 
 #[test]
 fn audited_core_stays_under_its_ceiling() {

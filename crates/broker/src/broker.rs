@@ -59,9 +59,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver};
 use parking_lot::RwLock;
 
 use safeweb_events::LabelledEvent;
@@ -378,7 +378,7 @@ impl Broker {
         selector: Option<Selector>,
         clearance: PrivilegeSet,
     ) -> Receiver<Delivery> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         self.subscribe_sink(
             client,
             subscription_id,
@@ -735,7 +735,7 @@ mod tests {
         let rx = broker.subscribe("u", "1", "/a", None, PrivilegeSet::new());
         assert_eq!(broker.publish(&labelled("/a", &[])), 1);
         assert_eq!(broker.publish(&labelled("/b", &[])), 0);
-        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.try_iter().count(), 1);
     }
 
     #[test]
@@ -762,8 +762,8 @@ mod tests {
 
         let n = broker.publish(&labelled("/t", std::slice::from_ref(&patient)));
         assert_eq!(n, 1);
-        assert_eq!(cleared.len(), 1);
-        assert_eq!(uncleared.len(), 0);
+        assert_eq!(cleared.try_iter().count(), 1);
+        assert_eq!(uncleared.try_iter().count(), 0);
         assert_eq!(broker.stats().label_filtered(), 1);
     }
 
@@ -772,7 +772,7 @@ mod tests {
         let broker = Broker::new();
         let rx = broker.subscribe("u", "1", "/t", None, PrivilegeSet::new());
         assert_eq!(broker.publish(&labelled("/t", &[Label::int("e", "ok")])), 1);
-        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.try_iter().count(), 1);
     }
 
     #[test]
@@ -790,7 +790,7 @@ mod tests {
             .with_labels([]);
         broker.publish(&hit);
         broker.publish(&miss);
-        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.try_iter().count(), 1);
         assert_eq!(broker.stats().selector_filtered(), 1);
     }
 
@@ -801,7 +801,7 @@ mod tests {
         assert!(broker.unsubscribe("u", "1"));
         assert!(!broker.unsubscribe("u", "1"));
         assert_eq!(broker.publish(&labelled("/t", &[])), 0);
-        assert_eq!(rx.len(), 0);
+        assert_eq!(rx.try_iter().count(), 0);
     }
 
     #[test]
@@ -832,7 +832,7 @@ mod tests {
         let rx = broker.subscribe("u", "1", "/t", None, PrivilegeSet::new());
         broker.publish(&labelled("/t", &[Label::conf("e", "p/1")]));
         // Baseline mode delivers even without clearance.
-        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.try_iter().count(), 1);
     }
 
     #[test]
@@ -843,8 +843,8 @@ mod tests {
         assert_eq!(broker.subscription_count(), 1);
         assert_eq!(broker.publish(&labelled("/old", &[])), 0);
         assert_eq!(broker.publish(&labelled("/new", &[])), 1);
-        assert_eq!(old_rx.len(), 0);
-        assert_eq!(new_rx.len(), 1);
+        assert_eq!(old_rx.try_iter().count(), 0);
+        assert_eq!(new_rx.try_iter().count(), 1);
     }
 
     #[test]
@@ -905,8 +905,8 @@ mod tests {
             labelled("/nomatch", &[]),
         ];
         assert_eq!(broker.publish_batch(batch), 3);
-        assert_eq!(rx.len(), 2);
-        assert_eq!(other.len(), 1);
+        assert_eq!(rx.try_iter().count(), 2);
+        assert_eq!(other.try_iter().count(), 1);
         assert_eq!(broker.stats().published(), 4);
         assert_eq!(broker.stats().delivered(), 3);
     }
@@ -954,7 +954,7 @@ mod tests {
             clearance_for(std::slice::from_ref(&secret)),
         );
         assert_eq!(broker.publish(&labelled("/t", &[secret])), 1);
-        assert_eq!(rx.len(), 1);
+        assert_eq!(rx.try_iter().count(), 1);
         assert_eq!(broker.stats().label_filtered(), 0);
         assert_eq!(broker.stats().selector_filtered(), 0);
     }
@@ -966,9 +966,9 @@ mod tests {
         let mid = broker.subscribe("u", "2", "/a/b/*", None, PrivilegeSet::new());
         let deep = broker.subscribe("u", "3", "/a/b/c/*", None, PrivilegeSet::new());
         assert_eq!(broker.publish(&labelled("/a/b/c", &[])), 3);
-        assert_eq!(top.len(), 1);
-        assert_eq!(mid.len(), 1);
-        assert_eq!(deep.len(), 1);
+        assert_eq!(top.try_iter().count(), 1);
+        assert_eq!(mid.try_iter().count(), 1);
+        assert_eq!(deep.try_iter().count(), 1);
         assert_eq!(broker.publish(&labelled("/a/x", &[])), 1);
     }
 }

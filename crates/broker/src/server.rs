@@ -11,9 +11,11 @@
 //! `safeweb-reactor` epoll loop:
 //!
 //! * frames are decoded incrementally on the reactor thread and their
-//!   effects (login, subscribe, publish) run as per-connection FIFO jobs
-//!   on the bounded worker pool, so frame order is preserved without a
-//!   reader thread;
+//!   effects (login, subscribe, publish) run as jobs of the connection's
+//!   scheduler task, in frame order, without a reader thread; reads
+//!   pause while [`safeweb_reactor::MAX_IN_FLIGHT`] frames are
+//!   unapplied, so a pipelining publisher cannot queue frames without
+//!   bound;
 //! * broker deliveries reach a subscriber through a **sink**
 //!   ([`Broker::subscribe_sink`]): the publisher's thread serialises the
 //!   `MESSAGE` frame straight into the connection's bounded outbound
@@ -75,7 +77,6 @@ impl BrokerServer {
             outbox_cap: OUTBOX_CAP,
             // Idle subscribers are the working set here: never reap them.
             idle_timeout: None,
-            ..ReactorConfig::default()
         };
         let reactor = Reactor::bind(addr, config, move || {
             Box::new(StompConn::new(conn_broker.clone(), Arc::clone(&policy)))
@@ -136,7 +137,7 @@ struct SessionShared {
 }
 
 /// Per-connection STOMP state machine (decoding on the reactor thread,
-/// frame effects on the pool through the connection FIFO).
+/// frame effects as jobs of the connection's task).
 struct StompConn {
     decoder: Decoder,
     shared: Arc<SessionShared>,
@@ -306,4 +307,113 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
 
 fn error_frame(message: &str) -> Frame {
     Frame::new(Command::Error).with_header("message", message)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpStream;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    use safeweb_events::Event;
+    use safeweb_reactor::MAX_IN_FLIGHT;
+
+    /// Bytes the reactor reads from a socket at once.
+    const READ_BYTES: usize = 64 * 1024;
+
+    /// The STOMP protocol, recording after every read how many of the
+    /// connection's jobs are unfinished.
+    struct Counted {
+        stomp: StompConn,
+        max_pending: Arc<AtomicUsize>,
+    }
+
+    impl Protocol for Counted {
+        fn on_bytes(&mut self, data: &[u8], conn: &ConnHandle) {
+            self.stomp.on_bytes(data, conn);
+            self.max_pending
+                .fetch_max(conn.pending_jobs(), Ordering::SeqCst);
+        }
+
+        fn on_eof(&mut self, conn: &ConnHandle) {
+            self.stomp.on_eof(conn);
+        }
+
+        fn on_close(&mut self, conn: &ConnHandle) {
+            self.stomp.on_close(conn);
+        }
+    }
+
+    /// A publisher pipelining `SEND`s while its first one is stuck in a
+    /// subscriber's sink: reads pause at the in-flight cap, so no more
+    /// than one read's worth of frames queue past it, and every frame is
+    /// published once the sink lets go.
+    #[test]
+    fn a_pipelining_publisher_is_paused_at_the_in_flight_cap() {
+        const FRAMES: usize = 2000;
+        let broker = Broker::new();
+        let (open, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(Some(gate));
+        let delivered = Arc::new(AtomicUsize::new(0));
+        let count = Arc::clone(&delivered);
+        broker.subscribe_sink(
+            "gate",
+            "1",
+            "/t",
+            None,
+            PrivilegeSet::new(),
+            Box::new(move |_| {
+                let first = gate.lock().unwrap_or_else(|e| e.into_inner()).take();
+                if let Some(gate) = first {
+                    gate.recv().unwrap();
+                }
+                count.fetch_add(1, Ordering::SeqCst);
+                true
+            }),
+        );
+        let policy = Arc::new(Policy::default());
+        let max_pending = Arc::new(AtomicUsize::new(0));
+        let (conn_broker, conn_max) = (broker.clone(), Arc::clone(&max_pending));
+        let config = ReactorConfig {
+            name: "inflight-test".to_string(),
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::bind("127.0.0.1:0", config, move || {
+            Box::new(Counted {
+                stomp: StompConn::new(conn_broker.clone(), Arc::clone(&policy)),
+                max_pending: Arc::clone(&conn_max),
+            })
+        })
+        .unwrap();
+
+        let event = Event::new("/t")
+            .unwrap()
+            .with_payload("x".repeat(1024))
+            .with_labels([]);
+        let send = encode(&event_to_frame(&event, Command::Send));
+        let mut wire = encode(&Frame::new(Command::Connect).with_header("login", "producer"));
+        for _ in 0..FRAMES {
+            wire.extend_from_slice(&send);
+        }
+        let mut stream = TcpStream::connect(reactor.addr()).unwrap();
+        let writer = std::thread::spawn(move || {
+            stream.write_all(&wire).unwrap();
+            stream
+        });
+        // Long enough for an unpaused reactor to read every frame.
+        std::thread::sleep(Duration::from_millis(300));
+        open.send(()).unwrap();
+        let _stream = writer.join().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while delivered.load(Ordering::SeqCst) < FRAMES {
+            assert!(Instant::now() < deadline, "frames lost");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let max = max_pending.load(Ordering::SeqCst);
+        let bound = MAX_IN_FLIGHT + READ_BYTES / send.len() + 2;
+        assert!(max <= bound, "{max} jobs in flight, cap allows {bound}");
+    }
 }

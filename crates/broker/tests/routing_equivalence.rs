@@ -6,9 +6,9 @@
 //! replacements and unsubscribes. Only the complexity may differ.
 
 use std::collections::BTreeMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use proptest::prelude::*;
 use safeweb_broker::{Broker, BrokerOptions, Delivery, SubscriptionKey, TopicPattern};
 use safeweb_events::{Event, LabelledEvent};
@@ -60,7 +60,7 @@ impl LinearBroker {
     ) -> Receiver<Delivery> {
         let key = (client.to_string(), subscription_id.to_string());
         self.subs.retain(|s| s.key != key);
-        let (sender, rx) = unbounded();
+        let (sender, rx) = channel();
         self.subs.push(LinearSub {
             key,
             topic: TopicPattern::parse(topic),

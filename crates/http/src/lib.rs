@@ -9,8 +9,10 @@
 //! * a resumable, size-bounded request parser ([`RequestParser`], bounds
 //!   [`MAX_HEAD`]/[`MAX_BODY`]),
 //! * a keep-alive server ([`HttpServer`]) multiplexed over the shared
-//!   `safeweb-reactor` epoll loop — thread count is `1 + workers`
-//!   regardless of connection count,
+//!   `safeweb-reactor` epoll loop, its handlers run as per-connection
+//!   `safeweb-sched` tasks — thread count is `1 + workers` regardless of
+//!   connection count, and a panicking handler closes only its own
+//!   connection,
 //! * HTTP basic authentication helpers (with an in-tree Base64),
 //! * a blocking client for tests and the benchmark harness.
 

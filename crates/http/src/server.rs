@@ -7,9 +7,12 @@
 //! * reads are buffered and parsed incrementally by
 //!   [`crate::message::RequestParser`] — a request head split across TCP
 //!   segments holds buffer state, not a thread;
-//! * each complete request is dispatched to the reactor's bounded worker
-//!   pool through the connection's FIFO, so pipelined responses keep
-//!   wire order;
+//! * each complete request is dispatched as a job to the connection's
+//!   task on the reactor's scheduler, which runs them in order, so
+//!   pipelined responses keep wire order; reads pause while
+//!   [`safeweb_reactor::MAX_IN_FLIGHT`] requests are unanswered;
+//! * a handler that panics closes its own connection; the worker and
+//!   every other connection are unaffected;
 //! * responses are queued on the connection's bounded outbox and flushed
 //!   by nonblocking writes.
 //!
@@ -31,14 +34,12 @@ const MAX_KEEPALIVE_REQUESTS: usize = 1000;
 /// Idle connections are reaped after this long (the seed's per-read
 /// timeout, carried over as an idle timeout).
 const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
-/// Pipelined requests in flight per connection before reads pause.
-const MAX_PIPELINED: usize = 32;
 
 /// The application callback type.
 pub type Handler = Arc<dyn Fn(Request) -> Response + Send + Sync>;
 
-/// A running HTTP server; dropping it stops the reactor, the workers and
-/// every connection.
+/// A running HTTP server; dropping it stops the reactor, its scheduler
+/// and every connection.
 #[derive(Debug)]
 pub struct HttpServer {
     addr: SocketAddr,
@@ -47,7 +48,7 @@ pub struct HttpServer {
 
 impl HttpServer {
     /// Binds to `addr` (port 0 for ephemeral) and serves `handler` from
-    /// the reactor's worker pool.
+    /// the reactor's scheduler workers.
     ///
     /// # Errors
     ///
@@ -146,9 +147,6 @@ impl Protocol for HttpConn {
                         self.dead = true;
                         return;
                     }
-                    if conn.pending_jobs() >= MAX_PIPELINED {
-                        conn.pause_reads(MAX_PIPELINED / 2);
-                    }
                 }
                 Ok(None) => return,
                 Err(error) => {
@@ -229,6 +227,7 @@ fn encode_response(response: &Response, close: bool, head_only: bool) -> Vec<u8>
 mod tests {
     use super::*;
     use crate::client;
+    use safeweb_reactor::MAX_IN_FLIGHT;
     use std::io::{Read, Write};
     use std::net::TcpStream;
 
@@ -326,7 +325,7 @@ mod tests {
         assert_pipelined_in_order(&mut s, 10);
     }
 
-    /// Twice `MAX_PIPELINED` requests in one write pause reads halfway;
+    /// Twice `MAX_IN_FLIGHT` requests in one write pause reads halfway;
     /// the pause lifts as the jobs drain, so every response arrives in
     /// order and the connection then serves the next batch.
     #[test]
@@ -334,8 +333,34 @@ mod tests {
         let server = echo_server();
         let mut s = TcpStream::connect(server.addr()).unwrap();
         s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        assert_pipelined_in_order(&mut s, 2 * MAX_PIPELINED);
-        assert_pipelined_in_order(&mut s, 2 * MAX_PIPELINED);
+        assert_pipelined_in_order(&mut s, 2 * MAX_IN_FLIGHT);
+        assert_pipelined_in_order(&mut s, 2 * MAX_IN_FLIGHT);
+    }
+
+    /// More panicking requests than the scheduler has workers, each on a
+    /// connection of its own: every one closes only its connection, and
+    /// a new connection is still answered.
+    #[test]
+    fn panicking_handlers_leave_the_server_serving() {
+        let server = HttpServer::bind(
+            "127.0.0.1:0",
+            Arc::new(|req: Request| {
+                assert_ne!(req.path(), "/panic", "handler panics");
+                Response::text("ok")
+            }),
+        )
+        .unwrap();
+        let addr = server.addr().to_string();
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(2)
+            .clamp(2, 8);
+        for _ in 0..=workers {
+            assert!(client::get(&addr, "/panic").is_err(), "no response");
+        }
+        let resp = client::get(&addr, "/ok").unwrap();
+        assert_eq!(resp.status(), 200);
+        assert_eq!(resp.body_str(), Some("ok"));
     }
 
     #[test]

@@ -1,26 +1,33 @@
 //! Cross-thread connection handles: outbound queues, close flags and the
-//! per-connection dispatch FIFO.
+//! per-connection job task.
 //!
 //! The reactor thread owns the socket and the protocol state machine;
 //! everything else (worker jobs, broker delivery sinks) talks to a
 //! connection through a cloneable [`ConnHandle`]. A handle can queue
 //! outbound bytes (bounded by the connection's backpressure cap), request
-//! a close, pause reads until its jobs drain, and dispatch jobs that run
-//! **in FIFO order per connection** on the shared worker pool — the
-//! property that keeps pipelined HTTP responses and STOMP frame effects
-//! in order without a thread per connection.
+//! a close, and dispatch jobs that run **in FIFO order per connection**
+//! as one `safeweb-sched` task on the reactor's scheduler — the property
+//! that keeps pipelined HTTP responses and STOMP frame effects in order
+//! without a thread per connection. Reads pause while a connection has
+//! [`MAX_IN_FLIGHT`] unfinished jobs, whatever the protocol.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, Weak};
 
-use crossbeam::channel::Sender;
+use safeweb_sched::{Scheduler, TaskSender};
 
 use crate::sys::EventFd;
 
-/// A unit of work for the pool.
+/// A unit of work for a connection's task.
 pub(crate) type Job = Box<dyn FnOnce() + Send>;
+
+/// Unfinished jobs on one connection at which its reads pause; they
+/// resume at half this. Bounds what a pipelining peer can queue to one
+/// read's worth of requests or frames past it.
+pub const MAX_IN_FLIGHT: usize = 32;
 
 /// Control messages from handles to the reactor thread.
 #[derive(Debug)]
@@ -151,12 +158,11 @@ pub(crate) struct ConnShared {
     pub(crate) token: u64,
     pub(crate) reactor: Arc<ReactorShared>,
     pub(crate) out: Mutex<Outbox>,
-    /// Per-connection job FIFO (see [`ConnHandle::dispatch`]).
-    queue: Mutex<VecDeque<Job>>,
-    /// Whether a drain task for `queue` is scheduled or running.
-    scheduled: AtomicBool,
-    /// Jobs dispatched but not yet finished; protocols use this for read
-    /// backpressure.
+    /// The connection's job task (see [`ConnHandle::dispatch`]). Its
+    /// handler holds this struct weakly, so the task and the connection
+    /// do not keep each other alive.
+    task: TaskSender<Job>,
+    /// Jobs dispatched but not yet finished; drives the read pause.
     pending_jobs: AtomicUsize,
     /// While a pause asked for by [`ConnHandle::pause_reads`] stands: the
     /// pending-job count at or below which reads resume. `NOT_PAUSED`
@@ -164,7 +170,6 @@ pub(crate) struct ConnShared {
     /// whose job brings the count down, or the reactor finding the count
     /// already down when it applies the pause — owns the resume.
     pub(crate) resume_at: AtomicUsize,
-    pool: Option<Sender<Job>>,
 }
 
 /// `ConnShared::resume_at` when no pause stands.
@@ -179,23 +184,26 @@ impl fmt::Debug for ConnShared {
 }
 
 impl ConnShared {
+    /// The shared state of connection `token`, with its job task spawned
+    /// on `jobs`.
     pub(crate) fn new(
         token: u64,
         reactor: Arc<ReactorShared>,
         cap: usize,
         depth: Arc<AtomicUsize>,
-        pool: Option<Sender<Job>>,
-    ) -> ConnShared {
-        ConnShared {
-            token,
-            reactor,
-            out: Mutex::new(Outbox::new(cap, depth)),
-            queue: Mutex::new(VecDeque::new()),
-            scheduled: AtomicBool::new(false),
-            pending_jobs: AtomicUsize::new(0),
-            resume_at: AtomicUsize::new(NOT_PAUSED),
-            pool,
-        }
+        jobs: &Scheduler<Job>,
+    ) -> Arc<ConnShared> {
+        Arc::new_cyclic(|conn: &Weak<ConnShared>| {
+            let conn = conn.clone();
+            ConnShared {
+                token,
+                reactor,
+                out: Mutex::new(Outbox::new(cap, depth)),
+                task: jobs.spawn("conn", move |batch| run_jobs(&conn, batch)),
+                pending_jobs: AtomicUsize::new(0),
+                resume_at: AtomicUsize::new(NOT_PAUSED),
+            }
+        })
     }
 
     /// Applies a `PauseReads` command (reactor thread): whether reads
@@ -216,6 +224,12 @@ impl ConnShared {
         false
     }
 
+    /// Whether a pause was asked for and has not been lifted: the reactor
+    /// stops reading the connection's socket for this readiness event.
+    pub(crate) fn pause_requested(&self) -> bool {
+        self.resume_at.load(Ordering::SeqCst) != NOT_PAUSED
+    }
+
     /// A job finished, leaving `left` pending (worker thread): posts the
     /// resume if that brings a standing pause down to its threshold.
     pub(crate) fn job_finished(&self, left: usize) {
@@ -229,44 +243,25 @@ impl ConnShared {
     }
 }
 
-/// How many queued jobs one drain task runs before re-queuing itself, so
-/// a busy connection cannot monopolise a pool worker.
-const DRAIN_SLICE: usize = 32;
-
-fn drain_queue(shared: Arc<ConnShared>) {
-    let mut ran = 0;
-    loop {
-        if ran == DRAIN_SLICE {
-            // Yield the worker: requeue the drain task at the pool's tail.
-            if let Some(pool) = &shared.pool {
-                let again = Arc::clone(&shared);
-                let _ = pool.send(Box::new(move || drain_queue(again)));
-                return;
-            }
-        }
-        let job = {
-            let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            queue.pop_front()
-        };
-        match job {
-            Some(job) => {
-                job();
-                let left = shared.pending_jobs.fetch_sub(1, Ordering::SeqCst) - 1;
-                shared.job_finished(left);
-                ran += 1;
-            }
-            None => {
-                shared.scheduled.store(false, Ordering::SeqCst);
-                // Re-check: a dispatch may have raced the store above.
-                let empty = shared
-                    .queue
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .is_empty();
-                if empty || shared.scheduled.swap(true, Ordering::SeqCst) {
-                    return;
+/// The connection task's handler: runs a batch of jobs in order. A job
+/// that panics closes its connection and nothing else: the jobs queued
+/// after it still run (a protocol's `on_close` cleanup among them), and
+/// the panic never reaches the scheduler, which would poison the task and
+/// drop that cleanup. Once the connection's state is gone (closed, every
+/// handle dropped) only jobs that outlived it are left; they still run.
+fn run_jobs(conn: &Weak<ConnShared>, batch: &mut Vec<Job>) {
+    let conn = conn.upgrade();
+    for job in batch.drain(..) {
+        let panicked = catch_unwind(AssertUnwindSafe(job)).is_err();
+        if let Some(conn) = &conn {
+            if panicked {
+                ConnHandle {
+                    shared: Arc::clone(conn),
                 }
+                .close();
             }
+            let left = conn.pending_jobs.fetch_sub(1, Ordering::SeqCst) - 1;
+            conn.job_finished(left);
         }
     }
 }
@@ -347,7 +342,7 @@ impl ConnHandle {
     /// there when the reactor applies the pause, reads never stop, so a
     /// pause cannot outlive the jobs that would lift it. A connection
     /// that is not paused posts nothing when its jobs finish.
-    pub fn pause_reads(&self, resume_at: usize) {
+    fn pause_reads(&self, resume_at: usize) {
         let before = self.shared.resume_at.swap(resume_at, Ordering::SeqCst);
         if before == NOT_PAUSED {
             self.shared
@@ -356,22 +351,21 @@ impl ConnHandle {
         }
     }
 
-    /// Runs `job` on the worker pool. Jobs dispatched through one handle
-    /// run strictly in dispatch order (an actor-style FIFO), so a
-    /// protocol can hand off every parsed request/frame and still get
-    /// in-order effects.
+    /// Runs `job` on the reactor's scheduler, as a message to this
+    /// connection's task. Jobs dispatched through one handle run strictly
+    /// in dispatch order (an actor-style FIFO), so a protocol can hand
+    /// off every parsed request/frame and still get in-order effects.
+    /// The [`MAX_IN_FLIGHT`]th unfinished job pauses the connection's
+    /// reads until half of them have finished. After the reactor has
+    /// shut down, jobs are dropped unrun.
     pub fn dispatch(&self, job: impl FnOnce() + Send + 'static) {
-        let Some(pool) = &self.shared.pool else {
+        let pending = self.shared.pending_jobs.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.shared.task.send(Box::new(job)).is_err() {
+            self.shared.pending_jobs.fetch_sub(1, Ordering::SeqCst);
             return;
-        };
-        self.shared.pending_jobs.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut queue = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
-            queue.push_back(Box::new(job));
         }
-        if !self.shared.scheduled.swap(true, Ordering::SeqCst) {
-            let shared = Arc::clone(&self.shared);
-            let _ = pool.send(Box::new(move || drain_queue(shared)));
+        if pending >= MAX_IN_FLIGHT {
+            self.pause_reads(MAX_IN_FLIGHT / 2);
         }
     }
 
@@ -384,43 +378,37 @@ impl ConnHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
-    /// A handle on a connection whose jobs go to the returned receiver,
-    /// and the mailbox its commands land in.
-    fn handle() -> (
-        ConnHandle,
-        Arc<ReactorShared>,
-        crossbeam::channel::Receiver<Job>,
-    ) {
+    use safeweb_sched::SchedulerOptions;
+
+    /// A handle on a connection whose jobs run on the returned one-worker
+    /// scheduler, and the mailbox its commands land in.
+    fn handle() -> (ConnHandle, Arc<ReactorShared>, Scheduler<Job>) {
         let reactor = Arc::new(ReactorShared::new(EventFd::new().unwrap()));
-        let (jobs, pool) = crossbeam::channel::unbounded();
+        let jobs = Scheduler::new(SchedulerOptions {
+            workers: 1,
+            inbox_cap: usize::MAX,
+            ..SchedulerOptions::default()
+        });
         let shared = ConnShared::new(
             7,
             Arc::clone(&reactor),
             1024,
             Arc::new(AtomicUsize::new(0)),
-            Some(jobs),
+            &jobs,
         );
-        let handle = ConnHandle {
-            shared: Arc::new(shared),
-        };
-        (handle, reactor, pool)
-    }
-
-    fn run_jobs(pool: &crossbeam::channel::Receiver<Job>) {
-        while let Ok(job) = pool.try_recv() {
-            job();
-        }
+        (ConnHandle { shared }, reactor, jobs)
     }
 
     /// A request answered on an unpaused connection posts its flush and
     /// nothing else: no resume, no second wake-up.
     #[test]
     fn a_plain_response_posts_no_resume() {
-        let (conn, reactor, pool) = handle();
+        let (conn, reactor, jobs) = handle();
         let io = conn.clone();
         conn.dispatch(move || io.send(b"response".to_vec()).unwrap());
-        run_jobs(&pool);
+        jobs.shutdown();
         assert_eq!(conn.pending_jobs(), 0);
         let commands = reactor.drain();
         assert!(matches!(commands[..], [Command::Flush(7)]), "{commands:?}");
@@ -430,15 +418,19 @@ mod tests {
     /// posted by the job that brings the count down to the threshold.
     #[test]
     fn a_pause_is_posted_once_and_lifted_by_the_draining_job() {
-        let (conn, reactor, pool) = handle();
-        for _ in 0..3 {
+        let (conn, reactor, jobs) = handle();
+        // The first job holds the worker until the pause is in place.
+        let (open, gate) = mpsc::channel::<()>();
+        conn.dispatch(move || gate.recv().unwrap());
+        for _ in 0..2 {
             conn.dispatch(|| {});
         }
         conn.pause_reads(1);
         conn.pause_reads(1);
         assert!(conn.shared.pause_stands());
         // The second job leaves one pending: it posts the resume.
-        run_jobs(&pool);
+        open.send(()).unwrap();
+        jobs.shutdown();
         let commands = reactor.drain();
         assert!(
             matches!(

@@ -17,34 +17,35 @@
 //!   the reactor thread; must never block.
 //! * [`ConnHandle`] — how everything off the reactor thread talks to a
 //!   connection: bounded outbound byte queues (backpressure caps), close
-//!   requests, read pauses lifted as jobs drain, and an actor-style
-//!   per-connection job FIFO ([`ConnHandle::dispatch`]) onto the bounded
-//!   worker pool.
+//!   requests, and jobs ([`ConnHandle::dispatch`]) sent to the
+//!   connection's task on the frontend's `safeweb-sched` scheduler.
 //!
 //! # Invariants
 //!
 //! * The reactor thread never blocks on application work; protocols
-//!   dispatch it to the pool.
+//!   dispatch it to the scheduler.
 //! * Jobs dispatched through one connection run in FIFO order, so
 //!   responses and frame effects keep wire order without per-connection
 //!   threads.
+//! * A connection with [`MAX_IN_FLIGHT`] unfinished jobs is not read
+//!   until half of them have finished, whatever the protocol.
+//! * A job that panics closes its own connection only; the jobs queued
+//!   after it still run, and so does every other connection.
 //! * A transient `accept()` error (e.g. `EMFILE`) never stops the accept
 //!   loop: it is logged and retried after a short backoff.
 //! * Outbound queues are bounded; a slow consumer surfaces as
 //!   [`SendError::Overflow`] and the protocol chooses the policy.
 //!
-//! Thread count is `1 + workers` per frontend, independent of
-//! connection count — the property the idle-connection benches in
-//! `safeweb-bench` measure.
+//! Thread count is `1 + workers` per frontend, with workers
+//! `clamp(cores, 2, 8)`, independent of connection count — the property
+//! the idle-connection benches in `safeweb-bench` measure.
 
 #![deny(unsafe_code)]
 #![deny(missing_docs)]
 
 mod conn;
-mod pool;
 mod reactor;
 pub mod sys;
 
-pub use conn::{ConnHandle, SendError};
-pub use pool::WorkerPool;
+pub use conn::{ConnHandle, SendError, MAX_IN_FLIGHT};
 pub use reactor::{Protocol, Reactor, ReactorConfig};

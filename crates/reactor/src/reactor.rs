@@ -7,11 +7,13 @@
 //!   and every connection — their sockets and protocol state machines —
 //!   and does the nonblocking reads/writes and incremental protocol
 //!   parsing.
-//! * **A bounded worker pool** runs application work — HTTP handlers,
-//!   STOMP frame effects — dispatched through per-connection FIFOs
-//!   ([`ConnHandle::dispatch`]), so one process holds tens of thousands
-//!   of idle connections with `1 + workers` threads instead of a thread
-//!   per connection.
+//! * **A `safeweb-sched` scheduler** of `clamp(cores, 2, 8)` workers runs
+//!   application work — HTTP handlers, STOMP frame effects. Each
+//!   connection is one scheduler task, and [`ConnHandle::dispatch`] sends
+//!   it a job, so one process holds tens of thousands of idle
+//!   connections with `1 + workers` threads instead of a thread per
+//!   connection. A job that panics closes its own connection; the worker
+//!   and every other connection carry on.
 //! * **Everything else** (worker jobs, broker delivery sinks on
 //!   publisher threads) reaches a connection only through [`ConnHandle`]:
 //!   queue bytes, close, pause reads. Handles post commands to the
@@ -36,8 +38,9 @@ use std::time::{Duration, Instant};
 
 use safeweb_obs::{Counter, MetricsRegistry};
 
-use crate::conn::{Command, ConnHandle, ConnShared, Outbox, ReactorShared};
-use crate::pool::WorkerPool;
+use safeweb_sched::{Scheduler, SchedulerOptions};
+
+use crate::conn::{Command, ConnHandle, ConnShared, Job, Outbox, ReactorShared};
 use crate::sys::{
     self, Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP,
 };
@@ -53,11 +56,15 @@ const READ_BUDGET: usize = 256 * 1024;
 const ACCEPT_BUDGET: usize = 256;
 /// Backoff before re-arming the listener after an `accept()` error.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
+/// Most jobs of one connection a worker runs before the connection's task
+/// goes to the back of the run queue, so a busy connection cannot
+/// monopolise a worker.
+const JOB_BURST: usize = 32;
 
 /// A connection-oriented protocol state machine, driven by the reactor.
 ///
 /// All callbacks run on the reactor thread and must not block: hand
-/// anything heavier than parsing to the pool via
+/// anything heavier than parsing to the scheduler via
 /// [`ConnHandle::dispatch`].
 pub trait Protocol: Send {
     /// Bytes arrived from the peer.
@@ -83,8 +90,6 @@ pub trait Protocol: Send {
 pub struct ReactorConfig {
     /// Thread-name prefix for the reactor and worker threads.
     pub name: String,
-    /// Worker pool size (clamped to ≥ 1).
-    pub workers: usize,
     /// Per-connection outbound queue cap in bytes; see
     /// [`crate::SendError::Overflow`].
     pub outbox_cap: usize,
@@ -96,13 +101,8 @@ pub struct ReactorConfig {
 
 impl Default for ReactorConfig {
     fn default() -> ReactorConfig {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(2)
-            .clamp(2, 8);
         ReactorConfig {
             name: "safeweb".to_string(),
-            workers,
             outbox_cap: 8 * 1024 * 1024,
             idle_timeout: None,
         }
@@ -120,18 +120,36 @@ pub struct Reactor {
     accepted: Counter,
     disconnected: Counter,
     thread: Option<JoinHandle<()>>,
-    pool: Option<WorkerPool>,
+    scheduler: Arc<Scheduler<Job>>,
 }
 
 impl Reactor {
     /// Binds `addr` (port 0 for ephemeral) and starts the event-loop
-    /// thread and the worker pool. `factory` builds one [`Protocol`] per
-    /// accepted connection, on the event-loop thread.
+    /// thread and a scheduler of one worker per core, at least two and at
+    /// most eight. `factory` builds one [`Protocol`] per accepted
+    /// connection, on the event-loop thread.
     ///
     /// # Errors
     ///
     /// Propagates bind and epoll setup failures.
     pub fn bind<F>(addr: &str, config: ReactorConfig, factory: F) -> io::Result<Reactor>
+    where
+        F: Fn() -> Box<dyn Protocol> + Send + 'static,
+    {
+        let workers = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(2)
+            .clamp(2, 8);
+        Reactor::start(addr, config, workers, factory)
+    }
+
+    /// [`Reactor::bind`] with `workers` scheduler workers.
+    fn start<F>(
+        addr: &str,
+        config: ReactorConfig,
+        workers: usize,
+        factory: F,
+    ) -> io::Result<Reactor>
     where
         F: Fn() -> Box<dyn Protocol> + Send + 'static,
     {
@@ -142,7 +160,16 @@ impl Reactor {
         let shared = Arc::new(ReactorShared::new(EventFd::new()?));
         epoll.add(shared.wake_fd(), EPOLLIN, WAKE_TOKEN)?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, LISTEN_TOKEN)?;
-        let pool = WorkerPool::new(&config.name, config.workers);
+        // Unbounded inboxes: the reactor thread must never block in a
+        // send, and the read pause bounds each connection's queue. No
+        // metrics: the engine's scheduler owns the `sched.*` names.
+        let scheduler = Arc::new(Scheduler::new(SchedulerOptions {
+            workers,
+            inbox_cap: usize::MAX,
+            burst: JOB_BURST,
+            name: config.name.clone(),
+            metrics: None,
+        }));
         let active = Arc::new(AtomicUsize::new(0));
         let queued_bytes = Arc::new(AtomicUsize::new(0));
         let accepted = Counter::new();
@@ -153,7 +180,7 @@ impl Reactor {
             shared: Arc::clone(&shared),
             listener,
             factory: Box::new(factory),
-            jobs: pool.sender(),
+            scheduler: Arc::clone(&scheduler),
             config,
             slots: Vec::new(),
             free: Vec::new(),
@@ -178,7 +205,7 @@ impl Reactor {
             accepted,
             disconnected,
             thread: Some(thread),
-            pool: Some(pool),
+            scheduler,
         })
     }
 
@@ -226,11 +253,9 @@ impl Reactor {
             self.shared.push(Command::Shutdown);
             let _ = thread.join();
         }
-        // After the event loop is gone: the pool drains still-queued jobs
-        // (including on_close cleanup the teardowns dispatched).
-        if let Some(mut pool) = self.pool.take() {
-            pool.shutdown();
-        }
+        // After the event loop is gone: the scheduler runs still-queued
+        // jobs (including on_close cleanup the teardown dispatched).
+        self.scheduler.shutdown();
     }
 }
 
@@ -272,9 +297,9 @@ struct Core {
     shared: Arc<ReactorShared>,
     listener: TcpListener,
     factory: Box<dyn Fn() -> Box<dyn Protocol> + Send>,
-    /// Job entry of the worker pool (the pool itself is owned by
-    /// [`Reactor`], which shuts it down after the event loop has exited).
-    jobs: Option<crate::pool::JobSender>,
+    /// Spawns each connection's job task; [`Reactor`] shuts it down after
+    /// the event loop has exited.
+    scheduler: Arc<Scheduler<Job>>,
     config: ReactorConfig,
     slots: Vec<Slot>,
     free: Vec<usize>,
@@ -402,13 +427,13 @@ impl Core {
         });
         let gen = self.slots[idx].gen;
         let token = (u64::from(gen) << 32) | idx as u64;
-        let shared = Arc::new(ConnShared::new(
+        let shared = ConnShared::new(
             token,
             Arc::clone(&self.shared),
             self.config.outbox_cap,
             Arc::clone(&self.queued_bytes),
-            self.jobs.clone(),
-        ));
+            &self.scheduler,
+        );
         let state = ConnState {
             stream,
             protocol: (self.factory)(),
@@ -478,8 +503,11 @@ impl Core {
                     let handle = state.handle();
                     state.protocol.on_bytes(&buf[..n], &handle);
                     total += n;
-                    if total >= READ_BUDGET {
-                        return false; // fairness; epoll re-reports the rest
+                    // A full job queue stops the reads here, before the
+                    // pause command is applied; fairness stops them at
+                    // the budget. Epoll re-reports the rest either way.
+                    if total >= READ_BUDGET || state.shared.pause_requested() {
+                        return false;
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return false,
@@ -596,9 +624,9 @@ impl Core {
         for idx in 0..self.slots.len() {
             self.close_conn(idx);
         }
-        // The pool outlives the event loop: [`Reactor::shutdown`] drains
-        // it (including on_close cleanup dispatched just above) after this
-        // thread has joined.
+        // The scheduler outlives the event loop: [`Reactor::shutdown`]
+        // drains it (including on_close cleanup dispatched just above)
+        // after this thread has joined.
     }
 }
 
@@ -807,7 +835,7 @@ mod tests {
         assert_eq!((out.len, out.front_pos, out.chunks.len()), (1, 1, 1));
     }
 
-    /// Echoes each read back through a pool job. On its first read it
+    /// Echoes each read back through a dispatched job. On its first read it
     /// replays a pause racing its jobs: `resume_first` has the worker's
     /// resume land *before* the `PauseReads` command; otherwise the jobs
     /// drained before the pause was applied, and nothing will resume it.
@@ -844,10 +872,9 @@ mod tests {
         for resume_first in [true, false] {
             let config = ReactorConfig {
                 name: "raced-pause".to_string(),
-                workers: 1,
                 ..ReactorConfig::default()
             };
-            let reactor = Reactor::bind("127.0.0.1:0", config, move || {
+            let reactor = Reactor::start("127.0.0.1:0", config, 1, move || {
                 Box::new(RacedPause {
                     resume_first,
                     raced: false,
@@ -869,5 +896,129 @@ mod tests {
                 assert_eq!(got, word);
             }
         }
+    }
+
+    /// Echoes each byte back through a job of its own; the job for `!`
+    /// panics. Counts the jobs that ran to completion and the `on_close`
+    /// cleanups that ran.
+    struct PanicOnMarker {
+        ran: Arc<AtomicUsize>,
+        cleaned: Arc<AtomicUsize>,
+    }
+
+    impl Protocol for PanicOnMarker {
+        fn on_bytes(&mut self, data: &[u8], conn: &ConnHandle) {
+            for &byte in data {
+                let (io, ran) = (conn.clone(), Arc::clone(&self.ran));
+                conn.dispatch(move || {
+                    assert_ne!(byte, b'!', "marker byte");
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    let _ = io.send(vec![byte]);
+                });
+            }
+        }
+
+        fn on_close(&mut self, conn: &ConnHandle) {
+            let cleaned = Arc::clone(&self.cleaned);
+            conn.dispatch(move || {
+                cleaned.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+    }
+
+    /// Spins (bounded, sleeping) until `done` holds.
+    fn wait_until(done: impl Fn() -> bool, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// On the only worker, a panicking job closes its own connection; the
+    /// job queued behind it and the protocol's `on_close` cleanup still
+    /// run, and the worker goes on serving other connections.
+    #[test]
+    fn a_panicking_job_closes_only_its_connection() {
+        let (ran, cleaned) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let (conn_ran, conn_cleaned) = (Arc::clone(&ran), Arc::clone(&cleaned));
+        let config = ReactorConfig {
+            name: "panic-test".to_string(),
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::start("127.0.0.1:0", config, 1, move || {
+            Box::new(PanicOnMarker {
+                ran: Arc::clone(&conn_ran),
+                cleaned: Arc::clone(&conn_cleaned),
+            })
+        })
+        .unwrap();
+        let connect = || {
+            let stream = TcpStream::connect(reactor.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            stream
+        };
+        let mut doomed = connect();
+        io::Write::write_all(&mut doomed, b"!x").unwrap();
+        let mut rest = Vec::new();
+        doomed
+            .read_to_end(&mut rest)
+            .expect("EOF on the panicking connection");
+        assert!(rest.is_empty(), "{rest:?}");
+        wait_until(
+            || ran.load(Ordering::SeqCst) == 1 && cleaned.load(Ordering::SeqCst) == 1,
+            "jobs after the panic never ran",
+        );
+        let mut fresh = connect();
+        io::Write::write_all(&mut fresh, b"ok").unwrap();
+        let mut got = [0u8; 2];
+        fresh
+            .read_exact(&mut got)
+            .expect("a fresh connection is served");
+        assert_eq!(&got, b"ok");
+        assert!(
+            reactor.scheduler.panics().is_empty(),
+            "the task was poisoned"
+        );
+    }
+
+    /// Answers one request, then closes.
+    struct OneShot;
+
+    impl Protocol for OneShot {
+        fn on_bytes(&mut self, data: &[u8], conn: &ConnHandle) {
+            let (io, reply) = (conn.clone(), data.to_vec());
+            conn.dispatch(move || {
+                let _ = io.send(reply);
+                io.close_after_flush();
+            });
+        }
+    }
+
+    /// A served connection's task is dropped with it: the scheduler keeps
+    /// no task per connection it has ever served.
+    #[test]
+    fn closed_connections_leave_no_scheduler_task() {
+        let config = ReactorConfig {
+            name: "leak-test".to_string(),
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::bind("127.0.0.1:0", config, || Box::new(OneShot)).unwrap();
+        for _ in 0..10_000 {
+            let mut stream = TcpStream::connect(reactor.addr()).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            io::Write::write_all(&mut stream, b"ping").unwrap();
+            let mut reply = Vec::new();
+            stream.read_to_end(&mut reply).unwrap();
+            assert_eq!(reply, b"ping");
+        }
+        wait_until(
+            || reactor.active_connections() == 0 && reactor.scheduler.live_tasks() == 0,
+            "tasks of closed connections are still registered",
+        );
     }
 }

@@ -45,7 +45,6 @@ fn accept_survives_emfile() {
         "127.0.0.1:0",
         ReactorConfig {
             name: "emfile-test".to_string(),
-            workers: 1,
             ..ReactorConfig::default()
         },
         || Box::new(Echo),

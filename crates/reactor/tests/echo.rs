@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use safeweb_reactor::{ConnHandle, Protocol, Reactor, ReactorConfig};
 
-/// Echoes each `\n`-terminated line back, uppercased, via a pool job —
+/// Echoes each `\n`-terminated line back, uppercased, via a dispatched job —
 /// exercising the read → parse → dispatch → send → flush pipeline.
 struct UpperEcho {
     buf: Vec<u8>,
@@ -37,7 +37,6 @@ impl Protocol for UpperEcho {
 fn config() -> ReactorConfig {
     ReactorConfig {
         name: "echo-test".to_string(),
-        workers: 2,
         ..ReactorConfig::default()
     }
 }
@@ -71,7 +70,7 @@ fn echoes_lines_in_order() {
     }
     for i in 0..50 {
         // Per-connection FIFO dispatch must preserve wire order even
-        // though each line is a separate pool job.
+        // though each line is a separate job.
         assert_eq!(read_line(&mut stream), format!("LINE {i}"));
     }
 }
@@ -122,8 +121,8 @@ fn many_concurrent_connections_with_bounded_threads() {
 #[test]
 fn one_loop_serves_many_pipelined_connections_and_drains() {
     // 64 connections on the one event loop, each pipelining ten lines:
-    // the pool preserves per-connection FIFO order, every connection is
-    // counted exactly once, and the outboxes drain to zero.
+    // the scheduler preserves per-connection FIFO order, every
+    // connection is counted exactly once, and the outboxes drain to zero.
     let mut reactor = start_echo(config());
     let addr = reactor.addr();
     let mut clients: Vec<TcpStream> = (0..64).map(|_| TcpStream::connect(addr).unwrap()).collect();
@@ -214,7 +213,6 @@ fn outbox_overflow_surfaces_and_policy_closes() {
         "127.0.0.1:0",
         ReactorConfig {
             name: "flood-test".to_string(),
-            workers: 1,
             outbox_cap: 16 * 1024,
             idle_timeout: None,
         },

@@ -45,6 +45,13 @@
 //! panic is reported through [`Scheduler::panics`]; every other task keeps
 //! running.
 //!
+//! A task lives while a [`TaskSender`] or a run queue holds it: the
+//! scheduler's own registry is weak, so a task whose senders are all
+//! dropped is freed, handler and all, once its inbox has drained. That
+//! makes short-lived tasks cheap — the network frontends spawn one per
+//! connection — and shutdown still closes every live inbox and runs
+//! every accepted message.
+//!
 //! ## Backpressure
 //!
 //! The cap applies to **external** senders only: sends from one of the

@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 
 use std::sync::{Condvar, Mutex};
@@ -150,12 +150,37 @@ struct Inner<M> {
     sleepers: AtomicUsize,
     parker: Parker,
     stopping: AtomicBool,
-    tasks: Mutex<Vec<Arc<Task<M>>>>,
+    tasks: Mutex<Registry<M>>,
     panics: Mutex<Vec<TaskPanic>>,
     /// Messages queued across every task inbox (see [`Inbox`]); one
     /// relaxed load serves the engine/deployment stats surface.
     depth: Arc<AtomicUsize>,
     metrics: SchedMetrics,
+}
+
+/// Every task the scheduler has spawned, held weakly: a task lives as
+/// long as a [`TaskSender`] or a run queue holds it, so one whose senders
+/// are gone is forgotten once drained. A queued task is held by its run
+/// queue, so no task is dropped with messages in its inbox.
+struct Registry<M> {
+    tasks: Vec<Weak<Task<M>>>,
+    /// Length at which the next `spawn` prunes dead entries: twice the
+    /// live count after the last prune, so pruning is amortised O(1).
+    prune_at: usize,
+}
+
+impl<M> Registry<M> {
+    fn insert(&mut self, task: &Arc<Task<M>>) {
+        if self.tasks.len() >= self.prune_at {
+            self.tasks.retain(|task| task.strong_count() > 0);
+            self.prune_at = (2 * self.tasks.len()).max(64);
+        }
+        self.tasks.push(Arc::downgrade(task));
+    }
+
+    fn live(&self) -> impl Iterator<Item = Arc<Task<M>>> + '_ {
+        self.tasks.iter().filter_map(Weak::upgrade)
+    }
 }
 
 impl<M: Send + 'static> Inner<M> {
@@ -406,7 +431,10 @@ impl<M: Send + 'static> Scheduler<M> {
                 wakeups: AtomicU64::new(0),
             },
             stopping: AtomicBool::new(false),
-            tasks: Mutex::new(Vec::new()),
+            tasks: Mutex::new(Registry {
+                tasks: Vec::new(),
+                prune_at: 64,
+            }),
             panics: Mutex::new(Vec::new()),
             depth,
             metrics,
@@ -439,11 +467,23 @@ impl<M: Send + 'static> Scheduler<M> {
         self.inner.depth.load(Ordering::Relaxed)
     }
 
+    /// Tasks alive: held by a [`TaskSender`] or queued to run. A task
+    /// whose senders are all dropped stops counting once it has drained.
+    pub fn live_tasks(&self) -> usize {
+        self.inner
+            .tasks
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .live()
+            .count()
+    }
+
     /// Registers a task: a bounded inbox plus a handler the pool invokes
     /// with batches of queued messages (at most
     /// [`SchedulerOptions::burst`] per activation, in send order). The
     /// handler must drain or inspect the batch; the scheduler clears it
-    /// afterwards either way.
+    /// afterwards either way. The task is dropped, handler and all, once
+    /// every sender is gone and its inbox has drained.
     ///
     /// Spawning on a scheduler that is already shutting down returns a
     /// sender whose sends fail.
@@ -464,7 +504,7 @@ impl<M: Send + 'static> Scheduler<M> {
             if self.inner.stopping.load(Ordering::SeqCst) {
                 task.inbox.close(true);
             } else {
-                tasks.push(Arc::clone(&task));
+                tasks.insert(&task);
             }
         }
         TaskSender {
@@ -491,7 +531,7 @@ impl<M: Send + 'static> Scheduler<M> {
         {
             let tasks = self.inner.tasks.lock().unwrap_or_else(|e| e.into_inner());
             self.inner.stopping.store(true, Ordering::SeqCst);
-            for task in tasks.iter() {
+            for task in tasks.live() {
                 task.inbox.close(false);
             }
         }
@@ -524,7 +564,8 @@ impl<M: Send + 'static> Scheduler<M> {
             .tasks
             .lock()
             .unwrap_or_else(|e| e.into_inner())
-            .clone();
+            .live()
+            .collect();
         let mut scratch = Vec::new();
         for task in tasks {
             while task.inbox.len() > 0 {
