@@ -229,7 +229,7 @@ fn bench_throughput(c: &mut Criterion) {
 #[derive(Clone, Copy)]
 enum Matching {
     /// One subscription on the hot exact topic; the rest on distinct cold
-    /// exact topics. Measures routing: the sharded index touches 1
+    /// exact topics. Measures routing: the exact index touches 1
     /// subscription whatever the total.
     ExactOne,
     /// Every subscription on the hot topic. Measures fan-out delivery of
@@ -241,14 +241,14 @@ enum Matching {
 }
 
 struct PublishFixture {
-    sharded: Broker,
-    sharded_rx: Vec<std::sync::mpsc::Receiver<Delivery>>,
+    broker: Broker,
+    receivers: Vec<std::sync::mpsc::Receiver<Delivery>>,
     event: LabelledEvent,
 }
 
 fn publish_fixture(total_subs: usize, matching: Matching) -> PublishFixture {
-    let sharded = Broker::new();
-    let mut sharded_rx = Vec::new();
+    let broker = Broker::new();
+    let mut receivers = Vec::new();
     for i in 0..total_subs {
         let destination = match matching {
             Matching::ExactAll => "/hot".to_string(),
@@ -259,7 +259,7 @@ fn publish_fixture(total_subs: usize, matching: Matching) -> PublishFixture {
             _ => format!("/cold/{i}"),
         };
         let id = i.to_string();
-        sharded_rx.push(sharded.subscribe("bench", &id, &destination, None, Default::default()));
+        receivers.push(broker.subscribe("bench", &id, &destination, None, Default::default()));
     }
     let topic = match matching {
         Matching::PrefixOne => "/hot/daily/report",
@@ -271,8 +271,8 @@ fn publish_fixture(total_subs: usize, matching: Matching) -> PublishFixture {
         .with_payload(payload())
         .with_labels([Label::int("e", "mdt")]);
     PublishFixture {
-        sharded,
-        sharded_rx,
+        broker,
+        receivers,
         event,
     }
 }
@@ -283,8 +283,9 @@ fn drain(receivers: &[std::sync::mpsc::Receiver<Delivery>]) {
     }
 }
 
-/// **Publish-path comparison** for the sharded broker: single vs batched
-/// publish, exact vs prefix topics, at increasing subscription counts.
+/// **Publish-path comparison** for the broker's one routing table:
+/// single vs batched publish, exact vs prefix topics, at increasing
+/// subscription counts.
 fn bench_publish_path(c: &mut Criterion) {
     const CHUNK: u64 = 512;
     const BATCH: usize = 64;
@@ -300,22 +301,22 @@ fn bench_publish_path(c: &mut Criterion) {
             let fixture = publish_fixture(subs, matching);
             let build =
                 |k: u64| -> Vec<LabelledEvent> { (0..k).map(|_| fixture.event.clone()).collect() };
-            group.bench_function(format!("sharded_single_{subs}subs"), |b| {
+            group.bench_function(format!("single_{subs}subs"), |b| {
                 b.iter_custom(|iters| {
                     let mut total = Duration::ZERO;
                     for _ in 0..iters {
                         let batch = build(CHUNK);
                         let start = Instant::now();
                         for event in &batch {
-                            fixture.sharded.publish(event);
+                            fixture.broker.publish(event);
                         }
                         total += start.elapsed();
-                        drain(&fixture.sharded_rx);
+                        drain(&fixture.receivers);
                     }
                     total
                 });
             });
-            group.bench_function(format!("sharded_batch{BATCH}_{subs}subs"), |b| {
+            group.bench_function(format!("batch{BATCH}_{subs}subs"), |b| {
                 b.iter_custom(|iters| {
                     let mut total = Duration::ZERO;
                     for _ in 0..iters {
@@ -324,10 +325,10 @@ fn bench_publish_path(c: &mut Criterion) {
                             .collect();
                         let start = Instant::now();
                         for batch in batches {
-                            fixture.sharded.publish_batch(batch);
+                            fixture.broker.publish_batch(batch);
                         }
                         total += start.elapsed();
-                        drain(&fixture.sharded_rx);
+                        drain(&fixture.receivers);
                     }
                     total
                 });

@@ -7,7 +7,7 @@
 //! |--------------|----------------|
 //! | `frontend`   | §5.3 page generation, 158→180 ms (+14 %) |
 //! | `backend`    | §5.3 event latency, 73→84 ms (+15 %) |
-//! | `throughput` | §5.3 end-to-end throughput, 4455→3817 ev/s (−17 %); sharded publish path; idle STOMP connections |
+//! | `throughput` | §5.3 end-to-end throughput, 4455→3817 ev/s (−17 %); publish path (single vs batched, exact vs prefix vs fan-out); idle STOMP connections |
 //! | `breakdown`  | Figure 5 per-phase latency split |
 //! | `tcb`        | §5.2 trusted-codebase line counts per audited crate and in total (ceilings: `tests/tcb_ceiling.rs`) |
 //! | `microbench` | ablations of the individual mechanisms |

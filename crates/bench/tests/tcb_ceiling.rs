@@ -12,11 +12,11 @@ const CRATE_MAX: [(&str, usize); 5] = [
     ("taint", 405),
     ("engine", 770),
     ("labels", 1187),
-    ("broker", 914),
+    ("broker", 863),
     ("web", 985),
 ];
 /// Taint + engine + labels + broker + web code lines.
-const TCB_MAX: usize = 4261;
+const TCB_MAX: usize = 4210;
 
 #[test]
 fn audited_core_stays_under_its_ceiling() {

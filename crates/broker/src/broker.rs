@@ -9,53 +9,50 @@
 //!
 //! # Routing architecture
 //!
-//! Routing state is partitioned into [`SHARD_COUNT`] shards keyed by a
-//! deterministic hash of the event topic, so concurrent publishers on
-//! different topics never contend on one lock. Each shard holds two
-//! indexes:
+//! All routing state sits in one table behind one reader-writer lock:
 //!
 //! * an **exact-topic hash index** (`topic → subscriber list`) for
-//!   [`TopicPattern::Exact`] subscriptions, stored only in the shard the
-//!   topic hashes to — a publish probes exactly one map entry instead of
-//!   scanning every subscription;
+//!   [`TopicPattern::Exact`] subscriptions — a publish probes one map
+//!   entry instead of scanning every subscription;
 //! * a **prefix trie** over `/`-separated topic segments for
-//!   [`TopicPattern::Prefix`] subscriptions (`/reports/*`). Prefix
-//!   subscriptions must be visible to publishes on *any* matching topic,
-//!   whose hashes are unrelated to the pattern's, so prefix entries are
-//!   **replicated into every shard's trie**. Registration is rare and
-//!   fan-in cheap (entries are shared `Arc`s); publishing stays
-//!   single-shard and lock-local.
+//!   [`TopicPattern::Prefix`] subscriptions (`/reports/*`) — a publish
+//!   walks at most `segments(topic)` nodes, however many prefixes a
+//!   peer registered;
+//! * the **directory** (`client → subscription id → entry`) the indexes
+//!   are maintained from, so a disconnect drops one client's
+//!   subscriptions in O(its subscriptions).
 //!
-//! A publish therefore takes one shard read lock, probes the exact index,
-//! walks at most `segments(topic)` trie nodes, and touches only
-//! subscriptions whose pattern actually matches: O(matching) instead of
-//! the previous O(total subscriptions) scan.
-//!
-//! A separate **directory** (`SubscriptionKey → entry`) serializes
-//! subscribe/unsubscribe bookkeeping; publishers never take it.
+//! A publish takes the read lock only to collect the subscriptions whose
+//! pattern matches its topic: O(matching), not O(total subscriptions).
+//! Publishers never exclude each other; subscribe, re-subscribe,
+//! unsubscribe and [`Broker::unsubscribe_all`] are one write-lock section
+//! each, so a publish sees a replaced subscription as old or new, never
+//! both and never neither. The table is not sharded: no workload
+//! saturates one read lock, and sharding comes back only with one that
+//! does.
 //!
 //! # Delivery
 //!
-//! A matched event is delivered as a [`Delivery`] carrying
-//! `Arc<LabelledEvent>`: one allocation per published event, not one deep
-//! clone per matching subscriber. Matching (topic, selector, clearance)
-//! runs under the shard read lock; the subscriptions' sinks are invoked
-//! **after** it drops, so a sink that blocks — the engine's sink
-//! exerting inbox backpressure — never holds routing state while a
-//! subscribe's write lock queues behind it.
-//! [`Broker::publish_batch`] amortizes shard locking and stats updates
-//! across a batch by grouping events per shard before acquiring any
-//! lock.
+//! The selector, the clearance check and the sink all run **after** the
+//! lock drops. `std`'s `RwLock` queues new readers behind a waiting
+//! writer, so a slow `LIKE` selector or a blocking sink — the engine's,
+//! exerting inbox backpressure — run under the lock would let one pending
+//! subscribe stall every publisher. A matched event is delivered as a
+//! [`Delivery`] carrying `Arc<LabelledEvent>`: one allocation per
+//! published event, not one deep clone per matching subscriber.
+//! [`Broker::publish_batch`] takes the lock once for the whole batch,
+//! delivers in batch order and flushes the stats counters once.
 //!
 //! # Invariant
 //!
 //! **Label filtering is applied after routing, never skipped**: the
-//! sharded indexes only narrow the candidate set by topic; every candidate
-//! still passes through the selector and the clearance check
+//! indexes only narrow the candidate set by topic; every candidate still
+//! passes the selector and the clearance check
 //! (`labels.flows_to(clearance)`) before its sink sees the event.
 //! `tests/routing_equivalence.rs` states these semantics as a linear-scan
-//! reference broker and holds the sharded path to it
-//! property-by-property.
+//! reference broker and holds the indexed path to it
+//! property-by-property, over interleaved subscribe, unsubscribe and
+//! publish sequences.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -66,11 +63,8 @@ use parking_lot::RwLock;
 
 use safeweb_events::LabelledEvent;
 use safeweb_labels::PrivilegeSet;
-use safeweb_obs::{record_span, tracer, Counter, MetricsRegistry, TraceId};
+use safeweb_obs::{record_span, Counter, MetricsRegistry, TraceId};
 use safeweb_selector::Selector;
-
-/// Number of routing shards (power of two; topic hash picks the shard).
-pub const SHARD_COUNT: usize = 16;
 
 /// A topic pattern: exact (`/patient_report`) or prefix (`/reports/*`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -129,7 +123,7 @@ pub type SubscriptionKey = (String, String);
 /// scheduler; [`Broker::subscribe`]'s sink feeds a channel.
 pub type DeliverySink = Box<dyn Fn(Delivery) -> bool + Send + Sync>;
 
-/// One registered subscription, shared between the directory and every
+/// One registered subscription, shared between the directory and the
 /// index slot that routes to it.
 struct SubEntry {
     sub_id: Arc<str>,
@@ -250,7 +244,7 @@ impl Default for BrokerOptions {
     }
 }
 
-/// A node of the per-shard prefix trie, keyed by topic segment.
+/// A node of the prefix trie, keyed by topic segment.
 #[derive(Debug, Default)]
 struct TrieNode {
     children: HashMap<String, TrieNode>,
@@ -285,17 +279,75 @@ impl TrieNode {
     }
 }
 
-/// One routing shard: the slice of both indexes for topics hashing here.
+/// The routing table: both topic indexes and the directory they are
+/// maintained from, behind the broker's one lock.
 #[derive(Debug, Default)]
-struct ShardState {
+struct Routes {
     exact: HashMap<String, Vec<Arc<SubEntry>>>,
     prefix: TrieNode,
+    /// `client → subscription id → entry`: a disconnect removes one
+    /// client's subscriptions without scanning anyone else's.
+    directory: HashMap<String, HashMap<String, Arc<SubEntry>>>,
+    /// Subscriptions in `directory`.
+    count: usize,
+}
+
+impl Routes {
+    fn index(&mut self, entry: &Arc<SubEntry>) {
+        match &entry.topic {
+            TopicPattern::Exact(topic) => self
+                .exact
+                .entry(topic.clone())
+                .or_default()
+                .push(Arc::clone(entry)),
+            TopicPattern::Prefix(prefix) => {
+                let segments: Vec<&str> = prefix.split('/').collect();
+                self.prefix.insert(&segments, entry);
+            }
+        }
+    }
+
+    fn unindex(&mut self, entry: &Arc<SubEntry>) {
+        match &entry.topic {
+            TopicPattern::Exact(topic) => {
+                if let Some(list) = self.exact.get_mut(topic) {
+                    list.retain(|e| !Arc::ptr_eq(e, entry));
+                    if list.is_empty() {
+                        self.exact.remove(topic);
+                    }
+                }
+            }
+            TopicPattern::Prefix(prefix) => {
+                let segments: Vec<&str> = prefix.split('/').collect();
+                self.prefix.remove(&segments, entry);
+            }
+        }
+    }
+
+    /// Pushes every subscription whose topic pattern matches `topic`
+    /// onto `out`, tagged with `event`: the exact index's one list, then
+    /// the trie nodes along the topic's segments.
+    fn candidates(&self, topic: &str, event: usize, out: &mut Vec<(usize, Arc<SubEntry>)>) {
+        let tag = |entry: &Arc<SubEntry>| (event, Arc::clone(entry));
+        if let Some(list) = self.exact.get(topic) {
+            out.extend(list.iter().map(tag));
+        }
+        let mut node = &self.prefix;
+        for segment in topic.split('/') {
+            match node.children.get(segment) {
+                Some(child) => {
+                    node = child;
+                    out.extend(node.subs.iter().map(tag));
+                }
+                None => break,
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
 struct Inner {
-    shards: Vec<RwLock<ShardState>>,
-    directory: RwLock<HashMap<SubscriptionKey, Arc<SubEntry>>>,
+    routes: RwLock<Routes>,
     stats: BrokerStats,
     options: BrokerOptions,
 }
@@ -310,17 +362,6 @@ impl Default for Broker {
     fn default() -> Broker {
         Broker::new()
     }
-}
-
-/// Deterministic topic→shard hash (FNV-1a); must agree between subscribe
-/// and publish, so it cannot use per-process-randomized hashers.
-fn shard_of(topic: &str) -> usize {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in topic.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h as usize) & (SHARD_COUNT - 1)
 }
 
 impl Broker {
@@ -345,7 +386,7 @@ impl Broker {
         registry.register_derived("broker.subscriptions", move || {
             inner
                 .upgrade()
-                .map_or(0.0, |inner| inner.directory.read().len() as f64)
+                .map_or(0.0, |inner| inner.routes.read().count as f64)
         });
         broker
     }
@@ -353,8 +394,7 @@ impl Broker {
     fn with_stats(options: BrokerOptions, stats: BrokerStats) -> Broker {
         Broker {
             inner: Arc::new(Inner {
-                shards: (0..SHARD_COUNT).map(|_| RwLock::default()).collect(),
-                directory: RwLock::default(),
+                routes: RwLock::default(),
                 stats,
                 options,
             }),
@@ -400,7 +440,7 @@ impl Broker {
     /// connection's bounded outbound queue, so ten thousand idle
     /// subscribers cost ten thousand parked *fds*, not ten thousand
     /// parked threads. A sink may block (the engine's does, at a full
-    /// unit inbox): sinks run after the shard lock drops.
+    /// unit inbox): sinks run after the routing lock drops.
     ///
     /// `clearance` and re-subscription behave as for
     /// [`Broker::subscribe`].
@@ -420,187 +460,114 @@ impl Broker {
             clearance,
             sink,
         });
-        let key = (client.to_string(), subscription_id.to_string());
-        // Index updates happen while the directory lock is held so that
-        // racing subscribe/unsubscribe calls on the same key cannot
-        // interleave their shard updates (which could strand an
-        // unreachable entry in the routing indexes). Publishers never
-        // take the directory lock, so the publish path is unaffected;
-        // lock order is always directory → shard.
-        let mut directory = self.inner.directory.write();
-        let replaced = directory.insert(key, Arc::clone(&entry));
-        self.reindex(Some(&entry), replaced.as_ref());
-        drop(directory);
-    }
-
-    /// Whether `entry` is indexed in shard `index`.
-    fn touches_shard(entry: &SubEntry, index: usize) -> bool {
-        match &entry.topic {
-            TopicPattern::Exact(topic) => shard_of(topic) == index,
-            TopicPattern::Prefix(_) => true,
-        }
-    }
-
-    /// Adds and/or removes index entries, applying both mutations to each
-    /// affected shard under **one** write-lock acquisition. A publisher
-    /// reads exactly one shard, so per-shard combined updates mean it
-    /// observes either the old or the new subscription state for any
-    /// topic — a replacement can never deliver one event to both the old
-    /// and the new channel, and never to neither.
-    fn reindex(&self, add: Option<&Arc<SubEntry>>, remove: Option<&Arc<SubEntry>>) {
-        for (index, slot) in self.inner.shards.iter().enumerate() {
-            let add_here = add.is_some_and(|e| Self::touches_shard(e, index));
-            let remove_here = remove.is_some_and(|e| Self::touches_shard(e, index));
-            if !add_here && !remove_here {
-                continue;
-            }
-            let mut shard = slot.write();
-            if let (true, Some(entry)) = (add_here, add) {
-                match &entry.topic {
-                    TopicPattern::Exact(topic) => shard
-                        .exact
-                        .entry(topic.clone())
-                        .or_default()
-                        .push(Arc::clone(entry)),
-                    TopicPattern::Prefix(prefix) => {
-                        let segments: Vec<&str> = prefix.split('/').collect();
-                        shard.prefix.insert(&segments, entry);
-                    }
-                }
-            }
-            if let (true, Some(entry)) = (remove_here, remove) {
-                match &entry.topic {
-                    TopicPattern::Exact(topic) => {
-                        if let Some(list) = shard.exact.get_mut(topic) {
-                            list.retain(|e| !Arc::ptr_eq(e, entry));
-                            if list.is_empty() {
-                                shard.exact.remove(topic);
-                            }
-                        }
-                    }
-                    TopicPattern::Prefix(prefix) => {
-                        let segments: Vec<&str> = prefix.split('/').collect();
-                        shard.prefix.remove(&segments, entry);
-                    }
-                }
-            }
+        // One write section: a publish sees the old subscription or the
+        // new one, never both and never neither.
+        let mut routes = self.inner.routes.write();
+        routes.index(&entry);
+        let replaced = routes
+            .directory
+            .entry(client.to_string())
+            .or_default()
+            .insert(subscription_id.to_string(), entry);
+        match replaced {
+            Some(old) => routes.unindex(&old),
+            None => routes.count += 1,
         }
     }
 
     /// Removes a subscription. Returns whether it existed.
     pub fn unsubscribe(&self, client: &str, subscription_id: &str) -> bool {
-        let mut directory = self.inner.directory.write();
-        let removed = directory.remove(&(client.to_string(), subscription_id.to_string()));
-        match removed {
-            Some(entry) => {
-                // Unindexed under the directory lock; see `subscribe`.
-                self.reindex(None, Some(&entry));
-                true
-            }
-            None => false,
+        let mut routes = self.inner.routes.write();
+        let Some(subs) = routes.directory.get_mut(client) else {
+            return false;
+        };
+        let Some(entry) = subs.remove(subscription_id) else {
+            return false;
+        };
+        if subs.is_empty() {
+            routes.directory.remove(client);
         }
+        routes.unindex(&entry);
+        routes.count -= 1;
+        true
     }
 
     /// Removes every subscription belonging to `client` (used when a
-    /// connection drops).
+    /// connection drops). O(the client's subscriptions).
     pub fn unsubscribe_all(&self, client: &str) -> usize {
-        let mut directory = self.inner.directory.write();
-        let keys: Vec<SubscriptionKey> = directory
-            .keys()
-            .filter(|(c, _)| c == client)
-            .cloned()
-            .collect();
-        let removed: Vec<Arc<SubEntry>> = keys.iter().filter_map(|k| directory.remove(k)).collect();
-        for entry in &removed {
-            // Unindexed under the directory lock; see `subscribe`.
-            self.reindex(None, Some(entry));
+        let mut routes = self.inner.routes.write();
+        let Some(subs) = routes.directory.remove(client) else {
+            return 0;
+        };
+        for entry in subs.values() {
+            routes.unindex(entry);
         }
-        removed.len()
+        routes.count -= subs.len();
+        subs.len()
     }
 
     /// Number of active subscriptions.
     pub fn subscription_count(&self) -> usize {
-        self.inner.directory.read().len()
+        self.inner.routes.read().count
     }
 
-    /// Routes one event within an already-locked shard, applying the
-    /// selector and clearance filters to each candidate and collecting
-    /// the matches. Candidates come only from index slots whose pattern
-    /// matches the topic.
+    /// Number of `client`'s subscriptions other than `subscription_id`:
+    /// what the client would hold besides it after (re-)subscribing it.
+    pub fn other_subscriptions(&self, client: &str, subscription_id: &str) -> usize {
+        self.inner
+            .routes
+            .read()
+            .directory
+            .get(client)
+            .map_or(0, |subs| {
+                subs.len() - usize::from(subs.contains_key(subscription_id))
+            })
+    }
+
+    /// Routes `events` in order: one read-lock section collects the
+    /// subscriptions whose topic pattern matches each event, then —
+    /// with the lock dropped — each candidate passes the selector and
+    /// the clearance check before its sink sees the event. Nothing
+    /// slow runs under the lock: a costly selector or a blocking sink
+    /// (the engine's, at a full unit inbox) must not hold up a queued
+    /// subscribe, and every publisher behind it.
     ///
-    /// Delivery happens **after** the shard lock drops
-    /// ([`Broker::deliver_matches`]): a sink may block — the engine's
-    /// sink exerts inbox backpressure on publishers — and blocking under
-    /// the read lock would let a concurrent subscribe's queued write lock
-    /// wedge every other publisher on the shard behind the stalled one.
-    fn match_in_shard(
-        &self,
-        shard: &ShardState,
-        event: &Arc<LabelledEvent>,
-        local: &mut LocalStats,
-        matches: &mut Vec<(Arc<SubEntry>, Arc<LabelledEvent>)>,
-    ) {
-        let topic = event.topic();
-        if let Some(list) = shard.exact.get(topic) {
-            for entry in list {
-                self.filter_match(entry, event, local, matches);
-            }
-        }
-        let mut node = &shard.prefix;
-        for segment in topic.split('/') {
-            match node.children.get(segment) {
-                Some(child) => {
-                    node = child;
-                    for entry in &node.subs {
-                        self.filter_match(entry, event, local, matches);
-                    }
-                }
-                None => break,
-            }
-        }
-    }
-
-    fn filter_match(
-        &self,
-        entry: &Arc<SubEntry>,
-        event: &Arc<LabelledEvent>,
-        local: &mut LocalStats,
-        matches: &mut Vec<(Arc<SubEntry>, Arc<LabelledEvent>)>,
-    ) {
-        debug_assert!(
-            entry.topic.matches(event.topic()),
-            "index routed a non-match"
-        );
-        if let Some(selector) = &entry.selector {
-            if !selector.matches(event.event()) {
-                local.selector_filtered += 1;
-                return;
-            }
-        }
-        if self.inner.options.label_filtering && !event.labels().flows_to(&entry.clearance) {
-            local.label_filtered += 1;
-            return;
-        }
-        matches.push((Arc::clone(entry), Arc::clone(event)));
-    }
-
-    /// Invokes the collected matches' sinks, lock-free, in match order.
     /// Returns the deliveries made (dead sinks count as suppressed).
-    fn deliver_matches(
-        matches: &mut Vec<(Arc<SubEntry>, Arc<LabelledEvent>)>,
-        local: &mut LocalStats,
-    ) -> usize {
-        let mut delivered = 0;
-        for (entry, event) in matches.drain(..) {
+    fn route(&self, events: &[Arc<LabelledEvent>]) -> usize {
+        let mut candidates = Vec::new();
+        {
+            let routes = self.inner.routes.read();
+            for (index, event) in events.iter().enumerate() {
+                routes.candidates(event.topic(), index, &mut candidates);
+            }
+        }
+        let mut local = LocalStats::default();
+        for (index, entry) in candidates {
+            let event = &events[index];
+            debug_assert!(
+                entry.topic.matches(event.topic()),
+                "index routed a non-match"
+            );
+            if let Some(selector) = &entry.selector {
+                if !selector.matches(event.event()) {
+                    local.selector_filtered += 1;
+                    continue;
+                }
+            }
+            if self.inner.options.label_filtering && !event.labels().flows_to(&entry.clearance) {
+                local.label_filtered += 1;
+                continue;
+            }
             let delivery = Delivery {
                 subscription_id: Arc::clone(&entry.sub_id),
-                event,
+                event: Arc::clone(event),
             };
             if (entry.sink)(delivery) {
                 local.delivered += 1;
-                delivered += 1;
             }
         }
+        let delivered = local.delivered as usize;
+        local.flush(&self.inner.stats, events.len() as u64);
         delivered
     }
 
@@ -627,84 +594,48 @@ impl Broker {
             }
         }
         let start = safeweb_obs::now_ns();
-        let mut local = LocalStats::default();
-        let mut matches = Vec::new();
-        {
-            let shard = self.inner.shards[shard_of(event.topic())].read();
-            self.match_in_shard(&shard, &event, &mut local, &mut matches);
-        }
-        let delivered = Self::deliver_matches(&mut matches, &mut local);
-        local.flush(&self.inner.stats, 1);
-        record_span(
-            "broker",
-            event.topic(),
-            event.trace_id(),
-            start,
-            Some(event.labels().id().as_u32()),
-        );
+        let events = [event];
+        let delivered = self.route(&events);
+        Self::record_spans(&events, start);
         delivered
     }
 
-    /// Publishes a batch in one broker pass: events are grouped by shard
-    /// so each shard lock is taken at most once, and stats counters are
-    /// flushed once for the whole batch.
-    ///
-    /// Events within one topic keep their relative order; cross-topic
-    /// ordering across the batch is unspecified (as it already is between
-    /// independent publishers).
+    /// Publishes a batch in one broker pass: one read-lock section for
+    /// the whole batch, deliveries in batch order, and stats counters
+    /// flushed once.
     ///
     /// Returns the total number of deliveries made.
-    pub fn publish_batch(&self, mut events: Vec<LabelledEvent>) -> usize {
-        // Fast path for the common flush-one-event case (a unit callback
-        // that publishes once): skip the bucket allocation and scan.
-        if events.len() == 1 {
-            return self.publish_arc(Arc::new(events.pop().expect("len checked")));
-        }
-        let published = events.len() as u64;
+    pub fn publish_batch(&self, events: Vec<LabelledEvent>) -> usize {
         let start = safeweb_obs::now_ns();
-        let mut buckets: Vec<Vec<Arc<LabelledEvent>>> = Vec::new();
-        buckets.resize_with(SHARD_COUNT, Vec::new);
-        for mut event in events {
-            // Same minting rule as `publish_arc`: every event leaves the
-            // broker traced, even when its publisher never opened a scope.
-            if !event.trace_id().is_set() {
-                event.set_trace_id(TraceId::mint());
-            }
-            let event = Arc::new(event);
-            buckets[shard_of(event.topic())].push(event);
-        }
-        let mut local = LocalStats::default();
-        let mut delivered = 0;
-        let mut matches = Vec::new();
-        for (index, bucket) in buckets.iter().enumerate() {
-            if bucket.is_empty() {
-                continue;
-            }
-            {
-                let shard = self.inner.shards[index].read();
-                for event in bucket {
-                    self.match_in_shard(&shard, event, &mut local, &mut matches);
+        let events: Vec<Arc<LabelledEvent>> = events
+            .into_iter()
+            .map(|mut event| {
+                // Same minting rule as `publish_arc`: every event leaves
+                // the broker traced, even when its publisher never
+                // opened a scope.
+                if !event.trace_id().is_set() {
+                    event.set_trace_id(TraceId::mint());
                 }
-            }
-            // One lock acquisition per shard, all deliveries outside it.
-            delivered += Self::deliver_matches(&mut matches, &mut local);
-        }
-        local.flush(&self.inner.stats, published);
-        if tracer().enabled() {
-            // Batch spans share the batch window: per-event timing inside
-            // a grouped fan-out is not separable without defeating the
-            // one-lock-per-shard batching this path exists for.
-            for event in buckets.iter().flatten() {
-                record_span(
-                    "broker",
-                    event.topic(),
-                    event.trace_id(),
-                    start,
-                    Some(event.labels().id().as_u32()),
-                );
-            }
-        }
+                Arc::new(event)
+            })
+            .collect();
+        let delivered = self.route(&events);
+        Self::record_spans(&events, start);
         delivered
+    }
+
+    /// One `broker` span per published event; a batch's events share the
+    /// batch window.
+    fn record_spans(events: &[Arc<LabelledEvent>], start: u64) {
+        for event in events {
+            record_span(
+                "broker",
+                event.topic(),
+                event.trace_id(),
+                start,
+                Some(event.labels().id().as_u32()),
+            );
+        }
     }
 
     /// Statistics counters.

@@ -39,7 +39,6 @@ pub mod wire;
 
 pub use broker::{
     Broker, BrokerOptions, BrokerStats, Delivery, DeliverySink, SubscriptionKey, TopicPattern,
-    SHARD_COUNT,
 };
 pub use client::{ClientDelivery, ClientError, EventClient};
 pub use server::{BrokerServer, MAX_SUBSCRIPTIONS, OUTBOX_CAP};

@@ -25,7 +25,6 @@
 //!   stops reading while deliveries accumulate is disconnected rather
 //!   than allowed to buffer unbounded memory in the broker process.
 
-use std::collections::HashSet;
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,9 +47,9 @@ use crate::wire::{
 pub const OUTBOX_CAP: usize = 4 * 1024 * 1024;
 
 /// Per-connection subscription cap. Each subscription costs a directory
-/// entry (and a prefix pattern one trie entry per shard), so a peer
-/// past this gets an `ERROR` frame and registers nothing more; replacing
-/// or cancelling an existing id still works at the cap.
+/// entry and an index slot, so a peer past this gets an `ERROR` frame
+/// and registers nothing more; replacing or cancelling an existing id
+/// still works at the cap.
 pub const MAX_SUBSCRIPTIONS: usize = 1024;
 
 /// A running broker server; dropping it stops the reactor and closes all
@@ -126,8 +125,6 @@ static CONN_SEQ: AtomicU64 = AtomicU64::new(1);
 struct Session {
     client_id: String,
     privileges: PrivilegeSet,
-    /// Ids of this connection's live subscriptions (≤ [`MAX_SUBSCRIPTIONS`]).
-    sub_ids: HashSet<String>,
 }
 
 struct SessionShared {
@@ -214,7 +211,7 @@ impl Protocol for StompConn {
 
 fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
     let mut session = shared.session.lock().unwrap_or_else(|e| e.into_inner());
-    match (frame.command(), session.as_mut()) {
+    match (frame.command(), session.as_ref()) {
         (Command::Connect, None) => {
             let login = frame.header("login").unwrap_or("anonymous");
             let privileges = shared.policy.privileges(PrincipalKind::Unit, login);
@@ -223,7 +220,6 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
             *session = Some(Session {
                 client_id,
                 privileges,
-                sub_ids: HashSet::new(),
             });
             let _ = io.send(encode(&connected));
         }
@@ -250,11 +246,15 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
                 },
                 None => None,
             };
-            if session.sub_ids.len() >= MAX_SUBSCRIPTIONS && !session.sub_ids.contains(sub_id) {
+            // One connection's frames run in order under the session
+            // lock, so nothing subscribes for it between check and act.
+            let held = shared
+                .broker
+                .other_subscriptions(&session.client_id, sub_id);
+            if held >= MAX_SUBSCRIPTIONS {
                 let _ = io.send(encode(&error_frame("too many subscriptions")));
                 return;
             }
-            session.sub_ids.insert(sub_id.to_string());
             let sink_io = io.clone();
             shared.broker.subscribe_sink(
                 &session.client_id,
@@ -280,7 +280,6 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
         }
         (Command::Unsubscribe, Some(session)) => {
             let sub_id = frame.header("id").unwrap_or("0");
-            session.sub_ids.remove(sub_id);
             shared.broker.unsubscribe(&session.client_id, sub_id);
         }
         (Command::Send, Some(_)) => match frame_to_event(&frame) {

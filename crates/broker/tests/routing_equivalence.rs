@@ -1,16 +1,21 @@
-//! Oracle equivalence: the sharded exact-index/prefix-trie broker must be
+//! Oracle equivalence: the exact-index/prefix-trie broker must be
 //! observationally identical to a linear-scan reference ([`LinearBroker`]
-//! below) — same delivery sets per subscription, same publish return
+//! below) — same delivery sequences per subscription, same return
 //! values, same [`safeweb_broker::BrokerStats`] counters — across random
 //! mixes of exact/prefix topics, selectors, labels, clearances,
-//! replacements and unsubscribes. Only the complexity may differ.
+//! replacements and unsubscribes, including sequences that interleave
+//! them with publishes. Only the complexity may differ.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::thread;
 
 use proptest::prelude::*;
-use safeweb_broker::{Broker, BrokerOptions, Delivery, SubscriptionKey, TopicPattern};
+use safeweb_broker::{
+    Broker, BrokerOptions, Delivery, DeliverySink, SubscriptionKey, TopicPattern,
+};
 use safeweb_events::{Event, LabelledEvent};
 use safeweb_labels::{Label, Privilege, PrivilegeSet};
 use safeweb_selector::Selector;
@@ -25,8 +30,8 @@ struct LinearSub {
 
 /// A deliberately naive reference broker, the executable specification
 /// of matching and filtering: every publish scans every subscription and
-/// deep-clones the event per delivery — the pre-sharding implementation.
-/// Its counters count what the sharded broker's `BrokerStats` count.
+/// deep-clones the event per delivery — the seed's implementation. Its
+/// counters count what the indexed broker's `BrokerStats` count.
 struct LinearBroker {
     subs: Vec<LinearSub>,
     options: BrokerOptions,
@@ -77,6 +82,13 @@ impl LinearBroker {
         self.subs
             .retain(|s| s.key.0 != client || s.key.1 != subscription_id);
         self.subs.len() < before
+    }
+
+    /// Removes every subscription of `client`. Returns how many there were.
+    fn unsubscribe_all(&mut self, client: &str) -> usize {
+        let before = self.subs.len();
+        self.subs.retain(|s| s.key.0 != client);
+        before - self.subs.len()
     }
 
     /// Publishes one event; returns the number of deliveries made.
@@ -165,7 +177,7 @@ struct SubSpec {
 
 fn arb_sub() -> impl Strategy<Value = SubSpec> {
     (
-        prop_oneof![Just("u"), Just("v")],
+        arb_client(),
         0u8..5,
         arb_destination(),
         arb_selector(),
@@ -180,32 +192,65 @@ fn arb_sub() -> impl Strategy<Value = SubSpec> {
         })
 }
 
-/// Events get a unique `seq` attribute so delivery sequences can be
-/// compared exactly across both brokers.
-fn arb_events() -> impl Strategy<Value = Vec<LabelledEvent>> {
-    proptest::collection::vec(
-        (
-            arb_topic(),
-            0i64..10,
-            prop_oneof![Just("cancer"), Just("benign")],
-            arb_labels(),
-        ),
-        0..25,
+/// An event before its `seq`: topic, `n`, `type` and labels.
+type EventSpec = (String, i64, &'static str, Vec<Label>);
+
+fn arb_event() -> impl Strategy<Value = EventSpec> {
+    (
+        arb_topic(),
+        0i64..10,
+        prop_oneof![Just("cancer"), Just("benign")],
+        arb_labels(),
     )
-    .prop_map(|specs| {
+}
+
+/// Builds an event with the unique `seq` attribute that lets delivery
+/// sequences be compared exactly across both brokers.
+fn event(seq: usize, (topic, n, kind, labels): EventSpec) -> LabelledEvent {
+    Event::new(&topic)
+        .unwrap()
+        .with_attr("seq", &seq.to_string())
+        .with_attr("n", &n.to_string())
+        .with_attr("type", kind)
+        .with_labels(labels)
+}
+
+fn arb_events() -> impl Strategy<Value = Vec<LabelledEvent>> {
+    proptest::collection::vec(arb_event(), 0..25).prop_map(|specs| {
         specs
             .into_iter()
             .enumerate()
-            .map(|(seq, (topic, n, kind, labels))| {
-                Event::new(&topic)
-                    .unwrap()
-                    .with_attr("seq", &seq.to_string())
-                    .with_attr("n", &n.to_string())
-                    .with_attr("type", kind)
-                    .with_labels(labels)
-            })
+            .map(|(seq, spec)| event(seq, spec))
             .collect()
     })
+}
+
+/// One step of an interleaved operation sequence.
+#[derive(Debug, Clone)]
+enum Op {
+    Subscribe(SubSpec),
+    /// Re-subscribes the live key at this index (modulo the live count)
+    /// with the spec's destination, selector and clearance.
+    Resubscribe(usize, SubSpec),
+    Unsubscribe(&'static str, u8),
+    UnsubscribeAll(&'static str),
+    Publish(EventSpec),
+    PublishBatch(Vec<EventSpec>),
+}
+
+fn arb_client() -> impl Strategy<Value = &'static str> {
+    prop_oneof![Just("u"), Just("v")]
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        arb_sub().prop_map(Op::Subscribe),
+        (0usize..16, arb_sub()).prop_map(|(n, spec)| Op::Resubscribe(n, spec)),
+        (arb_client(), 0u8..5).prop_map(|(client, id)| Op::Unsubscribe(client, id)),
+        arb_client().prop_map(Op::UnsubscribeAll),
+        arb_event().prop_map(Op::Publish),
+        proptest::collection::vec(arb_event(), 0..6).prop_map(Op::PublishBatch),
+    ]
 }
 
 fn clearance_set(labels: &[Label]) -> PrivilegeSet {
@@ -221,6 +266,25 @@ fn drain(rx: &Receiver<Delivery>) -> Vec<String> {
     seqs
 }
 
+/// Subscribes `client`/`id` with `spec`'s destination, selector and
+/// clearance on both brokers; returns (indexed, oracle) receivers.
+fn subscribe_both(
+    indexed: &Broker,
+    linear: &mut LinearBroker,
+    client: &str,
+    id: &str,
+    spec: &SubSpec,
+) -> (Receiver<Delivery>, Receiver<Delivery>) {
+    let selector = spec
+        .selector
+        .as_deref()
+        .map(|src| Selector::parse(src).expect("pool selectors parse"));
+    let clearance = clearance_set(&spec.clearance);
+    let srx = indexed.subscribe(client, id, &spec.destination, selector.clone(), clearance);
+    let lrx = linear.subscribe(client, id, &spec.destination, selector, clearance);
+    (srx, lrx)
+}
+
 /// Builds both brokers from the same spec and returns per-key receivers.
 #[allow(clippy::type_complexity)]
 fn build(
@@ -232,48 +296,31 @@ fn build(
     LinearBroker,
     BTreeMap<SubscriptionKey, (Receiver<Delivery>, Receiver<Delivery>)>,
 ) {
-    let sharded = Broker::with_options(options.clone());
+    let indexed = Broker::with_options(options.clone());
     let mut linear = LinearBroker::with_options(options.clone());
     let mut receivers = BTreeMap::new();
     for spec in subs {
         let id = spec.id.to_string();
-        let selector = spec
-            .selector
-            .as_deref()
-            .map(|src| Selector::parse(src).expect("pool selectors parse"));
-        let srx = sharded.subscribe(
-            spec.client,
-            &id,
-            &spec.destination,
-            selector.clone(),
-            clearance_set(&spec.clearance),
-        );
-        let lrx = linear.subscribe(
-            spec.client,
-            &id,
-            &spec.destination,
-            selector,
-            clearance_set(&spec.clearance),
-        );
-        receivers.insert((spec.client.to_string(), id), (srx, lrx));
+        let pair = subscribe_both(&indexed, &mut linear, spec.client, &id, spec);
+        receivers.insert((spec.client.to_string(), id), pair);
     }
     // Unsubscribe the same pseudo-random subset from both sides.
     let keys: Vec<SubscriptionKey> = receivers.keys().cloned().collect();
     for (i, (client, id)) in keys.iter().enumerate() {
         if unsub_mask & (1 << (i % 32)) != 0 {
             assert_eq!(
-                sharded.unsubscribe(client, id),
+                indexed.unsubscribe(client, id),
                 linear.unsubscribe(client, id),
                 "unsubscribe({client}, {id}) existence must agree"
             );
             receivers.remove(&(client.clone(), id.clone()));
         }
     }
-    (sharded, linear, receivers)
+    (indexed, linear, receivers)
 }
 
-fn assert_stats_equal(sharded: &Broker, linear: &LinearBroker) -> Result<(), TestCaseError> {
-    let stats = sharded.stats();
+fn assert_stats_equal(indexed: &Broker, linear: &LinearBroker) -> Result<(), TestCaseError> {
+    let stats = indexed.stats();
     prop_assert_eq!(stats.published(), linear.published);
     prop_assert_eq!(stats.delivered(), linear.delivered);
     prop_assert_eq!(stats.label_filtered(), linear.label_filtered);
@@ -290,19 +337,18 @@ proptest! {
         events in arb_events(),
         unsub_mask in any::<u32>(),
     ) {
-        let (sharded, mut linear, receivers) = build(&subs, unsub_mask, &BrokerOptions::default());
+        let (indexed, mut linear, receivers) = build(&subs, unsub_mask, &BrokerOptions::default());
         for event in &events {
-            prop_assert_eq!(sharded.publish(event), linear.publish(event));
+            prop_assert_eq!(indexed.publish(event), linear.publish(event));
         }
         for ((client, id), (srx, lrx)) in &receivers {
             prop_assert_eq!(drain(srx), drain(lrx), "deliveries for ({}, {})", client, id);
         }
-        assert_stats_equal(&sharded, &linear)?;
+        assert_stats_equal(&indexed, &linear)?;
     }
 
-    /// Batch publishing delivers the same multiset per subscription as
-    /// the oracle's event-by-event scan (order is only guaranteed within
-    /// one topic, so sequences are compared sorted) with the same
+    /// Batch publishing delivers in batch order: the same sequence per
+    /// subscription as the oracle's event-by-event scan, with the same
     /// counters.
     #[test]
     fn batch_publish_matches_oracle(
@@ -310,20 +356,76 @@ proptest! {
         events in arb_events(),
         unsub_mask in any::<u32>(),
     ) {
-        let (sharded, mut linear, receivers) = build(&subs, unsub_mask, &BrokerOptions::default());
+        let (indexed, mut linear, receivers) = build(&subs, unsub_mask, &BrokerOptions::default());
         let mut linear_total = 0;
         for event in &events {
             linear_total += linear.publish(event);
         }
-        prop_assert_eq!(sharded.publish_batch(events), linear_total);
+        prop_assert_eq!(indexed.publish_batch(events), linear_total);
         for ((client, id), (srx, lrx)) in &receivers {
-            let mut got = drain(srx);
-            let mut want = drain(lrx);
-            got.sort();
-            want.sort();
-            prop_assert_eq!(got, want, "deliveries for ({}, {})", client, id);
+            prop_assert_eq!(drain(srx), drain(lrx), "deliveries for ({}, {})", client, id);
         }
-        assert_stats_equal(&sharded, &linear)?;
+        assert_stats_equal(&indexed, &linear)?;
+    }
+
+    /// Index maintenance under interleaving: subscribes, re-subscribes
+    /// of live keys, unsubscribes, disconnects and publishes in random
+    /// order. Every receiver ever handed out — replaced ones included —
+    /// sees the oracle's sequence, and every return value, the live
+    /// count and the counters agree after each step.
+    #[test]
+    fn interleaved_operations_match_oracle(
+        ops in proptest::collection::vec(arb_op(), 0..40),
+    ) {
+        let indexed = Broker::new();
+        let mut linear = LinearBroker::with_options(BrokerOptions::default());
+        let mut receivers = Vec::new();
+        let mut seq = 0;
+        for op in ops {
+            match op {
+                Op::Subscribe(spec) => {
+                    let (client, id) = (spec.client, spec.id.to_string());
+                    let pair = subscribe_both(&indexed, &mut linear, client, &id, &spec);
+                    receivers.push(((client.to_string(), id), pair));
+                }
+                Op::Resubscribe(n, spec) => {
+                    if linear.subs.is_empty() {
+                        continue;
+                    }
+                    let (client, id) = linear.subs[n % linear.subs.len()].key.clone();
+                    let pair = subscribe_both(&indexed, &mut linear, &client, &id, &spec);
+                    receivers.push(((client, id), pair));
+                }
+                Op::Unsubscribe(client, id) => {
+                    let id = id.to_string();
+                    prop_assert_eq!(indexed.unsubscribe(client, &id), linear.unsubscribe(client, &id));
+                }
+                Op::UnsubscribeAll(client) => {
+                    prop_assert_eq!(indexed.unsubscribe_all(client), linear.unsubscribe_all(client));
+                }
+                Op::Publish(spec) => {
+                    seq += 1;
+                    let event = event(seq, spec);
+                    prop_assert_eq!(indexed.publish(&event), linear.publish(&event));
+                }
+                Op::PublishBatch(specs) => {
+                    let mut batch = Vec::new();
+                    let mut linear_total = 0;
+                    for spec in specs {
+                        seq += 1;
+                        let event = event(seq, spec);
+                        linear_total += linear.publish(&event);
+                        batch.push(event);
+                    }
+                    prop_assert_eq!(indexed.publish_batch(batch), linear_total);
+                }
+            }
+            prop_assert_eq!(indexed.subscription_count(), linear.subs.len());
+        }
+        for ((client, id), (srx, lrx)) in &receivers {
+            prop_assert_eq!(drain(srx), drain(lrx), "deliveries for ({}, {})", client, id);
+        }
+        assert_stats_equal(&indexed, &linear)?;
     }
 
     /// The §5.3 baseline mode (label filtering off) stays equivalent too:
@@ -335,13 +437,69 @@ proptest! {
         events in arb_events(),
     ) {
         let options = BrokerOptions { label_filtering: false };
-        let (sharded, mut linear, receivers) = build(&subs, 0, &options);
+        let (indexed, mut linear, receivers) = build(&subs, 0, &options);
         for event in &events {
-            prop_assert_eq!(sharded.publish(event), linear.publish(event));
+            prop_assert_eq!(indexed.publish(event), linear.publish(event));
         }
         for ((client, id), (srx, lrx)) in &receivers {
             prop_assert_eq!(drain(srx), drain(lrx), "deliveries for ({}, {})", client, id);
         }
-        assert_stats_equal(&sharded, &linear)?;
+        assert_stats_equal(&indexed, &linear)?;
     }
+}
+
+fn counting_sink(count: &Arc<AtomicUsize>) -> DeliverySink {
+    let count = Arc::clone(count);
+    Box::new(move |_| {
+        count.fetch_add(1, Ordering::SeqCst);
+        true
+    })
+}
+
+/// A re-subscription is atomic to a concurrent publisher: while one
+/// thread flips a key between sinks A and B, each event published on
+/// another thread reaches exactly one of them — never both, never
+/// neither. The publisher keeps going until the flipper has made
+/// `FLIPS` flips, so the two overlap however the threads are scheduled.
+#[test]
+fn a_concurrent_resubscription_delivers_each_event_exactly_once() {
+    const EVENTS: usize = 10_000;
+    const FLIPS: usize = 1_000;
+    let broker = Broker::new();
+    let sinks = [Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0))];
+    let subscribe = |sink: &Arc<AtomicUsize>| {
+        broker.subscribe_sink(
+            "k",
+            "1",
+            "/t",
+            None,
+            PrivilegeSet::new(),
+            counting_sink(sink),
+        );
+    };
+    subscribe(&sinks[0]);
+    let flips = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    let start = Barrier::new(2);
+    let event = Event::new("/t").unwrap().with_labels([]);
+    let (mut published, mut delivered) = (0, 0);
+    thread::scope(|scope| {
+        scope.spawn(|| {
+            start.wait();
+            while !stop.load(Ordering::SeqCst) {
+                let n = flips.fetch_add(1, Ordering::SeqCst) + 1;
+                subscribe(&sinks[n % 2]);
+            }
+        });
+        start.wait();
+        while published < EVENTS || flips.load(Ordering::SeqCst) < FLIPS {
+            delivered += broker.publish(&event);
+            published += 1;
+        }
+        stop.store(true, Ordering::SeqCst);
+    });
+    assert_eq!(delivered, published);
+    let total = sinks[0].load(Ordering::SeqCst) + sinks[1].load(Ordering::SeqCst);
+    assert_eq!(total, published);
+    assert_eq!(broker.subscription_count(), 1);
 }

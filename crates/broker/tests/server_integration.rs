@@ -1,7 +1,7 @@
 //! Integration tests: full client ↔ TCP server ↔ broker flows, including
 //! label filtering across the network and failure handling.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use safeweb_broker::{Broker, BrokerServer, ClientError, EventClient};
 use safeweb_events::Event;
@@ -26,6 +26,24 @@ fn start_server() -> BrokerServer {
     BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap()
 }
 
+/// Polls `cond` until it holds; fails after 10 s.
+fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !cond() {
+        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// Waits until the server holds exactly `n` subscriptions: a client's
+/// SUBSCRIBE returns once the frame is written, not once it took effect.
+fn wait_for_subscriptions(server: &BrokerServer, n: usize) {
+    wait_for(
+        || server.broker().subscription_count() == n,
+        &format!("{n} subscriptions"),
+    );
+}
+
 #[test]
 fn end_to_end_publish_subscribe() {
     let server = start_server();
@@ -33,8 +51,7 @@ fn end_to_end_publish_subscribe() {
 
     let mut consumer = EventClient::connect(&addr, "mdt_a").unwrap();
     consumer.subscribe("/patient_report", None).unwrap();
-    // Give the subscription time to register before publishing.
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 1);
 
     let mut producer = EventClient::connect(&addr, "producer").unwrap();
     let event = Event::new("/patient_report")
@@ -63,7 +80,7 @@ fn label_filtering_enforced_over_network() {
     nosy.subscribe("/patient_report", None).unwrap();
     let mut cleared = EventClient::connect(&addr, "mdt_a").unwrap();
     cleared.subscribe("/patient_report", None).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 2);
 
     let mut producer = EventClient::connect(&addr, "producer").unwrap();
     producer
@@ -94,7 +111,7 @@ fn selector_filtering_over_network() {
     consumer
         .subscribe("/patient_report", Some("type = 'cancer'"))
         .unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 1);
 
     let mut producer = EventClient::connect(&addr, "producer").unwrap();
     for t in ["benign", "cancer"] {
@@ -129,9 +146,9 @@ fn unsubscribe_stops_flow() {
     let addr = server.addr().to_string();
     let mut consumer = EventClient::connect(&addr, "producer").unwrap();
     let sub = consumer.subscribe("/t", None).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 1);
     consumer.unsubscribe(&sub).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 0);
 
     let mut producer = EventClient::connect(&addr, "producer").unwrap();
     producer
@@ -149,11 +166,9 @@ fn disconnect_cleans_up_subscriptions() {
     let addr = server.addr().to_string();
     let mut consumer = EventClient::connect(&addr, "mdt_a").unwrap();
     consumer.subscribe("/t", None).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
-    assert_eq!(server.broker().subscription_count(), 1);
+    wait_for_subscriptions(&server, 1);
     consumer.disconnect().unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(server.broker().subscription_count(), 0);
+    wait_for_subscriptions(&server, 0);
 }
 
 use safeweb_reactor::sys::os_thread_count as thread_count;
@@ -174,8 +189,7 @@ fn idle_subscribers_do_not_cost_threads() {
             c
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(server.broker().subscription_count(), 101);
+    wait_for_subscriptions(&server, 101);
 
     // The seed spent ≥3 threads per connection; the reactor holds them
     // as registered fds. Allow generous slack for unrelated test threads.
@@ -211,11 +225,14 @@ fn abrupt_disconnects_do_not_stop_the_accept_loop() {
         let s = std::net::TcpStream::connect(server.addr()).unwrap();
         drop(s);
     }
-    std::thread::sleep(Duration::from_millis(100));
+    wait_for(
+        || server.active_connections() == 0,
+        "the burst to be torn down",
+    );
 
     let mut consumer = EventClient::connect(&addr, "mdt_a").unwrap();
     consumer.subscribe("/t", None).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 1);
     let mut producer = EventClient::connect(&addr, "producer").unwrap();
     producer
         .publish(&Event::new("/t").unwrap().with_labels([]))
@@ -244,8 +261,7 @@ fn slow_consumer_is_disconnected_not_buffered_unboundedly() {
             .with_header("id", "1"),
     )
     .unwrap();
-    std::thread::sleep(Duration::from_millis(100));
-    assert_eq!(server.broker().subscription_count(), 1);
+    wait_for_subscriptions(&server, 1);
 
     // Flood well past the outbound cap without the subscriber reading.
     let mut producer = EventClient::connect(&addr, "producer").unwrap();
@@ -265,15 +281,7 @@ fn slow_consumer_is_disconnected_not_buffered_unboundedly() {
     // Backpressure policy: the slow consumer is dropped and its
     // subscription cleaned up, rather than the broker buffering ~entire
     // flood on its behalf.
-    let mut gone = false;
-    for _ in 0..100 {
-        if server.broker().subscription_count() == 0 {
-            gone = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-    assert!(gone, "slow consumer was never disconnected");
+    wait_for_subscriptions(&server, 0);
 }
 
 #[test]
@@ -284,7 +292,7 @@ fn multiple_subscriptions_are_disambiguated_by_id() {
     let sub_a = consumer.subscribe("/a", None).unwrap();
     let sub_b = consumer.subscribe("/b", None).unwrap();
     assert_ne!(sub_a, sub_b);
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 2);
 
     let mut producer = EventClient::connect(&addr, "producer").unwrap();
     producer
