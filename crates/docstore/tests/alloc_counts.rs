@@ -10,10 +10,10 @@
 //! * after serialising a 1 MiB value, the thread keeps at most
 //!   `SCRATCH_RETAIN` bytes of scratch;
 //! * parsing or cloning the 12-member case record the benchmark stores
-//!   allocates once, its member vector: its keys are interned and its
+//!   allocates once, its member slice: its keys are interned and its
 //!   string values are stored inline — no tree nodes, no capacity
-//!   doublings, no `String` per key or value — and dropping it frees
-//!   every byte.
+//!   doublings, no `String` per key or value — it owns at most 480 bytes
+//!   (40 a member), and dropping it frees every byte.
 //!
 //! Counts are per thread, so the harness's other test threads do not
 //! disturb them.
@@ -124,9 +124,9 @@ fn a_large_output_leaves_at_most_the_scratch_cap_behind() {
 /// completeness and the update marker — 12 members, 8 of them strings.
 const STORED_RECORD: &str = r#"{"birth_year":1947,"case_id":"1234","completeness":100.0,"diagnosed":2004,"hospital_id":"1","marker":98765,"mdt_id":"mdt-3","name":"patient-33812769","region_id":"0","site":"lung","stage":"II","treatment":"surgery"}"#;
 
-/// The heap bytes `value` owns: each object's member vector and each
-/// array's element vector at their lengths, plus every string too long to
-/// be stored inline. Keys own nothing: the record's are interned.
+/// The heap bytes `value` owns: each object's member slice and each
+/// array's element slice, plus every string too long to be stored
+/// inline. Keys own nothing: the record's are interned.
 fn owned_bytes(value: &Value) -> usize {
     match value {
         Value::Str(s) if s.is_inline() => 0,
@@ -154,7 +154,7 @@ fn a_case_record_parses_and_clones_in_one_allocation_per_object_and_string() {
     assert_eq!(fields.len(), 12);
     let strings = fields.values().filter(|v| v.as_str().is_some()).count();
     assert_eq!(strings, 8);
-    // One member vector; the keys are interned, the strings inline.
+    // One member slice; the keys are interned, the strings inline.
     assert_eq!(parse, 1);
     assert!(fields
         .values()
@@ -162,6 +162,7 @@ fn a_case_record_parses_and_clones_in_one_allocation_per_object_and_string() {
         .all(|s| s.len() <= safeweb_json::INLINE_MAX));
     // Exact sizes: nothing held beyond what the record owns.
     let owned = owned_bytes(&record) as i64;
+    assert!(owned <= 480, "the record owns {owned} bytes");
     assert_eq!(thread_held_bytes() - held_before, owned);
 
     let (copy, clone) = counted(|| record.clone());

@@ -189,7 +189,7 @@ fn arb_body() -> impl Strategy<Value = Value> {
     ];
     leaf.prop_recursive(3, 32, 4, |inner| {
         prop_oneof![
-            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+            proptest::collection::vec(inner.clone(), 0..4).prop_map(Value::from),
             // Members in any order, a key possibly twice: the object keeps
             // its last value, as parsing the same text would.
             proptest::collection::vec((arb_text(true), inner), 0..4).prop_map(Value::from_iter),

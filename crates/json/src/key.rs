@@ -4,9 +4,10 @@
 //! system stores, and a `String` per key made them a third of a parsed
 //! record's allocations. A [`Key`] is either a `&'static String` from the
 //! intern table — copying one is copying a pointer — or, past the table's
-//! caps, an owned `String`. Both compare and order by their text, so
-//! which one a key is never shows in a lookup, an encoding or an
-//! equality.
+//! caps, a boxed `String` of its own. Both compare and order by their
+//! text, so which one a key is never shows in a lookup, an encoding or an
+//! equality. Either is one pointer and a tag, 16 bytes, so an object
+//! member — a key and a [`Value`](crate::Value) — is 40 bytes.
 //!
 //! The table is bounded: only keys of at most [`INTERN_MAX_LEN`] bytes are
 //! interned, and at most [`INTERN_MAX_KEYS`] of them, so a peer sending
@@ -102,16 +103,17 @@ fn intern(text: &str) -> Option<&'static String> {
 }
 
 /// A JSON object key: a `&'static String` from one bounded process-wide
-/// intern table, or an owned `String`. It is the size of a `String`,
-/// dereferences to one, and compares and orders as its text, so which
-/// kind a key is never shows.
+/// intern table, or a boxed `String` of its own. It is 16 bytes, two
+/// thirds of a `String`, dereferences to a `String`, and compares and
+/// orders as its text, so which kind a key is never shows.
 ///
 /// A key is interned when it is at most [`INTERN_MAX_LEN`] bytes long
 /// and the table holds it or has room for it: at most
 /// [`INTERN_MAX_KEYS`] keys, about 74 KB. Any other key is stored owned,
-/// which is always correct. Interned keys live as long as the process,
-/// as string literals do; a per-thread cache answers repeated keys
-/// without taking the table's lock.
+/// which is always correct and costs a box beside its text. Interned
+/// keys live as long as the process, as string literals do; a
+/// per-thread cache answers repeated keys without taking the table's
+/// lock.
 ///
 /// ```
 /// use safeweb_json::Key;
@@ -129,7 +131,10 @@ pub struct Key(Repr);
 #[derive(Clone)]
 enum Repr {
     Interned(&'static String),
-    Owned(String),
+    // Boxed, so a key is a pointer and a tag, like an interned one, and
+    // still dereferences to a `String`; owned keys are the rare ones.
+    #[allow(clippy::box_collection)]
+    Owned(Box<String>),
 }
 
 impl Key {
@@ -148,7 +153,7 @@ impl Key {
     pub fn into_string(self) -> String {
         match self.0 {
             Repr::Interned(key) => key.clone(),
-            Repr::Owned(key) => key,
+            Repr::Owned(key) => *key,
         }
     }
 }
@@ -169,7 +174,7 @@ impl From<&str> for Key {
     fn from(text: &str) -> Key {
         match intern(text) {
             Some(key) => Key(Repr::Interned(key)),
-            None => Key(Repr::Owned(text.to_owned())),
+            None => Key(Repr::Owned(Box::new(text.to_owned()))),
         }
     }
 }
@@ -179,7 +184,7 @@ impl From<String> for Key {
     fn from(text: String) -> Key {
         match intern(&text) {
             Some(key) => Key(Repr::Interned(key)),
-            None => Key(Repr::Owned(text)),
+            None => Key(Repr::Owned(Box::new(text))),
         }
     }
 }
@@ -224,8 +229,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_key_is_as_small_as_a_string() {
-        assert_eq!(std::mem::size_of::<Key>(), std::mem::size_of::<String>());
+    fn a_key_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 16);
     }
 
     #[test]

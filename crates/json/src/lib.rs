@@ -9,31 +9,32 @@
 //! include `serde_json`, and because deterministic (sorted-key) encoding is
 //! required for document revision hashing.
 //!
-//! An object is a [`Map`]: its members in one key-sorted
-//! `Vec<(Key, Value)>`, looked up by a linear scan up to 32 members and
+//! An object is a [`Map`]: its members in one key-sorted, exact-size
+//! `Box<[(Key, Value)]>`, looked up by a linear scan up to 32 members and
 //! by binary search above that. The application store and its DMZ
 //! replica hold every document body as such a tree, so the tree's size
 //! is the stores' size, and every hop of an event — the units' parses,
 //! the put, the replica's deep copy, snapshot replay — builds one.
 //!
-//! A parsed object is **one allocation**, its member vector at exact
-//! size (56 bytes a member):
+//! A parsed object is **one allocation**, its member slice (40 bytes a
+//! member: a 16-byte key and a 24-byte value):
 //!
 //! * a key is a [`Key`]: interned in a bounded process-wide table (keys
 //!   of at most [`INTERN_MAX_LEN`] = 32 bytes, at most
 //!   [`INTERN_MAX_KEYS`] = 1 024 of them), so a parse or a clone copies a
-//!   pointer. Past either cap a key is an owned `String`, which is always
-//!   correct; [`interned_keys`] reports the table's fill;
+//!   pointer. Past either cap a key is a boxed `String` of its own, which
+//!   is always correct; [`interned_keys`] reports the table's fill;
 //! * a string value is a [`Str`]: up to [`INLINE_MAX`] = 22 bytes inline,
-//!   one exact-size box above. It is 24 bytes, the size of a `String`, so
-//!   a [`Value`] stays 32 bytes.
+//!   one exact-size box above. It is 24 bytes, and every other variant
+//!   fits beside its tag (an array is a boxed slice, an object a 16-byte
+//!   `Map`), so a [`Value`] is 24 bytes too.
 //!
 //! A `String` per key and per string value was the cost: the same dozen
 //! words key every stored case record, and every string value in one is
 //! at most 16 bytes, yet a 12-member record took 21 allocations to parse
 //! and 21 more to clone. It now takes one each. (Before that, a
 //! `BTreeMap` per object cost the record three B-tree nodes, about
-//! 1.9 KB, where a `Map` costs one 672-byte vector.)
+//! 1.9 KB, where a `Map` costs one 480-byte slice.)
 //!
 //! Keys compare and sort by their text, interned or owned, so encoding,
 //! ordering, equality and the document store's revision digests are as

@@ -1,13 +1,18 @@
-//! The JSON object: its members in one key-sorted vector.
+//! The JSON object: its members in one key-sorted, exact-size slice.
 //!
 //! A `BTreeMap<String, Value>` node per object was the cost this type
 //! removes. A 12-member case record needed three B-tree nodes (about
 //! 1.9 KB) beside its key and value strings, and every stored body, every
 //! replica copy and every parse of a case built such a tree. A [`Map`]
-//! is one `Vec<(Key, Value)>`: a parsed object is one allocation at
-//! exact capacity (56 bytes a member), cloning it is one more, and
+//! is one `Box<[(Key, Value)]>`: a parsed object is one allocation of
+//! exactly its members (40 bytes each), cloning it is one more, and
 //! iteration is a walk over contiguous memory. Its keys are [`Key`]s,
 //! interned, so neither a parse nor a clone allocates per key.
+//!
+//! The slice has no spare capacity, and the `Map` is 16 bytes, not a
+//! `Vec`'s 24: an insert of a new key or a remove reallocates it once,
+//! to its new exact size. Stored objects are built whole — parsed, or
+//! collected — and rarely edited, so that is the cheap side to pay on.
 //!
 //! Members stay sorted by key, so encoding in key order, equality that
 //! ignores the order members were written in, and byte-identical
@@ -45,15 +50,13 @@ const LINEAR_MAX: usize = 32;
 /// ```
 #[derive(Clone, Default, PartialEq)]
 pub struct Map {
-    members: Vec<(Key, Value)>,
+    members: Box<[(Key, Value)]>,
 }
 
 impl Map {
     /// An empty object; allocates nothing.
     pub fn new() -> Map {
-        Map {
-            members: Vec::new(),
-        }
+        Map::default()
     }
 
     /// The number of members.
@@ -87,23 +90,32 @@ impl Map {
         self.index_of(key).map(|i| &mut self.members[i].1)
     }
 
-    /// Sets `key` to `value`, returning the value it replaces. A new key
-    /// is interned (see [`Key`]) and inserted at its sorted position.
+    /// Sets `key` to `value`, returning the value it replaces, in place.
+    /// A new key is interned (see [`Key`]) and inserted at its sorted
+    /// position, reallocating the members once, to one more.
     pub fn insert(&mut self, key: impl Into<Key> + AsRef<str>, value: Value) -> Option<Value> {
         match self.index_of(key.as_ref()) {
             Some(i) => Some(std::mem::replace(&mut self.members[i].1, value)),
             None => {
                 let key = key.into();
                 let at = self.members.partition_point(|(k, _)| *k < key);
-                self.members.insert(at, (key, value));
+                let mut members = std::mem::take(&mut self.members).into_vec();
+                members.reserve_exact(1);
+                members.insert(at, (key, value));
+                self.members = members.into_boxed_slice();
                 None
             }
         }
     }
 
-    /// Removes `key`'s member, returning its value.
+    /// Removes `key`'s member, returning its value; reallocates the
+    /// members once, to one fewer.
     pub fn remove(&mut self, key: &str) -> Option<Value> {
-        self.index_of(key).map(|i| self.members.remove(i).1)
+        let i = self.index_of(key)?;
+        let mut members = std::mem::take(&mut self.members).into_vec();
+        let (_, value) = members.remove(i);
+        self.members = members.into_boxed_slice();
+        Some(value)
     }
 
     /// The members in key order.
@@ -125,7 +137,7 @@ impl Map {
     /// them: sorted by key, and for a key written more than once its last
     /// value, as successive inserts would leave it. Members already in
     /// strictly ascending key order — what this crate's encoder writes —
-    /// are taken as they are.
+    /// are taken as they are. The result holds exactly its members.
     pub(crate) fn from_members(mut members: Vec<(Key, Value)>) -> Map {
         if !members.windows(2).all(|w| w[0].0 < w[1].0) {
             // Stable, so a key's duplicates stay in the order written.
@@ -139,9 +151,10 @@ impl Map {
                 }
                 same
             });
-            members.shrink_to_fit();
         }
-        Map { members }
+        Map {
+            members: members.into_boxed_slice(),
+        }
     }
 }
 
@@ -155,9 +168,7 @@ impl<K: Into<Key>> FromIterator<(K, Value)> for Map {
     /// Members in any order, a key possibly more than once: the last
     /// value written for a key wins.
     fn from_iter<I: IntoIterator<Item = (K, Value)>>(iter: I) -> Map {
-        let mut members: Vec<_> = iter.into_iter().map(|(k, v)| (k.into(), v)).collect();
-        members.shrink_to_fit();
-        Map::from_members(members)
+        Map::from_members(iter.into_iter().map(|(k, v)| (k.into(), v)).collect())
     }
 }
 
@@ -167,7 +178,7 @@ impl IntoIterator for Map {
 
     /// The members in key order, by value.
     fn into_iter(self) -> IntoIter {
-        IntoIter(self.members.into_iter())
+        IntoIter(self.members.into_vec().into_iter())
     }
 }
 
@@ -231,7 +242,6 @@ mod tests {
                 .collect(),
         );
         assert_eq!(format!("{m:?}"), r#"{"a": Int(4), "b": Int(3)}"#);
-        assert_eq!(m.members.capacity(), 2);
     }
 
     /// Past `LINEAR_MAX` members lookups binary-search; both paths agree.

@@ -209,7 +209,7 @@ impl<'a> Parser<'a> {
         self.skip_ws();
         if self.peek() == Some(b']') {
             self.pos += 1;
-            return Ok(Value::Array(items));
+            return Ok(Value::array());
         }
         loop {
             self.skip_ws();
@@ -217,7 +217,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
-                Some(b']') => return Ok(Value::Array(items)),
+                Some(b']') => return Ok(Value::Array(items.into_boxed_slice())),
                 _ => return Err(self.err("expected `,` or `]` in array")),
             }
         }
@@ -386,7 +386,7 @@ mod tests {
         assert_eq!(
             v,
             jobject! {
-                "a" => Value::Array(vec![Value::Int(1), jobject!{"b" => Value::Null}]),
+                "a" => Value::from(vec![Value::Int(1), jobject!{"b" => Value::Null}]),
                 "c" => "x",
             }
         );

@@ -287,7 +287,7 @@ mod tests {
     #[test]
     fn roundtrip_preserves_value() {
         let v = jobject! {
-            "nested" => jobject!{"list" => Value::Array(vec![
+            "nested" => jobject!{"list" => Value::from(vec![
                 Value::Int(-5), Value::Float(1.25), Value::from("é✓"), Value::Null, Value::Bool(true),
             ])},
         };

@@ -4,8 +4,9 @@
 //! `String` each made them, with the keys, nearly all of a parsed
 //! record's allocations. A [`Str`] keeps up to [`INLINE_MAX`] bytes in
 //! place and boxes longer text at its exact length. It is 24 bytes, the
-//! size of the `String` it replaces, so a [`Value`](crate::Value) stays
-//! 32 bytes.
+//! size of the `String` it replaces, and its tag byte has values to
+//! spare: a [`Value`](crate::Value) keeps its own tag there and is 24
+//! bytes as well.
 //!
 //! Inline bytes are only ever copied from a `&str`, and reading them back
 //! as text re-checks them with `std::str::from_utf8`: the crate forbids

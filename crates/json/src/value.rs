@@ -6,12 +6,14 @@ use crate::key::Key;
 use crate::map::Map;
 use crate::text::Str;
 
-/// A JSON document node.
+/// A JSON document node, 24 bytes.
 ///
 /// Objects are a [`Map`], which keeps its members sorted by key so that
 /// serialisation is deterministic — the document store relies on
 /// byte-identical re-serialisation for revision hashing and replication
-/// comparison.
+/// comparison. An array is an exact-size boxed slice and an object a
+/// 16-byte [`Map`], so the largest variant is a [`Str`]: its unused tag
+/// values carry this enum's own, and an object member is 40 bytes.
 ///
 /// ```
 /// use safeweb_json::Value;
@@ -33,8 +35,8 @@ pub enum Value {
     Float(f64),
     /// A JSON string, inline up to 22 bytes (see [`Str`]).
     Str(Str),
-    /// A JSON array.
-    Array(Vec<Value>),
+    /// A JSON array (build one from a `Vec` with [`Value::from`]).
+    Array(Box<[Value]>),
     /// A JSON object, its members sorted by key.
     Object(Map),
 }
@@ -47,7 +49,7 @@ impl Value {
 
     /// Shorthand for an empty array.
     pub fn array() -> Value {
-        Value::Array(Vec::new())
+        Value::Array(Box::default())
     }
 
     /// Whether this is `null`.
@@ -99,14 +101,6 @@ impl Value {
 
     /// The array payload, if this is an `Array`.
     pub fn as_array(&self) -> Option<&[Value]> {
-        match self {
-            Value::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the array payload.
-    pub fn as_array_mut(&mut self) -> Option<&mut Vec<Value>> {
         match self {
             Value::Array(a) => Some(a),
             _ => None,
@@ -290,7 +284,7 @@ impl<K: Into<Key>> FromIterator<(K, Value)> for Value {
 /// let v = jobject! {
 ///     "patient_id" => 33812769,
 ///     "name" => "A. Patient",
-///     "metrics" => Value::Array(vec![Value::Int(1), Value::Int(2)]),
+///     "metrics" => Value::from(vec![1, 2]),
 /// };
 /// assert_eq!(v.get("patient_id").and_then(Value::as_i64), Some(33812769));
 /// ```
@@ -331,7 +325,7 @@ mod tests {
     #[test]
     fn pointer_walks_nested_structure() {
         let v = jobject! {
-            "records" => Value::Array(vec![jobject! {"id" => 7}]),
+            "records" => Value::from(vec![jobject! {"id" => 7}]),
         };
         assert_eq!(v.pointer("records/0/id").and_then(Value::as_i64), Some(7));
         assert!(v.pointer("records/1/id").is_none());
@@ -375,12 +369,13 @@ mod tests {
         Value::array().set("x", 1);
     }
 
-    /// A string value fits where a `String` did, and a member stays one
-    /// key and one value.
+    /// A value is its largest variant, a `Str`, with no tag of its own,
+    /// and a member stays one key and one value.
     #[test]
-    fn a_value_is_32_bytes_and_a_member_56() {
-        assert_eq!(std::mem::size_of::<Value>(), 32);
-        assert_eq!(std::mem::size_of::<(Key, Value)>(), 56);
+    fn a_value_is_24_bytes_and_a_member_40() {
+        assert_eq!(std::mem::size_of::<Value>(), std::mem::size_of::<Str>());
+        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<(Key, Value)>(), 40);
     }
 
     #[test]

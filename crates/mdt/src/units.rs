@@ -144,8 +144,11 @@ fn read_cases(registry: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
 ///
 /// "For the sake of simplicity, we use only MDT-level labels as these are
 /// sufficient to satisfy our security requirements" (§5.1).
+///
+/// The joined rows are released once the last batch is published (about
+/// 4.7 MiB at 10 000 cases); later ticks publish nothing.
 pub fn data_producer(registry: Database, mdts: Vec<MdtInfo>, config: ProducerConfig) -> UnitSpec {
-    let cases = read_cases(&registry, &mdts);
+    let mut cases = read_cases(&registry, &mdts);
     let mut cursor = 0usize;
     UnitSpec::new("data_producer").every(config.interval, move |jail| {
         // Privileged: reading the registry is I/O outside the jail.
@@ -192,6 +195,10 @@ pub fn data_producer(registry: Database, mdts: Vec<MdtInfo>, config: ProducerCon
             }
         }
         cursor = end;
+        if cursor == cases.len() {
+            cases = Vec::new();
+            cursor = 0;
+        }
         Ok(())
     })
 }
@@ -667,5 +674,61 @@ mod tests {
                 (5, Some("untreated"), "lymph", Some("IV"), None),
             ]
         );
+    }
+
+    /// The producer publishes every case's events in registry order, in
+    /// batches, and once the import is done its ticks publish nothing.
+    #[test]
+    fn ticks_after_the_import_publish_nothing() {
+        use std::sync::Arc;
+
+        use safeweb_core::broker::Broker;
+        use safeweb_engine::Engine;
+        use safeweb_labels::{Privilege, PrivilegeSet};
+
+        let db = registry::generate(&RegistryConfig {
+            patients_per_mdt: 3,
+            ..RegistryConfig::default()
+        });
+        let mdts = registry::list_mdts(&db);
+        let expected: Vec<(String, String)> = read_cases(&db, &mdts)
+            .iter()
+            .flat_map(|case| {
+                let kinds: &[&str] = match case.treatment {
+                    Some(_) => &["patient", "tumour", "treatment"],
+                    None => &["patient", "tumour"],
+                };
+                kinds
+                    .iter()
+                    .map(|kind| (case.patient_id.to_string(), kind.to_string()))
+            })
+            .collect();
+        let mut observer = PrivilegeSet::new();
+        for mdt in &mdts {
+            observer.grant(Privilege::clearance(mdt_label(&mdt.name)));
+        }
+
+        let broker = Broker::new();
+        let policy = "unit data_producer {\n    privileged\n}\n".parse().unwrap();
+        let mut engine = Engine::new(Arc::new(broker.clone()), policy);
+        let config = ProducerConfig {
+            interval: Duration::from_millis(2),
+            batch: 4,
+        };
+        engine.add_unit(data_producer(db, mdts, config)).unwrap();
+        let rx = broker.subscribe("observer", "1", PATIENT_REPORT_TOPIC, None, observer);
+        let handle = engine.start().unwrap();
+        let published: Vec<(String, String)> = (0..expected.len())
+            .map(|_| {
+                let delivery = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+                let event = delivery.event.event();
+                let attr = |name| event.attr(name).unwrap().to_string();
+                (attr("case_id"), attr("kind"))
+            })
+            .collect();
+        assert_eq!(published, expected);
+        // About 50 more ticks.
+        assert!(rx.recv_timeout(Duration::from_millis(100)).is_err());
+        assert!(handle.stop().is_empty());
     }
 }

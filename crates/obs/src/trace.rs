@@ -197,14 +197,10 @@ impl Tracer {
 
     /// [`Tracer::trace`] rendered as JSON (the `/__obs/trace/:id` body).
     pub fn trace_json(&self, id: TraceId) -> Value {
-        let spans = self.trace(id);
-        let mut arr = Value::array();
-        if let Some(items) = arr.as_array_mut() {
-            items.extend(spans.iter().map(Span::to_json));
-        }
+        let spans = self.trace(id).iter().map(Span::to_json).collect();
         let mut out = Value::object();
         out.set("trace", id.to_string());
-        out.set("spans", arr);
+        out.set("spans", Value::Array(spans));
         out
     }
 }

@@ -166,7 +166,7 @@ mod tests {
     #[test]
     fn array_access() {
         let doc = SValue::labelled(
-            safeweb_json::Value::Array(vec![jobject! {"id" => 1}, jobject! {"id" => 2}]),
+            safeweb_json::Value::from(vec![jobject! {"id" => 1}, jobject! {"id" => 2}]),
             [patient()],
         );
         assert_eq!(doc.array_len(), Some(2));

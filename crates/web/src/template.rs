@@ -362,7 +362,7 @@ fn render_nodes<'a>(
                     // An array inside a document: its elements carry the
                     // document's labels.
                     Resolved::Json(Some(Value::Array(items)), labels) => {
-                        for item in items {
+                        for item in items.iter() {
                             row(scope, item, labels)?;
                         }
                     }

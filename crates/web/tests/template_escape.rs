@@ -312,7 +312,7 @@ fn nested_loops() {
         TValue::Docs(docs(vec![(
             jobject! {
                 "name" => "a",
-                "patients" => Value::Array(vec![jobject! {"id" => 1}, jobject! {"id" => 2}]),
+                "patients" => Value::from(vec![jobject! {"id" => 1}, jobject! {"id" => 2}]),
             },
             LabelSet::singleton(patient_label()),
         )])),
