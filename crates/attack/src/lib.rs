@@ -27,9 +27,11 @@
 
 pub mod campaign;
 pub mod corpus;
+pub mod flood;
 mod oracle;
 pub mod rig;
 
 pub use campaign::{run_campaign, seed_from_env, CampaignReport, Family, DEFAULT_SEED};
+pub use flood::{run_intern_flood, FloodReport};
 pub use oracle::CanarySet;
 pub use rig::{AttackRig, BackgroundLoad, RigOptions};

@@ -10,13 +10,13 @@ use safeweb_bench::{count_crate, workspace_root};
 /// Code lines per audited crate (`crates/<name>/src`).
 const CRATE_MAX: [(&str, usize); 5] = [
     ("taint", 405),
-    ("engine", 770),
-    ("labels", 1187),
-    ("broker", 863),
+    ("engine", 785),
+    ("labels", 1162),
+    ("broker", 868),
     ("web", 985),
 ];
 /// Taint + engine + labels + broker + web code lines.
-const TCB_MAX: usize = 4210;
+const TCB_MAX: usize = 4205;
 
 #[test]
 fn audited_core_stays_under_its_ceiling() {

@@ -20,6 +20,11 @@ pub const DESTINATION_HEADER: &str = "destination";
 pub const SUBSCRIPTION_HEADER: &str = "subscription";
 /// Header carrying a content-based subscription selector.
 pub const SELECTOR_HEADER: &str = "selector";
+/// Label sets this process may hold before a frame's label set is refused
+/// unless already interned: room for four times the 947 the MDT deployment
+/// interns. The intern table never evicts, so without this cap a peer
+/// cycling label URIs would grow it, and the process, without bound.
+pub const WIRE_INTERN_CAP: usize = 4096;
 
 /// Error converting a frame into an event.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +33,8 @@ pub enum WireError {
     MissingDestination,
     /// The labels header did not parse.
     BadLabels(String),
+    /// The label set is novel and the intern table is at [`WIRE_INTERN_CAP`].
+    LabelTableFull,
     /// The body is not valid UTF-8 (event payloads are untyped *strings*).
     BadBody,
     /// The attributes were invalid as event attributes.
@@ -39,6 +46,7 @@ impl fmt::Display for WireError {
         match self {
             WireError::MissingDestination => write!(f, "frame has no destination header"),
             WireError::BadLabels(s) => write!(f, "malformed labels header: {s}"),
+            WireError::LabelTableFull => write!(f, "label set refused: intern table full"),
             WireError::BadBody => write!(f, "event body is not valid UTF-8"),
             WireError::BadEvent(e) => write!(f, "invalid event: {e}"),
         }
@@ -77,7 +85,8 @@ pub fn event_to_frame(event: &LabelledEvent, command: Command) -> Frame {
 /// # Errors
 ///
 /// Returns [`WireError`] when the destination is missing, the labels
-/// header is malformed, the body is not UTF-8, or an attribute is invalid.
+/// header is malformed or names a novel set past [`WIRE_INTERN_CAP`], the
+/// body is not UTF-8, or an attribute is invalid.
 pub fn frame_to_event(frame: &Frame) -> Result<LabelledEvent, WireError> {
     let topic = frame
         .header(DESTINATION_HEADER)
@@ -104,7 +113,9 @@ pub fn frame_to_event(frame: &Frame) -> Result<LabelledEvent, WireError> {
     }
 
     let labels = match frame.header(LABELS_HEADER) {
-        Some(wire) => LabelSet::from_wire(wire).map_err(|e| WireError::BadLabels(e.to_string()))?,
+        Some(wire) => LabelSet::from_wire_within(wire, WIRE_INTERN_CAP)
+            .map_err(|e| WireError::BadLabels(e.to_string()))?
+            .ok_or(WireError::LabelTableFull)?,
         None => LabelSet::new(),
     };
     Ok(event.with_label_set(labels))

@@ -17,6 +17,8 @@
 //! and batched flushing of each activation's published events in one
 //! broker pass.
 
+use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -232,7 +234,7 @@ impl Engine {
                 // One publish sink per activation: everything the burst's
                 // callbacks emit flushes to the broker in a single
                 // batched pass.
-                let sink = BufferedBusSink::new();
+                let sink = BufferedBusSink::default();
                 let mut failures: Vec<UnitError> = Vec::new();
                 for msg in batch.drain(..) {
                     let outcome =
@@ -250,7 +252,6 @@ impl Engine {
                                 let _scope = safeweb_obs::trace_scope(trace);
                                 let span_start = safeweb_obs::now_ns();
                                 let mut jail = Jail::new(
-                                    &unit_name,
                                     initial,
                                     &jail_privileges,
                                     privileged,
@@ -271,7 +272,6 @@ impl Engine {
                             }
                             UnitMsg::Timer { timer } => {
                                 let mut jail = Jail::new(
-                                    &unit_name,
                                     LabelSet::new(),
                                     &jail_privileges,
                                     privileged,
@@ -511,21 +511,28 @@ fn flush_activation(
 /// inside [`Jail::publish`] — an event only reaches the buffer if its
 /// relabelling was permitted, so batching changes delivery timing, not
 /// policy enforcement.
+///
+/// An event published with [`Jail::publish_latest`] drops the event
+/// buffered last under the same key when both have the same topic and
+/// the same interned label set: the activation flushes only the newest
+/// value, in the newest event's place.
+#[derive(Default)]
 struct BufferedBusSink {
-    buffer: std::cell::RefCell<Vec<LabelledEvent>>,
+    /// Events in publish order; a superseded one leaves `None`.
+    events: RefCell<Vec<Option<LabelledEvent>>>,
+    /// Index in `events` of the event last published under each key.
+    latest: RefCell<HashMap<String, usize>>,
 }
 
 impl BufferedBusSink {
-    fn new() -> BufferedBusSink {
-        BufferedBusSink {
-            buffer: std::cell::RefCell::new(Vec::new()),
-        }
-    }
-
-    /// Flushes buffered events; reports transport failures as violations
-    /// against `unit`.
+    /// Flushes the surviving buffered events; reports transport failures
+    /// as violations against `unit`.
     fn flush(&self, bus: &dyn EventBus, unit: &str, violations: &Mutex<Vec<Violation>>) {
-        let events = std::mem::take(&mut *self.buffer.borrow_mut());
+        self.latest.borrow_mut().clear();
+        // `filter_map` collects in place (`Option<LabelledEvent>` has the
+        // event's size), where `flatten` would allocate a second vector.
+        #[allow(clippy::filter_map_identity)]
+        let events: Vec<LabelledEvent> = self.events.take().into_iter().filter_map(|e| e).collect();
         if events.is_empty() {
             return;
         }
@@ -540,6 +547,24 @@ impl BufferedBusSink {
 
 impl PublishSink for BufferedBusSink {
     fn deliver(&self, event: LabelledEvent) {
-        self.buffer.borrow_mut().push(event);
+        self.events.borrow_mut().push(Some(event));
+    }
+
+    fn deliver_latest(&self, key: &str, event: LabelledEvent) {
+        let mut events = self.events.borrow_mut();
+        let mut latest = self.latest.borrow_mut();
+        let last = match latest.get_mut(key) {
+            Some(last) => Some(std::mem::replace(last, events.len())),
+            None => latest.insert(key.to_string(), events.len()),
+        };
+        if let Some(last) = last {
+            let prev = events[last]
+                .as_ref()
+                .expect("the latest event under a key is kept");
+            if prev.topic() == event.topic() && prev.labels() == event.labels() {
+                events[last] = None;
+            }
+        }
+        events.push(Some(event));
     }
 }

@@ -95,16 +95,6 @@ impl LabelledStore {
     pub(crate) fn set_raw(&mut self, key: &str, value: String, labels: LabelSet) {
         self.entries.insert(key.to_string(), (value, labels));
     }
-
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 /// Destination for events a jail publishes; implemented by the engine to
@@ -112,6 +102,14 @@ impl LabelledStore {
 pub trait PublishSink {
     /// Delivers a fully labelled event.
     fn deliver(&self, event: LabelledEvent);
+
+    /// Delivers an event that supersedes the last one delivered under
+    /// `key`. A buffering sink may drop that earlier event when it has the
+    /// same topic and label set ([`Jail::publish_latest`]); the default
+    /// keeps both.
+    fn deliver_latest(&self, _key: &str, event: LabelledEvent) {
+        self.deliver(event);
+    }
 }
 
 impl<F: Fn(LabelledEvent)> PublishSink for F {
@@ -141,7 +139,6 @@ impl IoCapability {
 
 /// The jail handle passed to unit callbacks.
 pub struct Jail<'a> {
-    unit: &'a str,
     labels: LabelSet,
     privileges: &'a PrivilegeSet,
     privileged: bool,
@@ -156,7 +153,6 @@ impl<'a> Jail<'a> {
     /// Creates a jail for one callback execution. `initial_labels` is the
     /// label set of the event being processed (empty for timer callbacks).
     pub(crate) fn new(
-        unit: &'a str,
         initial_labels: LabelSet,
         privileges: &'a PrivilegeSet,
         privileged: bool,
@@ -165,7 +161,6 @@ impl<'a> Jail<'a> {
         tracking: bool,
     ) -> Jail<'a> {
         Jail {
-            unit,
             labels: initial_labels,
             privileges,
             privileged,
@@ -175,20 +170,9 @@ impl<'a> Jail<'a> {
         }
     }
 
-    /// The unit this jail belongs to.
-    pub fn unit_name(&self) -> &str {
-        self.unit
-    }
-
     /// The ambient label set `$LABELS`.
     pub fn labels(&self) -> &LabelSet {
         &self.labels
-    }
-
-    /// Whether this unit runs privileged (outside the jail's I/O
-    /// restrictions).
-    pub fn is_privileged(&self) -> bool {
-        self.privileged
     }
 
     /// Adds a confidentiality label to `$LABELS`. Always permitted — data
@@ -262,6 +246,28 @@ impl<'a> Jail<'a> {
     pub fn publish(&mut self, event: Event, relabel: Relabel) -> Result<(), UnitError> {
         let labels = self.output_labels(relabel)?;
         self.sink.deliver(LabelledEvent::new(event, labels));
+        Ok(())
+    }
+
+    /// Publishes the latest value of `key`, checked exactly like
+    /// [`Jail::publish`]. Within one activation the engine then keeps only
+    /// the last of a run of events under `key` that share a topic and a
+    /// label set; the survivor flushes in its own place, after everything
+    /// published before it. Events under other keys, and unkeyed ones,
+    /// are never dropped.
+    ///
+    /// # Errors
+    ///
+    /// As [`Jail::publish`]; a refused event supersedes nothing.
+    pub fn publish_latest(
+        &mut self,
+        key: &str,
+        event: Event,
+        relabel: Relabel,
+    ) -> Result<(), UnitError> {
+        let labels = self.output_labels(relabel)?;
+        self.sink
+            .deliver_latest(key, LabelledEvent::new(event, labels));
         Ok(())
     }
 
@@ -339,7 +345,6 @@ mod tests {
         let capture = Capture(Mutex::new(Vec::new()));
         let r = {
             let mut jail = Jail::new(
-                "test",
                 initial.iter().cloned().collect(),
                 &privileges,
                 privileged,
@@ -441,7 +446,6 @@ mod tests {
         let privs = PrivilegeSet::new();
         {
             let mut jail = Jail::new(
-                "u",
                 LabelSet::singleton(conf("p/1")),
                 &privs,
                 false,
@@ -452,15 +456,7 @@ mod tests {
             jail.set("list", "patient-1", Relabel::keep()).unwrap();
         }
         {
-            let mut jail = Jail::new(
-                "u",
-                LabelSet::new(),
-                &privs,
-                false,
-                &mut store,
-                &capture,
-                true,
-            );
+            let mut jail = Jail::new(LabelSet::new(), &privs, false, &mut store, &capture, true);
             let v = jail.get("list").unwrap();
             assert_eq!(v, "patient-1");
             assert!(

@@ -8,9 +8,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use safeweb_broker::Broker;
-use safeweb_engine::{Engine, EngineOptions, SchedulerOptions, UnitError, UnitSpec};
+use safeweb_engine::{Engine, EngineOptions, Relabel, SchedulerOptions, UnitError, UnitSpec};
 use safeweb_events::Event;
-use safeweb_labels::Policy;
+use safeweb_labels::{Label, Policy, Privilege, PrivilegeKind, PrivilegeSet};
 
 fn policy(text: &str) -> Policy {
     text.parse().unwrap()
@@ -26,6 +26,23 @@ fn scheduled(workers: usize, inbox_cap: usize, burst: usize) -> EngineOptions {
             ..Default::default()
         },
         ..EngineOptions::default()
+    }
+}
+
+/// Holds the calling unit callback until the broker has delivered `n`
+/// events in all. Every event published to the unit before that queues
+/// behind the held activation, so the next activation drains them
+/// together: a single-activation harness that waits on the broker's own
+/// delivery count instead of a sleep.
+fn hold_until_delivered(broker: &Broker, n: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while broker.stats().delivered() < n {
+        assert!(
+            Instant::now() < deadline,
+            "only {} of {n} deliveries",
+            broker.stats().delivered()
+        );
+        std::thread::yield_now();
     }
 }
 
@@ -101,55 +118,34 @@ fn panicking_unit_is_isolated_and_surfaced_in_stop() {
 
 /// A panic part-way through one activation's burst must not swallow
 /// what the burst already produced: events admitted by the jail before
-/// the panic still reach the broker, then the unit is poisoned.
+/// the panic still reach the broker — exactly those that survive, a
+/// superseded keyed event not among them — then the unit is poisoned.
 #[test]
 fn panic_mid_burst_still_flushes_admitted_events() {
-    let broker = Broker::new();
-    let policy = policy("unit relay {\n}\n");
-    // One worker with a generous burst, so the staged messages drain in
-    // a single activation.
-    let mut engine =
-        Engine::new(Arc::new(broker.clone()), policy).with_options(scheduled(1, 64, 16));
-    engine
-        .add_unit(
-            UnitSpec::new("relay").subscribe("/in", None, |jail, event| {
-                match event.attr("do") {
-                    Some("warmup") => std::thread::sleep(Duration::from_millis(150)),
-                    Some("emit") => {
-                        jail.publish(
-                            Event::new("/out").map_err(|e| UnitError::BadEvent(e.to_string()))?,
-                            safeweb_engine::Relabel::keep(),
-                        )?;
-                    }
-                    _ => panic!("burst bomb"),
-                }
-                Ok(())
-            }),
-        )
-        .unwrap();
-    let handle = engine.start().unwrap();
-    let rx = broker.subscribe(
-        "observer",
-        "1",
-        "/out",
-        None,
-        safeweb_labels::PrivilegeSet::new(),
+    let (broker, handle, rx) = relay_unit();
+    // The gate holds activation 1 until the rest are queued behind it;
+    // they drain together in activation 2.
+    relay(
+        &broker,
+        &[
+            &[("do", "gate"), ("n", "5")],
+            &[("v", "emit")],
+            &[("key", "k"), ("v", "1")],
+            &[("key", "k"), ("v", "2")],
+            &[("do", "boom")],
+        ],
     );
 
-    // The warmup occupies activation 1; "emit" and the bomb queue up
-    // behind it and drain together in activation 2.
-    for step in ["warmup", "emit", "boom"] {
-        broker.publish(
-            &Event::new("/in")
-                .unwrap()
-                .with_attr("do", step)
-                .with_labels([]),
-        );
-    }
-
-    // The admitted event must arrive even though the same burst panicked.
-    rx.recv_timeout(Duration::from_secs(5))
-        .expect("the pre-panic emission was lost");
+    // The admitted events must arrive even though the same burst panicked.
+    let flushed: Vec<String> = (0..2)
+        .map(|_| {
+            let delivery = rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a pre-panic emission was lost");
+            delivery.event.attr("v").unwrap_or("").to_string()
+        })
+        .collect();
+    assert_eq!(flushed, ["emit", "2"]);
     let violations = handle.stop();
     assert!(
         violations
@@ -157,6 +153,167 @@ fn panic_mid_burst_still_flushes_admitted_events() {
             .any(|v| matches!(&v.error, UnitError::Panicked(m) if m == "burst bomb")),
         "panic not surfaced: {violations:?}"
     );
+    assert!(
+        rx.try_recv().is_err(),
+        "a superseded event was flushed on the panic path"
+    );
+}
+
+/// A one-worker engine running the `relay` unit, and an observer of
+/// everything it publishes under `/out/*`, cleared for every label of
+/// authority `e`. Per event the unit does what its attributes say:
+/// `do=gate` holds the activation until the broker has delivered `n`
+/// events (`hold_until_delivered`), `do=boom` panics, and any other
+/// event is published to `/out/<topic>` (default `/out/a`) carrying its
+/// `v` attribute and the extra label `label:conf:e/<label>` when given —
+/// with `Jail::publish_latest` under `key` when a key is given, with
+/// `Jail::publish` otherwise.
+fn relay_unit() -> (
+    Broker,
+    safeweb_engine::EngineHandle,
+    std::sync::mpsc::Receiver<safeweb_broker::Delivery>,
+) {
+    let broker = Broker::new();
+    let policy = policy("unit relay {\n}\n");
+    // One worker with a generous burst, so the held messages drain in a
+    // single activation.
+    let mut engine =
+        Engine::new(Arc::new(broker.clone()), policy).with_options(scheduled(1, 64, 16));
+    let gate = broker.clone();
+    engine
+        .add_unit(
+            UnitSpec::new("relay").subscribe("/in", None, move |jail, event| {
+                match event.attr("do") {
+                    Some("gate") => {
+                        let n = event.attr("n").and_then(|n| n.parse().ok()).unwrap_or(0);
+                        hold_until_delivered(&gate, n);
+                        return Ok(());
+                    }
+                    Some("boom") => panic!("burst bomb"),
+                    _ => {}
+                }
+                let topic = format!("/out/{}", event.attr("topic").unwrap_or("a"));
+                let out = Event::new(&topic)
+                    .map_err(|e| UnitError::BadEvent(e.to_string()))?
+                    .with_attr("v", event.attr("v").unwrap_or(""));
+                let mut relabel = Relabel::keep();
+                if let Some(label) = event.attr("label") {
+                    relabel = relabel.add(Label::conf("e", label));
+                }
+                match event.attr("key") {
+                    Some(key) => jail.publish_latest(key, out, relabel),
+                    None => jail.publish(out, relabel),
+                }
+            }),
+        )
+        .unwrap();
+    let handle = engine.start().unwrap();
+    let mut clearance = PrivilegeSet::new();
+    clearance.grant(Privilege::new(
+        PrivilegeKind::Clearance,
+        "label:conf:e/*".parse().unwrap(),
+    ));
+    let rx = broker.subscribe("observer", "1", "/out/*", None, clearance);
+    (broker, handle, rx)
+}
+
+/// Publishes one `/in` event per entry of `events`, each with the given
+/// attributes, unlabelled.
+fn relay(broker: &Broker, events: &[&[(&str, &str)]]) {
+    for attrs in events {
+        let mut event = Event::new("/in").unwrap();
+        for (k, v) in *attrs {
+            event.set_attr(k, v).unwrap();
+        }
+        broker.publish(&event.with_labels([]));
+    }
+}
+
+/// Runs `events` through the relay unit in one activation, held by a
+/// leading gate, and returns what it published, in order, as
+/// `(topic, v, label count)`, up to the `v=end` marker the harness
+/// appends.
+fn one_activation(events: &[&[(&str, &str)]]) -> Vec<(String, String, usize)> {
+    let (broker, handle, rx) = relay_unit();
+    let n = (events.len() + 2).to_string();
+    let gate = [("do", "gate"), ("n", n.as_str())];
+    let mut all: Vec<&[(&str, &str)]> = vec![&gate];
+    all.extend_from_slice(events);
+    all.push(&[("v", "end")]);
+    relay(&broker, &all);
+    let mut out = Vec::new();
+    loop {
+        let delivery = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the activation never flushed its end marker");
+        let event = &delivery.event;
+        let v = event.attr("v").unwrap_or("").to_string();
+        if v == "end" {
+            break;
+        }
+        out.push((event.topic().to_string(), v, event.labels().len()));
+    }
+    assert!(handle.stop().is_empty());
+    out
+}
+
+fn published(items: &[(&str, &str, usize)]) -> Vec<(String, String, usize)> {
+    items
+        .iter()
+        .map(|(topic, v, labels)| (topic.to_string(), v.to_string(), *labels))
+        .collect()
+}
+
+/// Under one key, topic and label set only the last value is flushed,
+/// in its own place: after everything published before it.
+#[test]
+fn keyed_publishes_collapse_to_the_last_in_its_place() {
+    let out = one_activation(&[
+        &[("key", "k"), ("v", "1")],
+        &[("v", "r1")],
+        &[("key", "k"), ("v", "2")],
+        &[("v", "r2")],
+        &[("key", "k"), ("v", "3")],
+        &[("key", "j"), ("v", "x")],
+    ]);
+    assert_eq!(
+        out,
+        published(&[
+            ("/out/a", "r1", 0),
+            ("/out/a", "r2", 0),
+            ("/out/a", "3", 0),
+            ("/out/a", "x", 0),
+        ])
+    );
+}
+
+/// Events under one key that differ in label set or topic are all kept:
+/// dropping one would change what some subscriber may see.
+#[test]
+fn keyed_publishes_with_other_labels_or_topics_are_kept() {
+    let out = one_activation(&[
+        &[("key", "k"), ("v", "1")],
+        &[("key", "k"), ("v", "2"), ("label", "x")],
+        &[("key", "k"), ("v", "3")],
+        &[("key", "k"), ("v", "4"), ("topic", "b")],
+        &[("key", "k"), ("v", "5"), ("topic", "b")],
+    ]);
+    assert_eq!(
+        out,
+        published(&[
+            ("/out/a", "1", 0),
+            ("/out/a", "2", 1),
+            ("/out/a", "3", 0),
+            ("/out/b", "5", 0),
+        ])
+    );
+}
+
+/// Unkeyed publishes never collapse, however alike they are.
+#[test]
+fn unkeyed_publishes_never_collapse() {
+    let out = one_activation(&[&[("v", "same")], &[("v", "same")], &[("v", "same")]]);
+    assert_eq!(out, published(&[("/out/a", "same", 0); 3]));
 }
 
 /// A slow unit whose inbox sits at `inbox_cap` pushes back on its

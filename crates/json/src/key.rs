@@ -169,6 +169,12 @@ impl Deref for Key {
     }
 }
 
+impl AsRef<str> for Key {
+    fn as_ref(&self) -> &str {
+        self
+    }
+}
+
 impl From<&str> for Key {
     /// Interns `text`, or copies it when it cannot be interned.
     fn from(text: &str) -> Key {

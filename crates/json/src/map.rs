@@ -123,6 +123,12 @@ impl Map {
         Iter(self.members.iter())
     }
 
+    /// The members in key order, by value, each key as it is held: unlike
+    /// `into_iter`, this copies no interned key into a `String`.
+    pub fn into_members(self) -> impl ExactSizeIterator<Item = (Key, Value)> {
+        self.members.into_vec().into_iter()
+    }
+
     /// The keys in order.
     pub fn keys(&self) -> impl ExactSizeIterator<Item = &String> {
         self.members.iter().map(|(k, _)| &**k)

@@ -108,17 +108,25 @@ fn priv_table() -> &'static RwLock<HashMap<&'static [Privilege], &'static PrivRe
 /// hash lookup. A novel set leaks one canonical allocation for the life of
 /// the process and is assigned the next [`LabelSetId`].
 pub(crate) fn intern_sorted_labels(labels: Vec<Label>) -> &'static SetRepr {
+    intern_within(labels, usize::MAX).expect("an uncapped intern is never refused")
+}
+
+/// [`intern_sorted_labels`], refusing (`None`) a novel set while the table
+/// holds more than `cap - 3` sets: interning one adds the set and up to two
+/// kind projections, so a table this path grows stays at or under `cap`.
+pub(crate) fn intern_within(labels: Vec<Label>, cap: usize) -> Option<&'static SetRepr> {
     debug_assert!(labels.windows(2).all(|w| w[0] < w[1]), "not canonical");
     {
         let table = set_table().read().expect("label intern table poisoned");
         if let Some(repr) = table.get(labels.as_slice()) {
-            return repr;
+            return Some(repr);
         }
     }
     let repr = {
         let mut table = set_table().write().expect("label intern table poisoned");
         match table.get(labels.as_slice()) {
             Some(repr) => *repr,
+            None if table.len().saturating_add(3) > cap => return None,
             None => {
                 let conf_count = labels.iter().filter(|l| l.is_confidentiality()).count();
                 let id = LabelSetId(
@@ -141,7 +149,7 @@ pub(crate) fn intern_sorted_labels(labels: Vec<Label>) -> &'static SetRepr {
     // one level before bottoming out.
     let _ = projection(repr, LabelKind::Confidentiality);
     let _ = projection(repr, LabelKind::Integrity);
-    repr
+    Some(repr)
 }
 
 /// The interned projection of `repr` onto labels of `kind`.

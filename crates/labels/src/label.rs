@@ -134,12 +134,6 @@ impl Label {
     pub fn path(&self) -> &str {
         &self.path
     }
-
-    /// The full URI representation, e.g.
-    /// `label:conf:ecric.org.uk/patient/33812769`.
-    pub fn to_uri(&self) -> String {
-        self.to_string()
-    }
 }
 
 fn validate_component(s: &str, what: &str) -> Result<(), ParseLabelError> {
@@ -254,6 +248,6 @@ mod tests {
     #[test]
     fn display_matches_to_uri() {
         let l = Label::conf("ecric.org.uk", "mdt/addenbrookes");
-        assert_eq!(l.to_uri(), format!("{l}"));
+        assert_eq!(format!("{l}"), "label:conf:ecric.org.uk/mdt/addenbrookes");
     }
 }

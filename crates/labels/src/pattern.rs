@@ -99,11 +99,6 @@ impl LabelPattern {
     pub fn authority(&self) -> &str {
         &self.authority
     }
-
-    /// Whether this pattern can match more than one label.
-    pub fn is_wildcard(&self) -> bool {
-        matches!(self.path, PathPattern::Prefix(_))
-    }
 }
 
 impl fmt::Display for LabelPattern {
@@ -151,6 +146,11 @@ impl From<Label> for LabelPattern {
 mod tests {
     use super::*;
 
+    /// Whether `p` can match more than one label.
+    fn is_wildcard(p: &LabelPattern) -> bool {
+        matches!(p.path, PathPattern::Prefix(_))
+    }
+
     #[test]
     fn exact_pattern_matches_only_itself() {
         let p = LabelPattern::exact(Label::conf("e", "mdt/a"));
@@ -158,7 +158,7 @@ mod tests {
         assert!(!p.matches(&Label::conf("e", "mdt/a/sub")));
         assert!(!p.matches(&Label::conf("e", "mdt")));
         assert!(!p.matches(&Label::int("e", "mdt/a")));
-        assert!(!p.is_wildcard());
+        assert!(!is_wildcard(&p));
     }
 
     #[test]
@@ -169,7 +169,7 @@ mod tests {
         assert!(p.matches(&Label::conf("e", "mdt/a/b")));
         assert!(!p.matches(&Label::conf("e", "mdtx")));
         assert!(!p.matches(&Label::conf("e", "patient/1")));
-        assert!(p.is_wildcard());
+        assert!(is_wildcard(&p));
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
         // honest label constructors. Ensure it at least does not act as a
         // wildcard.
         let p: LabelPattern = "label:conf:e/a*".parse().unwrap();
-        assert!(!p.is_wildcard());
+        assert!(!is_wildcard(&p));
         assert!(!p.matches(&Label::conf("e", "ab")));
     }
 }

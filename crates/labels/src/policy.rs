@@ -156,22 +156,6 @@ impl Policy {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Serialises the policy back to its file format.
-    pub fn to_file_string(&self) -> String {
-        let mut out = String::new();
-        for ((kind, name), entry) in &self.entries {
-            out.push_str(&format!("{kind} {name} {{\n"));
-            if entry.is_privileged() {
-                out.push_str("    privileged\n");
-            }
-            for p in entry.privileges().iter() {
-                out.push_str(&format!("    {} {}\n", p.kind().keyword(), p.pattern()));
-            }
-            out.push_str("}\n");
-        }
-        out
-    }
 }
 
 impl FromStr for Policy {
@@ -324,7 +308,18 @@ user mdt_addenbrookes {
     #[test]
     fn file_string_roundtrip() {
         let policy: Policy = SAMPLE.parse().unwrap();
-        let text = policy.to_file_string();
+        // The policy written back out in its file format.
+        let mut text = String::new();
+        for (kind, name, entry) in policy.iter() {
+            text.push_str(&format!("{kind} {name} {{\n"));
+            if entry.is_privileged() {
+                text.push_str("    privileged\n");
+            }
+            for p in entry.privileges().iter() {
+                text.push_str(&format!("    {} {}\n", p.kind().keyword(), p.pattern()));
+            }
+            text.push_str("}\n");
+        }
         let again: Policy = text.parse().unwrap();
         assert_eq!(policy, again);
     }

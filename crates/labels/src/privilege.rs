@@ -181,20 +181,6 @@ impl PrivilegeSet {
         }
     }
 
-    /// Revokes an exact privilege previously granted. Returns `true` if it
-    /// was present.
-    pub fn revoke(&mut self, privilege: &Privilege) -> bool {
-        match self.repr.privileges.binary_search(privilege) {
-            Err(_) => false,
-            Ok(pos) => {
-                let mut privileges = self.repr.privileges.to_vec();
-                privileges.remove(pos);
-                self.repr = intern::intern_sorted_privileges(privileges);
-                true
-            }
-        }
-    }
-
     /// Whether any held privilege permits `kind` on `label`.
     pub fn permits(&self, kind: PrivilegeKind, label: &Label) -> bool {
         self.repr.privileges.iter().any(|p| p.permits(kind, label))
@@ -352,14 +338,22 @@ mod tests {
         assert!(!privs.can_declassify(&Label::conf("ecric.org.uk", "patient/1")));
     }
 
+    /// Rebuilds `privs` without `privilege`; returns whether it was held.
+    fn revoke(privs: &mut PrivilegeSet, privilege: &Privilege) -> bool {
+        let held = privs.iter().any(|p| p == privilege);
+        *privs = privs.iter().filter(|p| *p != privilege).cloned().collect();
+        held
+    }
+
     #[test]
     fn revoke_removes_privilege() {
         let mut privs = PrivilegeSet::new();
         let p = Privilege::clearance(mdt("a"));
         privs.grant(p.clone());
-        assert!(privs.revoke(&p));
+        assert!(revoke(&mut privs, &p));
         assert!(!privs.has_clearance(&mdt("a")));
-        assert!(!privs.revoke(&p));
+        assert_eq!(privs, PrivilegeSet::new());
+        assert!(!revoke(&mut privs, &p));
     }
 
     #[test]

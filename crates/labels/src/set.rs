@@ -366,15 +366,28 @@ impl LabelSet {
     ///
     /// Returns [`ParseLabelError`] if any element is not a valid label URI.
     pub fn from_wire(s: &str) -> Result<LabelSet, ParseLabelError> {
+        let set = LabelSet::from_wire_within(s, usize::MAX)?;
+        Ok(set.expect("an uncapped intern is never refused"))
+    }
+
+    /// [`LabelSet::from_wire`] for input from an untrusted peer: `Ok(None)`
+    /// refuses a set this process has not interned yet once the intern
+    /// table is within three sets of `cap` (the set and its two kind
+    /// projections). A known set always resolves, so a full table costs an
+    /// honest peer nothing, and a peer cycling label URIs cannot take the
+    /// table past `cap`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseLabelError`] if any element is not a valid label URI.
+    pub fn from_wire_within(s: &str, cap: usize) -> Result<Option<LabelSet>, ParseLabelError> {
         let mut labels = Vec::new();
-        for part in s.split(',') {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
+        for part in s.split(',').map(str::trim).filter(|part| !part.is_empty()) {
             labels.push(part.parse()?);
         }
-        Ok(LabelSet::from_vec(labels))
+        labels.sort();
+        labels.dedup();
+        Ok(intern::intern_within(labels, cap).map(|repr| LabelSet { repr }))
     }
 }
 
@@ -617,6 +630,23 @@ mod tests {
         let back = LabelSet::from_wire(&wire).unwrap();
         assert_eq!(set, back);
         assert_eq!(set.id(), back.id());
+    }
+
+    /// The capped decode refuses only novel sets, and only near its cap;
+    /// it still reports malformed input as a parse error.
+    #[test]
+    fn capped_wire_decode_refuses_only_novel_sets() {
+        let known = LabelSet::from_iter([conf("patient/1"), int("mdt")]);
+        let wire = known.to_wire();
+        assert_eq!(LabelSet::from_wire_within(&wire, 0), Ok(Some(known)));
+        let novel = "label:conf:e/capped-wire-decode/1";
+        let full = LabelSet::interned_count();
+        assert_eq!(LabelSet::from_wire_within(novel, full), Ok(None));
+        assert_eq!(LabelSet::from_wire_within(novel, full + 2), Ok(None));
+        assert!(LabelSet::from_wire_within("nonsense", usize::MAX).is_err());
+        let admitted = LabelSet::from_wire_within(novel, usize::MAX).unwrap();
+        assert_eq!(admitted, Some(LabelSet::from_wire(novel).unwrap()));
+        assert_eq!(LabelSet::from_wire_within(novel, 0), Ok(admitted));
     }
 
     #[test]

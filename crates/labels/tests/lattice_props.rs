@@ -126,7 +126,7 @@ proptest! {
     /// Label URI parsing round-trips exactly.
     #[test]
     fn label_uri_roundtrip(label in arb_label()) {
-        let uri = label.to_uri();
+        let uri = label.to_string();
         prop_assert_eq!(uri.parse::<Label>().unwrap(), label);
     }
 

@@ -34,6 +34,18 @@
 //! each member one regional event per update of *any* MDT, a count of
 //! everyone's update traffic; now a member sees one per change of an
 //! aggregate — its values, or the label set it is published under.
+//!
+//! # Only the last value of an activation is published
+//!
+//! During an import every event changes both aggregates, so the skip never
+//! fires. Both are published with [`Jail::publish_latest`], keyed by their
+//! stats key: within one engine activation a later publish of an
+//! aggregate under the same topic and label set replaces the earlier one,
+//! which flushes nowhere. The storage unit then puts about one document
+//! per event instead of three, and an aggregate subscriber sees at most one
+//! version per activation — a count that depends on how events batch, a
+//! timing channel no wider than the one above. Records stay unkeyed: every
+//! record event is published and stored.
 
 use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
@@ -41,7 +53,7 @@ use std::time::Duration;
 use safeweb_docstore::DocStore;
 use safeweb_engine::{Jail, Relabel, UnitError, UnitSpec};
 use safeweb_events::Event;
-use safeweb_json::{jobject, Value};
+use safeweb_json::{jobject, Key, Map, Value};
 use safeweb_labels::LabelSet;
 use safeweb_relstore::{Database, Row};
 
@@ -245,8 +257,6 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
             })?;
             let is_treatment = event.attr("kind") == Some("treatment");
             let payload = event.payload().unwrap_or("{}");
-            let piece = Value::parse(payload)
-                .map_err(|e| UnitError::BadEvent(format!("bad payload: {e}")))?;
 
             // E9 injection point: the correct key includes the MDT of
             // origin; the buggy key collides across MDTs.
@@ -259,51 +269,26 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
 
             // Fold this piece into the stored case (reading taints
             // $LABELS with everything previously folded in).
-            let existing = jail.get(&case_key);
-            let is_new_case = existing.is_none();
-            let mut record = match existing {
-                Some(json) => Value::parse(&json)
-                    .map_err(|e| UnitError::Application(format!("corrupt case state: {e}")))?,
-                None => jobject! {
-                    "case_id" => case_id,
-                    "mdt_id" => mdt,
-                    "hospital_id" => hospital,
-                    "region_id" => region,
-                },
+            let stored = jail.get(&case_key);
+            let ids = CaseIds {
+                case_id,
+                mdt,
+                hospital,
+                region,
             };
-            let old_completeness = record
-                .get("completeness")
-                .and_then(Value::as_f64)
-                .unwrap_or(0.0);
-            // The piece is consumed: its keys and values move into the
-            // record instead of being copied.
-            if let (Value::Object(piece), Some(fields)) = (piece, record.as_object_mut()) {
-                for (mut key, value) in piece {
-                    if is_treatment && key == "kind" {
-                        key = "treatment".to_string();
-                    }
-                    fields.insert(key, value);
-                }
-            }
-            let filled = RECORD_FIELDS
-                .iter()
-                .filter(|f| record.get(f).is_some_and(|v| !v.is_null()))
-                .count();
-            let completeness = (filled as f64 / RECORD_FIELDS.len() as f64 * 100.0).round();
-            record.set("completeness", completeness);
-            let record_json = record.to_json();
-            jail.set(&case_key, record_json.clone(), Relabel::keep())?;
+            let fold = fold_case(stored.as_deref(), &ids, is_treatment, payload)?;
+            jail.set(&case_key, fold.record_json.clone(), Relabel::keep())?;
 
             // Publish the (updated) aggregated record.
             let rec_event = Event::new(MDT_RECORD_TOPIC)
                 .map_err(|e| UnitError::BadEvent(e.to_string()))?
                 .set_attrs(&[("case_id", case_id), ("mdt", mdt), ("region_id", region)])?
-                .with_payload(record_json);
+                .with_payload(fold.record_json);
             jail.publish(rec_event, Relabel::keep())?;
 
             let change = CaseChange {
-                is_new_case,
-                completeness_delta: completeness - old_completeness,
+                is_new_case: stored.is_none(),
+                completeness_delta: fold.completeness - fold.old_completeness,
             };
 
             // Per-MDT aggregates (keyed by MDT, carrying the MDT label via
@@ -316,7 +301,7 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                 &format!("stats/mdt/{mdt}"),
                 region,
                 change,
-                |jail, cases, avg| {
+                |cases, avg| {
                     let metrics = jobject! {
                         "kind" => "mdt_metrics",
                         "mdt_id" => mdt,
@@ -328,12 +313,10 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                         .map_err(|e| UnitError::BadEvent(e.to_string()))?
                         .set_attrs(&[("mdt", mdt), ("region_id", region)])?
                         .with_payload(metrics.to_json());
-                    jail.publish(
-                        metrics_event,
-                        Relabel::keep()
-                            .remove(mdt_label(mdt))
-                            .add(region_aggregate_label(region_id)),
-                    )
+                    let relabel = Relabel::keep()
+                        .remove(mdt_label(mdt))
+                        .add(region_aggregate_label(region_id));
+                    Ok((metrics_event, relabel))
                 },
             )?;
 
@@ -344,7 +327,7 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                 &format!("stats/region/{region}"),
                 region,
                 change,
-                |jail, cases, avg| {
+                |cases, avg| {
                     let regional = jobject! {
                         "kind" => "regional_metrics",
                         "region_id" => region,
@@ -355,14 +338,112 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                         .map_err(|e| UnitError::BadEvent(e.to_string()))?
                         .set_attrs(&[("region_id", region)])?
                         .with_payload(regional.to_json());
-                    jail.publish(
+                    Ok((
                         regional_event,
                         Relabel::keep().remove_all().add(regional_label()),
-                    )
+                    ))
                 },
             )
         },
     )
+}
+
+/// The fields that identify a case; a new case's record opens with them.
+#[derive(Debug, Clone, Copy)]
+pub struct CaseIds<'a> {
+    /// The registry's patient id.
+    pub case_id: &'a str,
+    /// The treating MDT.
+    pub mdt: &'a str,
+    /// The MDT's hospital.
+    pub hospital: &'a str,
+    /// The hospital's region.
+    pub region: &'a str,
+}
+
+/// One event folded into its case record ([`fold_case`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct CaseFold {
+    /// The updated record, as JSON text.
+    pub record_json: String,
+    /// The record's completeness before the event (0 for a new case).
+    pub old_completeness: f64,
+    /// The record's completeness after it.
+    pub completeness: f64,
+}
+
+/// The aggregator's fold of one event's `payload` into its case record:
+/// `stored` is the record's JSON as last stored, `None` for a new case,
+/// whose record opens with `ids`. A treatment's `kind` is filed as
+/// `treatment`. The payload's members move into the record, and a new
+/// case's record is collected in one allocation, its completeness slot
+/// included, instead of growing by one member at a time.
+///
+/// # Errors
+///
+/// [`UnitError::BadEvent`] for a payload that is not JSON,
+/// [`UnitError::Application`] for a stored record that is not.
+pub fn fold_case(
+    stored: Option<&str>,
+    ids: &CaseIds<'_>,
+    is_treatment: bool,
+    payload: &str,
+) -> Result<CaseFold, UnitError> {
+    let piece = match Value::parse(payload) {
+        Ok(Value::Object(piece)) => piece,
+        Ok(_) => Map::new(),
+        Err(e) => return Err(UnitError::BadEvent(format!("bad payload: {e}"))),
+    };
+    let members = piece.into_members().map(|(key, value)| {
+        if is_treatment && key.as_str() == "kind" {
+            (Key::from("treatment"), value)
+        } else {
+            (key, value)
+        }
+    });
+    let (mut record, old_completeness) = match stored {
+        Some(json) => {
+            let mut record = Value::parse(json)
+                .map_err(|e| UnitError::Application(format!("corrupt case state: {e}")))?;
+            let old = record
+                .get("completeness")
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0);
+            if let Some(fields) = record.as_object_mut() {
+                for (key, value) in members {
+                    fields.insert(key, value);
+                }
+            }
+            (record, old)
+        }
+        None => {
+            let opening = [
+                ("case_id", ids.case_id),
+                ("mdt_id", ids.mdt),
+                ("hospital_id", ids.hospital),
+                ("region_id", ids.region),
+            ]
+            .map(|(key, value)| (Key::from(key), Value::from(value)));
+            let completeness = (Key::from("completeness"), Value::Null);
+            let record: Map = opening
+                .into_iter()
+                .chain(members)
+                .chain([completeness])
+                .collect();
+            (Value::Object(record), 0.0)
+        }
+    };
+    let filled = RECORD_FIELDS
+        .iter()
+        .filter(|f| record.get(f).is_some_and(|v| !v.is_null()))
+        .count();
+    let completeness = (filled as f64 / RECORD_FIELDS.len() as f64 * 100.0).round();
+    record.set("completeness", completeness);
+    Ok(CaseFold {
+        record_json: record.to_json(),
+        old_completeness,
+        completeness,
+    })
 }
 
 /// How one event changed its case record, as the aggregates see it.
@@ -373,10 +454,10 @@ struct CaseChange {
 }
 
 /// Folds `change` into the aggregate kept under `key` in the jail's
-/// labelled store, then publishes it through `publish(jail, cases,
-/// avg_completeness)` and stores the folded state — unless that publish
-/// would repeat the key's last one exactly (module docs), in which case
-/// nothing is written or published.
+/// labelled store, then publishes the event `build(cases,
+/// avg_completeness)` makes, as the latest value of `key`, and stores the
+/// folded state — unless that publish would repeat the key's last one
+/// exactly (module docs), in which case nothing is written or published.
 ///
 /// Beside the running count and completeness sum, the stats value keeps
 /// the `region_id` the aggregate was published for and the interned id
@@ -390,7 +471,7 @@ fn fold_aggregate(
     key: &str,
     region: &str,
     change: CaseChange,
-    publish: impl FnOnce(&mut Jail<'_>, i64, f64) -> Result<(), UnitError>,
+    build: impl FnOnce(i64, f64) -> Result<(Event, Relabel), UnitError>,
 ) -> Result<(), UnitError> {
     let stored = jail
         .get(key)
@@ -414,7 +495,8 @@ fn fold_aggregate(
     if unchanged {
         return Ok(());
     }
-    let outcome = publish(jail, cases, (sum / cases as f64).round());
+    let outcome = build(cases, (sum / cases as f64).round())
+        .and_then(|(event, relabel)| jail.publish_latest(key, event, relabel));
     let stats = jobject! {
         "cases" => cases,
         "completeness_sum" => sum,
