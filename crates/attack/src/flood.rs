@@ -1,22 +1,28 @@
-//! The intern-flood attack family: a STOMP publisher that names a label
-//! set the process has never seen in every `SEND`. The label intern table
+//! The intern-flood attack family: STOMP publishers that name a label set
+//! the process has never seen in every `SEND`. The label intern table
 //! never evicts (an interned set is the identity of every event carrying
 //! it), so before the wire edge capped it each such frame leaked one
-//! table entry for the life of the broker. Now a novel set is refused with
-//! an `ERROR` frame once the table nears [`WIRE_INTERN_CAP`], and known
-//! sets — every honest publisher's — still resolve.
+//! table entry for the life of the broker. Now one connection may intern
+//! at most [`CONN_INTERN_BUDGET`](safeweb_core::broker::CONN_INTERN_BUDGET)
+//! novel sets, past which its novel sets get an `ERROR` frame, and every
+//! connection's novel sets are refused once the table nears
+//! [`WIRE_INTERN_CAP`]; known sets — every honest publisher's — still
+//! resolve.
 //!
 //! The flood mixes one- to three-label sets of confidentiality and
 //! integrity labels, so a refused set may be one whose two kind
-//! projections would also have been novel. Between flood frames an honest
+//! projections would also have been novel, and spreads its frames over
+//! a given number of connections. Between flood frames an honest
 //! publisher sends the victim MDT's (already interned) label set, and an
 //! in-process subscriber with clearance for it must receive every one.
+//! After the flood a fresh connection names one more novel set, which
+//! is admitted and delivered unless the table is full.
 
 use std::time::Duration;
 
 use safeweb_core::broker::wire::{LABELS_HEADER, WIRE_INTERN_CAP};
 use safeweb_core::broker::BrokerServer;
-use safeweb_core::labels::{LabelSet, Privilege, PrivilegeSet};
+use safeweb_core::labels::{LabelSet, Privilege, PrivilegeKind, PrivilegeSet};
 use safeweb_mdt::labels::mdt_label;
 use safeweb_stomp::{Command, Frame, TcpTransport};
 
@@ -26,6 +32,8 @@ use crate::rig::AttackRig;
 const FLOOD_TOPIC: &str = "/flood/spray";
 /// Topic of the honest publisher.
 const HONEST_TOPIC: &str = "/flood/honest";
+/// Topic of the fresh connection's novel set after the flood.
+const FRESH_TOPIC: &str = "/flood/fresh";
 /// One honest publish per this many flood frames.
 const HONEST_EVERY: usize = 64;
 
@@ -36,10 +44,18 @@ pub struct FloodReport {
     pub seed: u64,
     /// Flood frames sent.
     pub attempts: usize,
+    /// Connections the flood frames were spread over.
+    pub connections: usize,
     /// Flood frames the broker accepted (answered with a `RECEIPT`).
     pub admitted: usize,
     /// Flood frames refused with an intern-table-full `ERROR`.
     pub refused: usize,
+    /// Flood frames refused because their connection had spent its
+    /// budget of novel sets.
+    pub budget_refused: usize,
+    /// Whether a fresh connection's novel set, sent after the flood, was
+    /// admitted and delivered.
+    pub fresh_delivered: bool,
     /// Label sets interned in the process after the flood.
     pub interned_after: usize,
     /// Honest publishes sent.
@@ -74,7 +90,7 @@ impl FloodReport {
             self.interned_after
         );
         assert!(
-            self.refused > 0,
+            self.refused + self.budget_refused > 0,
             "no flood frame was refused — reproduce with SAFEWEB_ATTACK_SEED={seed}"
         );
         assert!(
@@ -145,8 +161,15 @@ fn connect(server: &BrokerServer, login: &str) -> TcpTransport {
 }
 
 /// Floods the rig's broker over STOMP with `attempts` frames, each naming
-/// a novel label set, interleaved with honest publishes of a known one.
-pub fn run_intern_flood(rig: &AttackRig, attempts: usize, seed: u64) -> FloodReport {
+/// a novel label set, spread in even runs over `connections` attacker
+/// connections and interleaved with honest publishes of a known set;
+/// then probes with one fresh connection's novel set.
+pub fn run_intern_flood(
+    rig: &AttackRig,
+    attempts: usize,
+    connections: usize,
+    seed: u64,
+) -> FloodReport {
     let deployment = rig.portal().deployment();
     let mut server = BrokerServer::bind(
         "127.0.0.1:0",
@@ -163,20 +186,27 @@ pub fn run_intern_flood(rig: &AttackRig, attempts: usize, seed: u64) -> FloodRep
             .subscribe("flood-observer", "1", HONEST_TOPIC, None, clearance);
     let honest_wire = LabelSet::singleton(honest_label).to_wire();
 
+    let per_connection = attempts.div_ceil(connections.max(1));
     let mut attacker = connect(&server, "flood_attacker");
     let mut honest = connect(&server, "flood_honest");
     let mut rng = Rng(seed);
     let mut report = FloodReport {
         seed,
         attempts,
+        connections,
         admitted: 0,
         refused: 0,
+        budget_refused: 0,
+        fresh_delivered: false,
         interned_after: 0,
         honest_sent: 0,
         honest_delivered: 0,
         unexpected: Vec::new(),
     };
     for i in 0..attempts {
+        if i > 0 && i.is_multiple_of(per_connection) {
+            attacker = connect(&server, "flood_attacker");
+        }
         let labels = flood_labels(&mut rng, seed, i);
         let frame = Frame::new(Command::Send)
             .with_header("destination", FLOOD_TOPIC)
@@ -184,6 +214,9 @@ pub fn run_intern_flood(rig: &AttackRig, attempts: usize, seed: u64) -> FloodRep
         match send_receipted(&mut attacker, frame) {
             Ok(()) => report.admitted += 1,
             Err(message) if message.contains("intern table full") => report.refused += 1,
+            Err(message) if message.contains("connection budget spent") => {
+                report.budget_refused += 1;
+            }
             Err(message) => report.note_unexpected(format!("flood {i}: {message}")),
         }
         if i.is_multiple_of(HONEST_EVERY) || i + 1 == attempts {
@@ -201,6 +234,41 @@ pub fn run_intern_flood(rig: &AttackRig, attempts: usize, seed: u64) -> FloodRep
         }
     }
     report.interned_after = LabelSet::interned_count();
+    probe_fresh_connection(&server, seed, &mut report);
     server.shutdown();
     report
+}
+
+/// Sends one novel confidentiality set from a fresh connection to a
+/// subscriber cleared for every flood label, recording whether it was
+/// admitted and delivered.
+fn probe_fresh_connection(server: &BrokerServer, seed: u64, report: &mut FloodReport) {
+    let mut clearance = PrivilegeSet::new();
+    clearance.grant(Privilege::new(
+        PrivilegeKind::Clearance,
+        "label:conf:flood.example/*"
+            .parse()
+            .expect("a valid label pattern"),
+    ));
+    let observed =
+        server
+            .broker()
+            .subscribe("flood-fresh-observer", "1", FRESH_TOPIC, None, clearance);
+    let frame = Frame::new(Command::Send)
+        .with_header("destination", FRESH_TOPIC)
+        .with_header(
+            LABELS_HEADER,
+            format!("label:conf:flood.example/{seed:x}/fresh"),
+        );
+    match send_receipted(&mut connect(server, "flood_fresh"), frame) {
+        Ok(()) => {
+            report.fresh_delivered = observed.recv_timeout(Duration::from_secs(10)).is_ok();
+            if !report.fresh_delivered {
+                report.note_unexpected("fresh: not delivered".to_string());
+            }
+        }
+        Err(message) if message.contains("intern table full") => {}
+        Err(message) => report.note_unexpected(format!("fresh: {message}")),
+    }
+    server.broker().unsubscribe_all("flood-fresh-observer");
 }

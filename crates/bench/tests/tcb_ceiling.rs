@@ -10,13 +10,13 @@ use safeweb_bench::{count_crate, workspace_root};
 /// Code lines per audited crate (`crates/<name>/src`).
 const CRATE_MAX: [(&str, usize); 5] = [
     ("taint", 405),
-    ("engine", 785),
-    ("labels", 1162),
-    ("broker", 868),
+    ("engine", 845),
+    ("labels", 1178),
+    ("broker", 889),
     ("web", 985),
 ];
 /// Taint + engine + labels + broker + web code lines.
-const TCB_MAX: usize = 4205;
+const TCB_MAX: usize = 4302;
 
 #[test]
 fn audited_core_stays_under_its_ceiling() {

@@ -41,4 +41,4 @@ pub use broker::{
     Broker, BrokerOptions, BrokerStats, Delivery, DeliverySink, SubscriptionKey, TopicPattern,
 };
 pub use client::{ClientDelivery, ClientError, EventClient};
-pub use server::{BrokerServer, MAX_SUBSCRIPTIONS, OUTBOX_CAP};
+pub use server::{BrokerServer, CONN_INTERN_BUDGET, MAX_SUBSCRIPTIONS, OUTBOX_CAP};

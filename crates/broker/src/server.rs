@@ -38,7 +38,8 @@ use safeweb_stomp::{Command, Frame};
 
 use crate::broker::Broker;
 use crate::wire::{
-    event_to_frame, frame_to_event, DESTINATION_HEADER, SELECTOR_HEADER, SUBSCRIPTION_HEADER,
+    event_to_frame, frame_to_event_within, WireError, DESTINATION_HEADER, SELECTOR_HEADER,
+    SUBSCRIPTION_HEADER, WIRE_INTERN_CAP,
 };
 
 /// Per-connection outbound queue cap. A subscriber further behind than
@@ -51,6 +52,13 @@ pub const OUTBOX_CAP: usize = 4 * 1024 * 1024;
 /// and registers nothing more; replacing or cancelling an existing id
 /// still works at the cap.
 pub const MAX_SUBSCRIPTIONS: usize = 1024;
+
+/// Label intern-table entries one connection's `SEND`s may add; a novel
+/// set adds itself and up to two kind projections, so it is admitted only
+/// while three entries are left. Past it the connection may still name
+/// known sets; a novel one gets an `ERROR` frame, so one peer cannot
+/// spend the process-wide [`WIRE_INTERN_CAP`] alone.
+pub const CONN_INTERN_BUDGET: usize = 256;
 
 /// A running broker server; dropping it stops the reactor and closes all
 /// connections.
@@ -125,6 +133,8 @@ static CONN_SEQ: AtomicU64 = AtomicU64::new(1);
 struct Session {
     client_id: String,
     privileges: PrivilegeSet,
+    /// Intern-table entries this connection's `SEND`s added.
+    interned: usize,
 }
 
 struct SessionShared {
@@ -211,7 +221,7 @@ impl Protocol for StompConn {
 
 fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
     let mut session = shared.session.lock().unwrap_or_else(|e| e.into_inner());
-    match (frame.command(), session.as_ref()) {
+    match (frame.command(), session.as_mut()) {
         (Command::Connect, None) => {
             let login = frame.header("login").unwrap_or("anonymous");
             let privileges = shared.policy.privileges(PrincipalKind::Unit, login);
@@ -220,6 +230,7 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
             *session = Some(Session {
                 client_id,
                 privileges,
+                interned: 0,
             });
             let _ = io.send(encode(&connected));
         }
@@ -282,22 +293,33 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
             let sub_id = frame.header("id").unwrap_or("0");
             shared.broker.unsubscribe(&session.client_id, sub_id);
         }
-        (Command::Send, Some(_)) => match frame_to_event(&frame) {
-            Ok(event) => {
-                // The event is owned here: hand it straight to the
-                // Arc-based path instead of the defensive-clone
-                // `publish(&event)` entry point.
-                shared.broker.publish_arc(std::sync::Arc::new(event));
-                if let Some(receipt) = frame.header("receipt") {
-                    let receipt_frame =
-                        Frame::new(Command::Receipt).with_header("receipt-id", receipt);
-                    let _ = io.send(encode(&receipt_frame));
+        (Command::Send, Some(session)) => {
+            let spent = session.interned + 3 > CONN_INTERN_BUDGET;
+            let cap = if spent { 0 } else { WIRE_INTERN_CAP };
+            let event = match frame_to_event_within(&frame, cap) {
+                Ok((event, added)) => {
+                    session.interned += added;
+                    event
                 }
+                Err(WireError::LabelTableFull) if spent => {
+                    let refused = "label set refused: connection budget spent";
+                    let _ = io.send(encode(&error_frame(refused)));
+                    return;
+                }
+                Err(e) => {
+                    let _ = io.send(encode(&error_frame(&format!("bad SEND: {e}"))));
+                    return;
+                }
+            };
+            // The event is owned here: hand it straight to the
+            // Arc-based path instead of the defensive-clone
+            // `publish(&event)` entry point.
+            shared.broker.publish_arc(std::sync::Arc::new(event));
+            if let Some(receipt) = frame.header("receipt") {
+                let receipt_frame = Frame::new(Command::Receipt).with_header("receipt-id", receipt);
+                let _ = io.send(encode(&receipt_frame));
             }
-            Err(e) => {
-                let _ = io.send(encode(&error_frame(&format!("bad SEND: {e}"))));
-            }
-        },
+        }
         (other, Some(_)) => {
             let _ = io.send(encode(&error_frame(&format!("unexpected {other}"))));
         }

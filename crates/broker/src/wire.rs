@@ -88,6 +88,20 @@ pub fn event_to_frame(event: &LabelledEvent, command: Command) -> Frame {
 /// header is malformed or names a novel set past [`WIRE_INTERN_CAP`], the
 /// body is not UTF-8, or an attribute is invalid.
 pub fn frame_to_event(frame: &Frame) -> Result<LabelledEvent, WireError> {
+    frame_to_event_within(frame, WIRE_INTERN_CAP).map(|(event, _)| event)
+}
+
+/// [`frame_to_event`] with the intern cap `cap` in place of
+/// [`WIRE_INTERN_CAP`] (0 admits only known label sets), also returning
+/// the number of intern-table entries decoding added (0 to 3).
+///
+/// # Errors
+///
+/// As [`frame_to_event`], with [`WireError::LabelTableFull`] past `cap`.
+pub fn frame_to_event_within(
+    frame: &Frame,
+    cap: usize,
+) -> Result<(LabelledEvent, usize), WireError> {
     let topic = frame
         .header(DESTINATION_HEADER)
         .ok_or(WireError::MissingDestination)?;
@@ -112,13 +126,13 @@ pub fn frame_to_event(frame: &Frame) -> Result<LabelledEvent, WireError> {
         event.set_payload(body);
     }
 
-    let labels = match frame.header(LABELS_HEADER) {
-        Some(wire) => LabelSet::from_wire_within(wire, WIRE_INTERN_CAP)
+    let (labels, added) = match frame.header(LABELS_HEADER) {
+        Some(wire) => LabelSet::from_wire_within(wire, cap)
             .map_err(|e| WireError::BadLabels(e.to_string()))?
             .ok_or(WireError::LabelTableFull)?,
-        None => LabelSet::new(),
+        None => (LabelSet::new(), 0),
     };
-    Ok(event.with_label_set(labels))
+    Ok((event.with_label_set(labels), added))
 }
 
 #[cfg(test)]

@@ -28,11 +28,12 @@ use parking_lot::Mutex;
 use safeweb_broker::Delivery;
 use safeweb_events::{Event, LabelledEvent};
 use safeweb_labels::{LabelSet, Policy, PrincipalKind};
+use safeweb_obs::TraceId;
 use safeweb_sched::{Scheduler, SchedulerOptions, TaskSender};
 
 use crate::bus::EventBus;
 use crate::error::{EngineError, UnitError};
-use crate::jail::{Jail, LabelledStore, PublishSink};
+use crate::jail::{EventBuilder, Jail, LabelledStore, PublishSink};
 
 /// A unit callback: receives the jail and the event being processed.
 pub type Callback = Box<dyn FnMut(&mut Jail<'_>, &Event) -> Result<(), UnitError> + Send>;
@@ -292,8 +293,7 @@ impl Engine {
                             // flushes, and recorded failures survive;
                             // only then does the panic continue to the
                             // scheduler, which poisons the unit.
-                            flush_activation(
-                                &sink,
+                            sink.flush(
                                 bus.as_ref(),
                                 &unit_name,
                                 &unit_violations,
@@ -305,7 +305,7 @@ impl Engine {
                 }
                 // Events the jail admitted are published even when their
                 // callback later failed.
-                flush_activation(&sink, bus.as_ref(), &unit_name, &unit_violations, failures);
+                sink.flush(bus.as_ref(), &unit_name, &unit_violations, failures);
             });
 
             // Deliveries land straight in the unit's bounded inbox and
@@ -484,27 +484,6 @@ fn panic_violation(panic: safeweb_sched::TaskPanic) -> Violation {
     }
 }
 
-/// Ends one activation: flushes the buffered publish sink in a
-/// single broker pass and records the burst's callback failures as
-/// violations. Also runs on the panic path, so admitted events and
-/// recorded failures survive a poisoned unit.
-fn flush_activation(
-    sink: &BufferedBusSink,
-    bus: &dyn EventBus,
-    unit: &str,
-    violations: &Mutex<Vec<Violation>>,
-    failures: Vec<UnitError>,
-) {
-    sink.flush(bus, unit, violations);
-    if !failures.is_empty() {
-        let mut all = violations.lock();
-        all.extend(failures.into_iter().map(|error| Violation {
-            unit: unit.to_string(),
-            error,
-        }));
-    }
-}
-
 /// Publish sink handed to jails: buffers every event the callbacks of one
 /// activation emit, then flushes them to the bus in a single
 /// [`EventBus::publish_batch`] pass. Label checks still happen eagerly
@@ -512,59 +491,124 @@ fn flush_activation(
 /// relabelling was permitted, so batching changes delivery timing, not
 /// policy enforcement.
 ///
-/// An event published with [`Jail::publish_latest`] drops the event
-/// buffered last under the same key when both have the same topic and
-/// the same interned label set: the activation flushes only the newest
-/// value, in the newest event's place.
+/// A [`Jail::publish_latest`] supersedes the publish buffered last under
+/// the same key when both have the same topic and the same interned
+/// label set: that one is dropped without being built, and the
+/// activation builds and flushes only the newest, in its own place.
 #[derive(Default)]
 struct BufferedBusSink {
-    /// Events in publish order; a superseded one leaves `None`.
-    events: RefCell<Vec<Option<LabelledEvent>>>,
-    /// Index in `events` of the event last published under each key.
+    /// Publishes in order.
+    pending: RefCell<Vec<Pending>>,
+    /// Index in `pending` of the publish last made under each key.
     latest: RefCell<HashMap<String, usize>>,
 }
 
+/// One buffered publish.
+enum Pending {
+    /// A [`Jail::publish`].
+    Event(LabelledEvent),
+    /// A [`Jail::publish_latest`], built at flush.
+    Keyed {
+        topic: &'static str,
+        labels: LabelSet,
+        trace: TraceId,
+        build: EventBuilder,
+    },
+    /// A keyed publish a later one superseded.
+    Superseded,
+}
+
 impl BufferedBusSink {
-    /// Flushes the surviving buffered events; reports transport failures
-    /// as violations against `unit`.
-    fn flush(&self, bus: &dyn EventBus, unit: &str, violations: &Mutex<Vec<Violation>>) {
+    /// Ends one activation: builds the surviving keyed publishes, flushes
+    /// every buffered event in a single broker pass, and records the
+    /// burst's callback `failures`, failed builds and a transport failure
+    /// as violations against `unit`. A builder that panics is one
+    /// [`UnitError::Panicked`] violation and poisons nothing: it holds
+    /// none of the unit's state. Also runs on the panic path, so admitted
+    /// events and recorded failures survive a poisoned unit.
+    fn flush(
+        &self,
+        bus: &dyn EventBus,
+        unit: &str,
+        violations: &Mutex<Vec<Violation>>,
+        mut failures: Vec<UnitError>,
+    ) {
         self.latest.borrow_mut().clear();
-        // `filter_map` collects in place (`Option<LabelledEvent>` has the
-        // event's size), where `flatten` would allocate a second vector.
-        #[allow(clippy::filter_map_identity)]
-        let events: Vec<LabelledEvent> = self.events.take().into_iter().filter_map(|e| e).collect();
-        if events.is_empty() {
-            return;
+        let events: Vec<LabelledEvent> = (self.pending.take().into_iter())
+            .filter_map(|pending| match pending {
+                Pending::Event(event) => Some(event),
+                Pending::Keyed {
+                    labels,
+                    trace,
+                    build,
+                    ..
+                } => match std::panic::catch_unwind(std::panic::AssertUnwindSafe(build)) {
+                    Ok(Ok(event)) => {
+                        let mut event = LabelledEvent::new(event, labels);
+                        event.set_trace_id(trace);
+                        Some(event)
+                    }
+                    Ok(Err(error)) => {
+                        failures.push(error);
+                        None
+                    }
+                    Err(payload) => {
+                        failures.push(UnitError::Panicked(safeweb_sched::panic_message(&*payload)));
+                        None
+                    }
+                },
+                Pending::Superseded => None,
+            })
+            .collect();
+        if !events.is_empty() {
+            if let Err(e) = bus.publish_batch(events) {
+                failures.push(UnitError::Application(format!("publish failed: {e}")));
+            }
         }
-        if let Err(e) = bus.publish_batch(events) {
-            violations.lock().push(Violation {
+        if !failures.is_empty() {
+            let violation = |error| Violation {
                 unit: unit.to_string(),
-                error: UnitError::Application(format!("publish failed: {e}")),
-            });
+                error,
+            };
+            violations
+                .lock()
+                .extend(failures.into_iter().map(violation));
         }
     }
 }
 
 impl PublishSink for BufferedBusSink {
     fn deliver(&self, event: LabelledEvent) {
-        self.events.borrow_mut().push(Some(event));
+        self.pending.borrow_mut().push(Pending::Event(event));
     }
 
-    fn deliver_latest(&self, key: &str, event: LabelledEvent) {
-        let mut events = self.events.borrow_mut();
-        let mut latest = self.latest.borrow_mut();
-        let last = match latest.get_mut(key) {
-            Some(last) => Some(std::mem::replace(last, events.len())),
-            None => latest.insert(key.to_string(), events.len()),
-        };
+    fn deliver_latest(
+        &self,
+        key: String,
+        topic: &'static str,
+        labels: LabelSet,
+        build: EventBuilder,
+    ) -> Result<(), UnitError> {
+        let mut pending = self.pending.borrow_mut();
+        let last = self.latest.borrow_mut().insert(key, pending.len());
         if let Some(last) = last {
-            let prev = events[last]
-                .as_ref()
-                .expect("the latest event under a key is kept");
-            if prev.topic() == event.topic() && prev.labels() == event.labels() {
-                events[last] = None;
+            if let Pending::Keyed {
+                topic: t,
+                labels: l,
+                ..
+            } = &pending[last]
+            {
+                if *t == topic && *l == labels {
+                    pending[last] = Pending::Superseded;
+                }
             }
         }
-        events.push(Some(event));
+        pending.push(Pending::Keyed {
+            topic,
+            labels,
+            trace: safeweb_obs::current_trace(),
+            build,
+        });
+        Ok(())
     }
 }

@@ -12,8 +12,6 @@ pub enum EngineError {
     Bus(String),
     /// A unit name was registered twice.
     DuplicateUnit(String),
-    /// The engine is already running / not running.
-    BadState(&'static str),
     /// Durable storage could not be opened or recovered (deployment-level
     /// wiring: the engine itself holds no storage).
     Storage(String),
@@ -24,7 +22,6 @@ impl fmt::Display for EngineError {
         match self {
             EngineError::Bus(m) => write!(f, "event bus error: {m}"),
             EngineError::DuplicateUnit(n) => write!(f, "duplicate unit name {n:?}"),
-            EngineError::BadState(m) => write!(f, "engine state error: {m}"),
             EngineError::Storage(m) => write!(f, "durable storage error: {m}"),
         }
     }

@@ -92,10 +92,20 @@ impl LabelledStore {
         self.entries.get(key)
     }
 
+    /// Writes `key`, copying the key only when it is new.
     pub(crate) fn set_raw(&mut self, key: &str, value: String, labels: LabelSet) {
-        self.entries.insert(key.to_string(), (value, labels));
+        match self.entries.get_mut(key) {
+            Some(entry) => *entry = (value, labels),
+            None => {
+                self.entries.insert(key.to_string(), (value, labels));
+            }
+        }
     }
 }
+
+/// Makes the event of a [`Jail::publish_latest`]. A buffering sink runs
+/// it at flush, and only if no later publish superseded it.
+pub type EventBuilder = Box<dyn FnOnce() -> Result<Event, UnitError>>;
 
 /// Destination for events a jail publishes; implemented by the engine to
 /// forward to the broker, and by tests to capture output.
@@ -103,12 +113,24 @@ pub trait PublishSink {
     /// Delivers a fully labelled event.
     fn deliver(&self, event: LabelledEvent);
 
-    /// Delivers an event that supersedes the last one delivered under
-    /// `key`. A buffering sink may drop that earlier event when it has the
-    /// same topic and label set ([`Jail::publish_latest`]); the default
-    /// keeps both.
-    fn deliver_latest(&self, _key: &str, event: LabelledEvent) {
-        self.deliver(event);
+    /// Delivers the event `build` makes on `topic` under `labels`, which
+    /// supersedes the last one delivered under `key`. A buffering sink may
+    /// drop that earlier one, unbuilt, when it has the same topic and
+    /// label set ([`Jail::publish_latest`]); the default builds at once
+    /// and keeps both.
+    ///
+    /// # Errors
+    ///
+    /// The default returns what `build` returns.
+    fn deliver_latest(
+        &self,
+        _key: String,
+        _topic: &'static str,
+        labels: LabelSet,
+        build: EventBuilder,
+    ) -> Result<(), UnitError> {
+        self.deliver(LabelledEvent::new(build()?, labels));
+        Ok(())
     }
 }
 
@@ -249,26 +271,40 @@ impl<'a> Jail<'a> {
         Ok(())
     }
 
-    /// Publishes the latest value of `key`, checked exactly like
-    /// [`Jail::publish`]. Within one activation the engine then keeps only
-    /// the last of a run of events under `key` that share a topic and a
-    /// label set; the survivor flushes in its own place, after everything
-    /// published before it. Events under other keys, and unkeyed ones,
-    /// are never dropped.
+    /// Publishes the latest value of `key`: the event `build` makes, which
+    /// must be on `topic` (one built elsewhere fails as
+    /// [`UnitError::BadEvent`]). The relabel is checked exactly like
+    /// [`Jail::publish`], and the labels and trace are fixed, now. Within
+    /// one activation the engine then keeps only the last of a run of
+    /// publishes under `key` that share a topic and a label set, and runs
+    /// only the survivor's `build`, at flush; the survivor flushes in its
+    /// own place, after everything published before it. Publishes under
+    /// other keys, and unkeyed ones, are never dropped. A `build` that
+    /// fails or panics at flush is recorded as one violation and
+    /// publishes nothing.
     ///
     /// # Errors
     ///
-    /// As [`Jail::publish`]; a refused event supersedes nothing.
+    /// As [`Jail::publish`]; a refused publish runs no `build` and
+    /// supersedes nothing.
     pub fn publish_latest(
         &mut self,
-        key: &str,
-        event: Event,
+        key: impl Into<String>,
+        topic: &'static str,
         relabel: Relabel,
+        build: impl FnOnce() -> Result<Event, UnitError> + 'static,
     ) -> Result<(), UnitError> {
         let labels = self.output_labels(relabel)?;
+        let build = move || {
+            let event = build()?;
+            if event.topic() != topic {
+                let stray = format!("built on {} for {topic}", event.topic());
+                return Err(UnitError::BadEvent(stray));
+            }
+            Ok(event)
+        };
         self.sink
-            .deliver_latest(key, LabelledEvent::new(event, labels));
-        Ok(())
+            .deliver_latest(key.into(), topic, labels, Box::new(build))
     }
 
     /// Computes output labels = (`$LABELS` − removals) ∪ additions with

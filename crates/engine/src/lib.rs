@@ -30,7 +30,7 @@ pub use engine::{
     Callback, Engine, EngineHandle, EngineOptions, TimerCallback, UnitSpec, Violation,
 };
 pub use error::{EngineError, UnitError};
-pub use jail::{IoCapability, Jail, LabelledStore, PublishSink, Relabel, RemoveSpec};
+pub use jail::{EventBuilder, IoCapability, Jail, LabelledStore, PublishSink, Relabel, RemoveSpec};
 // Units run on the `safeweb-sched` worker pool; its options type is
 // part of this crate's configuration surface.
 pub use safeweb_sched::SchedulerOptions;

@@ -118,61 +118,100 @@ fn panicking_unit_is_isolated_and_surfaced_in_stop() {
 
 /// A panic part-way through one activation's burst must not swallow
 /// what the burst already produced: events admitted by the jail before
-/// the panic still reach the broker — exactly those that survive, a
-/// superseded keyed event not among them — then the unit is poisoned.
+/// the panic still reach the broker — exactly those that survive, built
+/// then, a superseded keyed event neither built nor flushed — then the
+/// unit is poisoned. A builder that panics at that flush is recorded
+/// beside the callback's panic, not in its place.
 #[test]
 fn panic_mid_burst_still_flushes_admitted_events() {
-    let (broker, handle, rx) = relay_unit();
+    let relay = relay_unit();
     // The gate holds activation 1 until the rest are queued behind it;
     // they drain together in activation 2.
-    relay(
-        &broker,
-        &[
-            &[("do", "gate"), ("n", "5")],
-            &[("v", "emit")],
-            &[("key", "k"), ("v", "1")],
-            &[("key", "k"), ("v", "2")],
-            &[("do", "boom")],
-        ],
-    );
+    relay.hold(5);
+    relay.send(&[
+        &[("v", "emit")],
+        &[("key", "k"), ("v", "1")],
+        &[("key", "k"), ("v", "2")],
+        &[("key", "p"), ("v", "x"), ("panic", "yes")],
+        &[("do", "boom")],
+    ]);
 
     // The admitted events must arrive even though the same burst panicked.
     let flushed: Vec<String> = (0..2)
         .map(|_| {
-            let delivery = rx
+            let delivery = relay
+                .rx
                 .recv_timeout(Duration::from_secs(5))
                 .expect("a pre-panic emission was lost");
             delivery.event.attr("v").unwrap_or("").to_string()
         })
         .collect();
     assert_eq!(flushed, ["emit", "2"]);
-    let violations = handle.stop();
+    let violations = relay.handle.stop();
+    for bomb in ["burst bomb", "builder bomb"] {
+        assert!(
+            violations
+                .iter()
+                .any(|v| matches!(&v.error, UnitError::Panicked(m) if m == bomb)),
+            "{bomb} not surfaced: {violations:?}"
+        );
+    }
     assert!(
-        violations
-            .iter()
-            .any(|v| matches!(&v.error, UnitError::Panicked(m) if m == "burst bomb")),
-        "panic not surfaced: {violations:?}"
-    );
-    assert!(
-        rx.try_recv().is_err(),
+        relay.rx.try_recv().is_err(),
         "a superseded event was flushed on the panic path"
     );
+    assert_eq!(relay.builds.load(Ordering::SeqCst), 2, "builds run");
 }
 
-/// A one-worker engine running the `relay` unit, and an observer of
-/// everything it publishes under `/out/*`, cleared for every label of
-/// authority `e`. Per event the unit does what its attributes say:
+/// A one-worker engine running the `relay` unit, an observer of
+/// everything it publishes under `/out/*` (cleared for every label of
+/// authority `e`), the number of keyed builders it has run, and whether
+/// a gate holds its activation.
+struct Relay {
+    broker: Broker,
+    handle: safeweb_engine::EngineHandle,
+    rx: std::sync::mpsc::Receiver<safeweb_broker::Delivery>,
+    builds: Arc<AtomicUsize>,
+    gated: std::sync::mpsc::Receiver<()>,
+}
+
+impl Relay {
+    /// Sends a gate holding the unit until the broker has delivered `n`
+    /// events, and returns once the gate's callback runs: its activation
+    /// has drained the inbox, so everything sent afterwards queues for
+    /// the next activation.
+    fn hold(&self, n: usize) {
+        self.send(&[&[("do", "gate"), ("n", &n.to_string())]]);
+        self.gated
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the gate never held");
+    }
+
+    /// Publishes one `/in` event per entry of `events`, each with the
+    /// given attributes, unlabelled.
+    fn send(&self, events: &[&[(&str, &str)]]) {
+        for attrs in events {
+            let mut event = Event::new("/in").unwrap();
+            for (k, v) in *attrs {
+                event.set_attr(k, v).unwrap();
+            }
+            self.broker.publish(&event.with_labels([]));
+        }
+    }
+}
+
+/// Starts the `relay` unit. Per event it does what the attributes say:
 /// `do=gate` holds the activation until the broker has delivered `n`
 /// events (`hold_until_delivered`), `do=boom` panics, and any other
-/// event is published to `/out/<topic>` (default `/out/a`) carrying its
-/// `v` attribute and the extra label `label:conf:e/<label>` when given —
-/// with `Jail::publish_latest` under `key` when a key is given, with
-/// `Jail::publish` otherwise.
-fn relay_unit() -> (
-    Broker,
-    safeweb_engine::EngineHandle,
-    std::sync::mpsc::Receiver<safeweb_broker::Delivery>,
-) {
+/// event is published to `/out/b` when `topic=b` and to `/out/a`
+/// otherwise, carrying its `v` attribute, the trace it was published
+/// under as `trace`, and the extra label `label:conf:e/<label>` when
+/// given (an integrity label it may not add when `deny` is given). With
+/// a `key` it is published with `Jail::publish_latest`, by a builder
+/// that counts its runs, fails when `fail` is given, panics when `panic`
+/// is given and builds on `/out/stray` when `stray` is given; without,
+/// with `Jail::publish`.
+fn relay_unit() -> Relay {
     let broker = Broker::new();
     let policy = policy("unit relay {\n}\n");
     // One worker with a generous burst, so the held messages drain in a
@@ -180,30 +219,55 @@ fn relay_unit() -> (
     let mut engine =
         Engine::new(Arc::new(broker.clone()), policy).with_options(scheduled(1, 64, 16));
     let gate = broker.clone();
+    let builds = Arc::new(AtomicUsize::new(0));
+    let counter = Arc::clone(&builds);
+    let (holding, gated) = std::sync::mpsc::channel();
     engine
         .add_unit(
             UnitSpec::new("relay").subscribe("/in", None, move |jail, event| {
                 match event.attr("do") {
                     Some("gate") => {
                         let n = event.attr("n").and_then(|n| n.parse().ok()).unwrap_or(0);
+                        holding.send(()).expect("the harness waits for the gate");
                         hold_until_delivered(&gate, n);
                         return Ok(());
                     }
                     Some("boom") => panic!("burst bomb"),
                     _ => {}
                 }
-                let topic = format!("/out/{}", event.attr("topic").unwrap_or("a"));
-                let out = Event::new(&topic)
+                let topic = match event.attr("topic") {
+                    Some("b") => "/out/b",
+                    _ => "/out/a",
+                };
+                let built_on = match event.attr("stray") {
+                    Some(_) => "/out/stray",
+                    None => topic,
+                };
+                let out = Event::new(built_on)
                     .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                    .with_attr("v", event.attr("v").unwrap_or(""));
+                    .with_attr("v", event.attr("v").unwrap_or(""))
+                    .with_attr("trace", &safeweb_obs::current_trace().to_string());
                 let mut relabel = Relabel::keep();
                 if let Some(label) = event.attr("label") {
                     relabel = relabel.add(Label::conf("e", label));
                 }
-                match event.attr("key") {
-                    Some(key) => jail.publish_latest(key, out, relabel),
-                    None => jail.publish(out, relabel),
+                if event.attr("deny").is_some() {
+                    relabel = relabel.add(Label::int("e", "endorsed"));
                 }
+                let Some(key) = event.attr("key") else {
+                    return jail.publish(out, relabel);
+                };
+                let fail = event.attr("fail").is_some();
+                let bomb = event.attr("panic").is_some();
+                let counter = Arc::clone(&counter);
+                jail.publish_latest(key, topic, relabel, move || {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                    assert!(!bomb, "builder bomb");
+                    if fail {
+                        return Err(UnitError::Application("build failed".to_string()));
+                    }
+                    Ok(out)
+                })
             }),
         )
         .unwrap();
@@ -214,47 +278,59 @@ fn relay_unit() -> (
         "label:conf:e/*".parse().unwrap(),
     ));
     let rx = broker.subscribe("observer", "1", "/out/*", None, clearance);
-    (broker, handle, rx)
-}
-
-/// Publishes one `/in` event per entry of `events`, each with the given
-/// attributes, unlabelled.
-fn relay(broker: &Broker, events: &[&[(&str, &str)]]) {
-    for attrs in events {
-        let mut event = Event::new("/in").unwrap();
-        for (k, v) in *attrs {
-            event.set_attr(k, v).unwrap();
-        }
-        broker.publish(&event.with_labels([]));
+    Relay {
+        broker,
+        handle,
+        rx,
+        builds,
+        gated,
     }
 }
 
+/// What one activation of the relay unit flushed.
+#[derive(Debug)]
+struct Activation {
+    /// What it published, in order, as `(topic, v, label count)`.
+    published: Vec<(String, String, usize)>,
+    /// Keyed builders it ran.
+    builds: usize,
+    /// The engine's violations at stop.
+    violations: Vec<safeweb_engine::Violation>,
+}
+
 /// Runs `events` through the relay unit in one activation, held by a
-/// leading gate, and returns what it published, in order, as
-/// `(topic, v, label count)`, up to the `v=end` marker the harness
-/// appends.
-fn one_activation(events: &[&[(&str, &str)]]) -> Vec<(String, String, usize)> {
-    let (broker, handle, rx) = relay_unit();
-    let n = (events.len() + 2).to_string();
-    let gate = [("do", "gate"), ("n", n.as_str())];
-    let mut all: Vec<&[(&str, &str)]> = vec![&gate];
-    all.extend_from_slice(events);
-    all.push(&[("v", "end")]);
-    relay(&broker, &all);
-    let mut out = Vec::new();
+/// leading gate, up to the `v=end` marker the harness appends. Every
+/// published event must carry the trace it was published under.
+fn one_activation(events: &[&[(&str, &str)]]) -> Activation {
+    let relay = relay_unit();
+    relay.hold(events.len() + 2);
+    relay.send(events);
+    relay.send(&[&[("v", "end")]]);
+    let mut published = Vec::new();
     loop {
-        let delivery = rx
+        let delivery = relay
+            .rx
             .recv_timeout(Duration::from_secs(5))
             .expect("the activation never flushed its end marker");
         let event = &delivery.event;
+        assert!(event.trace_id().is_set());
+        assert_eq!(
+            Some(event.trace_id().to_string().as_str()),
+            event.attr("trace"),
+            "an event left with a trace other than its publish's"
+        );
         let v = event.attr("v").unwrap_or("").to_string();
         if v == "end" {
             break;
         }
-        out.push((event.topic().to_string(), v, event.labels().len()));
+        published.push((event.topic().to_string(), v, event.labels().len()));
     }
-    assert!(handle.stop().is_empty());
-    out
+    let builds = relay.builds.load(Ordering::SeqCst);
+    Activation {
+        published,
+        builds,
+        violations: relay.handle.stop(),
+    }
 }
 
 fn published(items: &[(&str, &str, usize)]) -> Vec<(String, String, usize)> {
@@ -264,11 +340,12 @@ fn published(items: &[(&str, &str, usize)]) -> Vec<(String, String, usize)> {
         .collect()
 }
 
-/// Under one key, topic and label set only the last value is flushed,
-/// in its own place: after everything published before it.
+/// Under one key, topic and label set only the last value is built and
+/// flushed, in its own place: after everything published before it. A
+/// superseded builder never runs.
 #[test]
 fn keyed_publishes_collapse_to_the_last_in_its_place() {
-    let out = one_activation(&[
+    let activation = one_activation(&[
         &[("key", "k"), ("v", "1")],
         &[("v", "r1")],
         &[("key", "k"), ("v", "2")],
@@ -277,7 +354,7 @@ fn keyed_publishes_collapse_to_the_last_in_its_place() {
         &[("key", "j"), ("v", "x")],
     ]);
     assert_eq!(
-        out,
+        activation.published,
         published(&[
             ("/out/a", "r1", 0),
             ("/out/a", "r2", 0),
@@ -285,13 +362,15 @@ fn keyed_publishes_collapse_to_the_last_in_its_place() {
             ("/out/a", "x", 0),
         ])
     );
+    assert_eq!(activation.builds, 2, "a superseded builder ran");
+    assert!(activation.violations.is_empty());
 }
 
 /// Events under one key that differ in label set or topic are all kept:
 /// dropping one would change what some subscriber may see.
 #[test]
 fn keyed_publishes_with_other_labels_or_topics_are_kept() {
-    let out = one_activation(&[
+    let activation = one_activation(&[
         &[("key", "k"), ("v", "1")],
         &[("key", "k"), ("v", "2"), ("label", "x")],
         &[("key", "k"), ("v", "3")],
@@ -299,7 +378,7 @@ fn keyed_publishes_with_other_labels_or_topics_are_kept() {
         &[("key", "k"), ("v", "5"), ("topic", "b")],
     ]);
     assert_eq!(
-        out,
+        activation.published,
         published(&[
             ("/out/a", "1", 0),
             ("/out/a", "2", 1),
@@ -307,13 +386,82 @@ fn keyed_publishes_with_other_labels_or_topics_are_kept() {
             ("/out/b", "5", 0),
         ])
     );
+    assert_eq!(activation.builds, 4);
+    assert!(activation.violations.is_empty());
 }
 
 /// Unkeyed publishes never collapse, however alike they are.
 #[test]
 fn unkeyed_publishes_never_collapse() {
-    let out = one_activation(&[&[("v", "same")], &[("v", "same")], &[("v", "same")]]);
-    assert_eq!(out, published(&[("/out/a", "same", 0); 3]));
+    let activation = one_activation(&[&[("v", "same")], &[("v", "same")], &[("v", "same")]]);
+    assert_eq!(activation.published, published(&[("/out/a", "same", 0); 3]));
+    assert!(activation.violations.is_empty());
+}
+
+/// A survivor is built at flush, outside its callback, yet carries the
+/// trace of its own publish (`one_activation` checks every event), not
+/// the superseded one's and not one the broker mints at flush.
+#[test]
+fn a_survivor_carries_the_trace_of_its_publish() {
+    let activation = one_activation(&[&[("key", "k"), ("v", "1")], &[("key", "k"), ("v", "2")]]);
+    assert_eq!(activation.published, published(&[("/out/a", "2", 0)]));
+    assert_eq!(activation.builds, 1);
+    assert!(activation.violations.is_empty());
+}
+
+/// A keyed publish whose relabel is refused runs no builder and
+/// supersedes nothing: the value before it is still flushed.
+#[test]
+fn a_refused_keyed_publish_supersedes_nothing() {
+    let activation = one_activation(&[
+        &[("key", "k"), ("v", "1")],
+        &[("key", "k"), ("v", "2"), ("deny", "yes")],
+    ]);
+    assert_eq!(activation.published, published(&[("/out/a", "1", 0)]));
+    assert_eq!(activation.builds, 1);
+    assert!(
+        matches!(
+            activation.violations.as_slice(),
+            [v] if matches!(v.error, UnitError::EndorsementDenied(_))
+        ),
+        "{:?}",
+        activation.violations
+    );
+}
+
+/// A builder that fails, panics or builds on another topic than its
+/// publish named is one violation each at flush; every other event of
+/// the activation still flushes, in order.
+#[test]
+fn a_failing_builder_is_one_violation_and_the_rest_flush() {
+    let activation = one_activation(&[
+        &[("v", "r1")],
+        &[("key", "k"), ("v", "1"), ("fail", "yes")],
+        &[("key", "j"), ("v", "2")],
+        &[("key", "p"), ("v", "3"), ("panic", "yes")],
+        &[("key", "s"), ("v", "4"), ("stray", "yes")],
+        &[("v", "r2")],
+    ]);
+    assert_eq!(
+        activation.published,
+        published(&[("/out/a", "r1", 0), ("/out/a", "2", 0), ("/out/a", "r2", 0)])
+    );
+    assert_eq!(activation.builds, 4);
+    assert_eq!(
+        activation
+            .violations
+            .iter()
+            .map(|v| (v.unit.as_str(), &v.error))
+            .collect::<Vec<_>>(),
+        [
+            ("relay", &UnitError::Application("build failed".to_string())),
+            ("relay", &UnitError::Panicked("builder bomb".to_string())),
+            (
+                "relay",
+                &UnitError::BadEvent("built on /out/stray for /out/a".to_string())
+            ),
+        ]
+    );
 }
 
 /// A slow unit whose inbox sits at `inbox_cap` pushes back on its

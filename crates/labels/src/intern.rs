@@ -108,24 +108,27 @@ fn priv_table() -> &'static RwLock<HashMap<&'static [Privilege], &'static PrivRe
 /// hash lookup. A novel set leaks one canonical allocation for the life of
 /// the process and is assigned the next [`LabelSetId`].
 pub(crate) fn intern_sorted_labels(labels: Vec<Label>) -> &'static SetRepr {
-    intern_within(labels, usize::MAX).expect("an uncapped intern is never refused")
+    intern_within(labels, usize::MAX)
+        .expect("an uncapped intern is never refused")
+        .0
 }
 
 /// [`intern_sorted_labels`], refusing (`None`) a novel set while the table
 /// holds more than `cap - 3` sets: interning one adds the set and up to two
 /// kind projections, so a table this path grows stays at or under `cap`.
-pub(crate) fn intern_within(labels: Vec<Label>, cap: usize) -> Option<&'static SetRepr> {
+/// Also returns the number of table entries this call added (0 to 3).
+pub(crate) fn intern_within(labels: Vec<Label>, cap: usize) -> Option<(&'static SetRepr, usize)> {
     debug_assert!(labels.windows(2).all(|w| w[0] < w[1]), "not canonical");
     {
         let table = set_table().read().expect("label intern table poisoned");
         if let Some(repr) = table.get(labels.as_slice()) {
-            return Some(repr);
+            return Some((repr, 0));
         }
     }
     let repr = {
         let mut table = set_table().write().expect("label intern table poisoned");
         match table.get(labels.as_slice()) {
-            Some(repr) => *repr,
+            Some(repr) => return Some((repr, 0)),
             None if table.len().saturating_add(3) > cap => return None,
             None => {
                 let conf_count = labels.iter().filter(|l| l.is_confidentiality()).count();
@@ -147,9 +150,10 @@ pub(crate) fn intern_within(labels: Vec<Label>, cap: usize) -> Option<&'static S
     // Fill the kind projections eagerly, outside the table lock. The
     // projection of a pure set is the set itself, so this recurses at most
     // one level before bottoming out.
-    let _ = projection(repr, LabelKind::Confidentiality);
-    let _ = projection(repr, LabelKind::Integrity);
-    Some(repr)
+    let mut added = 1;
+    let _ = projection_counted(repr, LabelKind::Confidentiality, &mut added);
+    let _ = projection_counted(repr, LabelKind::Integrity, &mut added);
+    Some((repr, added))
 }
 
 /// The interned projection of `repr` onto labels of `kind`.
@@ -157,6 +161,15 @@ pub(crate) fn intern_within(labels: Vec<Label>, cap: usize) -> Option<&'static S
 /// Computed once per repr (eagerly at intern time; the `OnceLock` also
 /// covers the race where another thread observes the repr first).
 pub(crate) fn projection(repr: &'static SetRepr, kind: LabelKind) -> &'static SetRepr {
+    projection_counted(repr, kind, &mut 0)
+}
+
+/// [`projection`], adding to `added` the table entries interning it took.
+fn projection_counted(
+    repr: &'static SetRepr,
+    kind: LabelKind,
+    added: &mut usize,
+) -> &'static SetRepr {
     let cell = match kind {
         LabelKind::Confidentiality => &repr.confidentiality,
         LabelKind::Integrity => &repr.integrity,
@@ -175,7 +188,10 @@ pub(crate) fn projection(repr: &'static SetRepr, kind: LabelKind) -> &'static Se
             .filter(|l| l.kind() == kind)
             .cloned()
             .collect();
-        intern_sorted_labels(filtered)
+        let (projected, entries) =
+            intern_within(filtered, usize::MAX).expect("an uncapped intern is never refused");
+        *added += entries;
+        projected
     })
 }
 

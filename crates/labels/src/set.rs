@@ -367,7 +367,7 @@ impl LabelSet {
     /// Returns [`ParseLabelError`] if any element is not a valid label URI.
     pub fn from_wire(s: &str) -> Result<LabelSet, ParseLabelError> {
         let set = LabelSet::from_wire_within(s, usize::MAX)?;
-        Ok(set.expect("an uncapped intern is never refused"))
+        Ok(set.expect("an uncapped intern is never refused").0)
     }
 
     /// [`LabelSet::from_wire`] for input from an untrusted peer: `Ok(None)`
@@ -375,19 +375,24 @@ impl LabelSet {
     /// table is within three sets of `cap` (the set and its two kind
     /// projections). A known set always resolves, so a full table costs an
     /// honest peer nothing, and a peer cycling label URIs cannot take the
-    /// table past `cap`.
+    /// table past `cap`. Also returns the number of intern-table entries
+    /// the call added (0 for a known set, up to 3 for a novel one), so a
+    /// caller can budget the table space a peer spends.
     ///
     /// # Errors
     ///
     /// Returns [`ParseLabelError`] if any element is not a valid label URI.
-    pub fn from_wire_within(s: &str, cap: usize) -> Result<Option<LabelSet>, ParseLabelError> {
+    pub fn from_wire_within(
+        s: &str,
+        cap: usize,
+    ) -> Result<Option<(LabelSet, usize)>, ParseLabelError> {
         let mut labels = Vec::new();
         for part in s.split(',').map(str::trim).filter(|part| !part.is_empty()) {
             labels.push(part.parse()?);
         }
         labels.sort();
         labels.dedup();
-        Ok(intern::intern_within(labels, cap).map(|repr| LabelSet { repr }))
+        Ok(intern::intern_within(labels, cap).map(|(repr, added)| (LabelSet { repr }, added)))
     }
 }
 
@@ -638,15 +643,26 @@ mod tests {
     fn capped_wire_decode_refuses_only_novel_sets() {
         let known = LabelSet::from_iter([conf("patient/1"), int("mdt")]);
         let wire = known.to_wire();
-        assert_eq!(LabelSet::from_wire_within(&wire, 0), Ok(Some(known)));
+        assert_eq!(LabelSet::from_wire_within(&wire, 0), Ok(Some((known, 0))));
         let novel = "label:conf:e/capped-wire-decode/1";
         let full = LabelSet::interned_count();
         assert_eq!(LabelSet::from_wire_within(novel, full), Ok(None));
         assert_eq!(LabelSet::from_wire_within(novel, full + 2), Ok(None));
         assert!(LabelSet::from_wire_within("nonsense", usize::MAX).is_err());
-        let admitted = LabelSet::from_wire_within(novel, usize::MAX).unwrap();
-        assert_eq!(admitted, Some(LabelSet::from_wire(novel).unwrap()));
-        assert_eq!(LabelSet::from_wire_within(novel, 0), Ok(admitted));
+        let (admitted, added) = LabelSet::from_wire_within(novel, usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert_eq!(added, 1, "a pure novel set is its own projection");
+        assert_eq!(admitted, LabelSet::from_wire(novel).unwrap());
+        assert_eq!(
+            LabelSet::from_wire_within(novel, 0),
+            Ok(Some((admitted, 0)))
+        );
+        let mixed = "label:conf:e/capped-wire-decode/2,label:int:e/capped-wire-decode/2";
+        let (_, added) = LabelSet::from_wire_within(mixed, usize::MAX)
+            .unwrap()
+            .unwrap();
+        assert_eq!(added, 3, "a mixed novel set and both its projections");
     }
 
     #[test]

@@ -182,19 +182,26 @@ impl MdtPortal {
     /// Settled means two things hold on the DMZ replica:
     ///
     /// * the records carry every event: a record for every patient, and
-    ///   at least as many record writes as the producer published events;
+    ///   as many folded pieces as the producer published events. Each
+    ///   event adds exactly one marker member to its own record — a
+    ///   patient `birth_year`, a tumour `diagnosed`, a treatment
+    ///   `treatment` — so the markers over all records count the events
+    ///   folded in. Writes no longer do: within one activation only a
+    ///   record's last version is stored (`units` module docs);
     /// * the aggregates agree with those records: every `metrics-<mdt>`
     ///   holds the `cases` and rounded `avg_completeness` computed from
     ///   that MDT's records, and every `regional-<region>` the same over
     ///   its region's records.
     ///
-    /// The second condition does not count aggregate writes, since an
-    /// aggregate is written only when it changes (`units` module docs).
-    /// A portal built with the E9 design error
+    /// Both come from one pass over the records. The second condition
+    /// does not count aggregate writes, since an aggregate is written only
+    /// when it changes. A portal built with the E9 design error
     /// (`VulnConfig::aggregator_mixes_hospitals`) keys cases across MDTs
     /// by construction, so its aggregates need not match its records; it
-    /// settles on the first condition alone. Wakes on the replica's
-    /// commits, not on a timer.
+    /// settles on the first condition alone, which for it is a lower
+    /// bound: a mixed record also carries the markers of the cases it
+    /// collides with, so the count can be reached before the last
+    /// events land. Wakes on the replica's commits, not on a timer.
     ///
     /// # Panics
     ///
@@ -210,8 +217,10 @@ impl MdtPortal {
                 return false;
             }
             let records = db.scan_prefix("record-");
-            let writes: u64 = records.iter().map(|doc| doc.rev().generation()).sum();
-            writes >= events && (!self.aggregates_follow_records || aggregates_match(db, &records))
+            RecordTally::of(&records).is_some_and(|tally| {
+                tally.pieces >= events
+                    && (!self.aggregates_follow_records || tally.aggregates_match(db))
+            })
         });
         assert!(
             settled,
@@ -234,42 +243,70 @@ impl MdtPortal {
     }
 }
 
-/// Whether every aggregate document in `db` holds what the `records`
-/// imply: per MDT and per region, the number of records and their
-/// rounded average completeness — the values the aggregator folds
-/// event by event.
-fn aggregates_match(db: &DocStore, records: &[Document]) -> bool {
-    let mut by_mdt: BTreeMap<String, (i64, f64)> = BTreeMap::new();
-    let mut by_region: BTreeMap<String, (i64, f64)> = BTreeMap::new();
-    for record in records {
-        let body = record.body();
-        let completeness = body
-            .get("completeness")
-            .and_then(Value::as_f64)
-            .unwrap_or(0.0);
-        for (groups, key) in [(&mut by_mdt, "mdt_id"), (&mut by_region, "region_id")] {
-            let Some(name) = body.get(key).and_then(Value::as_str) else {
-                return false;
-            };
-            let (cases, sum) = groups.entry(name.to_string()).or_default();
-            *cases += 1;
-            *sum += completeness;
+/// Members of which each producer event adds exactly one to its record.
+const PIECE_MARKERS: [&str; 3] = ["birth_year", "diagnosed", "treatment"];
+
+/// What the replica's records add up to, in one pass: the event pieces
+/// they carry, and per MDT and per region the number of records and
+/// their completeness sum — what the aggregator folds event by event.
+struct RecordTally<'a> {
+    pieces: u64,
+    by_mdt: BTreeMap<&'a str, (i64, f64)>,
+    by_region: BTreeMap<&'a str, (i64, f64)>,
+}
+
+impl<'a> RecordTally<'a> {
+    /// `None` if a record lacks its `mdt_id` or `region_id`.
+    fn of(records: &'a [Document]) -> Option<RecordTally<'a>> {
+        let mut tally = RecordTally {
+            pieces: 0,
+            by_mdt: BTreeMap::new(),
+            by_region: BTreeMap::new(),
+        };
+        for record in records {
+            let body = record.body();
+            tally.pieces += PIECE_MARKERS
+                .iter()
+                .filter(|m| body.get(m).is_some())
+                .count() as u64;
+            let completeness = body
+                .get("completeness")
+                .and_then(Value::as_f64)
+                .unwrap_or(0.0);
+            for (groups, key) in [
+                (&mut tally.by_mdt, "mdt_id"),
+                (&mut tally.by_region, "region_id"),
+            ] {
+                let (cases, sum) = groups
+                    .entry(body.get(key).and_then(Value::as_str)?)
+                    .or_default();
+                *cases += 1;
+                *sum += completeness;
+            }
         }
+        Some(tally)
     }
-    let holds = |id: String, (cases, sum): (i64, f64)| {
-        db.get(&id).is_some_and(|doc| {
-            let body = doc.body();
-            body.get("cases").and_then(Value::as_i64) == Some(cases)
-                && body.get("avg_completeness").and_then(Value::as_f64)
-                    == Some((sum / cases as f64).round())
-        })
-    };
-    by_mdt
-        .into_iter()
-        .all(|(mdt, totals)| holds(format!("metrics-{mdt}"), totals))
-        && by_region
-            .into_iter()
-            .all(|(region, totals)| holds(format!("regional-{region}"), totals))
+
+    /// Whether every aggregate document in `db` holds what the records
+    /// imply: the number of records and their rounded average
+    /// completeness.
+    fn aggregates_match(&self, db: &DocStore) -> bool {
+        let holds = |id: String, &(cases, sum): &(i64, f64)| {
+            db.get(&id).is_some_and(|doc| {
+                let body = doc.body();
+                body.get("cases").and_then(Value::as_i64) == Some(cases)
+                    && body.get("avg_completeness").and_then(Value::as_f64)
+                        == Some((sum / cases as f64).round())
+            })
+        };
+        self.by_mdt
+            .iter()
+            .all(|(mdt, totals)| holds(format!("metrics-{mdt}"), totals))
+            && self
+                .by_region
+                .iter()
+                .all(|(region, totals)| holds(format!("regional-{region}"), totals))
+    }
 }
 
 fn admin_privileges(mdts: &[MdtInfo]) -> safeweb_labels::PrivilegeSet {

@@ -37,17 +37,46 @@
 //!
 //! # Only the last value of an activation is published
 //!
-//! During an import every event changes both aggregates, so the skip never
-//! fires. Both are published with [`Jail::publish_latest`], keyed by their
-//! stats key: within one engine activation a later publish of an
-//! aggregate under the same topic and label set replaces the earlier one,
-//! which flushes nowhere. The storage unit then puts about one document
-//! per event instead of three, and an aggregate subscriber sees at most one
-//! version per activation — a count that depends on how events batch, a
-//! timing channel no wider than the one above. Records stay unkeyed: every
-//! record event is published and stored.
+//! During an import every event changes its record and both aggregates,
+//! so the skip never fires. All three are published with
+//! [`Jail::publish_latest`]: within one engine activation a later publish
+//! under the same key, topic and label set replaces the earlier one, which
+//! flushes nowhere. A registry import stores about one document per case
+//! (records included) instead of one per event for each of the three, and
+//! a record or aggregate subscriber sees at most one version per
+//! activation — a count that depends on how events batch, a timing
+//! channel no wider than the one above. A steady-state update touches one
+//! case per activation, so it still stores its record once.
+//!
+//! Records are keyed by the document the storage unit files them under,
+//! `record-<mdt>-<case_id>`, never by the aggregator's case key: two
+//! record publishes then share a key only when they write the same
+//! document, so dropping the earlier one leaves the store as it would
+//! have been. Under the E9 design error ([`AggregatorConfig`]) the case
+//! key collides across MDTs, and a record keyed by it would supersede
+//! another MDT's record — a different document.
+//!
+//! # Builders run only for the survivor
+//!
+//! An aggregate hands `publish_latest` a builder, not an event: the
+//! relabel check, the labels and the trace are fixed at publish time, and
+//! the payload, its JSON text and the event are made at flush, only for
+//! the publish that survives; its owned captures are made only once the
+//! aggregate is known to have changed. The record's builder hands over
+//! an event made beside the fold, which is cheap next to it.
+//!
+//! The builders cannot fail: their topics and attribute names are
+//! constants (each builds on the topic constant its publish names, so the
+//! jail's topic check passes), and their attribute values are attributes
+//! the incoming event already carried, which passed the same check. The
+//! skip relies
+//! on that: `fold_aggregate` records the `$LABELS` a publish ran under as
+//! published once `publish_latest` admits it, before its builder runs; a
+//! builder failing at flush would leave an aggregate recorded as
+//! published that was never stored.
 
 use std::collections::{BTreeMap, HashMap};
+use std::fmt::{self, Write};
 use std::time::Duration;
 
 use safeweb_docstore::DocStore;
@@ -244,6 +273,9 @@ const RECORD_FIELDS: &[&str] = &[
 /// `region_id` is refused with [`UnitError::BadEvent`] before anything is
 /// stored or published.
 pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
+    // The store keys an event reads, written into one reused buffer: a
+    // `String` per key was three allocations per event.
+    let mut key = String::new();
     UnitSpec::new("data_aggregator").subscribe(
         PATIENT_REPORT_TOPIC,
         Some("type = 'cancer'"),
@@ -262,14 +294,14 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
             // origin; the buggy key collides across MDTs.
             let case_key = if config.mix_hospitals {
                 let short: u64 = case_id.parse::<u64>().unwrap_or(0) % 7;
-                format!("case/{short}")
+                key_in(&mut key, format_args!("case/{short}"))
             } else {
-                format!("case/{mdt}/{case_id}")
+                key_in(&mut key, format_args!("case/{mdt}/{case_id}"))
             };
 
             // Fold this piece into the stored case (reading taints
             // $LABELS with everything previously folded in).
-            let stored = jail.get(&case_key);
+            let stored = jail.get(case_key);
             let ids = CaseIds {
                 case_id,
                 mdt,
@@ -277,14 +309,21 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                 region,
             };
             let fold = fold_case(stored.as_deref(), &ids, is_treatment, payload)?;
-            jail.set(&case_key, fold.record_json.clone(), Relabel::keep())?;
+            jail.set(case_key, fold.record_json.clone(), Relabel::keep())?;
 
-            // Publish the (updated) aggregated record.
+            // Publish the (updated) aggregated record, keyed by the
+            // document it is stored as (module docs). Making the event is
+            // cheap beside the fold, so its builder only hands it over.
             let rec_event = Event::new(MDT_RECORD_TOPIC)
                 .map_err(|e| UnitError::BadEvent(e.to_string()))?
                 .set_attrs(&[("case_id", case_id), ("mdt", mdt), ("region_id", region)])?
                 .with_payload(fold.record_json);
-            jail.publish(rec_event, Relabel::keep())?;
+            jail.publish_latest(
+                format!("record-{mdt}-{case_id}"),
+                MDT_RECORD_TOPIC,
+                Relabel::keep(),
+                move || Ok(rec_event),
+            )?;
 
             let change = CaseChange {
                 is_new_case: stored.is_none(),
@@ -298,25 +337,29 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
             // component, §3.1) and add the region aggregate label.
             fold_aggregate(
                 jail,
-                &format!("stats/mdt/{mdt}"),
+                key_in(&mut key, format_args!("stats/mdt/{mdt}")),
                 region,
                 change,
+                MDT_METRICS_TOPIC,
                 |cases, avg| {
-                    let metrics = jobject! {
-                        "kind" => "mdt_metrics",
-                        "mdt_id" => mdt,
-                        "region_id" => region,
-                        "cases" => cases,
-                        "avg_completeness" => avg,
-                    };
-                    let metrics_event = Event::new(MDT_METRICS_TOPIC)
-                        .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                        .set_attrs(&[("mdt", mdt), ("region_id", region)])?
-                        .with_payload(metrics.to_json());
                     let relabel = Relabel::keep()
                         .remove(mdt_label(mdt))
                         .add(region_aggregate_label(region_id));
-                    Ok((metrics_event, relabel))
+                    let (mdt, region) = (mdt.to_string(), region.to_string());
+                    let build = move || {
+                        let metrics = jobject! {
+                            "kind" => "mdt_metrics",
+                            "mdt_id" => mdt.as_str(),
+                            "region_id" => region.as_str(),
+                            "cases" => cases,
+                            "avg_completeness" => avg,
+                        };
+                        Event::new(MDT_METRICS_TOPIC)
+                            .map_err(|e| UnitError::BadEvent(e.to_string()))?
+                            .set_attrs(&[("mdt", &mdt), ("region_id", &region)])
+                            .map(|event| event.with_payload(metrics.to_json()))
+                    };
+                    (relabel, build)
                 },
             )?;
 
@@ -324,24 +367,25 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
             // everything and attach only the regional label.
             fold_aggregate(
                 jail,
-                &format!("stats/region/{region}"),
+                key_in(&mut key, format_args!("stats/region/{region}")),
                 region,
                 change,
+                REGIONAL_METRICS_TOPIC,
                 |cases, avg| {
-                    let regional = jobject! {
-                        "kind" => "regional_metrics",
-                        "region_id" => region,
-                        "cases" => cases,
-                        "avg_completeness" => avg,
+                    let region = region.to_string();
+                    let build = move || {
+                        let regional = jobject! {
+                            "kind" => "regional_metrics",
+                            "region_id" => region.as_str(),
+                            "cases" => cases,
+                            "avg_completeness" => avg,
+                        };
+                        Event::new(REGIONAL_METRICS_TOPIC)
+                            .map_err(|e| UnitError::BadEvent(e.to_string()))?
+                            .set_attrs(&[("region_id", &region)])
+                            .map(|event| event.with_payload(regional.to_json()))
                     };
-                    let regional_event = Event::new(REGIONAL_METRICS_TOPIC)
-                        .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                        .set_attrs(&[("region_id", region)])?
-                        .with_payload(regional.to_json());
-                    Ok((
-                        regional_event,
-                        Relabel::keep().remove_all().add(regional_label()),
-                    ))
+                    (Relabel::keep().remove_all().add(regional_label()), build)
                 },
             )
         },
@@ -454,57 +498,93 @@ struct CaseChange {
 }
 
 /// Folds `change` into the aggregate kept under `key` in the jail's
-/// labelled store, then publishes the event `build(cases,
-/// avg_completeness)` makes, as the latest value of `key`, and stores the
-/// folded state — unless that publish would repeat the key's last one
-/// exactly (module docs), in which case nothing is written or published.
+/// labelled store, then publishes on `topic`, as the latest value of
+/// `key`, under the relabel and with the builder `make(cases,
+/// avg_completeness)` returns, and stores the folded state — unless that
+/// publish would repeat the key's last one exactly (module docs), in
+/// which case nothing is made, written or published.
 ///
-/// Beside the running count and completeness sum, the stats value keeps
-/// the `region_id` the aggregate was published for and the interned id
-/// of the `$LABELS` its last *successful* publish ran under. A refused
-/// publish keeps no id, so the next event retries it and is refused
-/// again, as it would be if every event republished. The id is
-/// process-local, which is sound because the jail's store lives in
-/// memory and dies with the process.
-fn fold_aggregate(
+/// The stats value is fixed-field text, `cases sum region published`:
+/// the running count and completeness sum (printed with `{:?}`, which
+/// parses back to the same `f64`), the `region_id` the aggregate was
+/// published for (an integer's text: the aggregator refuses any other,
+/// so it holds no space), and the interned id of the `$LABELS` its last
+/// *successful* publish ran under, or `-`. A refused publish keeps no id,
+/// so the next event retries it and is refused again, as it would be if
+/// every event republished. The id is process-local, which is sound
+/// because the jail's store lives in memory and dies with the process.
+fn fold_aggregate<B>(
     jail: &mut Jail<'_>,
     key: &str,
     region: &str,
     change: CaseChange,
-    build: impl FnOnce(i64, f64) -> Result<(Event, Relabel), UnitError>,
-) -> Result<(), UnitError> {
-    let stored = jail
-        .get(key)
-        .map(|json| Value::parse(&json))
-        .transpose()
-        .map_err(|e| UnitError::Application(format!("corrupt stats under {key}: {e}")))?;
-    let field = |name: &str| stored.as_ref().and_then(|s| s.get(name));
-    let old_cases = field("cases").and_then(Value::as_i64).unwrap_or(0);
-    let old_sum = field("completeness_sum")
-        .and_then(Value::as_f64)
-        .unwrap_or(0.0);
+    topic: &'static str,
+    make: impl FnOnce(i64, f64) -> (Relabel, B),
+) -> Result<(), UnitError>
+where
+    B: FnOnce() -> Result<Event, UnitError> + 'static,
+{
+    let stored = jail.get(key);
+    let stats = match stored.as_deref() {
+        Some(text) => AggregateStats::parse(text)
+            .ok_or_else(|| UnitError::Application(format!("corrupt stats under {key}")))?,
+        None => AggregateStats::default(),
+    };
     // Distinct-case accounting: new cases extend the count, updates to
     // known cases adjust the running completeness sum.
-    let cases = old_cases + i64::from(change.is_new_case);
-    let sum = old_sum + change.completeness_delta;
-    let labels = i64::from(jail.labels().id().as_u32());
-    let unchanged = cases == old_cases
-        && sum == old_sum
-        && field("region_id").and_then(Value::as_str) == Some(region)
-        && field("published").and_then(Value::as_i64) == Some(labels);
+    let cases = stats.cases + i64::from(change.is_new_case);
+    let sum = stats.sum + change.completeness_delta;
+    let labels = jail.labels().id().as_u32();
+    let unchanged = cases == stats.cases
+        && sum == stats.sum
+        && stats.region == Some(region)
+        && stats.published == Some(labels);
     if unchanged {
         return Ok(());
     }
-    let outcome = build(cases, (sum / cases as f64).round())
-        .and_then(|(event, relabel)| jail.publish_latest(key, event, relabel));
-    let stats = jobject! {
-        "cases" => cases,
-        "completeness_sum" => sum,
-        "region_id" => region,
-        "published" => outcome.is_ok().then_some(labels),
+    let (relabel, build) = make(cases, (sum / cases as f64).round());
+    let outcome = jail.publish_latest(key, topic, relabel, build);
+    let stats = match outcome {
+        Ok(()) => format!("{cases} {sum:?} {region} {labels}"),
+        Err(_) => format!("{cases} {sum:?} {region} -"),
     };
-    jail.set(key, stats.to_json(), Relabel::keep())?;
+    jail.set(key, stats, Relabel::keep())?;
     outcome
+}
+
+/// An aggregate's stats value, as [`fold_aggregate`] stores it.
+#[derive(Debug, Default)]
+struct AggregateStats<'a> {
+    cases: i64,
+    sum: f64,
+    region: Option<&'a str>,
+    published: Option<u32>,
+}
+
+impl<'a> AggregateStats<'a> {
+    /// Reads `cases sum region published|-`; `None` if malformed.
+    fn parse(text: &'a str) -> Option<AggregateStats<'a>> {
+        let mut fields = text.split(' ');
+        let stats = AggregateStats {
+            cases: fields.next()?.parse().ok()?,
+            sum: fields.next()?.parse().ok()?,
+            region: Some(fields.next()?),
+            published: match fields.next()? {
+                "-" => None,
+                id => Some(id.parse().ok()?),
+            },
+        };
+        fields.next().is_none().then_some(stats)
+    }
+}
+
+/// Overwrites `buffer` with `key` and returns it.
+fn key_in<'b>(buffer: &'b mut String, key: fmt::Arguments<'_>) -> &'b str {
+    buffer.clear();
+    buffer
+        .write_fmt(key)
+        .expect("writing to a String cannot fail");
+    buffer
 }
 
 /// The attribute `name` of `event`, or [`UnitError::BadEvent`] when it is

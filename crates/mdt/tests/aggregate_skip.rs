@@ -17,10 +17,11 @@
 //! fail): a skip that ignores `$LABELS`, and one that tests completeness
 //! alone.
 
+use std::sync::mpsc;
 use std::time::Duration;
 
 use safeweb_core::{SafeWebBuilder, SafeWebDeployment};
-use safeweb_engine::{Relabel, UnitError, UnitSpec};
+use safeweb_engine::{EngineOptions, Relabel, SchedulerOptions, UnitError, UnitSpec};
 use safeweb_events::{Event, LabelledEvent};
 use safeweb_json::{jobject, Value};
 use safeweb_labels::{Label, LabelSet, Policy};
@@ -297,16 +298,89 @@ fn unchanged_updates_do_no_aggregate_put() {
     let generation = |id: &str| db.get(id).expect(id).rev().generation();
     let before = [generation("metrics-m0"), generation("regional-0")];
     let record_before = generation("record-m0-1");
-    for _ in 0..5 {
+    // Settling after each resend makes it an activation of its own:
+    // within one activation only the record's last version is stored.
+    for n in 2..7 {
         deployment.broker().publish(&tumour.event());
+        settle(&deployment, n);
     }
-    settle(&deployment, 2);
     assert_eq!(generation("record-m0-1"), record_before + 5);
     assert_eq!(
         [generation("metrics-m0"), generation("regional-0")],
         before,
         "an unchanged update rewrote an aggregate"
     );
+    assert!(deployment.engine_violations().is_empty());
+}
+
+/// A case's patient, tumour and treatment folded in one activation are
+/// stored once: one record put carrying all three pieces, and one put of
+/// each aggregate. A gate unit holds the deployment's one worker until
+/// all three events wait in the aggregator's inbox.
+#[test]
+fn one_activation_stores_a_case_once_with_every_piece() {
+    let (entered, on_enter) = mpsc::channel::<()>();
+    let (release, released) = mpsc::channel::<()>();
+    let gate = UnitSpec::new("gate").subscribe("/gate", None, move |_jail, _event| {
+        entered.send(()).expect("the test waits for the gate");
+        released.recv().expect("the test releases the gate");
+        Ok(())
+    });
+    let deployment = SafeWebBuilder::new()
+        .policy(policy())
+        .engine_options(EngineOptions {
+            scheduler: SchedulerOptions {
+                workers: 1,
+                ..SchedulerOptions::default()
+            },
+            ..EngineOptions::default()
+        })
+        .unit(gate)
+        .unit(data_aggregator(AggregatorConfig::default()))
+        .unit_with_app_db(data_storage)
+        .build()
+        .expect("deployment starts");
+    let broker = deployment.broker();
+    broker.publish(&Event::new("/gate").expect("valid topic").with_labels([]));
+    on_enter
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the gate holds the worker");
+    let delivered = broker.stats().delivered();
+    let report = |kind: &'static str, payload: &str| Report {
+        mdt: "m0",
+        region: "0",
+        case_id: 1,
+        kind,
+        payload: payload.to_string(),
+        labels: vec![mdt_label("m0")],
+    };
+    for piece in [
+        report("patient", "{\"name\":\"ada\",\"birth_year\":1950}"),
+        report(
+            "tumour",
+            "{\"site\":\"lung\",\"stage\":\"I\",\"diagnosed\":2001}",
+        ),
+        report("treatment", "{\"kind\":\"surgery\"}"),
+    ] {
+        broker.publish(&piece.event());
+    }
+    assert_eq!(broker.stats().delivered(), delivered + 3);
+    release.send(()).expect("the gate is waiting");
+    settle(&deployment, 1);
+
+    let db = deployment.app_db();
+    let record = db.get("record-m0-1").expect("the case's record");
+    assert_eq!(record.rev().generation(), 1, "the record was stored twice");
+    for piece in ["birth_year", "diagnosed", "treatment"] {
+        assert!(record.body().get(piece).is_some(), "no {piece}");
+    }
+    assert_eq!(
+        record.body().get("completeness").and_then(Value::as_f64),
+        Some(100.0)
+    );
+    for id in ["metrics-m0", "regional-0"] {
+        assert_eq!(db.get(id).expect(id).rev().generation(), 1, "{id}");
+    }
     assert!(deployment.engine_violations().is_empty());
 }
 

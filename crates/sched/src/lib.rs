@@ -87,4 +87,4 @@ mod inbox;
 mod scheduler;
 
 pub use inbox::{SendError, TrySendError};
-pub use scheduler::{Scheduler, SchedulerOptions, TaskPanic, TaskSender};
+pub use scheduler::{panic_message, Scheduler, SchedulerOptions, TaskPanic, TaskSender};

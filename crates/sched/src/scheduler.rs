@@ -88,6 +88,15 @@ pub struct TaskPanic {
     pub message: String,
 }
 
+/// A panic payload rendered as text, as [`TaskPanic::message`] holds it.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}
+
 // Task states. A task is in exactly one queue iff its state is QUEUED;
 // only the worker that dequeued it moves QUEUED→RUNNING, which is what
 // makes concurrent execution impossible.
@@ -316,11 +325,7 @@ impl<M: Send + 'static> Inner<M> {
 
     fn poison(&self, task: &Task<M>, payload: &(dyn std::any::Any + Send)) {
         task.inbox.close(true);
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
+        let message = panic_message(payload);
         self.panics
             .lock()
             .unwrap_or_else(|e| e.into_inner())
