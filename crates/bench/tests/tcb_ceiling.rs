@@ -7,16 +7,19 @@
 
 use safeweb_bench::{count_crate, workspace_root};
 
-/// Code lines per audited crate (`crates/<name>/src`).
+/// Code lines per audited crate (`crates/<name>/src`). Engine 845 → 881
+/// for the per-activation relabel memo, the borrowing `Jail::get_ref` and
+/// the in-place store write, which take the MDT aggregator's per-event
+/// path from ≈ 47 allocations to ≈ 13.
 const CRATE_MAX: [(&str, usize); 5] = [
     ("taint", 405),
-    ("engine", 845),
+    ("engine", 881),
     ("labels", 1178),
     ("broker", 889),
     ("web", 985),
 ];
 /// Taint + engine + labels + broker + web code lines.
-const TCB_MAX: usize = 4302;
+const TCB_MAX: usize = 4338;
 
 #[test]
 fn audited_core_stays_under_its_ceiling() {

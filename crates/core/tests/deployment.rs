@@ -5,7 +5,8 @@
 
 use std::time::{Duration, Instant};
 
-use safeweb_core::{SafeWebBuilder, Zone};
+use safeweb_core::docstore::StoreError;
+use safeweb_core::{SafeWebBuilder, SafeWebDeployment, Zone};
 use safeweb_engine::{Relabel, UnitError, UnitSpec};
 use safeweb_events::Event;
 use safeweb_http::{Method, Request};
@@ -18,6 +19,20 @@ fn wait_until(timeout: Duration, mut cond: impl FnMut() -> bool) {
         assert!(Instant::now() < deadline, "condition never became true");
         std::thread::sleep(Duration::from_millis(10));
     }
+}
+
+/// The DMZ replica refuses a direct write and stores nothing.
+fn assert_dmz_refuses_writes(deployment: &SafeWebDeployment) {
+    let dmz = deployment.dmz_db();
+    let seq = dmz.seq();
+    let put = dmz.put(
+        "dmz-write",
+        safeweb_json::jobject! {"kind" => "forged"},
+        safeweb_labels::LabelSet::new(),
+        None,
+    );
+    assert!(matches!(put, Err(StoreError::ReadOnly)), "{put:?}");
+    assert_eq!(dmz.seq(), seq);
 }
 
 #[test]
@@ -66,7 +81,7 @@ fn full_wiring_and_replication() {
         .wait_until(Duration::from_secs(10), |db| db.len() == 1));
     let doc = deployment.dmz_db().get("r-1").unwrap();
     assert!(doc.labels().contains(&Label::conf("e", "mdt/a")));
-    assert!(deployment.dmz_db().is_read_only());
+    assert_dmz_refuses_writes(&deployment);
 
     // A frontend bound to the deployment enforces the stored labels.
     let mut cleared = PrivilegeSet::new();
@@ -183,7 +198,7 @@ fn durable_deployment_recovers_and_resumes_replication() {
             .len(),
         1
     );
-    assert!(deployment.dmz_db().is_read_only());
+    assert_dmz_refuses_writes(&deployment);
     let replica_seq = deployment.dmz_db().seq();
 
     // New writes replicate incrementally: the replica's sequence number

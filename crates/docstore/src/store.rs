@@ -963,11 +963,6 @@ impl DocStore {
         self.inner.write().read_only = read_only;
     }
 
-    /// Whether the store rejects writes.
-    pub fn is_read_only(&self) -> bool {
-        self.inner.read().read_only
-    }
-
     /// Creates or updates a document.
     ///
     /// `expected_rev` must be `None` for a fresh id and the current

@@ -33,7 +33,7 @@ use safeweb_sched::{Scheduler, SchedulerOptions, TaskSender};
 
 use crate::bus::EventBus;
 use crate::error::{EngineError, UnitError};
-use crate::jail::{EventBuilder, Jail, LabelledStore, PublishSink};
+use crate::jail::{EventBuilder, Jail, LabelledStore, PublishSink, RelabelMemo};
 
 /// A unit callback: receives the jail and the event being processed.
 pub type Callback = Box<dyn FnMut(&mut Jail<'_>, &Event) -> Result<(), UnitError> + Send>;
@@ -258,6 +258,7 @@ impl Engine {
                                     privileged,
                                     &mut store,
                                     &sink,
+                                    &sink.relabels,
                                     tracking,
                                 );
                                 let result =
@@ -278,6 +279,7 @@ impl Engine {
                                     privileged,
                                     &mut store,
                                     &sink,
+                                    &sink.relabels,
                                     tracking,
                                 );
                                 (timer_callbacks[timer])(&mut jail)
@@ -495,12 +497,17 @@ fn panic_violation(panic: safeweb_sched::TaskPanic) -> Violation {
 /// the same key when both have the same topic and the same interned
 /// label set: that one is dropped without being built, and the
 /// activation builds and flushes only the newest, in its own place.
+///
+/// The activation's jails also share one relabel memo, so a relabel that
+/// repeats on the same `$LABELS` — an aggregate published on every event
+/// — is checked once per activation.
 #[derive(Default)]
 struct BufferedBusSink {
     /// Publishes in order.
     pending: RefCell<Vec<Pending>>,
     /// Index in `pending` of the publish last made under each key.
     latest: RefCell<HashMap<String, usize>>,
+    relabels: RelabelMemo,
 }
 
 /// One buffered publish.
@@ -584,13 +591,18 @@ impl PublishSink for BufferedBusSink {
 
     fn deliver_latest(
         &self,
-        key: String,
+        key: &str,
         topic: &'static str,
         labels: LabelSet,
         build: EventBuilder,
     ) -> Result<(), UnitError> {
         let mut pending = self.pending.borrow_mut();
-        let last = self.latest.borrow_mut().insert(key, pending.len());
+        let mut latest = self.latest.borrow_mut();
+        // The key is copied only on its first publish in the activation.
+        let last = match latest.get_mut(key) {
+            Some(last) => Some(std::mem::replace(last, pending.len())),
+            None => latest.insert(key.to_string(), pending.len()),
+        };
         if let Some(last) = last {
             if let Pending::Keyed {
                 topic: t,

@@ -16,16 +16,17 @@
 //! * Writing to the store labels the key with `$LABELS` (± the same
 //!   checked adjustments).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use safeweb_events::{Event, LabelledEvent};
-use safeweb_labels::{Label, LabelSet, PrivilegeSet};
+use safeweb_labels::{Label, LabelSet, LabelSetId, PrivilegeSet};
 
 use crate::error::UnitError;
 
 /// Label adjustments a unit may request when publishing or storing,
 /// mirroring Listing 1's `:add => [...], :remove => $LABELS`.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Relabel {
     add: Vec<Label>,
     remove: RemoveSpec,
@@ -92,16 +93,32 @@ impl LabelledStore {
         self.entries.get(key)
     }
 
-    /// Writes `key`, copying the key only when it is new.
-    pub(crate) fn set_raw(&mut self, key: &str, value: String, labels: LabelSet) {
+    /// Writes `key`, overwriting an existing value in place: the key and
+    /// the value's buffer are copied only when the key is new.
+    pub(crate) fn set_raw(&mut self, key: &str, value: &str, labels: LabelSet) {
         match self.entries.get_mut(key) {
-            Some(entry) => *entry = (value, labels),
+            Some((old, old_labels)) => {
+                old.clear();
+                // Grown to the exact size, as a fresh copy would be.
+                old.reserve_exact(value.len());
+                old.push_str(value);
+                *old_labels = labels;
+            }
             None => {
-                self.entries.insert(key.to_string(), (value, labels));
+                self.entries.insert(key.into(), (value.into(), labels));
             }
         }
     }
 }
+
+/// Most relabel outcomes one activation remembers; later distinct ones
+/// are computed each time.
+const RELABEL_MEMO_CAP: usize = 32;
+
+/// The outcomes of one activation's relabels, keyed by the input
+/// `$LABELS` and the [`Relabel`]. Sound because an outcome depends on
+/// nothing else but the unit's privileges, which are fixed.
+pub(crate) type RelabelMemo = RefCell<Vec<(LabelSetId, Relabel, Result<LabelSet, UnitError>)>>;
 
 /// Makes the event of a [`Jail::publish_latest`]. A buffering sink runs
 /// it at flush, and only if no later publish superseded it.
@@ -124,7 +141,7 @@ pub trait PublishSink {
     /// The default returns what `build` returns.
     fn deliver_latest(
         &self,
-        _key: String,
+        _key: &str,
         _topic: &'static str,
         labels: LabelSet,
         build: EventBuilder,
@@ -166,6 +183,8 @@ pub struct Jail<'a> {
     privileged: bool,
     store: &'a mut LabelledStore,
     sink: &'a dyn PublishSink,
+    /// Shared by the jails of one activation.
+    relabels: &'a RelabelMemo,
     /// When false (baseline benchmarking only), label bookkeeping is
     /// skipped entirely.
     tracking: bool,
@@ -180,6 +199,7 @@ impl<'a> Jail<'a> {
         privileged: bool,
         store: &'a mut LabelledStore,
         sink: &'a dyn PublishSink,
+        relabels: &'a RelabelMemo,
         tracking: bool,
     ) -> Jail<'a> {
         Jail {
@@ -188,6 +208,7 @@ impl<'a> Jail<'a> {
             privileged,
             store,
             sink,
+            relabels,
             tracking,
         }
     }
@@ -230,17 +251,24 @@ impl<'a> Jail<'a> {
     /// labels into `$LABELS` (§4.3: "when a value is read from the store,
     /// `$LABELS` is updated to reflect its confidentiality").
     pub fn get(&mut self, key: &str) -> Option<String> {
-        let (value, labels) = self.store.get_raw(key)?.clone();
+        self.get_ref(key).map(str::to_string)
+    }
+
+    /// [`Jail::get`] without copying the value: `$LABELS` is tainted the
+    /// same way.
+    pub fn get_ref(&mut self, key: &str) -> Option<&str> {
+        let (value, labels) = self.store.get_raw(key)?;
         if self.tracking {
             // Interned union: a no-op pointer compare when the key's labels
             // are already covered by `$LABELS`, the common steady state.
-            self.labels = self.labels.union(&labels);
+            self.labels = self.labels.union(labels);
         }
         Some(value)
     }
 
     /// Writes a value to the store labelled with `$LABELS` adjusted by
-    /// `relabel` (checked like a publish).
+    /// `relabel` (checked like a publish). A key's existing value is
+    /// overwritten in place.
     ///
     /// # Errors
     ///
@@ -249,11 +277,11 @@ impl<'a> Jail<'a> {
     pub fn set(
         &mut self,
         key: &str,
-        value: impl Into<String>,
+        value: impl AsRef<str>,
         relabel: Relabel,
     ) -> Result<(), UnitError> {
         let labels = self.output_labels(relabel)?;
-        self.store.set_raw(key, value.into(), labels);
+        self.store.set_raw(key, value.as_ref(), labels);
         Ok(())
     }
 
@@ -289,7 +317,7 @@ impl<'a> Jail<'a> {
     /// supersedes nothing.
     pub fn publish_latest(
         &mut self,
-        key: impl Into<String>,
+        key: impl AsRef<str>,
         topic: &'static str,
         relabel: Relabel,
         build: impl FnOnce() -> Result<Event, UnitError> + 'static,
@@ -304,15 +332,32 @@ impl<'a> Jail<'a> {
             Ok(event)
         };
         self.sink
-            .deliver_latest(key.into(), topic, labels, Box::new(build))
+            .deliver_latest(key.as_ref(), topic, labels, Box::new(build))
     }
 
     /// Computes output labels = (`$LABELS` − removals) ∪ additions with
-    /// privilege checks.
+    /// privilege checks, each distinct one once per activation.
     fn output_labels(&self, relabel: Relabel) -> Result<LabelSet, UnitError> {
         if !self.tracking {
             return Ok(LabelSet::new());
         }
+        if relabel.add.is_empty() && relabel.remove == RemoveSpec::None {
+            return Ok(self.labels);
+        }
+        let input = self.labels.id();
+        let mut memo = self.relabels.borrow_mut();
+        if let Some((.., outcome)) = memo.iter().find(|(i, r, _)| *i == input && *r == relabel) {
+            return outcome.clone();
+        }
+        let outcome = self.relabel(&relabel);
+        if memo.len() < RELABEL_MEMO_CAP {
+            memo.push((input, relabel, outcome.clone()));
+        }
+        outcome
+    }
+
+    /// [`Jail::output_labels`], computed.
+    fn relabel(&self, relabel: &Relabel) -> Result<LabelSet, UnitError> {
         let mut labels = self.labels;
         match relabel.remove {
             RemoveSpec::None => {}
@@ -331,11 +376,11 @@ impl<'a> Jail<'a> {
                 }
             }
         }
-        for l in relabel.add {
-            if l.is_integrity() && !self.privileged && !self.privileges.can_endorse(&l) {
-                return Err(UnitError::EndorsementDenied(l));
+        for l in &relabel.add {
+            if l.is_integrity() && !self.privileged && !self.privileges.can_endorse(l) {
+                return Err(UnitError::EndorsementDenied(l.clone()));
             }
-            labels.insert(l);
+            labels.insert(l.clone());
         }
         Ok(labels)
     }
@@ -379,6 +424,7 @@ mod tests {
     ) -> (R, Vec<LabelledEvent>) {
         let mut store = LabelledStore::new();
         let capture = Capture(Mutex::new(Vec::new()));
+        let memo = RelabelMemo::default();
         let r = {
             let mut jail = Jail::new(
                 initial.iter().cloned().collect(),
@@ -386,6 +432,7 @@ mod tests {
                 privileged,
                 &mut store,
                 &capture,
+                &memo,
                 true,
             );
             f(&mut jail)
@@ -479,6 +526,7 @@ mod tests {
         // empty ambient labels and publishes — output must carry p/1.
         let mut store = LabelledStore::new();
         let capture = Capture(Mutex::new(Vec::new()));
+        let memo = RelabelMemo::default();
         let privs = PrivilegeSet::new();
         {
             let mut jail = Jail::new(
@@ -487,12 +535,21 @@ mod tests {
                 false,
                 &mut store,
                 &capture,
+                &memo,
                 true,
             );
             jail.set("list", "patient-1", Relabel::keep()).unwrap();
         }
         {
-            let mut jail = Jail::new(LabelSet::new(), &privs, false, &mut store, &capture, true);
+            let mut jail = Jail::new(
+                LabelSet::new(),
+                &privs,
+                false,
+                &mut store,
+                &capture,
+                &memo,
+                true,
+            );
             let v = jail.get("list").unwrap();
             assert_eq!(v, "patient-1");
             assert!(
@@ -527,6 +584,57 @@ mod tests {
         });
         assert!(res.is_ok());
         assert!(events[0].labels().contains(&int));
+    }
+
+    /// One activation's jails share a memo; a relabel's outcome is decided
+    /// per input `$LABELS`, so a refusal is not hidden behind an earlier
+    /// admission of the same relabel on other labels, nor the reverse.
+    #[test]
+    fn relabel_memo_is_keyed_by_the_input_labels() {
+        let mut privs = PrivilegeSet::new();
+        privs.grant(Privilege::declassify(conf("p/1")));
+        let mut store = LabelledStore::new();
+        let capture = Capture(Mutex::new(Vec::new()));
+        let memo = RelabelMemo::default();
+        let mut publish = |initial: &[Label]| {
+            let mut jail = Jail::new(
+                initial.iter().cloned().collect(),
+                &privs,
+                false,
+                &mut store,
+                &capture,
+                &memo,
+                true,
+            );
+            let relabel = Relabel::keep().remove_all().add(conf("list"));
+            jail.publish(Event::new("/out").unwrap(), relabel)
+        };
+        for _ in 0..2 {
+            assert_eq!(publish(&[conf("p/1")]), Ok(()));
+            assert_eq!(
+                publish(&[conf("p/2")]),
+                Err(UnitError::DeclassificationDenied(conf("p/2")))
+            );
+            assert_eq!(publish(&[]), Ok(()));
+        }
+        let events = capture.0.into_inner();
+        assert_eq!(events.len(), 4);
+        assert!(events
+            .iter()
+            .all(|e| e.labels() == &LabelSet::singleton(conf("list"))));
+    }
+
+    #[test]
+    fn set_overwrites_in_place_and_get_ref_taints() {
+        let (labels, _) = run_jail(&[conf("p/1")], PrivilegeSet::new(), false, |jail| {
+            jail.set("k", "a longer first value", Relabel::keep())
+                .unwrap();
+            jail.set("k", String::from("short"), Relabel::keep().add(conf("p/2")))
+                .unwrap();
+            assert_eq!(jail.get_ref("k"), Some("short"));
+            *jail.labels()
+        });
+        assert!(labels.contains(&conf("p/2")), "get_ref taints $LABELS");
     }
 
     #[test]

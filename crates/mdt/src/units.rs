@@ -17,23 +17,27 @@
 //! event, one put and one replicated document; a registry import, where
 //! every event adds a case or a field, still publishes all three.
 //!
-//! The skip is exact, not a heuristic. It is taken only when the folded
-//! count and completeness sum equal the stored ones, the aggregate's
-//! `region_id` is unchanged, *and* `$LABELS` after reading the stats key
-//! is the label set that key was last written — and successfully
-//! published — under (`fold_aggregate`). Reading a key folds the labels
-//! it was written under into `$LABELS`, so an equal set means a write now
-//! would store the same labels, and the publish would run the same
-//! relabel check on the same `$LABELS` with the same payload. Stored
-//! documents, their labels and every relabel-check outcome therefore
-//! equal those of a pipeline that republishes on every event;
+//! The skip is exact, not a heuristic, and it compares the *payload*,
+//! not the running state. It is taken only when the folded count, the
+//! rounded average completeness and the aggregate's `region_id` equal
+//! those of the key's last publish, *and* `$LABELS` after reading the
+//! stats key is the label set that publish ran under — and succeeded
+//! under (`fold_aggregate`). A completeness change that leaves the
+//! rounded average where it was therefore publishes nothing; only the
+//! stats key is rewritten, under the same labels. Reading a key folds
+//! the labels it was written under into `$LABELS`, so an equal set means
+//! a write now stores the same labels, and the publish would run the
+//! same relabel check on the same `$LABELS` with the same payload.
+//! Stored documents, their labels and every relabel-check outcome
+//! therefore equal those of a pipeline that republishes on every event;
 //! `tests/aggregate_skip.rs` holds the unit to that oracle.
 //!
 //! What an aggregate subscriber sees changes with it. Regional aggregates
 //! are visible to every MDT (P1). Publishing them on every event showed
 //! each member one regional event per update of *any* MDT, a count of
-//! everyone's update traffic; now a member sees one per change of an
-//! aggregate — its values, or the label set it is published under.
+//! everyone's update traffic; now a member sees one per change of the
+//! *published value* — its payload, or the label set it is published
+//! under.
 //!
 //! # Only the last value of an activation is published
 //!
@@ -58,12 +62,28 @@
 //!
 //! # Builders run only for the survivor
 //!
-//! An aggregate hands `publish_latest` a builder, not an event: the
+//! Every publish hands `publish_latest` a builder, not an event: the
 //! relabel check, the labels and the trace are fixed at publish time, and
 //! the payload, its JSON text and the event are made at flush, only for
-//! the publish that survives; its owned captures are made only once the
-//! aggregate is known to have changed. The record's builder hands over
-//! an event made beside the fold, which is cheap next to it.
+//! the publish that survives. A builder captures the record's text, which
+//! the fold made anyway, and inline [`Str`] copies of the event's short
+//! attributes; an aggregate's builder and relabel are made only once the
+//! aggregate is known to have changed.
+//!
+//! # The per-event path allocates only what survives
+//!
+//! The engine decides each distinct relabel once per activation (for the
+//! same input `$LABELS`), so the regional `remove_all`, whose `$LABELS`
+//! holds every MDT label the regional stats key has gathered, checks
+//! declassification once per activation, not once per label per event.
+//! The aggregator reads its store with [`Jail::get_ref`] (no copy), and
+//! [`Jail::set`] overwrites a value in place. It takes the MDT label to
+//! declassify from `$LABELS` instead of making it, makes each region's
+//! aggregate label and the regional label once, and writes its store
+//! keys, publish keys and stats text into reused buffers; the engine
+//! copies a publish key only on the key's first publish in an
+//! activation. `tests/aggregator_allocs.rs` holds an import-shaped
+//! stream to at most 20 allocations per event.
 //!
 //! The builders cannot fail: their topics and attribute names are
 //! constants (each builds on the topic constant its publish names, so the
@@ -82,11 +102,11 @@ use std::time::Duration;
 use safeweb_docstore::DocStore;
 use safeweb_engine::{Jail, Relabel, UnitError, UnitSpec};
 use safeweb_events::Event;
-use safeweb_json::{jobject, Key, Map, Value};
-use safeweb_labels::LabelSet;
+use safeweb_json::{jobject, Key, Map, Str, Value};
+use safeweb_labels::{Label, LabelSet};
 use safeweb_relstore::{Database, Row};
 
-use crate::labels::{mdt_label, region_aggregate_label, regional_label};
+use crate::labels::{mdt_label, region_aggregate_label, regional_label, AUTHORITY};
 use crate::registry::MdtInfo;
 
 /// Topic carrying raw per-case events from the producer.
@@ -273,9 +293,13 @@ const RECORD_FIELDS: &[&str] = &[
 /// `region_id` is refused with [`UnitError::BadEvent`] before anything is
 /// stored or published.
 pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
-    // The store keys an event reads, written into one reused buffer: a
-    // `String` per key was three allocations per event.
+    // The store keys an event reads and the stats text it writes, each
+    // in one reused buffer, and the labels its relabels add, each made
+    // once: allocating them per event was most of its cost.
     let mut key = String::new();
+    let mut stats = String::new();
+    let regional = regional_label();
+    let mut region_labels: HashMap<i64, Label> = HashMap::new();
     UnitSpec::new("data_aggregator").subscribe(
         PATIENT_REPORT_TOPIC,
         Some("type = 'cancer'"),
@@ -301,34 +325,37 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
 
             // Fold this piece into the stored case (reading taints
             // $LABELS with everything previously folded in).
-            let stored = jail.get(case_key);
+            let stored = jail.get_ref(case_key);
+            let is_new_case = stored.is_none();
             let ids = CaseIds {
                 case_id,
                 mdt,
                 hospital,
                 region,
             };
-            let fold = fold_case(stored.as_deref(), &ids, is_treatment, payload)?;
-            jail.set(case_key, fold.record_json.clone(), Relabel::keep())?;
-
-            // Publish the (updated) aggregated record, keyed by the
-            // document it is stored as (module docs). Making the event is
-            // cheap beside the fold, so its builder only hands it over.
-            let rec_event = Event::new(MDT_RECORD_TOPIC)
-                .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                .set_attrs(&[("case_id", case_id), ("mdt", mdt), ("region_id", region)])?
-                .with_payload(fold.record_json);
-            jail.publish_latest(
-                format!("record-{mdt}-{case_id}"),
-                MDT_RECORD_TOPIC,
-                Relabel::keep(),
-                move || Ok(rec_event),
-            )?;
-
+            let fold = fold_case(stored, &ids, is_treatment, payload)?;
+            jail.set(case_key, &fold.record_json, Relabel::keep())?;
             let change = CaseChange {
-                is_new_case: stored.is_none(),
+                is_new_case,
                 completeness_delta: fold.completeness - fold.old_completeness,
             };
+
+            // Publish the (updated) aggregated record, keyed by the
+            // document it is stored as (module docs).
+            let record_json = fold.record_json;
+            let ids = [case_id, mdt, region].map(Str::from);
+            jail.publish_latest(
+                key_in(&mut key, format_args!("record-{mdt}-{case_id}")),
+                MDT_RECORD_TOPIC,
+                Relabel::keep(),
+                move || {
+                    let [case_id, mdt, region] = &ids;
+                    Event::new(MDT_RECORD_TOPIC)
+                        .map_err(|e| UnitError::BadEvent(e.to_string()))?
+                        .set_attrs(&[("case_id", case_id), ("mdt", mdt), ("region_id", region)])
+                        .map(|event| event.with_payload(record_json))
+                },
+            )?;
 
             // Per-MDT aggregates (keyed by MDT, carrying the MDT label via
             // the store), published relabelled for same-region
@@ -338,14 +365,21 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
             fold_aggregate(
                 jail,
                 key_in(&mut key, format_args!("stats/mdt/{mdt}")),
+                &mut stats,
                 region,
                 change,
                 MDT_METRICS_TOPIC,
-                |cases, avg| {
-                    let relabel = Relabel::keep()
-                        .remove(mdt_label(mdt))
-                        .add(region_aggregate_label(region_id));
-                    let (mdt, region) = (mdt.to_string(), region.to_string());
+                |labels, cases, avg| {
+                    // Removing a label `$LABELS` lacks changes nothing.
+                    let mut relabel = Relabel::keep();
+                    if let Some(own) = labels.iter().find(|l| is_mdt_label(l, mdt)) {
+                        relabel = relabel.remove(own.clone());
+                    }
+                    let aggregate = region_labels
+                        .entry(region_id)
+                        .or_insert_with(|| region_aggregate_label(region_id));
+                    let relabel = relabel.add(aggregate.clone());
+                    let (mdt, region) = (Str::from(mdt), Str::from(region));
                     let build = move || {
                         let metrics = jobject! {
                             "kind" => "mdt_metrics",
@@ -368,11 +402,12 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
             fold_aggregate(
                 jail,
                 key_in(&mut key, format_args!("stats/region/{region}")),
+                &mut stats,
                 region,
                 change,
                 REGIONAL_METRICS_TOPIC,
-                |cases, avg| {
-                    let region = region.to_string();
+                |_, cases, avg| {
+                    let region = Str::from(region);
                     let build = move || {
                         let regional = jobject! {
                             "kind" => "regional_metrics",
@@ -385,11 +420,18 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                             .set_attrs(&[("region_id", &region)])
                             .map(|event| event.with_payload(regional.to_json()))
                     };
-                    (Relabel::keep().remove_all().add(regional_label()), build)
+                    (Relabel::keep().remove_all().add(regional.clone()), build)
                 },
             )
         },
     )
+}
+
+/// Whether `label` is [`mdt_label`]`(mdt)`, compared without making it.
+fn is_mdt_label(label: &Label, mdt: &str) -> bool {
+    label.is_confidentiality()
+        && label.authority() == AUTHORITY
+        && label.path().strip_prefix("mdt/") == Some(mdt)
 }
 
 /// The fields that identify a case; a new case's record opens with them.
@@ -499,82 +541,102 @@ struct CaseChange {
 
 /// Folds `change` into the aggregate kept under `key` in the jail's
 /// labelled store, then publishes on `topic`, as the latest value of
-/// `key`, under the relabel and with the builder `make(cases,
+/// `key`, under the relabel and with the builder `make($LABELS, cases,
 /// avg_completeness)` returns, and stores the folded state — unless that
 /// publish would repeat the key's last one exactly (module docs), in
-/// which case nothing is made, written or published.
+/// which case nothing is made or published, and the state is stored only
+/// if it moved.
 ///
-/// The stats value is fixed-field text, `cases sum region published`:
-/// the running count and completeness sum (printed with `{:?}`, which
-/// parses back to the same `f64`), the `region_id` the aggregate was
-/// published for (an integer's text: the aggregator refuses any other,
-/// so it holds no space), and the interned id of the `$LABELS` its last
-/// *successful* publish ran under, or `-`. A refused publish keeps no id,
-/// so the next event retries it and is refused again, as it would be if
-/// every event republished. The id is process-local, which is sound
-/// because the jail's store lives in memory and dies with the process.
+/// The stats value is fixed-field text, `cases sum region published`,
+/// written through `text`: the running count and completeness sum
+/// (printed with `{:?}`, which parses back to the same `f64`), the
+/// `region_id` the aggregate was published for (an integer's text: the
+/// aggregator refuses any other, so it holds no space), and the interned
+/// id of the `$LABELS` its last *successful* publish ran under, or `-`.
+/// A refused publish keeps no id, so the next event retries it and is
+/// refused again, as it would be if every event republished. The id is
+/// process-local, which is sound because the jail's store lives in memory
+/// and dies with the process.
+///
+/// While an id is kept, the count, the rounded average of the stored sum
+/// and the region are the payload that publish carried: a publish sets
+/// them, and a skip keeps them equal.
 fn fold_aggregate<B>(
     jail: &mut Jail<'_>,
     key: &str,
+    text: &mut String,
     region: &str,
     change: CaseChange,
     topic: &'static str,
-    make: impl FnOnce(i64, f64) -> (Relabel, B),
+    make: impl FnOnce(&LabelSet, i64, f64) -> (Relabel, B),
 ) -> Result<(), UnitError>
 where
     B: FnOnce() -> Result<Event, UnitError> + 'static,
 {
-    let stored = jail.get(key);
-    let stats = match stored.as_deref() {
-        Some(text) => AggregateStats::parse(text)
-            .ok_or_else(|| UnitError::Application(format!("corrupt stats under {key}")))?,
-        None => AggregateStats::default(),
+    let (old, same_region) = match jail.get_ref(key) {
+        Some(stored) => {
+            let (stats, stored_region) = AggregateStats::parse(stored)
+                .ok_or_else(|| UnitError::Application(format!("corrupt stats under {key}")))?;
+            (stats, stored_region == region)
+        }
+        None => (AggregateStats::default(), false),
     };
     // Distinct-case accounting: new cases extend the count, updates to
     // known cases adjust the running completeness sum.
-    let cases = stats.cases + i64::from(change.is_new_case);
-    let sum = stats.sum + change.completeness_delta;
+    let cases = old.cases + i64::from(change.is_new_case);
+    let sum = old.sum + change.completeness_delta;
+    let avg = (sum / cases as f64).round();
     let labels = jail.labels().id().as_u32();
-    let unchanged = cases == stats.cases
-        && sum == stats.sum
-        && stats.region == Some(region)
-        && stats.published == Some(labels);
-    if unchanged {
+    let unchanged = cases == old.cases
+        && avg.to_bits() == (old.sum / old.cases as f64).round().to_bits()
+        && same_region
+        && old.published == Some(labels);
+    if unchanged && sum.to_bits() == old.sum.to_bits() {
         return Ok(());
     }
-    let (relabel, build) = make(cases, (sum / cases as f64).round());
-    let outcome = jail.publish_latest(key, topic, relabel, build);
-    let stats = match outcome {
-        Ok(()) => format!("{cases} {sum:?} {region} {labels}"),
-        Err(_) => format!("{cases} {sum:?} {region} -"),
+    let outcome = if unchanged {
+        Ok(())
+    } else {
+        let (relabel, build) = make(jail.labels(), cases, avg);
+        jail.publish_latest(key, topic, relabel, build)
     };
-    jail.set(key, stats, Relabel::keep())?;
+    text.clear();
+    match outcome {
+        Ok(()) => write!(text, "{cases} {sum:?} {region} {labels}"),
+        Err(_) => write!(text, "{cases} {sum:?} {region} -"),
+    }
+    .expect("writing to a String cannot fail");
+    jail.set(key, &*text, Relabel::keep())?;
     outcome
 }
 
-/// An aggregate's stats value, as [`fold_aggregate`] stores it.
+/// An aggregate's stats value, as [`fold_aggregate`] stores it, but for
+/// the region.
 #[derive(Debug, Default)]
-struct AggregateStats<'a> {
+struct AggregateStats {
     cases: i64,
     sum: f64,
-    region: Option<&'a str>,
     published: Option<u32>,
 }
 
-impl<'a> AggregateStats<'a> {
-    /// Reads `cases sum region published|-`; `None` if malformed.
-    fn parse(text: &'a str) -> Option<AggregateStats<'a>> {
+impl AggregateStats {
+    /// Reads `cases sum region published|-` into the stats and the
+    /// region; `None` if malformed.
+    fn parse(text: &str) -> Option<(AggregateStats, &str)> {
         let mut fields = text.split(' ');
-        let stats = AggregateStats {
-            cases: fields.next()?.parse().ok()?,
-            sum: fields.next()?.parse().ok()?,
-            region: Some(fields.next()?),
-            published: match fields.next()? {
-                "-" => None,
-                id => Some(id.parse().ok()?),
-            },
+        let cases = fields.next()?.parse().ok()?;
+        let sum = fields.next()?.parse().ok()?;
+        let region = fields.next()?;
+        let published = match fields.next()? {
+            "-" => None,
+            id => Some(id.parse().ok()?),
         };
-        fields.next().is_none().then_some(stats)
+        let stats = AggregateStats {
+            cases,
+            sum,
+            published,
+        };
+        fields.next().is_none().then_some((stats, region))
     }
 }
 

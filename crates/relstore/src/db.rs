@@ -195,11 +195,6 @@ impl Database {
         Ok(())
     }
 
-    /// Lists table names.
-    pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
-    }
-
     /// Inserts a row (values in schema column order).
     ///
     /// # Errors

@@ -94,29 +94,14 @@ impl Filter {
         Filter::cmp(column, SpecOp::Eq, value)
     }
 
-    /// `column <> value`.
-    pub fn ne(column: impl Into<TrustedLiteral>, value: impl Into<Param>) -> Filter {
-        Filter::cmp(column, SpecOp::Ne, value)
-    }
-
     /// `column < value`.
     pub fn lt(column: impl Into<TrustedLiteral>, value: impl Into<Param>) -> Filter {
         Filter::cmp(column, SpecOp::Lt, value)
     }
 
-    /// `column <= value`.
-    pub fn le(column: impl Into<TrustedLiteral>, value: impl Into<Param>) -> Filter {
-        Filter::cmp(column, SpecOp::Le, value)
-    }
-
     /// `column > value`.
     pub fn gt(column: impl Into<TrustedLiteral>, value: impl Into<Param>) -> Filter {
         Filter::cmp(column, SpecOp::Gt, value)
-    }
-
-    /// `column >= value`.
-    pub fn ge(column: impl Into<TrustedLiteral>, value: impl Into<Param>) -> Filter {
-        Filter::cmp(column, SpecOp::Ge, value)
     }
 
     /// Conjunction (builder style).
@@ -168,11 +153,6 @@ impl QuerySpec {
     /// The target table name.
     pub fn table_name(&self) -> &str {
         self.table.as_str()
-    }
-
-    /// The filter tree.
-    pub fn filter_ref(&self) -> &Filter {
-        &self.filter
     }
 }
 
@@ -351,7 +331,7 @@ mod tests {
         let grownups_not_admin = db
             .select_spec(
                 &QuerySpec::table("accounts")
-                    .filter(Filter::ge("age", 30i64).and(!Filter::eq("admin", true))),
+                    .filter(Filter::cmp("age", SpecOp::Ge, 30i64).and(!Filter::eq("admin", true))),
             )
             .unwrap();
         assert_eq!(grownups_not_admin.len(), 1);

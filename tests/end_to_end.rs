@@ -34,7 +34,8 @@ fn networked_pipeline_end_to_end() {
     .parse()
     .unwrap();
 
-    let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy.clone()).unwrap();
+    let broker = Broker::new();
+    let server = BrokerServer::bind("127.0.0.1:0", broker.clone(), policy.clone()).unwrap();
     let addr = server.addr().to_string();
 
     // Intranet side: storage DB + DMZ replica.
@@ -91,7 +92,16 @@ fn networked_pipeline_end_to_end() {
         .unwrap();
     let h1 = engine.start().unwrap();
     let h2 = storage_engine.start().unwrap();
-    std::thread::sleep(Duration::from_millis(200)); // subscriptions settle
+    // A unit's SUBSCRIBE returns once the frame is written; wait until
+    // the broker holds both before publishing.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    while broker.subscription_count() < 2 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "units never subscribed"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     // The importer publishes one labelled record over TCP.
     let importer = RemoteBus::connect(&addr, "importer").unwrap();
@@ -107,11 +117,10 @@ fn networked_pipeline_end_to_end() {
         .unwrap();
 
     // Wait for the doc to land, then replicate to the DMZ.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while app_db.is_empty() {
-        assert!(std::time::Instant::now() < deadline, "pipeline stalled");
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    assert!(
+        app_db.wait_until(Duration::from_secs(10), |db| !db.is_empty()),
+        "pipeline stalled"
+    );
     let mut replicator = Replicator::new(app_db.clone(), dmz.clone());
     replicator.run_once();
     let doc = dmz.get("rec-ANN").expect("replicated");
