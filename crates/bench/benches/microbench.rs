@@ -12,7 +12,6 @@ use safeweb_docstore::DocStore;
 use safeweb_events::Event;
 use safeweb_json::jobject;
 use safeweb_labels::{Label, LabelSet, Privilege, PrivilegeSet};
-use safeweb_regex::Regex;
 use safeweb_selector::Selector;
 use safeweb_stomp::codec::{encode, Decoder};
 use safeweb_stomp::Command;
@@ -122,11 +121,6 @@ fn bench_taint(c: &mut Criterion) {
             s.push_str(y);
             s
         });
-    });
-    let re = Regex::new(r"(\w+)-(\d+)").unwrap();
-    let subject = SStr::labelled("case patient-33812769 review", [Label::conf("e", "p/1")]);
-    group.bench_function("regex_captures_labelled", |b| {
-        b.iter(|| subject.regex_captures(&re));
     });
     group.bench_function("check_release_4_labels", |b| {
         let body = SStr::with_label_set("page".to_string(), labels_of(4));

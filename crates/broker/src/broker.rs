@@ -507,6 +507,10 @@ impl Broker {
     }
 
     /// Number of active subscriptions.
+    ///
+    /// Public as a signal: a test waits for it before publishing, because
+    /// a client's `SUBSCRIBE` returns once the frame is written, not once
+    /// the broker has processed it.
     pub fn subscription_count(&self) -> usize {
         self.inner.routes.read().count
     }

@@ -126,13 +126,6 @@ impl Document {
         &self.0.body
     }
 
-    /// Consumes into `(id, rev, labels, body)`; copies the parts only when
-    /// another handle (typically the store's own) still shares them.
-    pub fn into_parts(self) -> (String, Revision, LabelSet, Value) {
-        let parts = Arc::try_unwrap(self.0).unwrap_or_else(|shared| (*shared).clone());
-        (parts.id.into(), parts.rev, parts.labels, parts.body)
-    }
-
     /// A copy that shares no memory with `self`: what replication hands
     /// the target store (see the replication module docs for why).
     pub(crate) fn deep_copy(&self) -> Document {
@@ -143,21 +136,6 @@ impl Document {
     #[cfg(test)]
     pub(crate) fn shares_allocation_with(&self, other: &Document) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    /// Full wire form (used by replication): the body wrapped with `_id`,
-    /// `_rev` and `_labels` fields.
-    pub fn to_wire_json(&self) -> Value {
-        let mut v = self.body().clone();
-        if v.as_object().is_none() {
-            let mut wrapper = Value::object();
-            wrapper.set("_body", v);
-            v = wrapper;
-        }
-        v.set("_id", self.id());
-        v.set("_rev", self.rev().to_string());
-        v.set("_labels", self.labels().to_wire());
-        v
     }
 }
 

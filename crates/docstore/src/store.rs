@@ -802,7 +802,8 @@ impl DocStore {
     /// as the store grows, and the log to replay on recovery stays at
     /// `max(records, 2 × live documents)` records, plus what is appended
     /// while a snapshot is still being written. No-op for in-memory
-    /// stores.
+    /// stores. Public as a test seam: the crash and WAL tests pick
+    /// their snapshot points with it.
     pub fn set_snapshot_every(&self, records: usize) {
         if let Some(d) = self.inner.write().durability.as_mut() {
             d.snapshot_every = records;
@@ -824,20 +825,11 @@ impl DocStore {
     /// it, the segment is sealed (fsynced + renamed aside) and a fresh
     /// one starts. Snapshots delete the sealed segments they cover.
     /// Default 8 MiB; 0 disables rotation. No-op for in-memory stores.
+    /// Public as a test seam: the crash tests rotate tiny segments.
     pub fn set_wal_segment_bytes(&self, bytes: u64) {
         if let Some(d) = self.inner.write().durability.as_mut() {
             d.wal.set_segment_bytes(bytes);
         }
-    }
-
-    /// Number of on-disk WAL segment files (sealed + active), or `None`
-    /// for in-memory stores; diagnostics and rotation tests.
-    pub fn wal_segments(&self) -> Option<usize> {
-        self.inner
-            .read()
-            .durability
-            .as_ref()
-            .map(|d| d.wal.segments())
     }
 
     /// Blocks until the group-commit sync covering `ticket` has
@@ -875,6 +867,9 @@ impl DocStore {
     /// [`StoreError::Io`] if the store is in-memory, the WAL cannot be
     /// rotated, or the snapshot write fails (the sealed segments then stay
     /// on disk — nothing is lost).
+    ///
+    /// Public as a test seam: the snapshot and WAL tests snapshot at
+    /// chosen points.
     pub fn snapshot_now(&self) -> Result<(), StoreError> {
         self.settle_snapshot();
         self.inner.write().start_snapshot()?;
@@ -935,6 +930,9 @@ impl DocStore {
     /// [`StoreError::Io`] if the store is in-memory or the log is
     /// unavailable (including a previous append failure — the checkpoint
     /// must not outrun lost writes).
+    ///
+    /// Public as a test seam: the recovery tests log checkpoints without
+    /// running a replicator.
     pub fn persist_replication_checkpoint(&self, checkpoint: u64) -> Result<(), StoreError> {
         self.apply_replicated(Vec::new(), Some(checkpoint));
         match self.inner.read().durability.as_ref() {
@@ -1281,6 +1279,8 @@ impl DocStore {
 
     /// Number of entries currently held by the changes feed (diagnostics:
     /// bounded at `O(live docs + retention)` when auto-compaction is on).
+    /// Public for the `docstore` and `backend` benches, which report that
+    /// bound.
     pub fn changes_len(&self) -> usize {
         self.inner.read().changes.len()
     }
@@ -1291,7 +1291,8 @@ impl DocStore {
     /// holds `2 × (live docs + retention)` entries, which leaves at most
     /// `live docs + retention` — so the feed is bounded and a compaction
     /// is paid for by at least as many writes as it scans entries. `0`
-    /// disables auto-compaction (the seed's unbounded behaviour).
+    /// disables auto-compaction (the seed's unbounded behaviour). Public
+    /// for the `docstore` bench's unbounded arm and the feed-bound tests.
     pub fn set_changes_retention(&self, retention: usize) {
         self.inner.write().changes_retention = retention;
     }
@@ -1300,7 +1301,8 @@ impl DocStore {
     /// `retain_recent` entries verbatim and one latest entry per live id
     /// below that horizon. Tombstones below the horizon are dropped —
     /// replication checkpoints older than the horizon then require a full
-    /// resync.
+    /// resync. Public as a test seam: the replication and view properties
+    /// compact at random points.
     pub fn compact_changes(&self, retain_recent: usize) {
         let mut inner = self.inner.write();
         if inner.changes.len() <= retain_recent {

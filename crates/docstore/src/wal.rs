@@ -258,8 +258,7 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
 /// replica applies) and snapshot document frames. `body_json`, when
 /// given, is the body's encoding already made by the caller and is
 /// spliced in as is. Bodies round-trip through JSON, so non-finite floats
-/// degrade to `null` on recovery (the same degradation
-/// [`Document::to_wire_json`] applies on the wire).
+/// degrade to `null` on recovery.
 pub(crate) fn write_doc(
     doc: &Document,
     body_json: Option<&str>,
@@ -889,6 +888,7 @@ impl Wal {
     }
 
     /// Number of on-disk segment files (sealed + active).
+    #[cfg(test)]
     pub(crate) fn segments(&self) -> usize {
         self.sealed.len() + 1
     }

@@ -291,6 +291,19 @@ fn writer_applied_ops(store: &DocStore, writer: u64) -> u64 {
         .unwrap_or(0)
 }
 
+/// WAL segment files (sealed and active) in a store directory.
+fn wal_segment_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .expect("store dir lists")
+        .filter_map(Result::ok)
+        .filter(|entry| {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            name == "wal.log" || (name.starts_with("wal-") && name.ends_with(".sealed"))
+        })
+        .count()
+}
+
 fn writer_acks_path(dir: &Path, writer: u64) -> PathBuf {
     dir.join(format!("acks-w{writer}.log"))
 }
@@ -403,7 +416,7 @@ fn kill_loop_group_commit_concurrent_writers() {
             None,
             "round {round}: recovery surfaced a persistence failure"
         );
-        max_segments_seen = max_segments_seen.max(store.wal_segments().unwrap_or(0));
+        max_segments_seen = max_segments_seen.max(wal_segment_files(&dir));
 
         let mut total = 0u64;
         for w in 0..WRITERS {

@@ -286,10 +286,7 @@ proptest! {
             let (got_seq, docs) = store.snapshot();
             assert_eq!(got_seq, seq);
             docs.into_iter()
-                .map(|d| {
-                    let (id, rev, labels, body) = d.into_parts();
-                    (id, rev.to_string(), labels, body)
-                })
+                .map(|d| (d.id().to_string(), d.rev().to_string(), *d.labels(), d.body().clone()))
                 .collect()
         };
         drop(store);

@@ -218,22 +218,6 @@ impl<'a> Jail<'a> {
         &self.labels
     }
 
-    /// Adds a confidentiality label to `$LABELS`. Always permitted — data
-    /// can freely become *more* restricted (§4.1: "it is always possible to
-    /// add extra confidentiality labels to events").
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnitError::EndorsementDenied`] when adding an integrity
-    /// label without the endorsement privilege.
-    pub fn add_label(&mut self, label: Label) -> Result<(), UnitError> {
-        if label.is_integrity() && !self.privileges.can_endorse(&label) && !self.privileged {
-            return Err(UnitError::EndorsementDenied(label));
-        }
-        self.labels.insert(label);
-        Ok(())
-    }
-
     /// The I/O capability, available only to privileged units.
     ///
     /// # Errors
@@ -453,14 +437,12 @@ mod tests {
     #[test]
     fn adding_conf_labels_is_free() {
         let (_, events) = run_jail(&[], PrivilegeSet::new(), false, |jail| {
-            jail.add_label(conf("extra")).unwrap();
             jail.publish(
                 Event::new("/out").unwrap(),
                 Relabel::keep().add(conf("more")),
             )
             .unwrap();
         });
-        assert!(events[0].labels().contains(&conf("extra")));
         assert!(events[0].labels().contains(&conf("more")));
     }
 

@@ -234,11 +234,6 @@ impl LabelledEvent {
         self
     }
 
-    /// Splits into parts.
-    pub fn into_parts(self) -> (Event, LabelSet) {
-        (self.event, self.labels)
-    }
-
     /// Convenience: topic of the inner event.
     pub fn topic(&self) -> &str {
         self.event.topic()

@@ -419,12 +419,6 @@ impl RequestParser {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Whether the parser sits at a request boundary (EOF here is a clean
-    /// connection close; EOF mid-request is a truncation).
-    pub fn is_idle(&self) -> bool {
-        self.head.is_none() && self.buf.len() == self.pos
-    }
-
     /// Attempts to extract the next complete request.
     ///
     /// Returns `Ok(None)` if more bytes are needed.
@@ -568,7 +562,6 @@ mod tests {
         assert_eq!(request.query("x"), Some("1"));
         assert_eq!(request.headers().get("x-a"), Some("b"));
         assert_eq!(request.body(), b"payload");
-        assert!(parser.is_idle());
         assert!(parser.next_request().unwrap().is_none());
     }
 
@@ -577,7 +570,6 @@ mod tests {
         let mut parser = RequestParser::new();
         parser.feed(b"POST / HTTP/1.1\r\ncontent-length: 4\r\n\r\nab");
         assert!(parser.next_request().unwrap().is_none());
-        assert!(!parser.is_idle());
         parser.feed(b"cd");
         let request = parser.next_request().unwrap().unwrap();
         assert_eq!(request.body(), b"abcd");

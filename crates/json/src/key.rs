@@ -143,7 +143,8 @@ impl Key {
         self
     }
 
-    /// Whether the key is the intern table's shared copy.
+    /// Whether the key is the intern table's shared copy. Public as a
+    /// test seam: the intern-cap tests check which keys were interned.
     pub fn is_interned(&self) -> bool {
         matches!(self.0, Repr::Interned(_))
     }

@@ -1,4 +1,4 @@
-//! JSON serialisation: compact and pretty printers.
+//! JSON serialisation: the compact printer.
 //!
 //! The compact printer works in byte runs. A string is scanned byte by
 //! byte and every run that needs no escape is copied with one
@@ -77,13 +77,6 @@ impl Value {
     pub fn write_json(&self, out: &mut String) {
         write_value(self, out);
     }
-
-    /// Serialises with two-space indentation for human consumption.
-    pub fn to_json_pretty(&self) -> String {
-        let mut out = String::new();
-        write_pretty(self, &mut out, 0);
-        out
-    }
 }
 
 fn write_value(v: &Value, out: &mut String) {
@@ -116,46 +109,6 @@ fn write_value(v: &Value, out: &mut String) {
             }
             out.push('}');
         }
-    }
-}
-
-fn write_pretty(v: &Value, out: &mut String, indent: usize) {
-    match v {
-        Value::Array(items) if !items.is_empty() => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_pretty(item, out, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push(']');
-        }
-        Value::Object(map) if !map.is_empty() => {
-            out.push_str("{\n");
-            for (i, (k, val)) in map.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(",\n");
-                }
-                push_indent(out, indent + 1);
-                write_json_string(k, out);
-                out.push_str(": ");
-                write_pretty(val, out, indent + 1);
-            }
-            out.push('\n');
-            push_indent(out, indent);
-            out.push('}');
-        }
-        other => write_value(other, out),
-    }
-}
-
-fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
     }
 }
 
@@ -277,14 +230,6 @@ mod tests {
     }
 
     #[test]
-    fn pretty_encoding() {
-        let v = jobject! {"a" => vec![1i64], "b" => Value::object()};
-        let pretty = v.to_json_pretty();
-        assert!(pretty.contains("\n  \"a\": [\n    1\n  ]"));
-        assert!(pretty.contains("\"b\": {}"));
-    }
-
-    #[test]
     fn roundtrip_preserves_value() {
         let v = jobject! {
             "nested" => jobject!{"list" => Value::from(vec![
@@ -292,7 +237,6 @@ mod tests {
             ])},
         };
         assert_eq!(Value::parse(&v.to_json()).unwrap(), v);
-        assert_eq!(Value::parse(&v.to_json_pretty()).unwrap(), v);
     }
 
     /// `to_json` returns exactly its text, with no spare capacity, also

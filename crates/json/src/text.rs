@@ -68,7 +68,8 @@ impl Str {
         }
     }
 
-    /// Whether the text is stored inline.
+    /// Whether the text is stored inline. Public as a test seam: the
+    /// allocation-count tests predict heap strings with it.
     #[inline]
     pub fn is_inline(&self) -> bool {
         matches!(self.0, Repr::Inline { .. })

@@ -156,7 +156,8 @@ impl Value {
     }
 
     /// Follows a `/`-separated path of object keys and array indices, e.g.
-    /// `"records/0/patient_id"`.
+    /// `"records/0/patient_id"`. Public for `benchmark/`'s tests, which
+    /// read its result line through it.
     pub fn pointer(&self, path: &str) -> Option<&Value> {
         let mut cur = self;
         for seg in path.split('/') {

@@ -44,7 +44,8 @@ pub struct SourceFile {
 
 impl SourceFile {
     /// Builds a file from in-memory source — the constructor the
-    /// fixture-corpus tests use.
+    /// fixture-corpus tests use. Public as the lint's test seam: the
+    /// fixture tests lint in-memory workspaces, not the tree.
     pub fn from_source(rel: &str, crate_name: &str, kind: FileKind, src: &str) -> SourceFile {
         SourceFile {
             rel: rel.to_string(),
@@ -64,7 +65,8 @@ pub struct Workspace {
 }
 
 impl Workspace {
-    /// Wraps in-memory files (for tests).
+    /// Wraps in-memory files. Public as the lint's test seam, like
+    /// [`SourceFile::from_source`].
     pub fn from_files(files: Vec<SourceFile>) -> Workspace {
         Workspace { files }
     }

@@ -22,13 +22,6 @@ pub fn mdt_label(mdt_name: &str) -> Label {
     Label::conf(AUTHORITY, &format!("mdt/{mdt_name}"))
 }
 
-/// The label protecting a single patient's data
-/// (`label:conf:ecric.org.uk/patient/<id>`), used by the finer-grained
-/// variants of the pipeline and the quickstart example.
-pub fn patient_label(patient_id: i64) -> Label {
-    Label::conf(AUTHORITY, &format!("patient/{patient_id}"))
-}
-
 /// The label protecting MDT-level aggregates of one region
 /// (`label:conf:ecric.org.uk/region/<id>/mdt-aggregates`).
 pub fn region_aggregate_label(region_id: i64) -> Label {
@@ -39,12 +32,6 @@ pub fn region_aggregate_label(region_id: i64) -> Label {
 /// (`label:conf:ecric.org.uk/aggregates/regional`).
 pub fn regional_label() -> Label {
     Label::conf(AUTHORITY, "aggregates/regional")
-}
-
-/// The integrity label endorsing data produced inside the MDT application
-/// (`label:int:ecric.org.uk/mdt`).
-pub fn mdt_integrity_label() -> Label {
-    Label::int(AUTHORITY, "mdt")
 }
 
 /// The privilege set policy P1 grants a member of `mdt_name` in
@@ -69,20 +56,12 @@ mod tests {
             "label:conf:ecric.org.uk/mdt/addenbrookes"
         );
         assert_eq!(
-            patient_label(33812769).to_string(),
-            "label:conf:ecric.org.uk/patient/33812769"
-        );
-        assert_eq!(
             region_aggregate_label(1).to_string(),
             "label:conf:ecric.org.uk/region/1/mdt-aggregates"
         );
         assert_eq!(
             regional_label().to_string(),
             "label:conf:ecric.org.uk/aggregates/regional"
-        );
-        assert_eq!(
-            mdt_integrity_label().to_string(),
-            "label:int:ecric.org.uk/mdt"
         );
     }
 

@@ -36,32 +36,6 @@ impl Default for RegistryConfig {
     }
 }
 
-impl RegistryConfig {
-    /// A registry sized to at least `tenants` MDTs, each of which gets its
-    /// own distinct clearance (see `safeweb_mdt::mdt_user_privileges`).
-    ///
-    /// This is the scale knob the lattice benches turn: with interned label
-    /// sets, thousands of per-tenant policies intern thousands of distinct
-    /// privilege sets, and `flows_to` must stay flat across all of them.
-    /// The shape is fixed at 8 hospitals × 4 MDTs per region so the portal's
-    /// cross-region comparison pages stay meaningful at every size.
-    pub fn with_tenants(tenants: usize, patients_per_mdt: usize, seed: u64) -> RegistryConfig {
-        let per_region = 8 * 4;
-        RegistryConfig {
-            regions: tenants.div_ceil(per_region).max(1),
-            hospitals_per_region: 8,
-            mdts_per_hospital: 4,
-            patients_per_mdt,
-            seed,
-        }
-    }
-
-    /// The exact number of MDT tenants this configuration generates.
-    pub fn tenant_count(&self) -> usize {
-        self.regions * self.hospitals_per_region * self.mdts_per_hospital
-    }
-}
-
 const CANCER_SITES: &[&str] = &[
     "breast",
     "lung",
@@ -327,17 +301,23 @@ mod tests {
 
     #[test]
     fn tenant_scaling_reaches_the_target() {
-        let config = RegistryConfig::with_tenants(1000, 1, 7);
-        assert!(config.tenant_count() >= 1000);
+        // 32 regions × 8 hospitals × 4 MDTs: 1 024 tenants.
+        let config = RegistryConfig {
+            regions: 32,
+            hospitals_per_region: 8,
+            mdts_per_hospital: 4,
+            patients_per_mdt: 1,
+            seed: 7,
+        };
         let db = generate(&config);
-        assert_eq!(db.count("mdts").unwrap(), config.tenant_count());
+        assert_eq!(db.count("mdts").unwrap(), 1024);
         // Every tenant name is distinct — each one becomes a distinct
         // clearance, i.e. a distinct interned privilege set.
         let mdts = list_mdts(&db);
         let mut names: Vec<&str> = mdts.iter().map(|m| m.name.as_str()).collect();
         names.sort();
         names.dedup();
-        assert_eq!(names.len(), config.tenant_count());
+        assert_eq!(names.len(), 1024);
     }
 
     #[test]

@@ -781,7 +781,13 @@ mod tests {
                 seed: 7,
                 ..RegistryConfig::default()
             },
-            RegistryConfig::with_tenants(40, 3, 99),
+            RegistryConfig {
+                regions: 2,
+                hospitals_per_region: 8,
+                mdts_per_hospital: 4,
+                patients_per_mdt: 3,
+                seed: 99,
+            },
             benchmark_registry,
         ];
         for config in configs {

@@ -25,9 +25,7 @@ use safeweb_engine::{EngineOptions, Relabel, SchedulerOptions, UnitError, UnitSp
 use safeweb_events::{Event, LabelledEvent};
 use safeweb_json::{jobject, Value};
 use safeweb_labels::{Label, LabelSet, Policy};
-use safeweb_mdt::labels::{
-    mdt_integrity_label, mdt_label, region_aggregate_label, regional_label, AUTHORITY,
-};
+use safeweb_mdt::labels::{mdt_label, region_aggregate_label, regional_label, AUTHORITY};
 use safeweb_mdt::units::{
     data_aggregator, data_storage, AggregatorConfig, MDT_METRICS_TOPIC, MDT_RECORD_TOPIC,
     PATIENT_REPORT_TOPIC, REGIONAL_METRICS_TOPIC,
@@ -159,7 +157,7 @@ fn stream(rng: &mut Rng) -> Vec<Report> {
             labels.push(Label::conf(AUTHORITY, "trial/7"));
         }
         if rng.chance(6) {
-            labels.push(mdt_integrity_label());
+            labels.push(Label::int(AUTHORITY, "mdt"));
         }
         reports.push(Report {
             mdt,

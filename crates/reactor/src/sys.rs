@@ -9,6 +9,12 @@
 //! ([`Epoll`], [`EventFd`]). For the same reason it holds
 //! [`CountingAlloc`], the counting global allocator that test binaries
 //! install to pin allocation budgets (a `GlobalAlloc` impl is `unsafe`).
+//!
+//! Some wrappers here have callers only in tests and benches
+//! (`set_send_buffer`, `set_nofile_soft`, `raise_nofile_limit`,
+//! `thread_allocations`, `thread_held_bytes`). They stay public because
+//! the `unsafe-confinement` lint keeps every `unsafe` block in this
+//! module, so a test cannot carry its own binding.
 
 #![allow(unsafe_code)]
 
@@ -314,7 +320,8 @@ pub fn raise_nofile_limit(want: u64) -> u64 {
 
 /// OS threads currently in this process, from `/proc/self/status`.
 /// Used by the benches and tests that pin the reactor's bounded-thread
-/// property (`0` if the proc file is unreadable).
+/// property (`0` if the proc file is unreadable). Public for the `sched`
+/// bench's thread bound.
 pub fn os_thread_count() -> usize {
     std::fs::read_to_string("/proc/self/status")
         .ok()

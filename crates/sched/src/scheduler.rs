@@ -474,6 +474,9 @@ impl<M: Send + 'static> Scheduler<M> {
 
     /// Tasks alive: held by a [`TaskSender`] or queued to run. A task
     /// whose senders are all dropped stops counting once it has drained.
+    ///
+    /// Public as a signal: the reactor's tests wait on it reaching 0 after
+    /// their connections close.
     pub fn live_tasks(&self) -> usize {
         self.inner
             .tasks

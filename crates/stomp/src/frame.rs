@@ -112,15 +112,6 @@ impl Frame {
         self.headers.push((name.into(), value.into()));
     }
 
-    /// Removes all headers with the given name, returning whether any were
-    /// present. Used by the broker to strip client-supplied protected
-    /// headers (e.g. labels) before re-attaching trusted values.
-    pub fn remove_header(&mut self, name: &str) -> bool {
-        let before = self.headers.len();
-        self.headers.retain(|(k, _)| k != name);
-        before != self.headers.len()
-    }
-
     /// The body bytes.
     pub fn body(&self) -> &[u8] {
         &self.body
@@ -153,18 +144,6 @@ mod tests {
             .with_header("destination", "/a")
             .with_header("destination", "/b");
         assert_eq!(f.header("destination"), Some("/a"));
-    }
-
-    #[test]
-    fn remove_header_strips_all_occurrences() {
-        let mut f = Frame::new(Command::Send)
-            .with_header("x", "1")
-            .with_header("x", "2")
-            .with_header("y", "3");
-        assert!(f.remove_header("x"));
-        assert_eq!(f.header("x"), None);
-        assert_eq!(f.header("y"), Some("3"));
-        assert!(!f.remove_header("x"));
     }
 
     #[test]

@@ -6,11 +6,13 @@
 //! in Rust the same observable semantics come from wrapper types whose
 //! whole method surface propagates labels:
 //!
-//! * [`SStr`] — labelled strings (concatenation, slicing, regex with
-//!   labelled captures, sanitisers, ...),
+//! * [`SStr`] — labelled strings (concatenation, slicing, replacement,
+//!   sanitisers, ...),
 //! * [`SNum`] — labelled integers with label-combining arithmetic,
 //! * [`SValue`] — labelled JSON documents fetched from the application
-//!   database, whose field accesses yield labelled scalars.
+//!   database: a field or element read from one is borrowed and keeps the
+//!   document's labels, and a document serialises into a labelled string
+//!   or buffer, or is released whole after the boundary check.
 //!
 //! Two independent mechanisms ride on the same types, as in the paper:
 //!
@@ -42,5 +44,5 @@ mod sstr;
 mod svalue;
 
 pub use snum::SNum;
-pub use sstr::{ReleaseError, SCaptures, SStr};
+pub use sstr::{ReleaseError, SStr};
 pub use svalue::SValue;

@@ -5,10 +5,10 @@ use std::ops::{Add, Div, Mul, Sub};
 
 use safeweb_labels::{Label, LabelSet, PrivilegeSet};
 
-use crate::sstr::{check_labels, ReleaseError, SStr};
+use crate::sstr::{check_labels, ReleaseError};
 
 /// A labelled 64-bit integer. Arithmetic between labelled numbers unions
-/// their labels, mirroring [`SStr`] concatenation.
+/// their labels, mirroring [`SStr`](crate::SStr) concatenation.
 ///
 /// ```
 /// use safeweb_taint::SNum;
@@ -58,12 +58,6 @@ impl SNum {
         &self.labels
     }
 
-    /// Attaches an extra label.
-    pub fn with_label(mut self, label: Label) -> SNum {
-        self.labels.insert(label);
-        self
-    }
-
     fn combine(&self, value: i64, other: &SNum) -> SNum {
         SNum {
             value,
@@ -71,12 +65,7 @@ impl SNum {
         }
     }
 
-    /// Converts to a labelled string (e.g. for template interpolation).
-    pub fn to_sstr(&self) -> SStr {
-        SStr::with_label_set(self.value.to_string(), self.labels)
-    }
-
-    /// Boundary check, like [`SStr::check_release`].
+    /// Boundary check, like [`SStr::check_release`](crate::SStr::check_release).
     ///
     /// # Errors
     ///
@@ -169,14 +158,6 @@ mod tests {
         let a = SNum::labelled(10, [l("a")]);
         assert!(a.checked_div(&SNum::public(0)).is_none());
         assert_eq!(a.checked_div(&SNum::public(2)).unwrap().value(), 5);
-    }
-
-    #[test]
-    fn to_sstr_carries_labels() {
-        let n = SNum::labelled(7, [l("a")]);
-        let s = n.to_sstr();
-        assert_eq!(s.as_str(), "7");
-        assert!(s.labels().contains(&l("a")));
     }
 
     #[test]

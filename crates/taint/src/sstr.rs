@@ -11,7 +11,6 @@ use std::fmt;
 use std::ops::Add;
 
 use safeweb_labels::{Label, LabelSet, PrivilegeSet};
-use safeweb_regex::Regex;
 
 /// A string carrying confidentiality/integrity labels and the Ruby-style
 /// *user taint* bit (set on data that arrived from a web user and not yet
@@ -109,18 +108,6 @@ impl SStr {
         self.value.is_empty()
     }
 
-    /// Attaches an additional label (always permitted — data may freely
-    /// become more restricted).
-    pub fn add_label(&mut self, label: Label) {
-        self.labels.insert(label);
-    }
-
-    /// Builder-style [`SStr::add_label`].
-    pub fn with_label(mut self, label: Label) -> SStr {
-        self.add_label(label);
-        self
-    }
-
     fn derive(&self, value: String, others: &[&SStr]) -> SStr {
         let mut labels = self.labels;
         let mut tainted = self.user_tainted;
@@ -166,11 +153,6 @@ impl SStr {
     /// Appends a public literal in place.
     pub fn push_str(&mut self, literal: &str) {
         self.value.push_str(literal);
-    }
-
-    /// Concatenates many labelled pieces.
-    pub fn concat_all<'a, I: IntoIterator<Item = &'a SStr>>(pieces: I) -> SStr {
-        SStr::join(pieces, "")
     }
 
     /// Joins pieces with a public separator.
@@ -231,32 +213,6 @@ impl SStr {
         self.value.starts_with(prefix)
     }
 
-    /// Regex match with labelled captures: the SafeWeb equivalent of
-    /// Rubinius's taint-tracked `$~`/`$1` (§4.4). Every capture carries the
-    /// subject's labels.
-    pub fn regex_captures(&self, regex: &Regex) -> Option<SCaptures> {
-        let caps = regex.captures(&self.value)?;
-        let groups = caps
-            .iter()
-            .map(|m| m.map(|m| self.derive(m.as_str().to_string(), &[])))
-            .collect();
-        Some(SCaptures { groups })
-    }
-
-    /// Whether the regex matches (inspection only).
-    pub fn regex_is_match(&self, regex: &Regex) -> bool {
-        regex.is_match(&self.value)
-    }
-
-    /// Regex replacement with label combination: the result carries the
-    /// subject's labels plus the replacement's.
-    pub fn regex_replace_all(&self, regex: &Regex, replacement: &SStr) -> SStr {
-        self.derive(
-            regex.replace_all(&self.value, &replacement.value),
-            &[replacement],
-        )
-    }
-
     /// HTML-escapes the value and clears the user-taint bit: the sanitiser
     /// that makes user input safe for HTML responses.
     pub fn sanitize_html(&self) -> SStr {
@@ -293,12 +249,6 @@ impl SStr {
         check_labels(&self.labels, privileges)?;
         Ok(self.value)
     }
-
-    /// Parses the value as a labelled integer, keeping labels.
-    pub fn parse_snum(&self) -> Option<crate::snum::SNum> {
-        let n: i64 = self.value.trim().parse().ok()?;
-        Some(crate::snum::SNum::with_label_set(n, self.labels))
-    }
 }
 
 /// The label half of the boundary check, shared by every labelled type.
@@ -328,29 +278,6 @@ fn escape_html(s: &str, out: &mut String) {
             '\'' => out.push_str("&#39;"),
             other => out.push(other),
         }
-    }
-}
-
-/// Labelled regex captures; see [`SStr::regex_captures`].
-#[derive(Debug, Clone)]
-pub struct SCaptures {
-    groups: Vec<Option<SStr>>,
-}
-
-impl SCaptures {
-    /// The `i`-th group (0 = whole match), labelled like the subject.
-    pub fn get(&self, i: usize) -> Option<&SStr> {
-        self.groups.get(i)?.as_ref()
-    }
-
-    /// Number of groups including group 0.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Captures always include group 0.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 }
 
@@ -467,16 +394,6 @@ mod tests {
     }
 
     #[test]
-    fn regex_captures_are_labelled() {
-        let s = SStr::labelled("id=12345", [patient()]);
-        let re = Regex::new(r"id=(\d+)").unwrap();
-        let caps = s.regex_captures(&re).unwrap();
-        let id = caps.get(1).unwrap();
-        assert_eq!(id.as_str(), "12345");
-        assert!(id.labels().contains(&patient()));
-    }
-
-    #[test]
     fn release_check_enforces_clearance() {
         let s = SStr::labelled("secret", [patient()]);
         assert!(s.check_release(&PrivilegeSet::new()).is_err());
@@ -504,7 +421,7 @@ mod tests {
         assert!(!safe.is_user_tainted());
         assert!(safe.as_str().contains("&lt;script&gt;"));
         // Labels survive sanitisation.
-        let labelled_user = SStr::from_user("x'y").with_label(patient());
+        let labelled_user = SStr::from_user("x'y") + &SStr::labelled("", [patient()]);
         let sql = labelled_user.sanitize_sql();
         assert!(!sql.is_user_tainted());
         assert_eq!(sql.as_str(), "x''y");
@@ -521,16 +438,8 @@ mod tests {
         assert_eq!(joined.as_str(), "a, b");
         assert!(joined.labels().contains(&patient()));
         assert!(joined.labels().contains(&mdt()));
-        let cat = SStr::concat_all(parts.iter());
+        let cat = SStr::join(parts.iter(), "");
         assert_eq!(cat.as_str(), "ab");
-    }
-
-    #[test]
-    fn parse_snum_keeps_labels() {
-        let s = SStr::labelled(" 42 ", [patient()]);
-        let n = s.parse_snum().unwrap();
-        assert_eq!(n.value(), 42);
-        assert!(n.labels().contains(&patient()));
-        assert!(SStr::public("abc").parse_snum().is_none());
+        assert_eq!(cat.labels(), joined.labels());
     }
 }

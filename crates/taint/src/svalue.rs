@@ -48,11 +48,6 @@ impl<B: AsRef<Value>> SValue<B> {
         &self.labels
     }
 
-    /// Adds a label.
-    pub fn add_label(&mut self, label: Label) {
-        self.labels.insert(label);
-    }
-
     fn node<'a>(&self, node: &'a Value) -> SValue<&'a Value> {
         SValue::with_label_set(node, self.labels)
     }
@@ -69,25 +64,6 @@ impl<B: AsRef<Value>> SValue<B> {
         self.value().at(index).map(|v| self.node(v))
     }
 
-    /// Array length, if this is an array.
-    pub fn array_len(&self) -> Option<usize> {
-        self.value().as_array().map(|a| a.len())
-    }
-
-    /// String payload as a labelled string.
-    pub fn as_sstr(&self) -> Option<SStr> {
-        self.value()
-            .as_str()
-            .map(|s| SStr::with_label_set(s, self.labels))
-    }
-
-    /// Integer payload as a labelled number.
-    pub fn as_snum(&self) -> Option<crate::snum::SNum> {
-        self.value()
-            .as_i64()
-            .map(|n| crate::snum::SNum::with_label_set(n, self.labels))
-    }
-
     /// Serialises to compact JSON **as a labelled string** — the paper's
     /// Listing 2 `r.to_json` whose taint made the omitted-check bug
     /// harmless.
@@ -99,12 +75,6 @@ impl<B: AsRef<Value>> SValue<B> {
     /// labels) to a labelled buffer, by reference.
     pub fn write_json(&self, out: &mut SStr) {
         self.value().write_json(out.append_labelled(&self.labels));
-    }
-
-    /// Combines two labelled values into an array entry-style merge,
-    /// unioning labels (used when aggregating records).
-    pub fn merge_labels_from<C>(&mut self, other: &SValue<C>) {
-        self.labels = self.labels.union(&other.labels);
     }
 
     /// Boundary check on the serialised form: labels first, so a denied
@@ -138,11 +108,11 @@ mod tests {
     #[test]
     fn fields_inherit_document_labels() {
         let doc = SValue::labelled(jobject! {"name" => "A. Patient", "age" => 61}, [patient()]);
-        let name = doc.get("name").unwrap().as_sstr().unwrap();
-        assert_eq!(name.as_str(), "A. Patient");
-        assert!(name.labels().contains(&patient()));
-        let age = doc.get("age").unwrap().as_snum().unwrap();
-        assert_eq!(age.value(), 61);
+        let name = doc.get("name").unwrap();
+        assert_eq!(name.value().as_str(), Some("A. Patient"));
+        assert_eq!(name.labels(), doc.labels());
+        let age = doc.get("age").unwrap().to_json_sstr();
+        assert_eq!(age.as_str(), "61");
         assert!(age.labels().contains(&patient()));
     }
 
@@ -169,17 +139,11 @@ mod tests {
             safeweb_json::Value::from(vec![jobject! {"id" => 1}, jobject! {"id" => 2}]),
             [patient()],
         );
-        assert_eq!(doc.array_len(), Some(2));
+        assert!(doc.at(2).is_none());
         let first = doc.at(0).unwrap();
         assert!(first.labels().contains(&patient()));
-        assert_eq!(first.get("id").unwrap().as_snum().unwrap().value(), 1);
-    }
-
-    #[test]
-    fn merge_labels() {
-        let mut a = SValue::labelled(jobject! {}, [patient()]);
-        let b = SValue::labelled(jobject! {}, [Label::conf("e", "mdt/a")]);
-        a.merge_labels_from(&b);
-        assert_eq!(a.labels().len(), 2);
+        let id = first.get("id").unwrap().to_json_sstr();
+        assert_eq!(id.as_str(), "1");
+        assert!(id.labels().contains(&patient()));
     }
 }

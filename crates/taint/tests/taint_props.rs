@@ -27,7 +27,7 @@ fn arb_sstr() -> impl Strategy<Value = SStr> {
         } else {
             SStr::public(s)
         };
-        ls.into_iter().fold(base, |acc, l| acc.with_label(l))
+        base + &SStr::labelled("", ls)
     })
 }
 
@@ -146,6 +146,9 @@ proptest! {
         let mut out = SStr::public("[");
         doc.write_json(&mut out);
         prop_assert_eq!(&out, &SStr::public("[").concat(&json));
+        // A field read through `get` carries the document's labels.
+        let field = doc.get("n").unwrap().to_json_sstr();
+        prop_assert_eq!(field, SStr::with_label_set(n.to_string(), *doc.labels()));
         let full: PrivilegeSet = ls.iter().cloned().map(Privilege::clearance).collect();
         for privs in [full, PrivilegeSet::new()] {
             prop_assert_eq!(

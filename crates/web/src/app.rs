@@ -107,12 +107,6 @@ impl<'a> Ctx<'a> {
         self.request
     }
 
-    /// A path parameter as a **user-tainted** labelled string: route
-    /// parameters are user input and must be sanitised before echoing.
-    pub fn param(&self, name: &str) -> Option<SStr> {
-        self.params.get(name).map(|v| SStr::from_user(v.clone()))
-    }
-
     /// A path parameter as a plain string, for use as a lookup key.
     pub fn param_raw(&self, name: &str) -> Option<&str> {
         self.params.get(name).map(String::as_str)

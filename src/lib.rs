@@ -22,7 +22,6 @@ pub use safeweb_json as json;
 pub use safeweb_labels as labels;
 pub use safeweb_mdt as mdt;
 pub use safeweb_obs as obs;
-pub use safeweb_regex as regex;
 pub use safeweb_relstore as relstore;
 pub use safeweb_sched as sched;
 pub use safeweb_selector as selector;

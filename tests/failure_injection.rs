@@ -5,7 +5,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use safeweb::broker::{Broker, BrokerServer, EventClient};
 use safeweb::docstore::{DocStore, Replicator};
@@ -16,6 +16,16 @@ fn policy() -> Policy {
     "unit producer {\n clearance label:conf:e/*\n}"
         .parse()
         .unwrap()
+}
+
+/// Waits until the broker holds `n` subscriptions: a client's `subscribe`
+/// returns once the frame is written, not once the broker processed it.
+fn wait_for_subscriptions(server: &BrokerServer, n: usize) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.broker().subscription_count() < n {
+        assert!(Instant::now() < deadline, "never reached {n} subscriptions");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 }
 
 #[test]
@@ -43,7 +53,7 @@ fn broker_survives_garbage_bytes() {
     // The broker still serves well-formed clients.
     let mut consumer = EventClient::connect(&addr.to_string(), "producer").unwrap();
     consumer.subscribe("/t", None).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 1);
     let mut producer = EventClient::connect(&addr.to_string(), "producer").unwrap();
     producer
         .publish(&Event::new("/t").unwrap().with_labels([]))
@@ -58,14 +68,14 @@ fn broker_cleans_up_after_abrupt_disconnect() {
     {
         let mut c = EventClient::connect(&addr, "producer").unwrap();
         c.subscribe("/t", None).unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        wait_for_subscriptions(&server, 1);
         assert_eq!(server.broker().subscription_count(), 1);
         // Drop without DISCONNECT.
     }
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    let deadline = Instant::now() + Duration::from_secs(5);
     while server.broker().subscription_count() != 0 {
         assert!(
-            std::time::Instant::now() < deadline,
+            Instant::now() < deadline,
             "subscriptions not cleaned up after abrupt disconnect"
         );
         std::thread::sleep(Duration::from_millis(20));
@@ -165,7 +175,7 @@ fn unknown_login_gets_no_privileges_not_an_error() {
     let addr = server.addr().to_string();
     let mut ghost = EventClient::connect(&addr, "ghost").unwrap();
     ghost.subscribe("/t", None).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for_subscriptions(&server, 1);
 
     let mut producer = EventClient::connect(&addr, "producer").unwrap();
     producer
