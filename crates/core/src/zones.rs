@@ -120,6 +120,15 @@ mod tests {
         assert!(!fw.is_allowed(Zone::External, Zone::Intranet));
         assert!(!fw.is_allowed(Zone::Dmz, Zone::External));
         assert!(!fw.is_allowed(Zone::Intranet, Zone::External));
+    }
+
+    #[test]
+    fn custom_topology() {
+        let fw = ZoneTopology {
+            allowed: vec![(Zone::External, Zone::Dmz)],
+        };
+        assert!(fw.check(Zone::External, Zone::Dmz).is_ok());
+        assert!(fw.check(Zone::Intranet, Zone::Dmz).is_err());
         // A refused attempt names its direction.
         let err = fw.check(Zone::External, Zone::Intranet).unwrap_err();
         assert_eq!(err.from, Zone::External);
