@@ -11,16 +11,19 @@ use safeweb_bench::{count_crate, workspace_root};
 /// engine 881 → 874 and web 985 → 982: the audited API is what
 /// applications call, so the regex wrappers and the methods only tests
 /// called (`concat_all`, `parse_snum`, `to_sstr`, `SValue::as_sstr`,
-/// `Jail::add_label`, `Ctx::param`, ...) are gone.
+/// `Jail::add_label`, `Ctx::param`, ...) are gone. Broker 889 → 884: the
+/// wire edge converts frames by value and takes the protected header
+/// names from the events crate's reserved list.
 const CRATE_MAX: [(&str, usize); 5] = [
     ("taint", 332),
     ("engine", 874),
     ("labels", 1178),
-    ("broker", 889),
+    ("broker", 884),
     ("web", 982),
 ];
-/// Taint + engine + labels + broker + web code lines (4 338 → 4 255).
-const TCB_MAX: usize = 4255;
+/// Taint + engine + labels + broker + web code lines (4 338 → 4 255 →
+/// 4 250).
+const TCB_MAX: usize = 4250;
 
 #[test]
 fn audited_core_stays_under_its_ceiling() {

@@ -9,7 +9,7 @@ use std::time::Duration;
 use safeweb_events::LabelledEvent;
 use safeweb_stomp::{Command, Frame, TcpTransport};
 
-use crate::wire::{event_to_frame, frame_to_event, SELECTOR_HEADER, SUBSCRIPTION_HEADER};
+use crate::wire::{self, event_to_frame, SELECTOR_HEADER, SUBSCRIPTION_HEADER};
 
 /// Error from client operations.
 #[derive(Debug)]
@@ -154,8 +154,8 @@ impl EventClient {
                     Command::Message => {
                         let subscription_id =
                             f.header(SUBSCRIPTION_HEADER).unwrap_or("0").to_string();
-                        let event =
-                            frame_to_event(&f).map_err(|e| ClientError::BadFrame(e.to_string()))?;
+                        let (event, _) = wire::frame_to_event_within(f, wire::WIRE_INTERN_CAP)
+                            .map_err(|e| ClientError::BadFrame(e.to_string()))?;
                         return Ok(ClientDelivery {
                             subscription_id,
                             event,

@@ -275,7 +275,7 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
                 session.privileges,
                 Box::new(move |delivery| {
                     let mut frame = event_to_frame(&delivery.event, Command::Message);
-                    frame.push_header(SUBSCRIPTION_HEADER, delivery.subscription_id.to_string());
+                    frame.push_header(SUBSCRIPTION_HEADER, &*delivery.subscription_id);
                     match sink_io.send(encode(&frame)) {
                         Ok(()) => true,
                         Err(SendError::Overflow) => {
@@ -296,7 +296,12 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
         (Command::Send, Some(session)) => {
             let spent = session.interned + 3 > CONN_INTERN_BUDGET;
             let cap = if spent { 0 } else { WIRE_INTERN_CAP };
-            let event = match frame_to_event_within(&frame, cap) {
+            // The receipt is written after the publish; the frame's body
+            // moves into the event.
+            let receipt = frame
+                .header("receipt")
+                .map(|id| Frame::new(Command::Receipt).with_header("receipt-id", id));
+            let event = match frame_to_event_within(frame, cap) {
                 Ok((event, added)) => {
                     session.interned += added;
                     event
@@ -315,9 +320,8 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
             // Arc-based path instead of the defensive-clone
             // `publish(&event)` entry point.
             shared.broker.publish_arc(std::sync::Arc::new(event));
-            if let Some(receipt) = frame.header("receipt") {
-                let receipt_frame = Frame::new(Command::Receipt).with_header("receipt-id", receipt);
-                let _ = io.send(encode(&receipt_frame));
+            if let Some(receipt) = receipt {
+                let _ = io.send(encode(&receipt));
             }
         }
         (other, Some(_)) => {
@@ -333,7 +337,7 @@ fn error_frame(message: &str) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::sync::atomic::AtomicUsize;
     use std::sync::mpsc;
@@ -346,17 +350,24 @@ mod tests {
     const READ_BYTES: usize = 64 * 1024;
 
     /// The STOMP protocol, recording after every read how many of the
-    /// connection's jobs are unfinished.
+    /// connection's jobs are unfinished, and saying once when a read has
+    /// left enough of them to pause the connection.
     struct Counted {
         stomp: StompConn,
         max_pending: Arc<AtomicUsize>,
+        paused: Option<mpsc::Sender<()>>,
     }
 
     impl Protocol for Counted {
         fn on_bytes(&mut self, data: &[u8], conn: &ConnHandle) {
             self.stomp.on_bytes(data, conn);
-            self.max_pending
-                .fetch_max(conn.pending_jobs(), Ordering::SeqCst);
+            let pending = conn.pending_jobs();
+            self.max_pending.fetch_max(pending, Ordering::SeqCst);
+            if pending >= MAX_IN_FLIGHT {
+                if let Some(paused) = self.paused.take() {
+                    let _ = paused.send(());
+                }
+            }
         }
 
         fn on_eof(&mut self, conn: &ConnHandle) {
@@ -398,6 +409,8 @@ mod tests {
         let policy = Arc::new(Policy::default());
         let max_pending = Arc::new(AtomicUsize::new(0));
         let (conn_broker, conn_max) = (broker.clone(), Arc::clone(&max_pending));
+        let (paused_tx, paused) = mpsc::channel();
+        let paused_tx = Mutex::new(paused_tx);
         let config = ReactorConfig {
             name: "inflight-test".to_string(),
             ..ReactorConfig::default()
@@ -406,6 +419,7 @@ mod tests {
             Box::new(Counted {
                 stomp: StompConn::new(conn_broker.clone(), Arc::clone(&policy)),
                 max_pending: Arc::clone(&conn_max),
+                paused: Some(paused_tx.lock().unwrap().clone()),
             })
         })
         .unwrap();
@@ -424,8 +438,30 @@ mod tests {
             stream.write_all(&wire).unwrap();
             stream
         });
-        // Long enough for an unpaused reactor to read every frame.
-        std::thread::sleep(Duration::from_millis(300));
+        // The publisher's jobs reached the cap, so reads should stop.
+        // A reactor that kept reading would read this connection again
+        // (level-triggered, more bytes waiting) in the loop turns that
+        // serve a second session's CONNECT, going past the bound.
+        paused
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the jobs never reached the in-flight cap");
+        let mut probe = TcpStream::connect(reactor.addr()).unwrap();
+        probe
+            .write_all(&encode(
+                &Frame::new(Command::Connect).with_header("login", "probe"),
+            ))
+            .unwrap();
+        let mut connected = Decoder::new();
+        let mut chunk = [0u8; 256];
+        let reply = loop {
+            let n = probe.read(&mut chunk).unwrap();
+            assert!(n > 0, "the reactor closed the probe");
+            connected.feed(&chunk[..n]);
+            if let Some(frame) = connected.next_frame().unwrap() {
+                break frame;
+            }
+        };
+        assert_eq!(reply.command(), Command::Connected);
         open.send(()).unwrap();
         let _stream = writer.join().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);

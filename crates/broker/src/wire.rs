@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use safeweb_events::{Event, EventError, EventId, LabelledEvent};
+use safeweb_events::{Event, EventError, LabelledEvent, RESERVED_ATTRIBUTES};
 use safeweb_labels::LabelSet;
 use safeweb_stomp::{Command, Frame};
 
@@ -69,7 +69,7 @@ pub fn event_to_frame(event: &LabelledEvent, command: Command) -> Frame {
         .with_header(ID_HEADER, event.event().id().to_string())
         .with_header(LABELS_HEADER, event.labels().to_wire());
     for (k, v) in event.event().attributes() {
-        frame.push_header(k.clone(), v.clone());
+        frame.push_header(k, v);
     }
     if let Some(payload) = event.event().payload() {
         frame.set_body(payload.as_bytes().to_vec());
@@ -88,10 +88,11 @@ pub fn event_to_frame(event: &LabelledEvent, command: Command) -> Frame {
 /// header is malformed or names a novel set past [`WIRE_INTERN_CAP`], the
 /// body is not UTF-8, or an attribute is invalid.
 pub fn frame_to_event(frame: &Frame) -> Result<LabelledEvent, WireError> {
-    frame_to_event_within(frame, WIRE_INTERN_CAP).map(|(event, _)| event)
+    frame_to_event_within(frame.clone(), WIRE_INTERN_CAP).map(|(event, _)| event)
 }
 
-/// [`frame_to_event`] with the intern cap `cap` in place of
+/// [`frame_to_event`] on an owned frame, whose body becomes the payload
+/// without a copy, with the intern cap `cap` in place of
 /// [`WIRE_INTERN_CAP`] (0 admits only known label sets), also returning
 /// the number of intern-table entries decoding added (0 to 3).
 ///
@@ -99,7 +100,7 @@ pub fn frame_to_event(frame: &Frame) -> Result<LabelledEvent, WireError> {
 ///
 /// As [`frame_to_event`], with [`WireError::LabelTableFull`] past `cap`.
 pub fn frame_to_event_within(
-    frame: &Frame,
+    mut frame: Frame,
     cap: usize,
 ) -> Result<(LabelledEvent, usize), WireError> {
     let topic = frame
@@ -107,23 +108,18 @@ pub fn frame_to_event_within(
         .ok_or(WireError::MissingDestination)?;
     let mut event = Event::new(topic).map_err(WireError::BadEvent)?;
 
-    if let Some(id) = frame.header(ID_HEADER) {
-        if let Ok(id) = id.parse::<EventId>() {
-            event.set_id(id);
-        }
+    if let Some(id) = frame.header(ID_HEADER).and_then(|id| id.parse().ok()) {
+        event.set_id(id);
     }
 
-    for (k, v) in frame.headers() {
-        match k.as_str() {
-            DESTINATION_HEADER | ID_HEADER | LABELS_HEADER | SUBSCRIPTION_HEADER
-            | SELECTOR_HEADER | "content-length" | "receipt" | "id" => {}
-            _ => event.set_attr(k, v)?,
-        }
-    }
+    // The reserved attribute names are the headers the middleware owns;
+    // `id` is a subscription's.
+    let owned = |k: &str| k == "id" || RESERVED_ATTRIBUTES.contains(&k);
+    event.set_attrs(frame.headers().filter(|(k, _)| !owned(k)))?;
 
-    if !frame.body().is_empty() {
-        let body = frame.body_str().ok_or(WireError::BadBody)?;
-        event.set_payload(body);
+    let body = frame.take_body();
+    if !body.is_empty() {
+        event.set_payload(String::from_utf8(body).map_err(|_| WireError::BadBody)?);
     }
 
     let (labels, added) = match frame.header(LABELS_HEADER) {
@@ -156,6 +152,33 @@ mod tests {
         assert_eq!(back.event().payload(), Some("details"));
         assert_eq!(back.labels(), event.labels());
         assert_eq!(back.event().id(), event.event().id());
+    }
+
+    #[test]
+    fn protocol_headers_are_not_attributes() {
+        for header in [
+            DESTINATION_HEADER,
+            ID_HEADER,
+            LABELS_HEADER,
+            SUBSCRIPTION_HEADER,
+            SELECTOR_HEADER,
+        ] {
+            assert!(RESERVED_ATTRIBUTES.contains(&header), "{header}");
+        }
+        let mut frame = Frame::new(Command::Send)
+            .with_header(DESTINATION_HEADER, "/t")
+            .with_header("type", "cancer");
+        for header in [
+            "receipt",
+            "id",
+            "content-length",
+            SUBSCRIPTION_HEADER,
+            SELECTOR_HEADER,
+        ] {
+            frame.push_header(header, "1");
+        }
+        let event = frame_to_event(&frame).unwrap();
+        assert!(event.event().attributes().eq([("type", "cancer")]));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Events and labelled events.
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 use safeweb_labels::{Label, LabelSet};
@@ -41,13 +41,36 @@ impl fmt::Display for EventError {
 
 impl std::error::Error for EventError {}
 
+/// The attribute rule: reserved or malformed names (empty, or containing
+/// `:`, whitespace or control characters) and values with a line break are
+/// rejected.
+fn check_attr(name: &str, value: &str) -> Result<(), EventError> {
+    if name.is_empty()
+        || RESERVED_ATTRIBUTES.contains(&name)
+        || name
+            .chars()
+            .any(|c| c == ':' || c.is_control() || c.is_whitespace())
+        || value.chars().any(|c| c == '\n' || c == '\r')
+    {
+        return Err(EventError::InvalidAttribute(name.to_string()));
+    }
+    Ok(())
+}
+
 /// An application event: topic, string attributes and an optional payload
 /// (§4.1 — "the keys, values and the body are untyped strings").
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The attributes live in one `String`, each name followed by its value,
+/// in name order; `spans` records where each name and each value ends (a
+/// name starts where the previous value ended). Equal attribute maps are
+/// therefore equal bytes, and an event is at most four heap blocks (topic,
+/// attribute text, spans, payload) whatever its attribute count.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Event {
     id: EventId,
     topic: String,
-    attributes: BTreeMap<String, String>,
+    text: String,
+    spans: Vec<(usize, usize)>,
     payload: Option<String>,
 }
 
@@ -65,7 +88,8 @@ impl Event {
         Ok(Event {
             id: EventId::generate(),
             topic: topic.to_string(),
-            attributes: BTreeMap::new(),
+            text: String::new(),
+            spans: Vec::new(),
             payload: None,
         })
     }
@@ -86,17 +110,45 @@ impl Event {
         &self.topic
     }
 
-    /// The attribute map.
-    pub fn attributes(&self) -> &BTreeMap<String, String> {
-        &self.attributes
+    /// The attributes as `(name, value)`, in name order (byte-wise, as a
+    /// `BTreeMap<String, String>` would iterate them).
+    pub fn attributes(&self) -> impl Iterator<Item = (&str, &str)> + Clone + '_ {
+        let mut start = 0;
+        self.spans.iter().map(move |&(name_end, value_end)| {
+            let attr = (&self.text[start..name_end], &self.text[name_end..value_end]);
+            start = value_end;
+            attr
+        })
+    }
+
+    /// Where attribute `i` starts in `text`.
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |prev| self.spans[prev].1)
+    }
+
+    /// Binary search for `name`: its index, or where it would go.
+    fn search(&self, name: &str) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.spans.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.text[self.start(mid)..self.spans[mid].0].cmp(name) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return Ok(mid),
+            }
+        }
+        Err(lo)
     }
 
     /// Looks up one attribute.
     pub fn attr(&self, name: &str) -> Option<&str> {
-        self.attributes.get(name).map(String::as_str)
+        let (name_end, value_end) = self.spans[self.search(name).ok()?];
+        Some(&self.text[name_end..value_end])
     }
 
-    /// Sets an attribute in place.
+    /// Sets an attribute in place, replacing any value it had. A new name
+    /// moves the attributes after it, so set many at once with
+    /// [`Event::set_attrs`].
     ///
     /// # Errors
     ///
@@ -104,17 +156,100 @@ impl Event {
     /// names (empty, or containing `:`, newline or control characters —
     /// these would corrupt the STOMP header encoding).
     pub fn set_attr(&mut self, name: &str, value: &str) -> Result<(), EventError> {
-        if name.is_empty()
-            || RESERVED_ATTRIBUTES.contains(&name)
-            || name
-                .chars()
-                .any(|c| c == ':' || c.is_control() || c.is_whitespace())
-            || value.chars().any(|c| c == '\n' || c == '\r')
-        {
-            return Err(EventError::InvalidAttribute(name.to_string()));
+        check_attr(name, value)?;
+        // Later spans move by what the text grows (or shrinks) by.
+        let (i, old_end, new_end) = match self.search(name) {
+            Ok(i) => {
+                let (name_end, value_end) = self.spans[i];
+                self.text.replace_range(name_end..value_end, value);
+                self.spans[i].1 = name_end + value.len();
+                (i + 1, value_end, name_end + value.len())
+            }
+            Err(i) => {
+                let at = self.start(i);
+                self.text.insert_str(at, value);
+                self.text.insert_str(at, name);
+                self.spans
+                    .insert(i, (at + name.len(), at + name.len() + value.len()));
+                (i + 1, at, at + name.len() + value.len())
+            }
+        };
+        for span in &mut self.spans[i..] {
+            span.0 = span.0 - old_end + new_end;
+            span.1 = span.1 - old_end + new_end;
         }
-        self.attributes.insert(name.to_string(), value.to_string());
         Ok(())
+    }
+
+    /// Sets several attributes as [`Event::set_attr`] would one by one
+    /// (a later equal name wins), in O(n log n) whatever their order: they
+    /// are sorted by name and merged with the present attributes into
+    /// new text in one pass. A peer's frame decides the order, so it must
+    /// not decide the cost.
+    ///
+    /// # Errors
+    ///
+    /// As [`Event::set_attr`]; the attributes before the invalid one stay
+    /// set.
+    pub fn set_attrs<'a, I>(&mut self, attrs: I) -> Result<(), EventError>
+    where
+        I: IntoIterator<Item = (&'a str, &'a str)>,
+        I::IntoIter: Clone,
+    {
+        let attrs = attrs.into_iter();
+        let (count, bytes) = attrs
+            .clone()
+            .fold((0, 0), |(n, b), (k, v)| (n + 1, b + k.len() + v.len()));
+        // A frame's worth of attributes sorts on the stack, so the common
+        // batch costs no buffer beyond the event's own two.
+        let mut small = [("", ""); 16];
+        let mut large = Vec::new();
+        let new: &mut [(&str, &str)] = if count <= small.len() {
+            &mut small[..count]
+        } else {
+            large.resize(count, ("", ""));
+            &mut large
+        };
+        let mut valid = 0;
+        let mut result = Ok(());
+        for (slot, (name, value)) in new.iter_mut().zip(attrs) {
+            if let Err(e) = check_attr(name, value) {
+                result = Err(e);
+                break;
+            }
+            *slot = (name, value);
+            valid += 1;
+        }
+        let new = &mut new[..valid];
+        // Stable, so of equal names the last one set stays last.
+        new.sort_by(|a, b| a.0.cmp(b.0));
+        let last_of_each = new
+            .iter()
+            .enumerate()
+            .filter(|&(i, attr)| new.get(i + 1).is_none_or(|next| next.0 != attr.0))
+            .map(|(_, &attr)| attr);
+
+        let mut text = String::with_capacity(self.text.len() + bytes);
+        let mut spans = Vec::with_capacity(self.spans.len() + valid);
+        let mut push = |(name, value): (&str, &str)| {
+            text.push_str(name);
+            let name_end = text.len();
+            text.push_str(value);
+            spans.push((name_end, text.len()));
+        };
+        let mut old = self.attributes().peekable();
+        for (name, value) in last_of_each {
+            while let Some(present) = old.next_if(|present| present.0 <= name) {
+                if present.0 < name {
+                    push(present);
+                }
+            }
+            push((name, value));
+        }
+        old.for_each(&mut push);
+        self.text = text;
+        self.spans = spans;
+        result
     }
 
     /// Builder-style attribute setter.
@@ -153,6 +288,23 @@ impl Event {
     /// Wraps this event with an existing label set.
     pub fn with_label_set(self, labels: LabelSet) -> LabelledEvent {
         LabelledEvent::new(self, labels)
+    }
+}
+
+impl fmt::Debug for Event {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Attributes<'a>(&'a Event);
+        impl fmt::Debug for Attributes<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map().entries(self.0.attributes()).finish()
+            }
+        }
+        f.debug_struct("Event")
+            .field("id", &self.id)
+            .field("topic", &self.topic)
+            .field("attributes", &Attributes(self))
+            .field("payload", &self.payload)
+            .finish()
     }
 }
 

@@ -220,7 +220,7 @@ pub fn data_producer(registry: Database, mdts: Vec<MdtInfo>, config: ProducerCon
             let base = |kind: &str| -> Result<Event, UnitError> {
                 Event::new(PATIENT_REPORT_TOPIC)
                     .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                    .set_attrs(&[
+                    .with_attrs(&[
                         ("kind", kind),
                         ("type", "cancer"),
                         ("case_id", &case.patient_id.to_string()),
@@ -352,7 +352,7 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                     let [case_id, mdt, region] = &ids;
                     Event::new(MDT_RECORD_TOPIC)
                         .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                        .set_attrs(&[("case_id", case_id), ("mdt", mdt), ("region_id", region)])
+                        .with_attrs(&[("case_id", case_id), ("mdt", mdt), ("region_id", region)])
                         .map(|event| event.with_payload(record_json))
                 },
             )?;
@@ -390,7 +390,7 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                         };
                         Event::new(MDT_METRICS_TOPIC)
                             .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                            .set_attrs(&[("mdt", &mdt), ("region_id", &region)])
+                            .with_attrs(&[("mdt", &mdt), ("region_id", &region)])
                             .map(|event| event.with_payload(metrics.to_json()))
                     };
                     (relabel, build)
@@ -417,7 +417,7 @@ pub fn data_aggregator(config: AggregatorConfig) -> UnitSpec {
                         };
                         Event::new(REGIONAL_METRICS_TOPIC)
                             .map_err(|e| UnitError::BadEvent(e.to_string()))?
-                            .set_attrs(&[("region_id", &region)])
+                            .with_attrs(&[("region_id", &region)])
                             .map(|event| event.with_payload(regional.to_json()))
                     };
                     (Relabel::keep().remove_all().add(regional.clone()), build)
@@ -701,15 +701,13 @@ fn store_event(db: &DocStore, labels: LabelSet, event: &Event, id: &str) -> Resu
 
 /// Convenience extension used by the units above.
 trait EventExt: Sized {
-    fn set_attrs(self, attrs: &[(&str, &str)]) -> Result<Self, UnitError>;
+    fn with_attrs(self, attrs: &[(&str, &str)]) -> Result<Self, UnitError>;
 }
 
 impl EventExt for Event {
-    fn set_attrs(mut self, attrs: &[(&str, &str)]) -> Result<Event, UnitError> {
-        for (k, v) in attrs {
-            self.set_attr(k, v)
-                .map_err(|e| UnitError::BadEvent(e.to_string()))?;
-        }
+    fn with_attrs(mut self, attrs: &[(&str, &str)]) -> Result<Event, UnitError> {
+        self.set_attrs(attrs.iter().copied())
+            .map_err(|e| UnitError::BadEvent(e.to_string()))?;
         Ok(self)
     }
 }

@@ -39,8 +39,7 @@ pub use eval::{AttributeSource, Truth};
 use std::fmt;
 use std::str::FromStr;
 
-use safeweb_safeq::{Param, Rejected, TrustedLiteral};
-use safeweb_taint::SStr;
+use safeweb_safeq::{Param, TrustedLiteral};
 
 use crate::token::{tokenize, Token};
 
@@ -53,13 +52,10 @@ pub const MAX_NESTING_DEPTH: usize = parser::MAX_DEPTH;
 /// O(|text| × |pattern|) per evaluated event; the cap bounds the pattern.
 pub const MAX_SELECTOR_LEN: usize = 4096;
 
-/// Errors from the trusted selector constructors ([`Selector::bind`],
-/// [`Selector::parse_untrusted`]).
+/// Errors from the trusted selector constructor [`Selector::bind`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SelectorError {
-    /// User-tainted input was refused where selector structure is formed.
-    Rejected(Rejected),
-    /// The template (or untrusted expression) failed to parse.
+    /// The template failed to parse.
     Parse(ParseSelectorError),
     /// A bind template's placeholder count does not match the parameters.
     Arity {
@@ -76,7 +72,6 @@ pub enum SelectorError {
 impl fmt::Display for SelectorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SelectorError::Rejected(r) => r.fmt(f),
             SelectorError::Parse(e) => e.fmt(f),
             SelectorError::Arity { expected, got } => write!(
                 f,
@@ -90,12 +85,6 @@ impl fmt::Display for SelectorError {
 }
 
 impl std::error::Error for SelectorError {}
-
-impl From<Rejected> for SelectorError {
-    fn from(r: Rejected) -> SelectorError {
-        SelectorError::Rejected(r)
-    }
-}
 
 impl From<ParseSelectorError> for SelectorError {
     fn from(e: ParseSelectorError) -> SelectorError {
@@ -132,32 +121,6 @@ impl Selector {
             expr,
             source: input.to_string(),
         })
-    }
-
-    /// Parses a selector whose text is trusted query structure — a
-    /// compile-time literal, a taint-checked string or an audited
-    /// declassify (see [`safeweb_safeq::TrustedLiteral`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ParseSelectorError`] on invalid syntax.
-    pub fn parse_trusted(template: &TrustedLiteral) -> Result<Selector, ParseSelectorError> {
-        Selector::parse(template.as_str())
-    }
-
-    /// Parses a labelled string as a selector after checking it is not
-    /// user-tainted. This is the checked runtime path for expression text
-    /// assembled by trusted server code; raw user input is refused with
-    /// [`SelectorError::Rejected`] — bind it as a parameter via
-    /// [`Selector::bind`] instead.
-    ///
-    /// # Errors
-    ///
-    /// [`SelectorError::Rejected`] for tainted input,
-    /// [`SelectorError::Parse`] on invalid syntax.
-    pub fn parse_untrusted(text: &SStr) -> Result<Selector, SelectorError> {
-        let lit = TrustedLiteral::checked(text)?;
-        Ok(Selector::parse_trusted(&lit)?)
     }
 
     /// Parses a trusted template containing `?` placeholders and binds

@@ -18,6 +18,7 @@
 
 use bytes::{Buf, BytesMut};
 use std::fmt;
+use std::io::Write;
 
 use crate::frame::{Command, Frame};
 
@@ -66,30 +67,29 @@ fn escape(s: &str, out: &mut Vec<u8>) {
     }
 }
 
-fn unescape(s: &str) -> Result<String, DecodeError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('\\') => out.push('\\'),
-                Some('n') => out.push('\n'),
-                Some('r') => out.push('\r'),
-                Some('c') => out.push(':'),
-                _ => return Err(DecodeError::MalformedHeader(s.to_string())),
-            }
-        } else {
-            out.push(c);
-        }
+/// Appends `s` unescaped to `out`.
+fn unescape_into(s: &str, out: &mut String) -> Result<(), DecodeError> {
+    let mut rest = s;
+    while let Some(at) = rest.find('\\') {
+        out.push_str(&rest[..at]);
+        out.push(match rest.as_bytes().get(at + 1) {
+            Some(b'\\') => '\\',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b'c') => ':',
+            _ => return Err(DecodeError::MalformedHeader(s.to_string())),
+        });
+        rest = &rest[at + 2..];
     }
-    Ok(out)
+    out.push_str(rest);
+    Ok(())
 }
 
 /// Encodes a frame to bytes. A `content-length` header reflecting the body
 /// size is always emitted (and any client-supplied one is ignored), so
 /// bodies may contain NUL bytes.
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64 + frame.body().len());
+    let mut out = Vec::with_capacity(64 + frame.header_bytes() + frame.body().len());
     out.extend_from_slice(frame.command().as_str().as_bytes());
     out.push(b'\n');
     for (k, v) in frame.headers() {
@@ -101,7 +101,8 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
         escape(v, &mut out);
         out.push(b'\n');
     }
-    out.extend_from_slice(format!("content-length:{}\n", frame.body().len()).as_bytes());
+    // Writing into a `Vec` cannot fail.
+    let _ = writeln!(out, "content-length:{}", frame.body().len());
     out.push(b'\n');
     out.extend_from_slice(frame.body());
     out.push(0);
@@ -164,7 +165,10 @@ impl Decoder {
         let command = Command::from_keyword(command_line)
             .ok_or_else(|| DecodeError::UnknownCommand(command_line.to_string()))?;
 
-        let mut headers = Vec::new();
+        // Header text unescapes straight into the frame's one buffer; the
+        // head is an upper bound on its size and on the header count.
+        let mut text = String::with_capacity(head.len() - command_line.len());
+        let mut spans = Vec::with_capacity(head.bytes().filter(|&b| b == b'\n').count());
         let mut content_length: Option<usize> = None;
         for line in lines {
             if line.is_empty() {
@@ -173,12 +177,15 @@ impl Decoder {
             let (k, v) = line
                 .split_once(':')
                 .ok_or_else(|| DecodeError::MalformedHeader(line.to_string()))?;
-            let k = unescape(k)?;
-            let v = unescape(v)?;
-            if k == "content-length" && content_length.is_none() {
-                content_length = Some(v.parse().map_err(|_| DecodeError::BadContentLength)?);
+            let start = text.len();
+            unescape_into(k, &mut text)?;
+            let name_end = text.len();
+            unescape_into(v, &mut text)?;
+            if content_length.is_none() && &text[start..name_end] == "content-length" {
+                let value = &text[name_end..];
+                content_length = Some(value.parse().map_err(|_| DecodeError::BadContentLength)?);
             }
-            headers.push((k, v));
+            spans.push((name_end, text.len()));
         }
 
         let (body, consumed) = match content_length {
@@ -211,12 +218,7 @@ impl Decoder {
         };
 
         self.buf.advance(consumed);
-        let mut frame = Frame::new(command);
-        for (k, v) in headers {
-            frame.push_header(k, v);
-        }
-        frame.set_body(body);
-        Ok(Some(frame))
+        Ok(Some(Frame::from_parts(command, text, spans, body)))
     }
 }
 

@@ -66,20 +66,38 @@ impl fmt::Display for Command {
 
 /// A STOMP frame. Headers preserve insertion order; duplicate header names
 /// follow the STOMP rule that the **first** occurrence wins on read.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Every header name and value sits back to back in one `String`, and
+/// `spans` records where each name and each value ends (a name starts
+/// where the previous value ended). A frame is three heap blocks (header
+/// text, spans, body), whatever its header count.
+#[derive(Clone, PartialEq, Eq)]
 pub struct Frame {
     command: Command,
-    headers: Vec<(String, String)>,
+    text: String,
+    spans: Vec<(usize, usize)>,
     body: Vec<u8>,
 }
 
 impl Frame {
     /// Creates a frame with no headers and an empty body.
     pub fn new(command: Command) -> Frame {
+        Frame::from_parts(command, String::new(), Vec::new(), Vec::new())
+    }
+
+    /// Assembles a frame from header text and spans laid out as [`Frame`]
+    /// keeps them (the decoder writes them so).
+    pub(crate) fn from_parts(
+        command: Command,
+        text: String,
+        spans: Vec<(usize, usize)>,
+        body: Vec<u8>,
+    ) -> Frame {
         Frame {
             command,
-            headers: Vec::new(),
-            body: Vec::new(),
+            text,
+            spans,
+            body,
         }
     }
 
@@ -88,28 +106,40 @@ impl Frame {
         self.command
     }
 
-    /// All headers in order.
-    pub fn headers(&self) -> &[(String, String)] {
-        &self.headers
+    /// All headers in order, as `(name, value)`.
+    pub fn headers(&self) -> impl Iterator<Item = (&str, &str)> + Clone + '_ {
+        let mut start = 0;
+        self.spans.iter().map(move |&(name_end, value_end)| {
+            let header = (&self.text[start..name_end], &self.text[name_end..value_end]);
+            start = value_end;
+            header
+        })
+    }
+
+    /// Bytes of header names and values together, unescaped.
+    pub(crate) fn header_bytes(&self) -> usize {
+        self.text.len()
     }
 
     /// The first value of the named header, per the STOMP duplicate rule.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        self.headers().find(|(k, _)| *k == name).map(|(_, v)| v)
     }
 
     /// Appends a header (builder style).
-    pub fn with_header(mut self, name: impl Into<String>, value: impl Into<String>) -> Frame {
-        self.headers.push((name.into(), value.into()));
+    pub fn with_header(mut self, name: impl AsRef<str>, value: impl AsRef<str>) -> Frame {
+        self.push_header(name, value);
         self
     }
 
     /// Appends a header in place.
-    pub fn push_header(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.headers.push((name.into(), value.into()));
+    pub fn push_header(&mut self, name: impl AsRef<str>, value: impl AsRef<str>) {
+        let (name, value) = (name.as_ref(), value.as_ref());
+        self.text.reserve(name.len() + value.len());
+        self.text.push_str(name);
+        let name_end = self.text.len();
+        self.text.push_str(value);
+        self.spans.push((name_end, self.text.len()));
     }
 
     /// The body bytes.
@@ -122,6 +152,11 @@ impl Frame {
         std::str::from_utf8(&self.body).ok()
     }
 
+    /// Moves the body out, leaving the frame's body empty.
+    pub fn take_body(&mut self) -> Vec<u8> {
+        std::mem::take(&mut self.body)
+    }
+
     /// Sets the body (builder style).
     pub fn with_body(mut self, body: impl Into<Vec<u8>>) -> Frame {
         self.body = body.into();
@@ -131,6 +166,22 @@ impl Frame {
     /// Sets the body in place.
     pub fn set_body(&mut self, body: impl Into<Vec<u8>>) {
         self.body = body.into();
+    }
+}
+
+impl fmt::Debug for Frame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Headers<'a>(&'a Frame);
+        impl fmt::Debug for Headers<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.headers()).finish()
+            }
+        }
+        f.debug_struct("Frame")
+            .field("command", &self.command)
+            .field("headers", &Headers(self))
+            .field("body", &self.body)
+            .finish()
     }
 }
 

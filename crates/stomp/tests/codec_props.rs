@@ -37,7 +37,74 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
         })
 }
 
+/// Header text from the characters STOMP escapes and a few plain ones,
+/// empty included.
+fn arb_text() -> impl Strategy<Value = String> {
+    proptest::collection::vec(
+        prop_oneof![
+            Just(':'),
+            Just('\n'),
+            Just('\r'),
+            Just('\\'),
+            Just('a'),
+            Just('b'),
+            Just('é'),
+            Just(' '),
+        ],
+        0..6,
+    )
+    .prop_map(|chars| chars.into_iter().collect())
+}
+
+/// Names from a small pool, so duplicates are common, `content-length`
+/// among them, plus escaped ones.
+fn arb_name() -> impl Strategy<Value = String> {
+    prop_oneof![
+        prop_oneof![
+            Just("destination"),
+            Just("id"),
+            Just("content-length"),
+            Just("x"),
+        ]
+        .prop_map(str::to_string),
+        arb_text().prop_filter("names are not empty", |n| !n.is_empty()),
+    ]
+}
+
 proptest! {
+    /// decode(encode(f)) carries f's headers in order, escapes,
+    /// duplicates and empty values included; the encoder drops a
+    /// caller's `content-length` and appends the body's own last.
+    #[test]
+    fn header_sequence_roundtrips(
+        headers in proptest::collection::vec((arb_name(), arb_text()), 0..8),
+        body in proptest::collection::vec(any::<u8>(), 0..16),
+    ) {
+        let mut frame = Frame::new(Command::Send);
+        for (name, value) in &headers {
+            frame.push_header(name, value);
+        }
+        frame.set_body(body.clone());
+        let mut d = Decoder::new();
+        d.feed(&encode(&frame));
+        let back = d.next_frame().unwrap().expect("complete frame");
+        let length = body.len().to_string();
+        let expected = headers
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_str()))
+            .filter(|(k, _)| *k != "content-length")
+            .chain([("content-length", length.as_str())]);
+        prop_assert!(back.headers().eq(expected), "{:?} from {:?}", back, headers);
+        for (name, _) in &headers {
+            let first = match name.as_str() {
+                "content-length" => Some(length.as_str()),
+                _ => headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str()),
+            };
+            prop_assert_eq!(back.header(name), first, "the first {:?} wins", name);
+        }
+        prop_assert_eq!(back.body(), &body[..]);
+    }
+
     /// encode → decode returns an equivalent frame (plus the synthesised
     /// content-length header).
     #[test]

@@ -44,7 +44,15 @@ fn broker_survives_garbage_bytes() {
     {
         let mut s = TcpStream::connect(addr).unwrap();
         s.write_all(b"CONNECT\nlogin:producer\n\n\x00").unwrap();
-        std::thread::sleep(Duration::from_millis(50));
+        // The garbage follows a session the broker has opened.
+        let mut reply = Vec::new();
+        let mut chunk = [0u8; 256];
+        while !reply.contains(&0) {
+            let n = s.read(&mut chunk).unwrap();
+            assert!(n > 0, "the broker closed before CONNECTED");
+            reply.extend_from_slice(&chunk[..n]);
+        }
+        assert!(reply.starts_with(b"CONNECTED\n"), "{reply:?}");
         s.write_all(b"TELEPORT\n\n\x00").unwrap();
         let mut buf = vec![0u8; 1024];
         let _ = s.read(&mut buf);
