@@ -17,12 +17,17 @@
 //! in-process subscriber with clearance for it must receive every one.
 //! After the flood a fresh connection names one more novel set, which
 //! is admitted and delivered unless the table is full.
+//!
+//! The relabel rule refuses an integrity label from a peer that may not
+//! endorse it, before its set is interned. So the attacker and the fresh
+//! connection log in as principals that may endorse every flood label,
+//! and the flood reaches the intern cap as it would for a peer that can.
 
 use std::time::Duration;
 
 use safeweb_core::broker::wire::{LABELS_HEADER, WIRE_INTERN_CAP};
 use safeweb_core::broker::BrokerServer;
-use safeweb_core::labels::{LabelSet, Privilege, PrivilegeKind, PrivilegeSet};
+use safeweb_core::labels::{LabelSet, PrincipalKind, Privilege, PrivilegeKind, PrivilegeSet};
 use safeweb_mdt::labels::mdt_label;
 use safeweb_stomp::{Command, Frame, TcpTransport};
 
@@ -171,12 +176,18 @@ pub fn run_intern_flood(
     seed: u64,
 ) -> FloodReport {
     let deployment = rig.portal().deployment();
-    let mut server = BrokerServer::bind(
-        "127.0.0.1:0",
-        deployment.broker().clone(),
-        deployment.policy().clone(),
-    )
-    .expect("bind the STOMP broker on loopback");
+    let mut policy = deployment.policy().clone();
+    let every_flood_label = "label:int:flood.example/*"
+        .parse()
+        .expect("a valid label pattern");
+    let endorse = Privilege::new(PrivilegeKind::Endorse, every_flood_label);
+    for login in ["flood_attacker", "flood_fresh"] {
+        policy
+            .entry(PrincipalKind::Unit, login)
+            .grant(endorse.clone());
+    }
+    let mut server = BrokerServer::bind("127.0.0.1:0", deployment.broker().clone(), policy)
+        .expect("bind the STOMP broker on loopback");
     let honest_label = mdt_label(rig.victim());
     let mut clearance = PrivilegeSet::new();
     clearance.grant(Privilege::clearance(honest_label.clone()));

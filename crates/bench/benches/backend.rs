@@ -28,10 +28,12 @@ struct Pipeline {
     seq: u64,
 }
 
+/// The transformer republishes its input's integrity label over STOMP,
+/// where the relabel rule holds it to an endorsement.
 fn policy() -> Policy {
     "
     unit producer {\n privileged \n}
-    unit transformer {\n clearance label:conf:e/* \n}
+    unit transformer {\n clearance label:conf:e/* \n endorse label:int:e/* \n}
     unit storage {\n privileged \n clearance label:conf:e/* \n}
     "
     .parse()

@@ -154,8 +154,10 @@ impl EventClient {
                     Command::Message => {
                         let subscription_id =
                             f.header(SUBSCRIPTION_HEADER).unwrap_or("0").to_string();
-                        let (event, _) = wire::frame_to_event_within(f, wire::WIRE_INTERN_CAP)
-                            .map_err(|e| ClientError::BadFrame(e.to_string()))?;
+                        // The broker admitted these labels at their SEND.
+                        let (event, _) =
+                            wire::frame_to_event_within(f, wire::WIRE_INTERN_CAP, |_| Ok(()))
+                                .map_err(|e| ClientError::BadFrame(e.to_string()))?;
                         return Ok(ClientDelivery {
                             subscription_id,
                             event,

@@ -1,7 +1,10 @@
 //! The networked broker: serves the STOMP dialect over TCP, assigning each
 //! connection the privileges its `login` principal holds in the policy file
 //! (§4.1: "privileges associated with labels are assigned directly to units
-//! ... through a policy specification file").
+//! ... through a policy specification file"). They decide what the
+//! connection may receive and, under the relabel rule
+//! ([`check_relabel`]), which labels its `SEND`s may carry. `login` is
+//! taken on trust: nothing authenticates it yet.
 //!
 //! # Connection model
 //!
@@ -30,7 +33,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use safeweb_labels::{Policy, PrincipalKind, PrivilegeSet};
+use safeweb_labels::{check_relabel, Policy, PrincipalKind, PrivilegeSet, RemoveSpec};
 use safeweb_reactor::{ConnHandle, Protocol, Reactor, ReactorConfig, SendError};
 use safeweb_selector::Selector;
 use safeweb_stomp::codec::{encode, Decoder};
@@ -133,6 +136,8 @@ static CONN_SEQ: AtomicU64 = AtomicU64::new(1);
 struct Session {
     client_id: String,
     privileges: PrivilegeSet,
+    /// Whether the policy declares `login` a `privileged` unit.
+    privileged: bool,
     /// Intern-table entries this connection's `SEND`s added.
     interned: usize,
 }
@@ -225,11 +230,13 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
         (Command::Connect, None) => {
             let login = frame.header("login").unwrap_or("anonymous");
             let privileges = shared.policy.privileges(PrincipalKind::Unit, login);
+            let privileged = shared.policy.is_privileged_unit(login);
             let client_id = format!("{login}#{}", CONN_SEQ.fetch_add(1, Ordering::Relaxed));
             let connected = Frame::new(Command::Connected).with_header("session", &client_id);
             *session = Some(Session {
                 client_id,
                 privileges,
+                privileged,
                 interned: 0,
             });
             let _ = io.send(encode(&connected));
@@ -301,7 +308,12 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
             let receipt = frame
                 .header("receipt")
                 .map(|id| Frame::new(Command::Receipt).with_header("receipt-id", id));
-            let event = match frame_to_event_within(frame, cap) {
+            // A peer's labels are additions to the empty set, decided
+            // before they may take intern-table space.
+            let (privileges, privileged) = (session.privileges, session.privileged);
+            let admit =
+                |add: &[_]| check_relabel(&[], &RemoveSpec::None, add, &privileges, privileged);
+            let event = match frame_to_event_within(frame, cap, admit) {
                 Ok((event, added)) => {
                     session.interned += added;
                     event

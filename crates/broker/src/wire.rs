@@ -7,7 +7,7 @@
 use std::fmt;
 
 use safeweb_events::{Event, EventError, LabelledEvent, RESERVED_ATTRIBUTES};
-use safeweb_labels::LabelSet;
+use safeweb_labels::{Label, LabelSet, RelabelError};
 use safeweb_stomp::{Command, Frame};
 
 /// Header carrying the label set on the wire.
@@ -35,6 +35,8 @@ pub enum WireError {
     BadLabels(String),
     /// The label set is novel and the intern table is at [`WIRE_INTERN_CAP`].
     LabelTableFull,
+    /// The sender may not attach these labels.
+    Relabel(RelabelError),
     /// The body is not valid UTF-8 (event payloads are untyped *strings*).
     BadBody,
     /// The attributes were invalid as event attributes.
@@ -47,6 +49,7 @@ impl fmt::Display for WireError {
             WireError::MissingDestination => write!(f, "frame has no destination header"),
             WireError::BadLabels(s) => write!(f, "malformed labels header: {s}"),
             WireError::LabelTableFull => write!(f, "label set refused: intern table full"),
+            WireError::Relabel(e) => write!(f, "label set refused: {e}"),
             WireError::BadBody => write!(f, "event body is not valid UTF-8"),
             WireError::BadEvent(e) => write!(f, "invalid event: {e}"),
         }
@@ -88,20 +91,24 @@ pub fn event_to_frame(event: &LabelledEvent, command: Command) -> Frame {
 /// header is malformed or names a novel set past [`WIRE_INTERN_CAP`], the
 /// body is not UTF-8, or an attribute is invalid.
 pub fn frame_to_event(frame: &Frame) -> Result<LabelledEvent, WireError> {
-    frame_to_event_within(frame.clone(), WIRE_INTERN_CAP).map(|(event, _)| event)
+    frame_to_event_within(frame.clone(), WIRE_INTERN_CAP, |_| Ok(())).map(|(event, _)| event)
 }
 
 /// [`frame_to_event`] on an owned frame, whose body becomes the payload
 /// without a copy, with the intern cap `cap` in place of
 /// [`WIRE_INTERN_CAP`] (0 admits only known label sets), also returning
-/// the number of intern-table entries decoding added (0 to 3).
+/// the number of intern-table entries decoding added (0 to 3). `admit`
+/// decides on the parsed labels before they are interned, so a label set
+/// it refuses takes no table space.
 ///
 /// # Errors
 ///
-/// As [`frame_to_event`], with [`WireError::LabelTableFull`] past `cap`.
+/// As [`frame_to_event`], with [`WireError::LabelTableFull`] past `cap`
+/// and [`WireError::Relabel`] when `admit` refuses.
 pub fn frame_to_event_within(
     mut frame: Frame,
     cap: usize,
+    admit: impl FnOnce(&[Label]) -> Result<(), RelabelError>,
 ) -> Result<(LabelledEvent, usize), WireError> {
     let topic = frame
         .header(DESTINATION_HEADER)
@@ -123,9 +130,12 @@ pub fn frame_to_event_within(
     }
 
     let (labels, added) = match frame.header(LABELS_HEADER) {
-        Some(wire) => LabelSet::from_wire_within(wire, cap)
-            .map_err(|e| WireError::BadLabels(e.to_string()))?
-            .ok_or(WireError::LabelTableFull)?,
+        Some(wire) => {
+            let labels =
+                LabelSet::parse_wire(wire).map_err(|e| WireError::BadLabels(e.to_string()))?;
+            admit(&labels).map_err(WireError::Relabel)?;
+            LabelSet::intern_within(labels, cap).ok_or(WireError::LabelTableFull)?
+        }
         None => (LabelSet::new(), 0),
     };
     Ok((event.with_label_set(labels), added))
@@ -134,7 +144,6 @@ pub fn frame_to_event_within(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use safeweb_labels::Label;
 
     #[test]
     fn event_frame_roundtrip() {

@@ -17,6 +17,9 @@ fn policy() -> Policy {
     }
     unit nosy {
     }
+    unit endorser {
+        endorse label:int:forge.example/*
+    }
     "
     .parse()
     .unwrap()
@@ -428,4 +431,83 @@ fn an_over_long_selector_is_refused_and_the_connection_still_subscribes() {
     assert_eq!(delivered.len(), 1, "{delivered:?}");
     assert_eq!(delivered[0].command(), Command::Message);
     assert_eq!(delivered[0].header("subscription"), Some("1"));
+}
+
+/// The labels on a `SEND` are held to the relabel rule as additions: a
+/// peer attaches an integrity label only under an endorsement for it, and
+/// a set the rule refuses is never interned. Confidentiality labels stay
+/// free to attach, from `anonymous` too.
+#[test]
+fn integrity_labels_on_send_need_an_endorsement() {
+    use safeweb_broker::wire::LABELS_HEADER;
+    use safeweb_labels::{LabelSet, Privilege, PrivilegeSet};
+    use safeweb_stomp::{Command, Frame, TcpTransport};
+
+    let server = start_server();
+    let connect = |login: Option<&str>| {
+        let mut raw = TcpTransport::connect(&server.addr().to_string()).unwrap();
+        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut connect = Frame::new(Command::Connect);
+        if let Some(login) = login {
+            connect.push_header("login", login);
+        }
+        raw.send_frame(&connect).unwrap();
+        assert_eq!(
+            raw.recv_frame().unwrap().unwrap().command(),
+            Command::Connected
+        );
+        raw
+    };
+    // The server's answer to a receipted SEND: RECEIPT or ERROR.
+    let send = |login: Option<&str>, labels: &str| {
+        let mut raw = connect(login);
+        raw.send_frame(
+            &Frame::new(Command::Send)
+                .with_header("destination", "/forge")
+                .with_header(LABELS_HEADER, labels)
+                .with_header("receipt", "r"),
+        )
+        .unwrap();
+        raw.recv_frame().unwrap().expect("an answer")
+    };
+    let mut clearance = PrivilegeSet::new();
+    clearance.grant(Privilege::clearance(Label::conf("forge.example", "case/1")));
+    let observed = server
+        .broker()
+        .subscribe("forge-observer", "1", "/forge", None, clearance);
+    // The sets the other tests here send, so they cannot move the count.
+    LabelSet::from_iter([Label::conf("ecric.org.uk", "mdt/a")]);
+
+    let before = LabelSet::interned_count();
+    for (login, forged) in [
+        (None, "label:int:forge.example/by-anonymous"),
+        (Some("producer"), "label:int:forge.example/by-producer"),
+    ] {
+        let answer = send(login, forged);
+        assert_eq!(answer.command(), Command::Error, "{login:?}: {answer:?}");
+        let message = answer.header("message").unwrap_or("");
+        assert!(message.contains("endorsement denied"), "{message}");
+        let labels = LabelSet::parse_wire(forged).unwrap();
+        assert_eq!(
+            LabelSet::intern_within(labels, 0),
+            None,
+            "{login:?}'s refused set was interned"
+        );
+    }
+    assert_eq!(LabelSet::interned_count(), before);
+
+    let endorsed = "label:int:forge.example/by-endorser";
+    let public = "label:conf:forge.example/case/1";
+    for (login, labels) in [(Some("endorser"), endorsed), (None, public)] {
+        let answer = send(login, labels);
+        assert_eq!(answer.command(), Command::Receipt, "{login:?}: {answer:?}");
+    }
+    let delivered: Vec<String> = (0..2)
+        .map(|_| {
+            let delivery = observed.recv_timeout(Duration::from_secs(10)).unwrap();
+            delivery.event.labels().to_wire()
+        })
+        .collect();
+    assert_eq!(delivered, [endorsed, public]);
+    assert!(observed.try_recv().is_err(), "a refused SEND was delivered");
 }

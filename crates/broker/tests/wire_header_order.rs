@@ -29,7 +29,8 @@ fn conversion_time(frame: &Frame) -> Duration {
         .map(|_| {
             let frame = frame.clone();
             let started = Instant::now();
-            let (event, _) = frame_to_event_within(frame, WIRE_INTERN_CAP).expect("converts");
+            let (event, _) =
+                frame_to_event_within(frame, WIRE_INTERN_CAP, |_| Ok(())).expect("converts");
             let took = started.elapsed();
             assert_eq!(event.event().attributes().count(), HEADERS);
             assert_eq!(event.attr("h00000"), Some("v"));

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use safeweb_labels::Label;
+use safeweb_labels::{Label, RelabelError};
 
 /// Error raised by engine infrastructure (wiring units to the broker,
 /// starting threads, remote bus failures).
@@ -68,3 +68,12 @@ impl fmt::Display for UnitError {
 }
 
 impl std::error::Error for UnitError {}
+
+impl From<RelabelError> for UnitError {
+    fn from(e: RelabelError) -> UnitError {
+        match e {
+            RelabelError::DeclassificationDenied(l) => UnitError::DeclassificationDenied(l),
+            RelabelError::EndorsementDenied(l) => UnitError::EndorsementDenied(l),
+        }
+    }
+}

@@ -20,60 +20,9 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 use safeweb_events::{Event, LabelledEvent};
-use safeweb_labels::{Label, LabelSet, LabelSetId, PrivilegeSet};
+use safeweb_labels::{LabelSet, LabelSetId, PrivilegeSet, Relabel};
 
 use crate::error::UnitError;
-
-/// Label adjustments a unit may request when publishing or storing,
-/// mirroring Listing 1's `:add => [...], :remove => $LABELS`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Relabel {
-    add: Vec<Label>,
-    remove: RemoveSpec,
-}
-
-/// Which labels to remove from `$LABELS` on output.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub enum RemoveSpec {
-    /// Keep all labels (the default).
-    #[default]
-    None,
-    /// Remove every current label — Listing 1's `:remove => $LABELS`.
-    All,
-    /// Remove the listed labels.
-    Labels(Vec<Label>),
-}
-
-impl Relabel {
-    /// No adjustment: output carries `$LABELS` unchanged.
-    pub fn keep() -> Relabel {
-        Relabel::default()
-    }
-
-    /// Adds a label to the output (builder style).
-    #[allow(clippy::should_implement_trait)]
-    pub fn add(mut self, label: Label) -> Relabel {
-        self.add.push(label);
-        self
-    }
-
-    /// Removes every ambient label (requires declassification for each
-    /// confidentiality label).
-    pub fn remove_all(mut self) -> Relabel {
-        self.remove = RemoveSpec::All;
-        self
-    }
-
-    /// Removes one label (requires declassification if confidentiality).
-    pub fn remove(mut self, label: Label) -> Relabel {
-        match &mut self.remove {
-            RemoveSpec::Labels(v) => v.push(label),
-            RemoveSpec::None => self.remove = RemoveSpec::Labels(vec![label]),
-            RemoveSpec::All => {}
-        }
-        self
-    }
-}
 
 /// The per-unit labelled key-value store (§4.3: "the engine provides a
 /// unit-specific key-value store with labels associated with keys").
@@ -319,13 +268,13 @@ impl<'a> Jail<'a> {
             .deliver_latest(key.as_ref(), topic, labels, Box::new(build))
     }
 
-    /// Computes output labels = (`$LABELS` − removals) ∪ additions with
-    /// privilege checks, each distinct one once per activation.
+    /// Computes output labels = (`$LABELS` − removals) ∪ additions under
+    /// the relabel rule, each distinct one once per activation.
     fn output_labels(&self, relabel: Relabel) -> Result<LabelSet, UnitError> {
         if !self.tracking {
             return Ok(LabelSet::new());
         }
-        if relabel.add.is_empty() && relabel.remove == RemoveSpec::None {
+        if relabel == Relabel::keep() {
             return Ok(self.labels);
         }
         let input = self.labels.id();
@@ -333,52 +282,13 @@ impl<'a> Jail<'a> {
         if let Some((.., outcome)) = memo.iter().find(|(i, r, _)| *i == input && *r == relabel) {
             return outcome.clone();
         }
-        let outcome = self.relabel(&relabel);
+        let outcome = relabel
+            .apply(self.labels, self.privileges, self.privileged)
+            .map_err(UnitError::from);
         if memo.len() < RELABEL_MEMO_CAP {
             memo.push((input, relabel, outcome.clone()));
         }
         outcome
-    }
-
-    /// [`Jail::output_labels`], computed.
-    fn relabel(&self, relabel: &Relabel) -> Result<LabelSet, UnitError> {
-        let mut labels = self.labels;
-        match relabel.remove {
-            RemoveSpec::None => {}
-            RemoveSpec::All => {
-                for l in self.labels.iter() {
-                    self.check_removal(l)?;
-                }
-                labels = LabelSet::new();
-            }
-            RemoveSpec::Labels(ref to_remove) => {
-                for l in to_remove {
-                    if labels.contains(l) {
-                        self.check_removal(l)?;
-                        labels.remove_unchecked(l);
-                    }
-                }
-            }
-        }
-        for l in &relabel.add {
-            if l.is_integrity() && !self.privileged && !self.privileges.can_endorse(l) {
-                return Err(UnitError::EndorsementDenied(l.clone()));
-            }
-            labels.insert(l.clone());
-        }
-        Ok(labels)
-    }
-
-    fn check_removal(&self, label: &Label) -> Result<(), UnitError> {
-        if self.privileged {
-            // Privileged units may declassify anything they received
-            // (§4.3); their power is limited by withholding clearance.
-            return Ok(());
-        }
-        if label.is_confidentiality() && !self.privileges.can_declassify(label) {
-            return Err(UnitError::DeclassificationDenied(label.clone()));
-        }
-        Ok(())
     }
 }
 
@@ -386,7 +296,7 @@ impl<'a> Jail<'a> {
 mod tests {
     use super::*;
     use parking_lot::Mutex;
-    use safeweb_labels::Privilege;
+    use safeweb_labels::{Label, Privilege};
 
     struct Capture(Mutex<Vec<LabelledEvent>>);
 

@@ -30,7 +30,9 @@ pub use engine::{
     Callback, Engine, EngineHandle, EngineOptions, TimerCallback, UnitSpec, Violation,
 };
 pub use error::{EngineError, UnitError};
-pub use jail::{EventBuilder, IoCapability, Jail, LabelledStore, PublishSink, Relabel, RemoveSpec};
+pub use jail::{EventBuilder, IoCapability, Jail, LabelledStore, PublishSink};
+// The relabel rule lives with the labels it governs; units name it here.
+pub use safeweb_labels::{Relabel, RemoveSpec};
 // Units run on the `safeweb-sched` worker pool; its options type is
 // part of this crate's configuration surface.
 pub use safeweb_sched::SchedulerOptions;

@@ -16,6 +16,9 @@
 //! * **Integrity** labels are *fragile*: derived data keeps an integrity
 //!   label only if every input carried it. Attaching one requires the
 //!   **endorsement** privilege.
+//! * [`check_relabel`] is that rule for every label change a principal
+//!   makes: the jail's publishes and store writes, and the labels a STOMP
+//!   peer sends.
 //!
 //! ## Example
 //!
@@ -42,6 +45,7 @@ mod label;
 mod pattern;
 mod policy;
 mod privilege;
+mod relabel;
 mod set;
 
 pub use error::{ParseLabelError, ParsePolicyError};
@@ -50,4 +54,5 @@ pub use label::{Label, LabelKind};
 pub use pattern::LabelPattern;
 pub use policy::{Policy, PrincipalKind, PrincipalPolicy};
 pub use privilege::{Privilege, PrivilegeKind, PrivilegeSet};
-pub use set::{DeclassifyError, EndorseError, LabelSet};
+pub use relabel::{check_relabel, Relabel, RelabelError, RemoveSpec};
+pub use set::LabelSet;

@@ -5,6 +5,14 @@
 //! the scripts editing it) is part of the audited trusted codebase, so the
 //! format is deliberately small and line-oriented:
 //!
+//! A unit's entry governs it wherever it acts: inside the engine's jail,
+//! and as a STOMP peer that logs in under the unit's name. `declassify`,
+//! `endorse` and `privileged` decide, by the relabel rule
+//! ([`check_relabel`](crate::check_relabel)), which labels a jailed
+//! unit may remove from or add to what it outputs, and which integrity
+//! labels a STOMP `SEND` may carry: only those the sender may `endorse`,
+//! or any if it is `privileged`.
+//!
 //! ```text
 //! # The storage unit may declassify every MDT label.
 //! unit data_storage {
@@ -66,7 +74,8 @@ impl PrincipalPolicy {
 
     /// Whether the principal is a *privileged unit*: it runs outside the IFC
     /// jail with I/O access and may effectively declassify anything it is
-    /// cleared to receive (§4.3). Meaningless for users.
+    /// cleared to receive (§4.3), and its STOMP `SEND`s may carry any
+    /// integrity label. Meaningless for users.
     pub fn is_privileged(&self) -> bool {
         self.privileged
     }

@@ -100,9 +100,10 @@ impl LabelSet {
     /// Adds a label, re-pointing this handle at the interned result.
     /// Returns `true` if it was newly inserted.
     ///
-    /// Adding confidentiality labels never requires privilege (it only makes
-    /// data *more* restricted); removing them does — see
-    /// [`LabelSet::declassify`].
+    /// No privilege check: the relabel rule ([`Relabel::apply`]) decides
+    /// which labels a principal may add.
+    ///
+    /// [`Relabel::apply`]: crate::Relabel::apply
     pub fn insert(&mut self, label: Label) -> bool {
         match self.repr.labels.binary_search(&label) {
             Ok(_) => false,
@@ -117,10 +118,10 @@ impl LabelSet {
 
     /// Removes a label without any privilege check.
     ///
-    /// This is a low-level operation used by the enforcement layers after
-    /// they have verified the caller's declassification (or, for integrity
-    /// labels, its endorsement-revocation) rights; application code should go
-    /// through [`LabelSet::declassify`] instead.
+    /// The relabel rule ([`Relabel::apply`]) decides which labels a
+    /// principal may remove.
+    ///
+    /// [`Relabel::apply`]: crate::Relabel::apply
     pub fn remove_unchecked(&mut self, label: &Label) -> bool {
         match self.repr.labels.binary_search(label) {
             Err(_) => false,
@@ -306,50 +307,6 @@ impl LabelSet {
         self.blocking(privileges).cloned().collect()
     }
 
-    /// Removes `label` from the set if `privileges` grants declassification
-    /// (for confidentiality labels) over it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DeclassifyError`] if the privilege is missing. Removing a
-    /// label that is not present is a no-op and succeeds.
-    pub fn declassify(
-        &mut self,
-        label: &Label,
-        privileges: &PrivilegeSet,
-    ) -> Result<(), DeclassifyError> {
-        if !label.is_confidentiality() {
-            return Err(DeclassifyError::NotConfidentiality(label.clone()));
-        }
-        if !privileges.can_declassify(label) {
-            return Err(DeclassifyError::MissingPrivilege(label.clone()));
-        }
-        self.remove_unchecked(label);
-        Ok(())
-    }
-
-    /// Adds `label` as an integrity endorsement if `privileges` grants
-    /// endorsement over it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EndorseError`] if the privilege is missing or the label is
-    /// not an integrity label.
-    pub fn endorse(
-        &mut self,
-        label: &Label,
-        privileges: &PrivilegeSet,
-    ) -> Result<(), EndorseError> {
-        if !label.is_integrity() {
-            return Err(EndorseError::NotIntegrity(label.clone()));
-        }
-        if !privileges.can_endorse(label) {
-            return Err(EndorseError::MissingPrivilege(label.clone()));
-        }
-        self.insert(label.clone());
-        Ok(())
-    }
-
     /// Encodes the set as a comma-separated list of label URIs in sorted
     /// order; the wire format used in STOMP headers and database documents.
     /// Returns an empty string for the empty set.
@@ -366,11 +323,28 @@ impl LabelSet {
     ///
     /// Returns [`ParseLabelError`] if any element is not a valid label URI.
     pub fn from_wire(s: &str) -> Result<LabelSet, ParseLabelError> {
-        let set = LabelSet::from_wire_within(s, usize::MAX)?;
-        Ok(set.expect("an uncapped intern is never refused").0)
+        Ok(LabelSet::from_vec(LabelSet::parse_wire(s)?))
     }
 
-    /// [`LabelSet::from_wire`] for input from an untrusted peer: `Ok(None)`
+    /// The labels of a wire list, read as [`LabelSet::from_wire`] reads
+    /// it, in list order and interned nowhere: input from an untrusted
+    /// peer is held to the relabel rule ([`check_relabel`]) on these
+    /// before it may take intern-table space ([`LabelSet::intern_within`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ParseLabelError`] if any element is not a valid label URI.
+    ///
+    /// [`check_relabel`]: crate::check_relabel
+    pub fn parse_wire(s: &str) -> Result<Vec<Label>, ParseLabelError> {
+        s.split(',')
+            .map(str::trim)
+            .filter(|part| !part.is_empty())
+            .map(str::parse)
+            .collect()
+    }
+
+    /// The set of `labels` for input from an untrusted peer: `None`
     /// refuses a set this process has not interned yet once the intern
     /// table is within three sets of `cap` (the set and its two kind
     /// projections). A known set always resolves, so a full table costs an
@@ -378,21 +352,10 @@ impl LabelSet {
     /// table past `cap`. Also returns the number of intern-table entries
     /// the call added (0 for a known set, up to 3 for a novel one), so a
     /// caller can budget the table space a peer spends.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseLabelError`] if any element is not a valid label URI.
-    pub fn from_wire_within(
-        s: &str,
-        cap: usize,
-    ) -> Result<Option<(LabelSet, usize)>, ParseLabelError> {
-        let mut labels = Vec::new();
-        for part in s.split(',').map(str::trim).filter(|part| !part.is_empty()) {
-            labels.push(part.parse()?);
-        }
+    pub fn intern_within(mut labels: Vec<Label>, cap: usize) -> Option<(LabelSet, usize)> {
         labels.sort();
         labels.dedup();
-        Ok(intern::intern_within(labels, cap).map(|(repr, added)| (LabelSet { repr }, added)))
+        intern::intern_within(labels, cap).map(|(repr, added)| (LabelSet { repr }, added))
     }
 }
 
@@ -487,54 +450,6 @@ impl FromStr for LabelSet {
     }
 }
 
-/// Error returned by [`LabelSet::declassify`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DeclassifyError {
-    /// The caller lacks the declassification privilege for this label.
-    MissingPrivilege(Label),
-    /// Declassification only applies to confidentiality labels.
-    NotConfidentiality(Label),
-}
-
-impl fmt::Display for DeclassifyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            DeclassifyError::MissingPrivilege(l) => {
-                write!(f, "missing declassification privilege for {l}")
-            }
-            DeclassifyError::NotConfidentiality(l) => {
-                write!(f, "cannot declassify non-confidentiality label {l}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DeclassifyError {}
-
-/// Error returned by [`LabelSet::endorse`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EndorseError {
-    /// The caller lacks the endorsement privilege for this label.
-    MissingPrivilege(Label),
-    /// Endorsement only applies to integrity labels.
-    NotIntegrity(Label),
-}
-
-impl fmt::Display for EndorseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EndorseError::MissingPrivilege(l) => {
-                write!(f, "missing endorsement privilege for {l}")
-            }
-            EndorseError::NotIntegrity(l) => {
-                write!(f, "cannot endorse non-integrity label {l}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for EndorseError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,45 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn declassify_requires_privilege() {
-        let mut set = LabelSet::singleton(conf("patient/1"));
-        let err = set
-            .declassify(&conf("patient/1"), &PrivilegeSet::new())
-            .unwrap_err();
-        assert!(matches!(err, DeclassifyError::MissingPrivilege(_)));
-        assert!(set.contains(&conf("patient/1")));
-
-        let mut privs = PrivilegeSet::new();
-        privs.grant(Privilege::declassify(conf("patient/1")));
-        set.declassify(&conf("patient/1"), &privs).unwrap();
-        assert!(set.is_empty());
-    }
-
-    #[test]
-    fn declassify_rejects_integrity_labels() {
-        let mut set = LabelSet::singleton(int("mdt"));
-        let mut privs = PrivilegeSet::new();
-        privs.grant(Privilege::declassify(conf("x")));
-        assert!(matches!(
-            set.declassify(&int("mdt"), &privs),
-            Err(DeclassifyError::NotConfidentiality(_))
-        ));
-    }
-
-    #[test]
-    fn endorse_requires_privilege() {
-        let mut set = LabelSet::new();
-        assert!(matches!(
-            set.endorse(&int("mdt"), &PrivilegeSet::new()),
-            Err(EndorseError::MissingPrivilege(_))
-        ));
-        let mut privs = PrivilegeSet::new();
-        privs.grant(Privilege::endorse(int("mdt")));
-        set.endorse(&int("mdt"), &privs).unwrap();
-        assert!(set.contains(&int("mdt")));
-    }
-
-    #[test]
     fn wire_roundtrip() {
         let set = LabelSet::from_iter([conf("patient/1"), int("mdt"), conf("mdt/a")]);
         let wire = set.to_wire();
@@ -637,31 +513,25 @@ mod tests {
         assert_eq!(set.id(), back.id());
     }
 
-    /// The capped decode refuses only novel sets, and only near its cap;
-    /// it still reports malformed input as a parse error.
+    /// The capped intern refuses only novel sets, and only near its cap;
+    /// the parse still reports malformed input as an error.
     #[test]
     fn capped_wire_decode_refuses_only_novel_sets() {
+        let within =
+            |wire: &str, cap| LabelSet::intern_within(LabelSet::parse_wire(wire).unwrap(), cap);
         let known = LabelSet::from_iter([conf("patient/1"), int("mdt")]);
-        let wire = known.to_wire();
-        assert_eq!(LabelSet::from_wire_within(&wire, 0), Ok(Some((known, 0))));
+        assert_eq!(within(&known.to_wire(), 0), Some((known, 0)));
         let novel = "label:conf:e/capped-wire-decode/1";
         let full = LabelSet::interned_count();
-        assert_eq!(LabelSet::from_wire_within(novel, full), Ok(None));
-        assert_eq!(LabelSet::from_wire_within(novel, full + 2), Ok(None));
-        assert!(LabelSet::from_wire_within("nonsense", usize::MAX).is_err());
-        let (admitted, added) = LabelSet::from_wire_within(novel, usize::MAX)
-            .unwrap()
-            .unwrap();
+        assert_eq!(within(novel, full), None);
+        assert_eq!(within(novel, full + 2), None);
+        assert!(LabelSet::parse_wire("label:conf:a,nonsense").is_err());
+        let (admitted, added) = within(novel, usize::MAX).unwrap();
         assert_eq!(added, 1, "a pure novel set is its own projection");
         assert_eq!(admitted, LabelSet::from_wire(novel).unwrap());
-        assert_eq!(
-            LabelSet::from_wire_within(novel, 0),
-            Ok(Some((admitted, 0)))
-        );
+        assert_eq!(within(novel, 0), Some((admitted, 0)));
         let mixed = "label:conf:e/capped-wire-decode/2,label:int:e/capped-wire-decode/2";
-        let (_, added) = LabelSet::from_wire_within(mixed, usize::MAX)
-            .unwrap()
-            .unwrap();
+        let (_, added) = within(mixed, usize::MAX).unwrap();
         assert_eq!(added, 3, "a mixed novel set and both its projections");
     }
 

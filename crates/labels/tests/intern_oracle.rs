@@ -11,7 +11,7 @@
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
-use safeweb_labels::{Label, LabelKind, LabelSet, Privilege, PrivilegeSet};
+use safeweb_labels::{Label, LabelKind, LabelSet, Privilege, PrivilegeSet, Relabel};
 
 /// The reference model: the straightforward `BTreeSet` semantics the
 /// interned implementation must reproduce.
@@ -98,8 +98,10 @@ enum Op {
     Union(Vec<Label>),
     Intersection(Vec<Label>),
     Combine(Vec<Label>),
-    Declassify(Label),
-    Endorse(Label),
+    /// `Relabel::keep().remove(label)`, under privileges over `label`.
+    RelabelRemove(Label),
+    /// `Relabel::keep().add(label)`, under privileges over `label`.
+    RelabelAdd(Label),
 }
 
 fn arb_label() -> impl Strategy<Value = Label> {
@@ -127,13 +129,13 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_labels().prop_map(Op::Union),
         arb_labels().prop_map(Op::Intersection),
         arb_labels().prop_map(Op::Combine),
-        arb_label().prop_map(Op::Declassify),
-        arb_label().prop_map(Op::Endorse),
+        arb_label().prop_map(Op::RelabelRemove),
+        arb_label().prop_map(Op::RelabelAdd),
     ]
 }
 
 /// A privilege set granting clearance+declassify+endorse over `labels`, so
-/// declassify/endorse ops in the random walk mostly succeed.
+/// every relabel op in the random walk is allowed.
 fn all_privileges(labels: &[Label]) -> PrivilegeSet {
     let mut privs = PrivilegeSet::new();
     for label in labels {
@@ -231,19 +233,17 @@ proptest! {
                     set = set.combine(&LabelSet::from_iter(labels.clone()));
                     model = model.combine(&Model::from_labels(&labels));
                 }
-                Op::Declassify(label) => {
+                Op::RelabelRemove(label) => {
                     let privs = all_privileges(std::slice::from_ref(&label));
-                    // Both sides remove iff the call succeeds; failure (an
-                    // integrity label) must leave the set untouched.
-                    if set.declassify(&label, &privs).is_ok() {
-                        model.remove(&label);
-                    }
+                    let relabel = Relabel::keep().remove(label.clone());
+                    set = relabel.apply(set, &privs, false).expect("privileges cover it");
+                    model.remove(&label);
                 }
-                Op::Endorse(label) => {
+                Op::RelabelAdd(label) => {
                     let privs = all_privileges(std::slice::from_ref(&label));
-                    if set.endorse(&label, &privs).is_ok() {
-                        model.insert(label);
-                    }
+                    let relabel = Relabel::keep().add(label.clone());
+                    set = relabel.apply(set, &privs, false).expect("privileges cover it");
+                    model.insert(label);
                 }
             }
             assert_agrees(&set, &model, &probes);

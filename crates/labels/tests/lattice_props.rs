@@ -3,7 +3,7 @@
 //! join on confidentiality, and `flows_to` must be monotone.
 
 use proptest::prelude::*;
-use safeweb_labels::{Label, LabelKind, LabelSet, Privilege, PrivilegeSet};
+use safeweb_labels::{Label, LabelKind, LabelSet, Privilege, PrivilegeSet, Relabel};
 
 fn arb_label() -> impl Strategy<Value = Label> {
     let kind = prop_oneof![Just(LabelKind::Confidentiality), Just(LabelKind::Integrity)];
@@ -137,8 +137,10 @@ proptest! {
         prop_assume!(target.is_confidentiality());
         let mut privs = PrivilegeSet::new();
         privs.grant(Privilege::declassify(target.clone()));
-        let mut after = set;
-        after.declassify(&target, &privs).unwrap();
+        let after = Relabel::keep()
+            .remove(target.clone())
+            .apply(set, &privs, false)
+            .unwrap();
         prop_assert!(!after.contains(&target));
         for l in set.iter() {
             if *l != target {

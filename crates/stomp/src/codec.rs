@@ -111,9 +111,30 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 
 /// Incremental decoder: call [`Decoder::feed`] with received bytes, then
 /// drain complete frames with [`Decoder::next_frame`].
+///
+/// A frame that arrives in pieces is scanned and parsed once: the decoder
+/// keeps how far its search for the head's end got, and the parsed head
+/// while the body is still arriving.
 #[derive(Debug, Default)]
 pub struct Decoder {
     buf: BytesMut,
+    /// Where the next search resumes: for the blank line ending the head
+    /// while `head` is `None`, for the NUL ending a body without
+    /// `content-length` once it is parsed.
+    scanned: usize,
+    /// The parsed head of the frame whose body is still arriving.
+    head: Option<Head>,
+}
+
+/// A frame's command and headers, laid out as [`Frame`] keeps them, and
+/// where its body starts in the buffer.
+#[derive(Debug)]
+struct Head {
+    command: Command,
+    text: String,
+    spans: Vec<(usize, usize)>,
+    content_length: Option<usize>,
+    body_start: usize,
 }
 
 impl Decoder {
@@ -142,9 +163,11 @@ impl Decoder {
     /// then undefined and the connection should be dropped (the broker
     /// responds with an `ERROR` frame first when possible).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
-        // Skip heart-beat / inter-frame newlines and stray NULs.
-        while matches!(self.buf.first(), Some(b'\n' | b'\r' | 0)) {
-            self.buf.advance(1);
+        if self.head.is_none() && self.scanned == 0 {
+            // Skip heart-beat / inter-frame newlines and stray NULs.
+            while matches!(self.buf.first(), Some(b'\n' | b'\r' | 0)) {
+                self.buf.advance(1);
+            }
         }
         if self.buf.is_empty() {
             return Ok(None);
@@ -153,92 +176,115 @@ impl Decoder {
             return Err(DecodeError::FrameTooLarge);
         }
 
-        // Find end of the head (blank line).
-        let (head_end, body_start) = match find_blank_line(&self.buf) {
-            Some(pair) => pair,
-            None => return Ok(None),
-        };
-        let head =
-            std::str::from_utf8(&self.buf[..head_end]).map_err(|_| DecodeError::InvalidUtf8)?;
-        let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
-        let command_line = lines.next().unwrap_or_default();
-        let command = Command::from_keyword(command_line)
-            .ok_or_else(|| DecodeError::UnknownCommand(command_line.to_string()))?;
-
-        // Header text unescapes straight into the frame's one buffer; the
-        // head is an upper bound on its size and on the header count.
-        let mut text = String::with_capacity(head.len() - command_line.len());
-        let mut spans = Vec::with_capacity(head.bytes().filter(|&b| b == b'\n').count());
-        let mut content_length: Option<usize> = None;
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let (k, v) = line
-                .split_once(':')
-                .ok_or_else(|| DecodeError::MalformedHeader(line.to_string()))?;
-            let start = text.len();
-            unescape_into(k, &mut text)?;
-            let name_end = text.len();
-            unescape_into(v, &mut text)?;
-            if content_length.is_none() && &text[start..name_end] == "content-length" {
-                let value = &text[name_end..];
-                content_length = Some(value.parse().map_err(|_| DecodeError::BadContentLength)?);
-            }
-            spans.push((name_end, text.len()));
-        }
-
-        let (body, consumed) = match content_length {
-            Some(len) => {
-                if len > MAX_FRAME_SIZE {
-                    return Err(DecodeError::FrameTooLarge);
+        let head = match self.head.take() {
+            Some(head) => head,
+            None => match find_blank_line(&self.buf, self.scanned) {
+                Ok((head_end, body_start)) => {
+                    self.scanned = body_start;
+                    parse_head(&self.buf[..head_end], body_start)?
                 }
-                if self.buf.len() < body_start + len + 1 {
-                    return Ok(None); // need body + trailing NUL
+                Err(resume) => {
+                    self.scanned = resume;
+                    return Ok(None);
                 }
-                let body = self.buf[body_start..body_start + len].to_vec();
-                // Trailing NUL is required.
-                if self.buf[body_start + len] != 0 {
-                    return Err(DecodeError::MalformedHeader(
-                        "missing frame terminator".to_string(),
-                    ));
-                }
-                (body, body_start + len + 1)
-            }
-            None => {
-                // Body ends at first NUL.
-                match self.buf[body_start..].iter().position(|&b| b == 0) {
-                    Some(rel) => {
-                        let body = self.buf[body_start..body_start + rel].to_vec();
-                        (body, body_start + rel + 1)
-                    }
-                    None => return Ok(None),
-                }
-            }
+            },
         };
 
-        self.buf.advance(consumed);
-        Ok(Some(Frame::from_parts(command, text, spans, body)))
+        let body_end = match head.content_length {
+            Some(len) if self.buf.len() <= head.body_start + len => None, // need body + NUL
+            Some(len) if self.buf[head.body_start + len] != 0 => {
+                return Err(DecodeError::MalformedHeader(
+                    "missing frame terminator".to_string(),
+                ));
+            }
+            Some(len) => Some(head.body_start + len),
+            // Without content-length the body ends at the first NUL.
+            None => match self.buf[self.scanned..].iter().position(|&b| b == 0) {
+                Some(rel) => Some(self.scanned + rel),
+                None => {
+                    self.scanned = self.buf.len();
+                    None
+                }
+            },
+        };
+        let Some(body_end) = body_end else {
+            self.head = Some(head);
+            return Ok(None);
+        };
+        let body = self.buf[head.body_start..body_end].to_vec();
+        self.buf.advance(body_end + 1);
+        self.scanned = 0;
+        Ok(Some(Frame::from_parts(
+            head.command,
+            head.text,
+            head.spans,
+            body,
+        )))
     }
 }
 
-/// Finds the head/body separator (blank line), tolerating `\r\n` line
-/// endings. Returns `(head_end, body_start)`: the head is `buf[..head_end]`
-/// and the body begins at `body_start`.
-fn find_blank_line(buf: &[u8]) -> Option<(usize, usize)> {
-    let mut i = 0;
+/// Parses a frame's head: its command line and unescaped headers.
+fn parse_head(head: &[u8], body_start: usize) -> Result<Head, DecodeError> {
+    let head = std::str::from_utf8(head).map_err(|_| DecodeError::InvalidUtf8)?;
+    let mut lines = head.split('\n').map(|l| l.strip_suffix('\r').unwrap_or(l));
+    let command_line = lines.next().unwrap_or_default();
+    let command = Command::from_keyword(command_line)
+        .ok_or_else(|| DecodeError::UnknownCommand(command_line.to_string()))?;
+
+    // Header text unescapes straight into the frame's one buffer; the
+    // head is an upper bound on its size and on the header count.
+    let mut text = String::with_capacity(head.len() - command_line.len());
+    let mut spans = Vec::with_capacity(head.bytes().filter(|&b| b == b'\n').count());
+    let mut content_length: Option<usize> = None;
+    for line in lines {
+        if line.is_empty() {
+            continue;
+        }
+        let (k, v) = line
+            .split_once(':')
+            .ok_or_else(|| DecodeError::MalformedHeader(line.to_string()))?;
+        let start = text.len();
+        unescape_into(k, &mut text)?;
+        let name_end = text.len();
+        unescape_into(v, &mut text)?;
+        if content_length.is_none() && &text[start..name_end] == "content-length" {
+            let value = &text[name_end..];
+            content_length = Some(value.parse().map_err(|_| DecodeError::BadContentLength)?);
+        }
+        spans.push((name_end, text.len()));
+    }
+    if content_length.is_some_and(|len| len > MAX_FRAME_SIZE) {
+        return Err(DecodeError::FrameTooLarge);
+    }
+    Ok(Head {
+        command,
+        text,
+        spans,
+        content_length,
+        body_start,
+    })
+}
+
+/// Finds the head/body separator (blank line) at or after `from`,
+/// tolerating `\r\n` line endings. Returns `(head_end, body_start)`: the
+/// head is `buf[..head_end]` and the body begins at `body_start`. When
+/// there is none yet, returns where a search resumes once more bytes
+/// arrive.
+fn find_blank_line(buf: &[u8], from: usize) -> Result<(usize, usize), usize> {
+    let mut i = from;
     while i + 1 < buf.len() {
         if buf[i] == b'\n' {
             if buf[i + 1] == b'\n' {
-                return Some((i, i + 2));
+                return Ok((i, i + 2));
             }
             if buf[i + 1] == b'\r' && buf.get(i + 2) == Some(&b'\n') {
-                return Some((i, i + 3));
+                return Ok((i, i + 3));
             }
         }
         i += 1;
     }
-    None
+    // A separator starting at the last two bytes may still complete.
+    Err(buf.len().saturating_sub(2))
 }
 
 #[cfg(test)]

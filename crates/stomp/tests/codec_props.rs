@@ -1,5 +1,6 @@
 //! Property tests: STOMP encode/decode round-trips for arbitrary frames,
-//! including adversarial header content and chunked delivery.
+//! including adversarial header content and chunked delivery, and a
+//! decoder resumed at any byte boundary.
 
 use proptest::prelude::*;
 use safeweb_stomp::codec::{encode, Decoder};
@@ -71,7 +72,55 @@ fn arb_name() -> impl Strategy<Value = String> {
     ]
 }
 
+/// `encode(frame)`, with every head line ended by `\r\n` if `crlf`.
+fn wire_bytes(frame: &Frame, crlf: bool) -> Vec<u8> {
+    let bytes = encode(frame);
+    if !crlf {
+        return bytes;
+    }
+    // Escaping keeps raw newlines out of header text.
+    let head_end = bytes.windows(2).position(|w| w == b"\n\n").unwrap() + 2;
+    let mut out = Vec::with_capacity(bytes.len() + 16);
+    for &b in &bytes[..head_end] {
+        if b == b'\n' {
+            out.push(b'\r');
+        }
+        out.push(b);
+    }
+    out.extend_from_slice(&bytes[head_end..]);
+    out
+}
+
 proptest! {
+    /// A frame fed in two pieces split at any byte, a head's `\n\r\n`
+    /// included, or one byte at a time with a decode after each, decodes
+    /// to the frame the whole bytes decode to, and only once complete.
+    #[test]
+    fn a_frame_split_at_any_byte_decodes_the_same(frame in arb_frame(), crlf in any::<bool>()) {
+        let bytes = wire_bytes(&frame, crlf);
+        let mut whole = Decoder::new();
+        whole.feed(&bytes);
+        let want = whole.next_frame().unwrap().expect("complete frame");
+        prop_assert_eq!(want.command(), frame.command());
+        prop_assert_eq!(want.body(), frame.body());
+        for split in 0..bytes.len() {
+            let mut d = Decoder::new();
+            d.feed(&bytes[..split]);
+            prop_assert!(d.next_frame().unwrap().is_none(), "complete after {} bytes", split);
+            d.feed(&bytes[split..]);
+            let got = d.next_frame().unwrap();
+            prop_assert_eq!(got.as_ref(), Some(&want), "split at {}", split);
+            prop_assert!(d.next_frame().unwrap().is_none());
+        }
+        let mut d = Decoder::new();
+        for (i, b) in bytes.iter().enumerate() {
+            d.feed(std::slice::from_ref(b));
+            let got = d.next_frame().unwrap();
+            let last = i + 1 == bytes.len();
+            prop_assert_eq!(got.as_ref(), if last { Some(&want) } else { None }, "byte {}", i);
+        }
+    }
+
     /// decode(encode(f)) carries f's headers in order, escapes,
     /// duplicates and empty values included; the encoder drops a
     /// caller's `content-length` and appends the body's own last.
