@@ -383,10 +383,10 @@ struct IdleReport {
 }
 
 /// Parks `idle` subscribers on cold topics, then measures delivery of
-/// `events` hot-topic events to one live consumer while the crowd sits
-/// idle. `active_probe` (the reactor's registered-connection counter) is
-/// asserted against `idle + 1` while the whole crowd and the consumer
-/// are still alive.
+/// `events` hot-topic events to one live consumer (a `RemoteBus`, two
+/// connections) while the crowd sits idle. `active_probe` (the
+/// reactor's registered-connection counter) is asserted against
+/// `idle + 2` while the whole crowd and the consumer are still alive.
 fn run_idle_workload(
     broker: &safeweb_broker::Broker,
     addr: &str,
@@ -394,12 +394,15 @@ fn run_idle_workload(
     events: u64,
     active_probe: Option<&dyn Fn() -> usize>,
 ) -> std::io::Result<IdleReport> {
-    use safeweb_broker::EventClient;
+    use safeweb_engine::{EventBus, RemoteBus};
+    use safeweb_labels::PrivilegeSet;
 
-    let mut consumer =
-        EventClient::connect(addr, "consumer").map_err(|e| std::io::Error::other(e.to_string()))?;
+    let consumer =
+        RemoteBus::connect(addr, "consumer").map_err(|e| std::io::Error::other(e.to_string()))?;
+    let (tx, deliveries) = std::sync::mpsc::channel();
+    let sink = Box::new(move |delivery| tx.send(delivery).is_ok());
     consumer
-        .subscribe("/hot", None)
+        .subscribe("", "", "/hot", None, PrivilegeSet::new(), sink)
         .map_err(|e| std::io::Error::other(e.to_string()))?;
 
     let threads_before = thread_count();
@@ -426,18 +429,16 @@ fn run_idle_workload(
     for _ in 0..events {
         broker.publish(&template);
     }
-    let mut received = 0;
-    while received < events {
-        match consumer.next_delivery() {
-            Ok(_) => received += 1,
-            Err(e) => return Err(std::io::Error::other(e.to_string())),
-        }
+    for _ in 0..events {
+        deliveries
+            .recv()
+            .map_err(|_| std::io::Error::other("the consumer's reader ended"))?;
     }
     let publish_rate = events as f64 / start.elapsed().as_secs_f64();
     if let Some(active) = active_probe {
         // Acceptance: every subscriber (+ the live consumer) is held
         // concurrently by the frontend.
-        assert_eq!(active(), idle + 1, "connections dropped under load");
+        assert_eq!(active(), idle + 2, "connections dropped under load");
     }
     drop(crowd);
     Ok(IdleReport {

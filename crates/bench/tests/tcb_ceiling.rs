@@ -19,16 +19,20 @@ use safeweb_bench::{count_crate, workspace_root};
 /// rule's error type) and the test-only `LabelSet::{declassify,
 /// endorse}` with their error types (65) went; broker 884 → 897, as a
 /// `SEND`'s labels now pass the rule under the session's privileges.
+/// One STOMP client: broker 897 → 748, as the broker's blocking client
+/// (144 lines) is deleted and the server answers every receipted frame;
+/// engine 815 → 898, as `RemoteBus` speaks STOMP itself and waits for
+/// each answer.
 const CRATE_MAX: [(&str, usize); 5] = [
     ("taint", 332),
-    ("engine", 815),
+    ("engine", 898),
     ("labels", 1220),
-    ("broker", 897),
+    ("broker", 748),
     ("web", 982),
 ];
 /// Taint + engine + labels + broker + web code lines (4 338 → 4 255 →
-/// 4 250 → 4 246).
-const TCB_MAX: usize = 4246;
+/// 4 250 → 4 246 → 4 180, the last as the two STOMP clients became one).
+const TCB_MAX: usize = 4180;
 
 #[test]
 fn audited_core_stays_under_its_ceiling() {

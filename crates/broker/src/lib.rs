@@ -5,12 +5,14 @@
 //! requires the subscriber's **clearance privileges** to cover every
 //! confidentiality label on the event.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`Broker`] — the embedded matching/filtering core (usable in-process),
 //! * [`BrokerServer`] — the networked broker speaking the STOMP dialect of
-//!   `safeweb-stomp` over TCP, assigning privileges per the policy file,
-//! * [`EventClient`] — the blocking client units use to publish/subscribe.
+//!   `safeweb-stomp` over TCP, assigning privileges per the policy file.
+//!
+//! Units reach a [`BrokerServer`] through the engine's `RemoteBus`, the
+//! one STOMP client.
 //!
 //! ```
 //! use safeweb_broker::Broker;
@@ -33,12 +35,10 @@
 #![deny(missing_docs)]
 
 mod broker;
-mod client;
 mod server;
 pub mod wire;
 
 pub use broker::{
     Broker, BrokerOptions, BrokerStats, Delivery, DeliverySink, SubscriptionKey, TopicPattern,
 };
-pub use client::{ClientDelivery, ClientError, EventClient};
 pub use server::{BrokerServer, CONN_INTERN_BUDGET, MAX_SUBSCRIPTIONS, OUTBOX_CAP};

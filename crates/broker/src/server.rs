@@ -224,8 +224,37 @@ impl Protocol for StompConn {
     }
 }
 
+/// Applies one frame and answers it. A frame carrying `receipt` gets a
+/// `RECEIPT`, or the `ERROR` that refuses it, with that `receipt-id`
+/// (STOMP 1.2), so a client learns which request failed. A frame
+/// without one costs one header lookup and is answered only if refused.
 fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
+    let receipt = frame.header("receipt").map(str::to_owned);
+    let command = frame.command();
     let mut session = shared.session.lock().unwrap_or_else(|e| e.into_inner());
+    let answer = match apply_frame(shared, &mut session, frame, io) {
+        Ok(()) => receipt.map(|id| Frame::new(Command::Receipt).with_header("receipt-id", id)),
+        Err(message) => Some(match receipt {
+            Some(id) => error_frame(&message).with_header("receipt-id", id),
+            None => error_frame(&message),
+        }),
+    };
+    if let Some(answer) = answer {
+        let _ = io.send(encode(&answer));
+    }
+    // Nothing follows DISCONNECT, and nothing but CONNECT opens a session.
+    if command == Command::Disconnect || session.is_none() {
+        io.close_after_flush();
+    }
+}
+
+/// One frame's effect; `Err` carries the refusing `ERROR`'s message.
+fn apply_frame(
+    shared: &SessionShared,
+    session: &mut Option<Session>,
+    frame: Frame,
+    io: &ConnHandle,
+) -> Result<(), String> {
     match (frame.command(), session.as_mut()) {
         (Command::Connect, None) => {
             let login = frame.header("login").unwrap_or("anonymous");
@@ -241,27 +270,15 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
             });
             let _ = io.send(encode(&connected));
         }
-        (_, None) => {
-            let _ = io.send(encode(&error_frame("expected CONNECT")));
-            io.close_after_flush();
-        }
-        (Command::Disconnect, Some(_)) => {
-            io.close_after_flush();
-        }
+        (_, None) => return Err("expected CONNECT".to_string()),
+        (Command::Disconnect, Some(_)) => {}
         (Command::Subscribe, Some(session)) => {
             let Some(dest) = frame.header(DESTINATION_HEADER) else {
-                let _ = io.send(encode(&error_frame("SUBSCRIBE requires destination")));
-                return;
+                return Err("SUBSCRIBE requires destination".to_string());
             };
             let sub_id = frame.header("id").unwrap_or("0");
             let selector = match frame.header(SELECTOR_HEADER) {
-                Some(src) => match Selector::parse(src) {
-                    Ok(sel) => Some(sel),
-                    Err(e) => {
-                        let _ = io.send(encode(&error_frame(&format!("bad selector: {e}"))));
-                        return;
-                    }
-                },
+                Some(src) => Some(Selector::parse(src).map_err(|e| format!("bad selector: {e}"))?),
                 None => None,
             };
             // One connection's frames run in order under the session
@@ -270,8 +287,7 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
                 .broker
                 .other_subscriptions(&session.client_id, sub_id);
             if held >= MAX_SUBSCRIPTIONS {
-                let _ = io.send(encode(&error_frame("too many subscriptions")));
-                return;
+                return Err("too many subscriptions".to_string());
             }
             let sink_io = io.clone();
             shared.broker.subscribe_sink(
@@ -303,11 +319,6 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
         (Command::Send, Some(session)) => {
             let spent = session.interned + 3 > CONN_INTERN_BUDGET;
             let cap = if spent { 0 } else { WIRE_INTERN_CAP };
-            // The receipt is written after the publish; the frame's body
-            // moves into the event.
-            let receipt = frame
-                .header("receipt")
-                .map(|id| Frame::new(Command::Receipt).with_header("receipt-id", id));
             // A peer's labels are additions to the empty set, decided
             // before they may take intern-table space.
             let (privileges, privileged) = (session.privileges, session.privileged);
@@ -319,27 +330,18 @@ fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
                     event
                 }
                 Err(WireError::LabelTableFull) if spent => {
-                    let refused = "label set refused: connection budget spent";
-                    let _ = io.send(encode(&error_frame(refused)));
-                    return;
+                    return Err("label set refused: connection budget spent".to_string());
                 }
-                Err(e) => {
-                    let _ = io.send(encode(&error_frame(&format!("bad SEND: {e}"))));
-                    return;
-                }
+                Err(e) => return Err(format!("bad SEND: {e}")),
             };
             // The event is owned here: hand it straight to the
             // Arc-based path instead of the defensive-clone
             // `publish(&event)` entry point.
             shared.broker.publish_arc(std::sync::Arc::new(event));
-            if let Some(receipt) = receipt {
-                let _ = io.send(encode(&receipt));
-            }
         }
-        (other, Some(_)) => {
-            let _ = io.send(encode(&error_frame(&format!("unexpected {other}"))));
-        }
+        (other, Some(_)) => return Err(format!("unexpected {other}")),
     }
+    Ok(())
 }
 
 fn error_frame(message: &str) -> Frame {

@@ -1,11 +1,19 @@
 //! Integration tests: full client ↔ TCP server ↔ broker flows, including
-//! label filtering across the network and failure handling.
+//! label filtering across the network and failure handling. Clients are
+//! the engine's `RemoteBus`, or raw STOMP frames where a test drives the
+//! wire itself.
 
+use std::sync::mpsc::{self, Receiver};
 use std::time::{Duration, Instant};
 
-use safeweb_broker::{Broker, BrokerServer, ClientError, EventClient};
+use safeweb_broker::{Broker, BrokerServer, Delivery};
+use safeweb_engine::{EngineError, EventBus, RemoteBus};
 use safeweb_events::Event;
-use safeweb_labels::{Label, Policy};
+use safeweb_labels::{Label, Policy, PrivilegeSet};
+use safeweb_stomp::{Command, Frame, TcpTransport};
+
+/// How long a test waits for a frame or a delivery before failing.
+const WAIT: Duration = Duration::from_secs(10);
 
 fn policy() -> Policy {
     "
@@ -31,32 +39,64 @@ fn start_server() -> BrokerServer {
 
 /// Polls `cond` until it holds; fails after 10 s.
 fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + WAIT;
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(2));
     }
 }
 
-/// Waits until the server holds exactly `n` subscriptions: a client's
-/// SUBSCRIBE returns once the frame is written, not once it took effect.
-fn wait_for_subscriptions(server: &BrokerServer, n: usize) {
-    wait_for(
-        || server.broker().subscription_count() == n,
-        &format!("{n} subscriptions"),
+fn connect(server: &BrokerServer, login: &str) -> RemoteBus {
+    RemoteBus::connect(&server.addr().to_string(), login).unwrap()
+}
+
+/// Subscribes `bus` to `topic`; deliveries arrive on the returned
+/// channel. The broker has registered the subscription once this
+/// returns.
+fn subscribe(
+    bus: &RemoteBus,
+    topic: &str,
+    selector: Option<&str>,
+) -> Result<Receiver<Delivery>, EngineError> {
+    let (tx, rx) = mpsc::channel();
+    let sink = Box::new(move |delivery| tx.send(delivery).is_ok());
+    bus.subscribe("", "", topic, selector, PrivilegeSet::new(), sink)?;
+    Ok(rx)
+}
+
+/// A raw STOMP session logged in as `login`.
+fn raw_session(server: &BrokerServer, login: &str) -> TcpTransport {
+    let mut raw = TcpTransport::connect(&server.addr().to_string()).unwrap();
+    raw.set_read_timeout(Some(WAIT)).unwrap();
+    raw.send_frame(&Frame::new(Command::Connect).with_header("login", login))
+        .unwrap();
+    assert_eq!(
+        raw.recv_frame().unwrap().unwrap().command(),
+        Command::Connected
     );
+    raw
+}
+
+/// Sends `frame` with a `receipt` and returns the server's next frame,
+/// its answer when nothing else is due on the connection.
+fn request(raw: &mut TcpTransport, frame: Frame) -> Frame {
+    raw.send_frame(&frame.with_header("receipt", "r")).unwrap();
+    raw.recv_frame().unwrap().expect("an answer")
+}
+
+fn subscribe_frame(id: &str, topic: &str) -> Frame {
+    Frame::new(Command::Subscribe)
+        .with_header("destination", topic)
+        .with_header("id", id)
 }
 
 #[test]
 fn end_to_end_publish_subscribe() {
     let server = start_server();
-    let addr = server.addr().to_string();
+    let consumer = connect(&server, "mdt_a");
+    let deliveries = subscribe(&consumer, "/patient_report", None).unwrap();
 
-    let mut consumer = EventClient::connect(&addr, "mdt_a").unwrap();
-    consumer.subscribe("/patient_report", None).unwrap();
-    wait_for_subscriptions(&server, 1);
-
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
+    let producer = connect(&server, "producer");
     let event = Event::new("/patient_report")
         .unwrap()
         .with_attr("type", "cancer")
@@ -64,7 +104,7 @@ fn end_to_end_publish_subscribe() {
         .with_labels([Label::conf("ecric.org.uk", "mdt/a")]);
     producer.publish(&event).unwrap();
 
-    let delivery = consumer.next_delivery().unwrap();
+    let delivery = deliveries.recv_timeout(WAIT).unwrap();
     assert_eq!(delivery.event.topic(), "/patient_report");
     assert_eq!(delivery.event.attr("type"), Some("cancer"));
     assert_eq!(delivery.event.event().payload(), Some("record"));
@@ -77,30 +117,33 @@ fn end_to_end_publish_subscribe() {
 #[test]
 fn label_filtering_enforced_over_network() {
     let server = start_server();
-    let addr = server.addr().to_string();
+    let nosy_bus = connect(&server, "nosy");
+    let nosy = subscribe(&nosy_bus, "/patient_report", None).unwrap();
+    let cleared_bus = connect(&server, "mdt_a");
+    let cleared = subscribe(&cleared_bus, "/patient_report", None).unwrap();
 
-    let mut nosy = EventClient::connect(&addr, "nosy").unwrap();
-    nosy.subscribe("/patient_report", None).unwrap();
-    let mut cleared = EventClient::connect(&addr, "mdt_a").unwrap();
-    cleared.subscribe("/patient_report", None).unwrap();
-    wait_for_subscriptions(&server, 2);
+    let producer = connect(&server, "producer");
+    for (kind, labels) in [
+        ("labelled", vec![Label::conf("ecric.org.uk", "mdt/a")]),
+        ("marker", vec![]),
+    ] {
+        let event = Event::new("/patient_report").unwrap();
+        producer
+            .publish(&event.with_attr("kind", kind).with_labels(labels))
+            .unwrap();
+    }
 
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
-    producer
-        .publish(
-            &Event::new("/patient_report")
-                .unwrap()
-                .with_labels([Label::conf("ecric.org.uk", "mdt/a")]),
-        )
-        .unwrap();
-
-    // The cleared client receives it; the nosy one times out.
-    assert!(cleared.next_delivery().is_ok());
-    let got = nosy
-        .next_delivery_timeout(Duration::from_millis(200))
-        .unwrap();
-    assert!(
-        got.is_none(),
+    // The cleared client receives both. One subscriber's deliveries keep
+    // publish order, so the nosy one seeing the marker first proves it
+    // never got the labelled event.
+    let kind = |rx: &Receiver<Delivery>| {
+        let delivery = rx.recv_timeout(WAIT).unwrap();
+        delivery.event.attr("kind").unwrap().to_string()
+    };
+    assert_eq!(kind(&cleared), "labelled");
+    assert_eq!(
+        kind(&nosy),
+        "marker",
         "uncleared subscriber must not receive labelled events"
     );
 }
@@ -108,15 +151,10 @@ fn label_filtering_enforced_over_network() {
 #[test]
 fn selector_filtering_over_network() {
     let server = start_server();
-    let addr = server.addr().to_string();
+    let consumer = connect(&server, "producer");
+    let deliveries = subscribe(&consumer, "/patient_report", Some("type = 'cancer'")).unwrap();
 
-    let mut consumer = EventClient::connect(&addr, "producer").unwrap();
-    consumer
-        .subscribe("/patient_report", Some("type = 'cancer'"))
-        .unwrap();
-    wait_for_subscriptions(&server, 1);
-
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
+    let producer = connect(&server, "producer");
     for t in ["benign", "cancer"] {
         producer
             .publish(
@@ -127,51 +165,50 @@ fn selector_filtering_over_network() {
             )
             .unwrap();
     }
-    let d = consumer.next_delivery().unwrap();
+    let d = deliveries.recv_timeout(WAIT).unwrap();
     assert_eq!(d.event.attr("type"), Some("cancer"));
 }
 
 #[test]
 fn bad_selector_produces_broker_error() {
     let server = start_server();
-    let addr = server.addr().to_string();
-    let mut client = EventClient::connect(&addr, "producer").unwrap();
-    client.subscribe("/t", Some("type = = 'x'")).unwrap();
-    match client.next_delivery() {
-        Err(ClientError::Broker(msg)) => assert!(msg.contains("selector"), "{msg}"),
-        other => panic!("expected broker error, got {other:?}"),
+    let client = connect(&server, "producer");
+    match subscribe(&client, "/t", Some("type = = 'x'")) {
+        Err(EngineError::Bus(msg)) => assert!(msg.contains("selector"), "{msg}"),
+        other => panic!("expected broker error, got {:?}", other.map(|_| ())),
     }
+    assert_eq!(server.broker().subscription_count(), 0);
 }
 
 #[test]
 fn unsubscribe_stops_flow() {
     let server = start_server();
-    let addr = server.addr().to_string();
-    let mut consumer = EventClient::connect(&addr, "producer").unwrap();
-    let sub = consumer.subscribe("/t", None).unwrap();
-    wait_for_subscriptions(&server, 1);
-    consumer.unsubscribe(&sub).unwrap();
-    wait_for_subscriptions(&server, 0);
+    let mut consumer = raw_session(&server, "producer");
+    let subscribed = request(&mut consumer, subscribe_frame("1", "/t"));
+    assert_eq!(subscribed.command(), Command::Receipt, "{subscribed:?}");
+    assert_eq!(server.broker().subscription_count(), 1);
+    let unsubscribe = Frame::new(Command::Unsubscribe).with_header("id", "1");
+    let unsubscribed = request(&mut consumer, unsubscribe);
+    assert_eq!(unsubscribed.command(), Command::Receipt, "{unsubscribed:?}");
+    assert_eq!(server.broker().subscription_count(), 0);
 
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
-    producer
-        .publish(&Event::new("/t").unwrap().with_labels([]))
-        .unwrap();
-    let got = consumer
-        .next_delivery_timeout(Duration::from_millis(200))
-        .unwrap();
-    assert!(got.is_none());
+    // The consumer's own receipted SEND to `/t`: a live subscription
+    // would deliver it before the RECEIPT.
+    assert!(round_trip(&mut consumer, "/t").is_empty());
 }
 
 #[test]
 fn disconnect_cleans_up_subscriptions() {
     let server = start_server();
-    let addr = server.addr().to_string();
-    let mut consumer = EventClient::connect(&addr, "mdt_a").unwrap();
-    consumer.subscribe("/t", None).unwrap();
-    wait_for_subscriptions(&server, 1);
-    consumer.disconnect().unwrap();
-    wait_for_subscriptions(&server, 0);
+    let mut consumer = raw_session(&server, "mdt_a");
+    request(&mut consumer, subscribe_frame("1", "/t"));
+    assert_eq!(server.broker().subscription_count(), 1);
+    let answer = request(&mut consumer, Frame::new(Command::Disconnect));
+    assert_eq!(answer.command(), Command::Receipt, "{answer:?}");
+    wait_for(
+        || server.broker().subscription_count() == 0,
+        "the session's subscriptions to go",
+    );
 }
 
 use safeweb_reactor::sys::os_thread_count as thread_count;
@@ -179,20 +216,18 @@ use safeweb_reactor::sys::os_thread_count as thread_count;
 #[test]
 fn idle_subscribers_do_not_cost_threads() {
     let server = start_server();
-    let addr = server.addr().to_string();
-
-    let mut active = EventClient::connect(&addr, "mdt_a").unwrap();
-    active.subscribe("/patient_report", None).unwrap();
+    let active = connect(&server, "mdt_a");
+    let deliveries = subscribe(&active, "/patient_report", None).unwrap();
 
     let before = thread_count();
-    let idle: Vec<EventClient> = (0..100)
+    let idle: Vec<TcpTransport> = (0..100)
         .map(|_| {
-            let mut c = EventClient::connect(&addr, "nosy").unwrap();
-            c.subscribe("/patient_report", None).unwrap();
+            let mut c = raw_session(&server, "nosy");
+            request(&mut c, subscribe_frame("1", "/patient_report"));
             c
         })
         .collect();
-    wait_for_subscriptions(&server, 101);
+    assert_eq!(server.broker().subscription_count(), 101);
 
     // The seed spent ≥3 threads per connection; the reactor holds them
     // as registered fds. Allow generous slack for unrelated test threads.
@@ -203,7 +238,7 @@ fn idle_subscribers_do_not_cost_threads() {
     );
 
     // The crowd being parked must not break delivery to a live consumer.
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
+    let producer = connect(&server, "producer");
     producer
         .publish(
             &Event::new("/patient_report")
@@ -211,7 +246,7 @@ fn idle_subscribers_do_not_cost_threads() {
                 .with_labels([Label::conf("ecric.org.uk", "mdt/a")]),
         )
         .unwrap();
-    assert!(active.next_delivery().is_ok());
+    assert!(deliveries.recv_timeout(WAIT).is_ok());
     drop(idle);
 }
 
@@ -223,7 +258,6 @@ fn abrupt_disconnects_do_not_stop_the_accept_loop() {
     // the server touches them) must leave the server accepting. The seed
     // broke its accept loop on the first `accept()` error.
     let server = start_server();
-    let addr = server.addr().to_string();
     for _ in 0..50 {
         let s = std::net::TcpStream::connect(server.addr()).unwrap();
         drop(s);
@@ -233,41 +267,26 @@ fn abrupt_disconnects_do_not_stop_the_accept_loop() {
         "the burst to be torn down",
     );
 
-    let mut consumer = EventClient::connect(&addr, "mdt_a").unwrap();
-    consumer.subscribe("/t", None).unwrap();
-    wait_for_subscriptions(&server, 1);
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
+    let consumer = connect(&server, "mdt_a");
+    let deliveries = subscribe(&consumer, "/t", None).unwrap();
+    let producer = connect(&server, "producer");
     producer
         .publish(&Event::new("/t").unwrap().with_labels([]))
         .unwrap();
-    assert!(consumer.next_delivery().is_ok());
+    assert!(deliveries.recv_timeout(WAIT).is_ok());
 }
 
 #[test]
 fn slow_consumer_is_disconnected_not_buffered_unboundedly() {
-    use safeweb_stomp::{Command, Frame, TcpTransport};
-
     let server = start_server();
-    let addr = server.addr().to_string();
 
     // A raw subscriber that never reads deliveries.
-    let mut slow = TcpTransport::connect(&addr).unwrap();
-    slow.send_frame(&Frame::new(Command::Connect).with_header("login", "producer"))
-        .unwrap();
-    assert_eq!(
-        slow.recv_frame().unwrap().unwrap().command(),
-        Command::Connected
-    );
-    slow.send_frame(
-        &Frame::new(Command::Subscribe)
-            .with_header("destination", "/flood")
-            .with_header("id", "1"),
-    )
-    .unwrap();
-    wait_for_subscriptions(&server, 1);
+    let mut slow = raw_session(&server, "producer");
+    request(&mut slow, subscribe_frame("1", "/flood"));
+    assert_eq!(server.broker().subscription_count(), 1);
 
     // Flood well past the outbound cap without the subscriber reading.
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
+    let producer = connect(&server, "producer");
     let payload = "x".repeat(64 * 1024);
     let total = (2 * safeweb_broker::OUTBOX_CAP / payload.len()) + 64;
     for _ in 0..total {
@@ -284,32 +303,67 @@ fn slow_consumer_is_disconnected_not_buffered_unboundedly() {
     // Backpressure policy: the slow consumer is dropped and its
     // subscription cleaned up, rather than the broker buffering ~entire
     // flood on its behalf.
-    wait_for_subscriptions(&server, 0);
+    wait_for(
+        || server.broker().subscription_count() == 0,
+        "the slow consumer to be dropped",
+    );
 }
 
 #[test]
 fn multiple_subscriptions_are_disambiguated_by_id() {
     let server = start_server();
-    let addr = server.addr().to_string();
-    let mut consumer = EventClient::connect(&addr, "producer").unwrap();
-    let sub_a = consumer.subscribe("/a", None).unwrap();
-    let sub_b = consumer.subscribe("/b", None).unwrap();
-    assert_ne!(sub_a, sub_b);
-    wait_for_subscriptions(&server, 2);
+    let mut consumer = raw_session(&server, "producer");
+    request(&mut consumer, subscribe_frame("a", "/a"));
+    request(&mut consumer, subscribe_frame("b", "/b"));
+    assert_eq!(server.broker().subscription_count(), 2);
 
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
-    producer
-        .publish(&Event::new("/b").unwrap().with_labels([]))
-        .unwrap();
-    let d = consumer.next_delivery().unwrap();
-    assert_eq!(d.subscription_id, sub_b);
+    let delivered = round_trip(&mut consumer, "/b");
+    assert_eq!(delivered.len(), 1, "{delivered:?}");
+    assert_eq!(delivered[0].header("subscription"), Some("b"));
+}
+
+/// A frame that carries `receipt` is answered with that id, whether the
+/// server applies it (`RECEIPT`) or refuses it (`ERROR`), so a client
+/// that pipelines requests learns which one failed.
+#[test]
+fn a_refused_receipted_frame_gets_its_receipt_id_on_the_error() {
+    let server = start_server();
+    let mut raw = raw_session(&server, "producer");
+    let receipted = |frame: Frame, id: &str| frame.with_header("receipt", id);
+    let bad_selector = subscribe_frame("1", "/t").with_header("selector", "type = = 'x'");
+    let forged = Frame::new(Command::Send)
+        .with_header("destination", "/t")
+        .with_header(
+            safeweb_broker::wire::LABELS_HEADER,
+            "label:int:forge.example/x",
+        );
+    for (frame, id, command) in [
+        (bad_selector, "sub-refused", Command::Error),
+        (subscribe_frame("2", "/t"), "sub-applied", Command::Receipt),
+        (forged, "send-refused", Command::Error),
+        (
+            Frame::new(Command::Unsubscribe).with_header("id", "2"),
+            "unsub",
+            Command::Receipt,
+        ),
+    ] {
+        raw.send_frame(&receipted(frame, id)).unwrap();
+        let answer = raw.recv_frame().unwrap().expect("an answer");
+        assert_eq!(answer.command(), command, "{id}: {answer:?}");
+        assert_eq!(answer.header("receipt-id"), Some(id), "{answer:?}");
+    }
+    // A refused frame without `receipt` still gets its ERROR, with no id.
+    let unreceipted = subscribe_frame("3", "/t").with_header("selector", "= =");
+    raw.send_frame(&unreceipted).unwrap();
+    let answer = raw.recv_frame().unwrap().expect("an answer");
+    assert_eq!(answer.command(), Command::Error, "{answer:?}");
+    assert_eq!(answer.header("receipt-id"), None);
 }
 
 /// Sends a receipted SEND to `topic` and returns every frame the server
 /// sent before its RECEIPT. One connection's frames take effect in
 /// order, so the receipt means every earlier frame has.
-fn round_trip(raw: &mut safeweb_stomp::TcpTransport, topic: &str) -> Vec<safeweb_stomp::Frame> {
-    use safeweb_stomp::{Command, Frame};
+fn round_trip(raw: &mut TcpTransport, topic: &str) -> Vec<Frame> {
     raw.send_frame(
         &Frame::new(Command::Send)
             .with_header("destination", topic)
@@ -329,17 +383,9 @@ fn round_trip(raw: &mut safeweb_stomp::TcpTransport, topic: &str) -> Vec<safeweb
 #[test]
 fn subscriptions_are_capped_per_connection() {
     use safeweb_broker::MAX_SUBSCRIPTIONS;
-    use safeweb_stomp::{Command, Frame, TcpTransport};
 
     let server = start_server();
-    let mut raw = TcpTransport::connect(&server.addr().to_string()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    raw.send_frame(&Frame::new(Command::Connect).with_header("login", "producer"))
-        .unwrap();
-    assert_eq!(
-        raw.recv_frame().unwrap().unwrap().command(),
-        Command::Connected
-    );
+    let mut raw = raw_session(&server, "producer");
     let subscribe = |raw: &mut TcpTransport, id: usize, destination: &str| {
         raw.send_frame(
             &Frame::new(Command::Subscribe)
@@ -390,17 +436,9 @@ fn subscriptions_are_capped_per_connection() {
 #[test]
 fn an_over_long_selector_is_refused_and_the_connection_still_subscribes() {
     use safeweb_selector::MAX_SELECTOR_LEN;
-    use safeweb_stomp::{Command, Frame, TcpTransport};
 
     let server = start_server();
-    let mut raw = TcpTransport::connect(&server.addr().to_string()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    raw.send_frame(&Frame::new(Command::Connect).with_header("login", "producer"))
-        .unwrap();
-    assert_eq!(
-        raw.recv_frame().unwrap().unwrap().command(),
-        Command::Connected
-    );
+    let mut raw = raw_session(&server, "producer");
 
     // One byte over the cap: an ERROR frame, and nothing registered.
     let selector = format!("x = '{}'", "a".repeat(MAX_SELECTOR_LEN - 5));
@@ -440,13 +478,12 @@ fn an_over_long_selector_is_refused_and_the_connection_still_subscribes() {
 #[test]
 fn integrity_labels_on_send_need_an_endorsement() {
     use safeweb_broker::wire::LABELS_HEADER;
-    use safeweb_labels::{LabelSet, Privilege, PrivilegeSet};
-    use safeweb_stomp::{Command, Frame, TcpTransport};
+    use safeweb_labels::{LabelSet, Privilege};
 
     let server = start_server();
     let connect = |login: Option<&str>| {
         let mut raw = TcpTransport::connect(&server.addr().to_string()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        raw.set_read_timeout(Some(WAIT)).unwrap();
         let mut connect = Frame::new(Command::Connect);
         if let Some(login) = login {
             connect.push_header("login", login);
@@ -504,7 +541,7 @@ fn integrity_labels_on_send_need_an_endorsement() {
     }
     let delivered: Vec<String> = (0..2)
         .map(|_| {
-            let delivery = observed.recv_timeout(Duration::from_secs(10)).unwrap();
+            let delivery = observed.recv_timeout(WAIT).unwrap();
             delivery.event.labels().to_wire()
         })
         .collect();

@@ -2,15 +2,23 @@
 //! (embedded [`Broker`]) or over the network (STOMP client).
 
 use std::collections::HashMap;
-use std::sync::Arc;
-use std::time::Duration;
+use std::io::Write;
+use std::net::Shutdown;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::thread::{self, JoinHandle};
 
 use parking_lot::Mutex;
 
+use safeweb_broker::wire::{
+    self, event_to_frame, DESTINATION_HEADER, SELECTOR_HEADER, SUBSCRIPTION_HEADER, WIRE_INTERN_CAP,
+};
 pub use safeweb_broker::DeliverySink;
-use safeweb_broker::{Broker, Delivery, EventClient};
+use safeweb_broker::{Broker, Delivery};
 use safeweb_events::LabelledEvent;
 use safeweb_labels::PrivilegeSet;
+use safeweb_stomp::codec::encode;
+use safeweb_stomp::{Command, Frame, TcpTransport};
 
 use crate::error::EngineError;
 
@@ -24,7 +32,8 @@ pub trait EventBus: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Bus`] on transport failure.
+    /// Returns [`EngineError::Bus`] on transport failure or when the
+    /// broker refuses the subscription (a bad selector, say).
     fn subscribe(
         &self,
         client: &str,
@@ -39,31 +48,19 @@ pub trait EventBus: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Bus`] on transport failure.
+    /// Returns [`EngineError::Bus`] on transport failure or when the
+    /// broker refuses the event.
     fn publish(&self, event: &LabelledEvent) -> Result<(), EngineError>;
 
-    /// Publishes a batch of labelled events in one bus pass where the
-    /// backend supports it. The default forwards events one by one
-    /// (correct for transports with no batch framing, like STOMP); the
-    /// embedded broker overrides it to amortize routing locks and stats
-    /// across the batch.
+    /// Publishes a batch of labelled events in one bus pass: the
+    /// embedded broker amortizes routing locks and stats across it,
+    /// [`RemoteBus`] waits for one receipt.
     ///
     /// # Errors
     ///
-    /// Every event is attempted even when an earlier one fails (matching
-    /// the pre-batching per-event sink); the first failure is returned.
-    fn publish_batch(&self, events: Vec<LabelledEvent>) -> Result<(), EngineError> {
-        let mut first_error = None;
-        for event in events {
-            if let Err(e) = self.publish(&event) {
-                first_error.get_or_insert(e);
-            }
-        }
-        match first_error {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
+    /// Every event is attempted even when an earlier one fails; the
+    /// first failure is returned.
+    fn publish_batch(&self, events: Vec<LabelledEvent>) -> Result<(), EngineError>;
 }
 
 impl EventBus for Broker {
@@ -110,17 +107,54 @@ impl EventBus for Broker {
 /// outside the `routes` lock.
 type Route = Arc<dyn Fn(Delivery) -> bool + Send + Sync>;
 
+type Routes = Arc<Mutex<HashMap<String, Route>>>;
+
+/// The subscription leg's writing half, and the reader's answers to its
+/// `SUBSCRIBE`s, one per frame in order (each carries a `receipt`).
+struct SubscribeLeg {
+    writer: TcpTransport,
+    answers: mpsc::Receiver<Result<(), String>>,
+}
+
 struct RemoteBusInner {
-    publisher: Mutex<EventClient>,
-    subscriber: Mutex<EventClient>,
-    routes: Mutex<HashMap<String, Route>>,
-    reader_started: Mutex<bool>,
+    publisher: Mutex<TcpTransport>,
+    subscriber: Mutex<SubscribeLeg>,
+    routes: Routes,
+    next_id: AtomicU64,
+    reader: Option<JoinHandle<()>>,
+}
+
+impl Drop for RemoteBusInner {
+    fn drop(&mut self) {
+        // The reader holds the socket's other handle; shutting it down
+        // ends the reader's blocking read.
+        let socket = self.subscriber.get_mut().writer.stream();
+        let _ = socket.shutdown(Shutdown::Both);
+        // The last handle may drop on the reader, inside a sink it drops.
+        let reader = self.reader.take();
+        if let Some(reader) = reader.filter(|r| r.thread().id() != thread::current().id()) {
+            let _ = reader.join();
+        }
+    }
 }
 
 /// [`EventBus`] over a networked broker: one STOMP connection for
-/// publishing and one for subscriptions, with one reader thread that
-/// hands each `MESSAGE` frame to its subscription's sink by
-/// subscription id.
+/// publishing and one for subscriptions.
+///
+/// Every request waits for its answer. A batch's last `SEND` carries a
+/// `receipt`, and [`EventBus::publish_batch`] reads the publishing
+/// connection until its `RECEIPT` or `ERROR`: a `SEND` the broker
+/// refuses comes back as [`EngineError::Bus`]. That connection never
+/// subscribes, so no `MESSAGE` waits on it. A `SUBSCRIBE` carries a
+/// `receipt` too, and [`EventBus::subscribe`] returns once the broker
+/// answered it.
+///
+/// One reader thread, started at [`RemoteBus::connect`], reads the
+/// subscription connection with blocking reads. It hands each
+/// `MESSAGE` to its subscription's sink by subscription id, and each
+/// answer to the waiting `subscribe`. A `MESSAGE` this process cannot
+/// decode (its label intern table is full) is skipped. Dropping the last
+/// handle shuts the connection down and joins the reader.
 ///
 /// The reader calls the sink directly, so a unit whose inbox is full
 /// stalls the reader and, through it, the subscription socket: the
@@ -137,60 +171,127 @@ pub struct RemoteBus {
 }
 
 impl RemoteBus {
-    /// Connects both legs to `addr`, logging in as `login`.
+    /// Connects both legs to `addr`, logging in as `login`, and starts
+    /// the reader.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Bus`] on connection failure.
+    /// Returns [`EngineError::Bus`] on connection failure or if the
+    /// broker refuses the session.
     pub fn connect(addr: &str, login: &str) -> Result<RemoteBus, EngineError> {
-        let publisher =
-            EventClient::connect(addr, login).map_err(|e| EngineError::Bus(e.to_string()))?;
-        let subscriber =
-            EventClient::connect(addr, login).map_err(|e| EngineError::Bus(e.to_string()))?;
+        let publisher = log_in(addr, login)?;
+        let writer = log_in(addr, login)?;
+        let reader = TcpTransport::new(writer.stream().try_clone().map_err(bus_error)?);
+        let routes = Routes::default();
+        let (answer, answers) = mpsc::channel();
+        let reader_routes = Arc::clone(&routes);
+        let reader = thread::Builder::new()
+            .name("safeweb-remote-bus-reader".to_string())
+            .spawn(move || read_loop(reader, &reader_routes, &answer))
+            .map_err(bus_error)?;
         Ok(RemoteBus {
             inner: Arc::new(RemoteBusInner {
                 publisher: Mutex::new(publisher),
-                subscriber: Mutex::new(subscriber),
-                routes: Mutex::new(HashMap::new()),
-                reader_started: Mutex::new(false),
+                subscriber: Mutex::new(SubscribeLeg { writer, answers }),
+                routes,
+                next_id: AtomicU64::new(1),
+                reader: Some(reader),
             }),
         })
     }
 
-    fn ensure_reader(&self) {
-        let mut started = self.inner.reader_started.lock();
-        if *started {
-            return;
+    /// Writes `events` as `SEND`s in one write, the last with a
+    /// `receipt`, and reads until the broker answers it. The first
+    /// `ERROR` is the result.
+    fn send(&self, events: &[LabelledEvent]) -> Result<(), EngineError> {
+        let Some((last, rest)) = events.split_last() else {
+            return Ok(());
+        };
+        let mut bytes = Vec::new();
+        for event in rest {
+            bytes.extend(encode(&event_to_frame(event, Command::Send)));
         }
-        *started = true;
-        let inner = Arc::clone(&self.inner);
-        std::thread::Builder::new()
-            .name("safeweb-remote-bus-reader".to_string())
-            .spawn(move || loop {
-                // Lock only for one bounded receive so `subscribe` can
-                // interleave SUBSCRIBE frames on the same connection.
-                let next = {
-                    let mut client = inner.subscriber.lock();
-                    client.next_delivery_timeout(Duration::from_millis(50))
-                };
-                match next {
-                    Ok(Some(d)) => {
-                        let route = inner.routes.lock().get(&d.subscription_id).cloned();
-                        if let Some(sink) = route {
-                            sink(Delivery {
-                                subscription_id: d.subscription_id.into(),
-                                event: Arc::new(d.event),
-                            });
-                        }
+        let frame = event_to_frame(last, Command::Send).with_header("receipt", "batch");
+        bytes.extend(encode(&frame));
+        let mut publisher = self.inner.publisher.lock();
+        publisher.stream().write_all(&bytes).map_err(bus_error)?;
+        let mut refused = None;
+        loop {
+            match publisher.recv_frame().map_err(bus_error)? {
+                Some(f) if f.command() == Command::Receipt => break,
+                Some(f) if f.command() == Command::Error => {
+                    refused.get_or_insert_with(|| refusal(Some(&f)));
+                    if f.header("receipt-id").is_some() {
+                        break;
                     }
-                    Ok(None) => {
-                        // Timeout with no data: yield so writers can run.
-                        std::thread::yield_now();
-                    }
-                    Err(_) => break,
                 }
-            })
-            .expect("spawn remote bus reader");
+                other => return Err(EngineError::Bus(refusal(other.as_ref()))),
+            }
+        }
+        refused.map_or(Ok(()), |message| Err(EngineError::Bus(message)))
+    }
+}
+
+fn bus_error(e: impl std::fmt::Display) -> EngineError {
+    EngineError::Bus(e.to_string())
+}
+
+/// What the broker said instead of the answer a request expected.
+fn refusal(frame: Option<&Frame>) -> String {
+    match frame {
+        None => "broker closed the connection".to_string(),
+        Some(f) if f.command() == Command::Error => {
+            format!("broker error: {}", f.header("message").unwrap_or("unknown"))
+        }
+        Some(f) => format!("unexpected {}", f.command()),
+    }
+}
+
+/// Opens one connection and logs in as `login`.
+fn log_in(addr: &str, login: &str) -> Result<TcpTransport, EngineError> {
+    let mut transport = TcpTransport::connect(addr).map_err(bus_error)?;
+    // A request's last frame must not wait for the ACK of the one before.
+    transport.stream().set_nodelay(true).map_err(bus_error)?;
+    let connect = Frame::new(Command::Connect).with_header("login", login);
+    transport.send_frame(&connect).map_err(bus_error)?;
+    match transport.recv_frame().map_err(bus_error)? {
+        Some(f) if f.command() == Command::Connected => Ok(transport),
+        other => Err(EngineError::Bus(refusal(other.as_ref()))),
+    }
+}
+
+/// The reader: blocking reads until the connection closes.
+fn read_loop(
+    mut reader: TcpTransport,
+    routes: &Mutex<HashMap<String, Route>>,
+    answers: &mpsc::Sender<Result<(), String>>,
+) {
+    while let Ok(Some(frame)) = reader.recv_frame() {
+        match frame.command() {
+            Command::Message => {
+                let Some(id) = frame.header(SUBSCRIPTION_HEADER).map(Arc::<str>::from) else {
+                    continue;
+                };
+                let Some(route) = routes.lock().get(&*id).cloned() else {
+                    continue;
+                };
+                // The broker admitted these labels at their SEND.
+                let admitted = wire::frame_to_event_within(frame, WIRE_INTERN_CAP, |_| Ok(()));
+                if let Ok((event, _)) = admitted {
+                    route(Delivery {
+                        subscription_id: id,
+                        event: Arc::new(event),
+                    });
+                }
+            }
+            Command::Receipt => {
+                let _ = answers.send(Ok(()));
+            }
+            Command::Error => {
+                let _ = answers.send(Err(refusal(Some(&frame))));
+            }
+            _ => {}
+        }
     }
 }
 
@@ -204,26 +305,39 @@ impl EventBus for RemoteBus {
         _clearance: PrivilegeSet,
         sink: DeliverySink,
     ) -> Result<(), EngineError> {
-        {
-            let mut client = self.inner.subscriber.lock();
-            let id = client
-                .subscribe(topic, selector)
-                .map_err(|e| EngineError::Bus(e.to_string()))?;
-            // Route before the subscriber lock drops: the reader needs
-            // that lock to read a MESSAGE, so no delivery for `id` can
-            // arrive before its route exists. Lock order is subscriber →
-            // routes; the reader takes them one after the other.
-            self.inner.routes.lock().insert(id, Arc::from(sink));
+        let id = self
+            .inner
+            .next_id
+            .fetch_add(1, Ordering::Relaxed)
+            .to_string();
+        let mut frame = Frame::new(Command::Subscribe)
+            .with_header(DESTINATION_HEADER, topic)
+            .with_header("id", &id)
+            .with_header("receipt", &id);
+        if let Some(selector) = selector {
+            frame.push_header(SELECTOR_HEADER, selector);
         }
-        self.ensure_reader();
-        Ok(())
+        // The route exists before its SUBSCRIBE is written, so no
+        // delivery can miss it.
+        self.inner.routes.lock().insert(id.clone(), Arc::from(sink));
+        let answer = {
+            let mut leg = self.inner.subscriber.lock();
+            match leg.writer.send_frame(&frame) {
+                Ok(()) => leg.answers.recv().unwrap_or_else(|_| Err(refusal(None))),
+                Err(e) => Err(e.to_string()),
+            }
+        };
+        answer.map_err(|message| {
+            self.inner.routes.lock().remove(&id);
+            EngineError::Bus(message)
+        })
     }
 
     fn publish(&self, event: &LabelledEvent) -> Result<(), EngineError> {
-        self.inner
-            .publisher
-            .lock()
-            .publish(event)
-            .map_err(|e| EngineError::Bus(e.to_string()))
+        self.send(std::slice::from_ref(event))
+    }
+
+    fn publish_batch(&self, events: Vec<LabelledEvent>) -> Result<(), EngineError> {
+        self.send(&events)
     }
 }

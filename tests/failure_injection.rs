@@ -5,12 +5,17 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::mpsc::{self, Receiver};
 use std::time::{Duration, Instant};
 
-use safeweb::broker::{Broker, BrokerServer, EventClient};
+use safeweb::broker::{Broker, BrokerServer, Delivery};
 use safeweb::docstore::{DocStore, Replicator};
+use safeweb::engine::{EventBus, RemoteBus};
 use safeweb::events::Event;
-use safeweb::labels::{LabelSet, Policy};
+use safeweb::labels::{LabelSet, Policy, PrivilegeSet};
+
+/// How long a test waits for a delivery before failing.
+const WAIT: Duration = Duration::from_secs(10);
 
 fn policy() -> Policy {
     "unit producer {\n clearance label:conf:e/*\n}"
@@ -18,14 +23,15 @@ fn policy() -> Policy {
         .unwrap()
 }
 
-/// Waits until the broker holds `n` subscriptions: a client's `subscribe`
-/// returns once the frame is written, not once the broker processed it.
-fn wait_for_subscriptions(server: &BrokerServer, n: usize) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while server.broker().subscription_count() < n {
-        assert!(Instant::now() < deadline, "never reached {n} subscriptions");
-        std::thread::sleep(Duration::from_millis(2));
-    }
+/// Subscribes `bus` to `topic`; deliveries arrive on the returned
+/// channel. The broker has registered the subscription once this
+/// returns.
+fn subscribe(bus: &RemoteBus, topic: &str) -> Receiver<Delivery> {
+    let (tx, rx) = mpsc::channel();
+    let sink = Box::new(move |delivery| tx.send(delivery).is_ok());
+    bus.subscribe("", "", topic, None, PrivilegeSet::new(), sink)
+        .unwrap();
+    rx
 }
 
 #[test]
@@ -59,14 +65,13 @@ fn broker_survives_garbage_bytes() {
     }
 
     // The broker still serves well-formed clients.
-    let mut consumer = EventClient::connect(&addr.to_string(), "producer").unwrap();
-    consumer.subscribe("/t", None).unwrap();
-    wait_for_subscriptions(&server, 1);
-    let mut producer = EventClient::connect(&addr.to_string(), "producer").unwrap();
+    let consumer = RemoteBus::connect(&addr.to_string(), "producer").unwrap();
+    let deliveries = subscribe(&consumer, "/t");
+    let producer = RemoteBus::connect(&addr.to_string(), "producer").unwrap();
     producer
         .publish(&Event::new("/t").unwrap().with_labels([]))
         .unwrap();
-    assert!(consumer.next_delivery().is_ok());
+    assert!(deliveries.recv_timeout(WAIT).is_ok());
 }
 
 #[test]
@@ -74,9 +79,8 @@ fn broker_cleans_up_after_abrupt_disconnect() {
     let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap();
     let addr = server.addr().to_string();
     {
-        let mut c = EventClient::connect(&addr, "producer").unwrap();
-        c.subscribe("/t", None).unwrap();
-        wait_for_subscriptions(&server, 1);
+        let c = RemoteBus::connect(&addr, "producer").unwrap();
+        let _deliveries = subscribe(&c, "/t");
         assert_eq!(server.broker().subscription_count(), 1);
         // Drop without DISCONNECT.
     }
@@ -181,28 +185,31 @@ fn unknown_login_gets_no_privileges_not_an_error() {
     // clearance: fail-closed semantics over the network.
     let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap();
     let addr = server.addr().to_string();
-    let mut ghost = EventClient::connect(&addr, "ghost").unwrap();
-    ghost.subscribe("/t", None).unwrap();
-    wait_for_subscriptions(&server, 1);
+    let ghost = RemoteBus::connect(&addr, "ghost").unwrap();
+    let deliveries = subscribe(&ghost, "/t");
 
-    let mut producer = EventClient::connect(&addr, "producer").unwrap();
+    let producer = RemoteBus::connect(&addr, "producer").unwrap();
     producer
         .publish(
             &Event::new("/t")
                 .unwrap()
+                .with_attr("kind", "secret")
                 .with_labels([safeweb::labels::Label::conf("e", "secret")]),
         )
         .unwrap();
-    // Labelled event: not delivered to the ghost.
-    assert!(ghost
-        .next_delivery_timeout(Duration::from_millis(200))
-        .unwrap()
-        .is_none());
-    // Public event: delivered.
     producer
-        .publish(&Event::new("/t").unwrap().with_labels([]))
+        .publish(
+            &Event::new("/t")
+                .unwrap()
+                .with_attr("kind", "public")
+                .with_labels([]),
+        )
         .unwrap();
-    assert!(ghost.next_delivery().is_ok());
+    // The public event is delivered. One subscriber's deliveries keep
+    // publish order, so its coming first proves the labelled event,
+    // published before it, was not delivered to the ghost.
+    let first = deliveries.recv_timeout(WAIT).unwrap();
+    assert_eq!(first.event.attr("kind"), Some("public"));
 }
 
 #[test]
@@ -245,7 +252,7 @@ fn case_event_without_mdt_is_refused_not_stored() {
         deployment.policy().clone(),
     )
     .unwrap();
-    let mut producer = EventClient::connect(&server.addr().to_string(), "data_producer").unwrap();
+    let producer = RemoteBus::connect(&server.addr().to_string(), "data_producer").unwrap();
     let mdt = &portal.mdts()[0];
     let record_id = format!("record-{}-1", mdt.name);
     assert!(

@@ -1,21 +1,30 @@
 //! The engine's networked bus edge: a `RemoteBus` hands every `MESSAGE`
 //! to the unit's sink on its one reader thread, so subscriptions cost no
 //! threads and a full unit inbox pushes back on the socket instead of
-//! piling up in a channel.
+//! piling up in a channel. Every request waits for the broker's answer,
+//! so a refusal reaches its caller.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use safeweb::broker::{Broker, BrokerServer};
-use safeweb::engine::{Engine, EngineOptions, RemoteBus, SchedulerOptions, UnitSpec};
-use safeweb::events::Event;
-use safeweb::labels::Policy;
+use safeweb::broker::{Broker, BrokerServer, Delivery};
+use safeweb::engine::{
+    Engine, EngineError, EngineOptions, EventBus, Relabel, RemoteBus, SchedulerOptions, UnitError,
+    UnitSpec,
+};
+use safeweb::events::{Event, LabelledEvent};
+use safeweb::labels::{Label, Policy, PrivilegeSet};
 
-/// Both tests spawn servers and pools; the thread count is only
+/// Every test spawns servers and threads; a thread count is only
 /// meaningful while nothing else in this binary runs.
 static SERIAL: Mutex<()> = Mutex::new(());
 
+/// How long a test waits for a delivery or an answer before failing.
+const WAIT: Duration = Duration::from_secs(10);
+
+/// `listener` may attach no integrity label: the broker refuses its
+/// `SEND`s that carry one.
 fn policy() -> Policy {
     "unit listener {\n}\n".parse().unwrap()
 }
@@ -34,7 +43,7 @@ fn engine_options(workers: usize, inbox_cap: usize) -> EngineOptions {
 }
 
 fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(10);
+    let deadline = Instant::now() + WAIT;
     while !cond() {
         assert!(Instant::now() < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(2));
@@ -47,6 +56,19 @@ fn os_threads() -> usize {
         .unwrap_or(0)
 }
 
+/// Threads named as a `RemoteBus` reader, `safeweb-remote-bus-reader`
+/// (the kernel keeps a name's first 15 bytes). Counted by name, because
+/// the test harness starts and ends its own threads while a test runs.
+fn reader_threads() -> usize {
+    let is_reader = |task: &std::fs::DirEntry| {
+        std::fs::read_to_string(task.path().join("comm"))
+            .is_ok_and(|name| name.trim_end() == "safeweb-remote-")
+    };
+    std::fs::read_dir("/proc/self/task")
+        .map(|tasks| tasks.flatten().filter(|task| is_reader(task)).count())
+        .unwrap_or(0)
+}
+
 /// N remote subscriptions add the pool's workers plus one reader thread —
 /// no thread per subscription.
 #[test]
@@ -56,6 +78,7 @@ fn remote_subscriptions_share_one_reader_thread() {
     const SUBSCRIPTIONS: usize = 32;
 
     let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap();
+    let before = os_threads();
     let bus = RemoteBus::connect(&server.addr().to_string(), "listener").unwrap();
     let mut unit = UnitSpec::new("listener");
     for i in 0..SUBSCRIPTIONS {
@@ -64,7 +87,6 @@ fn remote_subscriptions_share_one_reader_thread() {
     let mut engine = Engine::new(Arc::new(bus), policy()).with_options(engine_options(WORKERS, 64));
     engine.add_unit(unit).unwrap();
 
-    let before = os_threads();
     let handle = engine.start().unwrap();
     let added = os_threads().saturating_sub(before);
     assert!(
@@ -100,10 +122,7 @@ fn remote_burst_through_a_small_inbox_arrives_complete_and_in_order() {
     let mut engine = Engine::new(Arc::new(bus), policy()).with_options(engine_options(2, 8));
     engine.add_unit(unit).unwrap();
     let handle = engine.start().unwrap();
-    wait_for(
-        || server.broker().subscription_count() == 1,
-        "the subscription to register",
-    );
+    assert_eq!(server.broker().subscription_count(), 1);
 
     for seq in 0..BURST {
         server.broker().publish(
@@ -119,4 +138,149 @@ fn remote_burst_through_a_small_inbox_arrives_complete_and_in_order() {
     assert_eq!(*seen.lock().unwrap(), (0..BURST).collect::<Vec<_>>());
     assert!(handle.stop().is_empty());
     assert_eq!(server.broker().stats().delivered(), BURST as u64);
+}
+
+fn channel_sink(
+    bus: &RemoteBus,
+    topic: &str,
+    selector: Option<&str>,
+) -> Result<mpsc::Receiver<Delivery>, EngineError> {
+    let (tx, rx) = mpsc::channel();
+    let sink = Box::new(move |delivery| tx.send(delivery).is_ok());
+    bus.subscribe("", "", topic, selector, PrivilegeSet::new(), sink)?;
+    Ok(rx)
+}
+
+fn event(topic: &str, kind: &str, labels: Vec<Label>) -> LabelledEvent {
+    let event = Event::new(topic).unwrap().with_attr("kind", kind);
+    event.with_labels(labels)
+}
+
+/// A `SUBSCRIBE` the broker refuses is an error for its caller, and the
+/// reader keeps serving the subscriptions made before it.
+#[test]
+fn a_refused_subscription_is_an_error_and_earlier_ones_keep_delivering() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap();
+    let bus = RemoteBus::connect(&server.addr().to_string(), "listener").unwrap();
+    let earlier = channel_sink(&bus, "/kept", None).unwrap();
+
+    match channel_sink(&bus, "/refused", Some("type = = 'x'")) {
+        Err(EngineError::Bus(message)) => assert!(message.contains("selector"), "{message}"),
+        other => panic!("a bad selector was accepted: {:?}", other.map(|_| ())),
+    }
+    assert_eq!(server.broker().subscription_count(), 1);
+
+    server.broker().publish(&event("/kept", "after", vec![]));
+    let delivery = earlier.recv_timeout(WAIT).expect("the reader stopped");
+    assert_eq!(delivery.event.attr("kind"), Some("after"));
+}
+
+/// A unit's publish that the jail admits but the broker refuses (an
+/// integrity label the unit may not endorse on the wire) is recorded as
+/// one violation, and the unit's next allowed publish is delivered.
+#[test]
+fn a_publish_the_broker_refuses_is_a_violation_and_the_next_is_delivered() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap();
+    let observed = (server.broker()).subscribe("observer", "1", "/out", None, PrivilegeSet::new());
+    let bus = RemoteBus::connect(&server.addr().to_string(), "listener").unwrap();
+    // The unit republishes each input with its labels: keeping an input's
+    // integrity label needs no endorsement in the jail, but on the wire
+    // every label of a SEND is an addition.
+    let unit = UnitSpec::new("listener").subscribe("/in", None, |jail, event| {
+        let kind = event.attr("kind").unwrap_or("");
+        let out = Event::new("/out").unwrap().with_attr("kind", kind);
+        jail.publish(out, Relabel::keep())
+    });
+    let mut engine = Engine::new(Arc::new(bus), policy()).with_options(engine_options(1, 8));
+    engine.add_unit(unit).unwrap();
+    let handle = engine.start().unwrap();
+
+    let endorsed = vec![Label::int("e", "checked")];
+    server.broker().publish(&event("/in", "forged", endorsed));
+    server.broker().publish(&event("/in", "public", vec![]));
+
+    let delivery = observed.recv_timeout(WAIT).expect("the allowed publish");
+    assert_eq!(delivery.event.attr("kind"), Some("public"));
+    let violations = handle.stop();
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(
+        matches!(&violations[0].error, UnitError::Application(m) if m.contains("endorsement denied")),
+        "{violations:?}"
+    );
+    assert!(
+        observed.try_recv().is_err(),
+        "a refused publish was delivered"
+    );
+}
+
+/// A batch whose last `SEND` the broker refuses returns that refusal:
+/// the `ERROR` answers the batch's receipt, so the publisher does not
+/// wait for a `RECEIPT` that never comes.
+#[test]
+fn a_batch_whose_last_send_is_refused_is_an_error_and_does_not_hang() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap();
+    let observed = (server.broker()).subscribe("observer", "1", "/t", None, PrivilegeSet::new());
+    let bus = RemoteBus::connect(&server.addr().to_string(), "listener").unwrap();
+    let forged = || event("/t", "forged", vec![Label::int("e", "checked")]);
+    let batches = [
+        vec![event("/t", "first", vec![]), forged()],
+        vec![forged(), event("/t", "second", vec![])],
+    ];
+    for batch in batches {
+        let (done, result) = mpsc::channel();
+        let publisher = bus.clone();
+        std::thread::spawn(move || done.send(publisher.publish_batch(batch)));
+        let result = result.recv_timeout(WAIT).expect("publish_batch hung");
+        assert!(
+            matches!(&result, Err(EngineError::Bus(m)) if m.contains("endorsement denied")),
+            "{result:?}"
+        );
+    }
+    let kinds: Vec<String> = (0..2)
+        .map(|_| {
+            observed
+                .recv_timeout(WAIT)
+                .unwrap()
+                .event
+                .attr("kind")
+                .unwrap()
+                .to_string()
+        })
+        .collect();
+    assert_eq!(kinds, ["first", "second"]);
+    assert!(observed.try_recv().is_err(), "a refused SEND was delivered");
+}
+
+/// Dropping the last handle closes both connections and ends the
+/// reader: nothing of the bus outlives it.
+#[test]
+fn dropping_the_last_handle_closes_both_connections_and_ends_the_reader() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap();
+    let before = reader_threads();
+    let bus = RemoteBus::connect(&server.addr().to_string(), "listener").unwrap();
+    let deliveries = channel_sink(&bus, "/t", None).unwrap();
+    assert_eq!(server.active_connections(), 2);
+    assert_eq!(reader_threads(), before + 1);
+
+    let clone = bus.clone();
+    drop(bus);
+    server.broker().publish(&event("/t", "still open", vec![]));
+    assert!(
+        deliveries.recv_timeout(WAIT).is_ok(),
+        "a clone keeps the bus"
+    );
+    drop(clone);
+    wait_for(
+        || server.active_connections() == 0,
+        "both connections to close",
+    );
+    wait_for(|| reader_threads() == before, "the reader to end");
+    wait_for(
+        || server.broker().subscription_count() == 0,
+        "the subscription to go",
+    );
 }
