@@ -108,8 +108,11 @@ impl SafeWebBuilder {
         self
     }
 
-    /// Declares a view on the application database (replicated to the DMZ
-    /// replica as well), e.g. `("by_mid", "mdt_id")`.
+    /// Declares a view, e.g. `("by_mid", "mdt_id")`. A view is indexed
+    /// where it is read: on the DMZ replica, which the frontend queries.
+    /// The Intranet application database keeps no view index, so its
+    /// `put` maintains none, and its `query_view` reports the view as
+    /// unknown.
     pub fn app_view(mut self, view: &str, field: &str) -> SafeWebBuilder {
         self.app_views.push((view.to_string(), field.to_string()));
         self
@@ -121,8 +124,8 @@ impl SafeWebBuilder {
     /// periodic snapshots, and Intranet→DMZ replication resumes from the
     /// replica's durably recorded checkpoint after a restart (no full
     /// re-transfer). Views are re-declared per build via
-    /// [`SafeWebBuilder::app_view`] and rebuilt from the recovered
-    /// documents.
+    /// [`SafeWebBuilder::app_view`] and rebuilt from the replica's
+    /// recovered documents.
     pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> SafeWebBuilder {
         self.data_dir = Some(dir.into());
         self
@@ -159,8 +162,9 @@ impl SafeWebBuilder {
             None => (DocStore::new("app-intranet"), DocStore::new("app-dmz")),
         };
         dmz_db.set_read_only(true);
+        // Only the replica is ever queried (the frontend reads it), so
+        // only the replica indexes views.
         for (view, field) in &self.app_views {
-            app_db.create_view(view, field);
             dmz_db.create_view(view, field);
         }
         app_db.attach_metrics(&metrics, "docstore.app");
@@ -197,7 +201,8 @@ impl SafeWebBuilder {
             safeweb_safeq::declassify_dropped() as f64
         });
         // The JSON object-key intern table is process-global too, and
-        // bounded (`safeweb_json::INTERN_MAX_KEYS`): its fill, a count.
+        // bounded (`safeweb_json::INTERN_MAX_KEYS`); span names share it.
+        // Its fill, a count.
         metrics.register_derived("json.interned_keys", || {
             safeweb_json::interned_keys() as f64
         });

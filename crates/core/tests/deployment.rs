@@ -35,6 +35,25 @@ fn assert_dmz_refuses_writes(deployment: &SafeWebDeployment) {
     assert_eq!(dmz.seq(), seq);
 }
 
+/// Views are indexed only where they are read: the DMZ replica serves
+/// every declared view, and the Intranet store, which nothing queries,
+/// keeps no index and reports each view as unknown.
+fn assert_views_only_on_the_replica(
+    deployment: &SafeWebDeployment,
+    views: &[(&'static str, &str, usize)],
+) {
+    for &(view, key, hits) in views {
+        let key = safeweb_json::Value::from(key);
+        let served = deployment.dmz_db().query_view(view, &key);
+        assert_eq!(served.map(|docs| docs.len()).ok(), Some(hits), "{view}");
+        let unknown = deployment.app_db().query_view(view, &key);
+        assert!(
+            matches!(&unknown, Err(StoreError::UnknownView(name)) if name == view),
+            "{view}: {unknown:?}"
+        );
+    }
+}
+
 #[test]
 fn full_wiring_and_replication() {
     let deployment = SafeWebBuilder::new()
@@ -48,6 +67,7 @@ fn full_wiring_and_replication() {
         .replication_interval(Duration::from_millis(15))
         .auth_config(safeweb_web::AuthConfig { hash_iterations: 300 })
         .app_view("by_kind", "kind")
+        .app_view("by_n", "n")
         .unit_with_app_db(|db| {
             UnitSpec::new("storage").subscribe("/result", None, move |jail, event| {
                 let _io = jail.io()?;
@@ -82,6 +102,7 @@ fn full_wiring_and_replication() {
     let doc = deployment.dmz_db().get("r-1").unwrap();
     assert!(doc.labels().contains(&Label::conf("e", "mdt/a")));
     assert_dmz_refuses_writes(&deployment);
+    assert_views_only_on_the_replica(&deployment, &[("by_kind", "result", 1), ("by_n", "1", 1)]);
 
     // A frontend bound to the deployment enforces the stored labels.
     let mut cleared = PrivilegeSet::new();
@@ -140,8 +161,9 @@ fn stop_is_idempotent_and_runs_on_drop() {
 }
 
 /// Durable mode: a deployment restarted on the same data directory
-/// recovers both stores, keeps views queryable (rebuilt from the
-/// recovered documents), and resumes replication from the persisted
+/// recovers both stores, keeps the replica's views queryable (rebuilt
+/// from its recovered documents; the Intranet store still has none),
+/// and resumes replication from the persisted
 /// checkpoint instead of re-transferring the history.
 #[test]
 fn durable_deployment_recovers_and_resumes_replication() {
@@ -156,6 +178,7 @@ fn durable_deployment_recovers_and_resumes_replication() {
                 hash_iterations: 300,
             })
             .app_view("by_kind", "kind")
+            .app_view("by_id", "id")
             .build()
             .expect("durable deployment starts")
     };
@@ -168,7 +191,7 @@ fn durable_deployment_recovers_and_resumes_replication() {
             .app_db()
             .put(
                 "r-1",
-                safeweb_json::jobject! {"kind" => "result"},
+                safeweb_json::jobject! {"kind" => "result", "id" => "r-1"},
                 safeweb_labels::LabelSet::new(),
                 None,
             )
@@ -176,6 +199,7 @@ fn durable_deployment_recovers_and_resumes_replication() {
         assert!(deployment
             .dmz_db()
             .wait_until(Duration::from_secs(10), |db| db.len() == 1));
+        assert_views_only_on_the_replica(&deployment, &[("by_kind", "result", 1)]);
         first_seq = deployment.app_db().seq();
         // The checkpoint is logged in the replica's commit of the run
         // (or in a checkpoint-only commit), and every commit signals.
@@ -187,16 +211,12 @@ fn durable_deployment_recovers_and_resumes_replication() {
     } // deployment dropped: engine + replication stop, stores close
 
     let deployment = build();
-    // Both stores recovered, including the rebuilt view index.
+    // Both stores recovered, and the replica's view indexes rebuilt.
     assert_eq!(deployment.app_db().len(), 1);
     assert_eq!(deployment.dmz_db().len(), 1);
-    assert_eq!(
-        deployment
-            .dmz_db()
-            .query_view("by_kind", &safeweb_json::Value::from("result"))
-            .unwrap()
-            .len(),
-        1
+    assert_views_only_on_the_replica(
+        &deployment,
+        &[("by_kind", "result", 1), ("by_id", "r-1", 1)],
     );
     assert_dmz_refuses_writes(&deployment);
     let replica_seq = deployment.dmz_db().seq();

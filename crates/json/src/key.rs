@@ -14,7 +14,8 @@
 //! ever-new keys fills it once (about 74 KB) and its later keys are
 //! stored owned. Interned keys live for the process, as string literals
 //! do. A direct-mapped per-thread cache answers repeated keys without
-//! touching the table's lock.
+//! touching the table's lock. Trace span names (`safeweb_obs`) are
+//! interned here too.
 
 use std::borrow::Cow;
 use std::cell::Cell;

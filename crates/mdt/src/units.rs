@@ -136,7 +136,7 @@ impl Default for ProducerConfig {
     }
 }
 
-/// One joined case row read from the registry.
+/// One case's published fields, read from its [`JoinedCase`].
 #[derive(Debug, Clone, PartialEq)]
 struct CaseRow {
     patient_id: i64,
@@ -147,6 +147,35 @@ struct CaseRow {
     stage: Option<String>,
     diagnosed: i64,
     treatment: Option<String>,
+}
+
+/// One case's registry rows, joined but not yet read: shared handles to
+/// the stored rows (cloning a [`Row`] copies no cell) and its MDT's
+/// index in the producer's MDT list.
+struct JoinedCase {
+    patient: Row,
+    tumour: Row,
+    treatment: Option<Row>,
+    mdt: usize,
+}
+
+impl JoinedCase {
+    /// Reads the case's fields out of its rows.
+    fn read(&self, mdts: &[MdtInfo]) -> CaseRow {
+        CaseRow {
+            patient_id: self.patient.int("id").expect("id"),
+            patient_name: self.patient.text("name").map(str::to_string),
+            birth_year: self.patient.int("birth_year").expect("birth_year"),
+            mdt: mdts[self.mdt].clone(),
+            site: self.tumour.text("site").expect("site").to_string(),
+            stage: self.tumour.text("stage").map(str::to_string),
+            diagnosed: self.tumour.int("diagnosed").expect("diagnosed"),
+            treatment: self
+                .treatment
+                .as_ref()
+                .and_then(|t| t.text("kind").map(str::to_string)),
+        }
+    }
 }
 
 /// The first row of `table` (in primary-key order) per value of the
@@ -163,39 +192,35 @@ fn first_by(registry: &Database, table: &str, key: &str) -> HashMap<i64, Row> {
 
 /// Joins patients → their first tumour → that tumour's first treatment,
 /// reading each table once: `O(patients + tumours + treatments)`.
-/// Patients of an unknown MDT or without a tumour are skipped.
-fn read_cases(registry: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
-    let by_id: BTreeMap<i64, &MdtInfo> = mdts.iter().map(|m| (m.id, m)).collect();
-    let tumours = first_by(registry, "tumours", "patient_id");
-    let treatments = first_by(registry, "treatments", "tumour_id");
-    let mut cases = Vec::new();
-    for patient in registry
+/// Patients of an unknown MDT or without a tumour are skipped. The join
+/// holds row handles, not their fields: [`JoinedCase::read`] reads a case
+/// when it is published.
+fn join_cases(registry: &Database, mdts: &[MdtInfo]) -> Vec<JoinedCase> {
+    let by_id: BTreeMap<i64, usize> = mdts.iter().enumerate().map(|(i, m)| (m.id, i)).collect();
+    let mut tumours = first_by(registry, "tumours", "patient_id");
+    let mut treatments = first_by(registry, "treatments", "tumour_id");
+    let patients = registry
         .select("patients", |_| true)
-        .expect("patients table")
-    {
+        .expect("patients table");
+    let mut cases = Vec::with_capacity(patients.len());
+    for patient in patients {
         let patient_id = patient.int("id").expect("id");
         let mdt_id = patient.int("mdt_id").expect("mdt_id");
-        let Some(mdt) = by_id.get(&mdt_id) else {
+        let Some(&mdt) = by_id.get(&mdt_id) else {
             continue;
         };
-        let Some(tumour) = tumours.get(&patient_id) else {
+        let Some(tumour) = tumours.remove(&patient_id) else {
             continue;
         };
-        let tumour_id = tumour.int("id").expect("id");
-        let treatment = treatments
-            .get(&tumour_id)
-            .and_then(|t| t.text("kind").map(str::to_string));
-        cases.push(CaseRow {
-            patient_id,
-            patient_name: patient.text("name").map(str::to_string),
-            birth_year: patient.int("birth_year").expect("birth_year"),
-            mdt: (*mdt).clone(),
-            site: tumour.text("site").expect("site").to_string(),
-            stage: tumour.text("stage").map(str::to_string),
-            diagnosed: tumour.int("diagnosed").expect("diagnosed"),
+        let treatment = treatments.remove(&tumour.int("id").expect("id"));
+        cases.push(JoinedCase {
+            patient,
+            tumour,
             treatment,
+            mdt,
         });
     }
+    cases.shrink_to_fit();
     cases
 }
 
@@ -206,16 +231,17 @@ fn read_cases(registry: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
 /// "For the sake of simplicity, we use only MDT-level labels as these are
 /// sufficient to satisfy our security requirements" (§5.1).
 ///
-/// The joined rows are released once the last batch is published (about
-/// 4.7 MiB at 10 000 cases); later ticks publish nothing.
+/// The unit holds each case's registry rows as shared handles and reads
+/// a case's fields only in the tick that publishes it; the handles are
+/// dropped after the last batch, and later ticks publish nothing.
 pub fn data_producer(registry: Database, mdts: Vec<MdtInfo>, config: ProducerConfig) -> UnitSpec {
-    let mut cases = read_cases(&registry, &mdts);
+    let mut cases = join_cases(&registry, &mdts);
     let mut cursor = 0usize;
     UnitSpec::new("data_producer").every(config.interval, move |jail| {
         // Privileged: reading the registry is I/O outside the jail.
         let _io = jail.io()?;
         let end = (cursor + config.batch).min(cases.len());
-        for case in &cases[cursor..end] {
+        for case in cases[cursor..end].iter().map(|rows| rows.read(&mdts)) {
             let label = mdt_label(&case.mdt.name);
             let base = |kind: &str| -> Result<Event, UnitError> {
                 Event::new(PATIENT_REPORT_TOPIC)
@@ -718,7 +744,7 @@ mod tests {
     use crate::registry::{self, RegistryConfig};
     use safeweb_relstore::{CellValue, ColumnDef, ColumnType, Schema};
 
-    /// The oracle: the nested-scan join `read_cases` replaced, two
+    /// The oracle: the nested-scan join `join_cases` replaced, two
     /// full-table `select_eq` scans per patient.
     fn read_cases_nested(registry: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
         let by_id: BTreeMap<i64, &MdtInfo> = mdts.iter().map(|m| (m.id, m)).collect();
@@ -756,6 +782,14 @@ mod tests {
             });
         }
         cases
+    }
+
+    /// The linear join, every case read.
+    fn read_cases(registry: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {
+        join_cases(registry, mdts)
+            .iter()
+            .map(|rows| rows.read(mdts))
+            .collect()
     }
 
     fn assert_joins_agree(db: &Database, mdts: &[MdtInfo]) -> Vec<CaseRow> {

@@ -13,6 +13,12 @@
 //! label-safety contract: route patterns, topics, unit names — never
 //! payloads or principals. The only per-datum annotation a span may
 //! carry is an interned label-set id.
+//!
+//! A span owns no heap memory for its name: names are interned as
+//! [`Key`]s, in the one bounded process-wide table JSON object keys use,
+//! so recording under a name already seen copies a pointer. The table's
+//! caps hold against a peer that picks ever-new topics (broker span
+//! names are topics): a name past them is stored owned.
 
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -22,7 +28,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-use safeweb_json::Value;
+use safeweb_json::{Key, Value};
 
 /// Spans retained per component ring.
 const RING_CAP: usize = 4096;
@@ -96,7 +102,8 @@ pub struct Span {
     /// Which component recorded it (`"frontend"`, `"broker"`, …).
     pub component: &'static str,
     /// Author-written structure only: route pattern, topic, unit name.
-    pub name: Box<str>,
+    /// Interned, so a span shares its name with every span that has it.
+    pub name: Key,
     /// Start, on the [`now_ns`] clock.
     pub start_ns: u64,
     /// Duration in nanoseconds.
@@ -111,7 +118,7 @@ impl Span {
     fn to_json(&self) -> Value {
         let mut v = Value::object();
         v.set("component", self.component);
-        v.set("name", self.name.as_ref());
+        v.set("name", self.name.as_str());
         v.set("start_ns", self.start_ns as i64);
         v.set("dur_ns", self.dur_ns as i64);
         if let Some(label) = self.label {
@@ -238,7 +245,7 @@ pub fn record_span(
     t.record(Span {
         trace,
         component,
-        name: name.into(),
+        name: Key::from(name),
         start_ns,
         dur_ns: now_ns().saturating_sub(start_ns),
         label,

@@ -54,13 +54,15 @@ impl Truth {
     }
 }
 
-/// Runtime value produced by evaluating a sub-expression.
-#[derive(Debug, Clone, PartialEq)]
-enum Val {
+/// Runtime value produced by evaluating a sub-expression. A string is
+/// borrowed from the event's attribute or the selector's literal, so
+/// evaluation copies no operand.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Val<'a> {
     Null,
     Bool(bool),
     Num(f64),
-    Str(String),
+    Str(&'a str),
 }
 
 /// Provides attribute values for identifiers in a selector. Implemented for
@@ -97,13 +99,13 @@ pub(crate) fn eval_truth<S: AttributeSource>(expr: &Expr, source: &S) -> Truth {
     }
 }
 
-fn eval<S: AttributeSource>(expr: &Expr, source: &S) -> Val {
+fn eval<'a, S: AttributeSource>(expr: &'a Expr, source: &'a S) -> Val<'a> {
     match expr {
         Expr::Ident(name) => match source.attribute(name) {
-            Some(s) => Val::Str(s.to_string()),
+            Some(s) => Val::Str(s),
             None => Val::Null,
         },
-        Expr::Str(s) => Val::Str(s.clone()),
+        Expr::Str(s) => Val::Str(s),
         Expr::Num(n) => Val::Num(*n),
         Expr::Bool(b) => Val::Bool(*b),
         Expr::Not(e) => truth_val(eval_truth(e, source).not()),
@@ -143,7 +145,7 @@ fn eval<S: AttributeSource>(expr: &Expr, source: &S) -> Val {
             negated,
         } => {
             let t = match eval(expr, source) {
-                Val::Str(s) => Truth::of(like_match(&s, pattern, *escape)),
+                Val::Str(s) => Truth::of(like_match(s, pattern, *escape)),
                 Val::Null => Truth::Unknown,
                 // LIKE on numbers applies to their string form, mirroring
                 // the untyped-string event model.
@@ -158,7 +160,7 @@ fn eval<S: AttributeSource>(expr: &Expr, source: &S) -> Val {
             negated,
         } => {
             let t = match eval(expr, source) {
-                Val::Str(s) => Truth::of(items.contains(&s)),
+                Val::Str(s) => Truth::of(items.iter().any(|item| item == s)),
                 Val::Num(n) => {
                     let s = format_num(n);
                     Truth::of(items.contains(&s))
@@ -187,7 +189,7 @@ fn eval<S: AttributeSource>(expr: &Expr, source: &S) -> Val {
     }
 }
 
-fn truth_val(t: Truth) -> Val {
+fn truth_val(t: Truth) -> Val<'static> {
     match t {
         Truth::True => Val::Bool(true),
         Truth::False => Val::Bool(false),
@@ -195,7 +197,7 @@ fn truth_val(t: Truth) -> Val {
     }
 }
 
-fn as_num(v: &Val) -> Option<f64> {
+fn as_num(v: &Val<'_>) -> Option<f64> {
     match v {
         Val::Num(n) => Some(*n),
         Val::Str(s) => s.trim().parse().ok(),
@@ -213,7 +215,7 @@ fn format_num(n: f64) -> String {
     }
 }
 
-fn compare(op: CmpOp, a: &Val, b: &Val) -> Truth {
+fn compare(op: CmpOp, a: &Val<'_>, b: &Val<'_>) -> Truth {
     if matches!(a, Val::Null) || matches!(b, Val::Null) {
         return Truth::Unknown;
     }
@@ -254,48 +256,60 @@ enum LikeTok {
 /// SQL LIKE matching: `%` matches any run (including empty), `_` matches a
 /// single character; `escape` makes the following pattern character literal.
 ///
-/// The pattern is tokenised once, then matched in one greedy pass that
-/// keeps a single backtrack point (the latest `%`): O(|text| × |pattern|)
-/// in the worst case and no recursion, so a subscriber-supplied pattern
-/// can neither stall the publisher evaluating it nor overflow its stack.
+/// The pattern is read one token at a time, in one greedy pass that keeps
+/// a single backtrack point (the latest `%`): O(|text| × |pattern|) in the
+/// worst case, no recursion and no allocation, so a subscriber-supplied
+/// pattern can neither stall the publisher evaluating it nor overflow its
+/// stack. Positions are byte offsets into `text` and `pattern`.
 fn like_match(text: &str, pattern: &str, escape: Option<char>) -> bool {
-    let mut pat = Vec::new();
+    // A dangling escape never matches.
     let mut chars = pattern.chars();
     while let Some(c) = chars.next() {
-        pat.push(match c {
-            c if Some(c) == escape => match chars.next() {
-                Some(lit) => LikeTok::Lit(lit),
-                None => return false, // dangling escape never matches
-            },
+        if Some(c) == escape && chars.next().is_none() {
+            return false;
+        }
+    }
+    // The token at `at` and the offset past it.
+    let token = |at: usize| -> Option<(LikeTok, usize)> {
+        let mut chars = pattern[at..].chars();
+        let tok = match chars.next()? {
+            c if Some(c) == escape => LikeTok::Lit(chars.next()?),
             '%' => LikeTok::Any,
             '_' => LikeTok::One,
             c => LikeTok::Lit(c),
-        });
-    }
-    let text: Vec<char> = text.chars().collect();
+        };
+        Some((tok, pattern.len() - chars.as_str().len()))
+    };
+    let char_len = |at: usize| text[at..].chars().next().map_or(0, char::len_utf8);
     let (mut ti, mut pi) = (0, 0);
-    // After the latest `%`: the pattern index past it, and the text index
-    // its run currently ends at.
+    // After the latest `%`: the pattern offset past it, and the text
+    // offset its run currently ends at.
     let mut backtrack: Option<(usize, usize)> = None;
-    while ti < text.len() {
-        match pat.get(pi) {
-            Some(LikeTok::Any) => {
-                pi += 1;
+    while let Some(c) = text[ti..].chars().next() {
+        match token(pi) {
+            Some((LikeTok::Any, next)) => {
+                pi = next;
                 backtrack = Some((pi, ti));
             }
-            Some(LikeTok::One) => (ti, pi) = (ti + 1, pi + 1),
-            Some(&LikeTok::Lit(c)) if c == text[ti] => (ti, pi) = (ti + 1, pi + 1),
+            Some((LikeTok::One, next)) => (ti, pi) = (ti + c.len_utf8(), next),
+            Some((LikeTok::Lit(lit), next)) if lit == c => (ti, pi) = (ti + c.len_utf8(), next),
             // Mismatch: let the latest `%` swallow one more character.
             _ => match backtrack {
                 Some((after_any, run_end)) => {
-                    (pi, ti) = (after_any, run_end + 1);
+                    (pi, ti) = (after_any, run_end + char_len(run_end));
                     backtrack = Some((after_any, ti));
                 }
                 None => return false,
             },
         }
     }
-    pat[pi..].iter().all(|tok| *tok == LikeTok::Any)
+    while let Some((tok, next)) = token(pi) {
+        if tok != LikeTok::Any {
+            return false;
+        }
+        pi = next;
+    }
+    true
 }
 
 #[cfg(test)]
@@ -370,6 +384,10 @@ mod tests {
             &[("code", "10x26")]
         ));
         assert!(matches("a LIKE '%'", &[("a", "")]));
+        // Offsets step over multi-byte characters whole.
+        assert!(matches("name LIKE '_ö%é'", &[("name", "Jösé")]));
+        assert!(matches("name LIKE '_'", &[("name", "é")]));
+        assert!(!matches("name LIKE '%ö_'", &[("name", "Jösé")]));
         assert!(matches("a NOT LIKE 'x%'", &[("a", "y")]));
     }
 

@@ -29,13 +29,17 @@ fn policy() -> Policy {
     "unit listener {\n}\n".parse().unwrap()
 }
 
+/// The engine's scheduler name; its workers are `remote-bus-test-worker-<i>`,
+/// which the kernel truncates to this.
+const SCHEDULER: &str = "remote-bus-test";
+
 fn engine_options(workers: usize, inbox_cap: usize) -> EngineOptions {
     EngineOptions {
         scheduler: SchedulerOptions {
             workers,
             inbox_cap,
             burst: 4,
-            name: "remote-bus-test".to_string(),
+            name: SCHEDULER.to_string(),
             ..SchedulerOptions::default()
         },
         ..EngineOptions::default()
@@ -50,27 +54,31 @@ fn wait_for(mut cond: impl FnMut() -> bool, what: &str) {
     }
 }
 
-fn os_threads() -> usize {
+/// The kernel keeps a thread name's first 15 bytes: a `RemoteBus`
+/// reader, `safeweb-remote-bus-reader`, reads as this.
+const READER_THREAD: &str = "safeweb-remote-";
+
+/// Threads of this process whose (kernel-truncated) name starts with
+/// `prefix`. Counted by name, because the test harness starts and ends
+/// its own threads while a test runs: the next test's thread may already
+/// be waiting on `SERIAL`.
+fn threads_named(prefix: &str) -> usize {
+    let named = |task: &std::fs::DirEntry| {
+        std::fs::read_to_string(task.path().join("comm"))
+            .is_ok_and(|name| name.trim_end().starts_with(prefix))
+    };
     std::fs::read_dir("/proc/self/task")
-        .map(|tasks| tasks.count())
+        .map(|tasks| tasks.flatten().filter(|task| named(task)).count())
         .unwrap_or(0)
 }
 
-/// Threads named as a `RemoteBus` reader, `safeweb-remote-bus-reader`
-/// (the kernel keeps a name's first 15 bytes). Counted by name, because
-/// the test harness starts and ends its own threads while a test runs.
 fn reader_threads() -> usize {
-    let is_reader = |task: &std::fs::DirEntry| {
-        std::fs::read_to_string(task.path().join("comm"))
-            .is_ok_and(|name| name.trim_end() == "safeweb-remote-")
-    };
-    std::fs::read_dir("/proc/self/task")
-        .map(|tasks| tasks.flatten().filter(|task| is_reader(task)).count())
-        .unwrap_or(0)
+    threads_named(READER_THREAD)
 }
 
 /// N remote subscriptions add the pool's workers plus one reader thread —
-/// no thread per subscription.
+/// no thread per subscription. Only the threads this bus and this engine
+/// start are counted: the reader and the scheduler's workers, by name.
 #[test]
 fn remote_subscriptions_share_one_reader_thread() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -78,7 +86,8 @@ fn remote_subscriptions_share_one_reader_thread() {
     const SUBSCRIPTIONS: usize = 32;
 
     let server = BrokerServer::bind("127.0.0.1:0", Broker::new(), policy()).unwrap();
-    let before = os_threads();
+    let ours = || reader_threads() + threads_named(SCHEDULER);
+    let before = ours();
     let bus = RemoteBus::connect(&server.addr().to_string(), "listener").unwrap();
     let mut unit = UnitSpec::new("listener");
     for i in 0..SUBSCRIPTIONS {
@@ -88,7 +97,7 @@ fn remote_subscriptions_share_one_reader_thread() {
     engine.add_unit(unit).unwrap();
 
     let handle = engine.start().unwrap();
-    let added = os_threads().saturating_sub(before);
+    let added = ours().saturating_sub(before);
     assert!(
         added <= WORKERS + 1,
         "{SUBSCRIPTIONS} remote subscriptions grew {added} threads; expected {WORKERS} workers + 1 reader"
