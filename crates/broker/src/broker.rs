@@ -59,12 +59,11 @@ use std::fmt;
 use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 
-use parking_lot::RwLock;
-
 use safeweb_events::LabelledEvent;
 use safeweb_labels::PrivilegeSet;
 use safeweb_obs::{record_span, Counter, MetricsRegistry, TraceId};
 use safeweb_selector::Selector;
+use safeweb_sync::RwLock;
 
 /// A topic pattern: exact (`/patient_report`) or prefix (`/reports/*`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -796,7 +795,7 @@ mod tests {
     #[test]
     fn sink_subscriptions_deliver_inline_and_report_liveness() {
         let broker = Broker::new();
-        let got: Arc<parking_lot::Mutex<Vec<String>>> = Arc::default();
+        let got: Arc<safeweb_sync::Mutex<Vec<String>>> = Arc::default();
         let alive = Arc::new(std::sync::atomic::AtomicBool::new(true));
         let sink_got = Arc::clone(&got);
         let sink_alive = Arc::clone(&alive);

@@ -31,13 +31,14 @@
 use std::io;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use safeweb_labels::{check_relabel, Policy, PrincipalKind, PrivilegeSet, RemoveSpec};
 use safeweb_reactor::{ConnHandle, Protocol, Reactor, ReactorConfig, SendError};
 use safeweb_selector::Selector;
 use safeweb_stomp::codec::{encode, Decoder};
 use safeweb_stomp::{Command, Frame};
+use safeweb_sync::Mutex;
 
 use crate::broker::Broker;
 use crate::wire::{
@@ -216,7 +217,7 @@ impl Protocol for StompConn {
         // FIFO-ordered after any in-flight frame jobs, so a queued
         // SUBSCRIBE cannot resurrect state after this cleanup.
         conn.dispatch(move || {
-            let session = shared.session.lock().unwrap_or_else(|e| e.into_inner());
+            let session = shared.session.lock();
             if let Some(session) = session.as_ref() {
                 shared.broker.unsubscribe_all(&session.client_id);
             }
@@ -231,7 +232,7 @@ impl Protocol for StompConn {
 fn handle_frame(shared: &Arc<SessionShared>, frame: Frame, io: &ConnHandle) {
     let receipt = frame.header("receipt").map(str::to_owned);
     let command = frame.command();
-    let mut session = shared.session.lock().unwrap_or_else(|e| e.into_inner());
+    let mut session = shared.session.lock();
     let answer = match apply_frame(shared, &mut session, frame, io) {
         Ok(()) => receipt.map(|id| Frame::new(Command::Receipt).with_header("receipt-id", id)),
         Err(message) => Some(match receipt {
@@ -412,7 +413,7 @@ mod tests {
             None,
             PrivilegeSet::new(),
             Box::new(move |_| {
-                let first = gate.lock().unwrap_or_else(|e| e.into_inner()).take();
+                let first = gate.lock().take();
                 if let Some(gate) = first {
                     gate.recv().unwrap();
                 }
@@ -433,7 +434,7 @@ mod tests {
             Box::new(Counted {
                 stomp: StompConn::new(conn_broker.clone(), Arc::clone(&policy)),
                 max_pending: Arc::clone(&conn_max),
-                paused: Some(paused_tx.lock().unwrap().clone()),
+                paused: Some(paused_tx.lock().clone()),
             })
         })
         .unwrap();

@@ -68,11 +68,12 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
+use safeweb_sync::{Condvar, Mutex};
 
 use crate::store::{Applied, DocStore, Replicated};
 
@@ -108,7 +109,7 @@ impl CommitSignal {
     /// Advances the generation and wakes every parked thread.
     pub(crate) fn raise(&self) {
         let parked = {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = self.state.lock();
             st.generation += 1;
             st.parked
         };
@@ -122,21 +123,17 @@ impl CommitSignal {
     }
 
     pub(crate) fn generation(&self) -> u64 {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .generation
+        self.state.lock().generation
     }
 
     /// Parks until the generation has moved past `seen` or `timeout` has
     /// elapsed; returns whether the generation moved.
     pub(crate) fn park_past(&self, seen: u64, timeout: Duration) -> bool {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         st.parked += 1;
         let (mut st, _) = self
             .wake
-            .wait_timeout_while(st, timeout, |st| st.generation == seen)
-            .unwrap_or_else(|e| e.into_inner());
+            .wait_timeout_while(st, timeout, |st| st.generation == seen);
         st.parked -= 1;
         st.generation != seen
     }
@@ -401,19 +398,9 @@ impl ReplicationHandle {
     ///
     /// Public as a signal: tests wait on it instead of sleeping.
     pub fn wait_for_checkpoint(&self, seq: u64, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
         let (lock, published) = &self.shared.progress;
-        let mut guard = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while self.checkpoint() < seq {
-            let Some(left) = deadline.checked_duration_since(Instant::now()) else {
-                return false;
-            };
-            guard = published
-                .wait_timeout(guard, left)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        true
+        let _ = published.wait_timeout_while(lock.lock(), timeout, |()| self.checkpoint() < seq);
+        self.checkpoint() >= seq
     }
 
     /// Surfaces this handle's counters in `registry` under `prefix`
@@ -449,7 +436,7 @@ impl Shared {
         self.checkpoint.store(checkpoint, Ordering::SeqCst);
         // Taking the lock orders this store against a waiter's check, so
         // the notification cannot fall between its check and its wait.
-        drop(self.progress.0.lock().unwrap_or_else(|e| e.into_inner()));
+        drop(self.progress.0.lock());
         self.progress.1.notify_all();
     }
 }

@@ -11,15 +11,14 @@ use std::fmt;
 use std::ops::Bound;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use parking_lot::RwLock;
 
 use safeweb_json::{Str, Value};
 use safeweb_labels::LabelSet;
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
+use safeweb_sync::{Mutex, RwLock};
 
 use crate::document::{Document, Revision};
 use crate::replication::CommitSignal;
@@ -208,7 +207,7 @@ impl SnapshotTask {
     /// returning while it still runs. A writer posts its outcome before it
     /// ends, so the outcome is ready for [`reap_snapshot`] afterwards.
     fn join(&self) {
-        let mut slot = self.handle.lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = self.handle.lock();
         if let Some(h) = slot.take() {
             let _ = h.join();
         }
@@ -220,12 +219,7 @@ impl SnapshotTask {
 /// covers are deleted; on failure the error is recorded and the records
 /// stay in the log for the next attempt.
 fn reap_snapshot(d: &mut Durability) {
-    let outcome = d
-        .snapshots
-        .outcome
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take();
+    let outcome = d.snapshots.outcome.lock().take();
     let Some((boundary, result)) = outcome else {
         return;
     };
@@ -483,14 +477,13 @@ impl Inner {
             .spawn(move || {
                 let result =
                     snapshot::write(&dir, seq, rep, docs.iter()).map_err(|e| e.to_string());
-                *shared.outcome.lock().unwrap_or_else(|e| e.into_inner()) =
-                    Some((boundary, result));
+                *shared.outcome.lock() = Some((boundary, result));
                 shared.inflight.store(false, Ordering::SeqCst);
             });
         let d = self.durability.as_mut().expect("checked durable above");
         match spawned {
             Ok(handle) => {
-                *d.snapshots.handle.lock().unwrap_or_else(|e| e.into_inner()) = Some(handle);
+                *d.snapshots.handle.lock() = Some(handle);
                 Ok(())
             }
             Err(e) => {

@@ -70,11 +70,12 @@ use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 
 use safeweb_json::{build_exact, write_json_string, EscapeJson, Str, Value};
 use safeweb_labels::LabelSet;
 use safeweb_obs::Histogram;
+use safeweb_sync::{Condvar, Mutex};
 
 use crate::document::{Document, Revision};
 
@@ -575,7 +576,7 @@ impl GroupCommit {
     /// Swaps in registry-backed histograms for fsync latency and batch
     /// size (see [`crate::DocStore::attach_metrics`]).
     pub(crate) fn set_metrics(&self, fsync_ns: Histogram, batch: Histogram) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         st.fsync_ns = fsync_ns;
         st.batch = batch;
     }
@@ -584,7 +585,7 @@ impl GroupCommit {
     /// Called with the store's write lock held, so tickets are published
     /// in order.
     fn record_append(&self, ticket: u64, file: Arc<File>) {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         st.appended = ticket;
         st.file = Some(file);
     }
@@ -594,7 +595,7 @@ impl GroupCommit {
     /// Called *without* the store lock, so appenders batch up behind the
     /// in-flight sync instead of serializing on it.
     pub(crate) fn wait_durable(&self, ticket: u64) -> Result<(), String> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state.lock();
         loop {
             if let Some(why) = &st.failed {
                 return Err(why.clone());
@@ -603,7 +604,7 @@ impl GroupCommit {
                 return Ok(());
             }
             if st.leading {
-                st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+                st = self.cv.wait(st);
                 continue;
             }
             st.leading = true;
@@ -621,7 +622,7 @@ impl GroupCommit {
             };
             fsync_ns.observe_ns(started.elapsed());
             batch.observe(covered);
-            st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            st = self.state.lock();
             st.leading = false;
             match result {
                 Ok(()) => st.synced = st.synced.max(target),

@@ -3,12 +3,10 @@
 
 use std::collections::HashMap;
 use std::io::Write;
-use std::net::Shutdown;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
-
-use parking_lot::Mutex;
 
 use safeweb_broker::wire::{
     self, event_to_frame, DESTINATION_HEADER, SELECTOR_HEADER, SUBSCRIPTION_HEADER, WIRE_INTERN_CAP,
@@ -19,6 +17,7 @@ use safeweb_events::LabelledEvent;
 use safeweb_labels::PrivilegeSet;
 use safeweb_stomp::codec::encode;
 use safeweb_stomp::{Command, Frame, TcpTransport};
+use safeweb_sync::{Condvar, Mutex};
 
 use crate::error::EngineError;
 
@@ -61,6 +60,12 @@ pub trait EventBus: Send + Sync {
     /// Every event is attempted even when an earlier one fails; the
     /// first failure is returned.
     fn publish_batch(&self, events: Vec<LabelledEvent>) -> Result<(), EngineError>;
+
+    /// Wakes every thread this bus has blocked waiting on the broker, and
+    /// fails every request after it, so a stopping engine can join its
+    /// workers even if the broker stopped answering. The default does
+    /// nothing: the embedded broker never waits on a peer.
+    fn close(&self) {}
 }
 
 impl EventBus for Broker {
@@ -116,20 +121,39 @@ struct SubscribeLeg {
     answers: mpsc::Receiver<Result<(), String>>,
 }
 
+/// How long [`EventBus::close`] lets a request already written wait for
+/// its answer before it shuts the connections down.
+const CLOSE_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
+
 struct RemoteBusInner {
     publisher: Mutex<TcpTransport>,
+    /// Whether a request on `publisher` waits for its answer, notified
+    /// when it stops waiting.
+    awaiting: (Mutex<bool>, Condvar),
     subscriber: Mutex<SubscribeLeg>,
+    /// Both connections, reachable without the locks a blocked request
+    /// holds.
+    sockets: [TcpStream; 2],
     routes: Routes,
     next_id: AtomicU64,
     reader: Option<JoinHandle<()>>,
 }
 
+impl RemoteBusInner {
+    /// Shuts both connections down: a blocked read sees EOF, and every
+    /// later write fails.
+    fn shut_down(&self) {
+        for socket in &self.sockets {
+            let _ = socket.shutdown(Shutdown::Both);
+        }
+    }
+}
+
 impl Drop for RemoteBusInner {
     fn drop(&mut self) {
-        // The reader holds the socket's other handle; shutting it down
-        // ends the reader's blocking read.
-        let socket = self.subscriber.get_mut().writer.stream();
-        let _ = socket.shutdown(Shutdown::Both);
+        // The reader holds the subscription socket's other handle; the
+        // shutdown ends its blocking read.
+        self.shut_down();
         // The last handle may drop on the reader, inside a sink it drops.
         let reader = self.reader.take();
         if let Some(reader) = reader.filter(|r| r.thread().id() != thread::current().id()) {
@@ -154,7 +178,11 @@ impl Drop for RemoteBusInner {
 /// `MESSAGE` to its subscription's sink by subscription id, and each
 /// answer to the waiting `subscribe`. A `MESSAGE` this process cannot
 /// decode (its label intern table is full) is skipped. Dropping the last
-/// handle shuts the connection down and joins the reader.
+/// handle shuts the connections down and joins the reader.
+/// [`EventBus::close`] shuts them down too, once a request already
+/// written has had its answer or a 250 ms grace has passed, so a request
+/// waiting on a broker that never answers fails instead of waiting
+/// forever.
 ///
 /// The reader calls the sink directly, so a unit whose inbox is full
 /// stalls the reader and, through it, the subscription socket: the
@@ -181,7 +209,8 @@ impl RemoteBus {
     pub fn connect(addr: &str, login: &str) -> Result<RemoteBus, EngineError> {
         let publisher = log_in(addr, login)?;
         let writer = log_in(addr, login)?;
-        let reader = TcpTransport::new(writer.stream().try_clone().map_err(bus_error)?);
+        let socket = |leg: &TcpTransport| leg.stream().try_clone().map_err(bus_error);
+        let reader = TcpTransport::new(socket(&writer)?);
         let routes = Routes::default();
         let (answer, answers) = mpsc::channel();
         let reader_routes = Arc::clone(&routes);
@@ -191,7 +220,9 @@ impl RemoteBus {
             .map_err(bus_error)?;
         Ok(RemoteBus {
             inner: Arc::new(RemoteBusInner {
+                sockets: [socket(&publisher)?, socket(&writer)?],
                 publisher: Mutex::new(publisher),
+                awaiting: (Mutex::new(false), Condvar::new()),
                 subscriber: Mutex::new(SubscribeLeg { writer, answers }),
                 routes,
                 next_id: AtomicU64::new(1),
@@ -200,9 +231,8 @@ impl RemoteBus {
         })
     }
 
-    /// Writes `events` as `SEND`s in one write, the last with a
-    /// `receipt`, and reads until the broker answers it. The first
-    /// `ERROR` is the result.
+    /// Sends `events` as `SEND`s in one write, the last with a `receipt`,
+    /// and waits for the broker's answer.
     fn send(&self, events: &[LabelledEvent]) -> Result<(), EngineError> {
         let Some((last, rest)) = events.split_last() else {
             return Ok(());
@@ -213,23 +243,34 @@ impl RemoteBus {
         }
         let frame = event_to_frame(last, Command::Send).with_header("receipt", "batch");
         bytes.extend(encode(&frame));
+        let (awaiting, answered) = &self.inner.awaiting;
         let mut publisher = self.inner.publisher.lock();
-        publisher.stream().write_all(&bytes).map_err(bus_error)?;
-        let mut refused = None;
-        loop {
-            match publisher.recv_frame().map_err(bus_error)? {
-                Some(f) if f.command() == Command::Receipt => break,
-                Some(f) if f.command() == Command::Error => {
-                    refused.get_or_insert_with(|| refusal(Some(&f)));
-                    if f.header("receipt-id").is_some() {
-                        break;
-                    }
-                }
-                other => return Err(EngineError::Bus(refusal(other.as_ref()))),
-            }
-        }
-        refused.map_or(Ok(()), |message| Err(EngineError::Bus(message)))
+        *awaiting.lock() = true;
+        let answer = request(&mut publisher, &bytes);
+        *awaiting.lock() = false;
+        answered.notify_all();
+        answer
     }
+}
+
+/// Writes `bytes`, whose last frame carries a `receipt`, and reads until
+/// the broker answers it. The first `ERROR` is the result.
+fn request(publisher: &mut TcpTransport, bytes: &[u8]) -> Result<(), EngineError> {
+    publisher.stream().write_all(bytes).map_err(bus_error)?;
+    let mut refused = None;
+    loop {
+        match publisher.recv_frame().map_err(bus_error)? {
+            Some(f) if f.command() == Command::Receipt => break,
+            Some(f) if f.command() == Command::Error => {
+                refused.get_or_insert_with(|| refusal(Some(&f)));
+                if f.header("receipt-id").is_some() {
+                    break;
+                }
+            }
+            other => return Err(EngineError::Bus(refusal(other.as_ref()))),
+        }
+    }
+    refused.map_or(Ok(()), |message| Err(EngineError::Bus(message)))
 }
 
 fn bus_error(e: impl std::fmt::Display) -> EngineError {
@@ -339,5 +380,14 @@ impl EventBus for RemoteBus {
 
     fn publish_batch(&self, events: Vec<LabelledEvent>) -> Result<(), EngineError> {
         self.send(&events)
+    }
+
+    fn close(&self) {
+        // A broker that still serves answers a request already written
+        // within the grace; the shutdown wakes a request on one that
+        // stopped answering.
+        let (awaiting, answered) = &self.inner.awaiting;
+        let _ = answered.wait_timeout_while(awaiting.lock(), CLOSE_GRACE, |busy| *busy);
+        self.inner.shut_down();
     }
 }

@@ -23,13 +23,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::Mutex;
-
 use safeweb_broker::Delivery;
 use safeweb_events::{Event, LabelledEvent};
 use safeweb_labels::{LabelSet, Policy, PrincipalKind};
 use safeweb_obs::TraceId;
 use safeweb_sched::{Scheduler, SchedulerOptions, TaskSender};
+use safeweb_sync::{Condvar, Mutex};
 
 use crate::bus::EventBus;
 use crate::error::{EngineError, UnitError};
@@ -347,6 +346,7 @@ impl Engine {
             violations,
             scheduler,
             timer,
+            bus: Arc::clone(&self.bus),
         })
     }
 }
@@ -379,13 +379,13 @@ struct TimerEntry {
 /// deadline — zero wakeups while no timer is due — and `stop` notifies
 /// it out of the wait immediately.
 struct TimerDriver {
-    stop: Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
+    stop: Arc<(Mutex<bool>, Condvar)>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl TimerDriver {
     fn start(mut entries: Vec<TimerEntry>) -> TimerDriver {
-        let stop = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
         let stop_pair = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
             .name("safeweb-engine-timers".to_string())
@@ -409,14 +409,8 @@ impl TimerDriver {
                         .map(|at| at.saturating_duration_since(Instant::now()))
                         .unwrap_or(Duration::from_secs(1))
                         .max(Duration::from_millis(1));
-                    let guard = stopped.lock().unwrap_or_else(|e| e.into_inner());
-                    if *guard {
-                        return;
-                    }
-                    let (guard, _) = wake
-                        .wait_timeout(guard, wait)
-                        .unwrap_or_else(|e| e.into_inner());
-                    if *guard {
+                    let (stop, _) = wake.wait_timeout_while(stopped.lock(), wait, |stop| !*stop);
+                    if *stop {
                         return;
                     }
                 }
@@ -430,7 +424,7 @@ impl TimerDriver {
 
     fn stop(&mut self) {
         let (stopped, wake) = &*self.stop;
-        *stopped.lock().unwrap_or_else(|e| e.into_inner()) = true;
+        *stopped.lock() = true;
         wake.notify_all();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
@@ -443,6 +437,7 @@ pub struct EngineHandle {
     violations: Arc<Mutex<Vec<Violation>>>,
     scheduler: Scheduler<UnitMsg>,
     timer: Option<TimerDriver>,
+    bus: Arc<dyn EventBus>,
 }
 
 impl EngineHandle {
@@ -454,21 +449,32 @@ impl EngineHandle {
         all
     }
 
-    /// Stops all units and joins their threads. The shutdown is
-    /// graceful: inboxes close, everything already accepted is drained,
-    /// then the workers join. Returns the final violation list — the
-    /// place where panics contained during the run surface.
+    /// Stops all units and joins their threads: the timer stops, the bus
+    /// is closed ([`EventBus::close`]), inboxes close, everything already
+    /// accepted is drained, then the workers join. Returns the final
+    /// violation list — the place where panics contained during the run
+    /// surface.
+    ///
+    /// Closing the bus first is what bounds the join: a worker waiting on
+    /// a broker that stopped answering is woken. Over a [`RemoteBus`], a
+    /// publish still waiting for its answer or still queued at `stop`
+    /// therefore fails, and is recorded as a violation
+    /// ([`EngineError::Bus`](crate::EngineError::Bus)). The embedded
+    /// broker's close does nothing, so its drain is unchanged.
+    ///
+    /// [`RemoteBus`]: crate::RemoteBus
     pub fn stop(mut self) -> Vec<Violation> {
         self.shutdown();
         self.violations()
     }
 
-    /// Idempotent: the timer is taken once and the scheduler's own
-    /// shutdown is idempotent.
+    /// Idempotent: the timer is taken once, and closing the bus and the
+    /// scheduler's shutdown are idempotent.
     fn shutdown(&mut self) {
         if let Some(mut timer) = self.timer.take() {
             timer.stop();
         }
+        self.bus.close();
         self.scheduler.shutdown();
     }
 }

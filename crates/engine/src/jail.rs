@@ -295,8 +295,8 @@ impl<'a> Jail<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use safeweb_labels::{Label, Privilege};
+    use safeweb_sync::Mutex;
 
     struct Capture(Mutex<Vec<LabelledEvent>>);
 

@@ -23,7 +23,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::RwLock;
+
+use safeweb_sync::RwLock;
 
 /// Keys longer than this many bytes are never interned.
 pub const INTERN_MAX_LEN: usize = 32;
@@ -76,17 +77,11 @@ fn intern(text: &str) -> Option<&'static String> {
     if let Some(key) = cached.filter(|key| key.as_str() == text) {
         return Some(key);
     }
-    let found = TABLE
-        .read()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .get(text)
-        .copied();
+    let found = TABLE.read().get(text).copied();
     let key = match found {
         Some(key) => key,
         None => {
-            let mut table = TABLE
-                .write()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
+            let mut table = TABLE.write();
             match table.get(text) {
                 Some(key) => *key,
                 None if table.len() < INTERN_MAX_KEYS => {

@@ -21,7 +21,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::{LazyLock, OnceLock};
+
+use safeweb_sync::{Mutex, RwLock};
 
 use crate::label::{Label, LabelKind};
 use crate::privilege::Privilege;
@@ -91,16 +93,11 @@ pub(crate) struct PrivRepr {
     pub(crate) privileges: Box<[Privilege]>,
 }
 
-fn set_table() -> &'static RwLock<HashMap<&'static [Label], &'static SetRepr>> {
-    static TABLE: OnceLock<RwLock<HashMap<&'static [Label], &'static SetRepr>>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(HashMap::new()))
-}
+static SET_TABLE: LazyLock<RwLock<HashMap<&'static [Label], &'static SetRepr>>> =
+    LazyLock::new(RwLock::default);
 
-fn priv_table() -> &'static RwLock<HashMap<&'static [Privilege], &'static PrivRepr>> {
-    static TABLE: OnceLock<RwLock<HashMap<&'static [Privilege], &'static PrivRepr>>> =
-        OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(HashMap::new()))
-}
+static PRIV_TABLE: LazyLock<RwLock<HashMap<&'static [Privilege], &'static PrivRepr>>> =
+    LazyLock::new(RwLock::default);
 
 /// Interns `labels`, which must already be sorted and deduplicated.
 ///
@@ -119,14 +116,11 @@ pub(crate) fn intern_sorted_labels(labels: Vec<Label>) -> &'static SetRepr {
 /// Also returns the number of table entries this call added (0 to 3).
 pub(crate) fn intern_within(labels: Vec<Label>, cap: usize) -> Option<(&'static SetRepr, usize)> {
     debug_assert!(labels.windows(2).all(|w| w[0] < w[1]), "not canonical");
-    {
-        let table = set_table().read().expect("label intern table poisoned");
-        if let Some(repr) = table.get(labels.as_slice()) {
-            return Some((repr, 0));
-        }
+    if let Some(repr) = SET_TABLE.read().get(labels.as_slice()) {
+        return Some((repr, 0));
     }
     let repr = {
-        let mut table = set_table().write().expect("label intern table poisoned");
+        let mut table = SET_TABLE.write();
         match table.get(labels.as_slice()) {
             Some(repr) => return Some((repr, 0)),
             None if table.len().saturating_add(3) > cap => return None,
@@ -198,17 +192,10 @@ fn projection_counted(
 /// Interns `privileges`, which must already be sorted and deduplicated.
 pub(crate) fn intern_sorted_privileges(privileges: Vec<Privilege>) -> &'static PrivRepr {
     debug_assert!(privileges.windows(2).all(|w| w[0] < w[1]), "not canonical");
-    {
-        let table = priv_table()
-            .read()
-            .expect("privilege intern table poisoned");
-        if let Some(repr) = table.get(privileges.as_slice()) {
-            return repr;
-        }
+    if let Some(repr) = PRIV_TABLE.read().get(privileges.as_slice()) {
+        return repr;
     }
-    let mut table = priv_table()
-        .write()
-        .expect("privilege intern table poisoned");
+    let mut table = PRIV_TABLE.write();
     match table.get(privileges.as_slice()) {
         Some(repr) => repr,
         None => {
@@ -227,18 +214,12 @@ pub(crate) fn intern_sorted_privileges(privileges: Vec<Privilege>) -> &'static P
 
 /// Number of distinct label sets interned so far in this process.
 pub(crate) fn interned_set_count() -> usize {
-    set_table()
-        .read()
-        .expect("label intern table poisoned")
-        .len()
+    SET_TABLE.read().len()
 }
 
 /// Number of distinct privilege sets interned so far in this process.
 pub(crate) fn interned_priv_count() -> usize {
-    priv_table()
-        .read()
-        .expect("privilege intern table poisoned")
-        .len()
+    PRIV_TABLE.read().len()
 }
 
 // --- flows_to memo ---------------------------------------------------------
@@ -252,33 +233,28 @@ const MEMO_SHARD_CAP: usize = 8192;
 /// One memo shard: verdicts keyed by raw `(LabelSetId, PrivilegeSetId)`.
 type MemoShard = Mutex<HashMap<(u32, u32), bool>>;
 
-fn memo_shards() -> &'static [MemoShard; MEMO_SHARDS] {
-    static MEMO: OnceLock<[MemoShard; MEMO_SHARDS]> = OnceLock::new();
-    MEMO.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashMap::new())))
-}
+static MEMO: LazyLock<[MemoShard; MEMO_SHARDS]> =
+    LazyLock::new(|| std::array::from_fn(|_| Mutex::default()));
 
 fn memo_shard(set: LabelSetId, privs: PrivilegeSetId) -> &'static MemoShard {
     let mix = set
         .0
         .wrapping_mul(0x9e37_79b9)
         .wrapping_add(privs.0.wrapping_mul(0x85eb_ca6b));
-    &memo_shards()[(mix as usize) & (MEMO_SHARDS - 1)]
+    &MEMO[(mix as usize) & (MEMO_SHARDS - 1)]
 }
 
 /// Cached `flows_to` verdict for `(set, privs)`, if one is present.
 pub(crate) fn flows_memo_get(set: LabelSetId, privs: PrivilegeSetId) -> Option<bool> {
     memo_shard(set, privs)
         .lock()
-        .expect("flows_to memo poisoned")
         .get(&(set.0, privs.0))
         .copied()
 }
 
 /// Records a `flows_to` verdict for `(set, privs)`.
 pub(crate) fn flows_memo_put(set: LabelSetId, privs: PrivilegeSetId, verdict: bool) {
-    let mut shard = memo_shard(set, privs)
-        .lock()
-        .expect("flows_to memo poisoned");
+    let mut shard = memo_shard(set, privs).lock();
     if shard.len() >= MEMO_SHARD_CAP {
         shard.clear();
     }

@@ -10,11 +10,12 @@
 //! spirit of LWeb's statically-checked label policies, this crate is
 //! the static layer that checks the enforcement layer itself.
 //!
-//! Six rules, all hard CI failures with `file:line` diagnostics:
+//! Seven rules, all hard CI failures with `file:line` diagnostics:
 //!
 //! | rule | invariant |
 //! |------|-----------|
 //! | `unsafe-confinement`   | `unsafe` only in `reactor::sys`; every other crate root carries `#![forbid(unsafe_code)]` |
+//! | `sync-confinement`     | `std::sync::{Mutex, RwLock, Condvar}` named in `crates/*/src` only inside `crates/sync/src` |
 //! | `declassify-registry`  | every `TrustedLiteral::declassified` / `Privilege::declassify` / sanitiser call site is enumerated in `DECLASSIFY.toml` with a justification |
 //! | `query-hygiene`        | `format!`/`+` output never flows (same function, token level) into `parse_trusted`, `select_spec`, `Selector::parse`, `records_by`, or view names |
 //! | `lock-order`           | the per-crate `Mutex`/`RwLock` acquisition graph is acyclic |

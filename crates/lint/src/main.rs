@@ -113,7 +113,7 @@ OPTIONS:
     --root DIR     workspace root (default: walk up from the cwd)
     --json PATH    also write the findings report as JSON
 
-Rules: unsafe-confinement, declassify-registry, query-hygiene,
-lock-order, test-liveness. Exemptions: lint.allow.toml (justification
+Rules: unsafe-confinement, sync-confinement, declassify-registry,
+query-hygiene, lock-order, telemetry-hygiene, test-liveness. Exemptions: lint.allow.toml (justification
 required); declassification registry: DECLASSIFY.toml.
 ";

@@ -5,8 +5,9 @@
 //! it extracts `Mutex`/`RwLock` guard nesting at the token level:
 //!
 //! * an acquisition is `receiver.lock()` / `.read()` / `.write()` with
-//!   no arguments — the `parking_lot`-shim and `std` guard APIs (the
-//!   zero-argument requirement keeps `io::Read::read(&mut buf)` and
+//!   no arguments — the `safeweb-sync` guard API, the only lock API
+//!   `sync-confinement` lets `crates/*/src` use (the zero-argument
+//!   requirement keeps `io::Read::read(&mut buf)` and
 //!   `Write::write(&buf)` out);
 //! * a guard bound by `let` is held until its enclosing block closes
 //!   (or an explicit `drop(guard)`); a temporary guard is held to the

@@ -1,4 +1,5 @@
-//! The six invariant checks, plus the token-walking helpers they
+//! The seven invariant checks (two of them, `unsafe-confinement` and
+//! `sync-confinement`, share one scan), plus the token-walking helpers they
 //! share. Each rule is a pure function from a lexed
 //! [`Workspace`](crate::workspace::Workspace) (and optionally a policy
 //! file) to [`Finding`](crate::diag::Finding)s; `tests/rule_fixtures.rs`

@@ -11,6 +11,8 @@ const UNSAFE_VIOLATION: &str = include_str!("../fixtures/unsafe_violation.rs");
 const UNSAFE_CLEAN: &str = include_str!("../fixtures/unsafe_clean.rs");
 const ROOT_VIOLATION: &str = include_str!("../fixtures/unsafe_root_violation.rs");
 const ROOT_CLEAN: &str = include_str!("../fixtures/unsafe_root_clean.rs");
+const SYNC_VIOLATION: &str = include_str!("../fixtures/sync_violation.rs");
+const SYNC_CLEAN: &str = include_str!("../fixtures/sync_clean.rs");
 const DECLASSIFY_SITES: &str = include_str!("../fixtures/declassify_sites.rs");
 const DECLASSIFY_REGISTRY: &str = include_str!("../fixtures/declassify_registry.toml");
 const QUERY_VIOLATION: &str = include_str!("../fixtures/query_violation.rs");
@@ -67,6 +69,20 @@ fn unsafe_confinement_catches_missing_root_gate() {
         &ws("crates/netstub/src/lib.rs", FileKind::Src, ROOT_VIOLATION),
         &ws("crates/netstub/src/lib.rs", FileKind::Src, ROOT_CLEAN),
     );
+}
+
+#[test]
+fn sync_confinement_catches_std_locks_outside_the_facade() {
+    // A braced import, a nested use tree and an inline path.
+    mutation_check(
+        "sync-confinement",
+        3,
+        &ws("crates/netstub/src/count.rs", FileKind::Src, SYNC_VIOLATION),
+        &ws("crates/netstub/src/count.rs", FileKind::Src, SYNC_CLEAN),
+    );
+    // The facade itself may name them.
+    let facade = ws("crates/sync/src/lock.rs", FileKind::Src, SYNC_VIOLATION);
+    assert!(lint(&facade).is_empty());
 }
 
 #[test]

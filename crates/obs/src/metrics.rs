@@ -14,9 +14,10 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use safeweb_json::Value;
+use safeweb_sync::RwLock;
 
 /// A monotonically increasing counter.
 ///
@@ -310,7 +311,7 @@ pub struct MetricsRegistry {
 
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let metrics = self.metrics.read().expect("metrics registry poisoned");
+        let metrics = self.metrics.read();
         f.debug_struct("MetricsRegistry")
             .field("len", &metrics.len())
             .finish()
@@ -330,16 +331,11 @@ impl MetricsRegistry {
         extract: impl Fn(&Metric) -> Option<T>,
         make: impl FnOnce() -> (T, Metric),
     ) -> T {
-        if let Some(existing) = self
-            .metrics
-            .read()
-            .expect("metrics registry poisoned")
-            .get(name)
-        {
+        if let Some(existing) = self.metrics.read().get(name) {
             return extract(existing)
                 .unwrap_or_else(|| panic!("metric {name:?} already registered as a non-{kind}"));
         }
-        let mut metrics = self.metrics.write().expect("metrics registry poisoned");
+        let mut metrics = self.metrics.write();
         if let Some(existing) = metrics.get(name) {
             return extract(existing)
                 .unwrap_or_else(|| panic!("metric {name:?} already registered as a non-{kind}"));
@@ -408,7 +404,7 @@ impl MetricsRegistry {
     /// live counter without resetting it. Replaces a previous counter of
     /// the same name; panics if `name` holds a different metric kind.
     pub fn register_counter(&self, name: &str, counter: &Counter) {
-        let mut metrics = self.metrics.write().expect("metrics registry poisoned");
+        let mut metrics = self.metrics.write();
         if let Some(existing) = metrics.get(name) {
             assert!(
                 matches!(existing, Metric::Counter(_)),
@@ -421,7 +417,7 @@ impl MetricsRegistry {
     /// [`MetricsRegistry::register_counter`] for histograms: surfaces an
     /// existing handle (and its accumulated observations) under `name`.
     pub fn register_histogram(&self, name: &str, histogram: &Histogram) {
-        let mut metrics = self.metrics.write().expect("metrics registry poisoned");
+        let mut metrics = self.metrics.write();
         if let Some(existing) = metrics.get(name) {
             assert!(
                 matches!(existing, Metric::Histogram(_)),
@@ -438,27 +434,18 @@ impl MetricsRegistry {
     pub fn register_derived(&self, name: &str, f: impl Fn() -> f64 + Send + Sync + 'static) {
         self.metrics
             .write()
-            .expect("metrics registry poisoned")
             .insert(name.to_string(), Metric::Derived(Arc::new(f)));
     }
 
     /// Removes a metric (used when a subsystem is disabled so its stale
     /// zeros do not linger in snapshots).
     pub fn unregister(&self, name: &str) {
-        self.metrics
-            .write()
-            .expect("metrics registry poisoned")
-            .remove(name);
+        self.metrics.write().remove(name);
     }
 
     /// Registered metric names, sorted.
     pub fn names(&self) -> Vec<String> {
-        self.metrics
-            .read()
-            .expect("metrics registry poisoned")
-            .keys()
-            .cloned()
-            .collect()
+        self.metrics.read().keys().cloned().collect()
     }
 
     /// Snapshot of every metric as JSON: counters and gauges as
@@ -468,7 +455,7 @@ impl MetricsRegistry {
         // Clone handles out first: derived closures may read other
         // subsystems' state and must not run under the registry lock.
         let entries: Vec<(String, Metric)> = {
-            let metrics = self.metrics.read().expect("metrics registry poisoned");
+            let metrics = self.metrics.read();
             metrics
                 .iter()
                 .map(|(k, v)| (k.clone(), v.clone()))

@@ -25,10 +25,11 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::str::FromStr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock, RwLock};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use safeweb_json::{Key, Value};
+use safeweb_sync::{Mutex, RwLock};
 
 /// Spans retained per component ring.
 const RING_CAP: usize = 4096;
@@ -169,13 +170,13 @@ impl Tracer {
             return;
         }
         span.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let rings = self.rings.read().expect("tracer rings poisoned");
+        let rings = self.rings.read();
         if let Some((_, ring)) = rings.iter().find(|(c, _)| *c == span.component) {
             push_bounded(ring, span);
             return;
         }
         drop(rings);
-        let mut rings = self.rings.write().expect("tracer rings poisoned");
+        let mut rings = self.rings.write();
         if let Some((_, ring)) = rings.iter().find(|(c, _)| *c == span.component) {
             push_bounded(ring, span);
             return;
@@ -193,9 +194,9 @@ impl Tracer {
         if !id.is_set() {
             return out;
         }
-        let rings = self.rings.read().expect("tracer rings poisoned");
+        let rings = self.rings.read();
         for (_, ring) in rings.iter() {
-            let ring = ring.lock().expect("tracer ring poisoned");
+            let ring = ring.lock();
             out.extend(ring.iter().filter(|s| s.trace == id).cloned());
         }
         drop(rings);
@@ -214,7 +215,7 @@ impl Tracer {
 }
 
 fn push_bounded(ring: &Mutex<VecDeque<Span>>, span: Span) {
-    let mut ring = ring.lock().expect("tracer ring poisoned");
+    let mut ring = ring.lock();
     if ring.len() >= RING_CAP {
         ring.pop_front();
     }

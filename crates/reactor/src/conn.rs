@@ -15,9 +15,10 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 
 use safeweb_sched::{Scheduler, TaskSender};
+use safeweb_sync::Mutex;
 
 use crate::sys::EventFd;
 
@@ -65,7 +66,7 @@ impl ReactorShared {
     /// fan-out touching thousands of connections).
     pub(crate) fn push(&self, cmd: Command) {
         let was_empty = {
-            let mut cmds = self.cmds.lock().unwrap_or_else(|e| e.into_inner());
+            let mut cmds = self.cmds.lock();
             let was_empty = cmds.is_empty();
             cmds.push(cmd);
             was_empty
@@ -77,7 +78,7 @@ impl ReactorShared {
 
     /// Takes the queued commands (reactor thread only).
     pub(crate) fn drain(&self) -> Vec<Command> {
-        std::mem::take(&mut *self.cmds.lock().unwrap_or_else(|e| e.into_inner()))
+        std::mem::take(&mut *self.cmds.lock())
     }
 
     pub(crate) fn wake_fd(&self) -> i32 {
@@ -285,7 +286,7 @@ impl ConnHandle {
             return Ok(());
         }
         let was_empty = {
-            let mut out = self.shared.out.lock().unwrap_or_else(|e| e.into_inner());
+            let mut out = self.shared.out.lock();
             if out.closed {
                 return Err(SendError::Closed);
             }
@@ -310,7 +311,7 @@ impl ConnHandle {
     /// Closes the connection, dropping any unwritten outbound bytes.
     pub fn close(&self) {
         {
-            let mut out = self.shared.out.lock().unwrap_or_else(|e| e.into_inner());
+            let mut out = self.shared.out.lock();
             out.closed = true;
         }
         self.shared.reactor.push(Command::Close(self.shared.token));
@@ -320,7 +321,7 @@ impl ConnHandle {
     /// already queued has been written.
     pub fn close_after_flush(&self) {
         {
-            let mut out = self.shared.out.lock().unwrap_or_else(|e| e.into_inner());
+            let mut out = self.shared.out.lock();
             out.closed = true;
             out.close_after_flush = true;
         }
@@ -329,11 +330,7 @@ impl ConnHandle {
 
     /// Whether the connection is closed or closing.
     pub fn is_closed(&self) -> bool {
-        self.shared
-            .out
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .closed
+        self.shared.out.lock().closed
     }
 
     /// Stops reading from the connection until at most `resume_at` of its

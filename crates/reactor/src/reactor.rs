@@ -22,7 +22,8 @@
 //! # Robustness
 //!
 //! A transient `accept()` failure (`EMFILE`, `ECONNABORTED`, ...) is
-//! logged and retried after a short backoff — it never stops the accept
+//! counted ([`Reactor::accept_errors`]), logged and retried after a short
+//! backoff — it never stops the accept
 //! loop (the pre-reactor frontends died on the first such error). Slow
 //! consumers are bounded by per-connection outbound caps; exceeding the
 //! cap surfaces as [`crate::SendError::Overflow`] to the protocol, which
@@ -118,6 +119,7 @@ pub struct Reactor {
     active: Arc<AtomicUsize>,
     queued_bytes: Arc<AtomicUsize>,
     accepted: Counter,
+    accept_errors: Counter,
     disconnected: Counter,
     thread: Option<JoinHandle<()>>,
     scheduler: Arc<Scheduler<Job>>,
@@ -173,6 +175,7 @@ impl Reactor {
         let active = Arc::new(AtomicUsize::new(0));
         let queued_bytes = Arc::new(AtomicUsize::new(0));
         let accepted = Counter::new();
+        let accept_errors = Counter::new();
         let disconnected = Counter::new();
         let thread_name = format!("{}-reactor", config.name);
         let core = Core {
@@ -188,6 +191,7 @@ impl Reactor {
             active: Arc::clone(&active),
             queued_bytes: Arc::clone(&queued_bytes),
             accepted: accepted.clone(),
+            accept_errors: accept_errors.clone(),
             disconnected: disconnected.clone(),
             reaccept_at: None,
             next_sweep: Instant::now(),
@@ -203,6 +207,7 @@ impl Reactor {
             active,
             queued_bytes,
             accepted,
+            accept_errors,
             disconnected,
             thread: Some(thread),
             scheduler,
@@ -212,11 +217,13 @@ impl Reactor {
     /// Wires this reactor's telemetry into `registry` under `prefix`
     /// (several reactors — broker frontend, HTTP frontends — can share a
     /// registry, each with its own prefix): `<prefix>.accepted` /
-    /// `<prefix>.disconnected` counters plus derived gauges
+    /// `<prefix>.accept_errors` / `<prefix>.disconnected` counters plus
+    /// derived gauges
     /// `<prefix>.active_connections` and `<prefix>.outbox_bytes` (the
     /// aggregate outbox depth [`Reactor::queued_bytes`] reports).
     pub fn attach_metrics(&self, registry: &MetricsRegistry, prefix: &str) {
         registry.register_counter(&format!("{prefix}.accepted"), &self.accepted);
+        registry.register_counter(&format!("{prefix}.accept_errors"), &self.accept_errors);
         registry.register_counter(&format!("{prefix}.disconnected"), &self.disconnected);
         let active = Arc::clone(&self.active);
         registry.register_derived(&format!("{prefix}.active_connections"), move || {
@@ -231,6 +238,12 @@ impl Reactor {
     /// The bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
+    }
+
+    /// Failed `accept()` calls so far (`EMFILE`, `ECONNABORTED`, ...);
+    /// each one disarms the listener for a short backoff.
+    pub fn accept_errors(&self) -> u64 {
+        self.accept_errors.get()
     }
 
     /// Connections currently registered.
@@ -307,6 +320,7 @@ struct Core {
     active: Arc<AtomicUsize>,
     queued_bytes: Arc<AtomicUsize>,
     accepted: Counter,
+    accept_errors: Counter,
     disconnected: Counter,
     /// When set, the listener is disarmed after an accept error until
     /// this instant.
@@ -385,9 +399,10 @@ impl Core {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) => {
                     // A transient accept failure (EMFILE, ECONNABORTED,
-                    // EINTR storm, ...) must never stop the server: log,
-                    // disarm the listener briefly so a persistent error
-                    // cannot spin the loop, and retry.
+                    // EINTR storm, ...) must never stop the server: count
+                    // and log it, disarm the listener briefly so a
+                    // persistent error cannot spin the loop, and retry.
+                    self.accept_errors.inc();
                     eprintln!(
                         "safeweb-reactor[{}]: accept error (retrying in {:?}): {e}",
                         self.config.name, ACCEPT_BACKOFF
@@ -547,7 +562,7 @@ impl Core {
         self.disconnected.inc();
         let _ = self.epoll.delete(state.stream.as_raw_fd());
         {
-            let mut out = state.shared.out.lock().unwrap_or_else(|e| e.into_inner());
+            let mut out = state.shared.out.lock();
             out.closed = true;
             out.depth.fetch_sub(out.len, Ordering::Relaxed);
             out.chunks.clear();
@@ -642,7 +657,7 @@ fn desired_interest(state: &ConnState) -> u32 {
     if !state.read_paused {
         mask |= EPOLLIN | EPOLLRDHUP;
     }
-    let out = state.shared.out.lock().unwrap_or_else(|e| e.into_inner());
+    let out = state.shared.out.lock();
     if out.len > 0 {
         mask |= EPOLLOUT;
     }
@@ -660,7 +675,7 @@ fn set_interest(epoll: &Epoll, state: &mut ConnState, want: u32) {
 ///
 /// Returns `(drained, close_after_flush)`.
 fn flush_outbox(state: &mut ConnState) -> io::Result<(bool, bool)> {
-    let mut out = state.shared.out.lock().unwrap_or_else(|e| e.into_inner());
+    let mut out = state.shared.out.lock();
     let drained = write_outbox(&mut state.stream, &mut out)?;
     Ok((drained, out.close_after_flush))
 }

@@ -2,8 +2,8 @@
 //! the pre-reactor frontends broke their accept loop on the first
 //! transient `accept()` error (e.g. `EMFILE`), permanently killing the
 //! server. Here `EMFILE` is provoked for real by clamping the process's
-//! open-file soft limit; the reactor must log-and-retry, then accept new
-//! connections normally once descriptors free up.
+//! open-file soft limit; the reactor must count, log and retry, then
+//! accept new connections normally once descriptors free up.
 //!
 //! This lives in its own integration-test binary: the rlimit is process
 //! state, and sharing a process with unrelated parallel tests would make
@@ -70,19 +70,26 @@ fn accept_survives_emfile() {
             }
         }
     }
-    // Give the reactor a beat to hit (and survive) the failing accepts
-    // for the connections queued in the backlog.
-    std::thread::sleep(Duration::from_millis(150));
+    // The reactor must really hit (and survive) a failing accept for a
+    // connection queued in the backlog: its error count says it did.
+    let counted = Instant::now() + Duration::from_secs(5);
+    while reactor.accept_errors() == 0 && Instant::now() < counted {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let accept_errors = reactor.accept_errors();
 
     // Free the descriptors and restore the limit: the server must still
     // be accepting. Before the fix this locked the frontend up forever.
     drop(hoard);
     sys::set_nofile_soft(previous).expect("restore rlimit");
-    std::thread::sleep(Duration::from_millis(100));
 
     assert!(
         saw_exhaustion,
         "test precondition: fd exhaustion was never reached"
+    );
+    assert!(
+        accept_errors >= 1,
+        "test precondition: the reactor never saw a failing accept()"
     );
     let mut ok = false;
     for _ in 0..20 {

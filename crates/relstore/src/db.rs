@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use parking_lot::RwLock;
+use safeweb_sync::RwLock;
 
 use crate::types::{CellValue, Schema};
 

@@ -41,8 +41,8 @@
 use std::borrow::Cow;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use safeweb_sync::Mutex;
 use safeweb_taint::SStr;
 
 /// Where a [`TrustedLiteral`] got its trust.
@@ -98,7 +98,7 @@ impl TrustedLiteral {
     /// (and [`declassify_count`], which always counts every call).
     pub fn declassified(s: &SStr, justification: &'static str) -> TrustedLiteral {
         DECLASSIFY_COUNT.fetch_add(1, Ordering::Relaxed);
-        let mut log = audit_log().lock().expect("audit log lock");
+        let mut log = AUDIT.lock();
         if log.len() < AUDIT_CAP {
             let mut preview = s.as_str().to_string();
             if preview.len() > PREVIEW_LIMIT {
@@ -209,10 +209,6 @@ static DECLASSIFY_COUNT: AtomicU64 = AtomicU64::new(0);
 static DECLASSIFY_DROPPED: AtomicU64 = AtomicU64::new(0);
 static AUDIT: Mutex<Vec<DeclassifyEvent>> = Mutex::new(Vec::new());
 
-fn audit_log() -> &'static Mutex<Vec<DeclassifyEvent>> {
-    &AUDIT
-}
-
 /// Total [`TrustedLiteral::declassified`] calls in this process.
 pub fn declassify_count() -> u64 {
     DECLASSIFY_COUNT.load(Ordering::Relaxed)
@@ -228,7 +224,7 @@ pub fn declassify_dropped() -> u64 {
 /// A snapshot of the declassification audit log (at most
 /// [`AUDIT_CAP`] events; see [`declassify_dropped`]).
 pub fn declassify_events() -> Vec<DeclassifyEvent> {
-    audit_log().lock().expect("audit log lock").clone()
+    AUDIT.lock().clone()
 }
 
 /// A query *value* for parameter binding. Any string — tainted or not —

@@ -4,7 +4,9 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
+
+use safeweb_sync::{Condvar, Mutex};
 
 /// Error returned by a blocking send; carries the unsent message.
 pub struct SendError<M>(pub M);
@@ -92,9 +94,9 @@ impl<M> Inbox<M> {
     /// to itself from its own handler), which must not block: the worker
     /// executing the task is the only thread that could ever drain it.
     pub(crate) fn push(&self, msg: M, bypass_cap: bool) -> Result<Pushed, SendError<M>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         while !state.closed && !bypass_cap && state.queue.len() >= self.cap {
-            state = self.space.wait(state).unwrap_or_else(|e| e.into_inner());
+            state = self.space.wait(state);
         }
         if state.closed {
             return Err(SendError(msg));
@@ -111,7 +113,7 @@ impl<M> Inbox<M> {
     /// cap. A refused tick is dropped, coalescing exactly like a lagging
     /// tick channel.
     pub(crate) fn try_push(&self, msg: M, busy: bool) -> Result<Pushed, TrySendError<M>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         if state.closed {
             return Err(TrySendError::Closed(msg));
         }
@@ -126,7 +128,7 @@ impl<M> Inbox<M> {
 
     /// Drains up to `burst` messages into `into`, waking blocked senders.
     pub(crate) fn drain(&self, burst: usize, into: &mut Vec<M>) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         let n = state.queue.len().min(burst);
         into.extend(state.queue.drain(..n));
         if n > 0 {
@@ -136,22 +138,18 @@ impl<M> Inbox<M> {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .queue
-            .len()
+        self.state.lock().queue.len()
     }
 
     pub(crate) fn is_closed(&self) -> bool {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).closed
+        self.state.lock().closed
     }
 
     /// Closes the inbox. Blocked senders wake with [`SendError`]; when
     /// `discard` is set (task poisoned by a panic), already-queued
     /// messages are dropped too — a poisoned task processes nothing more.
     pub(crate) fn close(&self, discard: bool) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.state.lock();
         state.closed = true;
         if discard {
             self.depth.fetch_sub(state.queue.len(), Ordering::Relaxed);

@@ -5,11 +5,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-
-use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
+use safeweb_sync::{Condvar, Mutex};
 
 use crate::inbox::{Inbox, Pushed, SendError, TrySendError};
 
@@ -202,13 +201,10 @@ impl<M: Send + 'static> Inner<M> {
         } else {
             &self.queues[self.workers]
         };
-        queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push_back(task);
+        queue.lock().push_back(task);
         self.pending.fetch_add(1, Ordering::SeqCst);
         if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.parker.lock.lock().unwrap_or_else(|e| e.into_inner());
+            let _guard = self.parker.lock.lock();
             self.parker.wakeups.fetch_add(1, Ordering::SeqCst);
             self.parker.cv.notify_one();
         }
@@ -264,11 +260,7 @@ impl<M: Send + 'static> Inner<M> {
             }
         });
         for queue_index in order {
-            if let Some(task) = self.queues[queue_index]
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .pop_front()
-            {
+            if let Some(task) = self.queues[queue_index].lock().pop_front() {
                 self.pending.fetch_sub(1, Ordering::SeqCst);
                 if queue_index != index && queue_index != self.workers {
                     self.metrics.steals.inc();
@@ -284,7 +276,7 @@ impl<M: Send + 'static> Inner<M> {
         scratch.clear();
         task.inbox.drain(self.burst, scratch);
         if !scratch.is_empty() {
-            let mut handler = task.handler.lock().unwrap_or_else(|e| e.into_inner());
+            let mut handler = task.handler.lock();
             CURRENT_TASK.with(|current| current.set(task.uid));
             // Activation latency covers handler time only (not queueing).
             let started = Instant::now();
@@ -326,13 +318,10 @@ impl<M: Send + 'static> Inner<M> {
     fn poison(&self, task: &Task<M>, payload: &(dyn std::any::Any + Send)) {
         task.inbox.close(true);
         let message = panic_message(payload);
-        self.panics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(TaskPanic {
-                task: task.name.clone(),
-                message,
-            });
+        self.panics.lock().push(TaskPanic {
+            task: task.name.clone(),
+            message,
+        });
     }
 
     /// Brief spin between an empty scan and a full park; returns whether
@@ -362,16 +351,12 @@ impl<M: Send + 'static> Inner<M> {
         let entry = self.parker.wakeups.load(Ordering::SeqCst);
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         {
-            let mut guard = self.parker.lock.lock().unwrap_or_else(|e| e.into_inner());
+            let mut guard = self.parker.lock.lock();
             while self.parker.wakeups.load(Ordering::SeqCst) == entry
                 && self.pending.load(Ordering::SeqCst) == 0
                 && !self.stopping.load(Ordering::SeqCst)
             {
-                guard = self
-                    .parker
-                    .cv
-                    .wait(guard)
-                    .unwrap_or_else(|e| e.into_inner());
+                guard = self.parker.cv.wait(guard);
             }
         }
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
@@ -478,12 +463,7 @@ impl<M: Send + 'static> Scheduler<M> {
     /// Public as a signal: the reactor's tests wait on it reaching 0 after
     /// their connections close.
     pub fn live_tasks(&self) -> usize {
-        self.inner
-            .tasks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .live()
-            .count()
+        self.inner.tasks.lock().live().count()
     }
 
     /// Registers a task: a bounded inbox plus a handler the pool invokes
@@ -508,7 +488,7 @@ impl<M: Send + 'static> Scheduler<M> {
             handler: Mutex::new(Box::new(handler)),
         });
         {
-            let mut tasks = self.inner.tasks.lock().unwrap_or_else(|e| e.into_inner());
+            let mut tasks = self.inner.tasks.lock();
             if self.inner.stopping.load(Ordering::SeqCst) {
                 task.inbox.close(true);
             } else {
@@ -523,11 +503,7 @@ impl<M: Send + 'static> Scheduler<M> {
 
     /// Handler panics contained so far (each one poisoned its task).
     pub fn panics(&self) -> Vec<TaskPanic> {
-        self.inner
-            .panics
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.inner.panics.lock().clone()
     }
 
     /// Graceful shutdown: closes every inbox (senders start failing,
@@ -537,28 +513,18 @@ impl<M: Send + 'static> Scheduler<M> {
         // Closing inboxes under the tasks lock serialises with `spawn`,
         // so no task slips in unclosed.
         {
-            let tasks = self.inner.tasks.lock().unwrap_or_else(|e| e.into_inner());
+            let tasks = self.inner.tasks.lock();
             self.inner.stopping.store(true, Ordering::SeqCst);
             for task in tasks.live() {
                 task.inbox.close(false);
             }
         }
         {
-            let _guard = self
-                .inner
-                .parker
-                .lock
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
+            let _guard = self.inner.parker.lock.lock();
             self.inner.parker.wakeups.fetch_add(1, Ordering::SeqCst);
             self.inner.parker.cv.notify_all();
         }
-        for thread in self
-            .threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .drain(..)
-        {
+        for thread in self.threads.lock().drain(..) {
             let _ = thread.join();
         }
         // Final sweep, on this thread, after every worker has exited: a
@@ -567,13 +533,7 @@ impl<M: Send + 'static> Scheduler<M> {
         // queues leaves messages behind with nobody to run them. The
         // inboxes are closed, so this drains to empty in bounded work —
         // and every send that returned Ok stays processed, as promised.
-        let tasks: Vec<Arc<Task<M>>> = self
-            .inner
-            .tasks
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .live()
-            .collect();
+        let tasks: Vec<Arc<Task<M>>> = self.inner.tasks.lock().live().collect();
         let mut scratch = Vec::new();
         for task in tasks {
             while task.inbox.len() > 0 {
@@ -728,21 +688,18 @@ mod tests {
         }
 
         fn open(&self) {
-            let mut open = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut open = self.state.lock();
             *open = true;
             self.cv.notify_all();
         }
 
         fn wait(&self) {
             let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            let mut open = self.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut open = self.state.lock();
             while !*open {
                 let now = std::time::Instant::now();
                 assert!(now < deadline, "gate never opened");
-                let (next, _) = self
-                    .cv
-                    .wait_timeout(open, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
+                let (next, _) = self.cv.wait_timeout(open, deadline - now);
                 open = next;
             }
         }
@@ -763,19 +720,12 @@ mod tests {
         let sched: Scheduler<u32> = Scheduler::new(options(2));
         let log = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&log);
-        let tx = sched.spawn("t", move |batch| {
-            sink.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .extend(batch.drain(..))
-        });
+        let tx = sched.spawn("t", move |batch| sink.lock().extend(batch.drain(..)));
         for i in 0..100 {
             tx.send(i).unwrap();
         }
         sched.shutdown();
-        assert_eq!(
-            *log.lock().unwrap_or_else(|e| e.into_inner()),
-            (0..100).collect::<Vec<_>>()
-        );
+        assert_eq!(*log.lock(), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
@@ -840,11 +790,7 @@ mod tests {
                     // Refill past the cap from inside the handler: with
                     // cap 8 this would deadlock the only worker if
                     // self-sends blocked.
-                    let tx = own
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .clone()
-                        .unwrap();
+                    let tx = own.lock().clone().unwrap();
                     for _ in 0..20 {
                         tx.send(0).unwrap();
                     }
@@ -853,7 +799,7 @@ mod tests {
                 }
             }
         });
-        *holder.lock().unwrap_or_else(|e| e.into_inner()) = Some(tx.clone());
+        *holder.lock() = Some(tx.clone());
         tx.send(1).unwrap();
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         while done.load(Ordering::SeqCst) < 20 {

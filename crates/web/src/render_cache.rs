@@ -23,9 +23,9 @@
 //! the document store — not on the username or other per-user state.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
 
 use safeweb_labels::PrivilegeSetId;
+use safeweb_sync::Mutex;
 
 /// Cache key: one rendered page per (route, concrete path+query, clearance).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -84,7 +84,7 @@ impl RenderCache {
             path_query: path_query.to_string(),
             clearance: clearance.as_u32(),
         };
-        let shard = self.shard(&key).lock().expect("render cache poisoned");
+        let shard = self.shard(&key).lock();
         match shard.get(&key) {
             Some((at, page)) if *at == seq => Some(page.clone()),
             _ => None,
@@ -107,7 +107,7 @@ impl RenderCache {
             path_query: path_query.to_string(),
             clearance: clearance.as_u32(),
         };
-        let mut shard = self.shard(&key).lock().expect("render cache poisoned");
+        let mut shard = self.shard(&key).lock();
         if shard.len() >= SHARD_CAP {
             shard.clear();
         }
@@ -160,7 +160,7 @@ mod tests {
         for i in 0..(SHARD_CAP * SHARDS * 2) {
             cache.put(0, &format!("/p/{i}"), c, 1, page("x"));
         }
-        let total: usize = cache.shards.iter().map(|s| s.lock().unwrap().len()).sum();
+        let total: usize = cache.shards.iter().map(|s| s.lock().len()).sum();
         assert!(total <= SHARD_CAP * SHARDS);
     }
 }

@@ -4,6 +4,8 @@
 //! piling up in a channel. Every request waits for the broker's answer,
 //! so a refusal reaches its caller.
 
+use std::io::Write;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -15,6 +17,7 @@ use safeweb::engine::{
 };
 use safeweb::events::{Event, LabelledEvent};
 use safeweb::labels::{Label, Policy, PrivilegeSet};
+use safeweb::stomp::{Command, Frame, TcpTransport};
 
 /// Every test spawns servers and threads; a thread count is only
 /// meaningful while nothing else in this binary runs.
@@ -291,5 +294,80 @@ fn dropping_the_last_handle_closes_both_connections_and_ends_the_reader() {
     wait_for(
         || server.broker().subscription_count() == 0,
         "the subscription to go",
+    );
+}
+
+/// A broker that accepts both of a bus's connections and answers their
+/// `CONNECT`s, then reads and never answers. Each `SEND` it reads is
+/// reported on the returned channel.
+fn mute_broker() -> (String, mpsc::Receiver<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (sent, sends) = mpsc::channel();
+    std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = TcpTransport::new(stream);
+            let connect = conn.recv_frame().unwrap().unwrap();
+            assert_eq!(connect.command(), Command::Connect);
+            conn.send_frame(&Frame::new(Command::Connected)).unwrap();
+            let sent = sent.clone();
+            std::thread::spawn(move || {
+                while let Ok(Some(frame)) = conn.recv_frame() {
+                    if frame.command() == Command::Send {
+                        let _ = sent.send(());
+                    }
+                }
+            });
+        }
+    });
+    (addr, sends)
+}
+
+/// Aborts the process with `what` unless the returned sender is dropped
+/// within `limit`: a wedge fails the binary instead of hanging it.
+fn watchdog(limit: Duration, what: &'static str) -> mpsc::Sender<()> {
+    let (disarm, armed) = mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        if armed.recv_timeout(limit) == Err(mpsc::RecvTimeoutError::Timeout) {
+            // Straight to stderr: the harness's capture would drop it.
+            let _ = writeln!(
+                std::io::stderr(),
+                "watchdog: {what} after {limit:?}; aborting"
+            );
+            std::process::abort();
+        }
+    });
+    disarm
+}
+
+/// A broker that keeps its sockets open and never answers cannot wedge
+/// `stop`: closing the bus wakes the worker blocked on the answer, and
+/// the publish it was waiting for is a violation.
+#[test]
+fn stop_returns_while_the_broker_never_answers() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _watchdog = watchdog(Duration::from_secs(10), "stop wedged on a mute broker");
+    let (addr, sends) = mute_broker();
+    let bus = RemoteBus::connect(&addr, "listener").unwrap();
+    let unit = UnitSpec::new("listener").every(Duration::from_millis(5), |jail| {
+        let tick = Event::new("/tick").unwrap().with_attr("kind", "tick");
+        jail.publish(tick, Relabel::keep())
+    });
+    let mut engine = Engine::new(Arc::new(bus), policy()).with_options(engine_options(1, 8));
+    engine.add_unit(unit).unwrap();
+    let handle = engine.start().unwrap();
+    sends.recv_timeout(WAIT).expect("the unit never published");
+
+    let started = Instant::now();
+    let violations = handle.stop();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    assert!(
+        violations.iter().any(|v| matches!(
+            &v.error,
+            UnitError::Application(m) if m.contains("publish failed")
+        )),
+        "{violations:?}"
     );
 }
