@@ -28,18 +28,32 @@ use safeweb_bench::{count_crate, workspace_root};
 /// import split from the facade's; engine 898 → 921, which is the stop
 /// fix (+29: `EventBus::close`, the bus's socket handles and its 250 ms
 /// grace for a request already written, and the handle's bus) less the
-/// lock syntax and the timer's one `wait_timeout_while` (−6).
+/// lock syntax and the timer's one `wait_timeout_while` (−6). Engine
+/// 921 → 927: `RemoteBus::connect`'s log-in read gets a deadline
+/// (`RemoteBus::LOGIN_TIMEOUT`, set for that read only and cleared), so a
+/// peer that accepts and never answers cannot hold the caller.
 const CRATE_MAX: [(&str, usize); 5] = [
     ("taint", 332),
-    ("engine", 921),
+    ("engine", 927),
     ("labels", 1195),
     ("broker", 749),
     ("web", 982),
 ];
 /// Taint + engine + labels + broker + web code lines (4 338 → 4 255 →
-/// 4 250 → 4 246 → 4 180 → 4 179, the last as the locks moved onto one
-/// facade and a stopping engine learnt to close its bus).
-const TCB_MAX: usize = 4179;
+/// 4 250 → 4 246 → 4 180 → 4 179 → 4 185, the second-last as the locks
+/// moved onto one facade and a stopping engine learnt to close its bus,
+/// the last for the log-in deadline).
+const TCB_MAX: usize = 4185;
+
+/// Code lines of `safeweb-docstore`, which is outside the audited core
+/// and so outside `TCB_MAX`: the store every labelled result passes
+/// through on its way to the DMZ. 1 891 → 1 856 as `store.rs` split into
+/// four modules with one apply step and the unused range query went.
+const DOCSTORE_MAX: usize = 1856;
+
+/// The most lines a `crates/docstore/src` file may hold before its
+/// `#[cfg(test)]` module (the whole file when it has none).
+const DOCSTORE_FILE_MAX: usize = 800;
 
 #[test]
 fn audited_core_stays_under_its_ceiling() {
@@ -51,4 +65,35 @@ fn audited_core_stays_under_its_ceiling() {
         total += lines;
     }
     assert!(total <= TCB_MAX, "TCB {total} > {TCB_MAX} lines");
+}
+
+#[test]
+fn docstore_stays_under_its_ceilings() {
+    let root = workspace_root();
+    let lines = count_crate(&root, "docstore");
+    assert!(
+        lines <= DOCSTORE_MAX,
+        "docstore {lines} > {DOCSTORE_MAX} lines"
+    );
+    let mut dirs = vec![root.join("crates/docstore/src")];
+    while let Some(dir) = dirs.pop() {
+        for entry in std::fs::read_dir(&dir).unwrap().flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                dirs.push(path);
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).unwrap();
+            let lines: Vec<&str> = text.lines().collect();
+            let before_tests = lines
+                .windows(2)
+                .position(|w| w[0].trim() == "#[cfg(test)]" && w[1].trim().starts_with("mod tests"))
+                .unwrap_or(lines.len());
+            assert!(
+                before_tests <= DOCSTORE_FILE_MAX,
+                "{} has {before_tests} lines before its tests, over {DOCSTORE_FILE_MAX}",
+                path.display()
+            );
+        }
+    }
 }

@@ -31,6 +31,7 @@
 #![deny(missing_docs)]
 
 mod document;
+mod frame;
 mod replication;
 mod snapshot;
 mod store;

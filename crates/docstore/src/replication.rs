@@ -75,7 +75,7 @@ use std::time::{Duration, Instant};
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
 use safeweb_sync::{Condvar, Mutex};
 
-use crate::store::{Applied, DocStore, Replicated};
+use crate::store::{Applied, DocStore, Write};
 
 /// The shortest gap between the starts of two replication runs, so the
 /// writes of one burst are pushed (and deduplicated) as one batch.
@@ -227,7 +227,7 @@ impl Replicator {
 
     /// Applies `batch` and advances the checkpoint to `seq` in one target
     /// write transaction, skipped when there is nothing to push or log.
-    fn commit(&mut self, batch: Vec<Replicated>, seq: u64) -> Applied {
+    fn commit(&mut self, batch: Vec<Write>, seq: u64) -> Applied {
         let log = self.logged.is_some_and(|l| l != seq).then_some(seq);
         self.checkpoint = seq;
         if batch.is_empty() && log.is_none() {
@@ -259,16 +259,13 @@ impl Replicator {
             resynced: true,
             ..ReplicationReport::default()
         };
-        let puts = docs.chunks(RESYNC_CHUNK).map(|chunk| {
-            chunk
-                .iter()
-                .map(|d| Replicated::Put(d.deep_copy()))
-                .collect()
-        });
+        let puts = docs
+            .chunks(RESYNC_CHUNK)
+            .map(|chunk| chunk.iter().map(|d| Write::Put(d.deep_copy())).collect());
         let deletes = swept.chunks(RESYNC_CHUNK).map(|chunk| {
             chunk
                 .iter()
-                .map(|id| Replicated::Delete(id.as_str().into()))
+                .map(|id| Write::Delete(id.as_str().into()))
                 .collect()
         });
         for chunk in puts.chain(deletes) {
@@ -282,9 +279,9 @@ impl Replicator {
 }
 
 /// The one deep copy, at the zone boundary (see the module docs).
-fn copy_across_zones(entry: Replicated) -> Replicated {
+fn copy_across_zones(entry: Write) -> Write {
     match entry {
-        Replicated::Put(doc) => Replicated::Put(doc.deep_copy()),
+        Write::Put(doc) => Write::Put(doc.deep_copy()),
         delete => delete,
     }
 }

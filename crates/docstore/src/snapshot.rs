@@ -1,8 +1,8 @@
 //! Snapshot files: the compaction partner of the [WAL](crate::wal).
 //!
 //! A snapshot captures the whole store — sequence number, replication
-//! checkpoint, every live document — in the same length-prefixed,
-//! checksummed framing as the WAL: one meta frame
+//! checkpoint, every live document — in the WAL's length-prefixed,
+//! checksummed [framing](crate::frame): one meta frame
 //! `{"snapshot":1,"seq":…,"rep":…,"docs":…}` followed by one frame per
 //! document. Only *state* is serialised: views, prefix ranges and the
 //! compacted changes feed are rebuilt from the documents on open.
@@ -27,7 +27,8 @@ use std::path::Path;
 use safeweb_json::Value;
 
 use crate::document::Document;
-use crate::wal::{decode_frame, doc_from_value, frame_header, write_doc, WalError};
+use crate::frame::{decode_frame, frame_header};
+use crate::wal::{doc_from_value, write_doc, WalError};
 
 /// The snapshot writer's buffer (64 KiB). A frame larger than this goes
 /// to the file without being copied into it.
@@ -147,7 +148,7 @@ pub(crate) fn read(dir: &Path) -> Result<Option<Snapshot>, WalError> {
 mod tests {
     use super::*;
     use crate::document::Revision;
-    use crate::wal::{encode_frame, push_frame};
+    use crate::frame::{encode_frame, push_frame};
     use proptest::test_runner::TestRng;
     use safeweb_json::jobject;
     use safeweb_labels::{Label, LabelSet};

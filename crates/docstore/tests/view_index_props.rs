@@ -116,97 +116,6 @@ proptest! {
         }
     }
 
-    /// Range queries over integer view keys agree with a linear-scan
-    /// oracle — numerically ordered results, correct inclusive/exclusive
-    /// bound handling, and no bleed-through from non-integer keys sharing
-    /// the view — under arbitrary keys including `i64` extremes.
-    #[test]
-    fn int_range_queries_match_linear_scan_oracle(
-        docs in proptest::collection::vec((0u8..24, any::<i64>()), 0..30),
-        a in any::<i64>(),
-        b in any::<i64>(),
-        include_lo in any::<bool>(),
-        include_hi in any::<bool>(),
-    ) {
-        use std::ops::Bound;
-        let store = DocStore::new("s");
-        store.create_view("by_k", "k");
-        for (id, k) in &docs {
-            let id = format!("doc-{id}");
-            let rev = store.get(&id).map(|d| d.rev().clone());
-            store
-                .put(&id, jobject! {"k" => *k}, LabelSet::new(), rev.as_ref())
-                .unwrap();
-        }
-        // Decoys of other types: a typed range must never return these.
-        store.put("s-doc", jobject!{"k" => "10"}, LabelSet::new(), None).unwrap();
-        store.put("f-doc", jobject!{"k" => 10.5}, LabelSet::new(), None).unwrap();
-        store.put("n-doc", jobject!{"k" => Value::Null}, LabelSet::new(), None).unwrap();
-
-        let (lo, hi) = (a.min(b), a.max(b));
-        let lo_bound = if include_lo { Bound::Included(Value::from(lo)) } else { Bound::Excluded(Value::from(lo)) };
-        let hi_bound = if include_hi { Bound::Included(Value::from(hi)) } else { Bound::Excluded(Value::from(hi)) };
-        let got = store.query_view_range("by_k", (lo_bound, hi_bound)).unwrap();
-
-        let mut expected: Vec<(i64, Document)> = store
-            .scan(|d| {
-                d.body().get("k").and_then(Value::as_i64).is_some_and(|v| {
-                    matches!(d.body().get("k"), Some(Value::Int(_)))
-                        && (if include_lo { v >= lo } else { v > lo })
-                        && (if include_hi { v <= hi } else { v < hi })
-                })
-            })
-            .into_iter()
-            .map(|d| (d.body().get("k").and_then(Value::as_i64).unwrap(), d))
-            .collect();
-        // The spec order: ascending key, then id (scan returns id order).
-        expected.sort_by(|(ka, da), (kb, db)| ka.cmp(kb).then_with(|| da.id().cmp(db.id())));
-        let expected: Vec<Document> = expected.into_iter().map(|(_, d)| d).collect();
-        prop_assert_eq!(&got, &expected);
-
-        // An inverted range is empty, never a panic.
-        prop_assert!(store
-            .query_view_range("by_k", Value::from(hi.max(1))..Value::from(lo.min(0)))
-            .unwrap()
-            .is_empty() || lo.min(0) > hi.max(1));
-    }
-
-    /// Same spec for string keys: byte-lexicographic order, against the
-    /// linear-scan oracle.
-    #[test]
-    fn string_range_queries_match_linear_scan_oracle(
-        docs in proptest::collection::vec((0u8..24, "[a-e]{0,3}"), 0..30),
-        a in "[a-e]{0,3}",
-        b in "[a-e]{0,3}",
-    ) {
-        let store = DocStore::new("s");
-        store.create_view("by_k", "k");
-        for (id, k) in &docs {
-            let id = format!("doc-{id}");
-            let rev = store.get(&id).map(|d| d.rev().clone());
-            store
-                .put(&id, jobject! {"k" => k.as_str()}, LabelSet::new(), rev.as_ref())
-                .unwrap();
-        }
-        store.put("i-doc", jobject!{"k" => 3}, LabelSet::new(), None).unwrap();
-
-        let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        let got = store
-            .query_view_range("by_k", Value::from(lo.as_str())..Value::from(hi.as_str()))
-            .unwrap();
-        let mut expected: Vec<Document> = store.scan(|d| {
-            matches!(d.body().get("k"), Some(Value::Str(s)) if s.as_str() >= lo.as_str() && s.as_str() < hi.as_str())
-        });
-        expected.sort_by(|da, db| {
-            let key = |d: &Document| match d.body().get("k") {
-                Some(Value::Str(s)) => s.clone(),
-                _ => unreachable!("oracle filtered to strings"),
-            };
-            key(da).cmp(&key(db)).then_with(|| da.id().cmp(db.id()))
-        });
-        prop_assert_eq!(&got, &expected);
-    }
-
     /// Auto-compaction never lets the feed reach twice (one entry per live
     /// document plus the retention window), and replication through
     /// repeated compaction still converges.

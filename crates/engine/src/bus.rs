@@ -7,6 +7,7 @@ use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
+use std::time::Duration;
 
 use safeweb_broker::wire::{
     self, event_to_frame, DESTINATION_HEADER, SELECTOR_HEADER, SUBSCRIPTION_HEADER, WIRE_INTERN_CAP,
@@ -123,7 +124,7 @@ struct SubscribeLeg {
 
 /// How long [`EventBus::close`] lets a request already written wait for
 /// its answer before it shuts the connections down.
-const CLOSE_GRACE: std::time::Duration = std::time::Duration::from_millis(250);
+const CLOSE_GRACE: Duration = Duration::from_millis(250);
 
 struct RemoteBusInner {
     publisher: Mutex<TcpTransport>,
@@ -199,13 +200,18 @@ pub struct RemoteBus {
 }
 
 impl RemoteBus {
+    /// How long [`RemoteBus::connect`] waits for the broker's `CONNECTED`
+    /// on each connection.
+    pub const LOGIN_TIMEOUT: Duration = Duration::from_secs(2);
+
     /// Connects both legs to `addr`, logging in as `login`, and starts
     /// the reader.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Bus`] on connection failure or if the
-    /// broker refuses the session.
+    /// Returns [`EngineError::Bus`] on connection failure, if the broker
+    /// refuses the session, or if it does not answer a log-in within
+    /// [`RemoteBus::LOGIN_TIMEOUT`].
     pub fn connect(addr: &str, login: &str) -> Result<RemoteBus, EngineError> {
         let publisher = log_in(addr, login)?;
         let writer = log_in(addr, login)?;
@@ -295,7 +301,13 @@ fn log_in(addr: &str, login: &str) -> Result<TcpTransport, EngineError> {
     transport.stream().set_nodelay(true).map_err(bus_error)?;
     let connect = Frame::new(Command::Connect).with_header("login", login);
     transport.send_frame(&connect).map_err(bus_error)?;
-    match transport.recv_frame().map_err(bus_error)? {
+    // The one read with a deadline: until the bus exists, nothing else
+    // can wake this caller if the peer accepts and never answers.
+    let deadline = Some(RemoteBus::LOGIN_TIMEOUT);
+    transport.set_read_timeout(deadline).map_err(bus_error)?;
+    let answer = transport.recv_frame();
+    transport.set_read_timeout(None).map_err(bus_error)?;
+    match answer.map_err(|e| bus_error(format!("log-in: {e}")))? {
         Some(f) if f.command() == Command::Connected => Ok(transport),
         other => Err(EngineError::Bus(refusal(other.as_ref()))),
     }

@@ -397,7 +397,7 @@ struct PendingHead {
 #[derive(Debug, Default)]
 pub struct RequestParser {
     buf: Vec<u8>,
-    /// Consumed prefix of `buf` (compacted after each request).
+    /// Consumed prefix of `buf`, dropped by the next [`RequestParser::feed`].
     pos: usize,
     /// Bytes of `buf` already scanned for the head terminator, so a head
     /// trickling in across many reads is scanned once, not re-scanned
@@ -414,8 +414,13 @@ impl RequestParser {
         RequestParser::default()
     }
 
-    /// Appends received bytes.
+    /// Appends received bytes, first dropping the consumed prefix, so
+    /// pipelined peers cannot grow the buffer without bound and each
+    /// unconsumed byte moves at most once per read.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.scanned = self.scanned.saturating_sub(self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
@@ -457,10 +462,6 @@ impl RequestParser {
         let head = self.head.take().expect("head parsed");
         let body = self.buf[self.pos..self.pos + content_length].to_vec();
         self.pos += content_length;
-        // Compact: drop the consumed prefix so pipelined peers cannot
-        // grow the buffer without bound.
-        self.buf.drain(..self.pos);
-        self.pos = 0;
         self.scanned = 0;
         Ok(Some(Request::from_parts(
             head.method,

@@ -1,6 +1,7 @@
 //! The seven invariant checks (two of them, `unsafe-confinement` and
 //! `sync-confinement`, share one scan), plus the token-walking helpers they
-//! share. Each rule is a pure function from a lexed
+//! share; `query-hygiene` and `telemetry-hygiene` also share one flow walk
+//! (`flow.rs`). Each rule is a pure function from a lexed
 //! [`Workspace`](crate::workspace::Workspace) (and optionally a policy
 //! file) to [`Finding`](crate::diag::Finding)s; `tests/rule_fixtures.rs`
 //! mutation-checks every rule against a seeded-violation corpus.
@@ -8,6 +9,7 @@
 use crate::lexer::Tok;
 
 pub mod declassify_registry;
+mod flow;
 pub mod lock_order;
 pub mod query_hygiene;
 pub mod telemetry_hygiene;

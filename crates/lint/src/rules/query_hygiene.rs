@@ -18,21 +18,17 @@
 //! Sinks: `parse_trusted(…)` and `select_spec(…)` (all arguments),
 //! `Selector::parse(…)` (the untrusted-text parser — feeding it
 //! *constructed* text is the SQLi shape), and the view-name (first)
-//! argument of `records_by` / `create_view` / `query_view` /
-//! `query_view_range`.
+//! argument of `records_by` / `create_view` / `query_view`.
 //!
-//! The check is deliberately intra-function and token-level (no type
-//! inference, no inter-procedural flow): it will not catch laundering
-//! through a helper function, but it cannot misfire on code that never
-//! mentions a sink — and the fixture corpus mutation-checks both
-//! directions.
+//! The walk is the shared one in `rules/flow.rs`; the fixture
+//! corpus mutation-checks both directions.
 
 use std::collections::HashSet;
 
 use crate::diag::Finding;
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{cfg_test_mask, fn_bodies, matching};
-use crate::workspace::{FileKind, Workspace};
+use crate::rules::flow::{check_flows, Sink};
+use crate::workspace::Workspace;
 
 const RULE: &str = "query-hygiene";
 
@@ -41,147 +37,39 @@ const FULL_ARG_SINKS: [&str; 2] = ["parse_trusted", "select_spec"];
 
 /// Sinks whose first (view-name / template) argument must be
 /// concat-free.
-const FIRST_ARG_SINKS: [&str; 4] = [
-    "records_by",
-    "create_view",
-    "query_view",
-    "query_view_range",
-];
+const FIRST_ARG_SINKS: [&str; 3] = ["records_by", "create_view", "query_view"];
 
 /// Runs the rule over every non-test file.
 pub fn check_query_hygiene(ws: &Workspace) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in &ws.files {
-        if file.kind == FileKind::Test {
-            continue;
-        }
-        let mask = cfg_test_mask(&file.tokens);
-        for body in fn_bodies(&file.tokens) {
-            if mask.get(body.open).copied().unwrap_or(false) {
-                continue;
-            }
-            check_body(
-                &file.tokens,
-                body.open,
-                body.close,
-                &file.rel,
-                &mut findings,
-            );
-        }
-    }
-    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    findings.dedup();
-    findings
+    check_flows(ws, RULE, is_concat_expr, sink)
 }
 
-fn check_body(tokens: &[Tok], open: usize, close: usize, rel: &str, findings: &mut Vec<Finding>) {
-    let mut tainted: HashSet<String> = HashSet::new();
-    let mut i = open + 1;
-    while i < close {
-        let tok = &tokens[i];
-        // `let <pat> = <init> ;` — classify the initializer.
-        if tok.is_ident("let") {
-            let (name, init_start) = let_binding(tokens, i, close);
-            let init_end = stmt_end(tokens, init_start, close);
-            if let Some(name) = name {
-                if is_concat_expr(&tokens[init_start..init_end], &tainted) {
-                    tainted.insert(name);
-                } else {
-                    // A clean re-binding shadows any earlier taint.
-                    tainted.remove(&name);
-                }
-            }
-            i += 1;
-            continue;
-        }
-        // Sink call?
-        if tok.kind == TokKind::Ident && tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            let name = tok.text.as_str();
-            let is_def = i > 0 && tokens[i - 1].is_ident("fn");
-            let full = FULL_ARG_SINKS.contains(&name);
-            let first = FIRST_ARG_SINKS.contains(&name);
-            let selector_parse = name == "parse"
-                && i >= 3
-                && tokens[i - 1].is_punct(':')
-                && tokens[i - 2].is_punct(':')
-                && tokens[i - 3].is_ident("Selector");
-            if !is_def && (full || first || selector_parse) {
-                let args_close = matching(tokens, i + 1, '(', ')');
-                let args = &tokens[i + 2..args_close];
-                let scan = if full || selector_parse {
-                    args
-                } else {
-                    first_argument(args)
-                };
-                if is_concat_expr(scan, &tainted) {
-                    let shown = if selector_parse {
-                        "Selector::parse"
-                    } else {
-                        name
-                    };
-                    findings.push(Finding {
-                        rule: RULE,
-                        path: rel.to_string(),
-                        line: tok.line,
-                        message: format!(
-                            "concatenated string flows into `{shown}`: query structure must \
-                             come from a literal, a checked `TrustedLiteral`, or bound \
-                             parameters — never `format!`/`+` output"
-                        ),
-                    });
-                }
-                i = args_close + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Extracts the bound name of a `let` (first identifier of the
-/// pattern, skipping `mut`) and the index just past the `=`.
-fn let_binding(tokens: &[Tok], let_idx: usize, close: usize) -> (Option<String>, usize) {
-    let mut name = None;
-    let mut j = let_idx + 1;
-    while j < close {
-        let t = &tokens[j];
-        if t.is_punct('=') && !tokens.get(j + 1).is_some_and(|n| n.is_punct('=')) {
-            return (name, j + 1);
-        }
-        if t.is_punct(';') {
-            return (None, j);
-        }
-        if name.is_none()
-            && t.kind == TokKind::Ident
-            && !matches!(t.text.as_str(), "mut" | "ref" | "Some" | "Ok" | "Err")
-        {
-            name = Some(t.text.clone());
-        }
-        j += 1;
-    }
-    (None, close)
-}
-
-/// Index of the `;` ending the statement starting at `from` (brace
-/// depth respected so `let x = if c { a } else { b };` scans whole).
-fn stmt_end(tokens: &[Tok], from: usize, close: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j < close {
-        let t = &tokens[j];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-            if depth < 0 {
-                return j;
-            }
-        } else if t.is_punct(';') && depth == 0 {
-            return j;
-        }
-        j += 1;
-    }
-    close
+/// The sink table: which argument of the call at `tokens[i]` must be
+/// concat-free.
+fn sink(tokens: &[Tok], i: usize) -> Option<Sink> {
+    let name = tokens[i].text.as_str();
+    let selector_parse = name == "parse"
+        && i >= 3
+        && tokens[i - 1].is_punct(':')
+        && tokens[i - 2].is_punct(':')
+        && tokens[i - 3].is_ident("Selector");
+    let (arg, shown) = if FULL_ARG_SINKS.contains(&name) {
+        (None, name)
+    } else if selector_parse {
+        (None, "Selector::parse")
+    } else if FIRST_ARG_SINKS.contains(&name) {
+        (Some(0), name)
+    } else {
+        return None;
+    };
+    Some(Sink {
+        arg,
+        message: format!(
+            "concatenated string flows into `{shown}`: query structure must \
+             come from a literal, a checked `TrustedLiteral`, or bound \
+             parameters — never `format!`/`+` output"
+        ),
+    })
 }
 
 /// Whether an expression's tokens show string concatenation: a
@@ -215,25 +103,10 @@ fn is_concat_expr(tokens: &[Tok], tainted: &HashSet<String>) -> bool {
     false
 }
 
-/// The tokens of the first top-level argument.
-fn first_argument(args: &[Tok]) -> &[Tok] {
-    let mut depth = 0i32;
-    for (j, t) in args.iter().enumerate() {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-        } else if t.is_punct(',') && depth == 0 {
-            return &args[..j];
-        }
-    }
-    args
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::SourceFile;
+    use crate::workspace::{FileKind, SourceFile};
 
     fn run(src: &str) -> Vec<Finding> {
         check_query_hygiene(&Workspace::from_files(vec![SourceFile::from_source(

@@ -11,7 +11,8 @@
 //! principal-derived strings must never reach a record sink, or the ops
 //! page becomes a declassification side channel.
 //!
-//! Same-function, token-level flow check (the `query-hygiene` shape):
+//! The same-function, token-level flow walk it shares with
+//! `query-hygiene` (`rules/flow.rs`):
 //!
 //! 1. an identifier is **payload-tainted** when its `let` initializer
 //!    reads a payload or principal accessor — `.attr(…)` /
@@ -38,8 +39,8 @@ use std::collections::HashSet;
 
 use crate::diag::Finding;
 use crate::lexer::{Tok, TokKind};
-use crate::rules::{cfg_test_mask, fn_bodies, matching};
-use crate::workspace::{FileKind, Workspace};
+use crate::rules::flow::{check_flows, Sink};
+use crate::workspace::Workspace;
 
 const RULE: &str = "telemetry-hygiene";
 
@@ -70,129 +71,29 @@ const PAYLOAD_ACCESSORS: [&str; 6] = [
 
 /// Runs the rule over every non-test file.
 pub fn check_telemetry_hygiene(ws: &Workspace) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for file in &ws.files {
-        if file.kind == FileKind::Test {
-            continue;
-        }
-        let mask = cfg_test_mask(&file.tokens);
-        for body in fn_bodies(&file.tokens) {
-            if mask.get(body.open).copied().unwrap_or(false) {
-                continue;
-            }
-            check_body(
-                &file.tokens,
-                body.open,
-                body.close,
-                &file.rel,
-                &mut findings,
-            );
-        }
-    }
-    findings.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    findings.dedup();
-    findings
+    check_flows(ws, RULE, is_payload_expr, sink)
 }
 
-fn check_body(tokens: &[Tok], open: usize, close: usize, rel: &str, findings: &mut Vec<Finding>) {
-    let mut tainted: HashSet<String> = HashSet::new();
-    let mut i = open + 1;
-    while i < close {
-        let tok = &tokens[i];
-        // `let <pat> = <init> ;` — classify the initializer.
-        if tok.is_ident("let") {
-            let (name, init_start) = let_binding(tokens, i, close);
-            let init_end = stmt_end(tokens, init_start, close);
-            if let Some(name) = name {
-                if is_payload_expr(&tokens[init_start..init_end], &tainted) {
-                    tainted.insert(name);
-                } else {
-                    // A clean re-binding shadows any earlier taint.
-                    tainted.remove(&name);
-                }
-            }
-            i += 1;
-            continue;
-        }
-        // Sink call?
-        if tok.kind == TokKind::Ident && tokens.get(i + 1).is_some_and(|t| t.is_punct('(')) {
-            let name = tok.text.as_str();
-            let is_def = i > 0 && tokens[i - 1].is_ident("fn");
-            let first = FIRST_ARG_SINKS.contains(&name);
-            let second = SECOND_ARG_SINKS.contains(&name);
-            if !is_def && (first || second) {
-                let args_close = matching(tokens, i + 1, '(', ')');
-                let args = &tokens[i + 2..args_close];
-                let scan = if second {
-                    nth_argument(args, 1)
-                } else {
-                    nth_argument(args, 0)
-                };
-                if is_payload_expr(scan, &tainted) {
-                    findings.push(Finding {
-                        rule: RULE,
-                        path: rel.to_string(),
-                        line: tok.line,
-                        message: format!(
-                            "payload-derived value flows into telemetry sink `{name}`: \
-                             metric and span names must be structural (static strings, \
-                             route patterns, unit names) — never event attributes, \
-                             document fields, or principal-derived strings"
-                        ),
-                    });
-                }
-                i = args_close + 1;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Extracts the bound name of a `let` (first identifier of the
-/// pattern, skipping `mut`) and the index just past the `=`.
-fn let_binding(tokens: &[Tok], let_idx: usize, close: usize) -> (Option<String>, usize) {
-    let mut name = None;
-    let mut j = let_idx + 1;
-    while j < close {
-        let t = &tokens[j];
-        if t.is_punct('=') && !tokens.get(j + 1).is_some_and(|n| n.is_punct('=')) {
-            return (name, j + 1);
-        }
-        if t.is_punct(';') {
-            return (None, j);
-        }
-        if name.is_none()
-            && t.kind == TokKind::Ident
-            && !matches!(t.text.as_str(), "mut" | "ref" | "Some" | "Ok" | "Err")
-        {
-            name = Some(t.text.clone());
-        }
-        j += 1;
-    }
-    (None, close)
-}
-
-/// Index of the `;` ending the statement starting at `from` (brace
-/// depth respected so `let x = if c { a } else { b };` scans whole).
-fn stmt_end(tokens: &[Tok], from: usize, close: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = from;
-    while j < close {
-        let t = &tokens[j];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-            if depth < 0 {
-                return j;
-            }
-        } else if t.is_punct(';') && depth == 0 {
-            return j;
-        }
-        j += 1;
-    }
-    close
+/// The sink table: which argument of the call at `tokens[i]` names the
+/// metric or span.
+fn sink(tokens: &[Tok], i: usize) -> Option<Sink> {
+    let name = tokens[i].text.as_str();
+    let arg = if FIRST_ARG_SINKS.contains(&name) {
+        0
+    } else if SECOND_ARG_SINKS.contains(&name) {
+        1
+    } else {
+        return None;
+    };
+    Some(Sink {
+        arg: Some(arg),
+        message: format!(
+            "payload-derived value flows into telemetry sink `{name}`: \
+             metric and span names must be structural (static strings, \
+             route patterns, unit names) — never event attributes, \
+             document fields, or principal-derived strings"
+        ),
+    })
 }
 
 /// Whether an expression's tokens reach payload data: a
@@ -225,35 +126,10 @@ fn is_payload_expr(tokens: &[Tok], tainted: &HashSet<String>) -> bool {
     false
 }
 
-/// The tokens of the `n`-th (0-based) top-level argument.
-fn nth_argument(args: &[Tok], n: usize) -> &[Tok] {
-    let mut depth = 0i32;
-    let mut start = 0usize;
-    let mut seen = 0usize;
-    for (j, t) in args.iter().enumerate() {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-        } else if t.is_punct(',') && depth == 0 {
-            if seen == n {
-                return &args[start..j];
-            }
-            seen += 1;
-            start = j + 1;
-        }
-    }
-    if seen == n {
-        &args[start..]
-    } else {
-        &[]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workspace::SourceFile;
+    use crate::workspace::{FileKind, SourceFile};
 
     fn run(src: &str) -> Vec<Finding> {
         check_telemetry_hygiene(&Workspace::from_files(vec![SourceFile::from_source(

@@ -16,7 +16,6 @@
 //! `content-length` header may contain NUL bytes in the body; without it
 //! the body ends at the first NUL.
 
-use bytes::{Buf, BytesMut};
 use std::fmt;
 use std::io::Write;
 
@@ -115,12 +114,18 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
 /// A frame that arrives in pieces is scanned and parsed once: the decoder
 /// keeps how far its search for the head's end got, and the parsed head
 /// while the body is still arriving.
+///
+/// Received bytes go into one buffer; decoded frames advance a consumed
+/// offset, and [`Decoder::feed`] drops the consumed prefix before it
+/// appends, so the buffer holds at most one read past the last frame.
 #[derive(Debug, Default)]
 pub struct Decoder {
-    buf: BytesMut,
-    /// Where the next search resumes: for the blank line ending the head
-    /// while `head` is `None`, for the NUL ending a body without
-    /// `content-length` once it is parsed.
+    buf: Vec<u8>,
+    /// Consumed prefix of `buf`.
+    pos: usize,
+    /// Where the next search resumes, relative to `pos`: for the blank
+    /// line ending the head while `head` is `None`, for the NUL ending a
+    /// body without `content-length` once it is parsed.
     scanned: usize,
     /// The parsed head of the frame whose body is still arriving.
     head: Option<Head>,
@@ -145,12 +150,14 @@ impl Decoder {
 
     /// Appends received bytes to the internal buffer.
     pub fn feed(&mut self, bytes: &[u8]) {
+        self.buf.drain(..self.pos);
+        self.pos = 0;
         self.buf.extend_from_slice(bytes);
     }
 
     /// Bytes currently buffered but not yet consumed.
     pub fn buffered(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.pos
     }
 
     /// Attempts to decode the next complete frame.
@@ -165,23 +172,24 @@ impl Decoder {
     pub fn next_frame(&mut self) -> Result<Option<Frame>, DecodeError> {
         if self.head.is_none() && self.scanned == 0 {
             // Skip heart-beat / inter-frame newlines and stray NULs.
-            while matches!(self.buf.first(), Some(b'\n' | b'\r' | 0)) {
-                self.buf.advance(1);
+            while matches!(self.buf.get(self.pos), Some(b'\n' | b'\r' | 0)) {
+                self.pos += 1;
             }
         }
-        if self.buf.is_empty() {
+        let buf = &self.buf[self.pos..];
+        if buf.is_empty() {
             return Ok(None);
         }
-        if self.buf.len() > MAX_FRAME_SIZE {
+        if buf.len() > MAX_FRAME_SIZE {
             return Err(DecodeError::FrameTooLarge);
         }
 
         let head = match self.head.take() {
             Some(head) => head,
-            None => match find_blank_line(&self.buf, self.scanned) {
+            None => match find_blank_line(buf, self.scanned) {
                 Ok((head_end, body_start)) => {
                     self.scanned = body_start;
-                    parse_head(&self.buf[..head_end], body_start)?
+                    parse_head(&buf[..head_end], body_start)?
                 }
                 Err(resume) => {
                     self.scanned = resume;
@@ -191,18 +199,18 @@ impl Decoder {
         };
 
         let body_end = match head.content_length {
-            Some(len) if self.buf.len() <= head.body_start + len => None, // need body + NUL
-            Some(len) if self.buf[head.body_start + len] != 0 => {
+            Some(len) if buf.len() <= head.body_start + len => None, // need body + NUL
+            Some(len) if buf[head.body_start + len] != 0 => {
                 return Err(DecodeError::MalformedHeader(
                     "missing frame terminator".to_string(),
                 ));
             }
             Some(len) => Some(head.body_start + len),
             // Without content-length the body ends at the first NUL.
-            None => match self.buf[self.scanned..].iter().position(|&b| b == 0) {
+            None => match buf[self.scanned..].iter().position(|&b| b == 0) {
                 Some(rel) => Some(self.scanned + rel),
                 None => {
-                    self.scanned = self.buf.len();
+                    self.scanned = buf.len();
                     None
                 }
             },
@@ -211,8 +219,8 @@ impl Decoder {
             self.head = Some(head);
             return Ok(None);
         };
-        let body = self.buf[head.body_start..body_end].to_vec();
-        self.buf.advance(body_end + 1);
+        let body = buf[head.body_start..body_end].to_vec();
+        self.pos += body_end + 1;
         self.scanned = 0;
         Ok(Some(Frame::from_parts(
             head.command,

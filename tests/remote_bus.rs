@@ -371,3 +371,97 @@ fn stop_returns_while_the_broker_never_answers() {
         "{violations:?}"
     );
 }
+
+/// A peer that accepts the connection and never answers its `CONNECT`
+/// cannot hold `RemoteBus::connect`: the log-in read has a deadline.
+#[test]
+fn connect_gives_up_on_a_peer_that_never_answers_the_log_in() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _watchdog = watchdog(Duration::from_secs(10), "connect wedged on a silent peer");
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (release, held) = mpsc::channel::<()>();
+    std::thread::spawn(move || {
+        let (_stream, _) = listener.accept().unwrap();
+        // Holds the connection open, silent, until the test ends.
+        let _ = held.recv();
+    });
+
+    let started = Instant::now();
+    let refused = RemoteBus::connect(&addr, "listener").err();
+    let took = started.elapsed();
+    assert!(
+        matches!(&refused, Some(EngineError::Bus(m)) if m.contains("log-in")),
+        "{refused:?}"
+    );
+    assert!(
+        took < RemoteBus::LOGIN_TIMEOUT + Duration::from_secs(1),
+        "connect took {took:?}"
+    );
+    drop(release);
+}
+
+/// A broker that reads a batch's `SEND`s and then closes the publishing
+/// connection without a `RECEIPT` fails that publish: the unit records
+/// one violation, and `stop` returns.
+#[test]
+fn a_broker_closing_mid_batch_is_one_violation_and_stop_returns() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let _watchdog = watchdog(Duration::from_secs(10), "stop wedged on a closed publisher");
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let (read, batches) = mpsc::channel();
+    std::thread::spawn(move || {
+        // `connect` logs the publishing connection in first.
+        let mut legs = (0..2).map(|_| {
+            let (stream, _) = listener.accept().unwrap();
+            let mut conn = TcpTransport::new(stream);
+            let connect = conn.recv_frame().unwrap().unwrap();
+            assert_eq!(connect.command(), Command::Connect);
+            conn.send_frame(&Frame::new(Command::Connected)).unwrap();
+            conn
+        });
+        let mut publisher = legs.next().unwrap();
+        let mut subscriber = legs.next().unwrap();
+        let mut sends = 0;
+        while let Ok(Some(frame)) = publisher.recv_frame() {
+            if frame.command() == Command::Send {
+                sends += 1;
+                if frame.header("receipt").is_some() {
+                    break;
+                }
+            }
+        }
+        drop(publisher);
+        let _ = read.send(sends);
+        // The subscription connection stays open and silent.
+        while let Ok(Some(_)) = subscriber.recv_frame() {}
+    });
+    let bus = RemoteBus::connect(&addr, "listener").unwrap();
+    let mut published = false;
+    let unit = UnitSpec::new("listener").every(Duration::from_millis(5), move |jail| {
+        if std::mem::replace(&mut published, true) {
+            return Ok(());
+        }
+        for kind in ["first", "second"] {
+            let tick = Event::new("/tick").unwrap().with_attr("kind", kind);
+            jail.publish(tick, Relabel::keep())?;
+        }
+        Ok(())
+    });
+    let mut engine = Engine::new(Arc::new(bus), policy()).with_options(engine_options(1, 8));
+    engine.add_unit(unit).unwrap();
+    let handle = engine.start().unwrap();
+    let sends = batches.recv_timeout(WAIT).expect("the batch never arrived");
+    assert_eq!(sends, 2, "one batch of both publishes");
+
+    let started = Instant::now();
+    let violations = handle.stop();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "stop took {took:?}");
+    assert_eq!(violations.len(), 1, "{violations:?}");
+    assert!(
+        matches!(&violations[0].error, UnitError::Application(m) if m.contains("publish failed")),
+        "{violations:?}"
+    );
+}
