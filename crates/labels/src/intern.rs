@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{LazyLock, OnceLock};
 
-use safeweb_sync::{Mutex, RwLock};
+use safeweb_sync::{BoundedCache, RwLock};
 
 use crate::label::{Label, LabelKind};
 use crate::privilege::Privilege;
@@ -224,41 +224,22 @@ pub(crate) fn interned_priv_count() -> usize {
 
 // --- flows_to memo ---------------------------------------------------------
 
-/// Shard count for the memo; a power of two so the index is a mask.
-const MEMO_SHARDS: usize = 16;
-/// Per-shard entry bound; on overflow the shard is cleared (entries are a
-/// pure cache of immutable facts, so dropping them only costs recompute).
+/// Per-shard entry bound of the memo (entries are a pure cache of
+/// immutable facts, so dropping them only costs recompute).
 const MEMO_SHARD_CAP: usize = 8192;
 
-/// One memo shard: verdicts keyed by raw `(LabelSetId, PrivilegeSetId)`.
-type MemoShard = Mutex<HashMap<(u32, u32), bool>>;
-
-static MEMO: LazyLock<[MemoShard; MEMO_SHARDS]> =
-    LazyLock::new(|| std::array::from_fn(|_| Mutex::default()));
-
-fn memo_shard(set: LabelSetId, privs: PrivilegeSetId) -> &'static MemoShard {
-    let mix = set
-        .0
-        .wrapping_mul(0x9e37_79b9)
-        .wrapping_add(privs.0.wrapping_mul(0x85eb_ca6b));
-    &MEMO[(mix as usize) & (MEMO_SHARDS - 1)]
-}
+/// Verdicts keyed by raw `(LabelSetId, PrivilegeSetId)`.
+static MEMO: LazyLock<BoundedCache<(u32, u32), bool>> =
+    LazyLock::new(|| BoundedCache::new(MEMO_SHARD_CAP));
 
 /// Cached `flows_to` verdict for `(set, privs)`, if one is present.
 pub(crate) fn flows_memo_get(set: LabelSetId, privs: PrivilegeSetId) -> Option<bool> {
-    memo_shard(set, privs)
-        .lock()
-        .get(&(set.0, privs.0))
-        .copied()
+    MEMO.get(&(set.0, privs.0), |verdict| Some(*verdict))
 }
 
 /// Records a `flows_to` verdict for `(set, privs)`.
 pub(crate) fn flows_memo_put(set: LabelSetId, privs: PrivilegeSetId, verdict: bool) {
-    let mut shard = memo_shard(set, privs).lock();
-    if shard.len() >= MEMO_SHARD_CAP {
-        shard.clear();
-    }
-    shard.insert((set.0, privs.0), verdict);
+    MEMO.insert((set.0, privs.0), verdict);
 }
 
 #[cfg(test)]

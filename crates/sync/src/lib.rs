@@ -12,6 +12,10 @@
 //! Atomics, `Arc`, `OnceLock` and `mpsc` stay `std`: re-exporting them
 //! here would hide nothing.
 //!
+//! The one structure built on these locks is [`BoundedCache`], the
+//! sharded, clear-on-overflow map that every bounded cache of
+//! recomputable values in the workspace uses.
+//!
 //! ## The poison policy: recover
 //!
 //! A std lock is *poisoned* when a thread panics while holding its
@@ -32,8 +36,9 @@
 //!   is its final `insert`; the `u32` overflow `expect` and the leak of
 //!   the canonical repr run before it, so ids stay dense.
 //! - privilege-set intern table (`labels`): the same shape.
-//! - `flows_to` memo shards (`labels`): `clear` then `insert`; a cleared
-//!   shard is a valid, empty cache of immutable facts.
+//! - [`BoundedCache`] shards (the `flows_to` memo in `labels`, the render
+//!   cache in `web`): `clear` then `insert`; a cleared shard is a valid,
+//!   empty cache that only misses.
 //! - metrics registry (`obs`): each write section ends in its one
 //!   `insert` or `remove`; the kind-mismatch panics run before it.
 //! - tracer ring list (`obs`): one `push` of a fully built ring, last.
@@ -41,8 +46,6 @@
 //!   them leaves the ring one span shorter and still bounded.
 //! - declassification audit log (`safeq`): one `push` of an event whose
 //!   preview is built before it.
-//! - render-cache shards (`web`): `clear` then `insert`; a cleared shard
-//!   only misses.
 //!
 //! A new lock must pass the same check: write its section so that the
 //! value is consistent at every point a panic can unwind from.
@@ -50,9 +53,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod cache;
+
 use std::sync::{LockResult, PoisonError};
 use std::time::Duration;
 
+pub use cache::BoundedCache;
 pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult};
 
 /// The poison policy, in one place: a poisoned lock yields its guard.

@@ -9,14 +9,14 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use safeweb_docstore::{DocStore, Document};
-use safeweb_http::{url_encode, Method, Request, Response};
+use safeweb_http::{Method, Request, Response};
 use safeweb_labels::PrivilegeSet;
 use safeweb_obs::{record_span, trace_scope, Counter, Histogram, MetricsRegistry, TraceId};
 use safeweb_taint::{SStr, SValue};
 
 use crate::auth::{AuthenticatedUser, UserStore};
-use crate::render_cache::{RenderCache, RenderedPage};
-use crate::router::Router;
+use crate::render_cache::{PageKey, RenderCache, RenderedPage};
+use crate::router::RoutePattern;
 use crate::template::SDoc;
 
 /// A labelled response produced by a route handler.
@@ -171,9 +171,6 @@ fn labelled(doc: Document) -> SDoc {
     SValue::with_label_set(doc, labels)
 }
 
-/// A route handler.
-pub type RouteHandler = Arc<dyn Fn(&Ctx<'_>) -> SResponse + Send + Sync>;
-
 /// Frontend options.
 #[derive(Debug, Clone)]
 pub struct FrontendOptions {
@@ -261,19 +258,34 @@ impl FrontendStats {
     }
 }
 
+/// One registered route.
+struct Route {
+    method: Method,
+    pattern: RoutePattern,
+    handler: Box<dyn Fn(&Ctx<'_>) -> SResponse + Send + Sync>,
+    /// Whether the route opted into the per-clearance render cache via
+    /// [`SafeWebApp::get_cached`].
+    cacheable: bool,
+    /// The metric-safe route name ("get /records/:mid") — the
+    /// author-written pattern, never the concrete request path, so
+    /// parameter values cannot leak into span names.
+    name: String,
+    /// End-to-end request latency.
+    latency_ns: Histogram,
+}
+
+/// Runs `f`, adding its wall time in nanoseconds to `counter`.
+fn timed<R>(counter: &Counter, f: impl FnOnce() -> R) -> R {
+    let start = Instant::now();
+    let result = f();
+    counter.add(start.elapsed().as_nanos() as u64);
+    result
+}
+
 /// The SafeWeb application: routes plus the enforcement middleware.
 pub struct SafeWebApp {
-    router: Router,
-    handlers: Vec<RouteHandler>,
-    /// Parallel to `handlers`: whether the route opted into the
-    /// per-clearance render cache via [`SafeWebApp::get_cached`].
-    cacheable: Vec<bool>,
-    /// Parallel to `handlers`: end-to-end request latency per route.
-    route_ns: Vec<Histogram>,
-    /// Parallel to `handlers`: the metric-safe route name ("get
-    /// /records/:mid") — the author-written pattern, never the concrete
-    /// request path, so parameter values cannot leak into span names.
-    route_names: Vec<String>,
+    /// Searched in registration order, like Sinatra.
+    routes: Vec<Route>,
     users: UserStore,
     records: DocStore,
     options: FrontendOptions,
@@ -286,11 +298,7 @@ impl SafeWebApp {
     /// database (the read-only DMZ replica in the deployed topology).
     pub fn new(users: UserStore, records: DocStore) -> SafeWebApp {
         SafeWebApp {
-            router: Router::new(),
-            handlers: Vec::new(),
-            cacheable: Vec::new(),
-            route_ns: Vec::new(),
-            route_names: Vec::new(),
+            routes: Vec::new(),
             users,
             records,
             options: FrontendOptions::default(),
@@ -311,7 +319,7 @@ impl SafeWebApp {
         pattern: &str,
         handler: impl Fn(&Ctx<'_>) -> SResponse + Send + Sync + 'static,
     ) {
-        self.add_route(Method::Get, pattern, handler);
+        self.add_route(Method::Get, pattern, handler, false);
     }
 
     /// Registers a GET route whose rendered pages may be shared across
@@ -332,11 +340,7 @@ impl SafeWebApp {
         pattern: &str,
         handler: impl Fn(&Ctx<'_>) -> SResponse + Send + Sync + 'static,
     ) {
-        self.add_route(Method::Get, pattern, handler);
-        *self
-            .cacheable
-            .last_mut()
-            .expect("add_route pushed a handler") = true;
+        self.add_route(Method::Get, pattern, handler, true);
     }
 
     /// Registers a POST route.
@@ -345,7 +349,7 @@ impl SafeWebApp {
         pattern: &str,
         handler: impl Fn(&Ctx<'_>) -> SResponse + Send + Sync + 'static,
     ) {
-        self.add_route(Method::Post, pattern, handler);
+        self.add_route(Method::Post, pattern, handler, false);
     }
 
     fn add_route(
@@ -353,18 +357,32 @@ impl SafeWebApp {
         method: Method,
         pattern: &str,
         handler: impl Fn(&Ctx<'_>) -> SResponse + Send + Sync + 'static,
+        cacheable: bool,
     ) {
-        let idx = self.handlers.len();
-        self.handlers.push(Arc::new(handler));
-        self.cacheable.push(false);
-        self.route_ns.push(Histogram::new());
-        let verb = match method {
-            Method::Get => "get",
-            Method::Post => "post",
-            _ => "other",
+        self.routes.push(Route {
+            method,
+            pattern: RoutePattern::parse(pattern),
+            handler: Box::new(handler),
+            cacheable,
+            name: format!("{} {pattern}", method.as_str().to_ascii_lowercase()),
+            latency_ns: Histogram::new(),
+        });
+    }
+
+    /// The first route matching `method` and `path`, with its captured
+    /// parameters. `HEAD` runs the `GET` route: the HTTP layer sends the
+    /// response's would-be `content-length` and drops the body.
+    fn route(&self, method: Method, path: &str) -> Option<(usize, BTreeMap<String, String>)> {
+        let method = if method == Method::Head {
+            Method::Get
+        } else {
+            method
         };
-        self.route_names.push(format!("{verb} {pattern}"));
-        self.router.add(method, pattern, idx);
+        self.routes
+            .iter()
+            .enumerate()
+            .filter(|(_, route)| route.method == method)
+            .find_map(|(index, route)| Some((index, route.pattern.matches(path)?)))
     }
 
     /// Per-phase timing counters.
@@ -388,8 +406,8 @@ impl SafeWebApp {
         registry.register_counter("web.handler_ns", &self.stats.handler_ns);
         registry.register_counter("web.label_check_ns", &self.stats.label_check_ns);
         registry.register_counter("web.denied", &self.stats.denied);
-        for (name, histogram) in self.route_names.iter().zip(&self.route_ns) {
-            registry.register_histogram(&format!("web.route_ns.{name}"), histogram);
+        for route in &self.routes {
+            registry.register_histogram(&format!("web.route_ns.{}", route.name), &route.latency_ns);
         }
         if self.options.label_checking {
             let hits = self.stats.render_cache_hits.clone();
@@ -426,157 +444,133 @@ impl SafeWebApp {
     /// `x-safeweb-trace` response header for `/__obs/trace/:id` lookups.
     pub fn handle(&self, request: &Request) -> Response {
         // Route first: unknown paths 404 without burning auth time.
-        let Some((handler_idx, params)) = self.router.route(request.method(), request.path())
-        else {
+        let Some((index, params)) = self.route(request.method(), request.path()) else {
             return Response::new(404).with_body("not found");
         };
+        let route = &self.routes[index];
         let trace = TraceId::mint();
         let _scope = trace_scope(trace);
         let span_start = safeweb_obs::now_ns();
-        let response = self.serve(handler_idx, params, request);
-        self.route_ns[handler_idx].observe(safeweb_obs::now_ns().saturating_sub(span_start));
-        record_span(
-            "frontend",
-            &self.route_names[handler_idx],
-            trace,
-            span_start,
-            None,
-        );
+        let response = self.serve(index, params, request);
+        route
+            .latency_ns
+            .observe(safeweb_obs::now_ns().saturating_sub(span_start));
+        record_span("frontend", &route.name, trace, span_start, None);
         response.with_header("x-safeweb-trace", trace.to_string())
     }
 
-    /// The middleware pipeline proper, running under the request's trace
-    /// scope.
-    fn serve(
-        &self,
-        handler_idx: usize,
-        params: BTreeMap<String, String>,
-        request: &Request,
-    ) -> Response {
+    /// The middleware pipeline proper, under the request's trace scope:
+    /// the §4.4 steps in their fixed order, with the render cache probed
+    /// before the handler runs and filled after the release.
+    fn serve(&self, index: usize, params: BTreeMap<String, String>, request: &Request) -> Response {
         self.stats.requests.inc();
-
-        // Step 1: authenticate and fetch privileges.
-        let Some((username, password)) = request.basic_auth() else {
-            return Response::new(401)
-                .with_header("www-authenticate", "Basic realm=\"SafeWeb\"")
-                .with_body("authentication required");
-        };
-        let fetch_start = Instant::now();
-        let row = self.users.lookup(&username);
-        self.stats
-            .privilege_fetch_ns
-            .add(fetch_start.elapsed().as_nanos() as u64);
-
-        let auth_start = Instant::now();
-        let user = row.and_then(|row| self.users.verify_row(&row, &password));
-        self.stats
-            .auth_ns
-            .add(auth_start.elapsed().as_nanos() as u64);
-        let Some(user) = user else {
-            return Response::new(401)
-                .with_header("www-authenticate", "Basic realm=\"SafeWeb\"")
-                .with_body("bad credentials");
+        let user = match self.authenticate(request) {
+            Ok(user) => user,
+            Err(refusal) => return refusal,
         };
 
         // Per-clearance render cache (opt-in routes only, and only while
         // label checking is on — the cached body is the *released* one).
         // The seq is read before the handler runs; if the store advances
         // mid-render the entry is born stale, which is the safe direction.
-        let cache_route = self.options.label_checking && self.cacheable[handler_idx];
-        let (path_query, seq) = if cache_route {
-            // The raw path plus the *re-encoded* query pairs: a decoded
-            // `&` or `=` inside a name or value must not read as a
-            // separator, or two requests a handler tells apart would
-            // share an entry.
-            let mut key = request.path().to_string();
-            let mut sep = '?';
-            for (name, value) in request.query_params() {
-                key.push(sep);
-                key.push_str(&url_encode(name));
-                key.push('=');
-                key.push_str(&url_encode(value));
-                sep = '&';
-            }
-            (key, self.records.seq())
-        } else {
-            (String::new(), 0)
-        };
-        if cache_route {
-            if let Some(page) =
-                self.render_cache
-                    .get(handler_idx, &path_query, user.privileges.id(), seq)
-            {
+        let route = &self.routes[index];
+        let slot = (self.options.label_checking && route.cacheable).then(|| {
+            (
+                PageKey::new(index, request, user.privileges.id()),
+                self.records.seq(),
+            )
+        });
+        if let Some((key, seq)) = &slot {
+            if let Some(page) = self.render_cache.get(key, *seq) {
                 self.stats.render_cache_hits.inc();
-                return Response::new(page.status)
-                    .with_header("content-type", page.content_type)
-                    .with_body(page.body);
+                return page.into_response();
             }
             self.stats.render_cache_misses.inc();
         }
 
-        // Steps 2–3: run the handler over labelled data.
+        let page = match self.release(self.render(route, params, request, &user), &user.privileges)
+        {
+            Ok(page) => page,
+            Err(denial) => return denial,
+        };
+        // Cache only fully released 200s, keyed by the exact clearance the
+        // label check just ran against.
+        if let Some((key, seq)) = slot.filter(|_| page.status == 200) {
+            self.render_cache.put(key, seq, page.clone());
+        }
+        page.into_response()
+    }
+
+    /// Step 1: fetch the user's `users` row (and so their privileges) from
+    /// the web database, then run the password KDF against it, each timed
+    /// as its own Figure 5 phase. Missing or bad credentials get the 401.
+    fn authenticate(&self, request: &Request) -> Result<AuthenticatedUser, Response> {
+        let user = request.basic_auth().and_then(|(username, password)| {
+            let row = timed(&self.stats.privilege_fetch_ns, || {
+                self.users.lookup(&username)
+            });
+            timed(&self.stats.auth_ns, || {
+                row.and_then(|row| self.users.verify_row(&row, &password))
+            })
+        });
+        user.ok_or_else(|| {
+            Response::new(401)
+                .with_header("www-authenticate", "Basic realm=\"SafeWeb\"")
+                .with_body("authentication required")
+        })
+    }
+
+    /// Steps 2–3: the route's handler over labelled data.
+    fn render(
+        &self,
+        route: &Route,
+        params: BTreeMap<String, String>,
+        request: &Request,
+        user: &AuthenticatedUser,
+    ) -> SResponse {
         let ctx = Ctx {
             request,
             params,
-            user: &user,
+            user,
             records: &self.records,
         };
-        let handler_start = Instant::now();
-        let sresponse = (self.handlers[handler_idx])(&ctx);
-        self.stats
-            .handler_ns
-            .add(handler_start.elapsed().as_nanos() as u64);
+        timed(&self.stats.handler_ns, || (route.handler)(&ctx))
+    }
 
-        // Step 4: the label check at the boundary. The body is checked
-        // once, on the union of everything rendered into it, and then
-        // moved — not copied — towards the wire.
+    /// Step 4, the label check at the boundary, and the only code that
+    /// turns a labelled body into response bytes. The body is checked
+    /// once, on the union of everything rendered into it, and then moved
+    /// — not copied — towards the wire. A refusal is counted in `denied`.
+    fn release(
+        &self,
+        response: SResponse,
+        privileges: &PrivilegeSet,
+    ) -> Result<RenderedPage, Response> {
         let SResponse {
             status,
             content_type,
             body,
-        } = sresponse;
-        let check_start = Instant::now();
-        let released = if !self.options.label_checking {
-            // The §5.3 baseline: inspection, not release — a copy, where
-            // the checked path below moves.
-            Ok(body.as_str().to_string())
-        } else if body.is_user_tainted() {
-            Err(Response::new(500).with_body("response contains unsanitised user input"))
-        } else {
-            // The error page must not leak which labels blocked.
-            body.release(&user.privileges)
-                .map_err(|_| Response::new(403).with_body("access denied by security policy"))
-        };
-        self.stats
-            .label_check_ns
-            .add(check_start.elapsed().as_nanos() as u64);
-        let released = match released {
-            Ok(released) => released,
-            Err(denial) => {
-                self.stats.denied.inc();
-                return denial;
+        } = response;
+        let released = timed(&self.stats.label_check_ns, || {
+            if !self.options.label_checking {
+                // The §5.3 baseline: inspection, not release — a copy,
+                // where the checked path below moves.
+                Ok(body.as_str().to_string())
+            } else if body.is_user_tainted() {
+                Err(Response::new(500).with_body("response contains unsanitised user input"))
+            } else {
+                // The error page must not leak which labels blocked.
+                body.release(privileges)
+                    .map_err(|_| Response::new(403).with_body("access denied by security policy"))
             }
-        };
-
-        // Cache only fully released 200s, keyed by the exact clearance the
-        // label check just ran against.
-        if cache_route && status == 200 {
-            self.render_cache.put(
-                handler_idx,
-                &path_query,
-                user.privileges.id(),
-                seq,
-                RenderedPage {
-                    status,
-                    content_type,
-                    body: released.clone(),
-                },
-            );
-        }
-
-        Response::new(status)
-            .with_header("content-type", content_type)
-            .with_body(released)
+        });
+        released
+            .map(|body| RenderedPage {
+                status,
+                content_type,
+                body,
+            })
+            .inspect_err(|_| self.stats.denied.inc())
     }
 
     /// Adapts the app into an [`safeweb_http::Handler`] for serving.
@@ -876,6 +870,92 @@ mod tests {
         // Untraceable requests (no route) carry none.
         let resp = app.handle(&Request::new(Method::Get, "/nowhere"));
         assert!(resp.headers().get("x-safeweb-trace").is_none());
+    }
+
+    #[test]
+    fn router_first_match_wins() {
+        let users = UserStore::new(Database::new("web"), AuthConfig::default());
+        let mut app = SafeWebApp::new(users, DocStore::new("app"));
+        let page = |_: &Ctx<'_>| SResponse::text(SStr::public(""));
+        app.get("/records/special", page);
+        app.get("/records/:mid", page);
+        assert_eq!(app.route(Method::Get, "/records/special").unwrap().0, 0);
+        assert_eq!(app.route(Method::Get, "/records/other").unwrap().0, 1);
+        assert!(app.route(Method::Post, "/records/other").is_none());
+        assert!(app.route(Method::Get, "/nowhere").is_none());
+        assert_eq!(
+            app.handle(&Request::new(Method::Post, "/records/other"))
+                .status(),
+            404
+        );
+    }
+
+    /// A POST-only path, beside the GET route `setup` registers.
+    fn with_post_only(mut app: SafeWebApp) -> SafeWebApp {
+        app.post("/submit", |_: &Ctx<'_>| SResponse::text(SStr::public("ok")));
+        app
+    }
+
+    fn head(path: &str, user: &str) -> Request {
+        Request::new(Method::Head, path).with_basic_auth(user, "pw")
+    }
+
+    #[test]
+    fn head_runs_the_get_route_through_every_stage() {
+        for cached in [false, true] {
+            let app = with_post_only(setup_app(cached).0);
+            let get = app.handle(&req("/records/a", "mdt_a"));
+            let resp = app.handle(&head("/records/a", "mdt_a"));
+            assert_eq!(resp.status(), 200);
+            // The HTTP layer drops the body but sends its length.
+            assert_eq!(resp.body(), get.body());
+
+            let resp = app.handle(&head("/records/a", "nosy"));
+            assert_eq!(resp.status(), 403);
+            assert_eq!(app.stats().denied(), 1);
+
+            let resp = app.handle(&head("/submit", "mdt_a"));
+            assert_eq!(resp.status(), 404);
+            assert_eq!(app.stats().requests(), 3);
+        }
+    }
+
+    #[test]
+    fn head_over_http_sends_the_get_length_and_no_body() {
+        use std::io::{Read, Write};
+
+        let (app, _) = setup();
+        let get = app.handle(&req("/records/a", "mdt_a"));
+        let server =
+            safeweb_http::HttpServer::bind("127.0.0.1:0", Arc::new(app).into_handler()).unwrap();
+        let exchange = |user: &str| {
+            let auth = head("/", user)
+                .headers()
+                .get("authorization")
+                .unwrap()
+                .to_string();
+            let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+            conn.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+                .unwrap();
+            write!(
+                conn,
+                "HEAD /records/a HTTP/1.1\r\nauthorization: {auth}\r\nconnection: close\r\n\r\n"
+            )
+            .unwrap();
+            let mut wire = String::new();
+            conn.read_to_string(&mut wire).unwrap();
+            wire
+        };
+
+        let wire = exchange("mdt_a");
+        assert!(wire.starts_with("HTTP/1.1 200"), "{wire}");
+        let length = format!("content-length: {}\r\n", get.body().len());
+        assert!(wire.contains(&length), "{wire}");
+        assert!(wire.ends_with("\r\n\r\n"), "body bytes on the wire: {wire}");
+
+        let wire = exchange("nosy");
+        assert!(wire.starts_with("HTTP/1.1 403"), "{wire}");
+        assert!(wire.ends_with("\r\n\r\n"), "body bytes on the wire: {wire}");
     }
 
     #[test]

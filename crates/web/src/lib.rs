@@ -27,9 +27,8 @@ mod render_cache;
 mod router;
 mod template;
 
-pub use app::{Ctx, FrontendOptions, FrontendStats, RouteHandler, SResponse, SafeWebApp};
+pub use app::{Ctx, FrontendOptions, FrontendStats, SResponse, SafeWebApp};
 pub use auth::{
     hash_password, privileges_to_wire, wire_to_privileges, AuthConfig, AuthenticatedUser, UserStore,
 };
-pub use router::{RoutePattern, Router};
 pub use template::{SDoc, TContext, TValue, Template, TemplateError};

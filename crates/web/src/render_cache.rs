@@ -22,20 +22,43 @@
 //! output depends only on the request path/query, the user's privileges and
 //! the document store — not on the username or other per-user state.
 
-use std::collections::HashMap;
-
+use safeweb_http::{url_encode, Request, Response};
 use safeweb_labels::PrivilegeSetId;
-use safeweb_sync::Mutex;
+use safeweb_sync::BoundedCache;
 
 /// Cache key: one rendered page per (route, concrete path+query, clearance).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct PageKey {
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub(crate) struct PageKey {
     route: usize,
     path_query: String,
     clearance: u32,
 }
 
-/// A rendered page served from (or inserted into) the cache.
+impl PageKey {
+    /// The key of `request` on the route at `route` for `clearance`: the
+    /// raw path plus the *re-encoded* query pairs. A decoded `&` or `=`
+    /// inside a name or value must not read as a separator, or two
+    /// requests a handler tells apart would share an entry.
+    pub(crate) fn new(route: usize, request: &Request, clearance: PrivilegeSetId) -> PageKey {
+        let mut path_query = request.path().to_string();
+        let mut sep = '?';
+        for (name, value) in request.query_params() {
+            path_query.push(sep);
+            path_query.push_str(&url_encode(name));
+            path_query.push('=');
+            path_query.push_str(&url_encode(value));
+            sep = '&';
+        }
+        PageKey {
+            route,
+            path_query,
+            clearance: clearance.as_u32(),
+        }
+    }
+}
+
+/// A released page: what `SafeWebApp`'s release step hands on, and what
+/// the cache stores and serves.
 #[derive(Debug, Clone)]
 pub(crate) struct RenderedPage {
     /// HTTP status (only 200s are cached).
@@ -46,84 +69,65 @@ pub(crate) struct RenderedPage {
     pub body: String,
 }
 
-const SHARDS: usize = 16;
+impl RenderedPage {
+    /// The response carrying this page; the body moves, uncopied.
+    pub(crate) fn into_response(self) -> Response {
+        Response::new(self.status)
+            .with_header("content-type", self.content_type)
+            .with_body(self.body)
+    }
+}
+
 /// Per-shard entry bound; on overflow the shard is cleared. With 16 shards
 /// this caps the cache at ~16k pages.
 const SHARD_CAP: usize = 1024;
 
-/// Sharded, bounded map from [`PageKey`] to a released page and the store
-/// version it was rendered from.
-#[derive(Debug, Default)]
+/// Bounded map from [`PageKey`] to a released page and the store version
+/// it was rendered from.
+#[derive(Debug)]
 pub(crate) struct RenderCache {
-    shards: [Mutex<HashMap<PageKey, (u64, RenderedPage)>>; SHARDS],
+    pages: BoundedCache<PageKey, (u64, RenderedPage)>,
 }
 
 impl RenderCache {
     pub(crate) fn new() -> RenderCache {
-        RenderCache::default()
-    }
-
-    fn shard(&self, key: &PageKey) -> &Mutex<HashMap<PageKey, (u64, RenderedPage)>> {
-        use std::hash::{Hash, Hasher};
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) & (SHARDS - 1)]
-    }
-
-    /// Looks up a page rendered for exactly this clearance at exactly this
-    /// store version.
-    pub(crate) fn get(
-        &self,
-        route: usize,
-        path_query: &str,
-        clearance: PrivilegeSetId,
-        seq: u64,
-    ) -> Option<RenderedPage> {
-        let key = PageKey {
-            route,
-            path_query: path_query.to_string(),
-            clearance: clearance.as_u32(),
-        };
-        let shard = self.shard(&key).lock();
-        match shard.get(&key) {
-            Some((at, page)) if *at == seq => Some(page.clone()),
-            _ => None,
+        RenderCache {
+            pages: BoundedCache::new(SHARD_CAP),
         }
     }
 
-    /// Inserts a released page for this clearance, tagged with the store
-    /// version read *before* the handler ran (if the store advanced while
+    /// Looks up a page rendered for exactly this key's clearance at exactly
+    /// this store version; a stale entry is not copied.
+    pub(crate) fn get(&self, key: &PageKey, seq: u64) -> Option<RenderedPage> {
+        self.pages
+            .get(key, |(at, page)| (*at == seq).then(|| page.clone()))
+    }
+
+    /// Inserts a released page under `key`, tagged with the store version
+    /// read *before* the handler ran (if the store advanced while
     /// rendering, the entry is immediately stale — the safe direction).
-    pub(crate) fn put(
-        &self,
-        route: usize,
-        path_query: &str,
-        clearance: PrivilegeSetId,
-        seq: u64,
-        page: RenderedPage,
-    ) {
-        let key = PageKey {
-            route,
-            path_query: path_query.to_string(),
-            clearance: clearance.as_u32(),
-        };
-        let mut shard = self.shard(&key).lock();
-        if shard.len() >= SHARD_CAP {
-            shard.clear();
-        }
-        shard.insert(key, (seq, page));
+    pub(crate) fn put(&self, key: PageKey, seq: u64, page: RenderedPage) {
+        self.pages.insert(key, (seq, page));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use safeweb_http::Method;
     use safeweb_labels::{Label, Privilege, PrivilegeSet};
+
+    /// `BoundedCache`'s shard count.
+    const SHARDS: usize = 16;
 
     fn clearance(path: &str) -> PrivilegeSetId {
         let mut privs = PrivilegeSet::new();
         privs.grant(Privilege::clearance(Label::conf("cache.test", path)));
         privs.id()
+    }
+
+    fn key(route: usize, target: &str, clearance: PrivilegeSetId) -> PageKey {
+        PageKey::new(route, &Request::new(Method::Get, target), clearance)
     }
 
     fn page(body: &str) -> RenderedPage {
@@ -139,18 +143,29 @@ mod tests {
         let cache = RenderCache::new();
         let a = clearance("mdt/a");
         let b = clearance("mdt/b");
-        cache.put(0, "/view", a, 7, page("secret-of-a"));
+        cache.put(key(0, "/view", a), 7, page("secret-of-a"));
 
-        let hit = cache.get(0, "/view", a, 7).expect("same clearance hits");
+        let hit = cache
+            .get(&key(0, "/view", a), 7)
+            .expect("same clearance hits");
         assert_eq!(hit.body, "secret-of-a");
 
         assert!(
-            cache.get(0, "/view", b, 7).is_none(),
+            cache.get(&key(0, "/view", b), 7).is_none(),
             "unequal clearance must never see the cached page"
         );
-        assert!(cache.get(0, "/view", a, 8).is_none(), "stale seq misses");
-        assert!(cache.get(1, "/view", a, 7).is_none(), "other route misses");
-        assert!(cache.get(0, "/other", a, 7).is_none(), "other path misses");
+        assert!(
+            cache.get(&key(0, "/view", a), 8).is_none(),
+            "stale seq misses"
+        );
+        assert!(
+            cache.get(&key(1, "/view", a), 7).is_none(),
+            "other route misses"
+        );
+        assert!(
+            cache.get(&key(0, "/other", a), 7).is_none(),
+            "other path misses"
+        );
     }
 
     #[test]
@@ -158,9 +173,11 @@ mod tests {
         let cache = RenderCache::new();
         let c = clearance("mdt/x");
         for i in 0..(SHARD_CAP * SHARDS * 2) {
-            cache.put(0, &format!("/p/{i}"), c, 1, page("x"));
+            cache.put(key(0, &format!("/p/{i}"), c), 1, page("x"));
         }
-        let total: usize = cache.shards.iter().map(|s| s.lock().len()).sum();
+        let total = (0..(SHARD_CAP * SHARDS * 2))
+            .filter(|i| cache.get(&key(0, &format!("/p/{i}"), c), 1).is_some())
+            .count();
         assert!(total <= SHARD_CAP * SHARDS);
     }
 }

@@ -1,16 +1,15 @@
-//! Sinatra-style routing: method + path patterns with `:param` captures.
+//! Sinatra-style route patterns: path segments with `:param` captures. The
+//! route table itself is `SafeWebApp`'s.
 
 use std::collections::BTreeMap;
 
-use safeweb_http::Method;
-
 /// A parsed route pattern, e.g. `/records/:mid/details`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoutePattern {
+#[derive(Debug)]
+pub(crate) struct RoutePattern {
     segments: Vec<Segment>,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 enum Segment {
     Literal(String),
     Param(String),
@@ -21,7 +20,7 @@ enum Segment {
 impl RoutePattern {
     /// Parses a pattern. Segments starting with `:` capture one path
     /// segment; a final `*` captures the rest as `splat`.
-    pub fn parse(pattern: &str) -> RoutePattern {
+    pub(crate) fn parse(pattern: &str) -> RoutePattern {
         let segments = pattern
             .split('/')
             .filter(|s| !s.is_empty())
@@ -39,7 +38,7 @@ impl RoutePattern {
     }
 
     /// Attempts to match a concrete path, returning captured parameters.
-    pub fn matches(&self, path: &str) -> Option<BTreeMap<String, String>> {
+    pub(crate) fn matches(&self, path: &str) -> Option<BTreeMap<String, String>> {
         let parts: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
         let mut params = BTreeMap::new();
         let mut i = 0;
@@ -67,49 +66,6 @@ impl RoutePattern {
         } else {
             None
         }
-    }
-}
-
-/// A routing table mapping `(method, pattern)` to handler indices; the
-/// application stores the handlers themselves.
-#[derive(Debug, Default)]
-pub struct Router {
-    routes: Vec<(Method, RoutePattern, usize)>,
-}
-
-impl Router {
-    /// An empty router.
-    pub fn new() -> Router {
-        Router::default()
-    }
-
-    /// Registers a route pointing at `handler_index`.
-    pub fn add(&mut self, method: Method, pattern: &str, handler_index: usize) {
-        self.routes
-            .push((method, RoutePattern::parse(pattern), handler_index));
-    }
-
-    /// Finds the first matching route (registration order, like Sinatra).
-    pub fn route(&self, method: Method, path: &str) -> Option<(usize, BTreeMap<String, String>)> {
-        for (m, pattern, idx) in &self.routes {
-            if *m != method {
-                continue;
-            }
-            if let Some(params) = pattern.matches(path) {
-                return Some((*idx, params));
-            }
-        }
-        None
-    }
-
-    /// Number of registered routes.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// Whether no routes are registered.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
     }
 }
 
@@ -158,16 +114,5 @@ mod tests {
             params.get("splat").map(String::as_str),
             Some("css/site.css")
         );
-    }
-
-    #[test]
-    fn router_first_match_wins() {
-        let mut r = Router::new();
-        r.add(Method::Get, "/records/special", 0);
-        r.add(Method::Get, "/records/:mid", 1);
-        assert_eq!(r.route(Method::Get, "/records/special").unwrap().0, 0);
-        assert_eq!(r.route(Method::Get, "/records/other").unwrap().0, 1);
-        assert!(r.route(Method::Post, "/records/other").is_none());
-        assert!(r.route(Method::Get, "/nowhere").is_none());
     }
 }
