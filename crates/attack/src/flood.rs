@@ -27,7 +27,7 @@ use std::time::Duration;
 
 use safeweb_core::broker::wire::{LABELS_HEADER, WIRE_INTERN_CAP};
 use safeweb_core::broker::BrokerServer;
-use safeweb_core::labels::{LabelSet, PrincipalKind, Privilege, PrivilegeKind, PrivilegeSet};
+use safeweb_core::labels::{LabelSet, Privilege, PrivilegeKind, PrivilegeSet};
 use safeweb_mdt::labels::mdt_label;
 use safeweb_stomp::{Command, Frame, TcpTransport};
 
@@ -182,9 +182,7 @@ pub fn run_intern_flood(
         .expect("a valid label pattern");
     let endorse = Privilege::new(PrivilegeKind::Endorse, every_flood_label);
     for login in ["flood_attacker", "flood_fresh"] {
-        policy
-            .entry(PrincipalKind::Unit, login)
-            .grant(endorse.clone());
+        policy.entry(login).grant(endorse.clone());
     }
     let mut server = BrokerServer::bind("127.0.0.1:0", deployment.broker().clone(), policy)
         .expect("bind the STOMP broker on loopback");

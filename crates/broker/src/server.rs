@@ -33,7 +33,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use safeweb_labels::{check_relabel, Policy, PrincipalKind, PrivilegeSet, RemoveSpec};
+use safeweb_labels::{check_relabel, Policy, PrivilegeSet, RemoveSpec};
 use safeweb_reactor::{ConnHandle, Protocol, Reactor, ReactorConfig, SendError};
 use safeweb_selector::Selector;
 use safeweb_stomp::codec::{encode, Decoder};
@@ -259,7 +259,7 @@ fn apply_frame(
     match (frame.command(), session.as_mut()) {
         (Command::Connect, None) => {
             let login = frame.header("login").unwrap_or("anonymous");
-            let privileges = shared.policy.privileges(PrincipalKind::Unit, login);
+            let privileges = shared.policy.privileges(login);
             let privileged = shared.policy.is_privileged_unit(login);
             let client_id = format!("{login}#{}", CONN_SEQ.fetch_add(1, Ordering::Relaxed));
             let connected = Frame::new(Command::Connected).with_header("session", &client_id);

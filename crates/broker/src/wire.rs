@@ -1,8 +1,9 @@
 //! Mapping between [`LabelledEvent`]s and STOMP frames.
 //!
 //! Event attributes travel as ordinary headers; the middleware adds the
-//! protected headers `x-safeweb-id` and `x-safeweb-labels` (§4.2: "labels
-//! ... are encoded as event headers with special semantics").
+//! protected header `x-safeweb-labels` (§4.2: "labels ... are encoded as
+//! event headers with special semantics"). `x-safeweb-id`, which older
+//! peers send, stays reserved and is skipped on decode.
 
 use std::fmt;
 
@@ -12,8 +13,6 @@ use safeweb_stomp::{Command, Frame};
 
 /// Header carrying the label set on the wire.
 pub const LABELS_HEADER: &str = "x-safeweb-labels";
-/// Header carrying the event id on the wire.
-pub const ID_HEADER: &str = "x-safeweb-id";
 /// Header carrying the destination topic.
 pub const DESTINATION_HEADER: &str = "destination";
 /// Header identifying which subscription a MESSAGE belongs to.
@@ -69,7 +68,6 @@ impl From<EventError> for WireError {
 pub fn event_to_frame(event: &LabelledEvent, command: Command) -> Frame {
     let mut frame = Frame::new(command)
         .with_header(DESTINATION_HEADER, event.topic())
-        .with_header(ID_HEADER, event.event().id().to_string())
         .with_header(LABELS_HEADER, event.labels().to_wire());
     for (k, v) in event.event().attributes() {
         frame.push_header(k, v);
@@ -115,10 +113,6 @@ pub fn frame_to_event_within(
         .ok_or(WireError::MissingDestination)?;
     let mut event = Event::new(topic).map_err(WireError::BadEvent)?;
 
-    if let Some(id) = frame.header(ID_HEADER).and_then(|id| id.parse().ok()) {
-        event.set_id(id);
-    }
-
     // The reserved attribute names are the headers the middleware owns;
     // `id` is a subscription's.
     let owned = |k: &str| k == "id" || RESERVED_ATTRIBUTES.contains(&k);
@@ -160,14 +154,13 @@ mod tests {
         assert_eq!(back.attr("patient_id"), Some("42"));
         assert_eq!(back.event().payload(), Some("details"));
         assert_eq!(back.labels(), event.labels());
-        assert_eq!(back.event().id(), event.event().id());
     }
 
     #[test]
     fn protocol_headers_are_not_attributes() {
         for header in [
             DESTINATION_HEADER,
-            ID_HEADER,
+            "x-safeweb-id",
             LABELS_HEADER,
             SUBSCRIPTION_HEADER,
             SELECTOR_HEADER,
@@ -180,6 +173,7 @@ mod tests {
         for header in [
             "receipt",
             "id",
+            "x-safeweb-id",
             "content-length",
             SUBSCRIPTION_HEADER,
             SELECTOR_HEADER,

@@ -46,12 +46,10 @@ pub(crate) fn handler(state: OpsState) -> Handler {
 fn serve(state: &OpsState, request: &Request) -> Response {
     // The gate runs before any routing so probing route existence
     // needs credentials too.
-    let Some((username, password)) = request.basic_auth() else {
-        return Response::new(401)
-            .with_header("www-authenticate", "Basic realm=\"SafeWeb ops\"")
-            .with_body("authentication required");
-    };
-    let Some(user) = state.users.authenticate(&username, &password) else {
+    let user = request
+        .basic_auth()
+        .and_then(|(username, password)| state.users.authenticate(&username, &password));
+    let Some(user) = user else {
         return Response::new(401)
             .with_header("www-authenticate", "Basic realm=\"SafeWeb ops\"")
             .with_body("authentication required");

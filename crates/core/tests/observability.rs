@@ -145,10 +145,20 @@ fn ops_surface_denies_under_cleared_principals() {
     let addr = ops.addr().to_string();
 
     for path in ["/__obs/metrics", "/__obs/health", "/__obs/trace/1234"] {
-        // Anonymous: 401, and no telemetry in the body.
-        let anon = client::send(&addr, Request::new(Method::Get, path)).unwrap();
-        assert_eq!(anon.status(), 401, "{path} must demand credentials");
-        assert!(!anon.body_str().unwrap_or_default().contains('{'));
+        // Anonymous or a wrong password: 401 with the challenge, and no
+        // telemetry in the body.
+        for request in [
+            Request::new(Method::Get, path),
+            Request::new(Method::Get, path).with_basic_auth("admin", "wrong"),
+        ] {
+            let denied = client::send(&addr, request).unwrap();
+            assert_eq!(denied.status(), 401, "{path} must demand credentials");
+            assert_eq!(
+                denied.headers().get("www-authenticate"),
+                Some("Basic realm=\"SafeWeb ops\"")
+            );
+            assert!(!denied.body_str().unwrap_or_default().contains('{'));
+        }
 
         // Authenticated but not admin: 403, same opacity.
         let peon = client::send(

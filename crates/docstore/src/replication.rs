@@ -15,9 +15,9 @@
 //!   overwritten at the source), with each id's current document or its
 //!   deletion. One write transaction on the target skips what it already
 //!   holds, logs the rest and — for a durable target — the new
-//!   checkpoint with one append, applies it all and raises the target's
-//!   commit signal once. A run with nothing to push takes no write
-//!   transaction.
+//!   checkpoint with one append, applies it all and notifies the
+//!   target's commit signal once. A run with nothing to push takes no
+//!   write transaction.
 //! * **Full resync** — the fallback when the checkpoint predates the
 //!   source's [compaction horizon](DocStore::compacted_seq): the feed
 //!   below the horizon has dropped tombstones, so an incremental pass
@@ -28,8 +28,8 @@
 //!
 //! ## When a run happens: on commit, at a bounded rate
 //!
-//! [`ReplicationHandle`]'s thread parks on the source store's
-//! [`CommitSignal`], which every committed write raises, so a write is
+//! [`ReplicationHandle`]'s thread parks on the source store's commit
+//! signal, which every committed write notifies, so a write is
 //! pushed as soon as it exists rather than at the next tick. Runs
 //! *start* at most once per [`COALESCE_DELAY`]: woken by a commit, the
 //! thread waits only for what is left of that delay since the previous
@@ -73,7 +73,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
-use safeweb_sync::{Condvar, Mutex};
+use safeweb_sync::Signal;
 
 use crate::store::{Applied, DocStore, Write};
 
@@ -85,59 +85,6 @@ const COALESCE_DELAY: Duration = Duration::from_millis(1);
 /// a large store neither holds the target's lock nor copies the whole
 /// store at once.
 const RESYNC_CHUNK: usize = 1024;
-
-/// A store's "something was committed" signal: a generation counter that
-/// every committed write advances, and that replication threads (and
-/// [`DocStore::wait_until`]) park on.
-/// A counter rather than a flag, so any number of replicators can follow
-/// one source and none can consume another's wake-up.
-#[derive(Debug, Default)]
-pub(crate) struct CommitSignal {
-    state: Mutex<SignalState>,
-    wake: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct SignalState {
-    generation: u64,
-    /// Threads inside [`CommitSignal::park_past`]; writers skip the
-    /// condvar (a system call) while nobody is parked.
-    parked: usize,
-}
-
-impl CommitSignal {
-    /// Advances the generation and wakes every parked thread.
-    pub(crate) fn raise(&self) {
-        let parked = {
-            let mut st = self.state.lock();
-            st.generation += 1;
-            st.parked
-        };
-        // Notified with the lock released, so a woken thread does not run
-        // straight into it and block a second time. No wake-up is lost: a
-        // thread not yet counted in `parked` takes the lock after this
-        // advance and sees the new generation before it waits.
-        if parked > 0 {
-            self.wake.notify_all();
-        }
-    }
-
-    pub(crate) fn generation(&self) -> u64 {
-        self.state.lock().generation
-    }
-
-    /// Parks until the generation has moved past `seen` or `timeout` has
-    /// elapsed; returns whether the generation moved.
-    pub(crate) fn park_past(&self, seen: u64, timeout: Duration) -> bool {
-        let mut st = self.state.lock();
-        st.parked += 1;
-        let (mut st, _) = self
-            .wake
-            .wait_timeout_while(st, timeout, |st| st.generation == seen);
-        st.parked -= 1;
-        st.generation != seen
-    }
-}
 
 /// A one-way replicator with a persistent checkpoint, so repeated runs
 /// only transfer new changes.
@@ -298,12 +245,13 @@ pub struct ReplicationHandle {
 /// State shared between a handle and its thread.
 #[derive(Debug)]
 struct Shared {
-    /// The source's signal: the thread parks on it, `stop` raises it.
-    signal: Arc<CommitSignal>,
+    /// The source's commit signal: the thread parks on it, `stop`
+    /// notifies it.
+    signal: Arc<Signal>,
     stop: AtomicBool,
     checkpoint: Arc<AtomicU64>,
     /// Notified after each publication of `checkpoint`.
-    progress: (Mutex<()>, Condvar),
+    progress: Signal,
     runs: Counter,
     wakeups: Counter,
     /// Wake-ups that waited for the rest of a [`COALESCE_DELAY`].
@@ -328,7 +276,7 @@ impl ReplicationHandle {
             signal: Arc::clone(replicator.source.commit_signal()),
             stop: AtomicBool::new(false),
             checkpoint: Arc::new(AtomicU64::new(replicator.published())),
-            progress: (Mutex::new(()), Condvar::new()),
+            progress: Signal::new(),
             runs: Counter::new(),
             wakeups: Counter::new(),
             coalesced: Counter::new(),
@@ -341,9 +289,9 @@ impl ReplicationHandle {
                 .spawn(move || loop {
                     // Read before the run reads the feed, so a commit that
                     // lands mid-run ends the park at once — and before the
-                    // stop check, so a `stop` whose raise `seen` already
+                    // stop check, so a `stop` whose notify `seen` already
                     // covers is caught here instead of parking through it.
-                    let seen = shared.signal.generation();
+                    let seen = shared.signal.epoch();
                     if shared.stop.load(Ordering::SeqCst) {
                         break;
                     }
@@ -354,7 +302,7 @@ impl ReplicationHandle {
                         .docs_per_run
                         .observe(report.docs_written + report.docs_deleted);
                     shared.publish(replicator.published());
-                    let committed = shared.signal.park_past(seen, interval);
+                    let committed = shared.signal.wait_past(seen, interval);
                     if committed && !shared.stop.load(Ordering::SeqCst) {
                         shared.wakeups.inc();
                         // Runs start at most once per delay; after a
@@ -395,9 +343,18 @@ impl ReplicationHandle {
     ///
     /// Public as a signal: tests wait on it instead of sleeping.
     pub fn wait_for_checkpoint(&self, seq: u64, timeout: Duration) -> bool {
-        let (lock, published) = &self.shared.progress;
-        let _ = published.wait_timeout_while(lock.lock(), timeout, |()| self.checkpoint() < seq);
-        self.checkpoint() >= seq
+        let deadline = Instant::now() + timeout;
+        loop {
+            let seen = self.shared.progress.epoch();
+            if self.checkpoint() >= seq {
+                return true;
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return false;
+            }
+            self.shared.progress.wait_past(seen, left);
+        }
     }
 
     /// Surfaces this handle's counters in `registry` under `prefix`
@@ -421,7 +378,7 @@ impl ReplicationHandle {
 
     fn shutdown(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
-        self.shared.signal.raise();
+        self.shared.signal.notify_all();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -431,10 +388,7 @@ impl ReplicationHandle {
 impl Shared {
     fn publish(&self, checkpoint: u64) {
         self.checkpoint.store(checkpoint, Ordering::SeqCst);
-        // Taking the lock orders this store against a waiter's check, so
-        // the notification cannot fall between its check and its wait.
-        drop(self.progress.0.lock());
-        self.progress.1.notify_all();
+        self.progress.notify_all();
     }
 }
 
@@ -747,7 +701,7 @@ mod tests {
                 .unwrap();
         }
         let mut rep = Replicator::new(src.clone(), dst.clone());
-        let commits = || dst.commit_signal().generation();
+        let commits = || dst.commit_signal().epoch();
 
         let before = commits();
         assert_eq!(rep.run_once().docs_written, 20);

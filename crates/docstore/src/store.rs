@@ -22,10 +22,9 @@ use std::time::{Duration, Instant};
 use safeweb_json::{Str, Value};
 use safeweb_labels::LabelSet;
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
-use safeweb_sync::{RwLock, RwLockWriteGuard};
+use safeweb_sync::{RwLock, RwLockWriteGuard, Signal};
 
 use crate::document::{Document, Revision};
-use crate::replication::CommitSignal;
 use crate::wal;
 
 mod changes;
@@ -179,8 +178,9 @@ impl Inner {
 pub struct DocStore {
     name: String,
     inner: Arc<RwLock<Inner>>,
-    /// Raised after every committed write; replication parks on it.
-    commits: Arc<CommitSignal>,
+    /// Notified after every committed write; replication and
+    /// [`DocStore::wait_until`] park on it.
+    commits: Arc<Signal>,
 }
 
 impl DocStore {
@@ -338,7 +338,7 @@ impl DocStore {
     /// already logged — before anything changes in memory, so a torn
     /// append recovers a prefix of the batch and never a checkpoint past
     /// a missing document. Then everything applies and the commit signal
-    /// is raised once (a checkpoint-only transaction raises it too).
+    /// is notified once (a checkpoint-only transaction notifies it too).
     ///
     /// A log failure does not stop the apply — the replica stays correct
     /// at runtime — but it is made sticky, a validation refusal
@@ -409,7 +409,7 @@ impl DocStore {
 
     /// The one commit tail, after a transaction's writes went through
     /// [`Inner::apply`]: compacts the feed and starts a snapshot when
-    /// due, releases the lock, raises the commit signal, and then waits
+    /// due, releases the lock, notifies the commit signal, and then waits
     /// for the group-commit sync covering `ticket`, if any.
     fn commit(
         &self,
@@ -420,7 +420,7 @@ impl DocStore {
         feed.maybe_compact(docs);
         inner.maybe_snapshot();
         drop(inner);
-        self.commits.raise();
+        self.commits.notify_all();
         self.wait_durable(ticket)
     }
 
@@ -432,9 +432,9 @@ impl DocStore {
     pub fn wait_until(&self, timeout: Duration, mut done: impl FnMut(&DocStore) -> bool) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            // Read the generation before checking, so a commit landing
+            // Read the epoch before checking, so a commit landing
             // between the check and the park ends the park at once.
-            let seen = self.commits.generation();
+            let seen = self.commits.epoch();
             if done(self) {
                 return true;
             }
@@ -442,12 +442,12 @@ impl DocStore {
             if left.is_zero() {
                 return false;
             }
-            self.commits.park_past(seen, left);
+            self.commits.wait_past(seen, left);
         }
     }
 
-    /// The signal raised after every committed write to this store.
-    pub(crate) fn commit_signal(&self) -> &Arc<CommitSignal> {
+    /// The signal notified after every committed write to this store.
+    pub(crate) fn commit_signal(&self) -> &Arc<Signal> {
         &self.commits
     }
 }

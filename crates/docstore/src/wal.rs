@@ -63,11 +63,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
 use safeweb_json::{build_exact, write_json_string, EscapeJson, Str, Value};
 use safeweb_labels::LabelSet;
 use safeweb_obs::Histogram;
-use safeweb_sync::{Condvar, Mutex};
+use safeweb_sync::{Mutex, Signal};
 
 use crate::document::{Document, Revision};
 use crate::frame::{decode_frame, push_frame, FRAME_HEADER, MAX_RECORD_LEN};
@@ -404,7 +405,8 @@ fn sealed_index(name: &str) -> Option<u64> {
 #[derive(Debug)]
 pub(crate) struct GroupCommit {
     state: Mutex<GroupState>,
-    cv: Condvar,
+    /// Notified by each leader once it has published its sync's result.
+    synced: Signal,
 }
 
 #[derive(Debug)]
@@ -442,7 +444,7 @@ impl GroupCommit {
                 fsync_ns: Histogram::new(),
                 batch: Histogram::with_bounds(Histogram::size_bounds()),
             }),
-            cv: Condvar::new(),
+            synced: Signal::new(),
         }
     }
 
@@ -468,8 +470,8 @@ impl GroupCommit {
     /// Called *without* the store lock, so appenders batch up behind the
     /// in-flight sync instead of serializing on it.
     pub(crate) fn wait_durable(&self, ticket: u64) -> Result<(), String> {
-        let mut st = self.state.lock();
         loop {
+            let mut st = self.state.lock();
             if let Some(why) = &st.failed {
                 return Err(why.clone());
             }
@@ -477,7 +479,11 @@ impl GroupCommit {
                 return Ok(());
             }
             if st.leading {
-                st = self.cv.wait(st);
+                // Read under the lock: the leader publishes its result
+                // under it and notifies after, so the epoch moves.
+                let seen = self.synced.epoch();
+                drop(st);
+                self.synced.wait_past(seen, Duration::MAX);
                 continue;
             }
             st.leading = true;
@@ -495,13 +501,14 @@ impl GroupCommit {
             };
             fsync_ns.observe_ns(started.elapsed());
             batch.observe(covered);
-            st = self.state.lock();
+            let mut st = self.state.lock();
             st.leading = false;
             match result {
                 Ok(()) => st.synced = st.synced.max(target),
                 Err(e) => st.failed = Some(e.to_string()),
             }
-            self.cv.notify_all();
+            drop(st);
+            self.synced.notify_all();
         }
     }
 }

@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -18,7 +18,7 @@ use safeweb_events::LabelledEvent;
 use safeweb_labels::PrivilegeSet;
 use safeweb_stomp::codec::encode;
 use safeweb_stomp::{Command, Frame, TcpTransport};
-use safeweb_sync::{Condvar, Mutex};
+use safeweb_sync::{Mutex, Signal};
 
 use crate::error::EngineError;
 
@@ -128,9 +128,10 @@ const CLOSE_GRACE: Duration = Duration::from_millis(250);
 
 struct RemoteBusInner {
     publisher: Mutex<TcpTransport>,
-    /// Whether a request on `publisher` waits for its answer, notified
-    /// when it stops waiting.
-    awaiting: (Mutex<bool>, Condvar),
+    /// Whether a request on `publisher` waits for its answer.
+    awaiting: AtomicBool,
+    /// Notified when a request stops waiting for its answer.
+    answered: Signal,
     subscriber: Mutex<SubscribeLeg>,
     /// Both connections, reachable without the locks a blocked request
     /// holds.
@@ -228,7 +229,8 @@ impl RemoteBus {
             inner: Arc::new(RemoteBusInner {
                 sockets: [socket(&publisher)?, socket(&writer)?],
                 publisher: Mutex::new(publisher),
-                awaiting: (Mutex::new(false), Condvar::new()),
+                awaiting: AtomicBool::new(false),
+                answered: Signal::new(),
                 subscriber: Mutex::new(SubscribeLeg { writer, answers }),
                 routes,
                 next_id: AtomicU64::new(1),
@@ -249,12 +251,11 @@ impl RemoteBus {
         }
         let frame = event_to_frame(last, Command::Send).with_header("receipt", "batch");
         bytes.extend(encode(&frame));
-        let (awaiting, answered) = &self.inner.awaiting;
         let mut publisher = self.inner.publisher.lock();
-        *awaiting.lock() = true;
+        self.inner.awaiting.store(true, Ordering::SeqCst);
         let answer = request(&mut publisher, &bytes);
-        *awaiting.lock() = false;
-        answered.notify_all();
+        self.inner.awaiting.store(false, Ordering::SeqCst);
+        self.inner.answered.notify_all();
         answer
     }
 }
@@ -395,11 +396,13 @@ impl EventBus for RemoteBus {
     }
 
     fn close(&self) {
-        // A broker that still serves answers a request already written
+        // A broker that still serves answers the request already written
         // within the grace; the shutdown wakes a request on one that
-        // stopped answering.
-        let (awaiting, answered) = &self.inner.awaiting;
-        let _ = answered.wait_timeout_while(awaiting.lock(), CLOSE_GRACE, |busy| *busy);
+        // stopped answering, and fails any still queued behind it.
+        let seen = self.inner.answered.epoch();
+        if self.inner.awaiting.load(Ordering::SeqCst) {
+            self.inner.answered.wait_past(seen, CLOSE_GRACE);
+        }
         self.inner.shut_down();
     }
 }

@@ -25,10 +25,10 @@ use std::time::{Duration, Instant};
 
 use safeweb_broker::Delivery;
 use safeweb_events::{Event, LabelledEvent};
-use safeweb_labels::{LabelSet, Policy, PrincipalKind};
+use safeweb_labels::{LabelSet, Policy};
 use safeweb_obs::TraceId;
 use safeweb_sched::{Scheduler, SchedulerOptions, TaskSender};
-use safeweb_sync::{Condvar, Mutex};
+use safeweb_sync::{Mutex, Signal};
 
 use crate::bus::EventBus;
 use crate::error::{EngineError, UnitError};
@@ -200,7 +200,7 @@ impl Engine {
         let mut timers: Vec<TimerEntry> = Vec::new();
 
         for unit in self.units {
-            let privileges = self.policy.privileges(PrincipalKind::Unit, &unit.name);
+            let privileges = self.policy.privileges(&unit.name);
             let privileged = self.policy.is_privileged_unit(&unit.name);
             let UnitSpec {
                 name,
@@ -375,22 +375,21 @@ struct TimerEntry {
 /// backlog, and a timer-driven source (the MDT data producer) backs off
 /// until the pool drains below the cap; its skipped ticks are not
 /// replayed.
-/// Between ticks the thread sleeps on a condvar until the earliest
-/// deadline — zero wakeups while no timer is due — and `stop` notifies
-/// it out of the wait immediately.
+/// Between ticks the thread parks on `stop` until the earliest
+/// deadline — zero wakeups while no timer is due — and `stop`'s one
+/// notify, which moves its epoch past 0, ends the wait and the thread.
 struct TimerDriver {
-    stop: Arc<(Mutex<bool>, Condvar)>,
+    stop: Arc<Signal>,
     thread: Option<JoinHandle<()>>,
 }
 
 impl TimerDriver {
     fn start(mut entries: Vec<TimerEntry>) -> TimerDriver {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let stop_pair = Arc::clone(&stop);
+        let stop = Arc::new(Signal::new());
+        let stopped = Arc::clone(&stop);
         let thread = std::thread::Builder::new()
             .name("safeweb-engine-timers".to_string())
             .spawn(move || {
-                let (stopped, wake) = &*stop_pair;
                 loop {
                     let now = Instant::now();
                     let mut earliest: Option<Instant> = None;
@@ -409,8 +408,7 @@ impl TimerDriver {
                         .map(|at| at.saturating_duration_since(Instant::now()))
                         .unwrap_or(Duration::from_secs(1))
                         .max(Duration::from_millis(1));
-                    let (stop, _) = wake.wait_timeout_while(stopped.lock(), wait, |stop| !*stop);
-                    if *stop {
+                    if stopped.wait_past(0, wait) {
                         return;
                     }
                 }
@@ -423,9 +421,7 @@ impl TimerDriver {
     }
 
     fn stop(&mut self) {
-        let (stopped, wake) = &*self.stop;
-        *stopped.lock() = true;
-        wake.notify_all();
+        self.stop.notify_all();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
         }

@@ -11,6 +11,7 @@ use safeweb_broker::Broker;
 use safeweb_engine::{Engine, EngineOptions, Relabel, SchedulerOptions, UnitError, UnitSpec};
 use safeweb_events::Event;
 use safeweb_labels::{Label, Policy, Privilege, PrivilegeKind, PrivilegeSet};
+use safeweb_obs::MetricsRegistry;
 
 fn policy(text: &str) -> Policy {
     text.parse().unwrap()
@@ -475,8 +476,10 @@ fn slow_unit_at_inbox_cap_backpressures_without_stalling_others() {
 
     let broker = Broker::new();
     let policy = policy("unit slow {\n}\nunit fast {\n}\n");
-    let mut engine =
-        Engine::new(Arc::new(broker.clone()), policy).with_options(scheduled(2, CAP, 2));
+    let registry = MetricsRegistry::new();
+    let mut options = scheduled(2, CAP, 2);
+    options.scheduler.metrics = Some(registry.clone());
+    let mut engine = Engine::new(Arc::new(broker.clone()), policy).with_options(options);
 
     let gate = Arc::new(AtomicBool::new(false));
     let slow_count = Arc::new(AtomicUsize::new(0));
@@ -521,7 +524,16 @@ fn slow_unit_at_inbox_cap_backpressures_without_stalling_others() {
         || broker.stats().delivered() >= CAP as u64,
         "the flood to reach the cap",
     );
-    std::thread::sleep(Duration::from_millis(50));
+    wait_for(
+        || {
+            let blocked = registry
+                .snapshot()
+                .get("sched.blocked_senders")
+                .and_then(|v| v.as_f64());
+            blocked.is_some_and(|n| n >= 1.0)
+        },
+        "the publisher to block at the cap",
+    );
     assert!(
         !publisher.is_finished(),
         "publisher should be blocked by the slow unit's bounded inbox"

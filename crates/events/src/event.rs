@@ -7,8 +7,6 @@ use safeweb_labels::{Label, LabelSet};
 use safeweb_obs::TraceId;
 use safeweb_selector::AttributeSource;
 
-use crate::id::EventId;
-
 /// Attribute names reserved for the middleware; application events may not
 /// use them because they are carried as protocol headers on the wire.
 pub const RESERVED_ATTRIBUTES: &[&str] = &[
@@ -67,7 +65,6 @@ fn check_attr(name: &str, value: &str) -> Result<(), EventError> {
 /// attribute text, spans, payload) whatever its attribute count.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Event {
-    id: EventId,
     topic: String,
     text: String,
     spans: Vec<(usize, usize)>,
@@ -75,7 +72,7 @@ pub struct Event {
 }
 
 impl Event {
-    /// Creates an event on `topic` with a fresh [`EventId`].
+    /// Creates an event on `topic` with no attributes and no payload.
     ///
     /// # Errors
     ///
@@ -86,23 +83,11 @@ impl Event {
             return Err(EventError::InvalidTopic(topic.to_string()));
         }
         Ok(Event {
-            id: EventId::generate(),
             topic: topic.to_string(),
             text: String::new(),
             spans: Vec::new(),
             payload: None,
         })
-    }
-
-    /// The unique identifier of this event.
-    pub fn id(&self) -> EventId {
-        self.id
-    }
-
-    /// Overrides the identifier (used when decoding from the wire so the
-    /// id survives transport).
-    pub fn set_id(&mut self, id: EventId) {
-        self.id = id;
     }
 
     /// The topic the event is published on.
@@ -300,7 +285,6 @@ impl fmt::Debug for Event {
             }
         }
         f.debug_struct("Event")
-            .field("id", &self.id)
             .field("topic", &self.topic)
             .field("attributes", &Attributes(self))
             .field("payload", &self.payload)
@@ -490,13 +474,5 @@ mod tests {
         let derived2 = a.derive(Event::new("/c2").unwrap(), &[&d]);
         // d lacks the integrity label, so it must not survive.
         assert!(!derived2.labels().contains(&Label::int("e", "ok")));
-    }
-
-    #[test]
-    fn ids_survive_set_id() {
-        let mut e = Event::new("/t").unwrap();
-        let id = EventId::from_parts(1, 2);
-        e.set_id(id);
-        assert_eq!(e.id(), id);
     }
 }

@@ -22,7 +22,5 @@
 #![deny(missing_docs)]
 
 mod event;
-mod id;
 
 pub use event::{Event, EventError, LabelledEvent, RESERVED_ATTRIBUTES};
-pub use id::EventId;

@@ -4,7 +4,8 @@
 //! Middleware 2011, §3–§4.1): URI-formatted confidentiality and integrity
 //! labels, label sets with sticky/fragile composition, privileges
 //! (clearance, declassification, endorsement) and the policy file that
-//! assigns privileges to backend units and frontend users.
+//! assigns privileges to backend units (frontend users' privileges live
+//! in the web database).
 //!
 //! ## Model
 //!
@@ -52,7 +53,7 @@ pub use error::{ParseLabelError, ParsePolicyError};
 pub use intern::{LabelSetId, PrivilegeSetId};
 pub use label::{Label, LabelKind};
 pub use pattern::LabelPattern;
-pub use policy::{Policy, PrincipalKind, PrincipalPolicy};
+pub use policy::{Policy, PrincipalPolicy};
 pub use privilege::{Privilege, PrivilegeKind, PrivilegeSet};
 pub use relabel::{check_relabel, Relabel, RelabelError, RemoveSpec};
 pub use set::LabelSet;

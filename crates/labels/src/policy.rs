@@ -1,9 +1,12 @@
 //! The data-flow policy specification file (§4.1, §5.2).
 //!
-//! Privileges over labels are assigned to backend *units* and frontend
-//! *users* through a policy file. The paper highlights that this file (and
-//! the scripts editing it) is part of the audited trusted codebase, so the
-//! format is deliberately small and line-oriented:
+//! Privileges over labels are assigned to backend *units* through a
+//! policy file. The paper highlights that this file (and the scripts
+//! editing it) is part of the audited trusted codebase, so the format is
+//! deliberately small and line-oriented. Frontend users' privileges are
+//! not declared here: they live in the web database (§5.1, the `users`
+//! table of `safeweb-web`'s `auth`), and the parser refuses a `user`
+//! block rather than silently ignore its grants.
 //!
 //! A unit's entry governs it wherever it acts: inside the engine's jail,
 //! and as a STOMP peer that logs in under the unit's name. `declassify`,
@@ -21,45 +24,20 @@
 //!     declassify label:conf:ecric.org.uk/mdt/*
 //! }
 //!
-//! user mdt_addenbrookes {
-//!     clearance label:conf:ecric.org.uk/mdt/addenbrookes
+//! # A jailed unit cleared to read every MDT's records.
+//! unit aggregator {
+//!     clearance label:conf:ecric.org.uk/mdt/*
 //! }
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::str::FromStr;
 
 use crate::error::ParsePolicyError;
 use crate::pattern::LabelPattern;
 use crate::privilege::{Privilege, PrivilegeKind, PrivilegeSet};
 
-/// The two kinds of principal a policy can assign privileges to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum PrincipalKind {
-    /// An event-processing unit in the backend.
-    Unit,
-    /// An authenticated web user in the frontend.
-    User,
-}
-
-impl PrincipalKind {
-    /// Policy-file keyword (`unit` / `user`).
-    pub fn keyword(self) -> &'static str {
-        match self {
-            PrincipalKind::Unit => "unit",
-            PrincipalKind::User => "user",
-        }
-    }
-}
-
-impl fmt::Display for PrincipalKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.keyword())
-    }
-}
-
-/// One principal's entry in a [`Policy`].
+/// One unit's entry in a [`Policy`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PrincipalPolicy {
     privileged: bool,
@@ -72,20 +50,20 @@ impl PrincipalPolicy {
         PrincipalPolicy::default()
     }
 
-    /// Whether the principal is a *privileged unit*: it runs outside the IFC
-    /// jail with I/O access and may effectively declassify anything it is
+    /// Whether the unit is *privileged*: it runs outside the IFC jail
+    /// with I/O access and may effectively declassify anything it is
     /// cleared to receive (§4.3), and its STOMP `SEND`s may carry any
-    /// integrity label. Meaningless for users.
+    /// integrity label.
     pub fn is_privileged(&self) -> bool {
         self.privileged
     }
 
-    /// Marks the principal as privileged.
+    /// Marks the unit as privileged.
     pub fn set_privileged(&mut self, privileged: bool) {
         self.privileged = privileged;
     }
 
-    /// The privileges granted to this principal.
+    /// The privileges granted to this unit.
     pub fn privileges(&self) -> &PrivilegeSet {
         &self.privileges
     }
@@ -96,29 +74,32 @@ impl PrincipalPolicy {
     }
 }
 
-/// A parsed policy file: privilege assignments for every named unit and
-/// user.
+/// A parsed policy file: privilege assignments for every named unit.
 ///
 /// ```
-/// use safeweb_labels::{Label, Policy, PrincipalKind};
+/// use safeweb_labels::{Label, Policy};
 ///
 /// let text = "
 /// unit storage {
 ///     privileged
 ///     declassify label:conf:ecric.org.uk/mdt/*
 /// }
-/// user mdt1 {
+/// unit mdt1_reader {
 ///     clearance label:conf:ecric.org.uk/mdt/one
 /// }
 /// ";
 /// let policy: Policy = text.parse()?;
-/// let privs = policy.privileges(PrincipalKind::User, "mdt1");
+/// let privs = policy.privileges("mdt1_reader");
 /// assert!(privs.has_clearance(&Label::conf("ecric.org.uk", "mdt/one")));
+/// assert!(policy.is_privileged_unit("storage"));
+///
+/// // Users' privileges come from the web database, not from here.
+/// assert!("user mdt1 {\n}".parse::<Policy>().is_err());
 /// # Ok::<(), safeweb_labels::ParsePolicyError>(())
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Policy {
-    entries: BTreeMap<(PrincipalKind, String), PrincipalPolicy>,
+    entries: BTreeMap<String, PrincipalPolicy>,
 }
 
 impl Policy {
@@ -127,41 +108,38 @@ impl Policy {
         Policy::default()
     }
 
-    /// Returns the entry for a principal, creating it if absent.
-    pub fn entry(&mut self, kind: PrincipalKind, name: &str) -> &mut PrincipalPolicy {
-        self.entries.entry((kind, name.to_string())).or_default()
+    /// Returns the entry for a unit, creating it if absent.
+    pub fn entry(&mut self, name: &str) -> &mut PrincipalPolicy {
+        self.entries.entry(name.to_string()).or_default()
     }
 
-    /// Looks up a principal's entry, if declared.
-    pub fn get(&self, kind: PrincipalKind, name: &str) -> Option<&PrincipalPolicy> {
-        self.entries.get(&(kind, name.to_string()))
+    /// Looks up a unit's entry, if declared.
+    pub fn get(&self, name: &str) -> Option<&PrincipalPolicy> {
+        self.entries.get(name)
     }
 
-    /// The privileges of a principal; principals not mentioned in the policy
-    /// hold no privileges at all (fail-closed).
-    pub fn privileges(&self, kind: PrincipalKind, name: &str) -> PrivilegeSet {
-        self.get(kind, name)
-            .map(|e| *e.privileges())
-            .unwrap_or_default()
+    /// The privileges of a unit; units not mentioned in the policy hold
+    /// no privileges at all (fail-closed).
+    pub fn privileges(&self, name: &str) -> PrivilegeSet {
+        self.get(name).map(|e| *e.privileges()).unwrap_or_default()
     }
 
     /// Whether the named unit is declared `privileged`.
     pub fn is_privileged_unit(&self, name: &str) -> bool {
-        self.get(PrincipalKind::Unit, name)
-            .is_some_and(|e| e.is_privileged())
+        self.get(name).is_some_and(|e| e.is_privileged())
     }
 
-    /// Iterates over all `(kind, name, entry)` triples in sorted order.
-    pub fn iter(&self) -> impl Iterator<Item = (PrincipalKind, &str, &PrincipalPolicy)> {
-        self.entries.iter().map(|((k, n), e)| (*k, n.as_str(), e))
+    /// Iterates over all `(name, entry)` pairs in sorted order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &PrincipalPolicy)> {
+        self.entries.iter().map(|(n, e)| (n.as_str(), e))
     }
 
-    /// Number of declared principals.
+    /// Number of declared units.
     pub fn len(&self) -> usize {
         self.entries.len()
     }
 
-    /// Whether no principal is declared.
+    /// Whether no unit is declared.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
@@ -172,7 +150,7 @@ impl FromStr for Policy {
 
     fn from_str(text: &str) -> Result<Policy, ParsePolicyError> {
         let mut policy = Policy::new();
-        let mut current: Option<(PrincipalKind, String)> = None;
+        let mut current: Option<String> = None;
 
         for (idx, raw_line) in text.lines().enumerate() {
             let lineno = idx + 1;
@@ -184,19 +162,13 @@ impl FromStr for Policy {
                 continue;
             }
 
-            if let Some((kind, name)) = &current {
+            if let Some(name) = &current {
                 if line == "}" {
                     current = None;
                     continue;
                 }
-                let entry = policy.entry(*kind, name);
+                let entry = policy.entry(name);
                 if line == "privileged" {
-                    if *kind != PrincipalKind::Unit {
-                        return Err(ParsePolicyError::new(
-                            lineno,
-                            "only units can be declared privileged",
-                        ));
-                    }
                     entry.set_privileged(true);
                     continue;
                 }
@@ -216,46 +188,49 @@ impl FromStr for Policy {
                 entry.grant(Privilege::new(priv_kind, pattern));
             } else {
                 let stripped = line.strip_suffix('{').ok_or_else(|| {
-                    ParsePolicyError::new(
-                        lineno,
-                        format!("expected `unit <name> {{` or `user <name> {{`: {line:?}"),
-                    )
+                    ParsePolicyError::new(lineno, format!("expected `unit <name> {{`: {line:?}"))
                 })?;
                 let mut parts = stripped.split_whitespace();
-                let kind = match parts.next() {
-                    Some("unit") => PrincipalKind::Unit,
-                    Some("user") => PrincipalKind::User,
+                match parts.next() {
+                    Some("unit") => {}
+                    Some("user") => {
+                        return Err(ParsePolicyError::new(
+                            lineno,
+                            "only units are declared in a policy file: a user's privileges \
+                             come from the web database",
+                        ))
+                    }
                     other => {
                         return Err(ParsePolicyError::new(
                             lineno,
-                            format!("expected `unit` or `user`, found {other:?}"),
+                            format!("expected `unit`, found {other:?}"),
                         ))
                     }
-                };
-                let name = parts.next().ok_or_else(|| {
-                    ParsePolicyError::new(lineno, "missing principal name before `{`")
-                })?;
+                }
+                let name = parts
+                    .next()
+                    .ok_or_else(|| ParsePolicyError::new(lineno, "missing unit name before `{`"))?;
                 if parts.next().is_some() {
                     return Err(ParsePolicyError::new(
                         lineno,
-                        "unexpected tokens after principal name",
+                        "unexpected tokens after unit name",
                     ));
                 }
-                if policy.get(kind, name).is_some() {
+                if policy.get(name).is_some() {
                     return Err(ParsePolicyError::new(
                         lineno,
-                        format!("duplicate declaration of {kind} {name}"),
+                        format!("duplicate declaration of unit {name}"),
                     ));
                 }
-                current = Some((kind, name.to_string()));
-                policy.entry(kind, name);
+                current = Some(name.to_string());
+                policy.entry(name);
             }
         }
 
-        if let Some((kind, name)) = current {
+        if let Some(name) = current {
             return Err(ParsePolicyError::new(
                 text.lines().count(),
-                format!("unterminated block for {kind} {name} (missing `}}`)"),
+                format!("unterminated block for unit {name} (missing `}}`)"),
             ));
         }
         Ok(policy)
@@ -283,35 +258,31 @@ unit data_storage {
 unit aggregator {
     clearance label:conf:ecric.org.uk/mdt/*   # jailed unit
 }
-
-user mdt_addenbrookes {
-    clearance label:conf:ecric.org.uk/mdt/addenbrookes
-}
 ";
 
     #[test]
     fn parses_sample_policy() {
         let policy: Policy = SAMPLE.parse().unwrap();
-        assert_eq!(policy.len(), 4);
+        assert_eq!(policy.len(), 3);
         assert!(policy.is_privileged_unit("data_producer"));
         assert!(policy.is_privileged_unit("data_storage"));
         assert!(!policy.is_privileged_unit("aggregator"));
         assert!(!policy.is_privileged_unit("nonexistent"));
 
-        let storage = policy.privileges(PrincipalKind::Unit, "data_storage");
+        let storage = policy.privileges("data_storage");
         assert!(storage.can_declassify(&Label::conf("ecric.org.uk", "mdt/addenbrookes")));
         assert!(storage.has_clearance(&Label::conf("ecric.org.uk", "patient/42")));
 
-        let user = policy.privileges(PrincipalKind::User, "mdt_addenbrookes");
-        assert!(user.has_clearance(&Label::conf("ecric.org.uk", "mdt/addenbrookes")));
-        assert!(!user.has_clearance(&Label::conf("ecric.org.uk", "mdt/papworth")));
-        assert!(!user.can_declassify(&Label::conf("ecric.org.uk", "mdt/addenbrookes")));
+        let aggregator = policy.privileges("aggregator");
+        assert!(aggregator.has_clearance(&Label::conf("ecric.org.uk", "mdt/addenbrookes")));
+        assert!(!aggregator.has_clearance(&Label::conf("ecric.org.uk", "patient/42")));
+        assert!(!aggregator.can_declassify(&Label::conf("ecric.org.uk", "mdt/addenbrookes")));
     }
 
     #[test]
     fn unknown_principal_has_no_privileges() {
         let policy: Policy = SAMPLE.parse().unwrap();
-        assert!(policy.privileges(PrincipalKind::User, "mallory").is_empty());
+        assert!(policy.privileges("mallory").is_empty());
     }
 
     #[test]
@@ -319,8 +290,8 @@ user mdt_addenbrookes {
         let policy: Policy = SAMPLE.parse().unwrap();
         // The policy written back out in its file format.
         let mut text = String::new();
-        for (kind, name, entry) in policy.iter() {
-            text.push_str(&format!("{kind} {name} {{\n"));
+        for (name, entry) in policy.iter() {
+            text.push_str(&format!("unit {name} {{\n"));
             if entry.is_privileged() {
                 text.push_str("    privileged\n");
             }
@@ -346,6 +317,12 @@ user mdt_addenbrookes {
     fn rejects_privileged_user() {
         let err = "user u {\n privileged \n}".parse::<Policy>().unwrap_err();
         assert!(err.to_string().contains("only units"));
+        // Any `user` block, privileged or not, points to the web database.
+        let err = "unit x {\n}\nuser mdt_a {\n clearance label:conf:e/mdt/a\n}"
+            .parse::<Policy>()
+            .unwrap_err();
+        assert_eq!(err.line(), 3);
+        assert!(err.to_string().contains("web database"), "{err}");
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 /// Direct: `format!` inside the sink's argument list.
 pub fn find_direct(db: &Db, user: &str) -> Vec<Record> {
-    db.select_spec(&parse_trusted(&format!("name = '{user}'")))
+    db.select_spec(&format!("name = '{user}'"))
 }
 
 /// Indirect: the taint flows through a local binding into the

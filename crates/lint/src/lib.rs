@@ -17,7 +17,7 @@
 //! | `unsafe-confinement`   | `unsafe` only in `reactor::sys`; every other crate root carries `#![forbid(unsafe_code)]` |
 //! | `sync-confinement`     | `std::sync::{Mutex, RwLock, Condvar}` named in `crates/*/src` only inside `crates/sync/src` |
 //! | `declassify-registry`  | every `TrustedLiteral::declassified` / `Privilege::declassify` / sanitiser call site is enumerated in `DECLASSIFY.toml` with a justification |
-//! | `query-hygiene`        | `format!`/`+` output never flows (same function, token level) into `parse_trusted`, `select_spec`, `Selector::parse`, `records_by`, or view names |
+//! | `query-hygiene`        | `format!`/`+` output never flows (same function, token level) into `select_spec`, `Selector::parse`, `records_by`, or view names |
 //! | `lock-order`           | the per-crate `Mutex`/`RwLock` acquisition graph is acyclic |
 //! | `telemetry-hygiene`    | payload/principal-derived values never flow (same function, token level) into `record_span` names or registry metric names |
 //! | `test-liveness`        | every `proptest!` fn carries `#[test]`; every `*_props.rs` / `tests/*.rs` file has a live test |

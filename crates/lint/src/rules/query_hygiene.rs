@@ -15,7 +15,7 @@
 //! 2. a **sink** call whose relevant arguments contain `format!` or a
 //!    concat-tainted identifier is a finding.
 //!
-//! Sinks: `parse_trusted(…)` and `select_spec(…)` (all arguments),
+//! Sinks: `select_spec(…)` (all arguments),
 //! `Selector::parse(…)` (the untrusted-text parser — feeding it
 //! *constructed* text is the SQLi shape), and the view-name (first)
 //! argument of `records_by` / `create_view` / `query_view`.
@@ -33,7 +33,7 @@ use crate::workspace::Workspace;
 const RULE: &str = "query-hygiene";
 
 /// Sinks whose every argument must be concat-free.
-const FULL_ARG_SINKS: [&str; 2] = ["parse_trusted", "select_spec"];
+const FULL_ARG_SINKS: [&str; 1] = ["select_spec"];
 
 /// Sinks whose first (view-name / template) argument must be
 /// concat-free.
@@ -119,10 +119,10 @@ mod tests {
 
     #[test]
     fn direct_format_into_sink_is_flagged() {
-        let src = r#"fn f(user: &str) { let sel = parse_trusted(&format!("name = '{user}'")); }"#;
+        let src = r#"fn f(user: &str) { let rows = db.select_spec(&format!("name = '{user}'")); }"#;
         let findings = run(src);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("parse_trusted"));
+        assert!(findings[0].message.contains("select_spec"));
     }
 
     #[test]
@@ -178,7 +178,7 @@ fn f(ctx: &Ctx<'_>, mid: &SStr) {
         let src = r#"
 #[cfg(test)]
 mod tests {
-    fn f(user: &str) { let s = parse_trusted(&format!("x{user}")); }
+    fn f(user: &str) { let s = db.select_spec(&format!("x{user}")); }
 }
 "#;
         assert!(run(src).is_empty());
@@ -186,14 +186,14 @@ mod tests {
             "crates/x/tests/t.rs",
             "x",
             FileKind::Test,
-            r#"fn f(u: &str) { let s = parse_trusted(&format!("x{u}")); }"#,
+            r#"fn f(u: &str) { let s = db.select_spec(&format!("x{u}")); }"#,
         )]));
         assert!(findings.is_empty());
     }
 
     #[test]
     fn sink_definitions_are_not_calls() {
-        let src = "impl S { pub fn parse_trusted(text: &str) -> R { todo!() } }";
+        let src = "impl S { pub fn select_spec(spec: &str) -> R { todo!() } }";
         assert!(run(src).is_empty());
     }
 }

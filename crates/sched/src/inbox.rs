@@ -5,8 +5,9 @@ use std::fmt;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
-use safeweb_sync::{Condvar, Mutex};
+use safeweb_sync::{Mutex, Signal};
 
 /// Error returned by a blocking send; carries the unsent message.
 pub struct SendError<M>(pub M);
@@ -56,18 +57,27 @@ struct State<M> {
     closed: bool,
 }
 
+/// What every inbox of one pool shares.
+#[derive(Default)]
+pub(crate) struct Backlog {
+    /// Messages queued across every inbox; maintained on push/drain/close
+    /// so an aggregate depth read costs one atomic load instead of a scan
+    /// over all tasks.
+    pub(crate) depth: AtomicUsize,
+    /// Notified whenever an inbox drains or closes; senders blocked at an
+    /// inbox's cap wait on it. Blocked senders are rare, so waking all of
+    /// them on any drain costs little, and a drain with none costs no
+    /// system call.
+    pub(crate) space: Signal,
+}
+
 /// A bounded MPSC queue. Pushes past `cap` block (or fail, for
 /// [`Inbox::try_push`]) until the scheduler drains; the single consumer
 /// is whichever worker currently runs the owning task.
 pub(crate) struct Inbox<M> {
     state: Mutex<State<M>>,
     cap: usize,
-    /// Signalled whenever queue space frees up or the inbox closes.
-    space: Condvar,
-    /// Scheduler-wide queued-message counter shared by every inbox of
-    /// one pool; maintained on push/drain/close so an aggregate depth
-    /// read costs one atomic load instead of a scan over all tasks.
-    depth: Arc<AtomicUsize>,
+    backlog: Arc<Backlog>,
 }
 
 /// What a completed push observed; `was_empty` drives the empty→non-empty
@@ -78,15 +88,14 @@ pub(crate) struct Pushed {
 }
 
 impl<M> Inbox<M> {
-    pub(crate) fn new(cap: usize, depth: Arc<AtomicUsize>) -> Inbox<M> {
+    pub(crate) fn new(cap: usize, backlog: Arc<Backlog>) -> Inbox<M> {
         Inbox {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 closed: false,
             }),
             cap: cap.max(1),
-            space: Condvar::new(),
-            depth,
+            backlog,
         }
     }
 
@@ -94,17 +103,24 @@ impl<M> Inbox<M> {
     /// to itself from its own handler), which must not block: the worker
     /// executing the task is the only thread that could ever drain it.
     pub(crate) fn push(&self, msg: M, bypass_cap: bool) -> Result<Pushed, SendError<M>> {
-        let mut state = self.state.lock();
-        while !state.closed && !bypass_cap && state.queue.len() >= self.cap {
-            state = self.space.wait(state);
+        loop {
+            let seen = {
+                let mut state = self.state.lock();
+                if state.closed {
+                    return Err(SendError(msg));
+                }
+                if bypass_cap || state.queue.len() < self.cap {
+                    let was_empty = state.queue.is_empty();
+                    state.queue.push_back(msg);
+                    self.backlog.depth.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Pushed { was_empty });
+                }
+                // Read under the lock: the drain or close that frees this
+                // inbox takes it after us, so its notify moves the epoch.
+                self.backlog.space.epoch()
+            };
+            self.backlog.space.wait_past(seen, Duration::MAX);
         }
-        if state.closed {
-            return Err(SendError(msg));
-        }
-        let was_empty = state.queue.is_empty();
-        state.queue.push_back(msg);
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        Ok(Pushed { was_empty })
     }
 
     /// Non-blocking push for timer ticks, refused when `busy` (the owning
@@ -117,12 +133,15 @@ impl<M> Inbox<M> {
         if state.closed {
             return Err(TrySendError::Closed(msg));
         }
-        if busy || state.queue.len() >= self.cap || self.depth.load(Ordering::Relaxed) >= self.cap {
+        if busy
+            || state.queue.len() >= self.cap
+            || self.backlog.depth.load(Ordering::Relaxed) >= self.cap
+        {
             return Err(TrySendError::Full(msg));
         }
         let was_empty = state.queue.is_empty();
         state.queue.push_back(msg);
-        self.depth.fetch_add(1, Ordering::Relaxed);
+        self.backlog.depth.fetch_add(1, Ordering::Relaxed);
         Ok(Pushed { was_empty })
     }
 
@@ -132,8 +151,9 @@ impl<M> Inbox<M> {
         let n = state.queue.len().min(burst);
         into.extend(state.queue.drain(..n));
         if n > 0 {
-            self.depth.fetch_sub(n, Ordering::Relaxed);
-            self.space.notify_all();
+            self.backlog.depth.fetch_sub(n, Ordering::Relaxed);
+            drop(state);
+            self.backlog.space.notify_all();
         }
     }
 
@@ -152,9 +172,12 @@ impl<M> Inbox<M> {
         let mut state = self.state.lock();
         state.closed = true;
         if discard {
-            self.depth.fetch_sub(state.queue.len(), Ordering::Relaxed);
+            self.backlog
+                .depth
+                .fetch_sub(state.queue.len(), Ordering::Relaxed);
             state.queue.clear();
         }
-        self.space.notify_all();
+        drop(state);
+        self.backlog.space.notify_all();
     }
 }

@@ -5,12 +5,12 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use safeweb_obs::{Counter, Histogram, MetricsRegistry};
-use safeweb_sync::{Condvar, Mutex};
+use safeweb_sync::{Mutex, Signal};
 
-use crate::inbox::{Inbox, Pushed, SendError, TrySendError};
+use crate::inbox::{Backlog, Inbox, Pushed, SendError, TrySendError};
 
 /// Tuning knobs for a [`Scheduler`].
 #[derive(Debug, Clone)]
@@ -29,9 +29,9 @@ pub struct SchedulerOptions {
     /// Thread-name prefix for the worker threads.
     pub name: String,
     /// Registry for the scheduler's metrics (`sched.activation_ns`,
-    /// `sched.steals`, `sched.parks`, `sched.queued_messages`). `None`
-    /// keeps detached handles: everything still counts, nothing is
-    /// published to a snapshot.
+    /// `sched.steals`, `sched.parks`, `sched.queued_messages`,
+    /// `sched.blocked_senders`). `None` keeps detached handles:
+    /// everything still counts, nothing is published to a snapshot.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -59,12 +59,17 @@ struct SchedMetrics {
 impl SchedMetrics {
     fn registered(
         registry: &MetricsRegistry,
-        depth: &Arc<AtomicUsize>,
+        backlog: &Arc<Backlog>,
         inbox_cap: usize,
     ) -> SchedMetrics {
-        let depth = Arc::clone(depth);
+        let queued = Arc::clone(backlog);
         registry.register_derived("sched.queued_messages", move || {
-            depth.load(Ordering::Relaxed) as f64
+            queued.depth.load(Ordering::Relaxed) as f64
+        });
+        // Senders parked at a full inbox's cap.
+        let blocked = Arc::clone(backlog);
+        registry.register_derived("sched.blocked_senders", move || {
+            blocked.space.waiters() as f64
         });
         // The static cap next to the live depth, so an ops page can
         // render "queued / cap" without knowing the builder options.
@@ -106,10 +111,11 @@ const RUNNING: u8 = 2;
 const RUNNING_NOTIFIED: u8 = 3;
 
 /// Empty queue scans a worker burns through (with `spin_loop` hints)
-/// before it parks on the condvar. Under load, new work usually arrives
-/// within this window and the worker never pays the futex round-trip;
-/// once the pool is truly idle the spin ends and the worker parks with
-/// **no timeout**, so an idle pool makes zero wakeups per second.
+/// before it parks on the pool's `ready` signal. Under load, new work
+/// usually arrives within this window and the worker never pays the
+/// futex round-trip; once the pool is truly idle the spin ends and the
+/// worker parks with **no timeout**, so an idle pool makes zero wakeups
+/// per second.
 const IDLE_SPINS: usize = 64;
 
 /// Distinguishes tasks across every scheduler in the process, so the
@@ -136,16 +142,6 @@ struct Task<M> {
     handler: Mutex<Handler<M>>,
 }
 
-struct Parker {
-    lock: Mutex<()>,
-    cv: Condvar,
-    /// Wakeup generation, bumped under `lock` by every notify. A worker
-    /// records the generation before parking and waits only while it is
-    /// unchanged, so a notify that fires between the worker's last queue
-    /// scan and its `cv.wait` can never be lost.
-    wakeups: AtomicU64,
-}
-
 struct Inner<M> {
     id: u64,
     burst: usize,
@@ -155,14 +151,16 @@ struct Inner<M> {
     workers: usize,
     /// Tasks queued anywhere; lets idle workers sleep without scanning.
     pending: AtomicUsize,
-    sleepers: AtomicUsize,
-    parker: Parker,
+    /// Notified (one worker) by every enqueue and (every worker) by
+    /// `shutdown`; idle workers park on it.
+    ready: Signal,
     stopping: AtomicBool,
     tasks: Mutex<Registry<M>>,
     panics: Mutex<Vec<TaskPanic>>,
-    /// Messages queued across every task inbox (see [`Inbox`]); one
-    /// relaxed load serves the engine/deployment stats surface.
-    depth: Arc<AtomicUsize>,
+    /// Shared by every task inbox: the queued-message count (one relaxed
+    /// load serves the engine/deployment stats surface) and the signal
+    /// blocked senders park on.
+    backlog: Arc<Backlog>,
     metrics: SchedMetrics,
 }
 
@@ -203,11 +201,7 @@ impl<M: Send + 'static> Inner<M> {
         };
         queue.lock().push_back(task);
         self.pending.fetch_add(1, Ordering::SeqCst);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.parker.lock.lock();
-            self.parker.wakeups.fetch_add(1, Ordering::SeqCst);
-            self.parker.cv.notify_one();
-        }
+        self.ready.notify_one();
     }
 
     /// The empty→non-empty inbox transition makes a task ready.
@@ -336,30 +330,16 @@ impl<M: Send + 'static> Inner<M> {
         false
     }
 
-    /// Event-counted park with no timeout. Lost-wakeup safety is
-    /// structural, not probabilistic: `enqueue` publishes `pending`
-    /// before reading `sleepers` (both `SeqCst`), and this worker
-    /// publishes `sleepers` before re-reading `pending`, so an enqueue
-    /// racing the park either sees the sleeper — and then bumps the
-    /// wakeup generation *under the parker lock* before notifying — or
-    /// left `pending` visible to the re-check below. The wait condition
-    /// re-checks both the generation and `pending` under that same lock,
-    /// so there is no window in which a notify can slip between the
-    /// decision to sleep and the sleep itself.
+    /// Parks with no timeout until an enqueue or `shutdown` notifies
+    /// `ready`. `enqueue` publishes `pending` before it notifies, and the
+    /// epoch is read before `pending` is checked, so an enqueue racing
+    /// the park moves the epoch past `seen` (see [`Signal`]).
     fn park(&self) {
         self.metrics.parks.inc();
-        let entry = self.parker.wakeups.load(Ordering::SeqCst);
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut guard = self.parker.lock.lock();
-            while self.parker.wakeups.load(Ordering::SeqCst) == entry
-                && self.pending.load(Ordering::SeqCst) == 0
-                && !self.stopping.load(Ordering::SeqCst)
-            {
-                guard = self.parker.cv.wait(guard);
-            }
+        let seen = self.ready.epoch();
+        if self.pending.load(Ordering::SeqCst) == 0 && !self.stopping.load(Ordering::SeqCst) {
+            self.ready.wait_past(seen, Duration::MAX);
         }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     fn worker_loop(self: &Arc<Self>, index: usize) {
@@ -402,10 +382,10 @@ impl<M: Send + 'static> Scheduler<M> {
             n => n,
         }
         .max(1);
-        let depth = Arc::new(AtomicUsize::new(0));
+        let backlog = Arc::new(Backlog::default());
         let inbox_cap = options.inbox_cap.max(1);
         let metrics = match &options.metrics {
-            Some(registry) => SchedMetrics::registered(registry, &depth, inbox_cap),
+            Some(registry) => SchedMetrics::registered(registry, &backlog, inbox_cap),
             None => SchedMetrics::default(),
         };
         let inner = Arc::new(Inner {
@@ -414,19 +394,14 @@ impl<M: Send + 'static> Scheduler<M> {
             queues: (0..=workers).map(|_| Mutex::new(VecDeque::new())).collect(),
             workers,
             pending: AtomicUsize::new(0),
-            sleepers: AtomicUsize::new(0),
-            parker: Parker {
-                lock: Mutex::new(()),
-                cv: Condvar::new(),
-                wakeups: AtomicU64::new(0),
-            },
+            ready: Signal::new(),
             stopping: AtomicBool::new(false),
             tasks: Mutex::new(Registry {
                 tasks: Vec::new(),
                 prune_at: 64,
             }),
             panics: Mutex::new(Vec::new()),
-            depth,
+            backlog,
             metrics,
         });
         let threads = (0..workers)
@@ -454,7 +429,7 @@ impl<M: Send + 'static> Scheduler<M> {
     /// scheduler-wide backlog, maintained as one shared atomic so the
     /// read is O(1) regardless of task count.
     pub fn queued_messages(&self) -> usize {
-        self.inner.depth.load(Ordering::Relaxed)
+        self.inner.backlog.depth.load(Ordering::Relaxed)
     }
 
     /// Tasks alive: held by a [`TaskSender`] or queued to run. A task
@@ -484,7 +459,7 @@ impl<M: Send + 'static> Scheduler<M> {
             uid: NEXT_TASK_UID.fetch_add(1, Ordering::Relaxed),
             name: name.to_string(),
             state: AtomicU8::new(IDLE),
-            inbox: Inbox::new(self.inbox_cap, Arc::clone(&self.inner.depth)),
+            inbox: Inbox::new(self.inbox_cap, Arc::clone(&self.inner.backlog)),
             handler: Mutex::new(Box::new(handler)),
         });
         {
@@ -519,11 +494,7 @@ impl<M: Send + 'static> Scheduler<M> {
                 task.inbox.close(false);
             }
         }
-        {
-            let _guard = self.inner.parker.lock.lock();
-            self.inner.parker.wakeups.fetch_add(1, Ordering::SeqCst);
-            self.inner.parker.cv.notify_all();
-        }
+        self.inner.ready.notify_all();
         for thread in self.threads.lock().drain(..) {
             let _ = thread.join();
         }
@@ -668,40 +639,27 @@ impl<M: Send + 'static> std::fmt::Debug for TaskSender<M> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
-    use std::time::Duration;
 
-    /// A reusable open/closed latch: handlers block on `wait` (with a
-    /// generous failsafe deadline so a bug cannot hang the suite) until
-    /// the test calls `open`. Replaces sleep-polling so the tests are
-    /// driven by events, not timing.
-    struct Gate {
-        state: Mutex<bool>,
-        cv: Condvar,
-    }
+    /// A one-shot latch: handlers block on `wait` (with a generous
+    /// failsafe deadline so a bug cannot hang the suite) until the test
+    /// calls `open`, the signal's only notify. Replaces sleep-polling so
+    /// the tests are driven by events, not timing.
+    struct Gate(Signal);
 
     impl Gate {
         fn new() -> Arc<Gate> {
-            Arc::new(Gate {
-                state: Mutex::new(false),
-                cv: Condvar::new(),
-            })
+            Arc::new(Gate(Signal::new()))
         }
 
         fn open(&self) {
-            let mut open = self.state.lock();
-            *open = true;
-            self.cv.notify_all();
+            self.0.notify_all();
         }
 
         fn wait(&self) {
-            let deadline = std::time::Instant::now() + Duration::from_secs(10);
-            let mut open = self.state.lock();
-            while !*open {
-                let now = std::time::Instant::now();
-                assert!(now < deadline, "gate never opened");
-                let (next, _) = self.cv.wait_timeout(open, deadline - now);
-                open = next;
-            }
+            assert!(
+                self.0.wait_past(0, Duration::from_secs(10)),
+                "gate never opened"
+            );
         }
     }
 

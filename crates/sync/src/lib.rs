@@ -1,13 +1,17 @@
 //! # safeweb-sync
 //!
-//! The workspace's one lock vocabulary. Every `Mutex`, `RwLock` and
-//! `Condvar` in `crates/*/src` is built here, so what a lock means is
+//! The workspace's one lock-and-wait vocabulary. Every `Mutex` and
+//! `RwLock` in `crates/*/src` is built here, and every blocking wait
+//! apart from thread joins, `mpsc` receives and socket I/O is a
+//! [`Signal`], so what a lock means and why no wake-up is lost are each
 //! decided once (the `sync-confinement` rule in `safeweb-lint` flags
-//! `std::sync::{Mutex, RwLock, Condvar}` anywhere else). The types wrap
+//! `std::sync::{Mutex, RwLock, Condvar}` anywhere else). The locks wrap
 //! `std::sync` one-to-one; each method is `#[inline]` and adds no work
 //! beyond the poison policy below, so the hot-path locks (the scheduler
 //! inbox, the docstore, the render-cache shards) cost what std costs.
-//! Guards are std's own guard types, re-exported.
+//! Guards are std's own guard types, re-exported. There is no condition
+//! variable: a thread waits for a condition by reading a [`Signal`]'s
+//! epoch, checking the condition and parking until the epoch moves.
 //!
 //! Atomics, `Arc`, `OnceLock` and `mpsc` stay `std`: re-exporting them
 //! here would hide nothing.
@@ -54,12 +58,13 @@
 #![deny(missing_docs)]
 
 mod cache;
+mod signal;
 
 use std::sync::{LockResult, PoisonError};
-use std::time::Duration;
 
 pub use cache::BoundedCache;
-pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult};
+pub use signal::Signal;
+pub use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// The poison policy, in one place: a poisoned lock yields its guard.
 #[inline]
@@ -116,62 +121,6 @@ impl<T: ?Sized> RwLock<T> {
     #[inline]
     pub fn write(&self) -> RwLockWriteGuard<'_, T> {
         recover(self.0.write())
-    }
-}
-
-/// A condition variable over this crate's [`Mutex`] guards; a wait on a
-/// poisoned mutex returns its guard like any other wake.
-#[derive(Debug, Default)]
-pub struct Condvar(std::sync::Condvar);
-
-impl Condvar {
-    /// Creates a new condition variable; usable in a `static`.
-    #[inline]
-    pub const fn new() -> Condvar {
-        Condvar(std::sync::Condvar::new())
-    }
-
-    /// Releases `guard`, blocks until notified (or woken spuriously),
-    /// and reacquires the lock.
-    #[inline]
-    pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        recover(self.0.wait(guard))
-    }
-
-    /// [`Condvar::wait`] for at most `timeout`.
-    #[inline]
-    pub fn wait_timeout<'a, T>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-    ) -> (MutexGuard<'a, T>, WaitTimeoutResult) {
-        recover(self.0.wait_timeout(guard, timeout))
-    }
-
-    /// Waits while `condition` holds, for at most `timeout` in all.
-    #[inline]
-    pub fn wait_timeout_while<'a, T, F>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        timeout: Duration,
-        condition: F,
-    ) -> (MutexGuard<'a, T>, WaitTimeoutResult)
-    where
-        F: FnMut(&mut T) -> bool,
-    {
-        recover(self.0.wait_timeout_while(guard, timeout, condition))
-    }
-
-    /// Wakes one waiter.
-    #[inline]
-    pub fn notify_one(&self) {
-        self.0.notify_one();
-    }
-
-    /// Wakes every waiter.
-    #[inline]
-    pub fn notify_all(&self) {
-        self.0.notify_all();
     }
 }
 

@@ -369,10 +369,10 @@ impl SafeWebApp {
         });
     }
 
-    /// The first route matching `method` and `path`, with its captured
-    /// parameters. `HEAD` runs the `GET` route: the HTTP layer sends the
-    /// response's would-be `content-length` and drops the body.
-    fn route(&self, method: Method, path: &str) -> Option<(usize, BTreeMap<String, String>)> {
+    /// The index of the first route matching `method` and `path`. `HEAD`
+    /// runs the `GET` route: the HTTP layer sends the response's
+    /// would-be `content-length` and drops the body.
+    fn route(&self, method: Method, path: &str) -> Option<usize> {
         let method = if method == Method::Head {
             Method::Get
         } else {
@@ -380,9 +380,7 @@ impl SafeWebApp {
         };
         self.routes
             .iter()
-            .enumerate()
-            .filter(|(_, route)| route.method == method)
-            .find_map(|(index, route)| Some((index, route.pattern.matches(path)?)))
+            .position(|route| route.method == method && route.pattern.matches(path))
     }
 
     /// Per-phase timing counters.
@@ -444,14 +442,14 @@ impl SafeWebApp {
     /// `x-safeweb-trace` response header for `/__obs/trace/:id` lookups.
     pub fn handle(&self, request: &Request) -> Response {
         // Route first: unknown paths 404 without burning auth time.
-        let Some((index, params)) = self.route(request.method(), request.path()) else {
+        let Some(index) = self.route(request.method(), request.path()) else {
             return Response::new(404).with_body("not found");
         };
         let route = &self.routes[index];
         let trace = TraceId::mint();
         let _scope = trace_scope(trace);
         let span_start = safeweb_obs::now_ns();
-        let response = self.serve(index, params, request);
+        let response = self.serve(index, request);
         route
             .latency_ns
             .observe(safeweb_obs::now_ns().saturating_sub(span_start));
@@ -462,7 +460,7 @@ impl SafeWebApp {
     /// The middleware pipeline proper, under the request's trace scope:
     /// the §4.4 steps in their fixed order, with the render cache probed
     /// before the handler runs and filled after the release.
-    fn serve(&self, index: usize, params: BTreeMap<String, String>, request: &Request) -> Response {
+    fn serve(&self, index: usize, request: &Request) -> Response {
         self.stats.requests.inc();
         let user = match self.authenticate(request) {
             Ok(user) => user,
@@ -488,8 +486,7 @@ impl SafeWebApp {
             self.stats.render_cache_misses.inc();
         }
 
-        let page = match self.release(self.render(route, params, request, &user), &user.privileges)
-        {
+        let page = match self.release(self.render(route, request, &user), &user.privileges) {
             Ok(page) => page,
             Err(denial) => return denial,
         };
@@ -520,17 +517,12 @@ impl SafeWebApp {
         })
     }
 
-    /// Steps 2–3: the route's handler over labelled data.
-    fn render(
-        &self,
-        route: &Route,
-        params: BTreeMap<String, String>,
-        request: &Request,
-        user: &AuthenticatedUser,
-    ) -> SResponse {
+    /// Steps 2–3: the route's handler over labelled data, with the
+    /// parameters its pattern captures from the path.
+    fn render(&self, route: &Route, request: &Request, user: &AuthenticatedUser) -> SResponse {
         let ctx = Ctx {
             request,
-            params,
+            params: route.pattern.params(request.path()),
             user,
             records: &self.records,
         };
@@ -879,8 +871,8 @@ mod tests {
         let page = |_: &Ctx<'_>| SResponse::text(SStr::public(""));
         app.get("/records/special", page);
         app.get("/records/:mid", page);
-        assert_eq!(app.route(Method::Get, "/records/special").unwrap().0, 0);
-        assert_eq!(app.route(Method::Get, "/records/other").unwrap().0, 1);
+        assert_eq!(app.route(Method::Get, "/records/special"), Some(0));
+        assert_eq!(app.route(Method::Get, "/records/other"), Some(1));
         assert!(app.route(Method::Post, "/records/other").is_none());
         assert!(app.route(Method::Get, "/nowhere").is_none());
         assert_eq!(

@@ -13,60 +13,50 @@ pub(crate) struct RoutePattern {
 enum Segment {
     Literal(String),
     Param(String),
-    /// `*` — matches the rest of the path (including `/`).
-    Splat,
 }
 
 impl RoutePattern {
     /// Parses a pattern. Segments starting with `:` capture one path
-    /// segment; a final `*` captures the rest as `splat`.
+    /// segment.
     pub(crate) fn parse(pattern: &str) -> RoutePattern {
-        let segments = pattern
-            .split('/')
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                if let Some(name) = s.strip_prefix(':') {
-                    Segment::Param(name.to_string())
-                } else if s == "*" {
-                    Segment::Splat
-                } else {
-                    Segment::Literal(s.to_string())
-                }
+        let segments = parts(pattern)
+            .map(|s| match s.strip_prefix(':') {
+                Some(name) => Segment::Param(name.to_string()),
+                None => Segment::Literal(s.to_string()),
             })
             .collect();
         RoutePattern { segments }
     }
 
-    /// Attempts to match a concrete path, returning captured parameters.
-    pub(crate) fn matches(&self, path: &str) -> Option<BTreeMap<String, String>> {
-        let parts: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-        let mut params = BTreeMap::new();
-        let mut i = 0;
-        for seg in &self.segments {
-            match seg {
-                Segment::Literal(lit) => {
-                    if parts.get(i) != Some(&lit.as_str()) {
-                        return None;
-                    }
-                    i += 1;
-                }
-                Segment::Param(name) => {
-                    let part = parts.get(i)?;
-                    params.insert(name.clone(), safeweb_http::url_decode(part));
-                    i += 1;
-                }
-                Segment::Splat => {
-                    params.insert("splat".to_string(), parts[i..].join("/"));
-                    i = parts.len();
-                }
-            }
-        }
-        if i == parts.len() {
-            Some(params)
-        } else {
-            None
-        }
+    /// Whether a concrete path matches: as many segments, each literal
+    /// equal. Copies nothing.
+    pub(crate) fn matches(&self, path: &str) -> bool {
+        let mut parts = parts(path);
+        let all = self.segments.iter().all(|seg| match (seg, parts.next()) {
+            (_, None) => false,
+            (Segment::Literal(lit), Some(part)) => lit == part,
+            (Segment::Param(_), Some(_)) => true,
+        });
+        all && parts.next().is_none()
     }
+
+    /// The URL-decoded parameters a path that [`RoutePattern::matches`]
+    /// captures.
+    pub(crate) fn params(&self, path: &str) -> BTreeMap<String, String> {
+        self.segments
+            .iter()
+            .zip(parts(path))
+            .filter_map(|(seg, part)| match seg {
+                Segment::Param(name) => Some((name.clone(), safeweb_http::url_decode(part))),
+                Segment::Literal(_) => None,
+            })
+            .collect()
+    }
+}
+
+/// A path's non-empty segments (a trailing slash is tolerated).
+fn parts(path: &str) -> impl Iterator<Item = &str> {
+    path.split('/').filter(|s| !s.is_empty())
 }
 
 #[cfg(test)]
@@ -76,25 +66,27 @@ mod tests {
     #[test]
     fn literal_routes() {
         let p = RoutePattern::parse("/records/all");
-        assert!(p.matches("/records/all").is_some());
-        assert!(p.matches("/records").is_none());
-        assert!(p.matches("/records/all/more").is_none());
+        assert!(p.matches("/records/all"));
+        assert!(!p.matches("/records"));
+        assert!(!p.matches("/records/all/more"));
         // Trailing slash tolerated.
-        assert!(p.matches("/records/all/").is_some());
+        assert!(p.matches("/records/all/"));
     }
 
     #[test]
     fn param_capture() {
         let p = RoutePattern::parse("/records/:mid");
-        let params = p.matches("/records/addenbrookes").unwrap();
+        assert!(p.matches("/records/addenbrookes"));
+        let params = p.params("/records/addenbrookes");
         assert_eq!(params.get("mid").map(String::as_str), Some("addenbrookes"));
-        assert!(p.matches("/records").is_none());
+        assert!(!p.matches("/records"));
     }
 
     #[test]
     fn multiple_params() {
         let p = RoutePattern::parse("/mdt/:mid/patient/:pid");
-        let params = p.matches("/mdt/a/patient/42").unwrap();
+        assert!(p.matches("/mdt/a/patient/42"));
+        let params = p.params("/mdt/a/patient/42");
         assert_eq!(params.get("mid").map(String::as_str), Some("a"));
         assert_eq!(params.get("pid").map(String::as_str), Some("42"));
     }
@@ -102,17 +94,8 @@ mod tests {
     #[test]
     fn params_are_url_decoded() {
         let p = RoutePattern::parse("/records/:mid");
-        let params = p.matches("/records/st+mary%27s").unwrap();
+        assert!(p.matches("/records/st+mary%27s"));
+        let params = p.params("/records/st+mary%27s");
         assert_eq!(params.get("mid").map(String::as_str), Some("st mary's"));
-    }
-
-    #[test]
-    fn splat_captures_rest() {
-        let p = RoutePattern::parse("/static/*");
-        let params = p.matches("/static/css/site.css").unwrap();
-        assert_eq!(
-            params.get("splat").map(String::as_str),
-            Some("css/site.css")
-        );
     }
 }
