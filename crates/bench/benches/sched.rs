@@ -1,5 +1,5 @@
 //! **Scheduler axis**: thread cost and hot-path delivery rate of the
-//! engine on its work-stealing worker pool (`crates/sched`) at 100 / 1k /
+//! engine on its one-run-queue worker pool (`crates/sched`) at 100 / 1k /
 //! 10k units in one process.
 //!
 //! Acceptance: the engine holds **10k units at `+workers` threads** —

@@ -71,8 +71,16 @@ impl TraceId {
 }
 
 impl fmt::Display for TraceId {
+    /// Sixteen lowercase hex digits in one write: `{:016x}` writes the
+    /// padding zeros apart from the digits, so `to_string` of an id with
+    /// a leading zero digit made one more allocation than of one without.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
+        let mut digits = [0u8; 16];
+        for (i, digit) in digits.iter_mut().enumerate() {
+            let nibble = (self.0 >> (60 - 4 * i)) & 0xf;
+            *digit = b"0123456789abcdef"[nibble as usize];
+        }
+        f.write_str(std::str::from_utf8(&digits).expect("hex digits are ASCII"))
     }
 }
 
@@ -302,6 +310,8 @@ mod tests {
         let id = TraceId::mint();
         let parsed: TraceId = id.to_string().parse().unwrap();
         assert_eq!(id, parsed);
+        assert_eq!(TraceId(0xabc).to_string(), "0000000000000abc");
+        assert_eq!(TraceId(u64::MAX).to_string(), "ffffffffffffffff");
         assert!("zz".parse::<TraceId>().is_err());
     }
 

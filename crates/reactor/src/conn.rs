@@ -37,9 +37,6 @@ pub(crate) enum Command {
     Flush(u64),
     /// Close the connection now.
     Close(u64),
-    /// Stop reading from the connection, unless its jobs drained (or a
-    /// resume claimed the pause) since it was asked for.
-    PauseReads(u64),
     /// Start reading from the connection again: its jobs drained while a
     /// pause was asked for.
     ResumeReads(u64),
@@ -169,7 +166,7 @@ pub(crate) struct ConnShared {
     /// pending-job count at or below which reads resume. `NOT_PAUSED`
     /// otherwise. Whoever swaps it back to `NOT_PAUSED` — the worker
     /// whose job brings the count down, or the reactor finding the count
-    /// already down when it applies the pause — owns the resume.
+    /// already down when it checks the pause — owns the resume.
     pub(crate) resume_at: AtomicUsize,
 }
 
@@ -207,10 +204,12 @@ impl ConnShared {
         })
     }
 
-    /// Applies a `PauseReads` command (reactor thread): whether reads
-    /// stop. They do not if a resume already claimed the pause, or if the
-    /// jobs drained before the pause arrived — no job is left to resume
-    /// it, so pausing then would strand the connection.
+    /// Whether a pause asked for stands (reactor thread): checked after
+    /// each read handed to the protocol, to stop reads, and before a
+    /// resume lifts a pause. It does not stand if no pause was asked
+    /// for, if a resume already claimed it, or if the jobs drained to its
+    /// threshold first — no job is left to resume it, so pausing then
+    /// would strand the connection.
     pub(crate) fn pause_stands(&self) -> bool {
         let resume_at = self.resume_at.load(Ordering::SeqCst);
         if resume_at == NOT_PAUSED {
@@ -223,12 +222,6 @@ impl ConnShared {
         // posted a resume that will find reads running.
         self.resume_at.swap(NOT_PAUSED, Ordering::SeqCst);
         false
-    }
-
-    /// Whether a pause was asked for and has not been lifted: the reactor
-    /// stops reading the connection's socket for this readiness event.
-    pub(crate) fn pause_requested(&self) -> bool {
-        self.resume_at.load(Ordering::SeqCst) != NOT_PAUSED
     }
 
     /// A job finished, leaving `left` pending (worker thread): posts the
@@ -333,19 +326,16 @@ impl ConnHandle {
         self.shared.out.lock().closed
     }
 
-    /// Stops reading from the connection until at most `resume_at` of its
-    /// dispatched jobs are pending: the worker finishing the job that
-    /// brings the count there resumes reads. If the count is already
-    /// there when the reactor applies the pause, reads never stop, so a
-    /// pause cannot outlive the jobs that would lift it. A connection
-    /// that is not paused posts nothing when its jobs finish.
+    /// Asks for reads to stop until at most `resume_at` of the
+    /// connection's dispatched jobs are pending: the reactor applies the
+    /// pause once the read that asked for it has been handed over, and
+    /// the worker finishing the job that brings the count there resumes
+    /// reads. If the count is already there when the reactor checks,
+    /// reads never stop, so a pause cannot outlive the jobs that would
+    /// lift it. A connection that is not paused posts nothing when its
+    /// jobs finish.
     fn pause_reads(&self, resume_at: usize) {
-        let before = self.shared.resume_at.swap(resume_at, Ordering::SeqCst);
-        if before == NOT_PAUSED {
-            self.shared
-                .reactor
-                .push(Command::PauseReads(self.shared.token));
-        }
+        self.shared.resume_at.store(resume_at, Ordering::SeqCst);
     }
 
     /// Runs `job` on the reactor's scheduler, as a message to this
@@ -353,8 +343,10 @@ impl ConnHandle {
     /// in dispatch order (an actor-style FIFO), so a protocol can hand
     /// off every parsed request/frame and still get in-order effects.
     /// The [`MAX_IN_FLIGHT`]th unfinished job pauses the connection's
-    /// reads until half of them have finished. After the reactor has
-    /// shut down, jobs are dropped unrun.
+    /// reads until half of them have finished; the reactor applies that
+    /// pause right after the read whose callback dispatched the job (a
+    /// dispatch from any other thread, at the connection's next read).
+    /// After the reactor has shut down, jobs are dropped unrun.
     pub fn dispatch(&self, job: impl FnOnce() + Send + 'static) {
         let pending = self.shared.pending_jobs.fetch_add(1, Ordering::SeqCst) + 1;
         if self.shared.task.send(Box::new(job)).is_err() {
@@ -411,8 +403,9 @@ mod tests {
         assert!(matches!(commands[..], [Command::Flush(7)]), "{commands:?}");
     }
 
-    /// One pause command however often it is asked for, and one resume,
-    /// posted by the job that brings the count down to the threshold.
+    /// A pause posts no command however often it is asked for; one
+    /// resume is posted, by the job that brings the count down to the
+    /// threshold.
     #[test]
     fn a_pause_is_posted_once_and_lifted_by_the_draining_job() {
         let (conn, reactor, jobs) = handle();
@@ -430,10 +423,7 @@ mod tests {
         jobs.shutdown();
         let commands = reactor.drain();
         assert!(
-            matches!(
-                commands[..],
-                [Command::PauseReads(7), Command::ResumeReads(7)]
-            ),
+            matches!(commands[..], [Command::ResumeReads(7)]),
             "{commands:?}"
         );
         assert!(!conn.shared.pause_stands());

@@ -16,8 +16,8 @@
 //!   and every other connection carry on.
 //! * **Everything else** (worker jobs, broker delivery sinks on
 //!   publisher threads) reaches a connection only through [`ConnHandle`]:
-//!   queue bytes, close, pause reads. Handles post commands to the
-//!   event loop's mailbox and wake it via an `eventfd`.
+//!   queue bytes, close, resume paused reads. Handles post commands to
+//!   the event loop's mailbox and wake it via an `eventfd`.
 //!
 //! # Robustness
 //!
@@ -518,10 +518,15 @@ impl Core {
                     let handle = state.handle();
                     state.protocol.on_bytes(&buf[..n], &handle);
                     total += n;
-                    // A full job queue stops the reads here, before the
-                    // pause command is applied; fairness stops them at
-                    // the budget. Epoll re-reports the rest either way.
-                    if total >= READ_BUDGET || state.shared.pause_requested() {
+                    // A full job queue pauses reads here, until its jobs
+                    // resume them; fairness stops them at the budget,
+                    // and epoll re-reports the rest.
+                    if state.shared.pause_stands() {
+                        state.read_paused = true;
+                        set_interest(&self.epoll, state, desired_interest(state));
+                        return false;
+                    }
+                    if total >= READ_BUDGET {
                         return false;
                     }
                 }
@@ -590,24 +595,21 @@ impl Core {
                         self.close_conn(idx);
                     }
                 }
-                Command::PauseReads(token) => self.set_paused(token, true),
-                Command::ResumeReads(token) => self.set_paused(token, false),
+                Command::ResumeReads(token) => self.resume_reads(token),
                 Command::Shutdown => self.stopping = true,
             }
         }
     }
 
-    /// Applies a pause or resume of reads; a pause only if it still
-    /// stands ([`ConnShared::pause_stands`]), and neither once the peer's
-    /// EOF stopped reads for good.
-    fn set_paused(&mut self, token: u64, paused: bool) {
+    /// Lifts a read pause, unless the peer's EOF stopped reads for good or
+    /// a pause still stands: a resume posted for an earlier pause, which
+    /// a worker claimed while reads ran, can land after `read_ready`
+    /// applied a later one, and that one's own resume is still to come.
+    fn resume_reads(&mut self, token: u64) {
         if let Some(idx) = self.lookup(token) {
             let state = self.slots[idx].state.as_mut().expect("looked up");
-            if state.read_eof || (paused && !state.shared.pause_stands()) {
-                return;
-            }
-            if state.read_paused != paused {
-                state.read_paused = paused;
+            if state.read_paused && !state.read_eof && !state.shared.pause_stands() {
+                state.read_paused = false;
                 set_interest(&self.epoll, state, desired_interest(state));
             }
         }
@@ -851,9 +853,10 @@ mod tests {
     }
 
     /// Echoes each read back through a dispatched job. On its first read it
-    /// replays a pause racing its jobs: `resume_first` has the worker's
-    /// resume land *before* the `PauseReads` command; otherwise the jobs
-    /// drained before the pause was applied, and nothing will resume it.
+    /// replays a pause racing its jobs: `resume_first` has a worker's
+    /// resume claim the pause before the reactor checks it; otherwise the
+    /// jobs are already at the pause's threshold when the reactor checks,
+    /// and nothing will resume it.
     struct RacedPause {
         resume_first: bool,
         raced: bool,
@@ -863,13 +866,13 @@ mod tests {
         fn on_bytes(&mut self, data: &[u8], conn: &ConnHandle) {
             if !std::mem::replace(&mut self.raced, true) {
                 let shared = &conn.shared;
-                // `pause_reads(0)` up to its command: the pause is asked for.
-                shared.resume_at.store(0, Ordering::SeqCst);
+                // `pause_reads(1)`: the one job dispatched below keeps
+                // the count at or under the threshold.
+                shared.resume_at.store(1, Ordering::SeqCst);
                 if self.resume_first {
                     // A worker brings the count to 0 and posts the resume.
                     shared.job_finished(0);
                 }
-                shared.reactor.push(Command::PauseReads(shared.token));
             }
             let io = conn.clone();
             let echo = data.to_vec();
@@ -879,7 +882,7 @@ mod tests {
         }
     }
 
-    /// Either way the pause is dropped when the reactor applies it, and
+    /// Either way the pause is dropped when the reactor checks it, and
     /// the connection goes on reading instead of waiting for a resume
     /// that will never come.
     #[test]
@@ -900,8 +903,8 @@ mod tests {
             stream
                 .set_read_timeout(Some(Duration::from_secs(5)))
                 .unwrap();
-            // The echo is flushed after the reactor took the pause and
-            // resume commands, which were queued before it.
+            // The later words are echoed only if reads went on after
+            // the reactor checked the pause.
             for word in [&b"one"[..], b"two", b"three"] {
                 io::Write::write_all(&mut stream, word).unwrap();
                 let mut got = vec![0u8; word.len()];
@@ -911,6 +914,76 @@ mod tests {
                 assert_eq!(got, word);
             }
         }
+    }
+
+    /// Reports each read as (connection number, reads so far) and
+    /// dispatches a job per byte, the first connection's first job held
+    /// on `gate`. On its first read it replays a pause a worker claimed
+    /// while reads ran: the resume is posted, not yet applied.
+    struct StaleResume {
+        id: usize,
+        reads: usize,
+        report: std::sync::mpsc::Sender<(usize, usize)>,
+        gate: Option<std::sync::mpsc::Receiver<()>>,
+    }
+
+    impl Protocol for StaleResume {
+        fn on_bytes(&mut self, data: &[u8], conn: &ConnHandle) {
+            self.reads += 1;
+            if self.reads == 1 {
+                conn.shared.resume_at.store(0, Ordering::SeqCst);
+                conn.shared.job_finished(0);
+            }
+            for _ in data {
+                let gate = self.gate.take();
+                conn.dispatch(move || {
+                    if let Some(gate) = gate {
+                        // Bounded: a failed assertion drops the reactor,
+                        // whose shutdown runs this job, before `open`.
+                        let _ = gate.recv_timeout(Duration::from_secs(10));
+                    }
+                });
+            }
+            let _ = self.report.send((self.id, self.reads));
+        }
+    }
+
+    /// That stale resume lands after the read that filled the job queue
+    /// had the reactor apply a pause of its own: the pause stands, and
+    /// the connection is not read again until its jobs drain.
+    #[test]
+    fn a_stale_resume_does_not_lift_a_standing_pause() {
+        let (report, reads) = std::sync::mpsc::channel();
+        let (open, gate) = std::sync::mpsc::channel::<()>();
+        let gate = safeweb_sync::Mutex::new(Some(gate));
+        let next_id = AtomicUsize::new(0);
+        let config = ReactorConfig {
+            name: "stale-resume".to_string(),
+            ..ReactorConfig::default()
+        };
+        let reactor = Reactor::start("127.0.0.1:0", config, 1, move || {
+            Box::new(StaleResume {
+                id: next_id.fetch_add(1, Ordering::SeqCst),
+                reads: 0,
+                report: report.clone(),
+                gate: gate.lock().take(),
+            })
+        })
+        .unwrap();
+        let next = || reads.recv_timeout(Duration::from_secs(10)).unwrap();
+        let mut paused = TcpStream::connect(reactor.addr()).unwrap();
+        io::Write::write_all(&mut paused, &[0; crate::MAX_IN_FLIGHT]).unwrap();
+        assert_eq!(next(), (0, 1));
+        io::Write::write_all(&mut paused, b"more").unwrap();
+        // Two round trips on another connection: a lifted pause would
+        // have the reactor read "more" in the loop turns between them.
+        let mut probe = TcpStream::connect(reactor.addr()).unwrap();
+        for round in 1..=2 {
+            io::Write::write_all(&mut probe, b"p").unwrap();
+            assert_eq!(next(), (1, round), "read while paused");
+        }
+        open.send(()).unwrap();
+        assert_eq!(next(), (0, 2), "reads never resumed");
     }
 
     /// Echoes each byte back through a job of its own; the job for `!`

@@ -1,6 +1,6 @@
 //! # safeweb-sched
 //!
-//! A work-stealing task scheduler that multiplexes thousands of
+//! A task scheduler with one FIFO run queue that multiplexes thousands of
 //! event-processing units onto a **fixed** pool of worker threads. It
 //! replaces the engine's original thread-per-unit execution model, whose
 //! OS-thread cost capped a deployment at a few hundred units; with the
@@ -13,7 +13,7 @@
 //! handler closure. Senders push messages through a cloneable
 //! [`TaskSender`]; the scheduler runs the handler over batches of queued
 //! messages on whichever worker picks the task up. Three guarantees hold
-//! for every task, under any stealing interleaving:
+//! for every task, under any interleaving of the workers:
 //!
 //! * **FIFO** — messages are handed to the handler in exactly the order
 //!   their sends completed;
@@ -31,21 +31,20 @@
 //!
 //! ## Scheduling
 //!
-//! Each worker owns a run queue of ready tasks; a task whose inbox goes
-//! empty→non-empty is enqueued on the notifying worker's own queue (or a
-//! shared injector queue when the sender is not a worker). An idle worker
-//! pops its own queue first, then the injector, then **steals** from the
-//! other workers' queues, so a burst aimed at one worker's tasks spreads
+//! The pool has **one** FIFO run queue of ready tasks. A task whose inbox
+//! goes empty→non-empty is pushed onto its back, whichever thread sent
+//! the message, and an idle worker pops its front, so a burst spreads
 //! across the pool. Per activation a task drains at most
-//! [`SchedulerOptions::burst`] messages before re-queuing itself at the
-//! back, so one hot task cannot starve the rest.
+//! [`SchedulerOptions::burst`] messages; if messages are left it
+//! re-queues at the back of that same queue, behind every task that
+//! became ready meanwhile, so one hot task cannot starve the rest.
 //!
 //! A handler panic is **isolated**: the worker survives, the panicking
 //! task is poisoned (inbox closed, pending messages dropped) and the
 //! panic is reported through [`Scheduler::panics`]; every other task keeps
 //! running.
 //!
-//! A task lives while a [`TaskSender`] or a run queue holds it: the
+//! A task lives while a [`TaskSender`] or the run queue holds it: the
 //! scheduler's own registry is weak, so a task whose senders are all
 //! dropped is freed, handler and all, once its inbox has drained. That
 //! makes short-lived tasks cheap — the network frontends spawn one per

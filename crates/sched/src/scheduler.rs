@@ -1,4 +1,4 @@
-//! The worker pool, run queues, stealing and the per-task state machine.
+//! The worker pool, its one run queue and the per-task state machine.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -19,7 +19,7 @@ pub struct SchedulerOptions {
     /// setting, making the thread count `min(requested, cores)`-shaped
     /// and independent of task count. Explicit values are honored as
     /// given (tests oversubscribe a small machine on purpose to provoke
-    /// stealing interleavings).
+    /// interleavings between workers).
     pub workers: usize,
     /// Per-task inbox capacity; sends beyond it block the producer.
     pub inbox_cap: usize,
@@ -29,8 +29,8 @@ pub struct SchedulerOptions {
     /// Thread-name prefix for the worker threads.
     pub name: String,
     /// Registry for the scheduler's metrics (`sched.activation_ns`,
-    /// `sched.steals`, `sched.parks`, `sched.queued_messages`,
-    /// `sched.blocked_senders`). `None` keeps detached handles:
+    /// `sched.parks`, `sched.queued_messages`, `sched.blocked_senders`,
+    /// `sched.inbox_cap`). `None` keeps detached handles:
     /// everything still counts, nothing is published to a snapshot.
     pub metrics: Option<MetricsRegistry>,
 }
@@ -52,7 +52,6 @@ impl Default for SchedulerOptions {
 #[derive(Debug, Default)]
 struct SchedMetrics {
     activation_ns: Histogram,
-    steals: Counter,
     parks: Counter,
 }
 
@@ -76,7 +75,6 @@ impl SchedMetrics {
         registry.register_derived("sched.inbox_cap", move || inbox_cap as f64);
         SchedMetrics {
             activation_ns: registry.histogram("sched.activation_ns"),
-            steals: registry.counter("sched.steals"),
             parks: registry.counter("sched.parks"),
         }
     }
@@ -101,7 +99,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-// Task states. A task is in exactly one queue iff its state is QUEUED;
+// Task states. A task is in the run queue iff its state is QUEUED;
 // only the worker that dequeued it moves QUEUED→RUNNING, which is what
 // makes concurrent execution impossible.
 const IDLE: u8 = 0;
@@ -110,7 +108,7 @@ const RUNNING: u8 = 2;
 /// Running, with a notify observed mid-run: re-queue on completion.
 const RUNNING_NOTIFIED: u8 = 3;
 
-/// Empty queue scans a worker burns through (with `spin_loop` hints)
+/// Empty queue checks a worker burns through (with `spin_loop` hints)
 /// before it parks on the pool's `ready` signal. Under load, new work
 /// usually arrives within this window and the worker never pays the
 /// futex round-trip; once the pool is truly idle the spin ends and the
@@ -126,8 +124,8 @@ static NEXT_SCHED_ID: AtomicU64 = AtomicU64::new(1);
 thread_local! {
     /// The task whose handler is executing on this thread (0 = none).
     static CURRENT_TASK: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-    /// (scheduler id, worker index) when this thread is a pool worker.
-    static WORKER: std::cell::Cell<(u64, usize)> = const { std::cell::Cell::new((0, 0)) };
+    /// The id of the scheduler whose pool this thread works in (0 = none).
+    static WORKER: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 type Handler<M> = Box<dyn FnMut(&mut Vec<M>) + Send>;
@@ -145,11 +143,11 @@ struct Task<M> {
 struct Inner<M> {
     id: u64,
     burst: usize,
-    /// One run queue per worker plus a shared injector for enqueues from
-    /// non-worker threads (index `workers` in `queues`).
-    queues: Vec<Mutex<VecDeque<Arc<Task<M>>>>>,
+    /// The pool's one run queue of ready tasks: every enqueue pushes its
+    /// back, from any thread, and every worker pops its front.
+    queue: Mutex<VecDeque<Arc<Task<M>>>>,
     workers: usize,
-    /// Tasks queued anywhere; lets idle workers sleep without scanning.
+    /// Tasks in `queue`; lets idle workers sleep without locking it.
     pending: AtomicUsize,
     /// Notified (one worker) by every enqueue and (every worker) by
     /// `shutdown`; idle workers park on it.
@@ -165,9 +163,9 @@ struct Inner<M> {
 }
 
 /// Every task the scheduler has spawned, held weakly: a task lives as
-/// long as a [`TaskSender`] or a run queue holds it, so one whose senders
-/// are gone is forgotten once drained. A queued task is held by its run
-/// queue, so no task is dropped with messages in its inbox.
+/// long as a [`TaskSender`] or the run queue holds it, so one whose
+/// senders are gone is forgotten once drained. A queued task is held by
+/// the run queue, so no task is dropped with messages in its inbox.
 struct Registry<M> {
     tasks: Vec<Weak<Task<M>>>,
     /// Length at which the next `spawn` prunes dead entries: twice the
@@ -190,16 +188,9 @@ impl<M> Registry<M> {
 }
 
 impl<M: Send + 'static> Inner<M> {
-    /// Queues a ready task: on a worker thread, onto that worker's own
-    /// queue; anywhere else, onto the shared injector.
+    /// Queues a ready task at the back of the run queue.
     fn enqueue(&self, task: Arc<Task<M>>) {
-        let (sched, index) = WORKER.with(std::cell::Cell::get);
-        let queue = if sched == self.id {
-            &self.queues[index]
-        } else {
-            &self.queues[self.workers]
-        };
-        queue.lock().push_back(task);
+        self.queue.lock().push_back(task);
         self.pending.fetch_add(1, Ordering::SeqCst);
         self.ready.notify_one();
     }
@@ -236,33 +227,11 @@ impl<M: Send + 'static> Inner<M> {
         }
     }
 
-    /// Own queue first, then the injector, then steal from the others.
-    fn find_work(&self, index: usize) -> Option<Arc<Task<M>>> {
-        let order = (0..self.queues.len()).map(|off| {
-            match off {
-                0 => index,
-                1 => self.workers, // injector
-                _ => {
-                    // Remaining queues in rotation, skipping our own and
-                    // the injector (both already tried).
-                    let mut victim = (index + off - 1) % self.workers;
-                    if victim == index {
-                        victim = (victim + 1) % self.workers;
-                    }
-                    victim
-                }
-            }
-        });
-        for queue_index in order {
-            if let Some(task) = self.queues[queue_index].lock().pop_front() {
-                self.pending.fetch_sub(1, Ordering::SeqCst);
-                if queue_index != index && queue_index != self.workers {
-                    self.metrics.steals.inc();
-                }
-                return Some(task);
-            }
-        }
-        None
+    /// The task at the front of the run queue, if any.
+    fn find_work(&self) -> Option<Arc<Task<M>>> {
+        let task = self.queue.lock().pop_front()?;
+        self.pending.fetch_sub(1, Ordering::SeqCst);
+        Some(task)
     }
 
     fn run_task(&self, task: &Arc<Task<M>>, scratch: &mut Vec<M>) {
@@ -342,15 +311,15 @@ impl<M: Send + 'static> Inner<M> {
         }
     }
 
-    fn worker_loop(self: &Arc<Self>, index: usize) {
-        WORKER.with(|worker| worker.set((self.id, index)));
+    fn worker_loop(self: &Arc<Self>) {
+        WORKER.with(|worker| worker.set(self.id));
         let mut scratch = Vec::new();
         loop {
-            match self.find_work(index) {
+            match self.find_work() {
                 Some(task) => self.run_task(&task, &mut scratch),
                 None => {
                     if self.stopping.load(Ordering::SeqCst) {
-                        // Queues empty and no new sends can arrive
+                        // Queue empty and no new sends can arrive
                         // (inboxes are closed): this worker is done.
                         return;
                     }
@@ -391,7 +360,7 @@ impl<M: Send + 'static> Scheduler<M> {
         let inner = Arc::new(Inner {
             id: NEXT_SCHED_ID.fetch_add(1, Ordering::Relaxed),
             burst: options.burst.max(1),
-            queues: (0..=workers).map(|_| Mutex::new(VecDeque::new())).collect(),
+            queue: Mutex::new(VecDeque::new()),
             workers,
             pending: AtomicUsize::new(0),
             ready: Signal::new(),
@@ -409,7 +378,7 @@ impl<M: Send + 'static> Scheduler<M> {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("{}-worker-{index}", options.name))
-                    .spawn(move || inner.worker_loop(index))
+                    .spawn(move || inner.worker_loop())
                     .expect("spawn scheduler worker")
             })
             .collect();
@@ -500,8 +469,8 @@ impl<M: Send + 'static> Scheduler<M> {
         }
         // Final sweep, on this thread, after every worker has exited: a
         // send whose inbox push won the race against the close above but
-        // whose wakeup had not landed when the workers last scanned the
-        // queues leaves messages behind with nobody to run them. The
+        // whose wakeup had not landed when the workers last checked the
+        // queue leaves messages behind with nobody to run them. The
         // inboxes are closed, so this drains to empty in bounded work —
         // and every send that returned Ok stays processed, as promised.
         let tasks: Vec<Arc<Task<M>>> = self.inner.tasks.lock().live().collect();
@@ -564,7 +533,7 @@ impl<M: Send + 'static> TaskSender<M> {
     /// Returns [`SendError`] (with the message) if the task is closed:
     /// scheduler shut down, or the task was poisoned by a panic.
     pub fn send(&self, msg: M) -> Result<(), SendError<M>> {
-        let pool_thread = WORKER.with(std::cell::Cell::get).0 == self.inner.id;
+        let pool_thread = WORKER.with(std::cell::Cell::get) == self.inner.id;
         let own_task = CURRENT_TASK.with(std::cell::Cell::get) == self.task.uid;
         let pushed = self.task.inbox.push(msg, pool_thread || own_task)?;
         self.after_push(pushed);
@@ -902,6 +871,45 @@ mod tests {
         wait_until(|| source.try_send(0).is_ok(), "ticks never resumed");
         sched.shutdown();
         assert_eq!(sched.panics().len(), 1);
+    }
+
+    /// A task that re-queues after its burst goes to the back of the one
+    /// run queue, behind a task woken from outside meanwhile: with one
+    /// worker and `burst: 1`, B's single message runs within the first
+    /// two activations, not after all of A's hundred.
+    #[test]
+    fn a_requeued_task_waits_behind_one_woken_from_outside() {
+        let sched: Scheduler<char> = Scheduler::new(SchedulerOptions {
+            inbox_cap: 128,
+            burst: 1,
+            ..options(1)
+        });
+        // The gate task holds the only worker while A and B are sent.
+        let (entered, gate) = (Gate::new(), Gate::new());
+        let (enter, open) = (Arc::clone(&entered), Arc::clone(&gate));
+        let holder = sched.spawn("gate", move |batch| {
+            enter.open();
+            open.wait();
+            batch.clear();
+        });
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let spawn_logged = |name| {
+            let log = Arc::clone(&log);
+            sched.spawn(name, move |batch| log.lock().extend(batch.drain(..)))
+        };
+        let (a, b) = (spawn_logged("a"), spawn_logged("b"));
+        holder.send('g').unwrap();
+        entered.wait();
+        for _ in 0..100 {
+            a.send('A').unwrap();
+        }
+        b.send('B').unwrap();
+        gate.open();
+        sched.shutdown();
+        let log = log.lock();
+        assert_eq!(log.len(), 101);
+        let at = log.iter().position(|&name| name == 'B').unwrap();
+        assert!(at < 2, "B ran as activation {}", at + 1);
     }
 
     #[test]

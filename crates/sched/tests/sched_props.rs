@@ -1,9 +1,10 @@
 //! Scheduler property tests, in the style of the broker's
 //! `routing_equivalence` suite: a deliberately trivial
 //! **sequential executable specification** says what any correct
-//! execution must deliver, and the real work-stealing scheduler is held
-//! to it under randomized worker counts, inbox capacities, burst limits,
-//! handler delays and producer interleavings.
+//! execution must deliver, and the real scheduler (one run queue shared
+//! by a pool of workers) is held to it under randomized worker counts,
+//! inbox capacities, burst limits, handler delays and producer
+//! interleavings.
 //!
 //! The spec: a task is a FIFO queue processed by at most one executor at
 //! a time. Therefore, for every task,
@@ -11,7 +12,7 @@
 //! 1. the handler observes exactly the messages sent to it, in send
 //!    order (per-task FIFO, no loss after a draining shutdown);
 //! 2. handler executions never overlap (no concurrent execution), even
-//!    while the task migrates between workers through stealing.
+//!    while the task moves between workers, one activation at a time.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,7 +36,8 @@ struct Plan {
     burst: usize,
     /// Messages per task; length = task count.
     messages: Vec<u32>,
-    /// Tasks whose handler sleeps a little, so activations span steals.
+    /// Tasks whose handler sleeps a little, so activations overlap other
+    /// workers' pops of the run queue.
     slow: Vec<bool>,
 }
 
@@ -65,7 +67,7 @@ struct TaskProbe {
 
 proptest! {
     /// FIFO + no-concurrent-execution + no loss, against the sequential
-    /// oracle, under random stealing interleavings.
+    /// oracle, under random interleavings of the workers.
     #[test]
     fn scheduled_tasks_match_the_sequential_spec(plan in arb_plan()) {
         let sched: Scheduler<u32> = Scheduler::new(SchedulerOptions {
